@@ -38,18 +38,16 @@ class DofMap:
         return slice(off, off + self.face_width)
 
 
-def build_dof_map(mesh: Mesh, degrees: HhoDegrees, constrain: bool = True) -> DofMap:
-    """Number the face unknowns; with ``constrain=False`` every face stays
-    in the system (useful before an explicit Dirichlet elimination)."""
+def build_dof_map(mesh: Mesh, degrees: HhoDegrees) -> DofMap:
+    """Number the face unknowns of the non-Dirichlet faces."""
     boundary = mesh.boundary_faces
     untagged = boundary & ~(mesh.dirichlet_faces | mesh.neumann_faces)
-    if constrain and np.any(untagged):
+    if np.any(untagged):
         raise ValueError(
             f"untagged boundary faces: {np.flatnonzero(untagged).tolist()}")
     width = dof_layout(mesh, degrees, 1).face_width
     offsets = np.full(mesh.n_faces, -1, dtype=int)
-    dirichlet = mesh.dirichlet_faces.copy() if constrain \
-        else np.zeros(mesh.n_faces, dtype=bool)
+    dirichlet = mesh.dirichlet_faces.copy()
     free = ~dirichlet
     offsets[free] = np.arange(int(free.sum())) * width
     return DofMap(mesh=mesh, degrees=degrees, face_width=width,
@@ -146,31 +144,6 @@ def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
     else:
         matrix = sp.csc_matrix((n, n))
     return GlobalSystem(matrix=matrix, rhs=rhs, dofmap=dofmap)
-
-
-def apply_dirichlet(system: GlobalSystem,
-                    dirichlet_values: np.ndarray) -> GlobalSystem:
-    """Eliminate Dirichlet face blocks from an unconstrained face system.
-
-    ``system`` must have been assembled with a ``constrain=False`` DoF map;
-    the eliminated columns times the projected boundary data move to the
-    right-hand side, leaving an SPD system on the remaining faces.
-    """
-    old = system.dofmap
-    mesh = old.mesh
-    reduced = build_dof_map(mesh, old.degrees)
-    w = old.face_width
-    free_faces = np.flatnonzero(~reduced.dirichlet)
-    keep = np.concatenate([np.arange(old.offsets[fi], old.offsets[fi] + w)
-                           for fi in free_faces]) if len(free_faces) else \
-        np.zeros(0, dtype=int)
-    A = system.matrix.tocsc()
-    rhs = system.rhs[keep].copy()
-    for fj in np.flatnonzero(reduced.dirichlet):
-        cols = np.arange(old.offsets[fj], old.offsets[fj] + w)
-        rhs -= A[np.ix_(keep, cols)] @ dirichlet_values[fj]
-    return GlobalSystem(matrix=A[np.ix_(keep, keep)].tocsc(),
-                        rhs=np.asarray(rhs).ravel(), dofmap=reduced)
 
 
 def solve_reduced(system: GlobalSystem, method: str = "direct",
@@ -297,12 +270,3 @@ def solve_monolithic(mesh: Mesh, locals_: list, rhs_list: list, dofmap: DofMap,
         cw = L.shape[0] - len(mesh.cell_faces[ci]) * w
         cell_coeffs.append(x[cell_off[ci]:cell_off[ci] + cw])
     return cell_coeffs, face_coeffs
-
-
-def export_coo(system: GlobalSystem, path) -> None:
-    """Write the reduced matrix as `row col value` lines (0-based)."""
-    coo = system.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17e}\n")

@@ -127,31 +127,6 @@ def scaled_monomial_basis(geometry: CellGeometry, degree: int,
                  center=geometry.barycenter, scale=geometry.diameter)
 
 
-def face_mapping(mesh: Mesh, face: int):
-    """Isometric chart of a 2D face: ``T_F(s) = x_F + s t`` with unit ``t``.
-
-    The tangent runs from the lower-indexed to the higher-indexed vertex,
-    which pins one of the two admissible orientations deterministically.
-    Returns ``(forward, inverse)`` callables.
-    """
-    a, b = sorted(mesh.faces[face])
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    length = np.linalg.norm(pb - pa)
-    if length <= 0:
-        raise ValueError(f"face {face} has zero length")
-    center = 0.5 * (pa + pb)
-    tangent = (pb - pa) / length
-
-    def forward(s):
-        s = np.asarray(s, dtype=float)
-        return center + np.multiply.outer(s, tangent)
-
-    def inverse(x):
-        return (np.atleast_2d(np.asarray(x, dtype=float)) - center) @ tangent
-
-    return forward, inverse
-
-
 def face_basis(mesh: Mesh, face: int, degree: int,
                max_degree: int = MAX_DEGREE) -> Basis:
     """Face basis: 1D scaled monomials in the chart coordinate (2D meshes),
@@ -165,11 +140,6 @@ def face_basis(mesh: Mesh, face: int, degree: int,
     length = float(np.linalg.norm(pb - pa))
     return Basis(entity_dim=1, degree=degree, center=np.zeros(1), scale=length,
                  origin=0.5 * (pa + pb), tangent=(pb - pa) / length)
-
-
-def eval_basis(basis: Basis, points: np.ndarray):
-    """Functional wrapper around :meth:`Basis.eval`."""
-    return basis.eval(points)
 
 
 def orthonormalize(basis: Basis, rule: QuadratureRule) -> Basis:

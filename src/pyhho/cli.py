@@ -141,10 +141,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    target = None
     blocks = harness.verify_operators(args.family, args.k, levels=args.levels,
-                                      base=args.base, target=target,
-                                      threads=args.threads)
+                                      base=args.base, threads=args.threads)
     out = _outdir(args)
     rows = []
     for b in blocks:
@@ -260,7 +258,6 @@ def build_parser():
                     choices=["quad", "tri", "hanging", "interval"])
     sp.add_argument("--levels", type=int, default=4)
     sp.add_argument("--base", type=int, default=4)
-    sp.add_argument("--target", default="sin", choices=["sin"])
     sp.set_defaults(func=cmd_verify)
 
     sp = registry["oracle1d"] = sub.add_parser("oracle1d", help="compare against an independent P1 FEM build")

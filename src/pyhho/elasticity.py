@@ -5,7 +5,9 @@ symmetric-tensor polynomials of degree k, the divergence reconstruction is
 its trace, and the displacement reconstruction of degree k+1 is pinned by
 mean-value and skew-gradient constraints that remove the rigid-body
 ambiguity.  The local bilinear form combines the strain and divergence
-terms with a stabilization weighted by ``2 mu / h``.
+terms with a stabilization weighted by ``2 mu / h``; the stabilizations
+and the face-flux (traction) builder are the scalar ones of
+:mod:`pyhho.local_ops`, tensorized with the 2D identity.
 
 Vector DoFs interleave components: scalar function ``i``, component ``a``
 sits at ``2 i + a`` inside each block.
@@ -13,12 +15,11 @@ sits at ``2 i + a`` inside each block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .local_ops import CellContext
+from .local_ops import (CellContext, LocalOperators, _face_flux, _kron_apply,
+                        stabilization_equal_order, stabilization_ls)
 from .projection import mass_cholesky
 
 # symmetric unit tensors E_xx, E_yy, E_xy([[0,1],[1,0]]) and their ':' norms
@@ -39,17 +40,6 @@ def _strain_columns(dphi: np.ndarray) -> np.ndarray:
     eps[:, 0::2, 2] = 0.5 * dphi[:, :, 1]        # eps_xy of e_x phi
     eps[:, 1::2, 2] = 0.5 * dphi[:, :, 0]
     return eps
-
-
-def _vec(M: np.ndarray) -> np.ndarray:
-    """Tensorize a scalar block with the 2D Cartesian basis."""
-    return np.kron(M, np.eye(2))
-
-
-def _embed_cols(rows: int, layout, block: slice, M: np.ndarray) -> np.ndarray:
-    out = np.zeros((rows, layout.size))
-    out[:, block] = M
-    return out
 
 
 def strain_reconstruction(ctx: CellContext) -> np.ndarray:
@@ -168,99 +158,17 @@ def stabilization_elastic(ctx: CellContext, Dep: np.ndarray | None):
     Returns ``(face_ops, penalty)`` where ``penalty`` carries the plain
     ``1/h`` weight (the ``2 mu`` factor is applied by the bilinear form).
     """
-    layout = ctx.layout
-    n_cell = ctx.n_cell
-    face_ops = []
-    penalty = np.zeros((layout.size, layout.size))
-    if not ctx.degrees.mixed:
-        if Dep is None:
-            raise ValueError("equal-order elastic stabilization needs the "
-                             "displacement reconstruction")
-        n_k = ctx.n_k
-        Qv = _vec(ctx.mass_full[:n_k, :])                 # (2 n_k, 2 n_rec)
-        Mc = _vec(ctx.mass_full[:n_k, :n_k])
-        tmp1 = -np.linalg.solve(Mc, Qv @ Dep)
-        tmp1[:, layout.cell] += np.eye(2 * n_k)
-    for i, f in enumerate(ctx.faces):
-        Mi = _vec(f.mass)
-        nf = Mi.shape[0]
-        if ctx.degrees.mixed:
-            S = np.zeros((nf, layout.size))
-            S[:, layout.cell] = np.linalg.solve(Mi, _vec(f.trace_full[:, :n_cell]))
-        else:
-            S = np.linalg.solve(
-                Mi, _vec(f.trace_full) @ Dep + _vec(f.trace_full[:, :n_cell]) @ tmp1)
-        S[:, layout.face(i)] -= np.eye(nf)
-        face_ops.append(S)
-        penalty += (S.T @ Mi @ S) / ctx.h
-    return face_ops, 0.5 * (penalty + penalty.T)
+    if ctx.degrees.mixed:
+        return stabilization_ls(ctx)
+    if Dep is None:
+        raise ValueError("equal-order elastic stabilization needs the "
+                         "displacement reconstruction")
+    return stabilization_equal_order(ctx, Dep)
 
 
-@dataclass
-class LocalElasticOperators:
-    ctx: CellContext
-    mu: float
-    lam: float
-    Es: np.ndarray            # (3, n_k, size) strain reconstruction
-    Dv: np.ndarray            # (n_k, size) divergence reconstruction
-    Dep: np.ndarray           # (2 n_rec, size) displacement reconstruction
-    stab_face: list
-    penalty: np.ndarray
-    L: np.ndarray
-    traction: np.ndarray      # (n_faces * face_width, size)
-
-    def traction_coefficients(self, dofs: np.ndarray):
-        vals = self.traction @ dofs
-        nf = self.ctx.layout.face_width
-        return [vals[i * nf:(i + 1) * nf] for i in range(len(self.ctx.faces))]
-
-
-def _traction_matrix(ctx: CellContext, mu, lam, Es, stab_face) -> np.ndarray:
-    """Numerical tractions: stress of the reconstructed strain plus the
-    stabilization correction, projected facewise."""
-    layout = ctx.layout
-    n_k = ctx.n_k
-    nf = layout.face_width
-    nfaces = len(ctx.faces)
-    total = nfaces * nf
-
-    # stress coefficients on the tensor basis
-    sig = np.zeros_like(Es)
-    sig[0] = (2 * mu + lam) * Es[0] + lam * Es[1]
-    sig[1] = lam * Es[0] + (2 * mu + lam) * Es[1]
-    sig[2] = 2 * mu * Es[2]
-
-    Sstack = np.vstack(stab_face)
-    embed = np.zeros((layout.size, total))
-    embed[layout.faces, :] = np.eye(total)
-    Sigma = -Sstack @ embed
-
-    trac = np.zeros((total, layout.size))
-    Mblocks = np.zeros((total, total))
-    for i, f in enumerate(ctx.faces):
-        rows = slice(i * nf, (i + 1) * nf)
-        Miv = _vec(f.mass)
-        Mblocks[rows, rows] = Miv
-        n = f.normal
-        # -(sigma n) tested with the vector face basis, component a
-        rhs = np.zeros((nf, layout.size))
-        fw = f.rule.weights
-        pairing = f.psi.T @ (fw[:, None] * f.phi[:, :n_k])   # (nfs, n_k)
-        comp0 = pairing @ (sig[0] * n[0] + sig[2] * n[1])
-        comp1 = pairing @ (sig[2] * n[0] + sig[1] * n[1])
-        rhs[0::2] = -comp0
-        rhs[1::2] = -comp1
-        trac[rows] = np.linalg.solve(Miv, rhs)
-    adj = (2.0 * mu / ctx.h) * (Sigma.T @ Mblocks @ Sstack)
-    for i, f in enumerate(ctx.faces):
-        rows = slice(i * nf, (i + 1) * nf)
-        trac[rows] += np.linalg.solve(_vec(f.mass), adj[rows])
-    return trac
-
-
-def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalElasticOperators:
+def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalOperators:
     """Local elastic matrix ``2mu (strain, strain) + lam (div, div) +
-    2mu/h (stab, stab)`` with all constituent operators."""
+    2mu/h (stab, stab)`` with its face tractions."""
     if mu <= 0 or lam < 0:
         raise ValueError("need mu > 0 and lambda >= 0")
     n_k = ctx.n_k
@@ -275,12 +183,23 @@ def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalElas
     div_term = Dv.T @ Mk @ Dv
     L = 2 * mu * strain_term + lam * div_term + 2 * mu * penalty
     L = 0.5 * (L + L.T)
-    return LocalElasticOperators(
-        ctx=ctx, mu=mu, lam=lam, Es=Es, Dv=Dv, Dep=Dep,
-        stab_face=stab_face, penalty=penalty, L=L,
-        traction=_traction_matrix(ctx, mu, lam, Es, stab_face))
 
-
-def traction_recovery(ops: LocalElasticOperators, dofs: np.ndarray):
-    """Per-face numerical traction polynomials of a local DoF vector."""
-    return ops.traction_coefficients(dofs)
+    # stress coefficient maps on the tensor basis
+    sig = np.stack([(2 * mu + lam) * Es[0] + lam * Es[1],
+                    lam * Es[0] + (2 * mu + lam) * Es[1], 2 * mu * Es[2]])
+    consistency = []
+    for f in ctx.faces:
+        n = f.normal
+        # -(sigma n), components interleaved, tested with the face basis
+        sn = np.stack([sig[0] * n[0] + sig[2] * n[1], sig[2] * n[0] + sig[1] * n[1]],
+                      axis=1).reshape(2 * n_k, -1)
+        pairing = f.psi.T @ (f.rule.weights[:, None] * f.phi[:, :n_k])
+        consistency.append(-_kron_apply(pairing, sn))
+    # (sigma, eps(q)) for the vector cell basis q of degree k
+    wphi = ctx.rule.weights[:, None] * ctx.phi[:, :n_k]
+    epsq = _strain_columns(ctx.dphi[:, :n_k, :])
+    balance = sum(TENSOR_WEIGHTS[m] * epsq[:, :, m].T @ wphi @ sig[m] for m in range(3))
+    return LocalOperators(
+        ctx=ctx, L=L, penalty=penalty, rec=Dep,
+        flux=_face_flux(ctx, np.vstack(consistency), stab_face, 2.0 * mu / ctx.h),
+        balance=balance)

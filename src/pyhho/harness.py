@@ -16,12 +16,13 @@ import numpy as np
 
 from . import assembly as asm
 from .basis import face_basis
-from .elasticity import TENSOR_WEIGHTS, _strain_columns, local_bilinear_elastic
-from .local_ops import CellContext, build_cell_context, local_bilinear
+from .elasticity import local_bilinear_elastic
+from .local_ops import (CellContext, _kron_apply, _kron_solve, build_cell_context,
+                        local_bilinear)
 from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh)
 from .problems import ProblemSpec
-from .projection import HhoDegrees, dof_layout, l2_project
+from .projection import HhoDegrees, dof_layout, gather_local, l2_project
 from .quadrature import cell_quadrature, face_quadrature
 
 RHS_QUAD_BUMP = 2
@@ -107,12 +108,8 @@ class Solution:
     residual: float = 0.0
 
     def local_dofs(self, cell: int) -> np.ndarray:
-        layout = self.ops[cell].ctx.layout
-        out = np.zeros(layout.size)
-        out[layout.cell] = self.cell_coeffs[cell]
-        for i, fi in enumerate(self.mesh.cell_faces[cell]):
-            out[layout.face(i)] = self.face_coeffs[fi]
-        return out
+        return gather_local(self.mesh, cell, self.degrees, self.cell_coeffs,
+                            self.face_coeffs)
 
 
 def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec, threads=1):
@@ -179,11 +176,7 @@ def discrete_energy(sol: Solution, cell_coeffs=None, face_coeffs=None) -> float:
     fc = sol.face_coeffs if face_coeffs is None else face_coeffs
     total = 0.0
     for ci, ops in enumerate(sol.ops):
-        layout = ops.ctx.layout
-        v = np.zeros(layout.size)
-        v[layout.cell] = cc[ci]
-        for i, fi in enumerate(sol.mesh.cell_faces[ci]):
-            v[layout.face(i)] = fc[fi]
+        v = gather_local(sol.mesh, ci, sol.degrees, cc, fc)
         total += 0.5 * v @ (ops.L @ v) - sol.rhs[ci] @ v
     for fi in np.flatnonzero(sol.mesh.neumann_faces):
         total -= sol.neumann[fi] @ fc[fi]
@@ -195,103 +188,64 @@ def flux_residuals(sol: Solution):
 
     Returns ``(max interface L2 mismatch, max relative balance residual)``.
     """
-    mesh = sol.mesh
-    per_cell = [ops.flux_coefficients(sol.local_dofs(ci))
-                for ci, ops in enumerate(sol.ops)]
-    local_pos = _local_face_positions(mesh)
-
-    eq = 0.0
-    for fi in np.flatnonzero(~mesh.boundary_faces):
-        c0, c1 = mesh.face_cells[fi]
-        s = per_cell[c0][local_pos[(c0, fi)]] + per_cell[c1][local_pos[(c1, fi)]]
-        Mi = sol.ops[c0].ctx.faces[local_pos[(c0, fi)]].mass
-        eq = max(eq, float(np.sqrt(s @ Mi @ s)))
-
-    scale = _balance_scale(sol)
-    bal = 0.0
-    for ci, ops in enumerate(sol.ops):
-        ctx = ops.ctx
-        n_k = ctx.n_k
-        v = sol.local_dofs(ci)
-        res = ctx.stiff_full[:n_k, 1:] @ (ops.R @ v)
-        for i, f in enumerate(ctx.faces):
-            res += f.trace_full[:, :n_k].T @ per_cell[ci][i]
-        res -= sol.rhs[ci][ctx.layout.cell][:n_k]
-        bal = max(bal, float(np.abs(res).max() / scale))
+    eq, _, bal, _ = _face_flux_checks(sol)
     return eq, bal
 
 
-def _balance_scale(sol: Solution) -> float:
-    """Problem magnitude for relative balance residuals; stays O(1) even
-    when source and solution residual terms all vanish."""
-    scale = 1e-30
+def traction_residuals(sol: Solution):
+    """Traction equilibrium, Neumann consistency, and balance residuals.
+
+    Equilibrium and Neumann mismatches are relative to the largest face
+    traction, floored by the problem scale.
+    """
+    eq, neu, bal, tmag = _face_flux_checks(sol)
+    return eq / tmag, neu / tmag, bal
+
+
+def _face_norm(face, values: np.ndarray) -> float:
+    return float(np.sqrt(values @ _kron_apply(face.mass, values)))
+
+
+def _face_flux_checks(sol: Solution):
+    """One pass over the recovered face fluxes of either problem.
+
+    Returns the largest interface mismatch and the largest Neumann
+    mismatch (face L2 norms), the largest cell balance residual relative to
+    the problem scale, and the largest face-flux norm floored by that
+    scale.  The scale stays O(1) even when source and solution residual
+    terms all vanish.
+    """
+    mesh = sol.mesh
+    fluxes = []
+    scale, res, fmag = 1e-30, 0.0, 0.0
     for ci, ops in enumerate(sol.ops):
+        ctx = ops.ctx
         v = sol.local_dofs(ci)
+        per_face = ops.face_fluxes(v)
+        fluxes.append(per_face)
         scale = max(scale, float(np.abs(sol.rhs[ci]).max()),
                     float(np.abs(ops.L).max() * max(np.abs(v).max(), 1e-30)))
-    return scale
+        r = ops.balance @ v - sol.rhs[ci][: len(ops.balance)]
+        for f, t in zip(ctx.faces, per_face):
+            r += _kron_apply(f.trace_full[:, : ctx.n_k].T, t)
+            fmag = max(fmag, _face_norm(f, t))
+        res = max(res, float(np.abs(r).max()))
 
-
-def traction_residuals(sol: Solution):
-    """Traction equilibrium, Neumann consistency, and balance residuals."""
-    mesh = sol.mesh
-    per_cell = [ops.traction_coefficients(sol.local_dofs(ci))
-                for ci, ops in enumerate(sol.ops)]
     local_pos = _local_face_positions(mesh)
-
-    def vec_mass(ctx, i):
-        return np.kron(ctx.faces[i].mass, np.eye(2))
-
-    # normalize by the largest traction so the residuals are relative; the
-    # problem scale floors the denominator when all tractions vanish
-    tmag = _balance_scale(sol)
-    for ci, ops in enumerate(sol.ops):
-        for i in range(len(ops.ctx.faces)):
-            t = per_cell[ci][i]
-            tmag = max(tmag, float(np.sqrt(t @ vec_mass(ops.ctx, i) @ t)))
-
     eq = 0.0
     for fi in np.flatnonzero(~mesh.boundary_faces):
         c0, c1 = mesh.face_cells[fi]
-        s = per_cell[c0][local_pos[(c0, fi)]] + per_cell[c1][local_pos[(c1, fi)]]
-        Mi = vec_mass(sol.ops[c0].ctx, local_pos[(c0, fi)])
-        eq = max(eq, float(np.sqrt(s @ Mi @ s)) / tmag)
-
+        i0 = local_pos[(c0, fi)]
+        s = fluxes[c0][i0] + fluxes[c1][local_pos[(c1, fi)]]
+        eq = max(eq, _face_norm(sol.ops[c0].ctx.faces[i0], s))
     neu = 0.0
     for fi in np.flatnonzero(mesh.neumann_faces):
         c0 = mesh.face_cells[fi, 0]
         i = local_pos[(c0, fi)]
-        ctx = sol.ops[c0].ctx
-        Mi = vec_mass(ctx, i)
-        proj_g = np.linalg.solve(Mi, sol.neumann[fi])
-        s = per_cell[c0][i] + proj_g
-        neu = max(neu, float(np.sqrt(s @ Mi @ s)) / tmag)
-
-    scale = _balance_scale(sol)
-    bal = 0.0
-    for ci, ops in enumerate(sol.ops):
-        ctx = ops.ctx
-        n_k = ctx.n_k
-        v = sol.local_dofs(ci)
-        sig = np.zeros((3, n_k))
-        Ev = np.stack([ops.Es[m] @ v for m in range(3)])
-        sig[0] = (2 * ops.mu + ops.lam) * Ev[0] + ops.lam * Ev[1]
-        sig[1] = ops.lam * Ev[0] + (2 * ops.mu + ops.lam) * Ev[1]
-        sig[2] = 2 * ops.mu * Ev[2]
-        res = np.zeros(2 * n_k)
-        # (sigma, eps(q)) for the vector cell basis of degree k
-        rule = ctx.rule
-        phi_k = ctx.phi[:, :n_k]
-        epsq = _strain_columns(ctx.dphi[:, :n_k, :])
-        stress_pts = phi_k @ sig.T                      # (nq, 3)
-        res += np.einsum("qm,m,q,qjm->j", stress_pts, TENSOR_WEIGHTS,
-                         rule.weights, epsq)
-        for i, f in enumerate(ctx.faces):
-            pairing = np.kron(f.trace_full[:, :n_k].T, np.eye(2))
-            res += pairing @ per_cell[ci][i]
-        res -= sol.rhs[ci][ctx.layout.cell][: 2 * n_k]
-        bal = max(bal, float(np.abs(res).max() / scale))
-    return eq, neu, bal
+        f = sol.ops[c0].ctx.faces[i]
+        s = fluxes[c0][i] + _kron_solve(f.mass_cho, sol.neumann[fi])
+        neu = max(neu, _face_norm(f, s))
+    return eq, neu, res / scale, max(fmag, scale)
 
 
 def _local_face_positions(mesh: Mesh) -> dict:
@@ -316,11 +270,7 @@ def galerkin_residual(sol: Solution, n_tests: int = 10, seed: int = 7) -> float:
         l_val = 0.0
         scale = 0.0
         for ci, ops in enumerate(sol.ops):
-            layout = ops.ctx.layout
-            w = np.zeros(layout.size)
-            w[layout.cell] = wc[ci]
-            for i, fi in enumerate(mesh.cell_faces[ci]):
-                w[layout.face(i)] = wf[fi]
+            w = gather_local(mesh, ci, sol.degrees, wc, wf)
             u = sol.local_dofs(ci)
             a_val += w @ (ops.L @ u)
             l_val += sol.rhs[ci] @ w
@@ -355,45 +305,31 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     mesh = sol.mesh
     k = sol.degrees.k_face
     order = 2 * (k + 2)
+    rank = sol.degrees.rank
+    # energy density |grad e|^2, or 2 mu |eps(e)|^2 for elasticity
+    elastic = spec.kind == "elasticity"
     h1_sq = l2c_sq = l2r_sq = stab_sq = 0.0
     for ci, ops in enumerate(sol.ops):
         ctx = ops.ctx
         rule = cell_quadrature(ctx.geom, order)
         vals, grads = ctx.rec_basis.eval(rule.points)
         w = rule.weights
+        nq = len(w)
         v = sol.local_dofs(ci)
         stab_sq += float(v @ (ops.penalty @ v))
-        if spec.kind == "poisson":
-            coef = ops.R_full @ v
-            rec = vals @ coef
-            grec = np.einsum("qjc,j->qc", grads, coef)
-            ex = np.asarray(spec.exact(rule.points), dtype=float)
-            gex = np.asarray(spec.exact_grad(rule.points), dtype=float)
-            h1_sq += float(w @ ((gex - grec) ** 2).sum(axis=1))
-            l2r_sq += float(w @ (ex - rec) ** 2)
-            # discrete cell error against the cell projection of u
-            Vc = vals[:, : ctx.n_cell]
-            pcoef = np.linalg.solve(Vc.T @ (w[:, None] * Vc), Vc.T @ (w * ex))
-            diff = Vc @ (pcoef - sol.cell_coeffs[ci])
-            l2c_sq += float(w @ diff ** 2)
-        else:
-            coef = ops.Dep @ v
-            rec = np.stack([vals @ coef[0::2], vals @ coef[1::2]], axis=1)
-            J = np.stack([np.einsum("qjc,j->qc", grads, coef[0::2]),
-                          np.einsum("qjc,j->qc", grads, coef[1::2])], axis=1)
-            eps_h = 0.5 * (J + np.swapaxes(J, 1, 2))
-            ex = np.asarray(spec.exact(rule.points), dtype=float)
-            Jex = np.asarray(spec.exact_grad(rule.points), dtype=float)
-            eps_ex = 0.5 * (Jex + np.swapaxes(Jex, 1, 2))
-            de = eps_ex - eps_h
-            h1_sq += 2 * spec.mu * float(w @ (de ** 2).sum(axis=(1, 2)))
-            l2r_sq += float(w @ ((ex - rec) ** 2).sum(axis=1))
-            pex = vals[:, : ctx.n_cell].T @ (w[:, None] * ex)
-            pcoef = np.linalg.solve(
-                vals[:, : ctx.n_cell].T @ (w[:, None] * vals[:, : ctx.n_cell]), pex)
-            diff = vals[:, : ctx.n_cell] @ (
-                pcoef - sol.cell_coeffs[ci].reshape(ctx.n_cell, 2))
-            l2c_sq += float(w @ (diff ** 2).sum(axis=1))
+        coef = (ops.rec @ v).reshape(-1, rank)
+        ex = np.asarray(spec.exact(rule.points), dtype=float).reshape(nq, rank)
+        gex = np.asarray(spec.exact_grad(rule.points), dtype=float).reshape(nq, rank, -1)
+        de = gex - np.einsum("qjc,ja->qac", grads, coef)
+        if elastic:
+            de = 0.5 * (de + np.swapaxes(de, 1, 2))
+        h1_sq += (2 * spec.mu if elastic else 1.0) * float(w @ (de ** 2).sum(axis=(1, 2)))
+        l2r_sq += float(w @ ((ex - vals @ coef) ** 2).sum(axis=1))
+        # discrete cell error against the cell projection of u
+        Vc = vals[:, : ctx.n_cell]
+        pcoef = np.linalg.solve(Vc.T @ (w[:, None] * Vc), Vc.T @ (w[:, None] * ex))
+        diff = Vc @ (pcoef - sol.cell_coeffs[ci].reshape(-1, rank))
+        l2c_sq += float(w @ (diff ** 2).sum(axis=1))
     n_dofs = sol.dofmap.n_reduced
     return ErrorRow(level=level, h=mesh.max_diameter(),
                     err_h1=np.sqrt(h1_sq), err_l2_cell=np.sqrt(l2c_sq),
@@ -499,15 +435,10 @@ class VerifyBlock:
         return abs(self.rate - self.target_rate) <= self.tolerance
 
 
-def _default_target(dim: int):
-    if dim == 1:
-        return lambda x: np.sin(np.pi * x[:, 0])
-    return lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-
-
 def verify_operators(family: str, k: int, levels: int = 4, base: int = 4,
-                     target=None, threads: int = 1) -> list:
-    """Decay rates of projection, reconstruction, and stabilization errors.
+                     threads: int = 1) -> list:
+    """Decay rates of projection, reconstruction, and stabilization errors
+    of the target ``sin(pi x)`` (times ``sin(pi y)`` in 2D).
 
     Projections onto cells must decay at k+1 and onto faces at k+1/2; the
     reconstruction of the reduced target at k+2; both stabilization
@@ -517,7 +448,10 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4,
     from .local_ops import reconstruction, stabilization_equal_order, stabilization_ls
 
     dim = 1 if family == "interval" else 2
-    v = target or _default_target(dim)
+    if dim == 1:
+        v = lambda x: np.sin(np.pi * x[:, 0])
+    else:
+        v = lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
     blocks = [
         VerifyBlock("projection-cell", k + 1.0, 0.15, [], []),
         VerifyBlock("projection-face", k + 0.5, 0.15, [], []),
@@ -545,11 +479,11 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4,
             proj = vals[:, :ncell] @ red[ctx.layout.cell]
             out[0] = w @ (vx - proj) ** 2
 
-            _, _, R, R_full, _ = reconstruction(ctx)
+            _, _, _, R_full, _ = reconstruction(ctx)
             rec = vals @ (R_full @ red)
             out[2] = w @ (vx - rec) ** 2
 
-            _, S = stabilization_equal_order(ctx, R)
+            _, S = stabilization_equal_order(ctx, R_full)
             out[3] = red @ (S @ red)
 
             ctx2 = build_cell_context(mesh, ci, deg_mx)

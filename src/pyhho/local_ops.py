@@ -1,4 +1,4 @@
-"""Cell-local operators for the scalar diffusion problem.
+"""Cell-local operators shared by the scalar and the vector problem.
 
 For each cell this module builds, in the monomial bases of the hybrid
 unknowns, the potential reconstruction of one degree higher, the
@@ -7,11 +7,14 @@ Lehrenfeld-Schoberl stabilizations, the resulting local bilinear-form
 matrix, and the operator recovering equilibrated face fluxes.
 
 All matrices act on local DoF vectors laid out as ``[T | F_1 | ... | F_n]``.
+The stabilizations and the face-flux builder serve scalar (rank 1) and 2D
+vector (rank 2) unknowns alike: a vector block is the scalar block
+tensorized with the identity, ``kron(M, I_rank)``, and components
+interleave inside each block.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +187,26 @@ def gradient_reconstruction(ctx: CellContext) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# tensorization with the identity of the field rank
+
+
+def _kron(M: np.ndarray, rank: int) -> np.ndarray:
+    """The scalar block ``M`` tensorized as ``kron(M, I_rank)``."""
+    return M if rank == 1 else np.kron(M, np.eye(rank))
+
+
+def _kron_apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``kron(M, I_rank) @ X`` for ``X`` with rank-interleaved rows; the
+    rank is ``len(X) // M.shape[1]``."""
+    return (M @ X.reshape(M.shape[1], -1)).reshape((-1,) + X.shape[1:])
+
+
+def _kron_solve(cho, X: np.ndarray) -> np.ndarray:
+    """``kron(M, I_rank)^-1 X`` from the Cholesky factor of ``M``."""
+    return cho_solve(cho, X.reshape(len(cho[0]), -1)).reshape(X.shape)
+
+
+# ---------------------------------------------------------------------------
 # stabilization
 
 
@@ -194,32 +217,37 @@ def stabilization_ls(ctx: CellContext):
     face_ops = []
     penalty = np.zeros((layout.size, layout.size))
     for i, f in enumerate(ctx.faces):
-        Z = np.zeros((f.basis.size, layout.size))
-        Z[:, layout.cell] = cho_solve(f.mass_cho, f.trace_full[:, : ctx.n_cell])
-        Z[:, layout.face(i)] -= np.eye(f.basis.size)
+        Z = np.zeros((layout.face_width, layout.size))
+        Z[:, layout.cell] = _kron(cho_solve(f.mass_cho, f.trace_full[:, : ctx.n_cell]),
+                                  ctx.degrees.rank)
+        Z[:, layout.face(i)] -= np.eye(layout.face_width)
         face_ops.append(Z)
-        penalty += (Z.T @ f.mass @ Z) / ctx.h
+        penalty += (Z.T @ _kron_apply(f.mass, Z)) / ctx.h
     return face_ops, 0.5 * (penalty + penalty.T)
 
 
-def stabilization_equal_order(ctx: CellContext, R: np.ndarray):
-    """Equal-order stabilization including the reconstruction correction."""
+def stabilization_equal_order(ctx: CellContext, rec: np.ndarray):
+    """Equal-order stabilization including the reconstruction correction.
+
+    ``rec`` is the full reconstruction (``R_full`` for the scalar problem,
+    the displacement reconstruction for elasticity).
+    """
     if ctx.degrees.mixed:
         raise ValueError("equal-order stabilization requires k_cell == k_face")
     n_cell = ctx.n_cell
     layout = ctx.layout
-    Q = ctx.mass_full[:n_cell, 1:]
     cell_cho = mass_cholesky(ctx.mass_cell)
-    tmp1 = -cho_solve(cell_cho, Q @ R)        # coefficients of v_T - Pi_T(R v)
-    tmp1[:, layout.cell] += np.eye(n_cell)
+    # coefficients of v_T - Pi_T(rec v)
+    tmp1 = -_kron_solve(cell_cho, _kron_apply(ctx.mass_full[:n_cell], rec))
+    tmp1[:, layout.cell] += np.eye(layout.cell_width)
     face_ops = []
     penalty = np.zeros((layout.size, layout.size))
     for i, f in enumerate(ctx.faces):
-        S = cho_solve(f.mass_cho,
-                      f.trace_full[:, 1:] @ R + f.trace_full[:, :n_cell] @ tmp1)
-        S[:, layout.face(i)] -= np.eye(f.basis.size)
+        S = _kron_solve(f.mass_cho, _kron_apply(f.trace_full, rec)
+                        + _kron_apply(f.trace_full[:, :n_cell], tmp1))
+        S[:, layout.face(i)] -= np.eye(layout.face_width)
         face_ops.append(S)
-        penalty += (S.T @ f.mass @ S) / ctx.h
+        penalty += (S.T @ _kron_apply(f.mass, S)) / ctx.h
     return face_ops, 0.5 * (penalty + penalty.T)
 
 
@@ -242,79 +270,59 @@ def seminorm_gram(ctx: CellContext) -> np.ndarray:
 
 
 @dataclass
-class LocalPoissonOperators:
+class LocalOperators:
+    """What solve and post-processing read of one cell's operators."""
+
     ctx: CellContext
-    Kstar: np.ndarray
-    H: np.ndarray
-    R: np.ndarray
-    R_full: np.ndarray
-    A: np.ndarray
-    G: np.ndarray
-    stab_face: list
-    penalty: np.ndarray
-    L: np.ndarray
-    flux: np.ndarray          # (n_faces * n_face, size) face-flux coefficients
+    L: np.ndarray             # local bilinear-form matrix
+    penalty: np.ndarray       # stabilization with the plain 1/h weight
+    rec: np.ndarray           # full reconstruction, coefficients in ctx.rec_basis
+    flux: np.ndarray          # (n_faces * face_width, size) face-flux coefficients
+    balance: np.ndarray       # cell consistency tested with degree-k_face polynomials
 
-    def flux_coefficients(self, dofs: np.ndarray):
+    def face_fluxes(self, dofs: np.ndarray) -> list:
         """Per-face coefficient arrays of the numerical flux of ``dofs``."""
-        vals = self.flux @ dofs
-        nf = self.ctx.faces[0].basis.size
-        return [vals[i * nf:(i + 1) * nf] for i in range(len(self.ctx.faces))]
-
-    def to_json(self) -> str:
-        """Debug dump of the per-cell matrices (golden-file tests)."""
-        payload = {name: getattr(self, name).tolist()
-                   for name in ("Kstar", "H", "R", "R_full", "A", "penalty", "L")}
-        payload["cell"] = self.ctx.cell
-        payload["stab_face"] = [S.tolist() for S in self.stab_face]
-        return json.dumps(payload, sort_keys=True)
+        return np.split(self.flux @ dofs, len(self.ctx.faces))
 
 
-def _flux_matrix(ctx: CellContext, R: np.ndarray, stab_face: list) -> np.ndarray:
-    layout = ctx.layout
-    nf = ctx.faces[0].basis.size
-    nfaces = len(ctx.faces)
-    total = nfaces * nf
+def _face_flux(ctx: CellContext, consistency: np.ndarray, stab_face: list,
+               weight: float) -> np.ndarray:
+    """Equilibrated face fluxes, stacked by face.
 
-    Sstack = np.vstack(stab_face)
-    embed = np.zeros((layout.size, total))
-    embed[layout.faces, :] = np.eye(total)
-    Sigma = -Sstack @ embed                      # stabilization acting on face data
-
-    flux = np.zeros((total, layout.size))
-    Mblocks = np.zeros((total, total))
+    ``consistency`` holds the face moments of the consistency flux
+    (``-grad R . n`` or ``-sigma(E) n``); the stabilization, scaled by
+    ``weight`` (``1/h`` or ``2 mu/h``), adds its adjoint acting on the face
+    unknowns.  Each face block is then solved with its face mass.
+    """
+    S = np.vstack(stab_face)
+    MS = np.vstack([_kron_apply(f.mass, Si) for f, Si in zip(ctx.faces, stab_face)])
+    flux = consistency - weight * (S[:, ctx.layout.faces].T @ MS)
+    nf = ctx.layout.face_width
     for i, f in enumerate(ctx.faces):
         rows = slice(i * nf, (i + 1) * nf)
-        Mblocks[rows, rows] = f.mass
-        ndphi = f.dphi[:, 1:, :] @ f.normal
-        Gn = f.psi.T @ (f.rule.weights[:, None] * ndphi)
-        flux[rows] = -cho_solve(f.mass_cho, Gn @ R)
-    adj = Sigma.T @ Mblocks @ Sstack / ctx.h
-    for i, f in enumerate(ctx.faces):
-        rows = slice(i * nf, (i + 1) * nf)
-        flux[rows] += cho_solve(f.mass_cho, adj[rows])
+        flux[rows] = _kron_solve(f.mass_cho, flux[rows])
     return flux
 
 
-def local_bilinear(ctx: CellContext) -> LocalPoissonOperators:
-    """Full local matrix ``L = A + penalty`` with its building blocks.
+def local_bilinear(ctx: CellContext) -> LocalOperators:
+    """Full local matrix ``L = A + penalty`` with its face fluxes.
 
     Equal-order degrees use the reconstruction-corrected stabilization,
     mixed-order degrees the Lehrenfeld-Schoberl one.
     """
-    Kstar, H, R, R_full, A = reconstruction(ctx)
+    _, _, _, R_full, A = reconstruction(ctx)
     if ctx.degrees.mixed:
         stab_face, penalty = stabilization_ls(ctx)
     else:
-        stab_face, penalty = stabilization_equal_order(ctx, R)
+        stab_face, penalty = stabilization_equal_order(ctx, R_full)
     L = A + penalty
     L = 0.5 * (L + L.T)
-    return LocalPoissonOperators(
-        ctx=ctx, Kstar=Kstar, H=H, R=R, R_full=R_full, A=A,
-        G=gradient_reconstruction(ctx), stab_face=stab_face,
-        penalty=penalty, L=L, flux=_flux_matrix(ctx, R, stab_face))
-
-
-def numerical_flux(ops: LocalPoissonOperators, dofs: np.ndarray):
-    """Numerical fluxes of a local DoF vector, one polynomial per face."""
-    return ops.flux_coefficients(dofs)
+    # nothing reads G yet; it is built while the benchmark traces it as a layer
+    gradient_reconstruction(ctx)
+    consistency = np.vstack([
+        -f.psi.T @ (f.rule.weights[:, None] * (f.dphi @ f.normal)) @ R_full
+        for f in ctx.faces])
+    return LocalOperators(
+        ctx=ctx, L=L, penalty=penalty, rec=R_full,
+        flux=_face_flux(ctx, consistency, stab_face, 1.0 / ctx.h),
+        balance=ctx.stiff_full[: ctx.n_k] @ R_full)

@@ -81,6 +81,10 @@ class Mesh:
     def __init__(self, dim, vertices, cells, neumann=None, validate=True):
         self.dim = int(dim)
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, self.dim)
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(bad):
+            raise MeshError(f"vertex {bad[0]} has non-finite coordinates "
+                            f"{self.vertices[bad[0]].tolist()}")
         self.cells = [np.asarray(c, dtype=int) for c in cells]
         self._build_faces()
         self._tag_boundary(neumann)

@@ -134,26 +134,3 @@ def face_quadrature(mesh: Mesh, face: int, order: int) -> QuadratureRule:
     x, w = _gauss_01(order)
     phys = pts[0] + np.outer(x, pts[1] - pts[0])
     return QuadratureRule(phys, np.linalg.norm(pts[1] - pts[0]) * w, order)
-
-
-def quadrature_rule(entity, order: int) -> QuadratureRule:
-    """Generic entry point used by tests: dispatch on an entity descriptor.
-
-    Accepts a ``CellGeometry`` or tuples ``("interval", a, b)``,
-    ``("triangle", v0, v1, v2)``, ``("quad", pts)``, ``("polygon", pts, center)``.
-    """
-    if isinstance(entity, CellGeometry):
-        return cell_quadrature(entity, order)
-    kind = entity[0]
-    if kind == "interval":
-        return interval_rule(entity[1], entity[2], order)
-    if kind == "triangle":
-        return triangle_rule(entity[1], entity[2], entity[3], order)
-    if kind == "quad":
-        return quad_rule(np.asarray(entity[1], dtype=float), order)
-    if kind == "polygon":
-        pts = np.asarray(entity[1], dtype=float)
-        center = (np.asarray(entity[2], dtype=float) if len(entity) > 2
-                  else pts.mean(axis=0))
-        return polygon_rule(pts, center, order)
-    raise ValueError(f"unknown quadrature entity {kind!r}")

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from pyhho import assembly as asm
-from pyhho.harness import (build_local, dirichlet_data, neumann_rhs,
-                           solve_problem)
+from pyhho.harness import build_local, neumann_rhs, solve_problem
 from pyhho.mesh import Mesh, build_interval_mesh, build_structured_mesh
 from pyhho.problems import ProblemSpec, poisson_sin_2d
 from pyhho.projection import dof_layout, equal_order, mixed_order
@@ -132,43 +131,6 @@ def test_dirichlet_elimination_moves_columns():
     np.testing.assert_allclose(diff, expect, atol=1e-12)
 
 
-def test_apply_dirichlet_1d_four_face_example():
-    # 3 cells, 4 faces: Neumann at the left end, Dirichlet at the right;
-    # eliminating face 4 must give b3' = b3 - L_34 (M^-1 d4)
-    mesh = build_interval_mesh(0.0, 1.0, 3, neumann=lambda x: x[0] < 1e-12)
-    spec = ProblemSpec(kind="poisson", f=lambda x: 1.0 + x[:, 0],
-                       u_dirichlet=lambda x: 2.0 * np.ones(len(x)),
-                       g_neumann=lambda x: np.zeros(len(x)), name="bc")
-    k = 1
-    ops, rhs = build_local(mesh, equal_order(k), spec)
-    condensed = [asm.condense(ops[i].L, rhs[i], ops[i].ctx.layout, i)
-                 for i in range(mesh.n_cells)]
-    ud = dirichlet_data(mesh, equal_order(k), spec.u_dirichlet)
-
-    free_dm = asm.build_dof_map(mesh, equal_order(k), constrain=False)
-    full = asm.assemble(mesh, condensed, free_dm)
-    reduced = asm.apply_dirichlet(full, ud)
-
-    direct_dm = asm.build_dof_map(mesh, equal_order(k))
-    direct = asm.assemble(mesh, condensed, direct_dm, dirichlet_values=ud)
-    np.testing.assert_allclose(reduced.matrix.toarray(),
-                               direct.matrix.toarray(), atol=1e-14)
-    np.testing.assert_allclose(reduced.rhs, direct.rhs, atol=1e-14)
-
-    A = full.matrix.toarray()
-    f3 = 2          # face index of the last interior vertex
-    f4 = int(np.flatnonzero(mesh.dirichlet_faces)[0])
-    b3_corrected = full.rhs[free_dm.face_slice(f3)] - \
-        A[free_dm.face_slice(f3), free_dm.face_slice(f4)] @ ud[f4]
-    np.testing.assert_allclose(reduced.rhs[direct_dm.face_slice(f3)],
-                               b3_corrected, atol=1e-14)
-
-    x = asm.solve_reduced(reduced)
-    cells, faces = asm.recover_cells(mesh, condensed, direct_dm, x,
-                                     dirichlet_values=ud)
-    assert faces[f4][0] == pytest.approx(2.0)
-
-
 def test_neumann_rhs_values():
     mesh = build_structured_mesh("quad", 1, 1, neumann=lambda x: x[0] < 1e-12)
     g = neumann_rhs(mesh, equal_order(0), lambda x: 3.0 * np.ones(len(x)))
@@ -217,22 +179,3 @@ def test_solver_contract_residual():
     mesh = build_structured_mesh("quad", 4, 4)
     sol = solve_problem(mesh, equal_order(2), poisson_sin_2d())
     assert sol.residual <= 1e-11
-
-
-def test_export_coo(tmp_path):
-    mesh = build_structured_mesh("quad", 2, 2)
-    spec = poisson_sin_2d()
-    ops, rhs = build_local(mesh, equal_order(0), spec)
-    dm = asm.build_dof_map(mesh, equal_order(0))
-    condensed = [asm.condense(ops[i].L, rhs[i], ops[i].ctx.layout, i)
-                 for i in range(mesh.n_cells)]
-    system = asm.assemble(mesh, condensed, dm,
-                          dirichlet_values=np.zeros((mesh.n_faces, 1)))
-    path = tmp_path / "matrix.txt"
-    asm.export_coo(system, path)
-    rows = [line.split() for line in path.read_text().splitlines()]
-    A = system.matrix.toarray()
-    rebuilt = np.zeros_like(A)
-    for r, c, v in rows:
-        rebuilt[int(r), int(c)] += float(v)
-    np.testing.assert_allclose(rebuilt, A, atol=1e-15)

@@ -3,8 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from pyhho.basis import (Basis, eval_basis, face_basis, face_mapping,
-                         orthonormalize, scaled_monomial_basis)
+from pyhho.basis import Basis, face_basis, orthonormalize, scaled_monomial_basis
 from pyhho.mesh import build_interval_mesh, build_structured_mesh
 from pyhho.quadrature import cell_quadrature, face_quadrature
 from pyhho.projection import l2_project, mass_matrix
@@ -80,22 +79,10 @@ def test_gradients_match_finite_differences(k):
 def test_constant_gradient_zero():
     mesh = build_structured_mesh("quad", 1, 1)
     b = scaled_monomial_basis(mesh.cell_geometry(0), 4)
-    vals, grads = eval_basis(b, np.array([[5.0, -3.0]]))  # extrapolation allowed
+    vals, grads = b.eval(np.array([[5.0, -3.0]]))  # extrapolation allowed
     assert vals[0, 0] == pytest.approx(1.0)
     np.testing.assert_allclose(grads[0, 0], 0.0)
     assert np.isfinite(vals).all()
-
-
-def test_face_mapping_example():
-    mesh = build_structured_mesh("quad", 1, 1)
-    fi = [i for i, f in enumerate(mesh.faces)
-          if np.allclose(mesh.face_center(i), [0.5, 0.0])][0]
-    fwd, inv = face_mapping(mesh, fi)
-    np.testing.assert_allclose(fwd(np.array([0.2])), [[0.7, 0.0]])
-    assert inv(mesh.face_center(fi))[0] == pytest.approx(0.0)
-    s = np.array([-0.3, 0.1])
-    p = fwd(s)
-    assert np.linalg.norm(p[0] - p[1]) == pytest.approx(abs(s[0] - s[1]))
 
 
 def test_face_basis_orientation_invariance():

@@ -5,15 +5,20 @@ from pyhho.basis import face_basis, scaled_monomial_basis
 from pyhho.elasticity import (displacement_reconstruction,
                               divergence_reconstruction,
                               local_bilinear_elastic, stabilization_elastic,
-                              strain_reconstruction, traction_recovery)
-from pyhho.local_ops import build_cell_context
+                              strain_reconstruction)
+from pyhho.local_ops import build_cell_context, stabilization_ls
 from pyhho.mesh import build_hanging_node_mesh, build_structured_mesh
-from pyhho.projection import HhoDegrees, l2_project, reduce_local
+from pyhho.projection import HhoDegrees, l2_project, mixed_order, reduce_local
 from pyhho.quadrature import cell_quadrature, face_quadrature
 
 VDEG = HhoDegrees(k_face=1, k_cell=1, rank=2)
 VDEG2 = HhoDegrees(k_face=2, k_cell=2, rank=2)
 VMIX = HhoDegrees(k_face=1, k_cell=2, rank=2)
+
+def pentagon_cell():
+    mesh = build_hanging_node_mesh(build_structured_mesh("quad", 2, 2), [3])
+    return mesh, next(c for c in range(mesh.n_cells) if len(mesh.cells[c]) == 5)
+
 
 RIGID = [lambda x: np.column_stack([np.ones(len(x)), np.zeros(len(x))]),
          lambda x: np.column_stack([np.zeros(len(x)), np.ones(len(x))]),
@@ -136,16 +141,32 @@ def test_displacement_mean_matches_cell_mean():
 
 @pytest.mark.parametrize("deg", [VDEG, VMIX])
 def test_elastic_stabilization_annihilates_reduction(deg):
-    mesh = build_structured_mesh("quad", 1, 1)
-    ctx = build_cell_context(mesh, 0, deg)
-    Dep = None if deg.mixed else displacement_reconstruction(ctx)
-    face_ops, _ = stabilization_elastic(ctx, Dep)
-    q = lambda x: np.column_stack([(x[:, 0] + x[:, 1]) ** 2, x[:, 0] ** 2])
-    red = reduce_local(mesh, 0, deg, q)
-    assert max(np.abs(S @ red).max() for S in face_ops) < 1e-11
-    for r in RIGID:
-        redr = reduce_local(mesh, 0, deg, r)
-        assert max(np.abs(S @ redr).max() for S in face_ops) < 1e-12
+    # a unit quad and a hanging-node pentagon
+    for mesh, ci in [(build_structured_mesh("quad", 1, 1), 0), pentagon_cell()]:
+        ctx = build_cell_context(mesh, ci, deg)
+        Dep = None if deg.mixed else displacement_reconstruction(ctx)
+        face_ops, _ = stabilization_elastic(ctx, Dep)
+        q = lambda x: np.column_stack([(x[:, 0] + x[:, 1]) ** 2, x[:, 0] ** 2])
+        red = reduce_local(mesh, ci, deg, q)
+        assert max(np.abs(S @ red).max() for S in face_ops) < 1e-11
+        for r in RIGID:
+            redr = reduce_local(mesh, ci, deg, r)
+            assert max(np.abs(S @ redr).max() for S in face_ops) < 1e-12
+
+
+def test_vector_ls_stabilization_acts_per_component():
+    # the rank-2 face operators are the scalar ones on each interleaved component
+    mesh, ci = pentagon_cell()
+    ctx_s = build_cell_context(mesh, ci, mixed_order(1))
+    ctx_v = build_cell_context(mesh, ci, VMIX)
+    ops_s, pen_s = stabilization_ls(ctx_s)
+    ops_v, pen_v = stabilization_ls(ctx_v)
+    v = np.random.default_rng(4).standard_normal(ctx_v.layout.size)
+    for Zs, Zv in zip(ops_s, ops_v):
+        for a in range(2):
+            np.testing.assert_allclose((Zv @ v)[a::2], Zs @ v[a::2], atol=1e-12)
+    np.testing.assert_allclose(
+        v @ pen_v @ v, sum(v[a::2] @ pen_s @ v[a::2] for a in range(2)), rtol=1e-12)
 
 
 def test_elastic_stabilization_depends_on_gap_only():
@@ -170,8 +191,7 @@ def test_elastic_stabilization_depends_on_gap_only():
 
 
 def test_elastic_bilinear_kernel_is_rigid():
-    mesh = build_hanging_node_mesh(build_structured_mesh("quad", 2, 2), [3])
-    ci = next(c for c in range(mesh.n_cells) if len(mesh.cells[c]) == 5)
+    mesh, ci = pentagon_cell()
     ctx = build_cell_context(mesh, ci, VDEG)
     ops = local_bilinear_elastic(ctx, mu=1.3, lam=0.4)
     w = np.linalg.eigvalsh(ops.L)
@@ -223,5 +243,5 @@ def test_traction_of_rigid_pair_vanishes():
     ctx = build_cell_context(mesh, 0, VDEG)
     ops = local_bilinear_elastic(ctx, mu=1.0, lam=0.5)
     red = reduce_local(mesh, 0, VDEG, RIGID[2])
-    tracs = traction_recovery(ops, red)
+    tracs = ops.face_fluxes(red)
     assert max(np.abs(t).max() for t in tracs) < 1e-12

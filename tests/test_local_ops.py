@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
-                             local_bilinear, numerical_flux, reconstruction,
-                             seminorm_gram, stabilization_equal_order,
-                             stabilization_ls)
+                             local_bilinear, reconstruction, seminorm_gram,
+                             stabilization_equal_order, stabilization_ls)
 from pyhho.mesh import (build_hanging_node_mesh, build_structured_mesh,
                         refine_uniform)
 from pyhho.projection import equal_order, l2_project, mixed_order, reduce_local
@@ -160,8 +157,8 @@ def test_equal_order_stabilization_annihilates_reduction(k):
     deg = equal_order(k)
     for ci in range(3):
         ctx = build_cell_context(mesh, ci, deg)
-        _, _, R, _, _ = reconstruction(ctx)
-        face_ops, _ = stabilization_equal_order(ctx, R)
+        _, _, _, R_full, _ = reconstruction(ctx)
+        face_ops, _ = stabilization_equal_order(ctx, R_full)
         q = lambda x: (x[:, 0] - 0.3 * x[:, 1] + 0.1) ** (k + 1)
         red = reduce_local(mesh, ci, deg, q)
         assert max(np.abs(S @ red).max() for S in face_ops) < 1e-11
@@ -172,8 +169,8 @@ def test_stabilization_depends_only_on_trace_gap():
     k = 2
     deg = equal_order(k)
     ctx = build_cell_context(mesh, 0, deg)
-    _, _, R, _, _ = reconstruction(ctx)
-    face_ops, _ = stabilization_equal_order(ctx, R)
+    _, _, _, R_full, _ = reconstruction(ctx)
+    face_ops, _ = stabilization_equal_order(ctx, R_full)
     rng = np.random.default_rng(9)
     v = rng.standard_normal(ctx.layout.size)
     # add a pair (q, trace(q)) for polynomial q of degree k
@@ -219,7 +216,8 @@ def test_local_bilinear_kernel_and_psd():
         ci = next(c for c in range(mesh.n_cells) if len(mesh.cells[c]) == 5)
         ctx = build_cell_context(mesh, ci, equal_order(k))
         ops = local_bilinear(ctx)
-        for M in (ops.A, ops.penalty, ops.L):
+        A = reconstruction(ctx)[4]
+        for M in (A, ops.penalty, ops.L):
             w = np.linalg.eigvalsh(M)
             assert w.min() >= -1e-10 * abs(w).max()
         w = np.linalg.eigvalsh(ops.L)
@@ -268,17 +266,8 @@ def test_flux_of_constant_pair_vanishes():
     mesh = build_structured_mesh("tri", 1, 1)
     ctx = build_cell_context(mesh, 0, equal_order(1))
     ops = local_bilinear(ctx)
-    fluxes = numerical_flux(ops, constant_pair(ctx, 2.5))
+    fluxes = ops.face_fluxes(constant_pair(ctx, 2.5))
     assert max(np.abs(f).max() for f in fluxes) < 1e-12
-
-
-def test_debug_dump_round_trips():
-    mesh = build_structured_mesh("quad", 1, 1)
-    ctx = build_cell_context(mesh, 0, equal_order(1))
-    ops = local_bilinear(ctx)
-    data = json.loads(ops.to_json())
-    np.testing.assert_allclose(np.asarray(data["L"]), ops.L)
-    assert data["cell"] == 0
 
 
 def test_mixed_order_bilinear_kernel():
@@ -287,3 +276,23 @@ def test_mixed_order_bilinear_kernel():
     ops = local_bilinear(ctx)
     w = np.linalg.eigvalsh(ops.L)
     assert w[0] < 1e-11 * w[-1] and w[1] > 1e-8 * w[-1]
+
+
+def test_equal_order_stabilization_matches_reduced_reconstruction_formula():
+    # the full-reconstruction form equals the one built from R and the
+    # separately restored cell mean
+    mesh = pentagon_mesh()
+    for k in (0, 1, 2):
+        for ci in range(3):
+            ctx = build_cell_context(mesh, ci, equal_order(k))
+            _, _, R, R_full, _ = reconstruction(ctx)
+            Q = ctx.mass_full[:ctx.n_cell, 1:]
+            tmp = -np.linalg.solve(ctx.mass_cell, Q @ R)
+            tmp[:, ctx.layout.cell] += np.eye(ctx.n_cell)
+            face_ops, _ = stabilization_equal_order(ctx, R_full)
+            for i, f in enumerate(ctx.faces):
+                S = np.linalg.solve(f.mass, f.trace_full[:, 1:] @ R
+                                    + f.trace_full[:, :ctx.n_cell] @ tmp)
+                S[:, ctx.layout.face(i)] -= np.eye(f.basis.size)
+                np.testing.assert_allclose(face_ops[i], S, rtol=0,
+                                           atol=1e-12 * np.abs(S).max())

@@ -237,3 +237,12 @@ def test_boundary_tag_validation():
     boundary = np.flatnonzero(interior.boundary_faces).tolist()
     with pytest.raises(MeshError):
         interior.set_boundary_tags(boundary + [inner], [])
+
+
+def test_non_finite_vertex_rejected():
+    m = build_structured_mesh("quad", 2, 2)
+    for bad in (np.nan, np.inf):
+        verts = m.vertices.copy()
+        verts[4, 1] = bad
+        with pytest.raises(MeshError, match="vertex 4 has non-finite"):
+            Mesh(2, verts, m.cells)

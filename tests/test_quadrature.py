@@ -5,8 +5,7 @@ import pytest
 
 from pyhho.mesh import build_hanging_node_mesh, build_interval_mesh, build_structured_mesh
 from pyhho.quadrature import (MAX_ORDER, cell_quadrature, face_quadrature,
-                              interval_rule, polygon_rule, quad_rule,
-                              quadrature_rule, triangle_rule)
+                              interval_rule, polygon_rule, quad_rule, triangle_rule)
 
 UNIT_TRI = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
@@ -130,15 +129,3 @@ def test_order_cap():
         interval_rule(0.0, 1.0, MAX_ORDER + 1)
     with pytest.raises(ValueError):
         triangle_rule(*UNIT_TRI, -1)
-
-
-def test_quadrature_rule_dispatch():
-    r = quadrature_rule(("interval", 0.0, 2.0, ), 3)
-    assert r.weights.sum() == pytest.approx(2.0)
-    r = quadrature_rule(("triangle",) + UNIT_TRI, 2)
-    assert r.weights.sum() == pytest.approx(0.5)
-    mesh = build_structured_mesh("quad", 1, 1)
-    r = quadrature_rule(mesh.cell_geometry(0), 2)
-    assert r.weights.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        quadrature_rule(("circle", 1.0), 2)
