@@ -15,7 +15,7 @@ from .local_ops import (CellContext, LocalOperators, build_cell_context,
 from .elasticity import (displacement_reconstruction, divergence_reconstruction,
                          local_bilinear_elastic, stabilization_elastic,
                          strain_reconstruction)
-from .assembly import (CondensedCell, DofMap, GlobalSystem, assemble, build_dof_map,
+from .assembly import (CondensedGroup, DofMap, GlobalSystem, assemble, build_dof_map,
                        condense, recover_cells, solve_monolithic, solve_reduced)
 from .problems import ProblemSpec, get_problem
 from .harness import (ConvergenceReport, ErrorRow, Solution, convergence_study,

@@ -1,10 +1,12 @@
 """Global numbering, static condensation, assembly, and the sparse solve.
 
-Cell unknowns are eliminated per cell through the Schur complement of the
-cell block, leaving a symmetric positive-definite system coupling only the
-face unknowns of non-Dirichlet faces.  Dirichlet faces are removed by
-elimination; their projected data enters the right-hand side.  Assembly
-walks cells in ascending order so results are bit-reproducible.
+Cell unknowns are eliminated through the Schur complement of each cell
+block, one group of cells at a time, leaving a symmetric positive-definite
+system coupling only the face unknowns of non-Dirichlet faces.  Dirichlet
+faces are removed by elimination; their projected data enters the
+right-hand side.  Assembly builds the sparse matrix in one call from the
+per-cell global index vectors, walking groups and their cells in a fixed
+order, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
 
 from .mesh import Mesh
-from .projection import DofLayout, HhoDegrees, dof_layout
+from .projection import DofLayout, HhoDegrees, cell_faces, checked, dof_layout
 
 
 @dataclass
@@ -56,37 +57,38 @@ def build_dof_map(mesh: Mesh, degrees: HhoDegrees) -> DofMap:
 
 
 @dataclass
-class CondensedCell:
-    """Schur data of one cell: reduced matrix/rhs plus recovery factors."""
+class CondensedGroup:
+    """Schur data of a group of cells: reduced matrices and right-hand
+    sides, plus what recovers the cell unknowns, stacked over the cells."""
 
-    cell: int
+    cells: np.ndarray          # (nb,)
     layout: DofLayout
-    L_c: np.ndarray            # (n_face_dofs, n_face_dofs)
-    b_c: np.ndarray
-    cho_TT: object
-    L_TF: np.ndarray
-    b_T: np.ndarray
+    L_c: np.ndarray            # (nb, n_face_dofs, n_face_dofs)
+    b_c: np.ndarray            # (nb, n_face_dofs)
+    X: np.ndarray              # (nb, cell_width, n_face_dofs): L_TT^-1 L_TF
+    y: np.ndarray              # (nb, cell_width): L_TT^-1 b_T
 
     def recover(self, face_values: np.ndarray) -> np.ndarray:
         """Cell coefficients from the surrounding face coefficients."""
-        return cho_solve(self.cho_TT, self.b_T - self.L_TF @ face_values)
+        return self.y - (self.X @ face_values[..., None])[..., 0]
 
 
-def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cell: int = -1) -> CondensedCell:
+def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cells) -> CondensedGroup:
+    """Eliminate the cell unknowns of a group of cells (stacked ``L``, ``b``)."""
+    cells = np.atleast_1d(cells)
     ct, fc = layout.cell, layout.faces
-    L_TT = L[ct, ct]
-    L_TF = L[ct, fc]
-    try:
-        cho_TT = cho_factor(L_TT, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"cell {cell}: singular cell block during condensation "
-            "(broken local operator construction)") from exc
-    X = cho_solve(cho_TT, L_TF)
-    L_c = L[fc, fc] - L_TF.T @ X
-    b_c = b[fc] - X.T @ b[ct]
-    return CondensedCell(cell=cell, layout=layout, L_c=0.5 * (L_c + L_c.T),
-                         b_c=b_c, cho_TT=cho_TT, L_TF=L_TF, b_T=b[ct])
+    L_TT = L[:, ct, ct]
+    L_TF = L[:, ct, fc]
+    # the factorization only checks that every cell block is positive definite
+    checked(np.linalg.cholesky, L_TT, ids=cells,
+            what="singular cell block during condensation "
+                 "(broken local operator construction)")
+    sol = np.linalg.solve(L_TT, np.concatenate([L_TF, b[:, ct, None]], axis=2))
+    X, y = sol[..., :-1], sol[..., -1]
+    L_c = L[:, fc, fc] - L_TF.mT @ X
+    b_c = b[:, fc] - (X.mT @ b[:, ct, None])[..., 0]
+    return CondensedGroup(cells=cells, layout=layout, L_c=0.5 * (L_c + L_c.mT),
+                          b_c=b_c, X=X, y=y)
 
 
 @dataclass
@@ -96,53 +98,55 @@ class GlobalSystem:
     dofmap: DofMap
 
 
+def _face_dofs(mesh: Mesh, cells, dofmap: DofMap):
+    """Faces ``(nb, n_faces)`` of a group and the reduced index of each of
+    its local face DoFs ``(nb, n_faces * face_width)``, -1 if Dirichlet."""
+    faces = cell_faces(mesh, cells)
+    off = dofmap.offsets[faces]
+    dofs = off[..., None] + np.arange(dofmap.face_width)
+    dofs = np.where(off[..., None] >= 0, dofs, -1)
+    return faces, dofs.reshape(len(faces), -1)
+
+
+def _free_face_rows(dofmap: DofMap):
+    """Non-Dirichlet faces and the reduced rows ``(n_free, face_width)``."""
+    free = np.flatnonzero(dofmap.offsets >= 0)
+    return free, dofmap.offsets[free, None] + np.arange(dofmap.face_width)
+
+
 def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
              dirichlet_values: np.ndarray | None = None,
              extra_face_rhs: np.ndarray | None = None) -> GlobalSystem:
-    """Accumulate condensed cell contributions into the reduced system.
+    """Accumulate condensed group contributions into the reduced system.
 
     ``dirichlet_values`` holds projected boundary data per face (rows for
     non-Dirichlet faces are ignored); eliminated columns move to the
     right-hand side.  ``extra_face_rhs`` carries Neumann contributions,
     indexed like ``dirichlet_values``.
     """
-    w = dofmap.face_width
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dofmap.n_reduced)
-    for cc in condensed:
-        faces = mesh.cell_faces[cc.cell]
-        local_off = [i * w for i in range(len(faces))]
-        for i, fi in enumerate(faces):
-            oi = dofmap.offsets[fi]
-            bi = cc.b_c[local_off[i]:local_off[i] + w]
-            if oi < 0:
-                continue
-            rhs[oi:oi + w] += bi
-            for j, fj in enumerate(faces):
-                block = cc.L_c[local_off[i]:local_off[i] + w,
-                               local_off[j]:local_off[j] + w]
-                oj = dofmap.offsets[fj]
-                if oj < 0:
-                    if dirichlet_values is not None:
-                        rhs[oi:oi + w] -= block @ dirichlet_values[fj]
-                    continue
-                ii, jj = np.meshgrid(np.arange(oi, oi + w),
-                                     np.arange(oj, oj + w), indexing="ij")
-                rows.append(ii.ravel())
-                cols.append(jj.ravel())
-                vals.append(block.ravel())
-    if extra_face_rhs is not None:
-        for fi in range(mesh.n_faces):
-            oi = dofmap.offsets[fi]
-            if oi >= 0:
-                rhs[oi:oi + w] += extra_face_rhs[fi]
     n = dofmap.n_reduced
-    if rows:
-        matrix = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)).tocsc()
-    else:
-        matrix = sp.csc_matrix((n, n))
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n)
+    for cg in condensed:
+        faces, dofs = _face_dofs(mesh, cg.cells, dofmap)
+        free = dofs >= 0
+        b = cg.b_c
+        if dirichlet_values is not None:
+            fixed = np.where(free, 0.0, dirichlet_values[faces].reshape(free.shape))
+            b = b - (cg.L_c @ fixed[..., None])[..., 0]
+        rhs += np.bincount(dofs[free], weights=b[free], minlength=n)
+        pairs = free[:, :, None] & free[:, None, :]
+        rows.append(np.broadcast_to(dofs[:, :, None], pairs.shape)[pairs])
+        cols.append(np.broadcast_to(dofs[:, None, :], pairs.shape)[pairs])
+        vals.append(cg.L_c[pairs])
+    if extra_face_rhs is not None:
+        free, face_rows = _free_face_rows(dofmap)
+        rhs[face_rows] += extra_face_rhs[free]
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals or [np.zeros(0)]),
+         (np.concatenate(rows or [np.zeros(0, int)]),
+          np.concatenate(cols or [np.zeros(0, int)]))),
+        shape=(n, n)).tocsc()
     return GlobalSystem(matrix=matrix, rhs=rhs, dofmap=dofmap)
 
 
@@ -168,19 +172,16 @@ def solve_reduced(system: GlobalSystem, method: str = "direct",
 
 
 def _block_jacobi(A: sp.spmatrix, width: int) -> spla.LinearOperator:
-    n = A.shape[0]
-    dense_blocks = []
-    Acsr = A.tocsr()
-    for start in range(0, n, width):
-        block = Acsr[start:start + width, start:start + width].toarray()
-        dense_blocks.append(np.linalg.inv(block))
+    """Inverse of the diagonal ``width``-blocks of ``A``, applied at once."""
+    coo = A.tocoo()
+    diag = coo.row // width == coo.col // width
+    r, c = coo.row[diag], coo.col[diag]
+    blocks = np.zeros((A.shape[0] // width, width, width))
+    np.add.at(blocks, (r // width, r % width, c % width), coo.data[diag])
+    inv = np.linalg.inv(blocks)
 
     def apply(x):
-        out = np.empty_like(x)
-        for i, inv in enumerate(dense_blocks):
-            s = slice(i * width, i * width + width)
-            out[s] = inv @ x[s]
-        return out
+        return np.einsum("bij,bj->bi", inv, x.reshape(-1, width)).reshape(x.shape)
 
     return spla.LinearOperator(A.shape, matvec=apply)
 
@@ -190,83 +191,57 @@ def recover_cells(mesh: Mesh, condensed: list, dofmap: DofMap,
                   dirichlet_values: np.ndarray | None = None):
     """Post-process cell unknowns and scatter face values per global face.
 
-    Returns ``(cell_coeffs list, face_coeffs array)`` where the face array
+    Returns ``(cell_coeffs, face_coeffs)`` arrays of shapes
+    ``(n_cells, cell_width)`` and ``(n_faces, face_width)``; the face array
     includes the Dirichlet data.
     """
-    w = dofmap.face_width
-    face_coeffs = np.zeros((mesh.n_faces, w))
-    for fi in range(mesh.n_faces):
-        oi = dofmap.offsets[fi]
-        if oi >= 0:
-            face_coeffs[fi] = face_solution[oi:oi + w]
-        elif dirichlet_values is not None:
-            face_coeffs[fi] = dirichlet_values[fi]
-    cell_coeffs = []
-    for cc in condensed:
-        faces = mesh.cell_faces[cc.cell]
-        fvals = np.concatenate([face_coeffs[fi] for fi in faces])
-        cell_coeffs.append(cc.recover(fvals))
+    face_coeffs = np.zeros((mesh.n_faces, dofmap.face_width))
+    if dirichlet_values is not None:
+        face_coeffs[dofmap.dirichlet] = dirichlet_values[dofmap.dirichlet]
+    free, face_rows = _free_face_rows(dofmap)
+    face_coeffs[free] = face_solution[face_rows]
+    cell_coeffs = np.zeros((mesh.n_cells, condensed[0].layout.cell_width))
+    for cg in condensed:
+        faces = cell_faces(mesh, cg.cells)
+        cell_coeffs[cg.cells] = cg.recover(face_coeffs[faces].reshape(len(faces), -1))
     return cell_coeffs, face_coeffs
 
 
-def solve_monolithic(mesh: Mesh, locals_: list, rhs_list: list, dofmap: DofMap,
+def solve_monolithic(mesh: Mesh, ops: list, rhs_list: list, dofmap: DofMap,
                      dirichlet_values: np.ndarray | None = None,
                      extra_face_rhs: np.ndarray | None = None):
     """Reference solve of the uncondensed cell+face system (dense).
 
-    Used as an oracle for the static-condensation path; returns the same
-    ``(cell_coeffs, face_coeffs)`` structure as the condensed pipeline.
+    Used as an oracle for the static-condensation path; takes the local
+    operator groups and their right-hand sides and returns the same
+    ``(cell_coeffs, face_coeffs)`` arrays as the condensed pipeline.
     """
-    w = dofmap.face_width
-    cell_off = []
-    total = 0
-    for ci, L in enumerate(locals_):
-        cell_off.append(total)
-        total += L.shape[0] - len(mesh.cell_faces[ci]) * w
-    n_cells_dofs = total
-    total += dofmap.n_reduced
-
+    cw = dof_layout(mesh, dofmap.degrees, 1).cell_width
+    n_cell_dofs = mesh.n_cells * cw
+    total = n_cell_dofs + dofmap.n_reduced
     A = np.zeros((total, total))
     b = np.zeros(total)
-
-    def gidx(ci, layout):
-        idx = np.empty(layout.size, dtype=int)
-        cw = layout.cell_width
-        idx[:cw] = cell_off[ci] + np.arange(cw)
-        for i, fi in enumerate(mesh.cell_faces[ci]):
-            oi = dofmap.offsets[fi]
-            sl = layout.face(i)
-            idx[sl] = (n_cells_dofs + oi + np.arange(w)) if oi >= 0 else -1
-        return idx
-
-    for ci, (L, bl) in enumerate(zip(locals_, rhs_list)):
-        layout = dof_layout(mesh, dofmap.degrees, len(mesh.cell_faces[ci]))
-        idx = gidx(ci, layout)
+    for op, bl in zip(ops, rhs_list):
+        cells = op.ctx.cells
+        faces, dofs = _face_dofs(mesh, cells, dofmap)
+        idx = np.concatenate([cells[:, None] * cw + np.arange(cw),
+                              np.where(dofs >= 0, n_cell_dofs + dofs, -1)], axis=1)
         keep = idx >= 0
-        sub = np.ix_(idx[keep], idx[keep])
-        A[sub] += L[np.ix_(keep, keep)]
-        b[idx[keep]] += bl[keep]
-        if dirichlet_values is not None and not keep.all():
-            fixed = np.zeros(layout.size)
-            for i, fi in enumerate(mesh.cell_faces[ci]):
-                if dofmap.offsets[fi] < 0:
-                    fixed[layout.face(i)] = dirichlet_values[fi]
-            b[idx[keep]] -= (L @ fixed)[keep]
+        if dirichlet_values is not None:
+            fixed = np.zeros(idx.shape)
+            fixed[:, cw:] = dirichlet_values[faces].reshape(len(cells), -1)
+            bl = bl - (op.L @ np.where(keep, 0.0, fixed)[..., None])[..., 0]
+        pairs = keep[:, :, None] & keep[:, None, :]
+        np.add.at(A, (np.broadcast_to(idx[:, :, None], pairs.shape)[pairs],
+                      np.broadcast_to(idx[:, None, :], pairs.shape)[pairs]),
+                  op.L[pairs])
+        np.add.at(b, idx[keep], bl[keep])
+    free, face_rows = _free_face_rows(dofmap)
     if extra_face_rhs is not None:
-        for fi in range(mesh.n_faces):
-            oi = dofmap.offsets[fi]
-            if oi >= 0:
-                b[n_cells_dofs + oi:n_cells_dofs + oi + w] += extra_face_rhs[fi]
+        b[n_cell_dofs + face_rows] += extra_face_rhs[free]
     x = np.linalg.solve(A, b)
-    face_coeffs = np.zeros((mesh.n_faces, w))
-    for fi in range(mesh.n_faces):
-        oi = dofmap.offsets[fi]
-        if oi >= 0:
-            face_coeffs[fi] = x[n_cells_dofs + oi:n_cells_dofs + oi + w]
-        elif dirichlet_values is not None:
-            face_coeffs[fi] = dirichlet_values[fi]
-    cell_coeffs = []
-    for ci, L in enumerate(locals_):
-        cw = L.shape[0] - len(mesh.cell_faces[ci]) * w
-        cell_coeffs.append(x[cell_off[ci]:cell_off[ci] + cw])
-    return cell_coeffs, face_coeffs
+    face_coeffs = np.zeros((mesh.n_faces, dofmap.face_width))
+    if dirichlet_values is not None:
+        face_coeffs[dofmap.dirichlet] = dirichlet_values[dofmap.dirichlet]
+    face_coeffs[free] = x[n_cell_dofs + face_rows]
+    return x[:n_cell_dofs].reshape(mesh.n_cells, cw), face_coeffs

@@ -5,6 +5,8 @@ A cell basis on ``T`` consists of the monomials in the rescaled variable
 lexicographically with the constant first.  Face bases in 2D are 1D scaled
 monomials composed with the inverse of an isometric map from the face onto
 a centered interval, so they can be evaluated directly at physical points.
+A basis built for a group of cells or faces holds stacked centers and
+scales and evaluates the whole group in one call.
 """
 
 from __future__ import annotations
@@ -68,55 +70,46 @@ class Basis:
             return 1
         return basis_size(self.degree, self.entity_dim)
 
-    def local_coords(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.tangent is not None:
-            s = (pts - self.origin) @ self.tangent
-            return s[:, None]
-        return pts
-
     def eval(self, points: np.ndarray):
         """Values and gradients at physical points.
 
         Returns ``(values, gradients)`` with shapes ``(npts, n)`` and
         ``(npts, n, entity_dim)``; gradients of 2D face bases are taken with
-        respect to the arc-length coordinate.
+        respect to the arc-length coordinate.  A basis stacked over a group
+        takes points with the group's leading axis and returns it too.
         """
-        pts = self.local_coords(points)
-        npts = pts.shape[0]
+        pts = np.asarray(points, dtype=float)
         if self.entity_dim == 0:
-            return np.ones((npts, 1)), np.zeros((npts, 1, 1))
+            return np.ones(pts.shape[:-1] + (1,)), np.zeros(pts.shape[:-1] + (1, 1))
+        if self.tangent is not None:
+            pts = np.einsum("...qd,...d->...q", pts - self.origin[..., None, :],
+                            self.tangent)[..., None]
         dim = self.entity_dim
-        xt = 2.0 * (pts - self.center) / self.scale
-        kmax = self.degree
-        # powers[c, j, q] = xt[q, c] ** j
-        powers = np.ones((dim, kmax + 1, npts))
-        for j in range(1, kmax + 1):
-            powers[:, j, :] = powers[:, j - 1, :] * xt.T
+        scale = np.asarray(self.scale, dtype=float)[..., None, None]
+        xt = 2.0 * (pts - self.center[..., None, :]) / scale
+        # powers[..., q, c, j] = xt[..., q, c] ** j
+        powers = np.ones(xt.shape + (self.degree + 1,))
+        for j in range(1, self.degree + 1):
+            powers[..., j] = powers[..., j - 1] * xt
         exps = self.exponents
-        vals = np.ones((npts, len(exps)))
+        comps = np.arange(dim)
+        factors = powers[..., comps, exps]                   # (..., q, n, dim)
+        dfactors = exps * powers[..., comps, np.maximum(exps - 1, 0)]
+        vals = factors.prod(axis=-1)
+        grads = np.empty(vals.shape + (dim,))
         for c in range(dim):
-            vals *= powers[c, exps[:, c], :].T
-        grads = np.zeros((npts, len(exps), dim))
-        for c in range(dim):
-            a = exps[:, c]
-            other = np.ones((npts, len(exps)))
-            for c2 in range(dim):
-                if c2 != c:
-                    other *= powers[c2, exps[:, c2], :].T
-            dpow = np.zeros((len(exps), npts))
-            nz = a > 0
-            dpow[nz] = a[nz, None] * powers[c, a[nz] - 1, :]
-            grads[:, :, c] = (2.0 / self.scale) * dpow.T * other
+            other = factors[..., comps != c].prod(axis=-1)
+            grads[..., c] = (2.0 / scale) * dfactors[..., c] * other
         if self.coeffs is not None:
-            vals = vals @ self.coeffs.T
-            grads = np.einsum("ij,qjc->qic", self.coeffs, grads)
+            vals = vals @ self.coeffs.mT
+            grads = np.einsum("...ij,...qjc->...qic", self.coeffs, grads)
         return vals, grads
 
 
 def scaled_monomial_basis(geometry: CellGeometry, degree: int,
                           max_degree: int = MAX_DEGREE) -> Basis:
-    """Cell basis centered at the barycenter with the diameter as scale."""
+    """Cell basis centered at the barycenter with the diameter as scale;
+    stacked over a group when ``geometry`` is a group's."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if degree > max_degree:
@@ -127,19 +120,20 @@ def scaled_monomial_basis(geometry: CellGeometry, degree: int,
                  center=geometry.barycenter, scale=geometry.diameter)
 
 
-def face_basis(mesh: Mesh, face: int, degree: int,
+def face_basis(mesh: Mesh, faces, degree: int,
                max_degree: int = MAX_DEGREE) -> Basis:
     """Face basis: 1D scaled monomials in the chart coordinate (2D meshes),
-    or the single constant on a vertex-face of a 1D mesh."""
+    or the single constant on a vertex-face of a 1D mesh.  An array of
+    faces gives one basis stacked over them."""
     if degree > max_degree:
         raise ValueError(f"degree {degree} above cap {max_degree}")
     if mesh.dim == 1:
         return Basis(entity_dim=0, degree=0, center=np.zeros(1), scale=1.0)
-    a, b = sorted(mesh.faces[face])
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    length = float(np.linalg.norm(pb - pa))
+    pts = mesh.vertices[mesh.face_nodes[faces]]
+    pa, pb = pts[..., 0, :], pts[..., 1, :]
+    length = np.linalg.norm(pb - pa, axis=-1)
     return Basis(entity_dim=1, degree=degree, center=np.zeros(1), scale=length,
-                 origin=0.5 * (pa + pb), tangent=(pb - pa) / length)
+                 origin=0.5 * (pa + pb), tangent=(pb - pa) / length[..., None])
 
 
 def orthonormalize(basis: Basis, rule: QuadratureRule) -> Basis:
@@ -150,8 +144,8 @@ def orthonormalize(basis: Basis, rule: QuadratureRule) -> Basis:
     triangular.
     """
     vals, _ = basis.eval(rule.points)
-    M = vals.T @ (rule.weights[:, None] * vals)
-    M = 0.5 * (M + M.T)
+    M = vals.mT @ (rule.weights[..., None] * vals)
+    M = 0.5 * (M + M.mT)
     L = np.linalg.cholesky(M)
     coeffs = np.linalg.inv(L)  # lower-triangular inverse, constant stays first
     if basis.coeffs is not None:

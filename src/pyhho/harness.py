@@ -2,8 +2,10 @@
 
 The pipeline per solve is: local operators -> static condensation ->
 assembly with boundary data -> sparse solve -> cell recovery -> flux or
-traction recovery.  Convergence studies, the operator-decay verification,
-the 1D FEM oracle, and the incompressibility sweep all sit on top of it.
+traction recovery.  Every per-cell stage runs once per group of cells of
+one quadrature class (:meth:`pyhho.mesh.Mesh.cell_groups`) on stacked
+arrays.  Convergence studies, the operator-decay verification, the 1D FEM
+oracle, and the incompressibility sweep all sit on top of it.
 """
 
 from __future__ import annotations
@@ -17,22 +19,22 @@ import numpy as np
 from . import assembly as asm
 from .basis import face_basis
 from .elasticity import local_bilinear_elastic
-from .local_ops import (CellContext, _kron_apply, _kron_solve, build_cell_context,
-                        local_bilinear)
+from .local_ops import CellContext, _kron_apply, build_cell_context, local_bilinear
 from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh)
 from .problems import ProblemSpec
-from .projection import HhoDegrees, dof_layout, gather_local, l2_project
+from .projection import HhoDegrees, dof_layout, gather_local, l2_project, sample
 from .quadrature import cell_quadrature, face_quadrature
 
 RHS_QUAD_BUMP = 2
 
 
-def _map_cells(fn, n, threads):
+def _map_cells(fn, groups, threads):
+    """``fn`` over the cell groups, on a thread pool when ``threads > 1``."""
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(n)))
-    return [fn(i) for i in range(n)]
+            return list(pool.map(fn, groups))
+    return [fn(cells) for cells in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +42,15 @@ def _map_cells(fn, n, threads):
 
 
 def local_rhs(ctx: CellContext, f) -> np.ndarray:
-    """Source vector: cell block only, quadrature order 2(k+1)+2."""
+    """Source vectors of a group: cell block only, quadrature order 2(k+1)+2."""
     order = 2 * (ctx.degrees.k_face + 1) + RHS_QUAD_BUMP
     rule = cell_quadrature(ctx.geom, order)
     vals, _ = ctx.rec_basis.eval(rule.points)
-    fx = np.asarray(f(rule.points), dtype=float).reshape(len(rule.weights), -1)
-    b = np.zeros(ctx.layout.size)
-    blk = vals[:, : ctx.n_cell].T @ (rule.weights[:, None] * fx)
-    b[ctx.layout.cell] = blk.reshape(-1) if ctx.degrees.rank > 1 else blk[:, 0]
+    fx = sample(f, rule.points, rank=ctx.degrees.rank, ids=ctx.cells)
+    b = np.zeros((len(ctx.cells), ctx.layout.size))
+    blk = (rule.weights[..., None] * vals[..., : ctx.n_cell]).mT @ fx.reshape(
+        rule.weights.shape + (-1,))
+    b[:, ctx.layout.cell] = blk.reshape(len(blk), -1)
     return b
 
 
@@ -55,16 +58,13 @@ def dirichlet_data(mesh: Mesh, degrees: HhoDegrees, u_d) -> np.ndarray:
     """Projected Dirichlet values per face (zero rows off the boundary)."""
     width = dof_layout(mesh, degrees, 1).face_width
     data = np.zeros((mesh.n_faces, width))
-    order = 2 * (degrees.k_face + 1) + RHS_QUAD_BUMP
-    for fi in np.flatnonzero(mesh.dirichlet_faces):
-        if mesh.dim == 1:
-            val = np.asarray(u_d(mesh.face_vertices(fi).reshape(1, 1)), dtype=float)
-            data[fi] = val.reshape(-1)
-        else:
-            fb = face_basis(mesh, fi, degrees.k_face)
-            rule = face_quadrature(mesh, fi, order)
-            coef = l2_project(fb, rule, u_d)
-            data[fi] = coef.reshape(-1) if degrees.rank > 1 else coef
+    faces = np.flatnonzero(mesh.dirichlet_faces)
+    if len(faces):
+        order = 2 * (degrees.k_face + 1) + RHS_QUAD_BUMP
+        coef = l2_project(face_basis(mesh, faces, degrees.k_face),
+                          face_quadrature(mesh, faces, order), u_d,
+                          rank=degrees.rank, ids=faces, entity="face")
+        data[faces] = coef.reshape(len(faces), -1)
     return data
 
 
@@ -72,20 +72,15 @@ def neumann_rhs(mesh: Mesh, degrees: HhoDegrees, g_n) -> np.ndarray:
     """Face right-hand-side contributions of the Neumann datum."""
     width = dof_layout(mesh, degrees, 1).face_width
     data = np.zeros((mesh.n_faces, width))
-    if g_n is None or not np.any(mesh.neumann_faces):
+    faces = np.flatnonzero(mesh.neumann_faces)
+    if g_n is None or not len(faces):
         return data
     order = 2 * (degrees.k_face + 1) + RHS_QUAD_BUMP
-    for fi in np.flatnonzero(mesh.neumann_faces):
-        if mesh.dim == 1:
-            pt = mesh.face_vertices(fi).reshape(1, 1)
-            data[fi] = np.asarray(g_n(pt), dtype=float).reshape(-1)
-        else:
-            fb = face_basis(mesh, fi, degrees.k_face)
-            rule = face_quadrature(mesh, fi, order)
-            psi, _ = fb.eval(rule.points)
-            g = np.asarray(g_n(rule.points), dtype=float).reshape(len(rule.weights), -1)
-            blk = psi.T @ (rule.weights[:, None] * g)
-            data[fi] = blk.reshape(-1) if degrees.rank > 1 else blk[:, 0]
+    rule = face_quadrature(mesh, faces, order)
+    psi, _ = face_basis(mesh, faces, degrees.k_face).eval(rule.points)
+    g = sample(g_n, rule.points, rank=degrees.rank, ids=faces, entity="face")
+    blk = (rule.weights[..., None] * psi).mT @ g.reshape(rule.weights.shape + (-1,))
+    data[faces] = blk.reshape(len(faces), -1)
     return data
 
 
@@ -98,46 +93,48 @@ class Solution:
     mesh: Mesh
     degrees: HhoDegrees
     spec: ProblemSpec
-    cell_coeffs: list
-    face_coeffs: np.ndarray
-    ops: list
-    rhs: list
+    cell_coeffs: np.ndarray   # (n_cells, cell_width)
+    face_coeffs: np.ndarray   # (n_faces, face_width)
+    ops: list                 # one LocalOperators record per cell group
+    rhs: list                 # per group: (nb, size) source vectors
     dofmap: asm.DofMap
     dirichlet: np.ndarray
     neumann: np.ndarray
     residual: float = 0.0
 
-    def local_dofs(self, cell: int) -> np.ndarray:
-        return gather_local(self.mesh, cell, self.degrees, self.cell_coeffs,
+    def local_dofs(self, cells) -> np.ndarray:
+        return gather_local(self.mesh, cells, self.degrees, self.cell_coeffs,
                             self.face_coeffs)
 
 
 def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec, threads=1):
-    """Per-cell contexts, operators, and source vectors."""
+    """Operators and source vectors of every cell group."""
     if spec.kind == "elasticity":
         if degrees.rank != 2:
             raise ValueError("elasticity needs vector degrees (rank 2)")
         if degrees.k_face < 1:
             raise ValueError("elasticity requires k >= 1")
 
-        def make(ci):
-            ctx = build_cell_context(mesh, ci, degrees)
-            ops = local_bilinear_elastic(ctx, spec.mu, spec.lam)
-            return ctx, ops, local_rhs(ctx, spec.f)
+        def make(cells):
+            ctx = build_cell_context(mesh, cells, degrees)
+            return local_bilinear_elastic(ctx, spec.mu, spec.lam), local_rhs(ctx, spec.f)
     else:
-        def make(ci):
-            ctx = build_cell_context(mesh, ci, degrees)
-            ops = local_bilinear(ctx)
-            return ctx, ops, local_rhs(ctx, spec.f)
+        def make(cells):
+            ctx = build_cell_context(mesh, cells, degrees)
+            return local_bilinear(ctx), local_rhs(ctx, spec.f)
 
-    triples = _map_cells(make, mesh.n_cells, threads)
-    return [t[1] for t in triples], [t[2] for t in triples]
+    pairs = _map_cells(make, mesh.cell_groups(), threads)
+    return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 def solve_problem(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec,
                   solver: str = "direct", tol: float = 1e-12,
                   threads: int = 1, monolithic: bool = False) -> Solution:
     """Solve the discrete problem and recover all unknowns."""
+    if not mesh.dirichlet_faces.any():
+        raise ValueError(
+            "no Dirichlet face: the solution is determined only up to a "
+            + ("rigid motion" if spec.kind == "elasticity" else "constant"))
     ops, rhs = build_local(mesh, degrees, spec, threads)
     dofmap = asm.build_dof_map(mesh, degrees)
     ud = dirichlet_data(mesh, degrees, spec.u_dirichlet)
@@ -145,13 +142,13 @@ def solve_problem(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec,
 
     if monolithic:
         cell_coeffs, face_coeffs = asm.solve_monolithic(
-            mesh, [o.L for o in ops], rhs, dofmap,
-            dirichlet_values=ud, extra_face_rhs=gn)
+            mesh, ops, rhs, dofmap, dirichlet_values=ud, extra_face_rhs=gn)
         residual = 0.0
     else:
-        condensed = _map_cells(
-            lambda ci: asm.condense(ops[ci].L, rhs[ci], ops[ci].ctx.layout, ci),
-            mesh.n_cells, threads)
+        # a few batched LAPACK calls per group: a thread pool would only add
+        # allocator arenas, so the condensation runs on this thread
+        condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
+                     for o, b in zip(ops, rhs)]
         system = asm.assemble(mesh, condensed, dofmap,
                               dirichlet_values=ud, extra_face_rhs=gn)
         x = asm.solve_reduced(system, method=solver, tol=tol)
@@ -170,17 +167,21 @@ def solve_problem(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec,
 # energy and residual checks
 
 
+def _quadratic(v: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``v_b . M_b w_b`` for every cell b of a group."""
+    return np.einsum("bi,bi->b", v, (M @ w[..., None])[..., 0])
+
+
 def discrete_energy(sol: Solution, cell_coeffs=None, face_coeffs=None) -> float:
     """Quadratic energy 0.5 a_h(v, v) - l(v) of the stored or given state."""
-    cc = sol.cell_coeffs if cell_coeffs is None else cell_coeffs
+    cc = sol.cell_coeffs if cell_coeffs is None else np.asarray(cell_coeffs)
     fc = sol.face_coeffs if face_coeffs is None else face_coeffs
     total = 0.0
-    for ci, ops in enumerate(sol.ops):
-        v = gather_local(sol.mesh, ci, sol.degrees, cc, fc)
-        total += 0.5 * v @ (ops.L @ v) - sol.rhs[ci] @ v
-    for fi in np.flatnonzero(sol.mesh.neumann_faces):
-        total -= sol.neumann[fi] @ fc[fi]
-    return float(total)
+    for ops, b in zip(sol.ops, sol.rhs):
+        v = gather_local(sol.mesh, ops.ctx.cells, sol.degrees, cc, fc)
+        total += float(np.sum(0.5 * _quadratic(v, ops.L, v) - np.sum(b * v, axis=1)))
+    # the Neumann rows are zero off the Neumann faces
+    return float(total - np.sum(sol.neumann * fc))
 
 
 def flux_residuals(sol: Solution):
@@ -202,8 +203,9 @@ def traction_residuals(sol: Solution):
     return eq / tmag, neu / tmag, bal
 
 
-def _face_norm(face, values: np.ndarray) -> float:
-    return float(np.sqrt(values @ _kron_apply(face.mass, values)))
+def _face_norms(mass: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Face L2 norms of stacked face coefficient vectors."""
+    return np.sqrt(np.einsum("bi,bi->b", values, _kron_apply(mass, values)))
 
 
 def _face_flux_checks(sol: Solution):
@@ -216,44 +218,33 @@ def _face_flux_checks(sol: Solution):
     terms all vanish.
     """
     mesh = sol.mesh
-    fluxes = []
+    n_face = sol.ops[0].ctx.faces[0].mass.shape[-1]
+    # the two fluxes of an interface face cancel: accumulate them per face
+    flux_sum = np.zeros((mesh.n_faces, sol.dofmap.face_width))
+    mass = np.zeros((mesh.n_faces, n_face, n_face))
+    mass_inv = np.zeros_like(mass)
     scale, res, fmag = 1e-30, 0.0, 0.0
-    for ci, ops in enumerate(sol.ops):
+    for ops, b in zip(sol.ops, sol.rhs):
         ctx = ops.ctx
-        v = sol.local_dofs(ci)
+        v = sol.local_dofs(ctx.cells)
         per_face = ops.face_fluxes(v)
-        fluxes.append(per_face)
-        scale = max(scale, float(np.abs(sol.rhs[ci]).max()),
-                    float(np.abs(ops.L).max() * max(np.abs(v).max(), 1e-30)))
-        r = ops.balance @ v - sol.rhs[ci][: len(ops.balance)]
+        scale = max(scale, float(np.abs(b).max()),
+                    float(np.max(np.abs(ops.L).max(axis=(1, 2))
+                                 * np.maximum(np.abs(v).max(axis=1), 1e-30))))
+        r = (ops.balance @ v[..., None])[..., 0] - b[:, : ops.balance.shape[1]]
         for f, t in zip(ctx.faces, per_face):
-            r += _kron_apply(f.trace_full[:, : ctx.n_k].T, t)
-            fmag = max(fmag, _face_norm(f, t))
+            r += _kron_apply(f.trace_full[:, :, : ctx.n_k].mT, t)
+            fmag = max(fmag, float(_face_norms(f.mass, t).max()))
+            np.add.at(flux_sum, f.index, t)
+            mass[f.index], mass_inv[f.index] = f.mass, f.mass_inv
         res = max(res, float(np.abs(r).max()))
 
-    local_pos = _local_face_positions(mesh)
-    eq = 0.0
-    for fi in np.flatnonzero(~mesh.boundary_faces):
-        c0, c1 = mesh.face_cells[fi]
-        i0 = local_pos[(c0, fi)]
-        s = fluxes[c0][i0] + fluxes[c1][local_pos[(c1, fi)]]
-        eq = max(eq, _face_norm(sol.ops[c0].ctx.faces[i0], s))
-    neu = 0.0
-    for fi in np.flatnonzero(mesh.neumann_faces):
-        c0 = mesh.face_cells[fi, 0]
-        i = local_pos[(c0, fi)]
-        f = sol.ops[c0].ctx.faces[i]
-        s = fluxes[c0][i] + _kron_solve(f.mass_cho, sol.neumann[fi])
-        neu = max(neu, _face_norm(f, s))
+    interior = np.flatnonzero(~mesh.boundary_faces)
+    eq = float(_face_norms(mass[interior], flux_sum[interior]).max(initial=0.0))
+    neumann = np.flatnonzero(mesh.neumann_faces)
+    gap = flux_sum[neumann] + _kron_apply(mass_inv[neumann], sol.neumann[neumann])
+    neu = float(_face_norms(mass[neumann], gap).max(initial=0.0))
     return eq, neu, res / scale, max(fmag, scale)
-
-
-def _local_face_positions(mesh: Mesh) -> dict:
-    pos = {}
-    for ci, faces in enumerate(mesh.cell_faces):
-        for i, fi in enumerate(faces):
-            pos[(ci, int(fi))] = i
-    return pos
 
 
 def galerkin_residual(sol: Solution, n_tests: int = 10, seed: int = 7) -> float:
@@ -261,22 +252,20 @@ def galerkin_residual(sol: Solution, n_tests: int = 10, seed: int = 7) -> float:
     rng = np.random.default_rng(seed)
     mesh = sol.mesh
     width = sol.dofmap.face_width
+    Lu = [(ops.L @ sol.local_dofs(ops.ctx.cells)[..., None])[..., 0] for ops in sol.ops]
     worst = 0.0
     for _ in range(n_tests):
-        wc = [rng.standard_normal(len(c)) for c in sol.cell_coeffs]
+        wc = rng.standard_normal(sol.cell_coeffs.shape)
         wf = rng.standard_normal((mesh.n_faces, width))
         wf[mesh.dirichlet_faces] = 0.0
-        a_val = 0.0
-        l_val = 0.0
-        scale = 0.0
-        for ci, ops in enumerate(sol.ops):
-            w = gather_local(mesh, ci, sol.degrees, wc, wf)
-            u = sol.local_dofs(ci)
-            a_val += w @ (ops.L @ u)
-            l_val += sol.rhs[ci] @ w
-            scale += abs(w @ (ops.L @ u))
-        for fi in np.flatnonzero(mesh.neumann_faces):
-            l_val += sol.neumann[fi] @ wf[fi]
+        a_val = l_val = scale = 0.0
+        for ops, b, lu in zip(sol.ops, sol.rhs, Lu):
+            w = gather_local(mesh, ops.ctx.cells, sol.degrees, wc, wf)
+            a_cells = np.sum(w * lu, axis=1)
+            a_val += a_cells.sum()
+            l_val += np.sum(b * w)
+            scale += np.abs(a_cells).sum()
+        l_val += np.sum(sol.neumann * wf)
         worst = max(worst, abs(a_val - l_val) / max(scale, 1e-30))
     return worst
 
@@ -309,27 +298,29 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     # energy density |grad e|^2, or 2 mu |eps(e)|^2 for elasticity
     elastic = spec.kind == "elasticity"
     h1_sq = l2c_sq = l2r_sq = stab_sq = 0.0
-    for ci, ops in enumerate(sol.ops):
+    for ops in sol.ops:
         ctx = ops.ctx
+        nb = len(ctx.cells)
         rule = cell_quadrature(ctx.geom, order)
         vals, grads = ctx.rec_basis.eval(rule.points)
         w = rule.weights
-        nq = len(w)
-        v = sol.local_dofs(ci)
-        stab_sq += float(v @ (ops.penalty @ v))
-        coef = (ops.rec @ v).reshape(-1, rank)
-        ex = np.asarray(spec.exact(rule.points), dtype=float).reshape(nq, rank)
-        gex = np.asarray(spec.exact_grad(rule.points), dtype=float).reshape(nq, rank, -1)
-        de = gex - np.einsum("qjc,ja->qac", grads, coef)
+        pts = rule.points.reshape(-1, rule.points.shape[-1])
+        v = sol.local_dofs(ctx.cells)
+        stab_sq += float(_quadratic(v, ops.penalty, v).sum())
+        coef = (ops.rec @ v[..., None]).reshape(nb, -1, rank)
+        ex = np.asarray(spec.exact(pts), dtype=float).reshape(w.shape + (rank,))
+        gex = np.asarray(spec.exact_grad(pts), dtype=float).reshape(w.shape + (rank, -1))
+        de = gex - np.einsum("bqjc,bja->bqac", grads, coef)
         if elastic:
-            de = 0.5 * (de + np.swapaxes(de, 1, 2))
-        h1_sq += (2 * spec.mu if elastic else 1.0) * float(w @ (de ** 2).sum(axis=(1, 2)))
-        l2r_sq += float(w @ ((ex - vals @ coef) ** 2).sum(axis=1))
+            de = 0.5 * (de + de.mT)
+        h1_sq += (2 * spec.mu if elastic else 1.0) * float(np.sum(w * (de ** 2).sum(axis=(2, 3))))
+        l2r_sq += float(np.sum(w * ((ex - vals @ coef) ** 2).sum(axis=2)))
         # discrete cell error against the cell projection of u
-        Vc = vals[:, : ctx.n_cell]
-        pcoef = np.linalg.solve(Vc.T @ (w[:, None] * Vc), Vc.T @ (w[:, None] * ex))
-        diff = Vc @ (pcoef - sol.cell_coeffs[ci].reshape(-1, rank))
-        l2c_sq += float(w @ (diff ** 2).sum(axis=1))
+        Vc = vals[..., : ctx.n_cell]
+        WV = w[..., None] * Vc
+        pcoef = np.linalg.solve(WV.mT @ Vc, WV.mT @ ex)
+        diff = Vc @ (pcoef - sol.cell_coeffs[ctx.cells].reshape(nb, -1, rank))
+        l2c_sq += float(np.sum(w * (diff ** 2).sum(axis=2)))
     n_dofs = sol.dofmap.n_reduced
     return ErrorRow(level=level, h=mesh.max_diameter(),
                     err_h1=np.sqrt(h1_sq), err_l2_cell=np.sqrt(l2c_sq),
@@ -466,46 +457,46 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4,
         h = mesh.max_diameter()
         acc = np.zeros(5)
 
-        def work(ci):
+        def work(cells):
             out = np.zeros(5)
-            ctx = build_cell_context(mesh, ci, deg_eq)
+            ctx = build_cell_context(mesh, cells, deg_eq)
             rule = cell_quadrature(ctx.geom, order)
             vals, _ = ctx.rec_basis.eval(rule.points)
             w = rule.weights
-            vx = np.asarray(v(rule.points), dtype=float)
+            vx = np.asarray(v(rule.points.reshape(-1, dim)), dtype=float).reshape(w.shape)
 
-            red = reduce_local(mesh, ci, deg_eq, v)
-            ncell = ctx.n_cell
-            proj = vals[:, :ncell] @ red[ctx.layout.cell]
-            out[0] = w @ (vx - proj) ** 2
+            red = reduce_local(mesh, cells, deg_eq, v)
+            proj = (vals[..., : ctx.n_cell] @ red[:, ctx.layout.cell, None])[..., 0]
+            out[0] = np.sum(w * (vx - proj) ** 2)
 
             _, _, _, R_full, _ = reconstruction(ctx)
-            rec = vals @ (R_full @ red)
-            out[2] = w @ (vx - rec) ** 2
+            rec = (vals @ (R_full @ red[..., None]))[..., 0]
+            out[2] = np.sum(w * (vx - rec) ** 2)
 
             _, S = stabilization_equal_order(ctx, R_full)
-            out[3] = red @ (S @ red)
+            out[3] = np.sum(red * (S @ red[..., None])[..., 0])
 
-            ctx2 = build_cell_context(mesh, ci, deg_mx)
-            red2 = reduce_local(mesh, ci, deg_mx, v)
+            ctx2 = build_cell_context(mesh, cells, deg_mx)
+            red2 = reduce_local(mesh, cells, deg_mx, v)
             _, Z = stabilization_ls(ctx2)
-            out[4] = red2 @ (Z @ red2)
+            out[4] = np.sum(red2 * (Z @ red2[..., None])[..., 0])
 
             # face projection error, each interior face counted once
-            for i, fi in enumerate(ctx.geom.face_indices):
-                if mesh.face_cells[fi, 0] != ci:
+            for i in range(ctx.geom.n_faces if mesh.dim == 2 else 0):
+                faces = ctx.geom.face_indices[:, i]
+                faces = faces[mesh.face_cells[faces, 0] == cells]
+                if not len(faces):
                     continue
-                if mesh.dim == 1:
-                    continue
-                fb = face_basis(mesh, fi, k)
-                frule = face_quadrature(mesh, fi, order)
+                fb = face_basis(mesh, faces, k)
+                frule = face_quadrature(mesh, faces, order)
                 psi, _ = fb.eval(frule.points)
-                vfx = np.asarray(v(frule.points), dtype=float)
+                vfx = np.asarray(v(frule.points.reshape(-1, dim)),
+                                 dtype=float).reshape(frule.weights.shape)
                 coef = l2_project(fb, frule, v)
-                out[1] = out[1] + frule.weights @ (vfx - psi @ coef) ** 2
+                out[1] += np.sum(frule.weights * (vfx - (psi @ coef[..., None])[..., 0]) ** 2)
             return out
 
-        for part in _map_cells(work, mesh.n_cells, threads):
+        for part in _map_cells(work, mesh.cell_groups(), threads):
             acc += part
         if dim == 1:
             acc[1] = float("nan")
@@ -554,8 +545,8 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
 
     ops, rhs = build_local(mesh, degrees, spec)
     dofmap = asm.build_dof_map(mesh, degrees)
-    condensed = [asm.condense(ops[ci].L, rhs[ci], ops[ci].ctx.layout, ci)
-                 for ci in range(mesh.n_cells)]
+    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
+                 for o, b in zip(ops, rhs)]
     system = asm.assemble(mesh, condensed, dofmap,
                           dirichlet_values=np.zeros((mesh.n_faces, 1)))
     A = system.matrix.toarray()
@@ -568,7 +559,10 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
     n_int = len(xs) - 2
     Afem = np.zeros((n_int, n_int))
     bfem = np.zeros(n_int)
-    fbar = np.array([rhs[i][0] / hcells[i] for i in range(mesh.n_cells)])
+    fbar = np.zeros(mesh.n_cells)
+    for o, b in zip(ops, rhs):
+        fbar[o.ctx.cells] = b[:, 0]
+    fbar /= hcells
     for i, h in enumerate(hcells):
         rule = cell_quadrature_interval(xs[i], xs[i + 1])
         fx = np.asarray(f(rule[0][:, None]), dtype=float)

@@ -22,31 +22,43 @@ class MeshError(ValueError):
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Geometric quantities of one cell and its faces.
+    """Geometric quantities of one cell and its faces, or of a group.
 
     ``barycenter`` is the area centroid, ``diameter`` the maximum pairwise
     vertex distance.  Per-face arrays follow the cell's boundary loop order
-    and the normals point outward.
+    and the normals point outward.  ``shape`` names the quadrature class:
+    ``interval``, ``tri``, ``quad`` (parallelogram, tensor rule) or ``fan``
+    (any other polygon).  The geometry of a group of cells of one class
+    stacks every field along a leading cell axis.
     """
 
-    index: int
+    index: int | np.ndarray
     dim: int
+    shape: str
     vertices: np.ndarray          # (nv, dim) coordinates of the loop
     barycenter: np.ndarray        # (dim,)
     diameter: float
     measure: float
-    face_indices: tuple           # global face index per local face
+    face_indices: np.ndarray      # (nf,) global face index per local face
     face_measures: np.ndarray     # (nf,)
     face_normals: np.ndarray      # (nf, dim), unit outward
-    face_centers: np.ndarray      # (nf, dim)
 
     @property
     def n_faces(self) -> int:
-        return len(self.face_indices)
+        return self.face_normals.shape[-2]
 
     @property
-    def perimeter(self) -> float:
-        return float(self.face_measures.sum())
+    def perimeter(self):
+        return self.face_measures.sum(axis=-1)
+
+
+def is_parallelogram(pts: np.ndarray) -> bool:
+    """Whether a vertex loop (or every loop of a stack) is a parallelogram."""
+    if pts.shape[-2] != 4:
+        return False
+    d = (pts[..., 0, :] + pts[..., 2, :]) - (pts[..., 1, :] + pts[..., 3, :])
+    scale = np.abs(pts).max() + 1.0
+    return bool(np.max(np.abs(d)) <= 1e-13 * scale)
 
 
 def _polygon_area(pts: np.ndarray) -> float:
@@ -89,6 +101,7 @@ class Mesh:
         self._build_faces()
         self._tag_boundary(neumann)
         self._geometry = [self._compute_geometry(i) for i in range(self.n_cells)]
+        self._groups = None
         if validate:
             self._validate()
 
@@ -104,6 +117,7 @@ class Mesh:
                     seen.add(tuple(sorted((int(a), int(b)))))
             keys = sorted(seen)
         self.faces = keys
+        self.face_nodes = np.asarray(keys, dtype=int).reshape(len(keys), -1)
         index = {k: i for i, k in enumerate(keys)}
 
         nf = len(keys)
@@ -183,8 +197,31 @@ class Mesh:
             return 1.0
         return float(np.linalg.norm(pts[1] - pts[0]))
 
-    def cell_geometry(self, cell: int) -> CellGeometry:
-        return self._geometry[cell]
+    def cell_geometry(self, cells) -> CellGeometry:
+        """Geometry of one cell, or stacked over a sequence of cells that
+        share one quadrature class (see :meth:`cell_groups`)."""
+        if np.ndim(cells) == 0:
+            return self._geometry[cells]
+        parts = [self._geometry[c] for c in cells]
+        if not parts or len({(g.shape, g.n_faces) for g in parts}) != 1:
+            raise MeshError("a cell group needs one or more cells of one "
+                            "shape and face count")
+        return CellGeometry(
+            index=np.asarray(cells, dtype=int), dim=self.dim, shape=parts[0].shape,
+            **{name: np.stack([getattr(g, name) for g in parts])
+               for name in ("vertices", "barycenter", "diameter", "measure",
+                            "face_indices", "face_measures", "face_normals")})
+
+    def cell_groups(self) -> list:
+        """Cell indices grouped by quadrature class and face count, in the
+        order of each group's first cell; every per-cell stage runs once
+        per group on stacked arrays."""
+        if self._groups is None:
+            keys = {}
+            for g in self._geometry:
+                keys.setdefault((g.shape, g.n_faces), []).append(g.index)
+            self._groups = [np.asarray(cells) for cells in keys.values()]
+        return self._groups
 
     def max_diameter(self) -> float:
         return max(g.diameter for g in self._geometry)
@@ -203,13 +240,12 @@ class Mesh:
                 raise MeshError(f"cell {cell} has non-positive length")
             normals = np.array([[-1.0], [1.0]])
             return CellGeometry(
-                index=cell, dim=1, vertices=pts,
+                index=cell, dim=1, shape="interval", vertices=pts,
                 barycenter=np.array([0.5 * (a + b)]),
                 diameter=length, measure=length,
-                face_indices=tuple(int(f) for f in faces),
+                face_indices=faces,
                 face_measures=np.array([1.0, 1.0]),
                 face_normals=normals,
-                face_centers=pts.copy(),
             )
         area = _polygon_area(pts)
         if area <= GEOM_TOL * np.max(np.abs(pts) + 1.0) ** 2:
@@ -224,13 +260,13 @@ class Mesh:
             raise MeshError(f"cell {cell} has a zero-length edge")
         # CCW loop: outward normal is the edge direction rotated by -90 deg
         normals = np.column_stack([edge[:, 1], -edge[:, 0]]) / lengths[:, None]
-        centers = 0.5 * (pts + nxt)
+        shape = ("tri" if len(pts) == 3 else
+                 "quad" if is_parallelogram(pts) else "fan")
         return CellGeometry(
-            index=cell, dim=2, vertices=pts,
+            index=cell, dim=2, shape=shape, vertices=pts,
             barycenter=centroid, diameter=diameter, measure=area,
-            face_indices=tuple(int(f) for f in faces),
+            face_indices=faces,
             face_measures=lengths, face_normals=normals,
-            face_centers=centers,
         )
 
     def _validate(self):

@@ -4,7 +4,8 @@ The reduction of a function collects its cell projection and its face
 projections into one local DoF vector laid out as ``[T | F_1 | ... | F_n]``.
 Vector fields are projected component by component against the scalar mass
 matrix; the DoF of scalar function ``i`` and component ``a`` sits at
-``i * rank + a``.
+``i * rank + a``.  Projections and reductions run on a whole group of cells
+or faces at once, with a leading axis over the group.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .basis import Basis, basis_size, face_basis, scaled_monomial_basis
 from .mesh import Mesh
@@ -85,67 +85,107 @@ def dof_layout(mesh: Mesh, degrees: HhoDegrees, n_faces: int) -> DofLayout:
 def mass_matrix(basis: Basis, rule: QuadratureRule) -> np.ndarray:
     """Symmetric positive-definite Gram matrix of the basis under ``rule``."""
     vals, _ = basis.eval(rule.points)
-    M = vals.T @ (rule.weights[:, None] * vals)
-    return 0.5 * (M + M.T)
+    M = vals.mT @ (rule.weights[..., None] * vals)
+    return 0.5 * (M + M.mT)
 
 
-def mass_cholesky(M: np.ndarray):
+def checked(fn, *stacks, ids, what: str, entity: str = "cell"):
+    """``fn(*stacks)`` for a batched LAPACK routine; when it fails on the
+    stack, raise a ``ValueError`` naming the first failing entry by its id."""
     try:
-        return cho_factor(M, lower=True)
+        return fn(*stacks)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "mass matrix is not positive definite; the cell is degenerate "
-            "or the degree too high for raw monomials") from exc
+        for b in range(len(stacks[0])):
+            try:
+                fn(*(s[b] for s in stacks))
+            except np.linalg.LinAlgError:
+                raise ValueError(f"{entity} {ids[b]}: {what}") from exc
+        raise
 
 
-def l2_project(basis: Basis, rule: QuadratureRule, f) -> np.ndarray:
+def mass_cholesky(M: np.ndarray, ids=None, entity: str = "cell") -> np.ndarray:
+    """Inverses of a stack of mass matrices through their Cholesky factors.
+
+    ``ids`` name the stacked cells or faces in the error raised for a
+    matrix that is not positive definite.
+    """
+    ids = np.arange(len(M)) if ids is None else ids
+    L = checked(np.linalg.cholesky, M, ids=ids, entity=entity,
+                what="mass matrix is not positive definite; the geometry is "
+                     "degenerate or the degree too high for raw monomials")
+    L_inv = np.linalg.inv(L)
+    return L_inv.mT @ L_inv
+
+
+def sample(fn, points: np.ndarray, rank: int | None = None, ids=None,
+           entity: str = "cell") -> np.ndarray:
+    """Values of a problem-data callable at stacked points, in one call.
+
+    ``points`` has shape ``(..., nq, dim)``; the callable sees them flattened
+    to ``(npts, dim)`` and must return finite values of shape ``(npts,)``
+    or ``(npts, rank)`` (any rank when ``rank`` is None).  The result keeps
+    the leading axes.  A bad result raises a ``ValueError`` naming the
+    first bad entry of the leading axis by its id in ``ids``.
+    """
+    flat = points.reshape(-1, points.shape[-1])
+    n = len(flat)
+    vals = np.asarray(fn(flat), dtype=float)
+    lead = points.shape[:-1]
+    ids = np.arange(lead[0] if len(lead) > 1 else 1) if ids is None else np.ravel(ids)
+    ok = vals.shape == (n,) and rank in (None, 1) or (
+        vals.ndim == 2 and len(vals) == n and rank in (None, vals.shape[1]))
+    if not ok:
+        want = f"({n},) or ({n}, {rank})" if rank in (None, 1) else f"({n}, {rank})"
+        raise ValueError(f"{entity} {ids[0]}: problem data returned shape "
+                         f"{vals.shape}, expected {want}")
+    bad = ~np.isfinite(vals.reshape(n, -1)).all(axis=1)
+    if bad.any():
+        first = np.flatnonzero(bad)[0] // lead[-1]
+        raise ValueError(f"{entity} {ids[first]}: problem data is not finite "
+                         f"at {flat[np.flatnonzero(bad)[0]].tolist()}")
+    return vals.reshape(lead + vals.shape[1:])
+
+
+def l2_project(basis: Basis, rule: QuadratureRule, f, rank: int | None = None,
+               ids=None, entity: str = "cell") -> np.ndarray:
     """Coefficients of the L2-orthogonal projection of ``f``.
 
     ``f`` maps an ``(npts, dim)`` array to values of shape ``(npts,)`` or
     ``(npts, rank)``; the result has one coefficient column per component.
+    A stacked basis and rule project onto every entry of the group at once;
+    ``rank``, ``ids`` and ``entity`` go to :func:`sample`.
     """
     vals, _ = basis.eval(rule.points)
-    M = mass_matrix(basis, rule)
-    fx = np.asarray(f(rule.points), dtype=float)
-    rhs = vals.T @ (rule.weights[:, None] * fx.reshape(len(rule.weights), -1))
-    coeffs = cho_solve(mass_cholesky(M), rhs)
-    return coeffs[:, 0] if fx.ndim == 1 else coeffs
+    fx = sample(f, rule.points, rank=rank, ids=ids, entity=entity)
+    weighted = rule.weights[..., None] * vals
+    M = weighted.mT @ vals
+    M = 0.5 * (M + M.mT)
+    M_inv = mass_cholesky(M.reshape((-1,) + M.shape[-2:]), ids=ids,
+                          entity=entity).reshape(M.shape)
+    columns = fx if fx.ndim == vals.ndim else fx[..., None]
+    coeffs = M_inv @ (weighted.mT @ columns)
+    return coeffs if fx.ndim == vals.ndim else coeffs[..., 0]
 
 
-def _interleave(columns: np.ndarray) -> np.ndarray:
-    """(n, rank) coefficient columns -> flat vector with component-minor order."""
-    return np.ascontiguousarray(columns).reshape(-1)
-
-
-def reduce_local(mesh: Mesh, cell: int, degrees: HhoDegrees, v,
+def reduce_local(mesh: Mesh, cells, degrees: HhoDegrees, v,
                  quad_bump: int = 2) -> np.ndarray:
-    """Local reduction: cell projection plus per-face projections.
+    """Local reduction: cell projection plus per-face projections, laid out
+    as ``[T | F_1 | ... | F_n]``; stacked over a group of cells.
 
     In 1D the face blocks degenerate to point values of ``v`` at the two
     cell endpoints.
     """
-    geom = mesh.cell_geometry(cell)
-    layout = dof_layout(mesh, degrees, geom.n_faces)
+    geom = mesh.cell_geometry(cells)
     order = 2 * (degrees.k_face + 1) + quad_bump
-    out = np.zeros(layout.size)
-
+    lead = np.shape(cells)
     cbasis = scaled_monomial_basis(geom, degrees.k_cell)
-    crule = cell_quadrature(geom, order)
-    ccoef = l2_project(cbasis, crule, v)
-    out[layout.cell] = _interleave(ccoef.reshape(cbasis.size, degrees.rank)) \
-        if degrees.rank > 1 else ccoef
-
-    for i, fi in enumerate(geom.face_indices):
-        if mesh.dim == 1:
-            val = np.asarray(v(geom.face_centers[i][None, :]), dtype=float)
-            out[layout.face(i)] = val.reshape(-1)
-        else:
-            fbasis = face_basis(mesh, fi, degrees.k_face)
-            frule = face_quadrature(mesh, fi, order)
-            fcoef = l2_project(fbasis, frule, v)
-            out[layout.face(i)] = _interleave(fcoef.reshape(fbasis.size, degrees.rank)) \
-                if degrees.rank > 1 else fcoef
-    return out
+    parts = [l2_project(cbasis, cell_quadrature(geom, order), v).reshape(lead + (-1,))]
+    for i in range(geom.n_faces):
+        fi = geom.face_indices[..., i]
+        fcoef = l2_project(face_basis(mesh, fi, degrees.k_face),
+                           face_quadrature(mesh, fi, order), v)
+        parts.append(fcoef.reshape(lead + (-1,)))
+    return np.concatenate(parts, axis=-1)
 
 
 def reduce_global(mesh: Mesh, degrees: HhoDegrees, v, quad_bump: int = 2):
@@ -155,27 +195,27 @@ def reduce_global(mesh: Mesh, degrees: HhoDegrees, v, quad_bump: int = 2):
     ``(n_cells, cell_width)`` and ``(n_faces, face_width)``.
     """
     layout0 = dof_layout(mesh, degrees, 1)
-    cell_coeffs = np.zeros((mesh.n_cells, layout0.cell_width))
-    face_coeffs = np.zeros((mesh.n_faces, layout0.face_width))
-    seen = np.zeros(mesh.n_faces, dtype=bool)
-    for ci in range(mesh.n_cells):
-        local = reduce_local(mesh, ci, degrees, v, quad_bump)
-        layout = dof_layout(mesh, degrees, mesh.cell_geometry(ci).n_faces)
-        cell_coeffs[ci] = local[layout.cell]
-        for i, fi in enumerate(mesh.cell_faces[ci]):
-            if not seen[fi]:
-                face_coeffs[fi] = local[layout.face(i)]
-                seen[fi] = True
+    cw, fw = layout0.cell_width, layout0.face_width
+    cell_coeffs = np.zeros((mesh.n_cells, cw))
+    face_coeffs = np.zeros((mesh.n_faces, fw))
+    for cells in mesh.cell_groups():
+        local = reduce_local(mesh, cells, degrees, v, quad_bump)
+        faces = cell_faces(mesh, cells)
+        cell_coeffs[cells] = local[:, :cw]
+        face_coeffs[faces] = local[:, cw:].reshape(faces.shape + (fw,))
     return cell_coeffs, face_coeffs
 
 
-def gather_local(mesh: Mesh, cell: int, degrees: HhoDegrees,
+def cell_faces(mesh: Mesh, cells) -> np.ndarray:
+    """Global face indices of a cell, or ``(nb, n_faces)`` for a group."""
+    return np.array([mesh.cell_faces[c] for c in np.ravel(cells)]).reshape(
+        np.shape(cells) + (-1,))
+
+
+def gather_local(mesh: Mesh, cells, degrees: HhoDegrees,
                  cell_coeffs: np.ndarray, face_coeffs: np.ndarray) -> np.ndarray:
-    """Assemble the local DoF vector of one cell from global arrays."""
-    geom = mesh.cell_geometry(cell)
-    layout = dof_layout(mesh, degrees, geom.n_faces)
-    out = np.zeros(layout.size)
-    out[layout.cell] = cell_coeffs[cell]
-    for i, fi in enumerate(mesh.cell_faces[cell]):
-        out[layout.face(i)] = face_coeffs[fi]
-    return out
+    """Local DoF vectors of a cell or a group of cells from global arrays."""
+    faces = cell_faces(mesh, cells)
+    return np.concatenate([np.asarray(cell_coeffs)[cells],
+                           face_coeffs[faces].reshape(faces.shape[:-1] + (-1,))],
+                          axis=-1)

@@ -3,7 +3,8 @@
 Intervals use Gauss-Legendre, parallelogram quads a tensor Gauss rule,
 triangles a conical-product (Duffy) rule with all-positive weights, and
 general polygons a barycentric fan of triangle rules.  Every rule is exact
-for polynomials up to the requested total degree.
+for polynomials up to the requested total degree.  The rules broadcast over
+leading axes, so one call serves a whole group of cells or faces.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import CellGeometry, Mesh, MeshError
+from .mesh import CellGeometry, Mesh, MeshError, is_parallelogram
 
 MAX_ORDER = 20
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
+    """Points and weights, with a leading cell or face axis for a group."""
+
     points: np.ndarray   # (nq, dim) physical coordinates
     weights: np.ndarray  # (nq,)
     order: int           # highest total degree integrated exactly
@@ -62,75 +65,77 @@ def _reference_triangle(order: int):
     return np.column_stack([X, Y]), W
 
 
-def interval_rule(a: float, b: float, order: int) -> QuadratureRule:
+def interval_rule(a, b, order: int) -> QuadratureRule:
     order = _check_order(order)
     x, w = _gauss_01(order)
-    return QuadratureRule((a + (b - a) * x)[:, None], (b - a) * w, order)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    length = (b - a)[..., None]
+    return QuadratureRule((a[..., None] + length * x)[..., None], length * w, order)
 
 
 def triangle_rule(v0, v1, v2, order: int) -> QuadratureRule:
     order = _check_order(order)
     ref, w = _reference_triangle(order)
     v0, v1, v2 = map(np.asarray, (v0, v1, v2))
-    jac = (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
-    pts = v0 + np.outer(ref[:, 0], v1 - v0) + np.outer(ref[:, 1], v2 - v0)
-    return QuadratureRule(pts, abs(jac) * w, order)
-
-
-def _is_parallelogram(pts: np.ndarray) -> bool:
-    if len(pts) != 4:
-        return False
-    d = (pts[0] + pts[2]) - (pts[1] + pts[3])
-    scale = np.abs(pts).max() + 1.0
-    return bool(np.max(np.abs(d)) <= 1e-13 * scale)
+    e1, e2 = v1 - v0, v2 - v0
+    jac = e1[..., 0] * e2[..., 1] - e2[..., 0] * e1[..., 1]
+    pts = (v0[..., None, :] + ref[:, 0, None] * e1[..., None, :]
+           + ref[:, 1, None] * e2[..., None, :])
+    return QuadratureRule(pts, np.abs(jac)[..., None] * w, order)
 
 
 def quad_rule(pts: np.ndarray, order: int) -> QuadratureRule:
     """Tensor Gauss rule on a parallelogram given by its vertex loop."""
     order = _check_order(order)
-    if not _is_parallelogram(pts):
+    if not is_parallelogram(pts):
         raise ValueError("tensor quad rule requires a parallelogram")
     x, w = _gauss_01(order)
     X, Y = np.meshgrid(x, x, indexing="ij")
     W = np.outer(w, w).ravel()
-    e1, e2 = pts[1] - pts[0], pts[3] - pts[0]
-    jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
-    phys = pts[0] + np.outer(X.ravel(), e1) + np.outer(Y.ravel(), e2)
-    return QuadratureRule(phys, jac * W, order)
+    e1, e2 = pts[..., 1, :] - pts[..., 0, :], pts[..., 3, :] - pts[..., 0, :]
+    jac = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    phys = (pts[..., 0, None, :] + X.ravel()[:, None] * e1[..., None, :]
+            + Y.ravel()[:, None] * e2[..., None, :])
+    return QuadratureRule(phys, jac[..., None] * W, order)
 
 
 def polygon_rule(pts: np.ndarray, center: np.ndarray, order: int) -> QuadratureRule:
     """Fan the polygon into triangles from ``center`` (star point)."""
     order = _check_order(order)
-    parts = [triangle_rule(center, pts[i], pts[(i + 1) % len(pts)], order)
-             for i in range(len(pts))]
-    return QuadratureRule(np.vstack([p.points for p in parts]),
-                          np.concatenate([p.weights for p in parts]), order)
+    nv = pts.shape[-2]
+    parts = [triangle_rule(center, pts[..., i, :], pts[..., (i + 1) % nv, :], order)
+             for i in range(nv)]
+    return QuadratureRule(np.concatenate([p.points for p in parts], axis=-2),
+                          np.concatenate([p.weights for p in parts], axis=-1), order)
 
 
 def cell_quadrature(geom: CellGeometry, order: int) -> QuadratureRule:
-    """Rule of the given order on one cell, dispatching on its shape."""
-    if geom.dim == 1:
-        a = float(geom.vertices[0, 0])
-        b = float(geom.vertices[1, 0])
-        return interval_rule(a, b, order)
+    """Rule of the given order on a cell or a group of cells of one shape.
+
+    A group's points and weights carry a leading cell axis.
+    """
     pts = geom.vertices
-    if len(pts) == 3:
-        return triangle_rule(pts[0], pts[1], pts[2], order)
-    if _is_parallelogram(pts):
+    if geom.shape == "interval":
+        return interval_rule(pts[..., 0, 0], pts[..., 1, 0], order)
+    if geom.shape == "tri":
+        return triangle_rule(pts[..., 0, :], pts[..., 1, :], pts[..., 2, :], order)
+    if geom.shape == "quad":
         return quad_rule(pts, order)
     return polygon_rule(pts, geom.barycenter, order)
 
 
-def face_quadrature(mesh: Mesh, face: int, order: int) -> QuadratureRule:
-    """Rule on a face: a single point in 1D, Gauss-Legendre on a segment in 2D."""
+def face_quadrature(mesh: Mesh, faces, order: int) -> QuadratureRule:
+    """Rule on a face, or stacked over an array of faces: a single point in
+    1D, Gauss-Legendre on a segment in 2D."""
+    pts = mesh.vertices[mesh.face_nodes[faces]]
     if mesh.dim == 1:
-        return QuadratureRule(mesh.face_vertices(face).reshape(1, 1),
-                              np.array([1.0]), MAX_ORDER)
-    pts = mesh.face_vertices(face)
-    if np.linalg.norm(pts[1] - pts[0]) <= 0:
-        raise MeshError(f"face {face} has zero length")
+        return QuadratureRule(pts, np.ones(pts.shape[:-1]), MAX_ORDER)
+    edge = pts[..., 1, :] - pts[..., 0, :]
+    length = np.linalg.norm(edge, axis=-1)
+    if np.any(length <= 0):
+        bad = np.ravel(faces)[np.flatnonzero(np.ravel(length <= 0))[0]]
+        raise MeshError(f"face {bad} has zero length")
     order = _check_order(order)
     x, w = _gauss_01(order)
-    phys = pts[0] + np.outer(x, pts[1] - pts[0])
-    return QuadratureRule(phys, np.linalg.norm(pts[1] - pts[0]) * w, order)
+    phys = pts[..., 0, None, :] + x[:, None] * edge[..., None, :]
+    return QuadratureRule(phys, length[..., None] * w, order)

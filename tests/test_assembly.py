@@ -33,16 +33,21 @@ def test_condense_block_diagonal_case():
     L[0, 0] = 2.0
     L[1:, 1:] = np.diag(np.arange(1.0, n))
     b = np.zeros(n)
-    cc = asm.condense(L, b, layout, 0)
-    np.testing.assert_allclose(cc.L_c, L[1:, 1:])
+    cc = asm.condense(L[None], b[None], layout, [0])
+    np.testing.assert_allclose(cc.L_c[0], L[1:, 1:])
     np.testing.assert_allclose(cc.b_c, 0.0)
 
 
 def test_condense_singular_cell_block():
     layout = dof_layout(build_structured_mesh("quad", 1, 1), equal_order(0), 4)
-    L = np.zeros((layout.size, layout.size))
+    L = np.zeros((1, layout.size, layout.size))
     with pytest.raises(ValueError):
-        asm.condense(L, np.zeros(layout.size), layout, 0)
+        asm.condense(L, np.zeros((1, layout.size)), layout, [0])
+    # in a group, the error names the one singular cell block
+    L = np.stack([np.eye(layout.size)] * 3)
+    L[1, layout.cell, layout.cell] = 0.0
+    with pytest.raises(ValueError, match="^cell 11: singular cell block"):
+        asm.condense(L, np.zeros((3, layout.size)), layout, [10, 11, 12])
 
 
 def test_1d_k0_tridiagonal_system():
@@ -52,8 +57,8 @@ def test_1d_k0_tridiagonal_system():
                        u_dirichlet=lambda x: np.zeros(len(x)), name="unit")
     ops, rhs = build_local(mesh, equal_order(0), spec)
     dm = asm.build_dof_map(mesh, equal_order(0))
-    condensed = [asm.condense(ops[i].L, rhs[i], ops[i].ctx.layout, i)
-                 for i in range(n)]
+    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
+                 for o, b in zip(ops, rhs)]
     system = asm.assemble(mesh, condensed, dm,
                           dirichlet_values=np.zeros((mesh.n_faces, 1)))
     A = system.matrix.toarray()
@@ -75,8 +80,8 @@ def test_disconnected_cells_give_block_diagonal():
                        u_dirichlet=lambda x: np.zeros(len(x)), name="two")
     ops, rhs = build_local(mesh, equal_order(1), spec)
     dm = asm.build_dof_map(mesh, equal_order(1))
-    condensed = [asm.condense(ops[i].L, rhs[i], ops[i].ctx.layout, i)
-                 for i in range(2)]
+    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
+                 for o, b in zip(ops, rhs)]
     system = asm.assemble(mesh, condensed, dm)
     A = system.matrix.toarray()
     faces0 = set(mesh.cell_faces[0].tolist())
@@ -91,8 +96,8 @@ def test_homogeneous_dirichlet_leaves_rhs():
     spec = poisson_sin_2d()
     ops, rhs = build_local(mesh, equal_order(1), spec)
     dm = asm.build_dof_map(mesh, equal_order(1))
-    condensed = [asm.condense(ops[i].L, rhs[i], ops[i].ctx.layout, i)
-                 for i in range(mesh.n_cells)]
+    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
+                 for o, b in zip(ops, rhs)]
     sys0 = asm.assemble(mesh, condensed, dm)
     sys1 = asm.assemble(mesh, condensed, dm,
                         dirichlet_values=np.zeros((mesh.n_faces, 2)))
@@ -105,8 +110,8 @@ def test_dirichlet_elimination_moves_columns():
     spec = poisson_sin_2d()
     k = 1
     ops, rhs = build_local(mesh, equal_order(k), spec)
-    condensed = [asm.condense(ops[i].L, rhs[i], ops[i].ctx.layout, i)
-                 for i in range(mesh.n_cells)]
+    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
+                 for o, b in zip(ops, rhs)]
 
     free = Mesh(2, mesh.vertices.copy(), [c.copy() for c in mesh.cells])
     free.set_boundary_tags([], np.flatnonzero(free.boundary_faces).tolist())
@@ -145,8 +150,8 @@ def test_global_symmetry_and_spd():
     spec = poisson_sin_2d()
     ops, rhs = build_local(mesh, equal_order(1), spec)
     dm = asm.build_dof_map(mesh, equal_order(1))
-    condensed = [asm.condense(ops[i].L, rhs[i], ops[i].ctx.layout, i)
-                 for i in range(mesh.n_cells)]
+    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
+                 for o, b in zip(ops, rhs)]
     system = asm.assemble(mesh, condensed, dm,
                           dirichlet_values=np.zeros((mesh.n_faces, 2)))
     A = system.matrix.toarray()

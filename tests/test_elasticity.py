@@ -26,8 +26,8 @@ RIGID = [lambda x: np.column_stack([np.ones(len(x)), np.zeros(len(x))]),
 
 
 def eval_strain(ctx, Es, dofs, pts):
-    vals, _ = ctx.rec_basis.eval(pts)
-    c = [Es[m] @ dofs for m in range(3)]
+    vals = ctx.rec_basis.eval(pts[None])[0][0]
+    c = [Es[0, m] @ dofs for m in range(3)]
     out = np.empty((len(pts), 2, 2))
     out[:, 0, 0] = vals[:, :ctx.n_k] @ c[0]
     out[:, 1, 1] = vals[:, :ctx.n_k] @ c[1]
@@ -56,23 +56,23 @@ def test_strain_of_rigid_and_constant_vanishes():
     Es = strain_reconstruction(ctx)
     for r in RIGID:
         red = reduce_local(mesh, 0, VDEG, r)
-        assert max(np.abs(Es[m] @ red).max() for m in range(3)) < 1e-13
+        assert max(np.abs(Es[0, m] @ red).max() for m in range(3)) < 1e-13
 
 
 def divergence_oracle(ctx):
     """Independent build straight from the defining equations."""
     n_k, layout = ctx.n_k, ctx.layout
-    w = ctx.rule.weights
+    w = ctx.rule.weights[0]
     rhs = np.zeros((n_k, layout.size))
     for c in range(2):
-        rhs[:, layout.cell][:, c::2] -= ctx.dphi[:, :n_k, c].T @ (
-            w[:, None] * ctx.phi[:, :ctx.n_cell])
+        rhs[:, layout.cell][:, c::2] -= ctx.dphi[0, :, :n_k, c].T @ (
+            w[:, None] * ctx.phi[0, :, :ctx.n_cell])
     for i, f in enumerate(ctx.faces):
-        fw = f.rule.weights
+        fw = f.rule.weights[0]
         for c in range(2):
-            rhs[:, layout.face(i)][:, c::2] += f.normal[c] * (
-                f.phi[:, :n_k].T @ (fw[:, None] * f.psi))
-    M = ctx.mass_full[:n_k, :n_k]
+            rhs[:, layout.face(i)][:, c::2] += f.normal[0, c] * (
+                f.phi[0, :, :n_k].T @ (fw[:, None] * f.psi[0]))
+    M = ctx.mass_full[0, :n_k, :n_k]
     return np.linalg.solve(M, rhs)
 
 
@@ -82,13 +82,13 @@ def test_divergence_is_trace_of_strain():
     ctx = build_cell_context(mesh, ci, VDEG2)
     Es = strain_reconstruction(ctx)
     Dv = divergence_reconstruction(ctx, Es)
-    np.testing.assert_allclose(Dv, divergence_oracle(ctx), atol=1e-13)
+    np.testing.assert_allclose(Dv[0], divergence_oracle(ctx), atol=1e-13)
 
 
 def test_divergence_commutes():
     mesh = build_structured_mesh("quad", 1, 1)
     ctx = build_cell_context(mesh, 0, VDEG)
-    Dv = divergence_reconstruction(ctx)
+    Dv = divergence_reconstruction(ctx)[0]
     cases = [
         (lambda x: np.column_stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]]),
          lambda x: 3 * x[:, 0]),
@@ -99,8 +99,8 @@ def test_divergence_commutes():
         (lambda x: np.column_stack([x[:, 0] ** 3, x[:, 1] ** 3]),
          lambda x: 3 * x[:, 0] ** 2 + 3 * x[:, 1] ** 2),
     ]
-    cb = scaled_monomial_basis(ctx.geom, 1)
-    rule = cell_quadrature(ctx.geom, 10)
+    cb = scaled_monomial_basis(mesh.cell_geometry(0), 1)
+    rule = cell_quadrature(mesh.cell_geometry(0), 10)
     for v, dv in cases:
         red = reduce_local(mesh, 0, VDEG, v)
         proj = l2_project(cb, rule, dv)
@@ -110,9 +110,9 @@ def test_divergence_commutes():
 def test_displacement_reconstruction_reproduces():
     mesh = build_structured_mesh("quad", 1, 1)
     ctx = build_cell_context(mesh, 0, VDEG)
-    Dep = displacement_reconstruction(ctx)
+    Dep = displacement_reconstruction(ctx)[0]
     pts = np.array([[0.3, 0.4], [0.9, 0.2], [0.5, 0.8]])
-    vals, _ = ctx.rec_basis.eval(pts)
+    vals = ctx.rec_basis.eval(pts[None])[0][0]
     targets = [lambda x: np.column_stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]]),
                lambda x: np.column_stack([1.0 - x[:, 1], x[:, 0]])]
     for v in targets:
@@ -125,16 +125,15 @@ def test_displacement_reconstruction_reproduces():
 def test_displacement_mean_matches_cell_mean():
     mesh = build_structured_mesh("tri", 2, 2)
     ctx = build_cell_context(mesh, 1, VDEG)
-    Dep = displacement_reconstruction(ctx)
+    Dep = displacement_reconstruction(ctx)[0]
     rng = np.random.default_rng(2)
-    rule = ctx.rule
-    vals, _ = ctx.rec_basis.eval(rule.points)
+    weights, vals = ctx.rule.weights[0], ctx.phi[0]
     for _ in range(5):
         v = rng.standard_normal(ctx.layout.size)
         coef = Dep @ v
         for a in range(2):
-            dep_mean = rule.weights @ (vals @ coef[a::2])
-            cell_mean = rule.weights @ (vals[:, :ctx.n_cell]
+            dep_mean = weights @ (vals @ coef[a::2])
+            cell_mean = weights @ (vals[:, :ctx.n_cell]
                                         @ v[ctx.layout.cell][a::2])
             assert dep_mean == pytest.approx(cell_mean, rel=1e-11, abs=1e-12)
 
@@ -161,10 +160,11 @@ def test_vector_ls_stabilization_acts_per_component():
     ctx_v = build_cell_context(mesh, ci, VMIX)
     ops_s, pen_s = stabilization_ls(ctx_s)
     ops_v, pen_v = stabilization_ls(ctx_v)
+    pen_s, pen_v = pen_s[0], pen_v[0]
     v = np.random.default_rng(4).standard_normal(ctx_v.layout.size)
     for Zs, Zv in zip(ops_s, ops_v):
         for a in range(2):
-            np.testing.assert_allclose((Zv @ v)[a::2], Zs @ v[a::2], atol=1e-12)
+            np.testing.assert_allclose((Zv[0] @ v)[a::2], Zs[0] @ v[a::2], atol=1e-12)
     np.testing.assert_allclose(
         v @ pen_v @ v, sum(v[a::2] @ pen_s @ v[a::2] for a in range(2)), rtol=1e-12)
 
@@ -178,11 +178,11 @@ def test_elastic_stabilization_depends_on_gap_only():
     v = rng.standard_normal(ctx.layout.size)
     qc = rng.standard_normal(2 * ctx.n_cell)
     qfun = lambda x: np.column_stack(
-        [ctx.rec_basis.eval(x)[0][:, :ctx.n_cell] @ qc[0::2],
-         ctx.rec_basis.eval(x)[0][:, :ctx.n_cell] @ qc[1::2]])
+        [ctx.rec_basis.eval(x[None])[0][0, :, :ctx.n_cell] @ qc[0::2],
+         ctx.rec_basis.eval(x[None])[0][0, :, :ctx.n_cell] @ qc[1::2]])
     w = v.copy()
     w[ctx.layout.cell] += qc
-    for i, fi in enumerate(ctx.geom.face_indices):
+    for i, fi in enumerate(ctx.geom.face_indices[0]):
         fb = face_basis(mesh, fi, 1)
         rule = face_quadrature(mesh, fi, 6)
         w[ctx.layout.face(i)] += l2_project(fb, rule, qfun).reshape(-1)
@@ -193,13 +193,13 @@ def test_elastic_stabilization_depends_on_gap_only():
 def test_elastic_bilinear_kernel_is_rigid():
     mesh, ci = pentagon_cell()
     ctx = build_cell_context(mesh, ci, VDEG)
-    ops = local_bilinear_elastic(ctx, mu=1.3, lam=0.4)
-    w = np.linalg.eigvalsh(ops.L)
+    L = local_bilinear_elastic(ctx, mu=1.3, lam=0.4).L[0]
+    w = np.linalg.eigvalsh(L)
     assert abs(w[2]) < 1e-11 * w[-1]
     assert w[3] > 1e-8 * w[-1]
     for r in RIGID:
         red = reduce_local(mesh, ci, VDEG, r)
-        assert np.abs(ops.L @ red).max() < 1e-10 * np.abs(ops.L).max()
+        assert np.abs(L @ red).max() < 1e-10 * np.abs(L).max()
 
 
 def test_elastic_bilinear_lambda_zero_and_scaling():
@@ -211,14 +211,14 @@ def test_elastic_bilinear_lambda_zero_and_scaling():
     red = reduce_local(mesh, 0, VDEG, q)
     # stabilization vanishes on reduced degree-(k+1) fields, so the energy is
     # 2 mu |eps(q)|^2
-    rule = cell_quadrature(ctx.geom, 8)
+    rule = cell_quadrature(mesh.cell_geometry(0), 8)
     x = rule.points
     eps = np.zeros((len(x), 2, 2))
     eps[:, 0, 0] = 2 * (x[:, 0] + x[:, 1])
     eps[:, 1, 1] = x[:, 0]
     eps[:, 0, 1] = eps[:, 1, 0] = 0.5 * (2 * (x[:, 0] + x[:, 1]) + x[:, 1])
     exact = 2 * mu * np.sum(rule.weights * (eps ** 2).sum(axis=(1, 2)))
-    assert red @ (ops0.L @ red) == pytest.approx(exact, rel=1e-11)
+    assert red @ (ops0.L[0] @ red) == pytest.approx(exact, rel=1e-11)
     ops2 = local_bilinear_elastic(ctx, mu=2 * mu, lam=0.0)
     np.testing.assert_allclose(ops2.L, 2 * ops0.L, rtol=1e-12)
     opsl = local_bilinear_elastic(ctx, mu=mu, lam=0.6)

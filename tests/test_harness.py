@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from pyhho.elasticity import local_bilinear_elastic
 from pyhho.harness import (build_local, convergence_study, discrete_energy,
                            error_norms, fit_rate, flux_residuals,
-                           galerkin_residual, mesh_family, oracle_1d,
+                           galerkin_residual, local_rhs, mesh_family, oracle_1d,
                            solve_problem, traction_residuals)
-from pyhho.mesh import build_interval_mesh, build_structured_mesh
+from pyhho.local_ops import build_cell_context, local_bilinear
+from pyhho.mesh import (build_hanging_node_mesh, build_interval_mesh,
+                        build_structured_mesh)
 from pyhho.problems import (ProblemSpec, elasticity_compressible,
                             elasticity_divfree, elasticity_polynomial,
                             get_problem, poisson_polynomial, poisson_sin_1d,
                             poisson_sin_2d, rigid_body_problem)
-from pyhho.projection import HhoDegrees, equal_order, reduce_global
+from pyhho.projection import HhoDegrees, equal_order, mixed_order, reduce_global
 
 
 def test_manufactured_sources_match_finite_differences():
@@ -92,7 +95,7 @@ def test_energy_identity_at_solution():
     # a_h(u, u) = l(u) at the solution, so E_h(u) = -l(u)/2
     mesh = build_structured_mesh("tri", 3, 3)
     sol = solve_problem(mesh, equal_order(1), poisson_sin_2d())
-    lval = sum(sol.rhs[ci] @ sol.local_dofs(ci) for ci in range(mesh.n_cells))
+    lval = sum(np.sum(b * sol.local_dofs(o.ctx.cells)) for o, b in zip(sol.ops, sol.rhs))
     assert discrete_energy(sol) == pytest.approx(-0.5 * lval, rel=1e-11)
 
 
@@ -184,8 +187,8 @@ def test_oracle_transmission_independent_of_k():
                            u_dirichlet=lambda x: np.zeros(len(x)), name="o")
         ops, rhs = build_local(mesh, equal_order(k), spec)
         dm = asm.build_dof_map(mesh, equal_order(k))
-        condensed = [asm.condense(ops[i].L, rhs[i], ops[i].ctx.layout, i)
-                     for i in range(mesh.n_cells)]
+        condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
+                     for o, b in zip(ops, rhs)]
         return asm.assemble(mesh, condensed, dm,
                             dirichlet_values=np.zeros((mesh.n_faces, 1))
                             ).matrix.toarray()
@@ -284,3 +287,73 @@ def test_get_problem_registry():
     assert get_problem("poisson").kind == "poisson"
     with pytest.raises(ValueError):
         get_problem("heat-equation")
+
+
+def zeros(x):
+    return np.zeros(len(x))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_pure_neumann_problem_rejected(rank):
+    # every boundary face Neumann: the solution is fixed only up to a
+    # constant or a rigid motion, so the solve must refuse it
+    mesh = build_structured_mesh("quad", 4, 4, neumann=lambda x: True)
+    kind = "poisson" if rank == 1 else "elasticity"
+    const = (lambda x: np.ones(len(x))) if rank == 1 else (
+        lambda x: np.ones((len(x), 2)))
+    spec = ProblemSpec(kind=kind, f=const, u_dirichlet=zeros,
+                       g_neumann=lambda x: 0.0 * const(x), name="floating")
+    with pytest.raises(ValueError, match="no Dirichlet face"):
+        solve_problem(mesh, HhoDegrees(1, 1, rank=rank), spec)
+
+
+def nan_in_top_right(x):
+    return np.where((x[:, 0] > 0.75) & (x[:, 1] > 0.75), np.nan, 1.0)
+
+
+@pytest.mark.parametrize("field,data,message", [
+    ("f", lambda x: np.column_stack([np.ones(len(x)), np.zeros(len(x))]),
+     r"^cell 0: problem data returned shape \(\d+, 2\)"),
+    ("f", nan_in_top_right, r"^cell 15: problem data is not finite"),
+    ("u_dirichlet", nan_in_top_right, r"^face \d+: problem data is not finite"),
+    ("g_neumann", lambda x: np.ones((len(x), 3)),
+     r"^face \d+: problem data returned shape"),
+])
+def test_bad_problem_data_rejected(field, data, message):
+    mesh = build_structured_mesh("quad", 4, 4, neumann=lambda x: x[0] < 1e-12)
+    fields = {"f": zeros, "u_dirichlet": zeros, "g_neumann": zeros, field: data}
+    spec = ProblemSpec(kind="poisson", name="bad", **fields)
+    with pytest.raises(ValueError, match=message) as info:
+        solve_problem(mesh, equal_order(1), spec)
+    if field == "u_dirichlet":
+        face = int(str(info.value).split()[1].rstrip(":"))
+        assert mesh.dirichlet_faces[face] and mesh.face_center(face).min() >= 0.75
+
+
+@pytest.mark.parametrize("degrees", [equal_order(1), mixed_order(1),
+                                     HhoDegrees(1, 1, rank=2)])
+def test_operators_do_not_depend_on_grouping(degrees):
+    # cells with 4 to 8 faces: operators built per group equal those built
+    # one cell at a time, so nothing mixes along the cell axis
+    base = build_structured_mesh("quad", 6, 6)
+    refine = np.random.default_rng(1).choice(base.n_cells, 18, replace=False)
+    mesh = build_hanging_node_mesh(base, sorted(refine.tolist()))
+    assert {len(f) for f in mesh.cell_faces} == {4, 5, 6, 7, 8}
+    spec = poisson_sin_2d() if degrees.rank == 1 else elasticity_compressible()
+
+    def build(cells):
+        ctx = build_cell_context(mesh, cells, degrees)
+        ops = (local_bilinear(ctx) if degrees.rank == 1
+               else local_bilinear_elastic(ctx, spec.mu, spec.lam))
+        return ops, local_rhs(ctx, spec.f)
+
+    singles = [build([ci]) for ci in range(mesh.n_cells)]
+    for cells in mesh.cell_groups():
+        ops, rhs = build(cells)
+        for b, ci in enumerate(cells):
+            one, one_rhs = singles[ci]
+            for name in ("L", "penalty", "rec", "flux", "balance"):
+                ref = getattr(one, name)[0]
+                got = getattr(ops, name)[b]
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+            assert np.abs(rhs[b] - one_rhs[0]).max() <= 1e-13 * np.abs(one_rhs).max()

@@ -16,8 +16,12 @@ def pentagon_mesh():
 
 
 def eval_rec(ctx, coef, pts):
-    vals, grads = ctx.rec_basis.eval(pts)
-    return vals @ coef, np.einsum("qjc,j->qc", grads, coef)
+    vals, grads = ctx.rec_basis.eval(pts[None])
+    return vals[0] @ coef, np.einsum("qjc,j->qc", grads[0], coef)
+
+
+def full_reconstruction(ctx):
+    return reconstruction(ctx)[3][0]
 
 
 def constant_pair(ctx, value=1.0):
@@ -32,10 +36,10 @@ def test_lowest_order_gradient_formula():
     # unit square, v_T = 0.5, faces (left,right,bottom,top) = (0,1,0.5,0.5)
     mesh = build_structured_mesh("quad", 1, 1)
     ctx = build_cell_context(mesh, 0, equal_order(0))
-    _, _, _, R_full, _ = reconstruction(ctx)
+    R_full = full_reconstruction(ctx)
     v = np.zeros(ctx.layout.size)
     v[0] = 0.5
-    for i, n in enumerate(ctx.geom.face_normals):
+    for i, n in enumerate(ctx.geom.face_normals[0]):
         v[ctx.layout.face(i)][0] = 0.0 if n[0] < -0.5 else (1.0 if n[0] > 0.5 else 0.5)
     _, grad = eval_rec(ctx, R_full @ v, np.array([[0.4, 0.6]]))
     np.testing.assert_allclose(grad[0], [1.0, 0.0], atol=1e-13)
@@ -52,10 +56,10 @@ def test_elliptic_projection_reproduces_polynomials(mesh_kind, k):
         ci = 1
     deg = equal_order(k)
     ctx = build_cell_context(mesh, ci, deg)
-    _, _, _, R_full, _ = reconstruction(ctx)
+    R_full = full_reconstruction(ctx)
     q = lambda x: (0.4 * x[:, 0] - x[:, 1] + 0.3) ** (k + 1)
     red = reduce_local(mesh, ci, deg, q)
-    pts = ctx.rule.points[:5]
+    pts = ctx.rule.points[0, :5]
     vals, _ = eval_rec(ctx, R_full @ red, pts)
     np.testing.assert_allclose(vals, q(pts), atol=1e-11)
 
@@ -63,7 +67,7 @@ def test_elliptic_projection_reproduces_polynomials(mesh_kind, k):
 def test_reconstruction_quadratic_example():
     mesh = build_structured_mesh("quad", 1, 1)
     ctx = build_cell_context(mesh, 0, equal_order(1))
-    _, _, _, R_full, _ = reconstruction(ctx)
+    R_full = full_reconstruction(ctx)
     q = lambda x: x[:, 0] ** 2 + x[:, 1]
     red = reduce_local(mesh, 0, equal_order(1), q)
     pts = np.array([[0.2, 0.8], [0.6, 0.1]])
@@ -76,18 +80,18 @@ def test_reconstruction_of_exact_trace_pair():
     mesh = build_structured_mesh("tri", 1, 1)
     for k in (1, 2):
         ctx = build_cell_context(mesh, 0, equal_order(k))
-        _, _, _, R_full, _ = reconstruction(ctx)
+        R_full = full_reconstruction(ctx)
         rng = np.random.default_rng(k)
         coefs = rng.standard_normal(ctx.n_cell)
         v = np.zeros(ctx.layout.size)
         v[ctx.layout.cell] = coefs
-        vt = lambda x: ctx.rec_basis.eval(x)[0][:, :ctx.n_cell] @ coefs
-        for i, fi in enumerate(ctx.geom.face_indices):
+        vt = lambda x: ctx.rec_basis.eval(x[None])[0][0, :, :ctx.n_cell] @ coefs
+        for i, fi in enumerate(ctx.geom.face_indices[0]):
             fb = face_basis(mesh, fi, k)
             rule = face_quadrature(mesh, fi, 2 * k + 2)
             v[ctx.layout.face(i)] = l2_project(fb, rule, vt)
         rec = R_full @ v
-        pts = ctx.rule.points[:4]
+        pts = ctx.rule.points[0, :4]
         np.testing.assert_allclose(eval_rec(ctx, rec, pts)[0], vt(pts), atol=1e-11)
 
 
@@ -95,14 +99,13 @@ def test_mean_preservation_random_dofs():
     mesh = pentagon_mesh()
     ci = next(c for c in range(mesh.n_cells) if len(mesh.cells[c]) == 5)
     ctx = build_cell_context(mesh, ci, equal_order(2))
-    _, _, _, R_full, _ = reconstruction(ctx)
+    R_full = full_reconstruction(ctx)
     rng = np.random.default_rng(11)
-    rule = ctx.rule
-    vals, _ = ctx.rec_basis.eval(rule.points)
+    weights, vals = ctx.rule.weights[0], ctx.phi[0]
     for _ in range(5):
         v = rng.standard_normal(ctx.layout.size)
-        rec_mean = rule.weights @ (vals @ (R_full @ v))
-        cell_mean = rule.weights @ (vals[:, :ctx.n_cell] @ v[ctx.layout.cell])
+        rec_mean = weights @ (vals @ (R_full @ v))
+        cell_mean = weights @ (vals[:, :ctx.n_cell] @ v[ctx.layout.cell])
         assert rec_mean == pytest.approx(cell_mean, rel=1e-12, abs=1e-13)
 
 
@@ -111,7 +114,7 @@ def test_gradient_reconstruction_commutes(k):
     mesh = build_structured_mesh("quad", 1, 1)
     deg = equal_order(k)
     ctx = build_cell_context(mesh, 0, deg)
-    G = gradient_reconstruction(ctx)
+    G = gradient_reconstruction(ctx)[0]
     # monomial targets up to degree k+2
     for (a, b) in [(k + 2, 0), (1, k + 1), (2, k)]:
         v = lambda x: x[:, 0] ** a * x[:, 1] ** b
@@ -120,8 +123,8 @@ def test_gradient_reconstruction_commutes(k):
         gx = G[0] @ red
         # compare with the projection of the exact derivative
         from pyhho.basis import scaled_monomial_basis
-        cb = scaled_monomial_basis(ctx.geom, k)
-        rule = cell_quadrature(ctx.geom, 2 * (k + 3))
+        cb = scaled_monomial_basis(mesh.cell_geometry(0), k)
+        rule = cell_quadrature(mesh.cell_geometry(0), 2 * (k + 3))
         proj = l2_project(cb, rule, dvx)
         np.testing.assert_allclose(gx, proj, atol=1e-11)
 
@@ -131,13 +134,13 @@ def test_gradient_compatibility_with_reconstruction():
     mesh = build_structured_mesh("tri", 2, 2)
     for k in (0, 1, 2):
         ctx = build_cell_context(mesh, 3, equal_order(k))
-        Kstar, _, R, _, _ = reconstruction(ctx)
-        G = gradient_reconstruction(ctx)
+        Kstar, _, R, _, _ = (M[0] for M in reconstruction(ctx))
+        G = gradient_reconstruction(ctx)[0]
         rng = np.random.default_rng(k + 5)
         v = rng.standard_normal(ctx.layout.size)
-        w = ctx.rule.weights
-        gvals = np.stack([ctx.phi[:, :ctx.n_k] @ (G[c] @ v) for c in range(2)], axis=1)
-        dphi = ctx.dphi[:, 1:, :]
+        w = ctx.rule.weights[0]
+        gvals = np.stack([ctx.phi[0, :, :ctx.n_k] @ (G[c] @ v) for c in range(2)], axis=1)
+        dphi = ctx.dphi[0, :, 1:, :]
         rhs = np.einsum("qjc,q,qc->j", dphi, w, gvals)
         coef = np.linalg.solve(Kstar, rhs)
         np.testing.assert_allclose(coef, R @ v, atol=1e-10)
@@ -146,7 +149,7 @@ def test_gradient_compatibility_with_reconstruction():
 def test_gradient_of_constant_pair_vanishes():
     mesh = build_structured_mesh("quad", 1, 1)
     ctx = build_cell_context(mesh, 0, equal_order(1))
-    G = gradient_reconstruction(ctx)
+    G = gradient_reconstruction(ctx)[0]
     v = constant_pair(ctx, 3.7)
     assert max(np.abs(G[c] @ v).max() for c in range(2)) < 1e-13
 
@@ -157,8 +160,7 @@ def test_equal_order_stabilization_annihilates_reduction(k):
     deg = equal_order(k)
     for ci in range(3):
         ctx = build_cell_context(mesh, ci, deg)
-        _, _, _, R_full, _ = reconstruction(ctx)
-        face_ops, _ = stabilization_equal_order(ctx, R_full)
+        face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx)[3])
         q = lambda x: (x[:, 0] - 0.3 * x[:, 1] + 0.1) ** (k + 1)
         red = reduce_local(mesh, ci, deg, q)
         assert max(np.abs(S @ red).max() for S in face_ops) < 1e-11
@@ -169,16 +171,15 @@ def test_stabilization_depends_only_on_trace_gap():
     k = 2
     deg = equal_order(k)
     ctx = build_cell_context(mesh, 0, deg)
-    _, _, _, R_full, _ = reconstruction(ctx)
-    face_ops, _ = stabilization_equal_order(ctx, R_full)
+    face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx)[3])
     rng = np.random.default_rng(9)
     v = rng.standard_normal(ctx.layout.size)
     # add a pair (q, trace(q)) for polynomial q of degree k
     qc = rng.standard_normal(ctx.n_cell)
-    qfun = lambda x: ctx.rec_basis.eval(x)[0][:, :ctx.n_cell] @ qc
+    qfun = lambda x: ctx.rec_basis.eval(x[None])[0][0, :, :ctx.n_cell] @ qc
     w = v.copy()
     w[ctx.layout.cell] += qc
-    for i, fi in enumerate(ctx.geom.face_indices):
+    for i, fi in enumerate(ctx.geom.face_indices[0]):
         fb = face_basis(mesh, fi, k)
         rule = face_quadrature(mesh, fi, 2 * k + 2)
         w[ctx.layout.face(i)] += l2_project(fb, rule, qfun)
@@ -203,7 +204,7 @@ def test_ls_face_only_dof():
     face_ops, _ = stabilization_ls(ctx)
     v = np.zeros(ctx.layout.size)
     v[ctx.layout.face(0)][0] = 1.0
-    out0 = face_ops[0] @ v
+    out0 = face_ops[0][0] @ v
     assert out0[0] == pytest.approx(-1.0)
     np.testing.assert_allclose(out0[1:], 0.0, atol=1e-14)
     for Z in face_ops[1:]:
@@ -218,9 +219,9 @@ def test_local_bilinear_kernel_and_psd():
         ops = local_bilinear(ctx)
         A = reconstruction(ctx)[4]
         for M in (A, ops.penalty, ops.L):
-            w = np.linalg.eigvalsh(M)
+            w = np.linalg.eigvalsh(M[0])
             assert w.min() >= -1e-10 * abs(w).max()
-        w = np.linalg.eigvalsh(ops.L)
+        w = np.linalg.eigvalsh(ops.L[0])
         assert w[0] < 1e-11 * w[-1] and w[1] > 1e-8 * w[-1]  # kernel dim exactly 1
         assert np.abs(ops.L @ constant_pair(ctx)).max() < 1e-12
 
@@ -234,11 +235,11 @@ def test_energy_of_reduced_polynomial():
         ops = local_bilinear(ctx)
         q = lambda x: (x[:, 0] + 2 * x[:, 1]) ** (k + 1)
         red = reduce_local(mesh, 0, deg, q)
-        rule = cell_quadrature(ctx.geom, 2 * (k + 2))
+        rule = cell_quadrature(mesh.cell_geometry(0), 2 * (k + 2))
         d = k + 1
         gq = lambda x: d * (x[:, 0] + 2 * x[:, 1]) ** (d - 1)
         exact = np.sum(rule.weights * (gq(rule.points) ** 2 * (1 + 4)))
-        assert red @ (ops.L @ red) == pytest.approx(exact, rel=1e-11)
+        assert red @ (ops.L[0] @ red) == pytest.approx(exact, rel=1e-11)
 
 
 def test_rayleigh_quotients_stay_banded():
@@ -248,11 +249,11 @@ def test_rayleigh_quotients_stay_banded():
     for _ in range(3):
         ctx = build_cell_context(mesh, 0, equal_order(k))
         ops = local_bilinear(ctx)
-        N = seminorm_gram(ctx)
+        N = seminorm_gram(ctx)[0]
         wN, V = np.linalg.eigh(N)
         keep = wN > 1e-10 * wN.max()
         B = V[:, keep] / np.sqrt(wN[keep])
-        vals = np.linalg.eigvalsh(B.T @ ops.L @ B)
+        vals = np.linalg.eigvalsh(B.T @ ops.L[0] @ B)
         bands.append((vals.min(), vals.max()))
         mesh = refine_uniform(mesh)
     mins = [b[0] for b in bands]
@@ -274,7 +275,7 @@ def test_mixed_order_bilinear_kernel():
     mesh = build_structured_mesh("quad", 1, 1)
     ctx = build_cell_context(mesh, 0, mixed_order(1))
     ops = local_bilinear(ctx)
-    w = np.linalg.eigvalsh(ops.L)
+    w = np.linalg.eigvalsh(ops.L[0])
     assert w[0] < 1e-11 * w[-1] and w[1] > 1e-8 * w[-1]
 
 
@@ -285,14 +286,14 @@ def test_equal_order_stabilization_matches_reduced_reconstruction_formula():
     for k in (0, 1, 2):
         for ci in range(3):
             ctx = build_cell_context(mesh, ci, equal_order(k))
-            _, _, R, R_full, _ = reconstruction(ctx)
-            Q = ctx.mass_full[:ctx.n_cell, 1:]
-            tmp = -np.linalg.solve(ctx.mass_cell, Q @ R)
+            _, _, R, R_full, _ = (M[0] for M in reconstruction(ctx))
+            Q = ctx.mass_full[0, :ctx.n_cell, 1:]
+            tmp = -np.linalg.solve(ctx.mass_cell[0], Q @ R)
             tmp[:, ctx.layout.cell] += np.eye(ctx.n_cell)
-            face_ops, _ = stabilization_equal_order(ctx, R_full)
+            face_ops, _ = stabilization_equal_order(ctx, R_full[None])
             for i, f in enumerate(ctx.faces):
-                S = np.linalg.solve(f.mass, f.trace_full[:, 1:] @ R
-                                    + f.trace_full[:, :ctx.n_cell] @ tmp)
+                S = np.linalg.solve(f.mass[0], f.trace_full[0, :, 1:] @ R
+                                    + f.trace_full[0, :, :ctx.n_cell] @ tmp)
                 S[:, ctx.layout.face(i)] -= np.eye(f.basis.size)
-                np.testing.assert_allclose(face_ops[i], S, rtol=0,
+                np.testing.assert_allclose(face_ops[i][0], S, rtol=0,
                                            atol=1e-12 * np.abs(S).max())
