@@ -18,7 +18,7 @@ import numpy as np
 
 from . import harness, problems
 from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
-                   build_structured_mesh, load_mesh_json)
+                   build_structured_mesh, left_half, load_mesh_json)
 from .projection import HhoDegrees
 
 RATE_TOL = 0.15
@@ -44,11 +44,8 @@ def parse_gen(spec: str) -> Mesh:
     if kind == "hanging":
         base = build_structured_mesh("quad", int(parts[1]), int(parts[2]))
         sel = parts[3] if len(parts) > 3 else "left"
-        if sel == "left":
-            cells = [ci for ci in range(base.n_cells)
-                     if base.cell_geometry(ci).barycenter[0] < 0.5]
-        else:
-            cells = [int(c) for c in sel.split(",") if c]
+        cells = (left_half(base) if sel == "left" else
+                 [int(c) for c in sel.split(",") if c])
         return build_hanging_node_mesh(base, cells)
     raise SystemExit(f"error: unknown generator {kind!r}")
 

@@ -21,7 +21,7 @@ from .basis import face_basis
 from .elasticity import local_bilinear_elastic
 from .local_ops import CellContext, _kron_apply, build_cell_context, local_bilinear
 from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
-                   build_structured_mesh)
+                   build_structured_mesh, left_half)
 from .problems import ProblemSpec
 from .projection import HhoDegrees, dof_layout, gather_local, l2_project, sample
 from .quadrature import cell_quadrature, face_quadrature
@@ -354,9 +354,7 @@ def mesh_family(name: str, level: int, base: int = 8, neumann=None) -> Mesh:
         return build_interval_mesh(0.0, 1.0, n, neumann=neumann)
     if name == "hanging":
         coarse = build_structured_mesh("quad", n, n, neumann=neumann)
-        refine = [ci for ci in range(coarse.n_cells)
-                  if coarse.cell_geometry(ci).barycenter[0] < 0.5]
-        return build_hanging_node_mesh(coarse, refine)
+        return build_hanging_node_mesh(coarse, left_half(coarse))
     raise ValueError(f"unknown mesh family {name!r}")
 
 

@@ -208,8 +208,7 @@ def reduce_global(mesh: Mesh, degrees: HhoDegrees, v, quad_bump: int = 2):
 
 def cell_faces(mesh: Mesh, cells) -> np.ndarray:
     """Global face indices of a cell, or ``(nb, n_faces)`` for a group."""
-    return np.array([mesh.cell_faces[c] for c in np.ravel(cells)]).reshape(
-        np.shape(cells) + (-1,))
+    return mesh.cell_geometry(cells).face_indices
 
 
 def gather_local(mesh: Mesh, cells, degrees: HhoDegrees,

@@ -87,7 +87,7 @@ def triangle_rule(v0, v1, v2, order: int) -> QuadratureRule:
 def quad_rule(pts: np.ndarray, order: int) -> QuadratureRule:
     """Tensor Gauss rule on a parallelogram given by its vertex loop."""
     order = _check_order(order)
-    if not is_parallelogram(pts):
+    if not np.all(is_parallelogram(pts)):
         raise ValueError("tensor quad rule requires a parallelogram")
     x, w = _gauss_01(order)
     X, Y = np.meshgrid(x, x, indexing="ij")

@@ -5,7 +5,7 @@ import pytest
 
 from pyhho.mesh import (Mesh, MeshError, build_hanging_node_mesh,
                         build_interval_mesh, build_structured_mesh,
-                        load_mesh_json, mesh_from_dict, mesh_to_dict,
+                        left_half, load_mesh_json, mesh_from_dict, mesh_to_dict,
                         refine_uniform, save_mesh_json)
 
 
@@ -142,6 +142,82 @@ def test_non_star_shaped_rejected():
         Mesh(2, verts, [tuple(range(8))])
 
 
+def _row_of_squares(n, at, loop):
+    """n disjoint unit squares in a row, the one at index ``at`` replaced by
+    the vertex loop ``loop``."""
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    verts, cells = [], []
+    for i in range(n):
+        pts = loop if i == at else square
+        cells.append(tuple(range(len(verts), len(verts) + len(pts))))
+        verts.extend([x + 2.0 * i, y] for x, y in pts)
+    return Mesh(2, verts, cells)
+
+
+@pytest.mark.parametrize("loop, message", [
+    ([[0, 0], [0, 1], [1, 1], [1, 0]], "is degenerate or not counterclockwise"),
+    ([[0, 0], [1, 0], [1, 1], [0.55, 1], [0.55, 0.1], [0.45, 0.1], [0.45, 1],
+      [0, 1]], "is not star-shaped"),
+    ([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], "has a zero-length edge"),
+], ids=["clockwise", "not-star-shaped", "zero-length-edge"])
+@pytest.mark.parametrize("at", [1, 3])
+def test_bad_cell_named_in_multi_cell_mesh(loop, message, at):
+    _row_of_squares(5, at, [[0, 0], [1, 0], [1, 1], [0, 1]])
+    with pytest.raises(MeshError, match=f"^cell {at} {message}"):
+        _row_of_squares(5, at, loop)
+
+
+def test_face_shared_by_three_cells_named():
+    verts = [[0.5, 1], [0.5, -1], [0, 0], [1, 0], [0.5, 2]]
+    # sorted edge keys (0,2) (0,3) (1,2) (1,3) (2,3) ... make edge (2,3) face 4
+    with pytest.raises(MeshError, match="^face 4 shared by more than two cells"):
+        Mesh(2, verts, [(2, 3, 0), (3, 2, 1), (2, 3, 4)])
+
+
+def test_malformed_loops_rejected():
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    with pytest.raises(MeshError, match="^cell 1 has 2 vertices"):
+        Mesh(2, square, [(0, 1, 2, 3), (0, 1)])
+    with pytest.raises(MeshError, match="^cell 1 has 3 vertices"):
+        Mesh(1, [[0], [1], [2]], [(0, 1), (1, 2, 0)])
+    for bad in (-1, 4):
+        with pytest.raises(MeshError, match="^cell 1 references a vertex outside 0..3"):
+            Mesh(2, square, [(0, 1, 2), (0, 2, bad)])
+
+
+def test_group_geometry_matches_each_cell():
+    m = build_hanging_node_mesh(build_structured_mesh("quad", 4, 4), [0, 2, 9])
+    assert {len(c) for c in m.cells} == {4, 5, 6}
+    fields = ("vertices", "barycenter", "diameter", "measure", "face_indices",
+              "face_measures", "face_normals")
+    for cells in m.cell_groups():
+        group = m.cell_geometry(cells)
+        for slot, c in enumerate(cells):
+            g = m.cell_geometry(c)
+            assert (g.index, g.shape) == (c, group.shape)
+            for name in fields:
+                np.testing.assert_array_equal(getattr(g, name), getattr(group, name)[slot])
+            # the single-cell shoelace formulas
+            pts = m.vertices[m.cells[c]]
+            nxt = np.roll(pts, -1, axis=0)
+            cross = pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]
+            area = 0.5 * cross.sum()
+            assert g.measure == pytest.approx(area, rel=1e-13)
+            np.testing.assert_allclose(
+                g.barycenter, ((pts + nxt) * cross[:, None]).sum(axis=0) / (6 * area),
+                rtol=0, atol=1e-14)
+            np.testing.assert_allclose(g.face_measures, np.linalg.norm(nxt - pts, axis=1),
+                                       rtol=1e-15)
+            np.testing.assert_array_equal(g.face_indices, m.cell_faces[c])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_left_half_skips_the_middle_column(n):
+    base = build_structured_mesh("quad", n, n)
+    cells = left_half(base)
+    np.testing.assert_array_equal(cells, np.arange(n * (n // 2)))
+
+
 def test_hanging_refine_one_of_four():
     base = build_structured_mesh("quad", 2, 2)
     m = build_hanging_node_mesh(base, [0])
@@ -215,7 +291,7 @@ def test_json_roundtrip(tmp_path):
     save_mesh_json(m, path)
     m2 = load_mesh_json(path)
     assert m2.n_cells == m.n_cells
-    assert m2.faces == m.faces
+    np.testing.assert_array_equal(m2.face_nodes, m.face_nodes)
     np.testing.assert_array_equal(m2.dirichlet_faces, m.dirichlet_faces)
     np.testing.assert_array_equal(m2.neumann_faces, m.neumann_faces)
 
@@ -224,7 +300,7 @@ def test_json_faces_canonically_ordered(tmp_path):
     m = build_structured_mesh("tri", 2, 1)
     data = mesh_to_dict(m)
     m2 = mesh_from_dict(json.loads(json.dumps(data)))
-    keys = [tuple(sorted(f)) for f in m2.faces]
+    keys = [tuple(sorted(f)) for f in m2.face_nodes.tolist()]
     assert keys == sorted(keys)
 
 
