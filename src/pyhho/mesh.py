@@ -353,32 +353,30 @@ def build_structured_mesh(shape: str, nx: int, ny: int,
 
 
 def _inherit_tags(new: Mesh, old: Mesh) -> Mesh:
-    """Tag boundary faces of ``new`` from the containing face of ``old``."""
+    """Tag boundary faces of ``new`` from the containing face of ``old``:
+    the first old boundary face whose segment (point in 1D) holds the
+    centre of the new face, tested for all pairs at once."""
     if not np.any(old.neumann_faces):
         return new
     old_faces = np.flatnonzero(old.boundary_faces)
-    dirichlet, neumann = [], []
-    for fi in np.flatnonzero(new.boundary_faces):
-        c = new.face_center(fi)
-        parent = None
-        for fo in old_faces:
-            pts = old.face_vertices(fo)
-            if old.dim == 1:
-                on = abs(c[0] - pts[0, 0]) <= 1e-12
-            else:
-                a, b = pts
-                t = b - a
-                L = np.linalg.norm(t)
-                s = np.dot(c - a, t) / L
-                off = abs(t[0] * (c - a)[1] - t[1] * (c - a)[0]) / L
-                on = off <= 1e-10 * max(L, 1.0) and -1e-10 <= s <= L + 1e-10
-            if on:
-                parent = fo
-                break
-        if parent is None:
-            raise MeshError("refined boundary face has no parent face")
-        (neumann if old.neumann_faces[parent] else dirichlet).append(int(fi))
-    new.set_boundary_tags(dirichlet, neumann)
+    new_faces = np.flatnonzero(new.boundary_faces)
+    c = new.vertices[new.face_nodes[new_faces]].mean(axis=1)[:, None, :]
+    pts = old.vertices[old.face_nodes[old_faces]]
+    if old.dim == 1:
+        on = np.abs(c[..., 0] - pts[:, 0, 0]) <= 1e-12
+    else:
+        a, t = pts[:, 0], pts[:, 1] - pts[:, 0]
+        L = np.linalg.norm(t, axis=1)
+        d = c - a
+        s = (d * t).sum(axis=-1) / L
+        off = np.abs(t[:, 0] * d[..., 1] - t[:, 1] * d[..., 0]) / L
+        on = (off <= 1e-10 * np.maximum(L, 1.0)) & (s >= -1e-10) & (s <= L + 1e-10)
+    orphan = ~on.any(axis=1)
+    if np.any(orphan):
+        raise MeshError(f"refined boundary face {new_faces[np.argmax(orphan)]} "
+                        "has no parent face")
+    neumann = old.neumann_faces[old_faces[np.argmax(on, axis=1)]]
+    new.set_boundary_tags(new_faces[~neumann], new_faces[neumann])
     return new
 
 

@@ -3,8 +3,10 @@ import pytest
 
 from pyhho import assembly as asm
 from pyhho.harness import build_local, neumann_rhs, solve_problem
-from pyhho.mesh import Mesh, build_interval_mesh, build_structured_mesh
-from pyhho.problems import ProblemSpec, poisson_sin_2d
+from pyhho.mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
+                        build_structured_mesh, left_half)
+from pyhho.problems import (ProblemSpec, elasticity_divfree, poisson_sin_1d,
+                            poisson_sin_2d)
 from pyhho.projection import dof_layout, equal_order, mixed_order
 
 
@@ -166,6 +168,120 @@ def test_cg_matches_direct():
     s_cg = solve_problem(mesh, equal_order(1), spec, solver="cg", tol=1e-14)
     dev = np.abs(s_direct.face_coeffs - s_cg.face_coeffs).max()
     assert dev <= 1e-10 * max(np.abs(s_direct.face_coeffs).max(), 1.0)
+
+
+def _jittered_tris(seed, n=10, jitter=0.2):
+    """n x n triangles, interior vertices moved by up to ``jitter * h``."""
+    base = build_structured_mesh("tri", n, n)
+    h = 1.0 / n
+    verts = base.vertices.copy()
+    interior = np.all((verts > 0.5 * h) & (verts < 1.0 - 0.5 * h), axis=1)
+    verts[interior] += np.random.default_rng(seed).uniform(
+        -jitter * h, jitter * h, (int(interior.sum()), 2))
+    return Mesh(2, verts, base.cells)
+
+
+def _neumann_left_quads():
+    spec0 = poisson_sin_2d()
+    spec = ProblemSpec(kind="poisson", f=spec0.f, u_dirichlet=spec0.exact,
+                       g_neumann=lambda x: -np.pi * np.sin(np.pi * x[:, 1]),
+                       name="poisson-neumann")
+    return (build_structured_mesh("quad", 6, 6, neumann=lambda x: x[0] < 1e-12),
+            equal_order(1), spec)
+
+
+def _hanging_mixed():
+    base = build_structured_mesh("quad", 6, 6)
+    return (build_hanging_node_mesh(base, left_half(base)), mixed_order(1),
+            poisson_sin_2d())
+
+
+CG_CASES = {
+    "near-incompressible elasticity on jittered triangles":
+        lambda: (_jittered_tris(1), equal_order(1, rank=2),
+                 elasticity_divfree(mu=1.0, lam=1e4)),
+    "mixed-order Poisson on a hanging-node mesh": _hanging_mixed,
+    "k=2 Poisson on an interval": lambda: (build_interval_mesh(0.0, 1.0, 12),
+                                           equal_order(2), poisson_sin_1d()),
+    "Poisson on quads with Neumann faces": _neumann_left_quads,
+}
+
+
+@pytest.mark.parametrize("case", CG_CASES)
+def test_cg_matches_direct_on(case):
+    mesh, degrees, spec = CG_CASES[case]()
+    s_direct = solve_problem(mesh, degrees, spec, solver="direct")
+    s_cg = solve_problem(mesh, degrees, spec, solver="cg")
+    dev = np.abs(s_direct.face_coeffs - s_cg.face_coeffs).max()
+    assert dev <= 1e-10 * np.abs(s_direct.face_coeffs).max()
+
+
+def _reduced_system(mesh, degrees, spec):
+    ops, rhs = build_local(mesh, degrees, spec)
+    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
+                 for o, b in zip(ops, rhs)]
+    return asm.assemble(mesh, condensed, asm.build_dof_map(mesh, degrees))
+
+
+@pytest.mark.parametrize("shape", ["quad", "tri"])
+def test_patch_preconditioner_is_spd(shape):
+    mesh = build_structured_mesh(shape, 3, 3)
+    system = _reduced_system(mesh, equal_order(1, rank=2),
+                             elasticity_divfree(mu=1.0, lam=1e4))
+    A = system.matrix
+    P = asm._block_jacobi(A, asm._vertex_patches(system.dofmap)) @ np.eye(A.shape[0])
+    assert np.abs(P - P.T).max() <= 1e-12 * np.abs(P).max()
+    assert np.linalg.eigvalsh(P).min() > 0
+
+
+def test_patch_preconditioner_is_block_jacobi_in_1d():
+    mesh = build_interval_mesh(0.0, 1.0, 6, neumann=lambda x: x[0] > 0.5)
+    system = _reduced_system(mesh, equal_order(2), poisson_sin_1d())
+    A, w = system.matrix.toarray(), system.dofmap.face_width
+    P = asm._block_jacobi(system.matrix, asm._vertex_patches(system.dofmap))
+    expect = np.zeros_like(A)
+    for f in range(0, len(A), w):
+        expect[f:f + w, f:f + w] = np.linalg.inv(A[f:f + w, f:f + w])
+    np.testing.assert_allclose(P @ np.eye(len(A)), expect, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cg_iterations_near_incompressible(monkeypatch, seed):
+    # counted as the benchmark tracer does: cg applies the preconditioner
+    # once per iteration
+    applied = []
+    build = asm._block_jacobi
+
+    def counted(A, patches):
+        op = build(A, patches)
+        return asm.spla.LinearOperator(
+            op.shape, matvec=lambda x: applied.append(1) or op.matvec(x))
+
+    monkeypatch.setattr(asm, "_block_jacobi", counted)
+    sol = solve_problem(_jittered_tris(seed), equal_order(1, rank=2),
+                        elasticity_divfree(mu=1.0, lam=1e4), solver="cg")
+    assert sol.residual <= 1e-8
+    assert 0 < len(applied) <= 400
+
+
+def test_singular_patch_names_its_vertex():
+    mesh = build_interval_mesh(0.0, 1.0, 4)
+    system = _reduced_system(mesh, equal_order(0), poisson_sin_1d())
+    A = system.matrix.tolil()
+    A[1, :] = 0.0                      # face 2 is mesh vertex 2
+    A[:, 1] = 0.0
+    broken = asm.GlobalSystem(A.tocsc(), system.rhs, system.dofmap)
+    with pytest.raises(ValueError, match="^vertex 2: singular patch block"):
+        asm.solve_reduced(broken, method="cg")
+
+
+def test_cg_failure_states_tolerance_and_residual(monkeypatch):
+    monkeypatch.setattr(asm, "CG_MAXITER", 10)
+    system = _reduced_system(_jittered_tris(1), equal_order(1, rank=2),
+                             elasticity_divfree(mu=1.0, lam=1e4))
+    with pytest.raises(RuntimeError, match=r"^CG did not reach rtol 1\.0e-12 in 10 "
+                                           r"iterations \(relative residual \d"):
+        asm.solve_reduced(system, method="cg")
 
 
 @pytest.mark.parametrize("degrees", [equal_order(1), mixed_order(1)])

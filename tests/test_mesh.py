@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pyhho.mesh import (Mesh, MeshError, build_hanging_node_mesh,
+from pyhho.mesh import (Mesh, MeshError, _inherit_tags, build_hanging_node_mesh,
                         build_interval_mesh, build_structured_mesh,
                         left_half, load_mesh_json, mesh_from_dict, mesh_to_dict,
                         refine_uniform, save_mesh_json)
@@ -283,6 +283,60 @@ def test_neumann_predicate_and_inheritance():
     assert int(r.neumann_faces.sum()) == 4
     centers = np.array([r.face_center(fi) for fi in np.flatnonzero(r.neumann_faces)])
     assert np.abs(centers[:, 0]).max() < 1e-12
+
+
+def _inherit_tags_pairwise(new, old):
+    """Reference: each new boundary face against each old one, in turn."""
+    old_faces = np.flatnonzero(old.boundary_faces)
+    neumann = []
+    for fi in np.flatnonzero(new.boundary_faces):
+        c = new.face_center(fi)
+        for fo in old_faces:
+            pts = old.face_vertices(fo)
+            if old.dim == 1:
+                on = abs(c[0] - pts[0, 0]) <= 1e-12
+            else:
+                a, t = pts[0], pts[1] - pts[0]
+                L = np.linalg.norm(t)
+                s = np.dot(c - a, t) / L
+                off = abs(t[0] * (c - a)[1] - t[1] * (c - a)[0]) / L
+                on = off <= 1e-10 * max(L, 1.0) and -1e-10 <= s <= L + 1e-10
+            if on:
+                neumann.append(bool(old.neumann_faces[fo]))
+                break
+        else:
+            raise AssertionError(f"face {fi} has no parent")
+    mask = np.zeros(new.n_faces, dtype=bool)
+    mask[np.flatnonzero(new.boundary_faces)[neumann]] = True
+    return mask
+
+
+@pytest.mark.parametrize("family", ["interval", "quad", "tri", "hanging"])
+def test_inherited_tags_match_pairwise_search(family):
+    left = lambda x: x[0] < 0.25       # a side and, in 2D, part of two more
+    if family == "interval":
+        old = build_interval_mesh(0.0, 1.0, 4, neumann=left)
+    else:
+        old = build_structured_mesh("tri" if family == "tri" else "quad", 4, 3,
+                                    neumann=left)
+    new = (build_hanging_node_mesh(old, left_half(old)) if family == "hanging"
+           else refine_uniform(old))
+    assert new.neumann_faces.any() and new.dirichlet_faces.any()
+    untagged = Mesh(new.dim, new.vertices, new.cells)
+    np.testing.assert_array_equal(new.neumann_faces,
+                                  _inherit_tags_pairwise(untagged, old))
+    np.testing.assert_array_equal(new.dirichlet_faces,
+                                  new.boundary_faces & ~new.neumann_faces)
+
+
+def test_inherited_tags_name_an_orphan_face():
+    old = build_structured_mesh("quad", 1, 1, neumann=lambda x: x[0] < 1e-12)
+    new = build_structured_mesh("quad", 2, 1, bounds=((0.0, 2.0), (0.0, 1.0)))
+    orphan = next(fi for fi in np.flatnonzero(new.boundary_faces)
+                  if new.face_center(fi)[0] > 1.0)
+    with pytest.raises(MeshError,
+                       match=f"^refined boundary face {orphan} has no parent face$"):
+        _inherit_tags(new, old)
 
 
 def test_json_roundtrip(tmp_path):
