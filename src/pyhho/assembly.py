@@ -155,6 +155,8 @@ def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
 def solve_reduced(system: GlobalSystem, method: str = "direct",
                   tol: float = 1e-12) -> np.ndarray:
     """Solve the reduced face system (sparse direct or preconditioned CG)."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"solver tolerance must be positive and finite, got {tol!r}")
     A, b = system.matrix, system.rhs
     if A.shape[0] == 0:
         return np.zeros(0)

@@ -75,8 +75,7 @@ def cmd_solve(args) -> int:
     rank = 2 if args.problem.startswith("elasticity") else 1
     spec = problems.get_problem(args.problem)
     degrees = _degrees(args, rank)
-    sol = harness.solve_problem(mesh, degrees, spec, solver=args.solver,
-                                tol=args.tol, threads=args.threads)
+    sol = harness.solve_problem(mesh, degrees, spec, solver=args.solver, tol=args.tol)
     info = {
         "problem": spec.name,
         "k": degrees.k_face,
@@ -122,7 +121,7 @@ def cmd_converge(args) -> int:
         family = "interval" if args.dim == 1 else "quad"
     report = harness.convergence_study(
         spec, family, degrees, levels=args.levels, base=args.base,
-        solver=args.solver, tol=args.tol, threads=args.threads)
+        solver=args.solver, tol=args.tol)
     bands = []
     for name, (lo, hi) in _rate_bands(degrees.k_face, spec.kind):
         rate = report.rate_h1 if name == "h1" else report.rate_l2
@@ -139,7 +138,7 @@ def cmd_converge(args) -> int:
 
 def cmd_verify(args) -> int:
     blocks = harness.verify_operators(args.family, args.k, levels=args.levels,
-                                      base=args.base, threads=args.threads)
+                                      base=args.base)
     out = _outdir(args)
     rows = []
     for b in blocks:
@@ -189,7 +188,7 @@ def cmd_locking(args) -> int:
     degrees = _degrees(args, rank=2)
     report = harness.locking_test(problems.elasticity_divfree, degrees,
                                   family=args.family, levels=args.levels,
-                                  base=args.base, threads=args.threads)
+                                  base=args.base)
     k = degrees.k_face
     band = (k + 0.8, k + 1.3)
     out = _outdir(args)
@@ -227,8 +226,11 @@ def build_parser():
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--solver", choices=["direct", "cg"], default="direct")
         sp.add_argument("--tol", type=float, default=1e-12)
+        # a no-op: runs are serial, but existing command lines still pass it
+        # and perfbench/workloads.py reads its default
         sp.add_argument("--threads", type=int,
-                        default=max(1, os.cpu_count() or 1))
+                        default=max(1, os.cpu_count() or 1),
+                        help="ignored: runs are serial")
         if problem:
             sp.add_argument("--problem", default="poisson",
                             choices=sorted(problems.PROBLEMS))

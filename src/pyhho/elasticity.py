@@ -1,7 +1,9 @@
 """Cell-local operators for 2D linear elasticity (face degree k >= 1).
 
 The strain reconstruction maps the hybrid displacement unknowns into
-symmetric-tensor polynomials of degree k, the divergence reconstruction is
+symmetric-tensor polynomials of degree k.  It is the symmetric part of the
+scalar gradient reconstruction of :mod:`pyhho.local_ops` tensorized with
+the 2D identity, ``sym(G (x) I)``.  The divergence reconstruction is
 its trace, and the displacement reconstruction of degree k+1 is pinned by
 mean-value and skew-gradient constraints that remove the rigid-body
 ambiguity.  The local bilinear form combines the strain and divergence
@@ -18,9 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import local_ops
 from .local_ops import (CellContext, LocalOperators, _face_flux, _kron_apply,
                         stabilization_equal_order, stabilization_ls)
-from .projection import checked, mass_cholesky
+# unused here; perfbench/tracing.py resolves pyhho.elasticity.mass_cholesky
+# among its SPAN_SITES, so the name stays until those sites change
+from .projection import checked, mass_cholesky  # noqa: F401
 
 # symmetric unit tensors E_xx, E_yy, E_xy([[0,1],[1,0]]) and their ':' norms
 TENSOR_WEIGHTS = np.array([1.0, 1.0, 2.0])
@@ -41,44 +46,27 @@ def _strain_columns(dphi: np.ndarray) -> np.ndarray:
     return eps
 
 
-def _tensor_normals(normal: np.ndarray) -> np.ndarray:
-    """(nb, 3, 2): the Cartesian components of ``E_m n`` for the unit
-    tensors E_xx, E_yy and E_xy."""
-    en = np.zeros((len(normal), 3, 2))
-    en[:, 0, 0] = normal[:, 0]
-    en[:, 1, 1] = normal[:, 1]
-    en[:, 2, 0], en[:, 2, 1] = normal[:, 1], normal[:, 0]
-    return en
-
-
 def strain_reconstruction(ctx: CellContext) -> np.ndarray:
     """Coefficient maps ``Es`` of shape (nb, 3, n_k, size) of the symmetric
-    strain reconstruction; component m lives on the m-th unit tensor."""
+    strain reconstruction; component m lives on the m-th unit tensor.
+
+    The strain is the symmetric part of the vector gradient reconstruction,
+    ``sym(G (x) I)``: the scalar ``G`` of
+    :func:`pyhho.local_ops.gradient_reconstruction` applied to each
+    displacement component, whose DoF ``s`` sits at ``2 s + a``.
+    """
     if ctx.degrees.rank != 2 or ctx.mesh.dim != 2:
         raise ValueError("strain reconstruction requires 2D vector degrees")
     if ctx.degrees.k_face < 1:
         raise ValueError("elasticity requires face degree k >= 1")
-    n_k, n_cell = ctx.n_k, ctx.n_cell
-    layout = ctx.layout
-    w = ctx.rule.weights
-    Mk_inv = mass_cholesky(ctx.mass_full[:, :n_k, :n_k], ctx.cells)
-
-    eps_cell = _strain_columns(ctx.dphi[:, :, :n_cell, :])   # (nb, nq, 2 n_cell, 3)
-    rhs = np.zeros((len(ctx.cells), 3, n_k, layout.size))
-    # cell pairing (eps(v_T) : E_m, phi_i); the xy tensor carries both
-    # off-diagonal entries, hence the contraction weight
-    rhs[..., layout.cell] = TENSOR_WEIGHTS[:, None, None] * np.einsum(
-        "bqi,bqjm->bmij", w[..., None] * ctx.phi[:, :, :n_k], eps_cell)
-    for i, f in enumerate(ctx.faces):
-        # (E_m n) picks the Cartesian components paired with each face term
-        en = _tensor_normals(f.normal)[..., None, None]
-        wq = (f.rule.weights[..., None] * f.phi[:, :, :n_k]).mT
-        blk = (wq @ f.phi[:, :, :n_cell])[:, None]
-        fb = (wq @ f.psi)[:, None]
-        for a in range(2):
-            rhs[..., layout.cell][..., a::2] -= blk * en[:, :, a]
-            rhs[..., layout.face(i)][..., a::2] += fb * en[:, :, a]
-    return (Mk_inv[:, None] @ rhs) / TENSOR_WEIGHTS[:, None, None]
+    # looked up through the module, where perfbench/tracing.py wraps it
+    G = local_ops.gradient_reconstruction(ctx)           # (nb, 2, n_k, size // 2)
+    Es = np.zeros((len(G), 3, ctx.n_k, ctx.layout.size))
+    Es[:, 0, :, 0::2] = G[:, 0]                          # eps_xx = dx u_x
+    Es[:, 1, :, 1::2] = G[:, 1]                          # eps_yy = dy u_y
+    Es[:, 2, :, 0::2] = 0.5 * G[:, 1]                    # eps_xy = (dy u_x + dx u_y) / 2
+    Es[:, 2, :, 1::2] = 0.5 * G[:, 0]
+    return Es
 
 
 def divergence_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) -> np.ndarray:

@@ -11,7 +11,6 @@ oracle, and the incompressibility sweep all sit on top of it.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,22 +18,16 @@ import numpy as np
 from . import assembly as asm
 from .basis import face_basis
 from .elasticity import local_bilinear_elastic
-from .local_ops import CellContext, _kron_apply, build_cell_context, local_bilinear
+from .local_ops import (CellContext, _kron_apply, build_cell_context, local_bilinear,
+                        reconstruction, stabilization_equal_order, stabilization_ls)
 from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh, left_half)
 from .problems import ProblemSpec
-from .projection import HhoDegrees, dof_layout, gather_local, l2_project, sample
-from .quadrature import cell_quadrature, face_quadrature
+from .projection import (HhoDegrees, dof_layout, equal_order, gather_local, l2_project,
+                         mixed_order, reduce_local, sample)
+from .quadrature import cell_quadrature, face_quadrature, interval_rule
 
 RHS_QUAD_BUMP = 2
-
-
-def _map_cells(fn, groups, threads):
-    """``fn`` over the cell groups, on a thread pool when ``threads > 1``."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, groups))
-    return [fn(cells) for cells in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -107,35 +100,32 @@ class Solution:
                             self.face_coeffs)
 
 
-def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec, threads=1):
+def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec):
     """Operators and source vectors of every cell group."""
-    if spec.kind == "elasticity":
+    elastic = spec.kind == "elasticity"
+    if elastic:
         if degrees.rank != 2:
             raise ValueError("elasticity needs vector degrees (rank 2)")
         if degrees.k_face < 1:
             raise ValueError("elasticity requires k >= 1")
-
-        def make(cells):
-            ctx = build_cell_context(mesh, cells, degrees)
-            return local_bilinear_elastic(ctx, spec.mu, spec.lam), local_rhs(ctx, spec.f)
-    else:
-        def make(cells):
-            ctx = build_cell_context(mesh, cells, degrees)
-            return local_bilinear(ctx), local_rhs(ctx, spec.f)
-
-    pairs = _map_cells(make, mesh.cell_groups(), threads)
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+    ops, rhs = [], []
+    for cells in mesh.cell_groups():
+        ctx = build_cell_context(mesh, cells, degrees)
+        ops.append(local_bilinear_elastic(ctx, spec.mu, spec.lam) if elastic
+                   else local_bilinear(ctx))
+        rhs.append(local_rhs(ctx, spec.f))
+    return ops, rhs
 
 
 def solve_problem(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec,
                   solver: str = "direct", tol: float = 1e-12,
-                  threads: int = 1, monolithic: bool = False) -> Solution:
+                  monolithic: bool = False) -> Solution:
     """Solve the discrete problem and recover all unknowns."""
     if not mesh.dirichlet_faces.any():
         raise ValueError(
             "no Dirichlet face: the solution is determined only up to a "
             + ("rigid motion" if spec.kind == "elasticity" else "constant"))
-    ops, rhs = build_local(mesh, degrees, spec, threads)
+    ops, rhs = build_local(mesh, degrees, spec)
     dofmap = asm.build_dof_map(mesh, degrees)
     ud = dirichlet_data(mesh, degrees, spec.u_dirichlet)
     gn = neumann_rhs(mesh, degrees, spec.g_neumann)
@@ -145,8 +135,6 @@ def solve_problem(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec,
             mesh, ops, rhs, dofmap, dirichlet_values=ud, extra_face_rhs=gn)
         residual = 0.0
     else:
-        # a few batched LAPACK calls per group: a thread pool would only add
-        # allocator arenas, so the condensation runs on this thread
         condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
                      for o, b in zip(ops, rhs)]
         system = asm.assemble(mesh, condensed, dofmap,
@@ -381,8 +369,7 @@ class ConvergenceReport:
 
 def convergence_study(spec: ProblemSpec, family: str, degrees: HhoDegrees,
                       levels: int = 4, base: int = 8, solver: str = "direct",
-                      tol: float = 1e-12, threads: int = 1,
-                      check_fluxes: bool = False) -> ConvergenceReport:
+                      tol: float = 1e-12, check_fluxes: bool = False) -> ConvergenceReport:
     if levels < 2:
         raise ValueError("a convergence study needs at least 2 levels "
                          "(4 or more for trustworthy rates)")
@@ -391,8 +378,7 @@ def convergence_study(spec: ProblemSpec, family: str, degrees: HhoDegrees,
                                mode="plus" if degrees.mixed else "equal")
     for lvl in range(levels):
         mesh = mesh_family(family, lvl, base=base)
-        sol = solve_problem(mesh, degrees, spec, solver=solver, tol=tol,
-                            threads=threads)
+        sol = solve_problem(mesh, degrees, spec, solver=solver, tol=tol)
         if check_fluxes and spec.kind == "poisson":
             eq, bal = flux_residuals(sol)
             if max(eq, bal) > 1e-8:
@@ -424,8 +410,7 @@ class VerifyBlock:
         return abs(self.rate - self.target_rate) <= self.tolerance
 
 
-def verify_operators(family: str, k: int, levels: int = 4, base: int = 4,
-                     threads: int = 1) -> list:
+def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> list:
     """Decay rates of projection, reconstruction, and stabilization errors
     of the target ``sin(pi x)`` (times ``sin(pi y)`` in 2D).
 
@@ -433,9 +418,6 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4,
     reconstruction of the reduced target at k+2; both stabilization
     seminorms at k+1.
     """
-    from .projection import equal_order, mixed_order, reduce_local
-    from .local_ops import reconstruction, stabilization_equal_order, stabilization_ls
-
     dim = 1 if family == "interval" else 2
     if dim == 1:
         v = lambda x: np.sin(np.pi * x[:, 0])
@@ -454,8 +436,7 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4,
         mesh = mesh_family(family, lvl, base=base)
         h = mesh.max_diameter()
         acc = np.zeros(5)
-
-        def work(cells):
+        for cells in mesh.cell_groups():
             out = np.zeros(5)
             ctx = build_cell_context(mesh, cells, deg_eq)
             rule = cell_quadrature(ctx.geom, order)
@@ -492,10 +473,7 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4,
                                  dtype=float).reshape(frule.weights.shape)
                 coef = l2_project(fb, frule, v)
                 out[1] += np.sum(frule.weights * (vfx - (psi @ coef[..., None])[..., 0]) ** 2)
-            return out
-
-        for part in _map_cells(work, mesh.cell_groups(), threads):
-            acc += part
+            acc += out
         if dim == 1:
             acc[1] = float("nan")
         for b, val in zip(blocks, np.sqrt(np.maximum(acc, 0.0))):
@@ -536,8 +514,7 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
         raise ValueError("the FEM oracle runs on interval meshes")
     if f is None:
         f = lambda x: 1.0 + np.sin(3.0 * x[:, 0])
-    from .projection import HhoDegrees as HD
-    degrees = HD(k_face=k, k_cell=k)
+    degrees = HhoDegrees(k_face=k, k_cell=k)
     spec = ProblemSpec(kind="poisson", f=f, u_dirichlet=lambda x: np.zeros(len(x)),
                        name="oracle1d")
 
@@ -562,15 +539,16 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
         fbar[o.ctx.cells] = b[:, 0]
     fbar /= hcells
     for i, h in enumerate(hcells):
-        rule = cell_quadrature_interval(xs[i], xs[i + 1])
-        fx = np.asarray(f(rule[0][:, None]), dtype=float)
+        rule = interval_rule(xs[i], xs[i + 1], 20)
+        x = rule.points[:, 0]
+        fx = np.asarray(f(rule.points), dtype=float)
         for which, vtx in ((0, i), (1, i + 1)):
             gi = vtx - 1
             if not 0 <= gi < n_int:
                 continue
-            hat = (rule[0] - xs[i]) / h if which == 1 else (xs[i + 1] - rule[0]) / h
+            hat = (x - xs[i]) / h if which == 1 else (xs[i + 1] - x) / h
             if k >= 1:
-                bfem[gi] += rule[1] @ (fx * hat)
+                bfem[gi] += rule.weights @ (fx * hat)
             else:
                 bfem[gi] += 0.5 * h * fbar[i]
         a, b_ = 1.0 / h, -1.0 / h
@@ -602,12 +580,6 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
                           rhs_dev=rhs_dev, recovery_dev=recovery_dev)
 
 
-def cell_quadrature_interval(a: float, b: float, order: int = 20):
-    from .quadrature import interval_rule
-    rule = interval_rule(a, b, order)
-    return rule.points[:, 0], rule.weights
-
-
 # ---------------------------------------------------------------------------
 # locking sweep
 
@@ -626,7 +598,7 @@ class LockingReport:
 
 def locking_test(spec_builder, degrees: HhoDegrees, family: str = "tri",
                  levels: int = 3, base: int = 8, mu: float = 1.0,
-                 lam_factors=(1.0, 1e2, 1e4), threads: int = 1) -> LockingReport:
+                 lam_factors=(1.0, 1e2, 1e4)) -> LockingReport:
     """Energy errors across a lambda sweep; the rates and the max/min error
     ratio on the finest mesh quantify locking robustness."""
     all_errors = []
@@ -636,7 +608,7 @@ def locking_test(spec_builder, degrees: HhoDegrees, family: str = "tri",
         errs, hs = [], []
         for lvl in range(levels):
             mesh = mesh_family(family, lvl, base=base)
-            sol = solve_problem(mesh, degrees, spec, threads=threads)
+            sol = solve_problem(mesh, degrees, spec)
             row = error_norms(sol, level=lvl)
             errs.append(row.err_h1)
             hs.append(row.h)

@@ -15,7 +15,9 @@ All matrices act on local DoF vectors laid out as ``[T | F_1 | ... | F_n]``.
 The stabilizations and the face-flux builder serve scalar (rank 1) and 2D
 vector (rank 2) unknowns alike: a vector block is the scalar block
 tensorized with the identity, ``kron(M, I_rank)``, and components
-interleave inside each block.
+interleave inside each block.  The gradient reconstruction is always
+built on the scalar layout; :mod:`pyhho.elasticity` applies it to each
+displacement component and takes the symmetric part as the strain.
 """
 
 from __future__ import annotations
@@ -177,11 +179,14 @@ def reconstruction(ctx: CellContext):
 def gradient_reconstruction(ctx: CellContext) -> np.ndarray:
     """Gradient reconstruction into vector polynomials of the face degree.
 
-    Returns ``G`` of shape ``(nb, d, n_k, size)``: component ``c`` of the
-    reconstructed gradient has coefficients ``G[:, c] @ v``.
+    ``G`` acts on the scalar DoF layout of the cell whatever the field
+    rank: its shape is ``(nb, d, n_k, size // rank)``, and component ``c``
+    of the reconstructed gradient of a scalar field ``v`` has coefficients
+    ``G[:, c] @ v``.  A vector field's gradient is ``G`` applied to each
+    component (``G`` tensorized with the identity).
     """
     n_k, n_cell = ctx.n_k, ctx.n_cell
-    layout = ctx.layout
+    layout = DofLayout(n_cell, ctx.layout.face_width // ctx.degrees.rank, len(ctx.faces))
     nb, d = len(ctx.cells), ctx.mesh.dim
     Mk_inv = mass_cholesky(ctx.mass_full[:, :n_k, :n_k], ctx.cells)
     w = ctx.rule.weights
@@ -337,8 +342,6 @@ def local_bilinear(ctx: CellContext) -> LocalOperators:
         stab_face, penalty = stabilization_equal_order(ctx, R_full)
     L = A + penalty
     L = 0.5 * (L + L.mT)
-    # nothing reads G yet; it is built while the benchmark traces it as a layer
-    gradient_reconstruction(ctx)
     consistency = np.concatenate([
         -(f.rule.weights[..., None] * f.psi).mT
         @ _normal_derivative(f.dphi, f.normal) @ R_full

@@ -284,6 +284,20 @@ def test_cg_failure_states_tolerance_and_residual(monkeypatch):
         asm.solve_reduced(system, method="cg")
 
 
+@pytest.mark.parametrize("tol", [0, -1e-8, float("nan"), float("inf")])
+def test_solve_rejects_bad_tolerance(monkeypatch, tol):
+    system = _reduced_system(build_structured_mesh("quad", 2, 2), equal_order(1),
+                             poisson_sin_2d())
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(asm, "_block_jacobi", no_work)
+    monkeypatch.setattr(asm.spla, "cg", no_work)
+    with pytest.raises(ValueError, match=f"positive and finite, got {tol!r}$"):
+        asm.solve_reduced(system, method="cg", tol=tol)
+
+
 @pytest.mark.parametrize("degrees", [equal_order(1), mixed_order(1)])
 def test_monolithic_matches_condensed(degrees):
     mesh = build_structured_mesh("quad", 2, 2)

@@ -28,6 +28,12 @@ def test_solve_requires_mesh_source(tmp_path):
         main(["solve", "--k", "1", "--out", str(tmp_path)])
 
 
+def test_solve_rejects_zero_tolerance(tmp_path):
+    with pytest.raises(ValueError, match="got 0.0$"):
+        main(["solve", "--gen", "quad:2:2", "--tol", "0", "--out", str(tmp_path)])
+    assert not (tmp_path / "solve.json").exists()
+
+
 def test_solve_from_mesh_file(tmp_path):
     mesh_path = tmp_path / "m.json"
     save_mesh_json(build_structured_mesh("quad", 3, 3), mesh_path)

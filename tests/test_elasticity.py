@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from pyhho.basis import face_basis, scaled_monomial_basis
-from pyhho.elasticity import (displacement_reconstruction,
+from pyhho.elasticity import (TENSOR_WEIGHTS, _strain_columns,
+                              displacement_reconstruction,
                               divergence_reconstruction,
                               local_bilinear_elastic, stabilization_elastic,
                               strain_reconstruction)
-from pyhho.local_ops import build_cell_context, stabilization_ls
+from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
+                             stabilization_ls)
 from pyhho.mesh import build_hanging_node_mesh, build_structured_mesh
-from pyhho.projection import HhoDegrees, l2_project, mixed_order, reduce_local
+from pyhho.projection import (HhoDegrees, l2_project, mass_cholesky, mixed_order,
+                              reduce_local)
 from pyhho.quadrature import cell_quadrature, face_quadrature
 
 VDEG = HhoDegrees(k_face=1, k_cell=1, rank=2)
@@ -57,6 +60,51 @@ def test_strain_of_rigid_and_constant_vanishes():
     for r in RIGID:
         red = reduce_local(mesh, 0, VDEG, r)
         assert max(np.abs(Es[0, m] @ red).max() for m in range(3)) < 1e-13
+
+
+def strain_by_face_assembly(ctx):
+    """Reference: the strain assembled from its own defining equations,
+    ``(E v, tau) = (eps(v_T), tau) - sum_F (v_T - v_F, tau n)_F``, face by
+    face on the vector layout."""
+    n_k, n_cell, layout = ctx.n_k, ctx.n_cell, ctx.layout
+    w = ctx.rule.weights
+    eps_cell = _strain_columns(ctx.dphi[:, :, :n_cell, :])
+    rhs = np.zeros((len(ctx.cells), 3, n_k, layout.size))
+    rhs[..., layout.cell] = TENSOR_WEIGHTS[:, None, None] * np.einsum(
+        "bqi,bqjm->bmij", w[..., None] * ctx.phi[:, :, :n_k], eps_cell)
+    for i, f in enumerate(ctx.faces):
+        # Cartesian components of E_m n for the unit tensors E_xx, E_yy, E_xy
+        en = np.zeros((len(f.normal), 3, 2))
+        en[:, 0, 0] = f.normal[:, 0]
+        en[:, 1, 1] = f.normal[:, 1]
+        en[:, 2, 0], en[:, 2, 1] = f.normal[:, 1], f.normal[:, 0]
+        en = en[..., None, None]
+        wq = (f.rule.weights[..., None] * f.phi[:, :, :n_k]).mT
+        blk = (wq @ f.phi[:, :, :n_cell])[:, None]
+        fb = (wq @ f.psi)[:, None]
+        for a in range(2):
+            rhs[..., layout.cell][..., a::2] -= blk * en[:, :, a]
+            rhs[..., layout.face(i)][..., a::2] += fb * en[:, :, a]
+    Mk_inv = mass_cholesky(ctx.mass_full[:, :n_k, :n_k], ctx.cells)
+    return (Mk_inv[:, None] @ rhs) / TENSOR_WEIGHTS[:, None, None]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_strain_is_symmetric_scalar_gradient(k, mixed):
+    deg = HhoDegrees(k_face=k, k_cell=k + mixed, rank=2)
+    tri = build_structured_mesh("tri", 2, 2)
+    hanging = build_hanging_node_mesh(build_structured_mesh("quad", 3, 3), [4])
+    shapes = set()
+    for mesh in (tri, hanging):
+        for cells in mesh.cell_groups():
+            ctx = build_cell_context(mesh, cells, deg)
+            shapes.add(ctx.geom.n_faces)
+            G = gradient_reconstruction(ctx)
+            assert G.shape == (len(cells), 2, ctx.n_k, ctx.layout.size // 2)
+            Es, ref = strain_reconstruction(ctx), strain_by_face_assembly(ctx)
+            np.testing.assert_allclose(Es, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+    assert shapes == {3, 4, 5}      # triangles, quads and hanging-node pentagons
 
 
 def divergence_oracle(ctx):

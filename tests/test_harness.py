@@ -274,15 +274,6 @@ def test_divfree_reduction_has_zero_divergence():
         assert np.abs(Dv @ red).max() < 1e-10
 
 
-def test_threads_do_not_change_results():
-    mesh = build_structured_mesh("quad", 4, 4)
-    s1 = solve_problem(mesh, equal_order(1), poisson_sin_2d(), threads=1)
-    s2 = solve_problem(mesh, equal_order(1), poisson_sin_2d(), threads=4)
-    np.testing.assert_array_equal(s1.face_coeffs, s2.face_coeffs)
-    for a, b in zip(s1.cell_coeffs, s2.cell_coeffs):
-        np.testing.assert_array_equal(a, b)
-
-
 def test_get_problem_registry():
     assert get_problem("poisson").kind == "poisson"
     with pytest.raises(ValueError):
