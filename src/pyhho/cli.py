@@ -34,6 +34,13 @@ def _degrees(args, rank: int) -> HhoDegrees:
     return HhoDegrees(k_face=k, k_cell=k_cell, rank=rank)
 
 
+def tolerance(text: str) -> float:
+    tol = float(text)
+    if not (np.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return tol
+
+
 def parse_gen(spec: str) -> Mesh:
     parts = spec.split(":")
     kind = parts[0]
@@ -225,7 +232,7 @@ def build_parser():
                         help="cell degree equal to k or k+1")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--solver", choices=["direct", "cg"], default="direct")
-        sp.add_argument("--tol", type=float, default=1e-12)
+        sp.add_argument("--tol", type=tolerance, default=1e-12)
         # a no-op: runs are serial, but existing command lines still pass it
         # and perfbench/workloads.py reads its default
         sp.add_argument("--threads", type=int,
@@ -295,7 +302,10 @@ def parse_config(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     np.seterr(all="raise", under="ignore")
     args = parse_config(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:       # input the library rejects, e.g. a MeshError
+        raise SystemExit(f"error: {exc}") from exc
 
 
 if __name__ == "__main__":

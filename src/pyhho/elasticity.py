@@ -3,13 +3,15 @@
 The strain reconstruction maps the hybrid displacement unknowns into
 symmetric-tensor polynomials of degree k.  It is the symmetric part of the
 scalar gradient reconstruction of :mod:`pyhho.local_ops` tensorized with
-the 2D identity, ``sym(G (x) I)``.  The divergence reconstruction is
-its trace, and the displacement reconstruction of degree k+1 is pinned by
-mean-value and skew-gradient constraints that remove the rigid-body
-ambiguity.  The local bilinear form combines the strain and divergence
-terms with a stabilization weighted by ``2 mu / h``; the stabilizations
-and the face-flux (traction) builder are the scalar ones of
-:mod:`pyhho.local_ops`, tensorized with the 2D identity.
+the 2D identity, ``sym(G (x) I)``, so the hybrid face terms are assembled
+once, in ``G``.  The divergence reconstruction is its trace, and the
+displacement reconstruction of degree k+1 is its projection onto
+symmetric gradients, pinned by mean-value and skew-gradient constraints
+that remove the rigid-body ambiguity.  The local bilinear form combines
+the strain and divergence terms with a stabilization weighted by
+``2 mu / h``; the stabilizations and the face-flux (traction) builder are
+the scalar ones of :mod:`pyhho.local_ops`, tensorized with the 2D
+identity.
 
 Vector DoFs interleave components: scalar function ``i``, component ``a``
 sits at ``2 i + a`` inside each block.  Like :mod:`pyhho.local_ops`, every
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import local_ops
-from .local_ops import (CellContext, LocalOperators, _face_flux, _kron_apply,
+from .local_ops import (CellContext, LocalOperators, _face_flux, _gradient_moments,
                         stabilization_equal_order, stabilization_ls)
 # unused here; perfbench/tracing.py resolves pyhho.elasticity.mass_cholesky
 # among its SPAN_SITES, so the name stays until those sites change
@@ -69,6 +71,14 @@ def strain_reconstruction(ctx: CellContext) -> np.ndarray:
     return Es
 
 
+def _tensor_columns(S: np.ndarray) -> np.ndarray:
+    """Columns (nb, 2, 2 n_k, size) of symmetric-tensor maps ``S`` (nb, 3,
+    n_k, size), as :func:`pyhho.local_ops._gradient_moments` reads them."""
+    xx, yy, xy = S[:, 0], S[:, 1], S[:, 2]
+    cols = np.stack([np.stack([xx, xy], axis=2), np.stack([xy, yy], axis=2)], axis=1)
+    return cols.reshape(len(S), 2, -1, S.shape[-1])
+
+
 def divergence_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) -> np.ndarray:
     """Divergence reconstruction as the trace of the strain reconstruction."""
     if Es is None:
@@ -76,53 +86,44 @@ def divergence_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) ->
     return Es[:, 0] + Es[:, 1]
 
 
-def displacement_reconstruction(ctx: CellContext) -> np.ndarray:
+def displacement_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) -> np.ndarray:
     """Degree-(k+1) displacement reconstruction with rigid-body constraints.
 
-    Solves the symmetric-gradient stiffness system augmented by two
-    mean-value rows and one skew-gradient row (Lagrange multipliers), so
-    ``Dep @ v`` are the full vector coefficients including the rigid part.
+    The projection of the strain reconstruction ``Es`` onto symmetric
+    gradients of degree k+1: ``(eps(Dep v), eps(w)) = (Es v, eps(w))`` for
+    every ``w``, the defining equation because ``eps(w)`` has degree k.
+    The symmetric-gradient stiffness system is augmented by two mean-value
+    rows and one skew-gradient row (Lagrange multipliers), so ``Dep @ v``
+    are the full vector coefficients including the rigid part.  The skew
+    row's data is the cell integral of ``Es[:, 2]``, since
+    ``int_T G_c v = sum_F int_F v_F n_c``.
     """
-    n_rec, n_cell = ctx.n_rec, ctx.n_cell
+    if Es is None:
+        Es = strain_reconstruction(ctx)
     layout = ctx.layout
-    nb = len(ctx.cells)
-    w = ctx.rule.weights
-    nv = 2 * n_rec
+    nb, nv = len(ctx.cells), 2 * ctx.n_rec
 
-    eps_full = _strain_columns(ctx.dphi)                  # (nb, nq, nv, 3)
-    weighted = eps_full * (w[..., None, None] * TENSOR_WEIGHTS)
-    K = np.einsum("bqim,bqjm->bij", weighted, eps_full)
+    # strain components of the vector basis at the (point, component) pairs
+    eps = _strain_columns(ctx.dphi).swapaxes(-1, -2).reshape(nb, -1, nv)
+    weights = (ctx.rule.weights[..., None] * TENSOR_WEIGHTS).reshape(nb, -1, 1)
+    K = eps.mT @ (weights * eps)
     K = 0.5 * (K + K.mT)
-
-    H = np.zeros((nb, nv, layout.size))
-    H[:, :, layout.cell] = np.einsum("bqim,bqjm->bij", weighted,
-                                     eps_full[:, :, : 2 * n_cell])
-    for i, f in enumerate(ctx.faces):
-        feps = _strain_columns(f.dphi)                    # (nb, nq, nv, 3)
-        n = f.normal[:, None, None, :]
-        # traction (eps(q) n) of each vector basis function
-        tr = [feps[..., 0] * n[..., 0] + feps[..., 2] * n[..., 1],
-              feps[..., 2] * n[..., 0] + feps[..., 1] * n[..., 1]]
-        fw = f.rule.weights[..., None]
-        for a in range(2):
-            H[:, :, layout.cell][..., a::2] -= tr[a].mT @ (fw * f.phi[:, :, :n_cell])
-            H[:, :, layout.face(i)][..., a::2] += tr[a].mT @ (fw * f.psi)
+    H = _gradient_moments(ctx, _tensor_columns(Es))       # (eps(w), Es v)
 
     # constraint rows: component means and the mean skew gradient
     C = np.zeros((nb, 3, nv))
     C[:, 0, 0::2] = ctx.ints_full
     C[:, 1, 1::2] = ctx.ints_full
-    int_grad = np.einsum("bq,bqjc->bjc", w, ctx.dphi)    # integrals of (dx, dy) phi_j
+    int_grad = ctx.grad_mass[..., 0]          # (d_c phi_j, phi_0), phi_0 = 1: integrals
     C[:, 2, 0::2] = 0.5 * int_grad[..., 1]
     C[:, 2, 1::2] = -0.5 * int_grad[..., 0]
 
     D = np.zeros((nb, 3, layout.size))
-    D[:, 0, layout.cell][:, 0::2] = ctx.ints_full[:, :n_cell]
-    D[:, 1, layout.cell][:, 1::2] = ctx.ints_full[:, :n_cell]
-    for i, f in enumerate(ctx.faces):
-        ints_psi = np.einsum("bq,bqj->bj", f.rule.weights, f.psi)
-        D[:, 2, layout.face(i)][:, 0::2] += 0.5 * ints_psi * f.normal[:, 1:2]
-        D[:, 2, layout.face(i)][:, 1::2] -= 0.5 * ints_psi * f.normal[:, 0:1]
+    D[:, :2, layout.cell] = C[:, :2, : layout.cell_width]
+    # int eps_xy(v) = (int G_y v_x + int G_x v_y) / 2; the skew part flips the sign of v_y
+    int_exy = (ctx.ints_full[:, None, : ctx.n_k] @ Es[:, 2])[:, 0]
+    D[:, 2, 0::2] = int_exy[:, 0::2]
+    D[:, 2, 1::2] = -int_exy[:, 1::2]
 
     saddle = np.zeros((nb, nv + 3, nv + 3))
     saddle[:, :nv, :nv] = K
@@ -156,7 +157,7 @@ def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalOper
     Mk = ctx.mass_full[:, None, :n_k, :n_k]
     Es = strain_reconstruction(ctx)
     Dv = divergence_reconstruction(ctx, Es)
-    Dep = displacement_reconstruction(ctx)
+    Dep = displacement_reconstruction(ctx, Es)
     stab_face, penalty = stabilization_elastic(
         ctx, None if ctx.degrees.mixed else Dep)
 
@@ -165,25 +166,12 @@ def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalOper
     L = 2 * mu * strain_term + lam * div_term + 2 * mu * penalty
     L = 0.5 * (L + L.mT)
 
-    # stress coefficient maps on the tensor basis
-    sig = np.stack([(2 * mu + lam) * Es[:, 0] + lam * Es[:, 1],
-                    lam * Es[:, 0] + (2 * mu + lam) * Es[:, 1], 2 * mu * Es[:, 2]],
-                   axis=1)
-    consistency = []
-    for f in ctx.faces:
-        n = f.normal[:, :, None, None]
-        # -(sigma n), components interleaved, tested with the face basis
-        sn = np.stack([sig[:, 0] * n[:, 0] + sig[:, 2] * n[:, 1],
-                       sig[:, 2] * n[:, 0] + sig[:, 1] * n[:, 1]], axis=2)
-        pairing = (f.rule.weights[..., None] * f.psi).mT @ f.phi[:, :, :n_k]
-        consistency.append(-_kron_apply(pairing, sn.reshape(len(sn), 2 * n_k, -1)))
-    # (sigma, eps(q)) for the vector cell basis q of degree k
-    wphi = ctx.rule.weights[..., None] * ctx.phi[:, :, :n_k]
-    epsq = _strain_columns(ctx.dphi[:, :, :n_k, :])
-    balance = np.einsum("m,bmij->bij", TENSOR_WEIGHTS,
-                        epsq.transpose(0, 3, 2, 1) @ wphi[:, None] @ sig)
+    # stress coefficient maps, by columns
+    sig = _tensor_columns(np.stack([(2 * mu + lam) * Es[:, 0] + lam * Es[:, 1],
+                                    lam * Es[:, 0] + (2 * mu + lam) * Es[:, 1],
+                                    2 * mu * Es[:, 2]], axis=1))
     return LocalOperators(
         ctx=ctx, L=L, penalty=penalty, rec=Dep,
-        flux=_face_flux(ctx, np.concatenate(consistency, axis=1), stab_face,
-                        2.0 * mu / ctx.h),
-        balance=balance)
+        flux=_face_flux(ctx, sig, stab_face, 2.0 * mu / ctx.h),
+        # (sigma, eps(q)) = (sigma, grad q) for the vector cell basis q of degree k
+        balance=_gradient_moments(ctx, sig)[:, : 2 * n_k])

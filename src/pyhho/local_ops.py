@@ -1,10 +1,13 @@
 """Cell-local operators shared by the scalar and the vector problem.
 
 For each cell this module builds, in the monomial bases of the hybrid
-unknowns, the potential reconstruction of one degree higher, the
-full-polynomial gradient reconstruction, the equal-order and
+unknowns, the full-polynomial gradient reconstruction ``G``, the
+potential reconstruction of one degree higher, the equal-order and
 Lehrenfeld-Schoberl stabilizations, the resulting local bilinear-form
-matrix, and the operator recovering equilibrated face fluxes.
+matrix, and the operator recovering equilibrated face fluxes.  The hybrid
+face terms are assembled once, in ``G``: the potential reconstruction is
+its projection onto gradients of degree k+1, and the consistency fluxes
+are read from degree-k coefficients of the flux field.
 
 Every operator is built for a group of cells that share one quadrature
 class (see :meth:`pyhho.mesh.Mesh.cell_groups`): arrays carry a leading
@@ -44,7 +47,6 @@ class FaceContext:
     normal: np.ndarray       # (nb, d)
     psi: np.ndarray          # (nb, nq, n_face) face basis values
     phi: np.ndarray          # (nb, nq, n_rec) cell basis values at face points
-    dphi: np.ndarray         # (nb, nq, n_rec, d) cell basis gradients at face points
     mass: np.ndarray         # (nb, n_face, n_face)
     mass_inv: np.ndarray     # (nb, n_face, n_face)
     trace_full: np.ndarray   # (nb, n_face, n_rec): sum_q w psi phi^T
@@ -66,6 +68,8 @@ class CellContext:
     mass_full: np.ndarray    # (nb, n_rec, n_rec)
     stiff_full: np.ndarray   # (nb, n_rec, n_rec)
     ints_full: np.ndarray    # (nb, n_rec) integrals of the basis functions
+    grad_mass: np.ndarray    # (nb, n_rec, d, n_k): (d_c phi_i, phi_j), phi_j of degree <= k
+    mass_k_inv: np.ndarray   # (nb, n_k, n_k) inverse of the degree-k cell mass
     faces: list = field(default_factory=list)
 
     @property
@@ -85,10 +89,6 @@ class CellContext:
     @property
     def h(self) -> np.ndarray:
         return self.geom.diameter
-
-    @property
-    def mass_cell(self) -> np.ndarray:
-        return self.mass_full[:, : self.n_cell, : self.n_cell]
 
 
 def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
@@ -112,34 +112,35 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
         raise ValueError(
             f"cell {cells[b]}: mass-matrix condition number {cond[b]:.2e} exceeds "
             f"{COND_LIMIT:.0e}; reduce the degree or orthonormalize the basis")
-    stiff_full = np.einsum("bqid,bqjd->bij", w[..., None, None] * dphi, dphi)
+    nb, nq, n_rec, d = dphi.shape
+    # batched matmuls over (point, direction) pairs run in BLAS, not in einsum's C loops
+    grads = dphi.swapaxes(-1, -2).reshape(nb, nq * d, n_rec)
+    stiff_full = grads.mT @ (np.repeat(w, d, axis=1)[..., None] * grads)
     stiff_full = 0.5 * (stiff_full + stiff_full.mT)
     ints_full = wphi.sum(axis=1)
+    n_k = basis_size(k, d)
+    grad_mass = (dphi.reshape(nb, nq, -1).mT @ wphi[:, :, :n_k]).reshape(nb, n_rec, d, n_k)
 
     ctx = CellContext(mesh=mesh, cells=cells, geom=geom, degrees=degrees,
                       layout=layout, rec_basis=rec_basis, rule=rule,
                       phi=phi, dphi=dphi, mass_full=mass_full,
-                      stiff_full=stiff_full, ints_full=ints_full)
+                      stiff_full=stiff_full, ints_full=ints_full, grad_mass=grad_mass,
+                      mass_k_inv=mass_cholesky(mass_full[:, :n_k, :n_k], cells))
     for i in range(geom.n_faces):
         fi = geom.face_indices[:, i]
         fb = face_basis(mesh, fi, k)
         fr = face_quadrature(mesh, fi, order)
         psi, _ = fb.eval(fr.points)
-        fphi, fdphi = rec_basis.eval(fr.points)
+        fphi, _ = rec_basis.eval(fr.points)
         wpsi = fr.weights[..., None] * psi
         M_i = wpsi.mT @ psi
         M_i = 0.5 * (M_i + M_i.mT)
         ctx.faces.append(FaceContext(
             index=fi, basis=fb, rule=fr, normal=geom.face_normals[:, i],
-            psi=psi, phi=fphi, dphi=fdphi, mass=M_i,
+            psi=psi, phi=fphi, mass=M_i,
             mass_inv=mass_cholesky(M_i, ids=fi, entity="face"),
             trace_full=wpsi.mT @ fphi))
     return ctx
-
-
-def _normal_derivative(dphi: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """``grad phi . n`` at face points: (nb, nq, n, d) with (nb, d)."""
-    return np.einsum("bqjd,bd->bqj", dphi, normal)
 
 
 # ---------------------------------------------------------------------------
@@ -149,28 +150,25 @@ def _normal_derivative(dphi: np.ndarray, normal: np.ndarray) -> np.ndarray:
 def reconstruction(ctx: CellContext):
     """Potential reconstruction matrices ``(Kstar, H, R, R_full, A)``.
 
+    ``R v`` is the projection of ``G v`` onto gradients of degree k+1:
+    ``(grad R v, grad w) = (G v, grad w)`` is exact because ``grad w`` has
+    degree k, so the right-hand side is ``H = sum_c (d_c w, phi_k) G_c``.
     ``R`` maps local DoFs to the non-constant coefficients of the
     reconstructed polynomial; ``R_full`` prepends the row restoring the cell
     mean, so that ``R_full @ v`` are coefficients in the full degree-(k+1)
     basis.  ``A = H^T R`` is the consistency stiffness.  Each matrix is
     stacked over the cells of the group.
     """
-    n_rec, n_cell = ctx.n_rec, ctx.n_cell
     layout = ctx.layout
     nb = len(ctx.cells)
     Kstar = ctx.stiff_full[:, 1:, 1:]
-    H = np.zeros((nb, n_rec - 1, layout.size))
-    H[:, :, layout.cell] = ctx.stiff_full[:, 1:, :n_cell]
-    for i, f in enumerate(ctx.faces):
-        wn = f.rule.weights[..., None] * _normal_derivative(f.dphi[:, :, 1:], f.normal)
-        H[:, :, layout.cell] -= wn.mT @ f.phi[:, :, :n_cell]
-        H[:, :, layout.face(i)] += wn.mT @ f.psi
+    H = _gradient_moments(ctx, gradient_reconstruction(ctx))[:, 1:]
     R = checked(np.linalg.solve, Kstar, H, ids=ctx.cells,
                 what="singular reconstruction system")
     A = H.mT @ R
     A = 0.5 * (A + A.mT)
     mean_row = np.zeros((nb, layout.size))
-    mean_row[:, layout.cell] = ctx.ints_full[:, :n_cell]
+    mean_row[:, layout.cell] = ctx.ints_full[:, : ctx.n_cell]
     r0 = (mean_row - (ctx.ints_full[:, None, 1:] @ R)[:, 0]) / ctx.geom.measure[:, None]
     R_full = np.concatenate([r0[:, None], R], axis=1)
     return Kstar, H, R, R_full, A
@@ -188,31 +186,29 @@ def gradient_reconstruction(ctx: CellContext) -> np.ndarray:
     n_k, n_cell = ctx.n_k, ctx.n_cell
     layout = DofLayout(n_cell, ctx.layout.face_width // ctx.degrees.rank, len(ctx.faces))
     nb, d = len(ctx.cells), ctx.mesh.dim
-    Mk_inv = mass_cholesky(ctx.mass_full[:, :n_k, :n_k], ctx.cells)
-    w = ctx.rule.weights
     rhs = np.zeros((nb, d, n_k, layout.size))
-    # volume term (grad v_T, q) and face terms -(v_T - v_F, n_c q)
-    rhs[..., layout.cell] = np.einsum("bqi,bqjc->bcij", w[..., None] * ctx.phi[:, :, :n_k],
-                                      ctx.dphi[:, :, :n_cell])
+    # (grad v_T, q) - sum_F (v_T - v_F, q n)_F: the only assembly of the face terms
+    rhs[..., layout.cell] = ctx.grad_mass[:, :n_cell].transpose(0, 2, 3, 1)
     for i, f in enumerate(ctx.faces):
         wq = (f.rule.weights[..., None] * f.phi[:, :, :n_k]).mT
         n = f.normal[:, :, None, None]
         rhs[..., layout.cell] -= n * (wq @ f.phi[:, :, :n_cell])[:, None]
         rhs[..., layout.face(i)] += n * (wq @ f.psi)[:, None]
-    return Mk_inv[:, None] @ rhs
+    return ctx.mass_k_inv[:, None] @ rhs
+
+
+def _gradient_moments(ctx: CellContext, T: np.ndarray) -> np.ndarray:
+    """``(grad w, T)`` for each basis function ``w = phi_i e_a`` of degree
+    k+1, at row ``rank * i + a``.  ``T[:, c]`` maps DoFs to the degree-k
+    coefficients of column ``c`` of a field, ``T_ac`` at row ``rank * j + a``.
+    """
+    nb, d, _, size = T.shape
+    B = ctx.grad_mass.reshape(nb, ctx.n_rec, d * ctx.n_k)
+    return (B @ T.reshape(nb, d * ctx.n_k, -1)).reshape(nb, -1, size)
 
 
 # ---------------------------------------------------------------------------
 # tensorization with the identity of the field rank
-
-
-def _kron(M: np.ndarray, rank: int) -> np.ndarray:
-    """Each scalar block of the stack ``M`` tensorized as ``kron(M, I_rank)``."""
-    if rank == 1:
-        return M
-    m, n = M.shape[-2:]
-    out = M[..., :, None, :, None] * np.eye(rank)[:, None, :]
-    return out.reshape(M.shape[:-2] + (m * rank, n * rank))
 
 
 def _kron_apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -228,25 +224,32 @@ def _kron_apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 # stabilization
 
 
-def _penalty(ctx: CellContext, face_ops: list) -> np.ndarray:
-    """``sum_F h^-1 (S_F v, S_F v)_F`` of the face operators ``S_F``."""
+def _face_ops(ctx: CellContext, cell: np.ndarray, rec: np.ndarray | None = None):
+    """Face operators ``S_F v = Pi_F w - v_F`` of the cell polynomial ``w``
+    with coefficients ``cell @ v`` in the cell basis plus ``rec @ v`` in the
+    reconstruction basis, and their penalty ``sum_F h^-1 (S_F v, S_F v)_F``.
+    Returns ``(face_ops, penalty)``."""
+    layout = ctx.layout
+    face_ops = []
+    for i, f in enumerate(ctx.faces):
+        trace = _kron_apply(f.trace_full[:, :, : ctx.n_cell], cell)
+        if rec is not None:
+            trace += _kron_apply(f.trace_full, rec)
+        S = _kron_apply(f.mass_inv, trace)
+        S[:, :, layout.face(i)] -= np.eye(layout.face_width)
+        face_ops.append(S)
     penalty = sum(S.mT @ _kron_apply(f.mass, S) for f, S in zip(ctx.faces, face_ops))
     penalty = penalty / ctx.h[:, None, None]
-    return 0.5 * (penalty + penalty.mT)
+    return face_ops, 0.5 * (penalty + penalty.mT)
 
 
 def stabilization_ls(ctx: CellContext):
     """Lehrenfeld-Schoberl stabilization: project the cell trace, subtract
     the face unknown.  Returns ``(face_ops, penalty)``."""
     layout = ctx.layout
-    face_ops = []
-    for i, f in enumerate(ctx.faces):
-        Z = np.zeros((len(ctx.cells), layout.face_width, layout.size))
-        Z[:, :, layout.cell] = _kron(f.mass_inv @ f.trace_full[:, :, : ctx.n_cell],
-                                     ctx.degrees.rank)
-        Z[:, :, layout.face(i)] -= np.eye(layout.face_width)
-        face_ops.append(Z)
-    return face_ops, _penalty(ctx, face_ops)
+    cell = np.zeros((len(ctx.cells), layout.cell_width, layout.size))
+    cell[:, :, layout.cell] = np.eye(layout.cell_width)
+    return _face_ops(ctx, cell)
 
 
 def stabilization_equal_order(ctx: CellContext, rec: np.ndarray):
@@ -257,19 +260,11 @@ def stabilization_equal_order(ctx: CellContext, rec: np.ndarray):
     """
     if ctx.degrees.mixed:
         raise ValueError("equal-order stabilization requires k_cell == k_face")
-    n_cell = ctx.n_cell
     layout = ctx.layout
-    cell_inv = mass_cholesky(ctx.mass_cell, ctx.cells)
-    # coefficients of v_T - Pi_T(rec v)
-    tmp1 = -_kron_apply(cell_inv, _kron_apply(ctx.mass_full[:, :n_cell], rec))
-    tmp1[:, :, layout.cell] += np.eye(layout.cell_width)
-    face_ops = []
-    for i, f in enumerate(ctx.faces):
-        S = _kron_apply(f.mass_inv, _kron_apply(f.trace_full, rec)
-                        + _kron_apply(f.trace_full[:, :, :n_cell], tmp1))
-        S[:, :, layout.face(i)] -= np.eye(layout.face_width)
-        face_ops.append(S)
-    return face_ops, _penalty(ctx, face_ops)
+    # coefficients of v_T - Pi_T(rec v); in equal order the cell mass is the degree-k one
+    cell = -_kron_apply(ctx.mass_k_inv, _kron_apply(ctx.mass_full[:, : ctx.n_cell], rec))
+    cell[:, :, layout.cell] += np.eye(layout.cell_width)
+    return _face_ops(ctx, cell, rec)
 
 
 def seminorm_gram(ctx: CellContext) -> np.ndarray:
@@ -309,24 +304,28 @@ class LocalOperators:
                         axis=-1)
 
 
-def _face_flux(ctx: CellContext, consistency: np.ndarray, stab_face: list,
+def _face_flux(ctx: CellContext, field: np.ndarray, stab_face: list,
                weight: np.ndarray) -> np.ndarray:
     """Equilibrated face fluxes, stacked by face.
 
-    ``consistency`` holds the face moments of the consistency flux
-    (``-grad R . n`` or ``-sigma(E) n``); the stabilization, scaled by
-    ``weight`` (``1/h`` or ``2 mu/h`` per cell), adds its adjoint acting on
-    the face unknowns.  Each face block is then solved with its face mass.
+    ``field`` holds the degree-k coefficient maps of the columns of the
+    consistency field ``tau`` (``grad R`` or ``sigma(E)``), laid out as in
+    :func:`_gradient_moments`; its face moments give the consistency flux
+    ``-(tau n, psi)_F``.  The stabilization, scaled by ``weight`` (``1/h``
+    or ``2 mu/h`` per cell), adds its adjoint acting on the face unknowns.
+    Each face block is then solved with its face mass.
     """
     S = np.concatenate(stab_face, axis=1)
     MS = np.concatenate([_kron_apply(f.mass, Si) for f, Si in zip(ctx.faces, stab_face)],
                         axis=1)
-    flux = consistency - weight[:, None, None] * (S[:, :, ctx.layout.faces].mT @ MS)
+    stab = weight[:, None, None] * (S[:, :, ctx.layout.faces].mT @ MS)
     nf = ctx.layout.face_width
+    blocks = []
     for i, f in enumerate(ctx.faces):
-        rows = slice(i * nf, (i + 1) * nf)
-        flux[:, rows] = _kron_apply(f.mass_inv, flux[:, rows])
-    return flux
+        tau_n = np.einsum("bc,bc...->b...", f.normal, field)
+        consistency = _kron_apply(f.trace_full[:, :, : ctx.n_k], tau_n)
+        blocks.append(-_kron_apply(f.mass_inv, consistency + stab[:, i * nf:(i + 1) * nf]))
+    return np.concatenate(blocks, axis=1)
 
 
 def local_bilinear(ctx: CellContext) -> LocalOperators:
@@ -342,11 +341,11 @@ def local_bilinear(ctx: CellContext) -> LocalOperators:
         stab_face, penalty = stabilization_equal_order(ctx, R_full)
     L = A + penalty
     L = 0.5 * (L + L.mT)
-    consistency = np.concatenate([
-        -(f.rule.weights[..., None] * f.psi).mT
-        @ _normal_derivative(f.dphi, f.normal) @ R_full
-        for f in ctx.faces], axis=1)
+    nb, n_rec, d, n_k = ctx.grad_mass.shape
+    # exact degree-k coefficients of grad R, whose degree is k
+    grad_R = ctx.mass_k_inv[:, None] @ (
+        ctx.grad_mass.reshape(nb, n_rec, -1).mT @ R_full).reshape(nb, d, n_k, -1)
     return LocalOperators(
         ctx=ctx, L=L, penalty=penalty, rec=R_full,
-        flux=_face_flux(ctx, consistency, stab_face, 1.0 / ctx.h),
-        balance=ctx.stiff_full[:, : ctx.n_k] @ R_full)
+        flux=_face_flux(ctx, grad_R, stab_face, 1.0 / ctx.h),
+        balance=ctx.stiff_full[:, :n_k] @ R_full)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pyhho import harness
 from pyhho.cli import main, parse_config, parse_gen
 from pyhho.mesh import save_mesh_json, build_structured_mesh
 
@@ -28,9 +29,24 @@ def test_solve_requires_mesh_source(tmp_path):
         main(["solve", "--k", "1", "--out", str(tmp_path)])
 
 
-def test_solve_rejects_zero_tolerance(tmp_path):
-    with pytest.raises(ValueError, match="got 0.0$"):
-        main(["solve", "--gen", "quad:2:2", "--tol", "0", "--out", str(tmp_path)])
+def test_solve_rejects_zero_tolerance(tmp_path, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("the tolerance must be rejected before the local operators")
+
+    monkeypatch.setattr(harness, "build_local", unreachable)
+    for tol in ("0", "-1e-8", "nan", "inf"):
+        with pytest.raises(SystemExit):
+            main(["solve", "--gen", "quad:2:2", f"--tol={tol}", "--out", str(tmp_path)])
+        assert "--tol: must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "solve.json").exists()
+
+
+def test_library_value_error_becomes_error_line(tmp_path):
+    # a config default bypasses the --tol parser; the solver's own check fires
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 0}))
+    with pytest.raises(SystemExit, match="^error: solver tolerance must be positive"):
+        main(["--config", str(cfg), "solve", "--gen", "quad:2:2", "--out", str(tmp_path)])
     assert not (tmp_path / "solve.json").exists()
 
 

@@ -288,7 +288,7 @@ def test_equal_order_stabilization_matches_reduced_reconstruction_formula():
             ctx = build_cell_context(mesh, ci, equal_order(k))
             _, _, R, R_full, _ = (M[0] for M in reconstruction(ctx))
             Q = ctx.mass_full[0, :ctx.n_cell, 1:]
-            tmp = -np.linalg.solve(ctx.mass_cell[0], Q @ R)
+            tmp = -np.linalg.solve(ctx.mass_full[0, :ctx.n_cell, :ctx.n_cell], Q @ R)
             tmp[:, ctx.layout.cell] += np.eye(ctx.n_cell)
             face_ops, _ = stabilization_equal_order(ctx, R_full[None])
             for i, f in enumerate(ctx.faces):
