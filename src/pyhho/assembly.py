@@ -164,7 +164,8 @@ def solve_reduced(system: GlobalSystem, method: str = "direct",
     if asym > 1e-12 * max(abs(A).max(), 1.0):
         raise ValueError(f"reduced system is not symmetric (deviation {asym:.2e})")
     if method == "direct":
-        return spla.spsolve(A.tocsc(), b)
+        # minimum-degree ordering of the symmetric pattern suits the SPD face system
+        return spla.spsolve(A.tocsc(), b, permc_spec="MMD_AT_PLUS_A")
     if method == "cg":
         precond = _block_jacobi(A, _vertex_patches(system.dofmap))
         x, info = spla.cg(A, b, rtol=tol, atol=0.0, M=precond, maxiter=CG_MAXITER)

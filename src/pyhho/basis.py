@@ -70,13 +70,14 @@ class Basis:
             return 1
         return basis_size(self.degree, self.entity_dim)
 
-    def eval(self, points: np.ndarray):
+    def eval(self, points: np.ndarray, gradients: bool = True):
         """Values and gradients at physical points.
 
         Returns ``(values, gradients)`` with shapes ``(npts, n)`` and
         ``(npts, n, entity_dim)``; gradients of 2D face bases are taken with
-        respect to the arc-length coordinate.  A basis stacked over a group
-        takes points with the group's leading axis and returns it too.
+        respect to the arc-length coordinate, and are ``None`` when not
+        asked for.  A basis stacked over a group takes points with the
+        group's leading axis and returns it too.
         """
         pts = np.asarray(points, dtype=float)
         if self.entity_dim == 0:
@@ -94,8 +95,10 @@ class Basis:
         exps = self.exponents
         comps = np.arange(dim)
         factors = powers[..., comps, exps]                   # (..., q, n, dim)
-        dfactors = exps * powers[..., comps, np.maximum(exps - 1, 0)]
         vals = factors.prod(axis=-1)
+        if not gradients:
+            return (vals if self.coeffs is None else vals @ self.coeffs.mT), None
+        dfactors = exps * powers[..., comps, np.maximum(exps - 1, 0)]
         grads = np.empty(vals.shape + (dim,))
         for c in range(dim):
             other = factors[..., comps != c].prod(axis=-1)
@@ -143,7 +146,7 @@ def orthonormalize(basis: Basis, rule: QuadratureRule) -> Basis:
     and graded-prefix structure is preserved because the transform is
     triangular.
     """
-    vals, _ = basis.eval(rule.points)
+    vals, _ = basis.eval(rule.points, gradients=False)
     M = vals.mT @ (rule.weights[..., None] * vals)
     M = 0.5 * (M + M.mT)
     L = np.linalg.cholesky(M)

@@ -11,8 +11,9 @@ are read from degree-k coefficients of the flux field.
 
 Every operator is built for a group of cells that share one quadrature
 class (see :meth:`pyhho.mesh.Mesh.cell_groups`): arrays carry a leading
-cell axis, and loops run over the local face positions only.  A single
-cell is a group of one.
+cell axis, and face data a face axis after it, built once per distinct
+face of the group.  Sums over the faces are contractions over that axis,
+not loops.  A single cell is a group of one.
 
 All matrices act on local DoF vectors laid out as ``[T | F_1 | ... | F_n]``.
 The stabilizations and the face-flux builder serve scalar (rank 1) and 2D
@@ -25,7 +26,7 @@ displacement component and takes the symmetric part as the strain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,22 +40,22 @@ COND_LIMIT = 1e12
 
 @dataclass
 class FaceContext:
-    """One local face position across the cells of a group."""
+    """A group's face data on a face axis after the cell axis, built once per
+    distinct face and gathered; only ``phi`` and ``trace_full`` depend on the cell."""
 
-    index: np.ndarray        # (nb,) global face indices
-    basis: Basis
-    rule: QuadratureRule
-    normal: np.ndarray       # (nb, d)
-    psi: np.ndarray          # (nb, nq, n_face) face basis values
-    phi: np.ndarray          # (nb, nq, n_rec) cell basis values at face points
-    mass: np.ndarray         # (nb, n_face, n_face)
-    mass_inv: np.ndarray     # (nb, n_face, n_face)
-    trace_full: np.ndarray   # (nb, n_face, n_rec): sum_q w psi phi^T
+    index: np.ndarray        # (nb, nf) global face indices
+    normal: np.ndarray       # (nb, nf, d) unit outward normals
+    weights: np.ndarray      # (nb, nf, nq) face quadrature weights
+    psi: np.ndarray          # (nb, nf, nq, n_face) face basis values
+    phi: np.ndarray          # (nb, nf, nq, n_rec) cell basis values at face points
+    mass: np.ndarray         # (nb, nf, n_face, n_face)
+    mass_inv: np.ndarray     # (nb, nf, n_face, n_face)
+    trace_full: np.ndarray   # (nb, nf, n_face, n_rec): sum_q w psi phi^T
 
 
 @dataclass
 class CellContext:
-    """Quadrature data and Gram matrices shared by all local operators."""
+    """Quadrature data and Gram matrices of a group, shared by all local operators."""
 
     mesh: Mesh
     cells: np.ndarray        # (nb,) cell indices of the group
@@ -70,7 +71,7 @@ class CellContext:
     ints_full: np.ndarray    # (nb, n_rec) integrals of the basis functions
     grad_mass: np.ndarray    # (nb, n_rec, d, n_k): (d_c phi_i, phi_j), phi_j of degree <= k
     mass_k_inv: np.ndarray   # (nb, n_k, n_k) inverse of the degree-k cell mass
-    faces: list = field(default_factory=list)
+    faces: FaceContext
 
     @property
     def n_rec(self) -> int:
@@ -106,11 +107,13 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     wphi = w[..., None] * phi
     mass_full = wphi.mT @ phi
     mass_full = 0.5 * (mass_full + mass_full.mT)
-    cond = np.linalg.cond(mass_full)
-    if np.any(cond > COND_LIMIT):
-        b = np.flatnonzero(cond > COND_LIMIT)[0]
+    lam = np.linalg.eigvalsh(mass_full)
+    bad = np.flatnonzero(lam[:, 0] * COND_LIMIT < lam[:, -1])   # also a round-off lam_min <= 0
+    if len(bad):
+        b = bad[0]
+        cond = lam[b, -1] / lam[b, 0] if lam[b, 0] > 0 else np.inf
         raise ValueError(
-            f"cell {cells[b]}: mass-matrix condition number {cond[b]:.2e} exceeds "
+            f"cell {cells[b]}: mass-matrix condition number {cond:.2e} exceeds "
             f"{COND_LIMIT:.0e}; reduce the degree or orthonormalize the basis")
     nb, nq, n_rec, d = dphi.shape
     # batched matmuls over (point, direction) pairs run in BLAS, not in einsum's C loops
@@ -120,27 +123,26 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     ints_full = wphi.sum(axis=1)
     n_k = basis_size(k, d)
     grad_mass = (dphi.reshape(nb, nq, -1).mT @ wphi[:, :, :n_k]).reshape(nb, n_rec, d, n_k)
+    mass_k_inv = mass_cholesky(mass_full[:, :n_k, :n_k], cells)
 
-    ctx = CellContext(mesh=mesh, cells=cells, geom=geom, degrees=degrees,
-                      layout=layout, rec_basis=rec_basis, rule=rule,
-                      phi=phi, dphi=dphi, mass_full=mass_full,
-                      stiff_full=stiff_full, ints_full=ints_full, grad_mass=grad_mass,
-                      mass_k_inv=mass_cholesky(mass_full[:, :n_k, :n_k], cells))
-    for i in range(geom.n_faces):
-        fi = geom.face_indices[:, i]
-        fb = face_basis(mesh, fi, k)
-        fr = face_quadrature(mesh, fi, order)
-        psi, _ = fb.eval(fr.points)
-        fphi, _ = rec_basis.eval(fr.points)
-        wpsi = fr.weights[..., None] * psi
-        M_i = wpsi.mT @ psi
-        M_i = 0.5 * (M_i + M_i.mT)
-        ctx.faces.append(FaceContext(
-            index=fi, basis=fb, rule=fr, normal=geom.face_normals[:, i],
-            psi=psi, phi=fphi, mass=M_i,
-            mass_inv=mass_cholesky(M_i, ids=fi, entity="face"),
-            trace_full=wpsi.mT @ fphi))
-    return ctx
+    # each distinct face once, then gathered onto (cell, local face)
+    unique, at = np.unique(geom.face_indices, return_inverse=True)
+    frule = face_quadrature(mesh, unique, order)
+    psi, _ = face_basis(mesh, unique, k).eval(frule.points, gradients=False)
+    wpsi = frule.weights[..., None] * psi
+    M = wpsi.mT @ psi
+    M = 0.5 * (M + M.mT)
+    M_inv = mass_cholesky(M, ids=unique, entity="face")
+    fphi, _ = rec_basis.eval(frule.points[at].reshape(nb, -1, d), gradients=False)
+    fphi = fphi.reshape(at.shape + (-1, n_rec))
+    faces = FaceContext(index=geom.face_indices, normal=geom.face_normals,
+                        weights=frule.weights[at], psi=psi[at], phi=fphi, mass=M[at],
+                        mass_inv=M_inv[at], trace_full=wpsi[at].mT @ fphi)
+    return CellContext(mesh=mesh, cells=cells, geom=geom, degrees=degrees,
+                       layout=layout, rec_basis=rec_basis, rule=rule,
+                       phi=phi, dphi=dphi, mass_full=mass_full,
+                       stiff_full=stiff_full, ints_full=ints_full, grad_mass=grad_mass,
+                       mass_k_inv=mass_k_inv, faces=faces)
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +185,15 @@ def gradient_reconstruction(ctx: CellContext) -> np.ndarray:
     ``G[:, c] @ v``.  A vector field's gradient is ``G`` applied to each
     component (``G`` tensorized with the identity).
     """
-    n_k, n_cell = ctx.n_k, ctx.n_cell
-    layout = DofLayout(n_cell, ctx.layout.face_width // ctx.degrees.rank, len(ctx.faces))
-    nb, d = len(ctx.cells), ctx.mesh.dim
-    rhs = np.zeros((nb, d, n_k, layout.size))
+    n_k, n_cell, f = ctx.n_k, ctx.n_cell, ctx.faces
+    nb, nf, d = f.normal.shape
+    n = f.normal.mT                                           # (nb, d, nf)
+    wq = (f.weights[..., None] * f.phi[..., :n_k]).mT         # (nb, nf, n_k, nq)
     # (grad v_T, q) - sum_F (v_T - v_F, q n)_F: the only assembly of the face terms
-    rhs[..., layout.cell] = ctx.grad_mass[:, :n_cell].transpose(0, 2, 3, 1)
-    for i, f in enumerate(ctx.faces):
-        wq = (f.rule.weights[..., None] * f.phi[:, :, :n_k]).mT
-        n = f.normal[:, :, None, None]
-        rhs[..., layout.cell] -= n * (wq @ f.phi[:, :, :n_cell])[:, None]
-        rhs[..., layout.face(i)] += n * (wq @ f.psi)[:, None]
+    cell = ctx.grad_mass[:, :n_cell].transpose(0, 2, 3, 1) - (
+        n @ (wq @ f.phi[..., :n_cell]).reshape(nb, nf, -1)).reshape(nb, d, n_k, n_cell)
+    face = n[:, :, None, :, None] * (wq @ f.psi).transpose(0, 2, 1, 3)[:, None]
+    rhs = np.concatenate([cell, face.reshape(nb, d, n_k, -1)], axis=-1)
     return ctx.mass_k_inv[:, None] @ rhs
 
 
@@ -212,44 +212,41 @@ def _gradient_moments(ctx: CellContext, T: np.ndarray) -> np.ndarray:
 
 
 def _kron_apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``kron(M, I_rank) @ X`` for stacks ``M`` (nb, m, n) and ``X`` whose
-    rows (axis 1) interleave the rank; the rank is ``X.shape[1] // n``."""
-    nb, m, n = len(X), M.shape[-2], M.shape[-1]
-    rank, tail = X.shape[1] // n, X.shape[2:]
-    Y = M @ X.reshape((nb, n, rank * int(np.prod(tail))))
-    return Y.reshape((nb, m * rank) + tail)
+    """``kron(M, I_rank) @ X`` for stacks ``M`` (..., m, n) and ``X`` with
+    the same stack axes, whose next axis interleaves the rank; the rank is
+    that axis' length over ``n``."""
+    lead, (m, n) = M.shape[:-2], M.shape[-2:]
+    rank, tail = X.shape[len(lead)] // n, X.shape[len(lead) + 1:]
+    Y = M @ X.reshape(lead + (n, rank * int(np.prod(tail))))
+    return Y.reshape(lead + (m * rank,) + tail)
 
 
 # ---------------------------------------------------------------------------
 # stabilization
 
 
-def _face_ops(ctx: CellContext, cell: np.ndarray, rec: np.ndarray | None = None):
-    """Face operators ``S_F v = Pi_F w - v_F`` of the cell polynomial ``w``
-    with coefficients ``cell @ v`` in the cell basis plus ``rec @ v`` in the
-    reconstruction basis, and their penalty ``sum_F h^-1 (S_F v, S_F v)_F``.
-    Returns ``(face_ops, penalty)``."""
-    layout = ctx.layout
-    face_ops = []
-    for i, f in enumerate(ctx.faces):
-        trace = _kron_apply(f.trace_full[:, :, : ctx.n_cell], cell)
-        if rec is not None:
-            trace += _kron_apply(f.trace_full, rec)
-        S = _kron_apply(f.mass_inv, trace)
-        S[:, :, layout.face(i)] -= np.eye(layout.face_width)
-        face_ops.append(S)
-    penalty = sum(S.mT @ _kron_apply(f.mass, S) for f, S in zip(ctx.faces, face_ops))
+def _face_ops(ctx: CellContext, proj: np.ndarray):
+    """Face operators ``S_F v = Pi_F w - v_F`` from the face projections
+    ``proj`` (nb, nf, face_width, size) of a cell polynomial ``w``, and
+    their penalty ``sum_F h^-1 (S_F v, S_F v)_F``.  Returns ``(face_ops,
+    penalty)``, the operators on the face axis like ``proj``."""
+    layout, nb = ctx.layout, len(proj)
+    S = proj - np.eye(layout.size)[layout.faces].reshape(layout.n_faces, layout.face_width, -1)
+    MS = _kron_apply(ctx.faces.mass, S)
+    penalty = S.reshape(nb, -1, layout.size).mT @ MS.reshape(nb, -1, layout.size)
     penalty = penalty / ctx.h[:, None, None]
-    return face_ops, 0.5 * (penalty + penalty.mT)
+    return S, 0.5 * (penalty + penalty.mT)
 
 
 def stabilization_ls(ctx: CellContext):
     """Lehrenfeld-Schoberl stabilization: project the cell trace, subtract
     the face unknown.  Returns ``(face_ops, penalty)``."""
-    layout = ctx.layout
-    cell = np.zeros((len(ctx.cells), layout.cell_width, layout.size))
-    cell[:, :, layout.cell] = np.eye(layout.cell_width)
-    return _face_ops(ctx, cell)
+    layout, rank, f = ctx.layout, ctx.degrees.rank, ctx.faces
+    P = f.mass_inv @ f.trace_full[..., : ctx.n_cell]
+    proj = np.zeros(P.shape[:2] + (layout.face_width, layout.size))
+    for a in range(rank):       # kron(P, I_rank) in the cell columns
+        proj[:, :, a::rank, a:layout.cell_width:rank] = P
+    return _face_ops(ctx, proj)
 
 
 def stabilization_equal_order(ctx: CellContext, rec: np.ndarray):
@@ -260,24 +257,28 @@ def stabilization_equal_order(ctx: CellContext, rec: np.ndarray):
     """
     if ctx.degrees.mixed:
         raise ValueError("equal-order stabilization requires k_cell == k_face")
-    layout = ctx.layout
-    # coefficients of v_T - Pi_T(rec v); in equal order the cell mass is the degree-k one
-    cell = -_kron_apply(ctx.mass_k_inv, _kron_apply(ctx.mass_full[:, : ctx.n_cell], rec))
-    cell[:, :, layout.cell] += np.eye(layout.cell_width)
-    return _face_ops(ctx, cell, rec)
+    layout, f = ctx.layout, ctx.faces
+    # w = rec v + v_T - Pi_T(rec v); in equal order the cell mass is the degree-k one
+    w = rec.copy()
+    w[:, layout.cell] -= _kron_apply(ctx.mass_k_inv,
+                                     _kron_apply(ctx.mass_full[:, : ctx.n_cell], rec))
+    w[:, layout.cell, layout.cell] += np.eye(layout.cell_width)
+    P = (f.mass_inv @ f.trace_full).reshape(len(w), -1, ctx.n_rec)
+    return _face_ops(ctx, _kron_apply(P, w).reshape(f.index.shape + (layout.face_width, -1)))
 
 
 def seminorm_gram(ctx: CellContext) -> np.ndarray:
     """Gram matrix of the H1-like seminorm |grad v_T|^2 + h^-1 |v_T - v_F|^2."""
-    layout = ctx.layout
-    n_cell = ctx.n_cell
-    N = np.zeros((len(ctx.cells), layout.size, layout.size))
-    N[:, layout.cell, layout.cell] = ctx.stiff_full[:, :n_cell, :n_cell]
-    for i, f in enumerate(ctx.faces):
-        D = np.zeros(f.rule.weights.shape + (layout.size,))
-        D[..., layout.cell] = f.phi[:, :, :n_cell]
-        D[..., layout.face(i)] = -f.psi
-        N += D.mT @ (f.rule.weights[..., None] * D) / ctx.h[:, None, None]
+    layout, f, n_cell = ctx.layout, ctx.faces, ctx.n_cell
+    nb, nf, nq, _ = f.psi.shape
+    # the trace gaps v_T - v_F at every face point of the cell
+    D = np.zeros((nb, nf, nq, layout.size))
+    D[..., layout.cell] = f.phi[..., :n_cell]
+    D[..., layout.faces] = -(f.psi[:, :, :, None] * np.eye(nf)[:, None, :, None]).reshape(
+        nb, nf, nq, -1)
+    D = D.reshape(nb, nf * nq, -1)
+    N = D.mT @ (f.weights.reshape(nb, -1, 1) * D) / ctx.h[:, None, None]
+    N[:, layout.cell, layout.cell] += ctx.stiff_full[:, :n_cell, :n_cell]
     return 0.5 * (N + N.mT)
 
 
@@ -297,14 +298,14 @@ class LocalOperators:
     flux: np.ndarray          # (nb, n_faces * face_width, size) face-flux coefficients
     balance: np.ndarray       # cell consistency tested with degree-k_face polynomials
 
-    def face_fluxes(self, dofs: np.ndarray) -> list:
-        """Per-face coefficient arrays ``(nb, face_width)`` of the numerical
-        flux of ``dofs`` (one local vector, or one per cell)."""
-        return np.split((self.flux @ dofs[..., None])[..., 0], len(self.ctx.faces),
-                        axis=-1)
+    def face_fluxes(self, dofs: np.ndarray) -> np.ndarray:
+        """Coefficients ``(nb, n_faces, face_width)`` of the numerical flux
+        of ``dofs`` (one local vector, or one per cell) on each local face."""
+        flux = (self.flux @ dofs[..., None])[..., 0]
+        return flux.reshape(len(flux), self.ctx.layout.n_faces, -1)
 
 
-def _face_flux(ctx: CellContext, field: np.ndarray, stab_face: list,
+def _face_flux(ctx: CellContext, field: np.ndarray, stab_face: np.ndarray,
                weight: np.ndarray) -> np.ndarray:
     """Equilibrated face fluxes, stacked by face.
 
@@ -315,17 +316,15 @@ def _face_flux(ctx: CellContext, field: np.ndarray, stab_face: list,
     or ``2 mu/h`` per cell), adds its adjoint acting on the face unknowns.
     Each face block is then solved with its face mass.
     """
-    S = np.concatenate(stab_face, axis=1)
-    MS = np.concatenate([_kron_apply(f.mass, Si) for f, Si in zip(ctx.faces, stab_face)],
-                        axis=1)
+    f, (nb, nf, _, size) = ctx.faces, stab_face.shape
+    S = stab_face.reshape(nb, -1, size)
+    MS = _kron_apply(f.mass, stab_face).reshape(nb, -1, size)
     stab = weight[:, None, None] * (S[:, :, ctx.layout.faces].mT @ MS)
-    nf = ctx.layout.face_width
-    blocks = []
-    for i, f in enumerate(ctx.faces):
-        tau_n = np.einsum("bc,bc...->b...", f.normal, field)
-        consistency = _kron_apply(f.trace_full[:, :, : ctx.n_k], tau_n)
-        blocks.append(-_kron_apply(f.mass_inv, consistency + stab[:, i * nf:(i + 1) * nf]))
-    return np.concatenate(blocks, axis=1)
+    tau_n = (f.normal @ field.reshape(nb, field.shape[1], -1)).reshape(
+        (nb, nf) + field.shape[2:])
+    consistency = _kron_apply(f.trace_full[..., : ctx.n_k], tau_n)
+    return -_kron_apply(f.mass_inv, consistency + stab.reshape(stab_face.shape)).reshape(
+        nb, -1, size)
 
 
 def local_bilinear(ctx: CellContext) -> LocalOperators:

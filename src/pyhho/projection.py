@@ -84,7 +84,7 @@ def dof_layout(mesh: Mesh, degrees: HhoDegrees, n_faces: int) -> DofLayout:
 
 def mass_matrix(basis: Basis, rule: QuadratureRule) -> np.ndarray:
     """Symmetric positive-definite Gram matrix of the basis under ``rule``."""
-    vals, _ = basis.eval(rule.points)
+    vals, _ = basis.eval(rule.points, gradients=False)
     M = vals.mT @ (rule.weights[..., None] * vals)
     return 0.5 * (M + M.mT)
 
@@ -155,7 +155,7 @@ def l2_project(basis: Basis, rule: QuadratureRule, f, rank: int | None = None,
     A stacked basis and rule project onto every entry of the group at once;
     ``rank``, ``ids`` and ``entity`` go to :func:`sample`.
     """
-    vals, _ = basis.eval(rule.points)
+    vals, _ = basis.eval(rule.points, gradients=False)
     fx = sample(f, rule.points, rank=rank, ids=ids, entity=entity)
     weighted = rule.weights[..., None] * vals
     M = weighted.mT @ vals
@@ -170,7 +170,8 @@ def l2_project(basis: Basis, rule: QuadratureRule, f, rank: int | None = None,
 def reduce_local(mesh: Mesh, cells, degrees: HhoDegrees, v,
                  quad_bump: int = 2) -> np.ndarray:
     """Local reduction: cell projection plus per-face projections, laid out
-    as ``[T | F_1 | ... | F_n]``; stacked over a group of cells.
+    as ``[T | F_1 | ... | F_n]``; stacked over a group of cells.  Each
+    distinct face of the group is projected once.
 
     In 1D the face blocks degenerate to point values of ``v`` at the two
     cell endpoints.
@@ -178,14 +179,11 @@ def reduce_local(mesh: Mesh, cells, degrees: HhoDegrees, v,
     geom = mesh.cell_geometry(cells)
     order = 2 * (degrees.k_face + 1) + quad_bump
     lead = np.shape(cells)
-    cbasis = scaled_monomial_basis(geom, degrees.k_cell)
-    parts = [l2_project(cbasis, cell_quadrature(geom, order), v).reshape(lead + (-1,))]
-    for i in range(geom.n_faces):
-        fi = geom.face_indices[..., i]
-        fcoef = l2_project(face_basis(mesh, fi, degrees.k_face),
-                           face_quadrature(mesh, fi, order), v)
-        parts.append(fcoef.reshape(lead + (-1,)))
-    return np.concatenate(parts, axis=-1)
+    ccoef = l2_project(scaled_monomial_basis(geom, degrees.k_cell), cell_quadrature(geom, order), v)
+    faces, at = np.unique(geom.face_indices, return_inverse=True)
+    fcoef = l2_project(face_basis(mesh, faces, degrees.k_face),
+                       face_quadrature(mesh, faces, order), v)
+    return np.concatenate([ccoef.reshape(lead + (-1,)), fcoef[at].reshape(lead + (-1,))], axis=-1)
 
 
 def reduce_global(mesh: Mesh, degrees: HhoDegrees, v, quad_bump: int = 2):

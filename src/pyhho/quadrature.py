@@ -102,11 +102,10 @@ def quad_rule(pts: np.ndarray, order: int) -> QuadratureRule:
 def polygon_rule(pts: np.ndarray, center: np.ndarray, order: int) -> QuadratureRule:
     """Fan the polygon into triangles from ``center`` (star point)."""
     order = _check_order(order)
-    nv = pts.shape[-2]
-    parts = [triangle_rule(center, pts[..., i, :], pts[..., (i + 1) % nv, :], order)
-             for i in range(nv)]
-    return QuadratureRule(np.concatenate([p.points for p in parts], axis=-2),
-                          np.concatenate([p.weights for p in parts], axis=-1), order)
+    fan = triangle_rule(center[..., None, :], pts, np.roll(pts, -1, axis=-2), order)
+    lead = pts.shape[:-2]
+    return QuadratureRule(fan.points.reshape(lead + (-1, pts.shape[-1])),
+                          fan.weights.reshape(lead + (-1,)), order)
 
 
 def cell_quadrature(geom: CellGeometry, order: int) -> QuadratureRule:

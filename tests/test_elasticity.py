@@ -72,16 +72,18 @@ def strain_by_face_assembly(ctx):
     rhs = np.zeros((len(ctx.cells), 3, n_k, layout.size))
     rhs[..., layout.cell] = TENSOR_WEIGHTS[:, None, None] * np.einsum(
         "bqi,bqjm->bmij", w[..., None] * ctx.phi[:, :, :n_k], eps_cell)
-    for i, f in enumerate(ctx.faces):
+    f = ctx.faces
+    for i in range(layout.n_faces):
         # Cartesian components of E_m n for the unit tensors E_xx, E_yy, E_xy
-        en = np.zeros((len(f.normal), 3, 2))
-        en[:, 0, 0] = f.normal[:, 0]
-        en[:, 1, 1] = f.normal[:, 1]
-        en[:, 2, 0], en[:, 2, 1] = f.normal[:, 1], f.normal[:, 0]
+        normal = f.normal[:, i]
+        en = np.zeros((len(normal), 3, 2))
+        en[:, 0, 0] = normal[:, 0]
+        en[:, 1, 1] = normal[:, 1]
+        en[:, 2, 0], en[:, 2, 1] = normal[:, 1], normal[:, 0]
         en = en[..., None, None]
-        wq = (f.rule.weights[..., None] * f.phi[:, :, :n_k]).mT
-        blk = (wq @ f.phi[:, :, :n_cell])[:, None]
-        fb = (wq @ f.psi)[:, None]
+        wq = (f.weights[:, i, :, None] * f.phi[:, i, :, :n_k]).mT
+        blk = (wq @ f.phi[:, i, :, :n_cell])[:, None]
+        fb = (wq @ f.psi[:, i])[:, None]
         for a in range(2):
             rhs[..., layout.cell][..., a::2] -= blk * en[:, :, a]
             rhs[..., layout.face(i)][..., a::2] += fb * en[:, :, a]
@@ -115,11 +117,12 @@ def divergence_oracle(ctx):
     for c in range(2):
         rhs[:, layout.cell][:, c::2] -= ctx.dphi[0, :, :n_k, c].T @ (
             w[:, None] * ctx.phi[0, :, :ctx.n_cell])
-    for i, f in enumerate(ctx.faces):
-        fw = f.rule.weights[0]
+    f = ctx.faces
+    for i in range(layout.n_faces):
+        fw = f.weights[0, i]
         for c in range(2):
-            rhs[:, layout.face(i)][:, c::2] += f.normal[0, c] * (
-                f.phi[0, :, :n_k].T @ (fw[:, None] * f.psi[0]))
+            rhs[:, layout.face(i)][:, c::2] += f.normal[0, i, c] * (
+                f.phi[0, i, :, :n_k].T @ (fw[:, None] * f.psi[0, i]))
     M = ctx.mass_full[0, :n_k, :n_k]
     return np.linalg.solve(M, rhs)
 
@@ -195,10 +198,10 @@ def test_elastic_stabilization_annihilates_reduction(deg):
         face_ops, _ = stabilization_elastic(ctx, Dep)
         q = lambda x: np.column_stack([(x[:, 0] + x[:, 1]) ** 2, x[:, 0] ** 2])
         red = reduce_local(mesh, ci, deg, q)
-        assert max(np.abs(S @ red).max() for S in face_ops) < 1e-11
+        assert np.abs(face_ops[0] @ red).max() < 1e-11
         for r in RIGID:
             redr = reduce_local(mesh, ci, deg, r)
-            assert max(np.abs(S @ redr).max() for S in face_ops) < 1e-12
+            assert np.abs(face_ops[0] @ redr).max() < 1e-12
 
 
 def test_vector_ls_stabilization_acts_per_component():
@@ -210,9 +213,9 @@ def test_vector_ls_stabilization_acts_per_component():
     ops_v, pen_v = stabilization_ls(ctx_v)
     pen_s, pen_v = pen_s[0], pen_v[0]
     v = np.random.default_rng(4).standard_normal(ctx_v.layout.size)
-    for Zs, Zv in zip(ops_s, ops_v):
+    for Zs, Zv in zip(ops_s[0], ops_v[0]):
         for a in range(2):
-            np.testing.assert_allclose((Zv[0] @ v)[a::2], Zs[0] @ v[a::2], atol=1e-12)
+            np.testing.assert_allclose((Zv @ v)[a::2], Zs @ v[a::2], atol=1e-12)
     np.testing.assert_allclose(
         v @ pen_v @ v, sum(v[a::2] @ pen_s @ v[a::2] for a in range(2)), rtol=1e-12)
 
@@ -234,7 +237,7 @@ def test_elastic_stabilization_depends_on_gap_only():
         fb = face_basis(mesh, fi, 1)
         rule = face_quadrature(mesh, fi, 6)
         w[ctx.layout.face(i)] += l2_project(fb, rule, qfun).reshape(-1)
-    for S in face_ops:
+    for S in face_ops[0]:
         np.testing.assert_allclose(S @ v, S @ w, atol=1e-11)
 
 
@@ -292,4 +295,4 @@ def test_traction_of_rigid_pair_vanishes():
     ops = local_bilinear_elastic(ctx, mu=1.0, lam=0.5)
     red = reduce_local(mesh, 0, VDEG, RIGID[2])
     tracs = ops.face_fluxes(red)
-    assert max(np.abs(t).max() for t in tracs) < 1e-12
+    assert np.abs(tracs).max() < 1e-12

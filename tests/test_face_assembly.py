@@ -1,27 +1,229 @@
-"""Both reconstructions and both consistency fluxes against references that
-assemble the hybrid face terms face by face, straight from their defining
-equations, instead of projecting the gradient reconstruction."""
+"""The face axis of the cell context and the operators contracted over it,
+against references that loop over the local face positions.
+
+``per_face_context`` is the face stage as it was built before the face
+axis: one context per local face position, each face's basis, rule and
+mass built for every cell that reads it.  The operator references loop
+over that list.  Both reconstructions and both consistency fluxes are also
+checked against references that assemble the hybrid face terms face by
+face, straight from their defining equations, instead of projecting the
+gradient reconstruction.
+"""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pyhho.elasticity import (TENSOR_WEIGHTS, _strain_columns, displacement_reconstruction,
-                              local_bilinear_elastic, stabilization_elastic,
-                              strain_reconstruction)
-from pyhho.local_ops import (_kron_apply, build_cell_context, gradient_reconstruction,
-                             local_bilinear, reconstruction, stabilization_equal_order,
-                             stabilization_ls)
+from pyhho import local_ops
+from pyhho.basis import face_basis
+from pyhho.elasticity import (TENSOR_WEIGHTS, _strain_columns, _tensor_columns,
+                              displacement_reconstruction, local_bilinear_elastic,
+                              stabilization_elastic, strain_reconstruction)
+from pyhho.local_ops import (_gradient_moments, _kron_apply, build_cell_context,
+                             gradient_reconstruction, local_bilinear, reconstruction,
+                             seminorm_gram, stabilization_equal_order, stabilization_ls)
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh
-from pyhho.projection import HhoDegrees
+from pyhho.projection import (DofLayout, HhoDegrees, dof_layout, l2_project, mass_cholesky,
+                              reduce_local)
+from pyhho.quadrature import face_quadrature
 
 MU, LAM = 1.0, 3.0
 
 
 def groups():
-    """Cell groups of 3, 4 and 5 faces."""
+    """Cell groups of 3 to 8 faces: triangles, and hanging-node quads
+    whose refined neighbours make pentagons up to octagons."""
     tri = build_structured_mesh("tri", 2, 2)
-    hanging = build_hanging_node_mesh(build_structured_mesh("quad", 3, 3), [4])
+    hanging = build_hanging_node_mesh(build_structured_mesh("quad", 4, 4),
+                                      [3, 6, 8, 9, 11, 12, 14])
     return [(mesh, cells) for mesh in (tri, hanging) for cells in mesh.cell_groups()]
+
+
+ALL_SHAPES = set(range(3, 9))
+
+
+def per_face_context(ctx):
+    """The face stage looping over local face positions: the reference."""
+    mesh, k, geom = ctx.mesh, ctx.degrees.k_face, ctx.geom
+    order = 2 * (k + 1)
+    faces = []
+    for i in range(geom.n_faces):
+        fi = geom.face_indices[:, i]
+        fb = face_basis(mesh, fi, k)
+        fr = face_quadrature(mesh, fi, order)
+        psi, _ = fb.eval(fr.points)
+        fphi, _ = ctx.rec_basis.eval(fr.points)
+        wpsi = fr.weights[..., None] * psi
+        M_i = wpsi.mT @ psi
+        M_i = 0.5 * (M_i + M_i.mT)
+        faces.append(SimpleNamespace(
+            index=fi, basis=fb, rule=fr, normal=geom.face_normals[:, i],
+            psi=psi, phi=fphi, mass=M_i,
+            mass_inv=mass_cholesky(M_i, ids=fi, entity="face"),
+            trace_full=wpsi.mT @ fphi))
+    return faces
+
+
+# ---------------------------------------------------------------------------
+# operators looping over the local faces
+
+
+def per_face_gradient_reconstruction(ctx, faces):
+    n_k, n_cell = ctx.n_k, ctx.n_cell
+    layout = DofLayout(n_cell, ctx.layout.face_width // ctx.degrees.rank, len(faces))
+    rhs = np.zeros((len(ctx.cells), ctx.mesh.dim, n_k, layout.size))
+    rhs[..., layout.cell] = ctx.grad_mass[:, :n_cell].transpose(0, 2, 3, 1)
+    for i, f in enumerate(faces):
+        wq = (f.rule.weights[..., None] * f.phi[:, :, :n_k]).mT
+        n = f.normal[:, :, None, None]
+        rhs[..., layout.cell] -= n * (wq @ f.phi[:, :, :n_cell])[:, None]
+        rhs[..., layout.face(i)] += n * (wq @ f.psi)[:, None]
+    return ctx.mass_k_inv[:, None] @ rhs
+
+
+def per_face_stabilization(ctx, faces, rec):
+    """Lehrenfeld-Schoberl (``rec`` None) or equal-order face operators."""
+    layout = ctx.layout
+    if rec is None:
+        cell = np.zeros((len(ctx.cells), layout.cell_width, layout.size))
+        cell[:, :, layout.cell] = np.eye(layout.cell_width)
+    else:
+        cell = -_kron_apply(ctx.mass_k_inv, _kron_apply(ctx.mass_full[:, :ctx.n_cell], rec))
+        cell[:, :, layout.cell] += np.eye(layout.cell_width)
+    face_ops = []
+    for i, f in enumerate(faces):
+        trace = _kron_apply(f.trace_full[:, :, :ctx.n_cell], cell)
+        if rec is not None:
+            trace += _kron_apply(f.trace_full, rec)
+        S = _kron_apply(f.mass_inv, trace)
+        S[:, :, layout.face(i)] -= np.eye(layout.face_width)
+        face_ops.append(S)
+    penalty = sum(S.mT @ _kron_apply(f.mass, S) for f, S in zip(faces, face_ops))
+    penalty = penalty / ctx.h[:, None, None]
+    return face_ops, 0.5 * (penalty + penalty.mT)
+
+
+def per_face_flux(ctx, faces, field, stab_face, weight):
+    S = np.concatenate(stab_face, axis=1)
+    MS = np.concatenate([_kron_apply(f.mass, Si) for f, Si in zip(faces, stab_face)], axis=1)
+    stab = weight[:, None, None] * (S[:, :, ctx.layout.faces].mT @ MS)
+    nw = ctx.layout.face_width
+    blocks = []
+    for i, f in enumerate(faces):
+        tau_n = np.einsum("bc,bc...->b...", f.normal, field)
+        consistency = _kron_apply(f.trace_full[:, :, :ctx.n_k], tau_n)
+        blocks.append(-_kron_apply(f.mass_inv, consistency + stab[:, i * nw:(i + 1) * nw]))
+    return np.concatenate(blocks, axis=1)
+
+
+def per_face_seminorm_gram(ctx, faces):
+    layout, n_cell = ctx.layout, ctx.n_cell
+    N = np.zeros((len(ctx.cells), layout.size, layout.size))
+    N[:, layout.cell, layout.cell] = ctx.stiff_full[:, :n_cell, :n_cell]
+    for i, f in enumerate(faces):
+        D = np.zeros(f.rule.weights.shape + (layout.size,))
+        D[..., layout.cell] = f.phi[:, :, :n_cell]
+        D[..., layout.face(i)] = -f.psi
+        N += D.mT @ (f.rule.weights[..., None] * D) / ctx.h[:, None, None]
+    return 0.5 * (N + N.mT)
+
+
+def per_face_operators(ctx, faces, monkeypatch):
+    """``(L, penalty, rec, flux, balance)`` with every face term taken from
+    the per-face reference; the cell-only steps are the library's, fed
+    with the reference ``G`` through the module attribute they read."""
+    with monkeypatch.context() as m:
+        m.setattr(local_ops, "gradient_reconstruction",
+                  lambda c: per_face_gradient_reconstruction(c, faces))
+        if ctx.degrees.rank == 1:
+            _, _, _, rec, A = reconstruction(ctx)
+        else:
+            Es = strain_reconstruction(ctx)
+            rec = displacement_reconstruction(ctx, Es)
+    stab_face, penalty = per_face_stabilization(ctx, faces, None if ctx.degrees.mixed else rec)
+    nb, n_rec, d, n_k = ctx.grad_mass.shape
+    if ctx.degrees.rank == 1:
+        L = A + penalty
+        field = ctx.mass_k_inv[:, None] @ (
+            ctx.grad_mass.reshape(nb, n_rec, -1).mT @ rec).reshape(nb, d, n_k, -1)
+        weight, balance = 1.0 / ctx.h, ctx.stiff_full[:, :n_k] @ rec
+    else:
+        Mk = ctx.mass_full[:, None, :n_k, :n_k]
+        Dv = Es[:, 0] + Es[:, 1]
+        L = (2 * MU * np.einsum("m,bmij->bij", TENSOR_WEIGHTS, Es.mT @ Mk @ Es)
+             + LAM * Dv.mT @ Mk[:, 0] @ Dv + 2 * MU * penalty)
+        field = _tensor_columns(np.stack([(2 * MU + LAM) * Es[:, 0] + LAM * Es[:, 1],
+                                          LAM * Es[:, 0] + (2 * MU + LAM) * Es[:, 1],
+                                          2 * MU * Es[:, 2]], axis=1))
+        weight, balance = 2.0 * MU / ctx.h, _gradient_moments(ctx, field)[:, :2 * n_k]
+    flux = per_face_flux(ctx, faces, field, stab_face, weight)
+    return 0.5 * (L + L.mT), penalty, rec, flux, balance
+
+
+def assert_close(actual, ref, rel):
+    np.testing.assert_allclose(actual, ref, rtol=0, atol=rel * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+@pytest.mark.parametrize("k, rank", [(0, 1), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+def test_face_axis_matches_per_face_build(k, rank, mixed, monkeypatch):
+    deg = HhoDegrees(k_face=k, k_cell=k + mixed, rank=rank)
+    shapes = set()
+    for mesh, cells in groups():
+        ctx = build_cell_context(mesh, cells, deg)
+        faces = per_face_context(ctx)
+        shapes.add(len(faces))
+        f = ctx.faces
+        for i, ref in enumerate(faces):
+            np.testing.assert_array_equal(f.index[:, i], ref.index)
+            np.testing.assert_array_equal(f.normal[:, i], ref.normal)
+            np.testing.assert_array_equal(f.weights[:, i], ref.rule.weights)
+            for name in ("psi", "phi", "mass", "mass_inv", "trace_full"):
+                assert_close(getattr(f, name)[:, i], getattr(ref, name), 1e-14)
+        ops = (local_bilinear(ctx) if rank == 1 else local_bilinear_elastic(ctx, MU, LAM))
+        L, penalty, rec, flux, balance = per_face_operators(ctx, faces, monkeypatch)
+        for actual, ref in [(ops.L, L), (ops.penalty, penalty), (ops.rec, rec),
+                            (ops.flux, flux), (ops.balance, balance)]:
+            assert_close(actual, ref, 1e-13)
+        if rank == 1:
+            assert_close(seminorm_gram(ctx), per_face_seminorm_gram(ctx, faces), 1e-13)
+            assert ops.face_fluxes(np.ones(ctx.layout.size)).shape == (
+                len(cells), len(faces), ctx.layout.face_width)
+    assert shapes == ALL_SHAPES
+
+
+def test_shared_face_reads_one_mass_inverse():
+    mesh, cells = max(groups(), key=lambda g: len(g[1]))
+    f = build_cell_context(mesh, cells, HhoDegrees(2)).faces
+    index, mass_inv = f.index.ravel(), f.mass_inv.reshape((-1,) + f.mass_inv.shape[2:])
+    faces, counts = np.unique(index, return_counts=True)
+    shared = faces[counts == 2]
+    assert len(shared) > 0
+    for face in shared:
+        a, b = np.flatnonzero(index == face)
+        np.testing.assert_array_equal(mass_inv[a], mass_inv[b])
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_reduction_matches_per_face_projection(rank):
+    def v(x):
+        vals = np.column_stack([np.sin(x[:, 0]) * x[:, 1], np.cos(x[:, 1]) + x[:, 0] ** 3])
+        return vals[:, 0] if rank == 1 else vals
+
+    deg = HhoDegrees(k_face=2, rank=rank)
+    for mesh, cells in groups():
+        red = reduce_local(mesh, cells, deg, v)
+        geom = mesh.cell_geometry(cells)
+        layout = dof_layout(mesh, deg, geom.n_faces)
+        for i in range(geom.n_faces):
+            fi = geom.face_indices[:, i]
+            ref = l2_project(face_basis(mesh, fi, 2), face_quadrature(mesh, fi, 8), v)
+            assert_close(red[:, layout.face(i)], ref.reshape(len(fi), -1), 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the face terms from their defining equations
 
 
 def face_gradients(ctx, f):
@@ -34,7 +236,7 @@ def scalar_rhs_by_face_assembly(ctx):
     n_cell, layout = ctx.n_cell, ctx.layout
     H = np.zeros((len(ctx.cells), ctx.n_rec - 1, layout.size))
     H[:, :, layout.cell] = ctx.stiff_full[:, 1:, :n_cell]
-    for i, f in enumerate(ctx.faces):
+    for i, f in enumerate(per_face_context(ctx)):
         dn = np.einsum("bqjd,bd->bqj", face_gradients(ctx, f)[:, :, 1:], f.normal)
         wn = f.rule.weights[..., None] * dn
         H[:, :, layout.cell] -= wn.mT @ f.phi[:, :, :n_cell]
@@ -66,7 +268,7 @@ def displacement_reference(ctx):
     D = np.zeros((nb, 3, layout.size))
     D[:, 0, layout.cell][:, 0::2] = ctx.ints_full[:, :n_cell]
     D[:, 1, layout.cell][:, 1::2] = ctx.ints_full[:, :n_cell]
-    for i, f in enumerate(ctx.faces):
+    for i, f in enumerate(per_face_context(ctx)):
         feps = _strain_columns(face_gradients(ctx, f))
         n = f.normal[:, None, None, :]
         traction = [feps[..., 0] * n[..., 0] + feps[..., 2] * n[..., 1],
@@ -93,14 +295,13 @@ def displacement_reference(ctx):
 
 def flux_from_consistency(ctx, consistency, stab_face, weight):
     """Equilibrated face fluxes from the stacked consistency moments."""
-    nf = ctx.layout.face_width
-    S = np.concatenate(stab_face, axis=1)
-    MS = np.concatenate([_kron_apply(f.mass, Si) for f, Si in zip(ctx.faces, stab_face)],
-                        axis=1)
+    f, (nb, nf, nw, size) = ctx.faces, stab_face.shape
+    S = stab_face.reshape(nb, -1, size)
+    MS = _kron_apply(f.mass, stab_face).reshape(nb, -1, size)
     flux = consistency - weight[:, None, None] * (S[:, :, ctx.layout.faces].mT @ MS)
-    for i, f in enumerate(ctx.faces):
-        rows = slice(i * nf, (i + 1) * nf)
-        flux[:, rows] = _kron_apply(f.mass_inv, flux[:, rows])
+    for i in range(nf):
+        rows = slice(i * nw, (i + 1) * nw)
+        flux[:, rows] = _kron_apply(f.mass_inv[:, i], flux[:, rows])
     return flux
 
 
@@ -109,7 +310,7 @@ def poisson_flux_reference(ctx, R_full):
     consistency = np.concatenate([
         -(f.rule.weights[..., None] * f.psi).mT
         @ np.einsum("bqjd,bd->bqj", face_gradients(ctx, f), f.normal) @ R_full
-        for f in ctx.faces], axis=1)
+        for f in per_face_context(ctx)], axis=1)
     stab_face, _ = (stabilization_ls(ctx) if ctx.degrees.mixed
                     else stabilization_equal_order(ctx, R_full))
     return flux_from_consistency(ctx, consistency, stab_face, 1.0 / ctx.h)
@@ -122,7 +323,7 @@ def elastic_flux_reference(ctx, Dep):
     sig = np.stack([(2 * MU + LAM) * Es[:, 0] + LAM * Es[:, 1],
                     LAM * Es[:, 0] + (2 * MU + LAM) * Es[:, 1], 2 * MU * Es[:, 2]], axis=1)
     consistency = []
-    for f in ctx.faces:
+    for f in per_face_context(ctx):
         n = f.normal[:, :, None, None]
         sn = np.stack([sig[:, 0] * n[:, 0] + sig[:, 2] * n[:, 1],
                        sig[:, 2] * n[:, 0] + sig[:, 1] * n[:, 1]], axis=2)
@@ -134,7 +335,7 @@ def elastic_flux_reference(ctx, Dep):
 
 
 def assert_matches(actual, ref):
-    np.testing.assert_allclose(actual, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    assert_close(actual, ref, 1e-12)
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
@@ -148,7 +349,7 @@ def test_scalar_reconstruction_and_flux_match_face_assembly(k, mixed):
         R_ref = scalar_reconstruction_reference(ctx)
         assert_matches(reconstruction(ctx)[3], R_ref)
         assert_matches(local_bilinear(ctx).flux, poisson_flux_reference(ctx, R_ref))
-    assert shapes == {3, 4, 5}
+    assert shapes == ALL_SHAPES
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
@@ -163,7 +364,7 @@ def test_displacement_reconstruction_and_traction_match_face_assembly(k, mixed):
         assert_matches(displacement_reconstruction(ctx), Dep_ref)
         assert_matches(local_bilinear_elastic(ctx, MU, LAM).flux,
                        elastic_flux_reference(ctx, Dep_ref))
-    assert shapes == {3, 4, 5}
+    assert shapes == ALL_SHAPES
 
 
 def jittered_triangle():
@@ -185,12 +386,12 @@ def test_cell_integral_of_gradient_reconstruction_is_a_face_sum(cell, k, mixed):
     mesh, ci = cell()
     ctx = build_cell_context(mesh, ci, HhoDegrees(k_face=k, k_cell=k + mixed))
     G = gradient_reconstruction(ctx)
+    f = ctx.faces
+    ints_psi = (f.weights[..., None, :] @ f.psi)[0, :, 0]        # (nf, n_face)
     for c in range(2):
         integral = (ctx.ints_full[:, None, :ctx.n_k] @ G[:, c])[0, 0]
         scale = np.abs(integral).max()
         assert np.abs(integral[ctx.layout.cell]).max() <= 1e-13 * scale
-        for i, f in enumerate(ctx.faces):
-            ints_psi = f.rule.weights[0] @ f.psi[0]
-            np.testing.assert_allclose(integral[ctx.layout.face(i)],
-                                       f.normal[0, c] * ints_psi,
-                                       rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(integral[ctx.layout.faces],
+                                   (f.normal[0, :, c, None] * ints_psi).ravel(),
+                                   rtol=0, atol=1e-13 * scale)

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
+from pyhho import local_ops
 from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
                              local_bilinear, reconstruction, seminorm_gram,
                              stabilization_equal_order, stabilization_ls)
-from pyhho.mesh import (build_hanging_node_mesh, build_structured_mesh,
+from pyhho.mesh import (Mesh, build_hanging_node_mesh, build_structured_mesh,
                         refine_uniform)
 from pyhho.projection import equal_order, l2_project, mixed_order, reduce_local
 from pyhho.quadrature import cell_quadrature, face_quadrature
@@ -27,7 +30,7 @@ def full_reconstruction(ctx):
 def constant_pair(ctx, value=1.0):
     v = np.zeros(ctx.layout.size)
     v[0] = value
-    for i in range(len(ctx.faces)):
+    for i in range(ctx.layout.n_faces):
         v[ctx.layout.face(i)][0] = value
     return v
 
@@ -163,7 +166,7 @@ def test_equal_order_stabilization_annihilates_reduction(k):
         face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx)[3])
         q = lambda x: (x[:, 0] - 0.3 * x[:, 1] + 0.1) ** (k + 1)
         red = reduce_local(mesh, ci, deg, q)
-        assert max(np.abs(S @ red).max() for S in face_ops) < 1e-11
+        assert np.abs(face_ops[0] @ red).max() < 1e-11
 
 
 def test_stabilization_depends_only_on_trace_gap():
@@ -183,7 +186,7 @@ def test_stabilization_depends_only_on_trace_gap():
         fb = face_basis(mesh, fi, k)
         rule = face_quadrature(mesh, fi, 2 * k + 2)
         w[ctx.layout.face(i)] += l2_project(fb, rule, qfun)
-    for S in face_ops:
+    for S in face_ops[0]:
         np.testing.assert_allclose(S @ v, S @ w, atol=1e-11)
 
 
@@ -195,7 +198,7 @@ def test_ls_stabilization_annihilates_mixed_reduction(k):
     face_ops, _ = stabilization_ls(ctx)
     q = lambda x: (x[:, 0] + x[:, 1]) ** (k + 1)
     red = reduce_local(mesh, 0, deg, q)
-    assert max(np.abs(Z @ red).max() for Z in face_ops) < 1e-11
+    assert np.abs(face_ops[0] @ red).max() < 1e-11
 
 
 def test_ls_face_only_dof():
@@ -204,10 +207,10 @@ def test_ls_face_only_dof():
     face_ops, _ = stabilization_ls(ctx)
     v = np.zeros(ctx.layout.size)
     v[ctx.layout.face(0)][0] = 1.0
-    out0 = face_ops[0][0] @ v
+    out0 = face_ops[0, 0] @ v
     assert out0[0] == pytest.approx(-1.0)
     np.testing.assert_allclose(out0[1:], 0.0, atol=1e-14)
-    for Z in face_ops[1:]:
+    for Z in face_ops[0, 1:]:
         np.testing.assert_allclose(Z @ v, 0.0, atol=1e-14)
 
 
@@ -268,7 +271,8 @@ def test_flux_of_constant_pair_vanishes():
     ctx = build_cell_context(mesh, 0, equal_order(1))
     ops = local_bilinear(ctx)
     fluxes = ops.face_fluxes(constant_pair(ctx, 2.5))
-    assert max(np.abs(f).max() for f in fluxes) < 1e-12
+    assert fluxes.shape == (1, 3, 2)
+    assert np.abs(fluxes).max() < 1e-12
 
 
 def test_mixed_order_bilinear_kernel():
@@ -291,9 +295,49 @@ def test_equal_order_stabilization_matches_reduced_reconstruction_formula():
             tmp = -np.linalg.solve(ctx.mass_full[0, :ctx.n_cell, :ctx.n_cell], Q @ R)
             tmp[:, ctx.layout.cell] += np.eye(ctx.n_cell)
             face_ops, _ = stabilization_equal_order(ctx, R_full[None])
-            for i, f in enumerate(ctx.faces):
-                S = np.linalg.solve(f.mass[0], f.trace_full[0, :, 1:] @ R
-                                    + f.trace_full[0, :, :ctx.n_cell] @ tmp)
-                S[:, ctx.layout.face(i)] -= np.eye(f.basis.size)
-                np.testing.assert_allclose(face_ops[i][0], S, rtol=0,
+            f = ctx.faces
+            for i in range(ctx.layout.n_faces):
+                S = np.linalg.solve(f.mass[0, i], f.trace_full[0, i, :, 1:] @ R
+                                    + f.trace_full[0, i, :, :ctx.n_cell] @ tmp)
+                S[:, ctx.layout.face(i)] -= np.eye(ctx.layout.face_width)
+                np.testing.assert_allclose(face_ops[0, i], S, rtol=0,
                                            atol=1e-12 * np.abs(S).max())
+
+
+def jittered_tri_mesh():
+    mesh = build_structured_mesh("tri", 3, 3)
+    verts = mesh.vertices.copy()
+    inner = np.all((verts > 0.1) & (verts < 0.9), axis=1)
+    verts[inner] += np.random.default_rng(5).uniform(-0.1, 0.1, (int(inner.sum()), 2))
+    return Mesh(2, verts, mesh.cells)
+
+
+def test_condition_guard_names_lowest_offending_cell(monkeypatch):
+    mesh = jittered_tri_mesh()
+    cells = mesh.cell_groups()[0]
+    cond = np.linalg.cond(build_cell_context(mesh, cells, equal_order(2)).mass_full)
+    limit = 1.1 * cond[0]                # the group's first cell stays below it
+    offending = cells[cond > limit]
+    assert len(offending) >= 2
+    monkeypatch.setattr(local_ops, "COND_LIMIT", limit)
+    with pytest.raises(ValueError, match=f"^cell {offending.min()}: mass-matrix condition "
+                                         f"number .* exceeds {re.escape(f'{limit:.0e}')}"):
+        build_cell_context(mesh, cells, equal_order(2))
+
+
+def test_condition_guard_rejects_high_aspect_ratio_cells():
+    mesh = build_structured_mesh("quad", 512, 1)
+    build_cell_context(mesh, mesh.cell_groups()[0], equal_order(1))
+    with pytest.raises(ValueError, match="^cell 0: mass-matrix condition number"):
+        build_cell_context(mesh, mesh.cell_groups()[0], equal_order(2))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_eigenvalue_ratio_is_the_condition_number(k):
+    meshes = [build_structured_mesh("quad", 2, 2), jittered_tri_mesh(),
+              build_hanging_node_mesh(build_structured_mesh("quad", 3, 3), [1, 3, 5, 7])]
+    for mesh in meshes:
+        for cells in mesh.cell_groups():
+            M = build_cell_context(mesh, cells, equal_order(k)).mass_full
+            lam = np.linalg.eigvalsh(M)
+            np.testing.assert_allclose(lam[:, -1] / lam[:, 0], np.linalg.cond(M), rtol=1e-10)
