@@ -1,12 +1,13 @@
 """Global numbering, static condensation, assembly, and the sparse solve.
 
 Cell unknowns are eliminated through the Schur complement of each cell
-block, one group of cells at a time, leaving a symmetric positive-definite
-system coupling only the face unknowns of non-Dirichlet faces.  Dirichlet
-faces are removed by elimination; their projected data enters the
-right-hand side.  Assembly builds the sparse matrix in one call from the
-per-cell global index vectors, walking groups and their cells in a fixed
-order, so results are bit-reproducible.
+block, one group of cells at a time and one factorization per distinct
+cell shape, leaving a symmetric positive-definite system coupling only
+the face unknowns of non-Dirichlet faces.  Dirichlet faces are removed by
+elimination; their projected data enters the right-hand side.  Assembly
+builds the sparse matrix in one call from the per-cell global index
+vectors, walking groups and their cells in a fixed order, so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -75,19 +76,36 @@ class CondensedGroup:
         return self.y - (self.X @ face_values[..., None])[..., 0]
 
 
-def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cells) -> CondensedGroup:
-    """Eliminate the cell unknowns of a group of cells (stacked ``L``, ``b``)."""
+def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cells,
+             shapes: np.ndarray | None = None) -> CondensedGroup:
+    """Eliminate the cell unknowns of a group of cells (stacked ``L``, ``b``).
+
+    ``shapes`` gives each cell's shape, numbered in order of first cell
+    (:meth:`pyhho.mesh.Mesh.cell_shapes`); the cells of a shape share ``L``,
+    so its cell block is checked and factored once, on its first cell, and
+    only ``y`` and ``b_c`` are formed per cell.
+    """
     cells = np.atleast_1d(cells)
     ct, fc = layout.cell, layout.faces
-    L_TT = L[:, ct, ct]
-    L_TF = L[:, ct, fc]
+    first = (np.arange(len(L)) if shapes is None
+             else np.unique(shapes, return_index=True)[1])
+    L_TT = L[first, ct, ct]
+    L_TF = L[first, ct, fc]
     # the factorization only checks that every cell block is positive definite
-    checked(np.linalg.cholesky, L_TT, ids=cells,
+    checked(np.linalg.cholesky, L_TT, ids=cells[first],
             what="singular cell block during condensation "
                  "(broken local operator construction)")
-    sol = np.linalg.solve(L_TT, np.concatenate([L_TF, b[:, ct, None]], axis=2))
-    X, y = sol[..., :-1], sol[..., -1]
-    L_c = L[:, fc, fc] - L_TF.mT @ X
+    if len(first) == len(L):
+        sol = np.linalg.solve(L_TT, np.concatenate([L_TF, b[:, ct, None]], axis=2))
+        X, y = sol[..., :-1], sol[..., -1]
+        L_c = L[:, fc, fc] - L_TF.mT @ X
+    else:
+        eye = np.broadcast_to(np.eye(layout.cell_width), L_TT.shape)
+        sol = np.linalg.solve(L_TT, np.concatenate([L_TF, eye], axis=2))
+        X, L_TT_inv = sol[..., : -layout.cell_width], sol[..., -layout.cell_width:]
+        L_c = (L[first, fc, fc] - L_TF.mT @ X)[shapes]
+        X = X[shapes]
+        y = (L_TT_inv[shapes] @ b[:, ct, None])[..., 0]
     b_c = b[:, fc] - (X.mT @ b[:, ct, None])[..., 0]
     return CondensedGroup(cells=cells, layout=layout, L_c=0.5 * (L_c + L_c.mT),
                           b_c=b_c, X=X, y=y)

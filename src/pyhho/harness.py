@@ -4,22 +4,27 @@ The pipeline per solve is: local operators -> static condensation ->
 assembly with boundary data -> sparse solve -> cell recovery -> flux or
 traction recovery.  Every per-cell stage runs once per group of cells of
 one quadrature class (:meth:`pyhho.mesh.Mesh.cell_groups`) on stacked
-arrays.  Convergence studies, the operator-decay verification, the 1D FEM
-oracle, and the incompressibility sweep all sit on top of it.
+arrays; the local operators and the condensation run once per distinct
+cell shape of a group.  Convergence studies, the operator-decay
+verification, the 1D FEM oracle, and the incompressibility sweep all sit
+on top of it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import logging
+import time
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import assembly as asm
 from .basis import face_basis
 from .elasticity import local_bilinear_elastic
-from .local_ops import (CellContext, _kron_apply, build_cell_context, local_bilinear,
-                        reconstruction, stabilization_equal_order, stabilization_ls)
+from .local_ops import (CellContext, LocalOperators, _kron_apply, build_cell_context,
+                        local_bilinear, reconstruction, stabilization_equal_order,
+                        stabilization_ls)
 from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh, left_half)
 from .problems import ProblemSpec
@@ -29,19 +34,20 @@ from .quadrature import cell_quadrature, face_quadrature, interval_rule
 
 RHS_QUAD_BUMP = 2
 
+log = logging.getLogger("pyhho")
+
 
 # ---------------------------------------------------------------------------
 # local right-hand sides and boundary data
 
 
 def local_rhs(ctx: CellContext, f) -> np.ndarray:
-    """Source vectors of a group: cell block only, quadrature order 2(k+1)+2."""
-    order = 2 * (ctx.degrees.k_face + 1) + RHS_QUAD_BUMP
-    rule = cell_quadrature(ctx.geom, order)
-    vals, _ = ctx.rec_basis.eval(rule.points, gradients=False)
+    """Source vectors of a group: cell block only, on the data rule of the
+    context (order 2(k+1)+2); ``f`` is sampled at each cell's own points."""
+    rule = ctx.data_rule
     fx = sample(f, rule.points, rank=ctx.degrees.rank, ids=ctx.cells)
     b = np.zeros((len(ctx.cells), ctx.layout.size))
-    blk = (rule.weights[..., None] * vals[..., : ctx.n_cell]).mT @ fx.reshape(
+    blk = (rule.weights[..., None] * ctx.data_phi[..., : ctx.n_cell]).mT @ fx.reshape(
         rule.weights.shape + (-1,))
     b[:, ctx.layout.cell] = blk.reshape(len(blk), -1)
     return b
@@ -100,8 +106,39 @@ class Solution:
                             self.face_coeffs)
 
 
+def _take(record, at: np.ndarray, **own):
+    """A copy of a dataclass record whose array fields are gathered by
+    ``at`` along the cell axis, except the fields given in ``own``."""
+    gathered = {f.name: getattr(record, f.name)[at] for f in fields(record)
+                if f.name not in own and isinstance(getattr(record, f.name), np.ndarray)}
+    return replace(record, **gathered, **own)
+
+
+def _gather_shapes(op: LocalOperators, cells: np.ndarray,
+                   shapes: np.ndarray) -> LocalOperators:
+    """Operators built on one cell per shape, gathered onto a group's cells.
+
+    What depends on where a cell sits stays its own: the cell and face
+    indices, the geometry, the physical rule points and the basis centres.
+    """
+    ctx = op.ctx
+    geom = ctx.mesh.cell_geometry(cells)
+    ctx = _take(ctx, shapes, cells=cells, geom=geom, shapes=shapes,
+                rec_basis=replace(ctx.rec_basis, center=geom.barycenter, scale=geom.diameter),
+                rule=cell_quadrature(geom, ctx.rule.order),
+                data_rule=cell_quadrature(geom, ctx.data_rule.order),
+                faces=_take(ctx.faces, shapes, index=geom.face_indices))
+    return _take(op, shapes, ctx=ctx)
+
+
 def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec):
-    """Operators and source vectors of every cell group."""
+    """Operators and source vectors of every cell group.
+
+    A group's operators are built once per distinct cell shape
+    (:meth:`pyhho.mesh.Mesh.cell_shapes`), on the lowest-index cell of
+    each, and gathered onto the group; a group whose cells all differ is
+    built as it is.  The sources sample ``f`` at each cell's own points.
+    """
     elastic = spec.kind == "elasticity"
     if elastic:
         if degrees.rank != 2:
@@ -110,10 +147,17 @@ def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec):
             raise ValueError("elasticity requires k >= 1")
     ops, rhs = [], []
     for cells in mesh.cell_groups():
-        ctx = build_cell_context(mesh, cells, degrees)
-        ops.append(local_bilinear_elastic(ctx, spec.mu, spec.lam) if elastic
-                   else local_bilinear(ctx))
-        rhs.append(local_rhs(ctx, spec.f))
+        start = time.perf_counter()
+        reps, shapes = mesh.cell_shapes(cells)
+        ctx = build_cell_context(mesh, reps, degrees)
+        op = (local_bilinear_elastic(ctx, spec.mu, spec.lam) if elastic
+              else local_bilinear(ctx))
+        if len(reps) < len(cells):
+            op = _gather_shapes(op, cells, shapes)
+        ops.append(op)
+        rhs.append(local_rhs(op.ctx, spec.f))
+        log.debug("local operators: %s group, %d cells, %d shapes, %.4f s", ctx.geom.shape,
+                  len(cells), len(reps), time.perf_counter() - start)
     return ops, rhs
 
 
@@ -135,7 +179,7 @@ def solve_problem(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec,
             mesh, ops, rhs, dofmap, dirichlet_values=ud, extra_face_rhs=gn)
         residual = 0.0
     else:
-        condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
+        condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells, o.ctx.shapes)
                      for o, b in zip(ops, rhs)]
         system = asm.assemble(mesh, condensed, dofmap,
                               dirichlet_values=ud, extra_face_rhs=gn)
@@ -281,8 +325,6 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     if spec.exact is None:
         raise ValueError("error norms need an exact solution in the spec")
     mesh = sol.mesh
-    k = sol.degrees.k_face
-    order = 2 * (k + 2)
     rank = sol.degrees.rank
     # energy density |grad e|^2, or 2 mu |eps(e)|^2 for elasticity
     elastic = spec.kind == "elasticity"
@@ -290,10 +332,8 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     for ops in sol.ops:
         ctx = ops.ctx
         nb = len(ctx.cells)
-        rule = cell_quadrature(ctx.geom, order)
-        vals, grads = ctx.rec_basis.eval(rule.points)
-        w = rule.weights
-        pts = rule.points.reshape(-1, rule.points.shape[-1])
+        vals, grads, w = ctx.data_phi, ctx.data_dphi, ctx.data_rule.weights
+        pts = ctx.data_rule.points.reshape(-1, mesh.dim)
         v = sol.local_dofs(ctx.cells)
         stab_sq += float(_quadratic(v, ops.penalty, v).sum())
         coef = (ops.rec @ v[..., None]).reshape(nb, -1, rank)
@@ -440,10 +480,9 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
         for cells in mesh.cell_groups():
             out = np.zeros(5)
             ctx = build_cell_context(mesh, cells, deg_eq)
-            rule = cell_quadrature(ctx.geom, order)
-            vals, _ = ctx.rec_basis.eval(rule.points, gradients=False)
-            w = rule.weights
-            vx = np.asarray(v(rule.points.reshape(-1, dim)), dtype=float).reshape(w.shape)
+            vals, w = ctx.data_phi, ctx.data_rule.weights
+            vx = np.asarray(v(ctx.data_rule.points.reshape(-1, dim)),
+                            dtype=float).reshape(w.shape)
 
             red = reduce_local(mesh, cells, deg_eq, v)
             proj = (vals[..., : ctx.n_cell] @ red[:, ctx.layout.cell, None])[..., 0]
@@ -519,7 +558,7 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
 
     ops, rhs = build_local(mesh, degrees, spec)
     dofmap = asm.build_dof_map(mesh, degrees)
-    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
+    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells, o.ctx.shapes)
                  for o, b in zip(ops, rhs)]
     system = asm.assemble(mesh, condensed, dofmap,
                           dirichlet_values=np.zeros((mesh.n_faces, 1)))

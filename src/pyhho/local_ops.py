@@ -55,7 +55,9 @@ class FaceContext:
 
 @dataclass
 class CellContext:
-    """Quadrature data and Gram matrices of a group, shared by all local operators."""
+    """Quadrature data and Gram matrices of a group, shared by all local
+    operators, and the rule that samples problem data on its cells.  Cells
+    with one entry in ``shapes`` carry the same shape-only arrays."""
 
     mesh: Mesh
     cells: np.ndarray        # (nb,) cell indices of the group
@@ -72,6 +74,11 @@ class CellContext:
     grad_mass: np.ndarray    # (nb, n_rec, d, n_k): (d_c phi_i, phi_j), phi_j of degree <= k
     mass_k_inv: np.ndarray   # (nb, n_k, n_k) inverse of the degree-k cell mass
     faces: FaceContext
+    # the rule of order 2(k+2) that samples problem data (sources, error norms)
+    data_rule: QuadratureRule
+    data_phi: np.ndarray     # (nb, nq', n_rec)
+    data_dphi: np.ndarray    # (nb, nq', n_rec, d)
+    shapes: np.ndarray       # (nb,) each cell's shape, numbered as by Mesh.cell_shapes
 
     @property
     def n_rec(self) -> int:
@@ -93,8 +100,10 @@ class CellContext:
 
 
 def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
-    """Evaluate bases and Gram matrices at quadrature order ``2(k+1)`` on a
-    group of cells of one quadrature class (one cell index: a group of one)."""
+    """Evaluate bases and Gram matrices at quadrature order ``2(k+1)``, and
+    the reconstruction basis at order ``2(k+2)``, on a group of cells of one
+    quadrature class (one cell index: a group of one).  Each cell is its own
+    shape."""
     cells = np.atleast_1d(np.asarray(cells, dtype=int))
     geom = mesh.cell_geometry(cells)
     layout = dof_layout(mesh, degrees, geom.n_faces)
@@ -138,11 +147,14 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     faces = FaceContext(index=geom.face_indices, normal=geom.face_normals,
                         weights=frule.weights[at], psi=psi[at], phi=fphi, mass=M[at],
                         mass_inv=M_inv[at], trace_full=wpsi[at].mT @ fphi)
+    data_rule = cell_quadrature(geom, 2 * (k + 2))
+    data_phi, data_dphi = rec_basis.eval(data_rule.points)
     return CellContext(mesh=mesh, cells=cells, geom=geom, degrees=degrees,
                        layout=layout, rec_basis=rec_basis, rule=rule,
                        phi=phi, dphi=dphi, mass_full=mass_full,
                        stiff_full=stiff_full, ints_full=ints_full, grad_mass=grad_mass,
-                       mass_k_inv=mass_k_inv, faces=faces)
+                       mass_k_inv=mass_k_inv, faces=faces, data_rule=data_rule,
+                       data_phi=data_phi, data_dphi=data_dphi, shapes=np.arange(nb))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 GEOM_TOL = 1e-12
+SHAPE_TOL = 1e-12     # relative to the diameter: cells this close share a shape
 
 
 class MeshError(ValueError):
@@ -97,6 +98,16 @@ def _stack_geometry(dim: int, pts: np.ndarray) -> dict:
         face_normals=np.stack([edge[..., 1], -edge[..., 0]], axis=-1) / lengths[..., None])
 
 
+def _first_seen(label: np.ndarray):
+    """Relabel ``label`` by order of first occurrence.  Returns the position
+    of each label's first entry (ascending) and the new labels."""
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
 def _failed_checks(g: CellGeometry) -> np.ndarray:
     """``(len(_CHECKS), n_cells)`` failure masks of a stacked group."""
     pts, measure = g.vertices, g.measure
@@ -163,15 +174,18 @@ class Mesh:
 
     def _build_faces(self, flat, owner, starts, sizes) -> np.ndarray:
         """Number the faces canonically and return each loop entry's face."""
+        nv = len(self.vertices)
         if self.dim == 1:
-            ends = flat[:, None]
+            key = flat
         else:
             nxt = np.arange(1, len(flat) + 1)
             nxt[starts + sizes - 1] = starts     # the last entry closes the loop
             ends = np.sort(np.column_stack([flat, flat[nxt]]), axis=1)
-        self.face_nodes, inverse, counts = np.unique(
-            ends, axis=0, return_inverse=True, return_counts=True)
-        inverse = inverse.reshape(-1)
+            # a * nv + b sorts like the pair (a, b), so faces keep their lexicographic order
+            key = ends[:, 0].astype(np.int64) * nv + ends[:, 1]
+        unique, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+        self.face_nodes = (unique[:, None] if self.dim == 1
+                           else np.column_stack([unique // nv, unique % nv]))
         if np.any(counts > 2):
             raise MeshError(f"face {np.argmax(counts > 2)} shared by more than two cells")
         # a stable sort keeps each face's cells in increasing order, so
@@ -290,6 +304,45 @@ class Mesh:
         order of each group's first cell; every per-cell stage runs once
         per group on stacked arrays."""
         return [g.index for g in self._groups]
+
+    def cell_shapes(self, cells):
+        """Representatives and shape index of a group's cells.
+
+        Two cells share a shape when their vertex loops, taken relative to
+        the first vertex, agree to ``SHAPE_TOL`` times each cell's own
+        diameter, and each face's stored node order runs the same way along
+        both loops.  Operators built from scaled monomials about the
+        barycenter are then the same on both cells.  Returns ``(reps,
+        shape)``: ``reps[s]`` is the lowest-index cell of shape ``s``, and
+        ``shape[i]`` the shape of ``cells[i]``, numbered in order of first cell.
+        """
+        g = self.cell_geometry(cells)
+        nb = len(g.measure)
+        rel = (g.vertices[:, 1:] - g.vertices[:, :1]).reshape(nb, -1)
+        tol = SHAPE_TOL * g.diameter
+        # does each face start at the loop vertex it leaves from?
+        forward = np.all(self.vertices[self.face_nodes[g.face_indices, 0]] == g.vertices,
+                         axis=-1)
+        ids = np.empty((rel.shape[1], nb), dtype=int)
+        for col, out in zip(rel.T, ids):
+            # clusters of one coordinate: sorted values split where neighbours
+            # differ by more than the tolerance of either
+            order = np.argsort(col, kind="stable")
+            split = np.diff(col[order]) > np.minimum(tol[order][1:], tol[order][:-1])
+            out[order] = np.concatenate([[0], np.cumsum(split)])
+        # one label per distinct row of cluster ids and face directions
+        keys = np.concatenate([ids, forward.T])
+        order = np.lexsort(keys)
+        step = np.any(np.diff(keys[:, order], axis=1) != 0, axis=0)
+        label = np.empty(nb, dtype=int)
+        label[order] = np.concatenate([[0], np.cumsum(step)])
+        first, shape = _first_seen(label)
+        # a cluster can chain beyond the tolerance; its far cells stand alone
+        far = np.abs(rel - rel[first][shape]).max(axis=1, initial=0.0) > np.minimum(
+            tol, tol[first][shape])
+        if far.any():
+            first, shape = _first_seen(np.where(far, nb + np.arange(nb), shape))
+        return g.index[first], shape
 
     def max_diameter(self) -> float:
         return max(float(g.diameter.max()) for g in self._groups)

@@ -350,6 +350,21 @@ def test_json_roundtrip(tmp_path):
     np.testing.assert_array_equal(m2.neumann_faces, m.neumann_faces)
 
 
+@pytest.mark.parametrize("mesh", [build_interval_mesh(0.0, 1.0, 5),
+                                  build_hanging_node_mesh(build_structured_mesh("quad", 4, 3),
+                                                          [0, 5, 6, 11])])
+def test_faces_numbered_by_sorted_vertex_pair(mesh):
+    # every loop edge as a sorted vertex tuple; faces are their unique rows in order
+    if mesh.dim == 1:
+        ends = np.concatenate(mesh.cells)[:, None]
+    else:
+        ends = np.sort([(c[i], c[(i + 1) % len(c)]) for c in mesh.cells
+                        for i in range(len(c))], axis=1)
+    nodes, inverse = np.unique(ends, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(mesh.face_nodes, nodes)
+    np.testing.assert_array_equal(np.concatenate(mesh.cell_faces), inverse.reshape(-1))
+
+
 def test_json_faces_canonically_ordered(tmp_path):
     m = build_structured_mesh("tri", 2, 1)
     data = mesh_to_dict(m)

@@ -1,0 +1,214 @@
+"""Operators built once per cell shape and gathered equal a per-cell build."""
+
+import logging
+
+import numpy as np
+import pytest
+
+from pyhho import assembly as asm
+from pyhho import harness, local_ops
+from pyhho.elasticity import local_bilinear_elastic
+from pyhho.harness import build_local, local_rhs, mesh_family, solve_problem
+from pyhho.local_ops import build_cell_context, local_bilinear
+from pyhho.mesh import Mesh, build_interval_mesh, build_structured_mesh
+from pyhho.problems import elasticity_compressible, poisson_sin_1d, poisson_sin_2d
+from pyhho.projection import HhoDegrees
+
+OPERATOR_FIELDS = ("L", "penalty", "rec", "flux", "balance")
+CONDENSED_FIELDS = ("L_c", "X", "y", "b_c")
+
+
+def jittered_tri_mesh(n=4, seed=3):
+    base = build_structured_mesh("tri", n, n)
+    verts = base.vertices.copy()
+    inner = np.all((verts > 0.5 / n) & (verts < 1 - 0.5 / n), axis=1)
+    verts[inner] += np.random.default_rng(seed).uniform(-0.2 / n, 0.2 / n,
+                                                        (int(inner.sum()), 2))
+    return Mesh(2, verts, base.cells)
+
+
+MESHES = {
+    "interval": lambda: build_interval_mesh(0.0, 1.0, 6),
+    "quad": lambda: build_structured_mesh("quad", 3, 3),
+    "tri": lambda: build_structured_mesh("tri", 3, 3),
+    "hanging": lambda: mesh_family("hanging", 0, base=4),
+    "jittered-tri": jittered_tri_mesh,
+}
+
+
+def graded_quad_mesh(widths, ny=2):
+    """Quads in columns of the given widths: the cells of a column share a shape."""
+    base = build_structured_mesh("quad", len(widths), ny)
+    xs = np.concatenate([[0.0], np.cumsum(widths)])
+    verts = base.vertices.copy()
+    verts[:, 0] = xs[np.rint(verts[:, 0] * len(widths)).astype(int)]
+    return Mesh(2, verts, base.cells)
+
+
+def per_cell_build(mesh, degrees, spec):
+    """Operators and sources of every group with each cell its own shape."""
+    out = []
+    for cells in mesh.cell_groups():
+        ctx = build_cell_context(mesh, cells, degrees)
+        ops = (local_bilinear(ctx) if degrees.rank == 1
+               else local_bilinear_elastic(ctx, spec.mu, spec.lam))
+        out.append((ops, local_rhs(ctx, spec.f)))
+    return out
+
+
+def relative(got, ref):
+    return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+def assert_close(got, ref, name, tol=1e-12):
+    assert relative(got, ref) <= tol, name
+
+
+def spread(cg, shapes):
+    """How far a per-cell condensation of one shape differs between its
+    cells, relative to the largest entry: the round-off of where a cell sits."""
+    first = np.unique(shapes, return_index=True)[1]
+    return max(relative(getattr(cg, name)[first][shapes], getattr(cg, name))
+               for name in ("L_c", "X"))
+
+
+def check_against_per_cell(mesh, degrees, spec):
+    ops, rhs = build_local(mesh, degrees, spec)
+    for op, b, (ref, ref_b) in zip(ops, rhs, per_cell_build(mesh, degrees, spec)):
+        ctx, ref_ctx = op.ctx, ref.ctx
+        np.testing.assert_array_equal(ctx.cells, ref_ctx.cells)
+        # what is tied to position is each cell's own
+        np.testing.assert_array_equal(ctx.faces.index, ref_ctx.faces.index)
+        np.testing.assert_array_equal(ctx.rule.points, ref_ctx.rule.points)
+        np.testing.assert_array_equal(ctx.data_rule.points, ref_ctx.data_rule.points)
+        np.testing.assert_array_equal(ctx.rec_basis.center, ref_ctx.rec_basis.center)
+        for name in OPERATOR_FIELDS:
+            assert_close(getattr(op, name), getattr(ref, name), name)
+        assert_close(b, ref_b, "rhs")
+        cg = asm.condense(op.L, b, ctx.layout, ctx.cells, ctx.shapes)
+        # against a per-cell condensation of the same matrices
+        same = asm.condense(op.L, b, ctx.layout, ctx.cells)
+        # against the per-cell build: its own spread between the cells of a
+        # shape (up to 9e-12 at k=3 on triangles) bounds the difference too
+        ref_cg = asm.condense(ref.L, ref_b, ref_ctx.layout, ref_ctx.cells)
+        tol = 1e-12 + spread(ref_cg, ctx.shapes)
+        for name in CONDENSED_FIELDS:
+            assert_close(getattr(cg, name), getattr(same, name), name)
+            assert_close(getattr(cg, name), getattr(ref_cg, name), name, tol)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("family", sorted(MESHES))
+def test_scalar_operators_match_per_cell_build(family, k, mixed):
+    mesh = MESHES[family]()
+    spec = poisson_sin_1d() if mesh.dim == 1 else poisson_sin_2d()
+    check_against_per_cell(mesh, HhoDegrees(k, k + mixed), spec)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", ["quad", "tri", "hanging", "jittered-tri"])
+def test_vector_operators_match_per_cell_build(family, k, mixed):
+    check_against_per_cell(MESHES[family](), HhoDegrees(k, k + mixed, rank=2),
+                           elasticity_compressible(mu=1.0, lam=3.0))
+
+
+def test_all_distinct_shapes_build_as_before():
+    # every jittered triangle is its own shape: nothing is gathered, bit for bit
+    mesh = jittered_tri_mesh()
+    spec, degrees = poisson_sin_2d(), HhoDegrees(1, 1)
+    (op, b), = zip(*build_local(mesh, degrees, spec))
+    (ref, ref_b), = per_cell_build(mesh, degrees, spec)
+    for name in OPERATOR_FIELDS:
+        np.testing.assert_array_equal(getattr(op, name), getattr(ref, name))
+    np.testing.assert_array_equal(b, ref_b)
+
+
+def test_shape_counts():
+    for n in (1, 4, 16, 64):
+        mesh = build_structured_mesh("quad", n, n)
+        reps, shapes = mesh.cell_shapes(mesh.cell_groups()[0])
+        assert reps.tolist() == [0] and not shapes.any()
+    mesh = jittered_tri_mesh()
+    cells = mesh.cell_groups()[0]
+    reps, shapes = mesh.cell_shapes(cells)
+    np.testing.assert_array_equal(reps, cells)
+    np.testing.assert_array_equal(shapes, np.arange(len(cells)))
+
+
+def test_representatives_are_first_cells_in_order():
+    mesh = mesh_family("hanging", 1, base=4)
+    for cells in mesh.cell_groups():
+        reps, shapes = mesh.cell_shapes(cells)
+        assert np.all(np.diff(reps) > 0)
+        np.testing.assert_array_equal(cells[np.unique(shapes, return_index=True)[1]], reps)
+        np.testing.assert_array_equal(reps[shapes] <= cells, True)
+
+
+def test_near_copies_get_their_own_shape():
+    # separate triangles: a translated copy shares the shape; a vertex moved
+    # by 1e-9 h, a face stored the other way round, and a copy scaled by
+    # 1e-6 do not
+    tri = np.array([[1.0, 1.0], [11.0, 1.0], [11.0, 11.0]])
+    h = np.sqrt(200.0)
+    moved = tri + [20.0, 0.0]
+    moved[2, 1] += 1e-9 * h
+    verts = np.concatenate([tri, tri + [0.0, 20.0], moved, tri + [20.0, 20.0], 1e-6 * tri])
+    cells = [[0, 1, 2], [3, 4, 5], [6, 7, 8],
+             [11, 9, 10],       # the loop (9, 10, 11) numbered so its faces flip
+             [12, 13, 14]]
+    verts[[9, 10, 11]] = verts[[10, 11, 9]]
+    mesh = Mesh(2, verts, cells)
+    group = mesh.cell_groups()[0]
+    reps, shapes = mesh.cell_shapes(group)
+    assert shapes.tolist() == [0, 0, 1, 2, 3]
+    assert reps.tolist() == [0, 2, 3, 4]
+    for k in (0, 1, 2):
+        check_against_per_cell(mesh, HhoDegrees(k, k), poisson_sin_2d())
+
+
+def test_condition_guard_names_lowest_offending_cell(monkeypatch):
+    # columns of widths 1 and 0.2: the narrow cells 4, 5, 8, 9 share a shape
+    mesh = graded_quad_mesh([1.0, 1.0, 0.2, 1.0, 0.2])
+    cond = np.linalg.cond(build_cell_context(mesh, mesh.cell_groups()[0],
+                                             HhoDegrees(2, 2)).mass_full)
+    limit = np.sqrt(cond.min() * cond.max())
+    assert np.flatnonzero(cond > limit).tolist() == [4, 5, 8, 9]
+    monkeypatch.setattr(local_ops, "COND_LIMIT", limit)
+    with pytest.raises(ValueError, match="^cell 4: mass-matrix condition number"):
+        solve_problem(mesh, HhoDegrees(2, 2), poisson_sin_2d())
+
+
+def test_singular_cell_block_names_lowest_offending_cell(monkeypatch):
+    mesh = graded_quad_mesh([1.0, 1.0, 0.2, 1.0, 0.2])
+    build = harness.local_bilinear
+
+    def broken(ctx):
+        ops = build(ctx)
+        narrow = ctx.geom.measure < 0.5 * ctx.geom.measure.max(initial=1.0)
+        ops.L[np.ix_(narrow, range(ctx.layout.cell_width), range(ctx.layout.cell_width))] = 0.0
+        return ops
+
+    monkeypatch.setattr(harness, "local_bilinear", broken)
+    with pytest.raises(ValueError, match="^cell 4: singular cell block"):
+        solve_problem(mesh, HhoDegrees(1, 1), poisson_sin_2d())
+
+
+def test_strip_names_cell_zero():
+    mesh = build_structured_mesh("quad", 512, 1)
+    with pytest.raises(ValueError, match="^cell 0: mass-matrix condition number"):
+        solve_problem(mesh, HhoDegrees(2, 2), poisson_sin_2d())
+
+
+def test_debug_line_per_group(caplog):
+    mesh = mesh_family("hanging", 0, base=4)
+    with caplog.at_level(logging.DEBUG, logger="pyhho"):
+        build_local(mesh, HhoDegrees(1, 1), poisson_sin_2d())
+    lines = [r.getMessage() for r in caplog.records if r.name == "pyhho"]
+    assert len(lines) == len(mesh.cell_groups())
+    for line, cells in zip(lines, mesh.cell_groups()):
+        reps, _ = mesh.cell_shapes(cells)
+        shape = mesh.cell_geometry(cells).shape
+        assert line.startswith(f"local operators: {shape} group, {len(cells)} cells, "
+                               f"{len(reps)} shapes, ")
