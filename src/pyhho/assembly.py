@@ -77,37 +77,31 @@ class CondensedGroup:
 
 
 def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cells,
-             shapes: np.ndarray | None = None) -> CondensedGroup:
-    """Eliminate the cell unknowns of a group of cells (stacked ``L``, ``b``).
+             shapes) -> CondensedGroup:
+    """Eliminate the cell unknowns of a group of cells.
 
-    ``shapes`` gives each cell's shape, numbered in order of first cell
-    (:meth:`pyhho.mesh.Mesh.cell_shapes`); the cells of a shape share ``L``,
-    so its cell block is checked and factored once, on its first cell, and
-    only ``y`` and ``b_c`` are formed per cell.
+    ``L`` is stacked over the group's distinct shapes and ``b`` over its
+    cells; ``shapes[i]`` is the row of ``L`` that serves ``cells[i]``, with
+    shapes numbered in order of first cell (:meth:`pyhho.mesh.Mesh.cell_shapes`).
+    Each shape's cell block is checked and factored once, and only ``y``
+    and ``b_c`` are formed per cell.
     """
-    cells = np.atleast_1d(cells)
-    ct, fc = layout.cell, layout.faces
-    first = (np.arange(len(L)) if shapes is None
-             else np.unique(shapes, return_index=True)[1])
-    L_TT = L[first, ct, ct]
-    L_TF = L[first, ct, fc]
-    # the factorization only checks that every cell block is positive definite
-    checked(np.linalg.cholesky, L_TT, ids=cells[first],
+    cells, shapes = np.atleast_1d(cells), np.atleast_1d(shapes)
+    ct, fc, cw = layout.cell, layout.faces, layout.cell_width
+    L_TT, L_TF = L[:, ct, ct], L[:, ct, fc]
+    # the factorization only checks that every cell block is positive definite;
+    # an error names the first cell of the offending shape
+    checked(np.linalg.cholesky, L_TT, ids=cells[np.unique(shapes, return_index=True)[1]],
             what="singular cell block during condensation "
                  "(broken local operator construction)")
-    if len(first) == len(L):
-        sol = np.linalg.solve(L_TT, np.concatenate([L_TF, b[:, ct, None]], axis=2))
-        X, y = sol[..., :-1], sol[..., -1]
-        L_c = L[:, fc, fc] - L_TF.mT @ X
-    else:
-        eye = np.broadcast_to(np.eye(layout.cell_width), L_TT.shape)
-        sol = np.linalg.solve(L_TT, np.concatenate([L_TF, eye], axis=2))
-        X, L_TT_inv = sol[..., : -layout.cell_width], sol[..., -layout.cell_width:]
-        L_c = (L[first, fc, fc] - L_TF.mT @ X)[shapes]
-        X = X[shapes]
-        y = (L_TT_inv[shapes] @ b[:, ct, None])[..., 0]
+    sol = np.linalg.solve(L_TT, np.concatenate(
+        [L_TF, np.broadcast_to(np.eye(cw), L_TT.shape)], axis=2))
+    X, L_TT_inv = sol[..., :-cw], sol[..., -cw:]
+    L_c = L[:, fc, fc] - L_TF.mT @ X
+    X = X[shapes]
+    y = (L_TT_inv[shapes] @ b[:, ct, None])[..., 0]
     b_c = b[:, fc] - (X.mT @ b[:, ct, None])[..., 0]
-    return CondensedGroup(cells=cells, layout=layout, L_c=0.5 * (L_c + L_c.mT),
+    return CondensedGroup(cells=cells, layout=layout, L_c=0.5 * (L_c + L_c.mT)[shapes],
                           b_c=b_c, X=X, y=y)
 
 
@@ -255,13 +249,14 @@ def recover_cells(mesh: Mesh, condensed: list, dofmap: DofMap,
     return cell_coeffs, face_coeffs
 
 
-def solve_monolithic(mesh: Mesh, ops: list, rhs_list: list, dofmap: DofMap,
+def solve_monolithic(mesh: Mesh, groups: list, dofmap: DofMap,
                      dirichlet_values: np.ndarray | None = None,
                      extra_face_rhs: np.ndarray | None = None):
     """Reference solve of the uncondensed cell+face system (dense).
 
-    Used as an oracle for the static-condensation path; takes the local
-    operator groups and their right-hand sides and returns the same
+    Used as an oracle for the static-condensation path; takes the cell
+    groups of a solve (``cells``, ``shapes``, operators ``ops`` stacked by
+    shape and sources ``rhs`` stacked by cell) and returns the same
     ``(cell_coeffs, face_coeffs)`` arrays as the condensed pipeline.
     """
     cw = dof_layout(mesh, dofmap.degrees, 1).cell_width
@@ -269,8 +264,8 @@ def solve_monolithic(mesh: Mesh, ops: list, rhs_list: list, dofmap: DofMap,
     total = n_cell_dofs + dofmap.n_reduced
     A = np.zeros((total, total))
     b = np.zeros(total)
-    for op, bl in zip(ops, rhs_list):
-        cells = op.ctx.cells
+    for g in groups:
+        cells, L, bl = g.cells, g.ops.L[g.shapes], g.rhs
         faces, dofs = _face_dofs(mesh, cells, dofmap)
         idx = np.concatenate([cells[:, None] * cw + np.arange(cw),
                               np.where(dofs >= 0, n_cell_dofs + dofs, -1)], axis=1)
@@ -278,11 +273,11 @@ def solve_monolithic(mesh: Mesh, ops: list, rhs_list: list, dofmap: DofMap,
         if dirichlet_values is not None:
             fixed = np.zeros(idx.shape)
             fixed[:, cw:] = dirichlet_values[faces].reshape(len(cells), -1)
-            bl = bl - (op.L @ np.where(keep, 0.0, fixed)[..., None])[..., 0]
+            bl = bl - (L @ np.where(keep, 0.0, fixed)[..., None])[..., 0]
         pairs = keep[:, :, None] & keep[:, None, :]
         np.add.at(A, (np.broadcast_to(idx[:, :, None], pairs.shape)[pairs],
                       np.broadcast_to(idx[:, None, :], pairs.shape)[pairs]),
-                  op.L[pairs])
+                  L[pairs])
         np.add.at(b, idx[keep], bl[keep])
     free, face_rows = _free_face_rows(dofmap)
     if extra_face_rhs is not None:

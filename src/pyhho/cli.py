@@ -226,21 +226,22 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     registry = {}
 
-    def common(sp, problem=True):
+    def common(sp, mode=True, solve=True):
         sp.add_argument("--k", type=int, default=1, help="face polynomial degree")
-        sp.add_argument("--mode", choices=["equal", "plus"], default="equal",
-                        help="cell degree equal to k or k+1")
+        if mode:
+            sp.add_argument("--mode", choices=["equal", "plus"], default="equal",
+                            help="cell degree equal to k or k+1")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--solver", choices=["direct", "cg"], default="direct")
-        sp.add_argument("--tol", type=tolerance, default=1e-12)
+        if solve:
+            sp.add_argument("--solver", choices=["direct", "cg"], default="direct")
+            sp.add_argument("--tol", type=tolerance, default=1e-12)
+            sp.add_argument("--problem", default="poisson",
+                            choices=sorted(problems.PROBLEMS))
         # a no-op: runs are serial, but existing command lines still pass it
         # and perfbench/workloads.py reads its default
         sp.add_argument("--threads", type=int,
                         default=max(1, os.cpu_count() or 1),
                         help="ignored: runs are serial")
-        if problem:
-            sp.add_argument("--problem", default="poisson",
-                            choices=sorted(problems.PROBLEMS))
 
     sp = registry["solve"] = sub.add_parser("solve", help="solve one problem on one mesh")
     common(sp)
@@ -259,7 +260,7 @@ def build_parser():
     sp.set_defaults(func=cmd_converge)
 
     sp = registry["verify"] = sub.add_parser("verify", help="operator decay-rate verification")
-    common(sp, problem=False)
+    common(sp, mode=False, solve=False)
     sp.add_argument("--family", default="quad",
                     choices=["quad", "tri", "hanging", "interval"])
     sp.add_argument("--levels", type=int, default=4)
@@ -267,14 +268,14 @@ def build_parser():
     sp.set_defaults(func=cmd_verify)
 
     sp = registry["oracle1d"] = sub.add_parser("oracle1d", help="compare against an independent P1 FEM build")
-    common(sp, problem=False)
+    common(sp, mode=False, solve=False)
     sp.add_argument("--n", type=int, default=32, help="number of interval cells")
     sp.add_argument("--grading", type=float, default=1.1,
                     help="cell-size ratio (non-uniform mesh)")
     sp.set_defaults(func=cmd_oracle1d)
 
     sp = registry["locking"] = sub.add_parser("locking", help="incompressibility robustness sweep")
-    common(sp, problem=False)
+    common(sp, solve=False)
     sp.add_argument("--family", default="tri", choices=["tri", "quad"])
     sp.add_argument("--levels", type=int, default=3)
     sp.add_argument("--base", type=int, default=8)

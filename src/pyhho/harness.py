@@ -5,7 +5,8 @@ assembly with boundary data -> sparse solve -> cell recovery -> flux or
 traction recovery.  Every per-cell stage runs once per group of cells of
 one quadrature class (:meth:`pyhho.mesh.Mesh.cell_groups`) on stacked
 arrays; the local operators and the condensation run once per distinct
-cell shape of a group.  Convergence studies, the operator-decay
+cell shape of a group and are kept that way, indexed by each cell's shape
+where a stage reads them.  Convergence studies, the operator-decay
 verification, the 1D FEM oracle, and the incompressibility sweep all sit
 on top of it.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .local_ops import (CellContext, LocalOperators, _kron_apply, build_cell_con
 from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh, left_half)
 from .problems import ProblemSpec
-from .projection import (HhoDegrees, dof_layout, equal_order, gather_local, l2_project,
-                         mixed_order, reduce_local, sample)
+from .projection import (HhoDegrees, cell_faces, dof_layout, equal_order, gather_local,
+                         l2_project, mixed_order, reduce_local, sample)
 from .quadrature import cell_quadrature, face_quadrature, interval_rule
 
 RHS_QUAD_BUMP = 2
@@ -41,14 +42,14 @@ log = logging.getLogger("pyhho")
 # local right-hand sides and boundary data
 
 
-def local_rhs(ctx: CellContext, f) -> np.ndarray:
-    """Source vectors of a group: cell block only, on the data rule of the
-    context (order 2(k+1)+2); ``f`` is sampled at each cell's own points."""
-    rule = ctx.data_rule
-    fx = sample(f, rule.points, rank=ctx.degrees.rank, ids=ctx.cells)
-    b = np.zeros((len(ctx.cells), ctx.layout.size))
-    blk = (rule.weights[..., None] * ctx.data_phi[..., : ctx.n_cell]).mT @ fx.reshape(
-        rule.weights.shape + (-1,))
+def local_rhs(ctx: CellContext, f, shapes, points, cells) -> np.ndarray:
+    """Source vectors of a group's ``cells``: cell block only, on the data rule
+    of ``ctx`` (order 2(k+1)+2), whose row ``shapes[b]`` serves cell ``b``;
+    ``f`` is sampled at each cell's own ``points`` of that rule."""
+    fx = sample(f, points, rank=ctx.degrees.rank, ids=cells)
+    wphi = (ctx.data_rule.weights[..., None] * ctx.data_phi[..., : ctx.n_cell])[shapes]
+    b = np.zeros((len(cells), ctx.layout.size))
+    blk = wphi.mT @ fx.reshape(wphi.shape[:2] + (-1,))
     b[:, ctx.layout.cell] = blk.reshape(len(blk), -1)
     return b
 
@@ -88,16 +89,30 @@ def neumann_rhs(mesh: Mesh, degrees: HhoDegrees, g_n) -> np.ndarray:
 
 
 @dataclass
+class CellGroup:
+    """A cell group of a solve: its operators, built once per distinct cell
+    shape, and the per-cell facts that tie them to its cells."""
+
+    cells: np.ndarray         # (nb,) cell indices
+    shapes: np.ndarray        # (nb,) each cell's shape: its row in every array of ops
+    ops: LocalOperators       # on the lowest-index cell of each shape
+    points: np.ndarray        # (nb, nq, d) each cell's points of ops.ctx.data_rule
+    rhs: np.ndarray           # (nb, size) source vectors
+
+    def condense(self) -> asm.CondensedGroup:
+        return asm.condense(self.ops.L, self.rhs, self.ops.ctx.layout, self.cells,
+                            self.shapes)
+
+
+@dataclass
 class Solution:
     mesh: Mesh
     degrees: HhoDegrees
     spec: ProblemSpec
     cell_coeffs: np.ndarray   # (n_cells, cell_width)
     face_coeffs: np.ndarray   # (n_faces, face_width)
-    ops: list                 # one LocalOperators record per cell group
-    rhs: list                 # per group: (nb, size) source vectors
+    groups: list              # one CellGroup per cell group
     dofmap: asm.DofMap
-    dirichlet: np.ndarray
     neumann: np.ndarray
     residual: float = 0.0
 
@@ -106,38 +121,13 @@ class Solution:
                             self.face_coeffs)
 
 
-def _take(record, at: np.ndarray, **own):
-    """A copy of a dataclass record whose array fields are gathered by
-    ``at`` along the cell axis, except the fields given in ``own``."""
-    gathered = {f.name: getattr(record, f.name)[at] for f in fields(record)
-                if f.name not in own and isinstance(getattr(record, f.name), np.ndarray)}
-    return replace(record, **gathered, **own)
+def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec) -> list:
+    """The :class:`CellGroup` of every cell group, with operators and sources.
 
-
-def _gather_shapes(op: LocalOperators, cells: np.ndarray,
-                   shapes: np.ndarray) -> LocalOperators:
-    """Operators built on one cell per shape, gathered onto a group's cells.
-
-    What depends on where a cell sits stays its own: the cell and face
-    indices, the geometry, the physical rule points and the basis centres.
-    """
-    ctx = op.ctx
-    geom = ctx.mesh.cell_geometry(cells)
-    ctx = _take(ctx, shapes, cells=cells, geom=geom, shapes=shapes,
-                rec_basis=replace(ctx.rec_basis, center=geom.barycenter, scale=geom.diameter),
-                rule=cell_quadrature(geom, ctx.rule.order),
-                data_rule=cell_quadrature(geom, ctx.data_rule.order),
-                faces=_take(ctx.faces, shapes, index=geom.face_indices))
-    return _take(op, shapes, ctx=ctx)
-
-
-def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec):
-    """Operators and source vectors of every cell group.
-
-    A group's operators are built once per distinct cell shape
-    (:meth:`pyhho.mesh.Mesh.cell_shapes`), on the lowest-index cell of
-    each, and gathered onto the group; a group whose cells all differ is
-    built as it is.  The sources sample ``f`` at each cell's own points.
+    A group's context and operators are built once per distinct cell shape
+    (:meth:`pyhho.mesh.Mesh.cell_shapes`), on the lowest-index cell of each;
+    a stage that reads them takes cell ``b``'s at row ``shapes[b]``.  The
+    sources sample ``f`` at each cell's own points.
     """
     elastic = spec.kind == "elasticity"
     if elastic:
@@ -145,20 +135,19 @@ def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec):
             raise ValueError("elasticity needs vector degrees (rank 2)")
         if degrees.k_face < 1:
             raise ValueError("elasticity requires k >= 1")
-    ops, rhs = [], []
+    groups = []
     for cells in mesh.cell_groups():
         start = time.perf_counter()
         reps, shapes = mesh.cell_shapes(cells)
         ctx = build_cell_context(mesh, reps, degrees)
         op = (local_bilinear_elastic(ctx, spec.mu, spec.lam) if elastic
               else local_bilinear(ctx))
-        if len(reps) < len(cells):
-            op = _gather_shapes(op, cells, shapes)
-        ops.append(op)
-        rhs.append(local_rhs(op.ctx, spec.f))
+        points = cell_quadrature(mesh.cell_geometry(cells), ctx.data_rule.order).points
+        groups.append(CellGroup(cells=cells, shapes=shapes, ops=op, points=points,
+                                rhs=local_rhs(ctx, spec.f, shapes, points, cells)))
         log.debug("local operators: %s group, %d cells, %d shapes, %.4f s", ctx.geom.shape,
                   len(cells), len(reps), time.perf_counter() - start)
-    return ops, rhs
+    return groups
 
 
 def solve_problem(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec,
@@ -169,18 +158,17 @@ def solve_problem(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec,
         raise ValueError(
             "no Dirichlet face: the solution is determined only up to a "
             + ("rigid motion" if spec.kind == "elasticity" else "constant"))
-    ops, rhs = build_local(mesh, degrees, spec)
+    groups = build_local(mesh, degrees, spec)
     dofmap = asm.build_dof_map(mesh, degrees)
     ud = dirichlet_data(mesh, degrees, spec.u_dirichlet)
     gn = neumann_rhs(mesh, degrees, spec.g_neumann)
 
     if monolithic:
         cell_coeffs, face_coeffs = asm.solve_monolithic(
-            mesh, ops, rhs, dofmap, dirichlet_values=ud, extra_face_rhs=gn)
+            mesh, groups, dofmap, dirichlet_values=ud, extra_face_rhs=gn)
         residual = 0.0
     else:
-        condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells, o.ctx.shapes)
-                     for o, b in zip(ops, rhs)]
+        condensed = [g.condense() for g in groups]
         system = asm.assemble(mesh, condensed, dofmap,
                               dirichlet_values=ud, extra_face_rhs=gn)
         x = asm.solve_reduced(system, method=solver, tol=tol)
@@ -191,17 +179,16 @@ def solve_problem(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec,
             mesh, condensed, dofmap, x, dirichlet_values=ud)
     return Solution(mesh=mesh, degrees=degrees, spec=spec,
                     cell_coeffs=cell_coeffs, face_coeffs=face_coeffs,
-                    ops=ops, rhs=rhs, dofmap=dofmap, dirichlet=ud,
-                    neumann=gn, residual=residual)
+                    groups=groups, dofmap=dofmap, neumann=gn, residual=residual)
 
 
 # ---------------------------------------------------------------------------
 # energy and residual checks
 
 
-def _quadratic(v: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``v_b . M_b w_b`` for every cell b of a group."""
-    return np.einsum("bi,bi->b", v, (M @ w[..., None])[..., 0])
+def _apply(M: np.ndarray, shapes: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``M[shapes[b]] @ v[b]`` for every cell b of a group, ``M`` stacked by shape."""
+    return (M[shapes] @ v[..., None])[..., 0]
 
 
 def discrete_energy(sol: Solution, cell_coeffs=None, face_coeffs=None) -> float:
@@ -209,9 +196,9 @@ def discrete_energy(sol: Solution, cell_coeffs=None, face_coeffs=None) -> float:
     cc = sol.cell_coeffs if cell_coeffs is None else np.asarray(cell_coeffs)
     fc = sol.face_coeffs if face_coeffs is None else face_coeffs
     total = 0.0
-    for ops, b in zip(sol.ops, sol.rhs):
-        v = gather_local(sol.mesh, ops.ctx.cells, sol.degrees, cc, fc)
-        total += float(np.sum(0.5 * _quadratic(v, ops.L, v) - np.sum(b * v, axis=1)))
+    for g in sol.groups:
+        v = gather_local(sol.mesh, g.cells, sol.degrees, cc, fc)
+        total += float(np.sum(v * (0.5 * _apply(g.ops.L, g.shapes, v) - g.rhs)))
     # the Neumann rows are zero off the Neumann faces
     return float(total - np.sum(sol.neumann * fc))
 
@@ -250,27 +237,30 @@ def _face_flux_checks(sol: Solution):
     terms all vanish.
     """
     mesh = sol.mesh
-    n_face = sol.ops[0].ctx.faces.mass.shape[-1]
+    n_face = sol.groups[0].ops.ctx.faces.mass.shape[-1]
     # the two fluxes of an interface face cancel: accumulate them per face
     flux_sum = np.zeros((mesh.n_faces, sol.dofmap.face_width))
     mass = np.zeros((mesh.n_faces, n_face, n_face))
     mass_inv = np.zeros_like(mass)
     scale, res, fmag = 1e-30, 0.0, 0.0
-    for ops, b in zip(sol.ops, sol.rhs):
+    for g in sol.groups:
+        ops, shapes, b = g.ops, g.shapes, g.rhs
         ctx, f = ops.ctx, ops.ctx.faces
-        v = sol.local_dofs(ctx.cells)
-        t = ops.face_fluxes(v)
+        index = cell_faces(mesh, g.cells)
+        v = sol.local_dofs(g.cells)
+        t = ops.face_fluxes(v, shapes)
         scale = max(scale, float(np.abs(b).max()),
-                    float(np.max(np.abs(ops.L).max(axis=(1, 2))
+                    float(np.max(np.abs(ops.L).max(axis=(1, 2))[shapes]
                                  * np.maximum(np.abs(v).max(axis=1), 1e-30))))
         # balance: the cell consistency plus sum_F (t_F, q)_F for degree-k q
-        trace = f.trace_full[..., : ctx.n_k].reshape(len(t), -1, ctx.n_k)
-        r = ((ops.balance @ v[..., None])[..., 0] - b[:, : ops.balance.shape[1]]
-             + _kron_apply(trace.mT, t.reshape(len(t), -1)))
+        trace = f.trace_full[..., : ctx.n_k].reshape(len(f.normal), -1, ctx.n_k)
+        r = (_apply(ops.balance, shapes, v) - b[:, : ops.balance.shape[1]]
+             + _kron_apply(trace.mT[shapes], t.reshape(len(t), -1)))
         res = max(res, float(np.abs(r).max()))
-        fmag = max(fmag, float(_face_norms(f.mass, t).max()))
-        np.add.at(flux_sum, f.index, t)
-        mass[f.index], mass_inv[f.index] = f.mass, f.mass_inv
+        f_mass = f.mass[shapes]
+        fmag = max(fmag, float(_face_norms(f_mass, t).max()))
+        np.add.at(flux_sum, index, t)
+        mass[index], mass_inv[index] = f_mass, f.mass_inv[shapes]
 
     interior = np.flatnonzero(~mesh.boundary_faces)
     eq = float(_face_norms(mass[interior], flux_sum[interior]).max(initial=0.0))
@@ -285,18 +275,18 @@ def galerkin_residual(sol: Solution, n_tests: int = 10, seed: int = 7) -> float:
     rng = np.random.default_rng(seed)
     mesh = sol.mesh
     width = sol.dofmap.face_width
-    Lu = [(ops.L @ sol.local_dofs(ops.ctx.cells)[..., None])[..., 0] for ops in sol.ops]
+    Lu = [_apply(g.ops.L, g.shapes, sol.local_dofs(g.cells)) for g in sol.groups]
     worst = 0.0
     for _ in range(n_tests):
         wc = rng.standard_normal(sol.cell_coeffs.shape)
         wf = rng.standard_normal((mesh.n_faces, width))
         wf[mesh.dirichlet_faces] = 0.0
         a_val = l_val = scale = 0.0
-        for ops, b, lu in zip(sol.ops, sol.rhs, Lu):
-            w = gather_local(mesh, ops.ctx.cells, sol.degrees, wc, wf)
+        for g, lu in zip(sol.groups, Lu):
+            w = gather_local(mesh, g.cells, sol.degrees, wc, wf)
             a_cells = np.sum(w * lu, axis=1)
             a_val += a_cells.sum()
-            l_val += np.sum(b * w)
+            l_val += np.sum(g.rhs * w)
             scale += np.abs(a_cells).sum()
         l_val += np.sum(sol.neumann * wf)
         worst = max(worst, abs(a_val - l_val) / max(scale, 1e-30))
@@ -329,14 +319,15 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     # energy density |grad e|^2, or 2 mu |eps(e)|^2 for elasticity
     elastic = spec.kind == "elasticity"
     h1_sq = l2c_sq = l2r_sq = stab_sq = 0.0
-    for ops in sol.ops:
+    for g in sol.groups:
+        ops, shapes, nb = g.ops, g.shapes, len(g.cells)
         ctx = ops.ctx
-        nb = len(ctx.cells)
-        vals, grads, w = ctx.data_phi, ctx.data_dphi, ctx.data_rule.weights
-        pts = ctx.data_rule.points.reshape(-1, mesh.dim)
-        v = sol.local_dofs(ctx.cells)
-        stab_sq += float(_quadratic(v, ops.penalty, v).sum())
-        coef = (ops.rec @ v[..., None]).reshape(nb, -1, rank)
+        vals, grads = ctx.data_phi[shapes], ctx.data_dphi[shapes]
+        w = ctx.data_rule.weights[shapes]
+        pts = g.points.reshape(-1, mesh.dim)
+        v = sol.local_dofs(g.cells)
+        stab_sq += float(np.sum(v * _apply(ops.penalty, shapes, v)))
+        coef = _apply(ops.rec, shapes, v).reshape(nb, -1, rank)
         ex = np.asarray(spec.exact(pts), dtype=float).reshape(w.shape + (rank,))
         gex = np.asarray(spec.exact_grad(pts), dtype=float).reshape(w.shape + (rank, -1))
         de = gex - np.einsum("bqjc,bja->bqac", grads, coef)
@@ -348,7 +339,7 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
         Vc = vals[..., : ctx.n_cell]
         WV = w[..., None] * Vc
         pcoef = np.linalg.solve(WV.mT @ Vc, WV.mT @ ex)
-        diff = Vc @ (pcoef - sol.cell_coeffs[ctx.cells].reshape(nb, -1, rank))
+        diff = Vc @ (pcoef - sol.cell_coeffs[g.cells].reshape(nb, -1, rank))
         l2c_sq += float(np.sum(w * (diff ** 2).sum(axis=2)))
     n_dofs = sol.dofmap.n_reduced
     return ErrorRow(level=level, h=mesh.max_diameter(),
@@ -451,6 +442,13 @@ class VerifyBlock:
         return abs(self.rate - self.target_rate) <= self.tolerance
 
 
+def _stab_seminorm(ctx: CellContext, shapes, face_ops: np.ndarray, v: np.ndarray) -> float:
+    """``sum_F h^-1 |S_F v|_F^2`` over a group's cells from the face residuals
+    ``S_F v``; the form ``v . penalty v`` loses them to cancellation at k >= 2."""
+    r = (face_ops[shapes] @ v[:, None, :, None])[..., 0]
+    return float(np.sum(_face_norms(ctx.faces.mass[shapes], r) ** 2 / ctx.h[shapes, None]))
+
+
 def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> list:
     """Decay rates of projection, reconstruction, and stabilization errors
     of the target ``sin(pi x)`` (times ``sin(pi y)`` in 2D).
@@ -479,30 +477,30 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
         acc = np.zeros(5)
         for cells in mesh.cell_groups():
             out = np.zeros(5)
-            ctx = build_cell_context(mesh, cells, deg_eq)
-            vals, w = ctx.data_phi, ctx.data_rule.weights
-            vx = np.asarray(v(ctx.data_rule.points.reshape(-1, dim)),
-                            dtype=float).reshape(w.shape)
+            # both contexts on the group's distinct shapes, as in build_local
+            reps, shapes = mesh.cell_shapes(cells)
+            ctx = build_cell_context(mesh, reps, deg_eq)
+            vals, w = ctx.data_phi[shapes], ctx.data_rule.weights[shapes]
+            points = cell_quadrature(mesh.cell_geometry(cells), order).points
+            vx = np.asarray(v(points.reshape(-1, dim)), dtype=float).reshape(w.shape)
 
             red = reduce_local(mesh, cells, deg_eq, v)
             proj = (vals[..., : ctx.n_cell] @ red[:, ctx.layout.cell, None])[..., 0]
             out[0] = np.sum(w * (vx - proj) ** 2)
 
             _, _, _, R_full, _ = reconstruction(ctx)
-            rec = (vals @ (R_full @ red[..., None]))[..., 0]
+            rec = (vals @ (R_full[shapes] @ red[..., None]))[..., 0]
             out[2] = np.sum(w * (vx - rec) ** 2)
 
-            _, S = stabilization_equal_order(ctx, R_full)
-            out[3] = np.sum(red * (S @ red[..., None])[..., 0])
+            out[3] = _stab_seminorm(ctx, shapes, stabilization_equal_order(ctx, R_full)[0], red)
 
-            ctx2 = build_cell_context(mesh, cells, deg_mx)
+            ctx2 = build_cell_context(mesh, reps, deg_mx)
             red2 = reduce_local(mesh, cells, deg_mx, v)
-            _, Z = stabilization_ls(ctx2)
-            out[4] = np.sum(red2 * (Z @ red2[..., None])[..., 0])
+            out[4] = _stab_seminorm(ctx2, shapes, stabilization_ls(ctx2)[0], red2)
 
             # face projection error, each interior face counted once
-            index = ctx.faces.index
-            faces = index[mesh.face_cells[index, 0] == ctx.cells[:, None]]
+            index = cell_faces(mesh, cells)
+            faces = index[mesh.face_cells[index, 0] == cells[:, None]]
             if mesh.dim == 2 and len(faces):
                 fb = face_basis(mesh, faces, k)
                 frule = face_quadrature(mesh, faces, order)
@@ -556,10 +554,9 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
     spec = ProblemSpec(kind="poisson", f=f, u_dirichlet=lambda x: np.zeros(len(x)),
                        name="oracle1d")
 
-    ops, rhs = build_local(mesh, degrees, spec)
+    groups = build_local(mesh, degrees, spec)
     dofmap = asm.build_dof_map(mesh, degrees)
-    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells, o.ctx.shapes)
-                 for o, b in zip(ops, rhs)]
+    condensed = [g.condense() for g in groups]
     system = asm.assemble(mesh, condensed, dofmap,
                           dirichlet_values=np.zeros((mesh.n_faces, 1)))
     A = system.matrix.toarray()
@@ -573,8 +570,8 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
     Afem = np.zeros((n_int, n_int))
     bfem = np.zeros(n_int)
     fbar = np.zeros(mesh.n_cells)
-    for o, b in zip(ops, rhs):
-        fbar[o.ctx.cells] = b[:, 0]
+    for g in groups:
+        fbar[g.cells] = g.rhs[:, 0]
     fbar /= hcells
     for i, h in enumerate(hcells):
         rule = interval_rule(xs[i], xs[i + 1], 20)
@@ -608,12 +605,11 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
         x = asm.solve_reduced(system)
         cells, faces = asm.recover_cells(mesh, condensed, dofmap, x,
                                          dirichlet_values=np.zeros((mesh.n_faces, 1)))
-        for i in range(mesh.n_cells):
-            lam_l = faces[mesh.cell_faces[i][0], 0]
-            lam_r = faces[mesh.cell_faces[i][1], 0]
-            expect = 0.5 * hcells[i] ** 2 * fbar[i] + 0.5 * (lam_l + lam_r)
-            recovery_dev = max(recovery_dev,
-                               abs(cells[i][0] - expect) / max(abs(expect), 1e-30))
+        # an interval mesh is one group: both end faces of every cell at once
+        lam = faces[cell_faces(mesh, np.arange(mesh.n_cells)), 0]
+        expect = 0.5 * hcells ** 2 * fbar + 0.5 * (lam[:, 0] + lam[:, 1])
+        recovery_dev = float(np.max(np.abs(cells[:, 0] - expect)
+                                    / np.maximum(np.abs(expect), 1e-30), initial=0.0))
     return Oracle1dReport(k=k, n_cells=mesh.n_cells, matrix_dev=matrix_dev,
                           rhs_dev=rhs_dev, recovery_dev=recovery_dev)
 

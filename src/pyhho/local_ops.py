@@ -43,7 +43,6 @@ class FaceContext:
     """A group's face data on a face axis after the cell axis, built once per
     distinct face and gathered; only ``phi`` and ``trace_full`` depend on the cell."""
 
-    index: np.ndarray        # (nb, nf) global face indices
     normal: np.ndarray       # (nb, nf, d) unit outward normals
     weights: np.ndarray      # (nb, nf, nq) face quadrature weights
     psi: np.ndarray          # (nb, nf, nq, n_face) face basis values
@@ -56,8 +55,7 @@ class FaceContext:
 @dataclass
 class CellContext:
     """Quadrature data and Gram matrices of a group, shared by all local
-    operators, and the rule that samples problem data on its cells.  Cells
-    with one entry in ``shapes`` carry the same shape-only arrays."""
+    operators, and the rule that samples problem data on its cells."""
 
     mesh: Mesh
     cells: np.ndarray        # (nb,) cell indices of the group
@@ -78,7 +76,6 @@ class CellContext:
     data_rule: QuadratureRule
     data_phi: np.ndarray     # (nb, nq', n_rec)
     data_dphi: np.ndarray    # (nb, nq', n_rec, d)
-    shapes: np.ndarray       # (nb,) each cell's shape, numbered as by Mesh.cell_shapes
 
     @property
     def n_rec(self) -> int:
@@ -102,8 +99,7 @@ class CellContext:
 def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     """Evaluate bases and Gram matrices at quadrature order ``2(k+1)``, and
     the reconstruction basis at order ``2(k+2)``, on a group of cells of one
-    quadrature class (one cell index: a group of one).  Each cell is its own
-    shape."""
+    quadrature class (one cell index: a group of one)."""
     cells = np.atleast_1d(np.asarray(cells, dtype=int))
     geom = mesh.cell_geometry(cells)
     layout = dof_layout(mesh, degrees, geom.n_faces)
@@ -144,9 +140,8 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     M_inv = mass_cholesky(M, ids=unique, entity="face")
     fphi, _ = rec_basis.eval(frule.points[at].reshape(nb, -1, d), gradients=False)
     fphi = fphi.reshape(at.shape + (-1, n_rec))
-    faces = FaceContext(index=geom.face_indices, normal=geom.face_normals,
-                        weights=frule.weights[at], psi=psi[at], phi=fphi, mass=M[at],
-                        mass_inv=M_inv[at], trace_full=wpsi[at].mT @ fphi)
+    faces = FaceContext(normal=geom.face_normals, weights=frule.weights[at], psi=psi[at],
+                        phi=fphi, mass=M[at], mass_inv=M_inv[at], trace_full=wpsi[at].mT @ fphi)
     data_rule = cell_quadrature(geom, 2 * (k + 2))
     data_phi, data_dphi = rec_basis.eval(data_rule.points)
     return CellContext(mesh=mesh, cells=cells, geom=geom, degrees=degrees,
@@ -154,7 +149,7 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
                        phi=phi, dphi=dphi, mass_full=mass_full,
                        stiff_full=stiff_full, ints_full=ints_full, grad_mass=grad_mass,
                        mass_k_inv=mass_k_inv, faces=faces, data_rule=data_rule,
-                       data_phi=data_phi, data_dphi=data_dphi, shapes=np.arange(nb))
+                       data_phi=data_phi, data_dphi=data_dphi)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +271,7 @@ def stabilization_equal_order(ctx: CellContext, rec: np.ndarray):
                                      _kron_apply(ctx.mass_full[:, : ctx.n_cell], rec))
     w[:, layout.cell, layout.cell] += np.eye(layout.cell_width)
     P = (f.mass_inv @ f.trace_full).reshape(len(w), -1, ctx.n_rec)
-    return _face_ops(ctx, _kron_apply(P, w).reshape(f.index.shape + (layout.face_width, -1)))
+    return _face_ops(ctx, _kron_apply(P, w).reshape(f.normal.shape[:2] + (layout.face_width, -1)))
 
 
 def seminorm_gram(ctx: CellContext) -> np.ndarray:
@@ -301,7 +296,7 @@ def seminorm_gram(ctx: CellContext) -> np.ndarray:
 @dataclass
 class LocalOperators:
     """What solve and post-processing read of a group's operators, each
-    stacked over its cells."""
+    stacked over the cells of ``ctx``."""
 
     ctx: CellContext
     L: np.ndarray             # local bilinear-form matrices
@@ -310,10 +305,11 @@ class LocalOperators:
     flux: np.ndarray          # (nb, n_faces * face_width, size) face-flux coefficients
     balance: np.ndarray       # cell consistency tested with degree-k_face polynomials
 
-    def face_fluxes(self, dofs: np.ndarray) -> np.ndarray:
+    def face_fluxes(self, dofs: np.ndarray, shapes) -> np.ndarray:
         """Coefficients ``(nb, n_faces, face_width)`` of the numerical flux
-        of ``dofs`` (one local vector, or one per cell) on each local face."""
-        flux = (self.flux @ dofs[..., None])[..., 0]
+        of ``dofs`` (one local vector, or one per cell) on each local face;
+        cell ``b`` takes the operators at row ``shapes[b]``."""
+        flux = (self.flux[shapes] @ dofs[..., None])[..., 0]
         return flux.reshape(len(flux), self.ctx.layout.n_faces, -1)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,7 +140,7 @@ class Mesh:
     cells : list of int arrays, CCW vertex loops (pairs in 1D)
     face_nodes : (nf, dim) int array, sorted vertex indices of each face
         (one vertex in 1D), rows in lexicographic order
-    cell_faces : per-cell array of global face indices, loop order
+    cell_faces : per-cell array of global face indices, loop order, built when read
     face_cells : (nf, 2) int array, second entry -1 on the boundary;
         interior normals point from ``face_cells[f, 0]`` (lower cell
         index) to ``face_cells[f, 1]``
@@ -198,7 +199,7 @@ class Mesh:
         self.face_cells[shared, 1] = owner[order[first[shared] + 1]]
         if self.dim == 2 and np.any(counts != 2 - self.boundary_faces):
             raise MeshError("face/cell incidence counts are inconsistent")
-        self.cell_faces = np.split(inverse, starts[1:])
+        self._entry_faces = inverse
         return inverse
 
     def _build_geometry(self, flat, starts, sizes, inverse):
@@ -270,6 +271,11 @@ class Mesh:
     @property
     def n_faces(self) -> int:
         return len(self.face_nodes)
+
+    @cached_property
+    def cell_faces(self) -> list:
+        sizes = np.fromiter(map(len, self.cells), dtype=int, count=self.n_cells)
+        return np.split(self._entry_faces, np.cumsum(sizes)[:-1])
 
     @property
     def boundary_faces(self) -> np.ndarray:

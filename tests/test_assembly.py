@@ -35,7 +35,7 @@ def test_condense_block_diagonal_case():
     L[0, 0] = 2.0
     L[1:, 1:] = np.diag(np.arange(1.0, n))
     b = np.zeros(n)
-    cc = asm.condense(L[None], b[None], layout, [0])
+    cc = asm.condense(L[None], b[None], layout, [0], [0])
     np.testing.assert_allclose(cc.L_c[0], L[1:, 1:])
     np.testing.assert_allclose(cc.b_c, 0.0)
 
@@ -44,12 +44,12 @@ def test_condense_singular_cell_block():
     layout = dof_layout(build_structured_mesh("quad", 1, 1), equal_order(0), 4)
     L = np.zeros((1, layout.size, layout.size))
     with pytest.raises(ValueError):
-        asm.condense(L, np.zeros((1, layout.size)), layout, [0])
+        asm.condense(L, np.zeros((1, layout.size)), layout, [0], [0])
     # in a group, the error names the one singular cell block
     L = np.stack([np.eye(layout.size)] * 3)
     L[1, layout.cell, layout.cell] = 0.0
     with pytest.raises(ValueError, match="^cell 11: singular cell block"):
-        asm.condense(L, np.zeros((3, layout.size)), layout, [10, 11, 12])
+        asm.condense(L, np.zeros((3, layout.size)), layout, [10, 11, 12], [0, 1, 2])
 
 
 def test_1d_k0_tridiagonal_system():
@@ -57,10 +57,9 @@ def test_1d_k0_tridiagonal_system():
     mesh = build_interval_mesh(0.0, 1.0, n)
     spec = ProblemSpec(kind="poisson", f=lambda x: np.ones(len(x)),
                        u_dirichlet=lambda x: np.zeros(len(x)), name="unit")
-    ops, rhs = build_local(mesh, equal_order(0), spec)
+    groups = build_local(mesh, equal_order(0), spec)
     dm = asm.build_dof_map(mesh, equal_order(0))
-    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
-                 for o, b in zip(ops, rhs)]
+    condensed = [g.condense() for g in groups]
     system = asm.assemble(mesh, condensed, dm,
                           dirichlet_values=np.zeros((mesh.n_faces, 1)))
     A = system.matrix.toarray()
@@ -80,10 +79,9 @@ def test_disconnected_cells_give_block_diagonal():
     mesh.set_boundary_tags([], np.flatnonzero(mesh.boundary_faces).tolist())
     spec = ProblemSpec(kind="poisson", f=lambda x: np.ones(len(x)),
                        u_dirichlet=lambda x: np.zeros(len(x)), name="two")
-    ops, rhs = build_local(mesh, equal_order(1), spec)
+    groups = build_local(mesh, equal_order(1), spec)
     dm = asm.build_dof_map(mesh, equal_order(1))
-    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
-                 for o, b in zip(ops, rhs)]
+    condensed = [g.condense() for g in groups]
     system = asm.assemble(mesh, condensed, dm)
     A = system.matrix.toarray()
     faces0 = set(mesh.cell_faces[0].tolist())
@@ -96,10 +94,9 @@ def test_disconnected_cells_give_block_diagonal():
 def test_homogeneous_dirichlet_leaves_rhs():
     mesh = build_structured_mesh("quad", 2, 2)
     spec = poisson_sin_2d()
-    ops, rhs = build_local(mesh, equal_order(1), spec)
+    groups = build_local(mesh, equal_order(1), spec)
     dm = asm.build_dof_map(mesh, equal_order(1))
-    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
-                 for o, b in zip(ops, rhs)]
+    condensed = [g.condense() for g in groups]
     sys0 = asm.assemble(mesh, condensed, dm)
     sys1 = asm.assemble(mesh, condensed, dm,
                         dirichlet_values=np.zeros((mesh.n_faces, 2)))
@@ -111,9 +108,8 @@ def test_dirichlet_elimination_moves_columns():
     mesh = build_structured_mesh("quad", 2, 1)
     spec = poisson_sin_2d()
     k = 1
-    ops, rhs = build_local(mesh, equal_order(k), spec)
-    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
-                 for o, b in zip(ops, rhs)]
+    groups = build_local(mesh, equal_order(k), spec)
+    condensed = [g.condense() for g in groups]
 
     free = Mesh(2, mesh.vertices.copy(), [c.copy() for c in mesh.cells])
     free.set_boundary_tags([], np.flatnonzero(free.boundary_faces).tolist())
@@ -150,10 +146,9 @@ def test_neumann_rhs_values():
 def test_global_symmetry_and_spd():
     mesh = build_structured_mesh("tri", 3, 3)
     spec = poisson_sin_2d()
-    ops, rhs = build_local(mesh, equal_order(1), spec)
+    groups = build_local(mesh, equal_order(1), spec)
     dm = asm.build_dof_map(mesh, equal_order(1))
-    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
-                 for o, b in zip(ops, rhs)]
+    condensed = [g.condense() for g in groups]
     system = asm.assemble(mesh, condensed, dm,
                           dirichlet_values=np.zeros((mesh.n_faces, 2)))
     A = system.matrix.toarray()
@@ -217,9 +212,8 @@ def test_cg_matches_direct_on(case):
 
 
 def _reduced_system(mesh, degrees, spec):
-    ops, rhs = build_local(mesh, degrees, spec)
-    condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
-                 for o, b in zip(ops, rhs)]
+    groups = build_local(mesh, degrees, spec)
+    condensed = [g.condense() for g in groups]
     return asm.assemble(mesh, condensed, asm.build_dof_map(mesh, degrees))
 
 

@@ -24,6 +24,15 @@ def test_elasticity_k0_rejected(tmp_path):
         main(["locking", "--k", "0", "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("argv", [["verify", "--solver", "cg"], ["oracle1d", "--mode", "plus"],
+                                  ["locking", "--tol", "1e-8"]])
+def test_options_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_solve_requires_mesh_source(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "--k", "1", "--out", str(tmp_path)])

@@ -294,5 +294,5 @@ def test_traction_of_rigid_pair_vanishes():
     ctx = build_cell_context(mesh, 0, VDEG)
     ops = local_bilinear_elastic(ctx, mu=1.0, lam=0.5)
     red = reduce_local(mesh, 0, VDEG, RIGID[2])
-    tracs = ops.face_fluxes(red)
+    tracs = ops.face_fluxes(red, [0])
     assert np.abs(tracs).max() < 1e-12

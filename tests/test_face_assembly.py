@@ -176,7 +176,7 @@ def test_face_axis_matches_per_face_build(k, rank, mixed, monkeypatch):
         shapes.add(len(faces))
         f = ctx.faces
         for i, ref in enumerate(faces):
-            np.testing.assert_array_equal(f.index[:, i], ref.index)
+            np.testing.assert_array_equal(ctx.geom.face_indices[:, i], ref.index)
             np.testing.assert_array_equal(f.normal[:, i], ref.normal)
             np.testing.assert_array_equal(f.weights[:, i], ref.rule.weights)
             for name in ("psi", "phi", "mass", "mass_inv", "trace_full"):
@@ -188,15 +188,16 @@ def test_face_axis_matches_per_face_build(k, rank, mixed, monkeypatch):
             assert_close(actual, ref, 1e-13)
         if rank == 1:
             assert_close(seminorm_gram(ctx), per_face_seminorm_gram(ctx, faces), 1e-13)
-            assert ops.face_fluxes(np.ones(ctx.layout.size)).shape == (
+            assert ops.face_fluxes(np.ones(ctx.layout.size), np.arange(len(cells))).shape == (
                 len(cells), len(faces), ctx.layout.face_width)
     assert shapes == ALL_SHAPES
 
 
 def test_shared_face_reads_one_mass_inverse():
     mesh, cells = max(groups(), key=lambda g: len(g[1]))
-    f = build_cell_context(mesh, cells, HhoDegrees(2)).faces
-    index, mass_inv = f.index.ravel(), f.mass_inv.reshape((-1,) + f.mass_inv.shape[2:])
+    ctx = build_cell_context(mesh, cells, HhoDegrees(2))
+    index = ctx.geom.face_indices.ravel()
+    mass_inv = ctx.faces.mass_inv.reshape((-1,) + ctx.faces.mass_inv.shape[2:])
     faces, counts = np.unique(index, return_counts=True)
     shared = faces[counts == 2]
     assert len(shared) > 0

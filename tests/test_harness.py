@@ -5,7 +5,7 @@ from pyhho.elasticity import local_bilinear_elastic
 from pyhho.harness import (build_local, convergence_study, discrete_energy,
                            error_norms, fit_rate, flux_residuals,
                            galerkin_residual, local_rhs, mesh_family, oracle_1d,
-                           solve_problem, traction_residuals)
+                           solve_problem, traction_residuals, verify_operators)
 from pyhho.local_ops import build_cell_context, local_bilinear
 from pyhho.mesh import (build_hanging_node_mesh, build_interval_mesh,
                         build_structured_mesh)
@@ -95,7 +95,7 @@ def test_energy_identity_at_solution():
     # a_h(u, u) = l(u) at the solution, so E_h(u) = -l(u)/2
     mesh = build_structured_mesh("tri", 3, 3)
     sol = solve_problem(mesh, equal_order(1), poisson_sin_2d())
-    lval = sum(np.sum(b * sol.local_dofs(o.ctx.cells)) for o, b in zip(sol.ops, sol.rhs))
+    lval = sum(np.sum(g.rhs * sol.local_dofs(g.cells)) for g in sol.groups)
     assert discrete_energy(sol) == pytest.approx(-0.5 * lval, rel=1e-11)
 
 
@@ -185,16 +185,22 @@ def test_oracle_transmission_independent_of_k():
     def condensed_matrix(k):
         spec = ProblemSpec(kind="poisson", f=lambda x: np.ones(len(x)),
                            u_dirichlet=lambda x: np.zeros(len(x)), name="o")
-        ops, rhs = build_local(mesh, equal_order(k), spec)
+        groups = build_local(mesh, equal_order(k), spec)
         dm = asm.build_dof_map(mesh, equal_order(k))
-        condensed = [asm.condense(o.L, b, o.ctx.layout, o.ctx.cells)
-                     for o, b in zip(ops, rhs)]
+        condensed = [g.condense() for g in groups]
         return asm.assemble(mesh, condensed, dm,
                             dirichlet_values=np.zeros((mesh.n_faces, 1))
                             ).matrix.toarray()
 
     A1, A2 = condensed_matrix(1), condensed_matrix(2)
     assert np.abs(A1 - A2).max() <= 1e-11 * np.abs(A1).max()
+
+
+@pytest.mark.parametrize("family", ["quad", "tri", "hanging", "interval"])
+def test_verify_rates_hold_at_k3(family):
+    # the stabilization seminorms come from the face residuals: the quadratic
+    # form of the penalty loses them to cancellation on the finest level
+    assert [b.name for b in verify_operators(family, 3) if not b.passed] == []
 
 
 def test_oracle_1d_requires_interval():
@@ -324,27 +330,27 @@ def test_bad_problem_data_rejected(field, data, message):
 @pytest.mark.parametrize("degrees", [equal_order(1), mixed_order(1),
                                      HhoDegrees(1, 1, rank=2)])
 def test_operators_do_not_depend_on_grouping(degrees):
-    # cells with 4 to 8 faces: operators built per group equal those built
-    # one cell at a time, so nothing mixes along the cell axis
+    # cells with 4 to 8 faces: the operators of a cell's shape, built per
+    # group, equal those built one cell at a time, so nothing mixes along
+    # the shape axis
     base = build_structured_mesh("quad", 6, 6)
     refine = np.random.default_rng(1).choice(base.n_cells, 18, replace=False)
     mesh = build_hanging_node_mesh(base, sorted(refine.tolist()))
     assert {len(f) for f in mesh.cell_faces} == {4, 5, 6, 7, 8}
     spec = poisson_sin_2d() if degrees.rank == 1 else elasticity_compressible()
 
-    def build(cells):
-        ctx = build_cell_context(mesh, cells, degrees)
+    def build(cell):
+        ctx = build_cell_context(mesh, cell, degrees)
         ops = (local_bilinear(ctx) if degrees.rank == 1
                else local_bilinear_elastic(ctx, spec.mu, spec.lam))
-        return ops, local_rhs(ctx, spec.f)
+        return ops, local_rhs(ctx, spec.f, [0], ctx.data_rule.points, ctx.cells)
 
-    singles = [build([ci]) for ci in range(mesh.n_cells)]
-    for cells in mesh.cell_groups():
-        ops, rhs = build(cells)
-        for b, ci in enumerate(cells):
+    singles = [build(ci) for ci in range(mesh.n_cells)]
+    for g in build_local(mesh, degrees, spec):
+        for b, ci in enumerate(g.cells):
             one, one_rhs = singles[ci]
             for name in ("L", "penalty", "rec", "flux", "balance"):
                 ref = getattr(one, name)[0]
-                got = getattr(ops, name)[b]
+                got = getattr(g.ops, name)[g.shapes[b]]
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
-            assert np.abs(rhs[b] - one_rhs[0]).max() <= 1e-13 * np.abs(one_rhs).max()
+            assert np.abs(g.rhs[b] - one_rhs[0]).max() <= 1e-13 * np.abs(one_rhs).max()

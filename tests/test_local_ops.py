@@ -270,7 +270,7 @@ def test_flux_of_constant_pair_vanishes():
     mesh = build_structured_mesh("tri", 1, 1)
     ctx = build_cell_context(mesh, 0, equal_order(1))
     ops = local_bilinear(ctx)
-    fluxes = ops.face_fluxes(constant_pair(ctx, 2.5))
+    fluxes = ops.face_fluxes(constant_pair(ctx, 2.5), [0])
     assert fluxes.shape == (1, 3, 2)
     assert np.abs(fluxes).max() < 1e-12
 

@@ -1,5 +1,6 @@
-"""Operators built once per cell shape and gathered equal a per-cell build."""
+"""Operators kept once per cell shape, indexed by shape, equal a per-cell build."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -52,7 +53,8 @@ def per_cell_build(mesh, degrees, spec):
         ctx = build_cell_context(mesh, cells, degrees)
         ops = (local_bilinear(ctx) if degrees.rank == 1
                else local_bilinear_elastic(ctx, spec.mu, spec.lam))
-        out.append((ops, local_rhs(ctx, spec.f)))
+        out.append((ops, local_rhs(ctx, spec.f, np.arange(len(cells)),
+                                   ctx.data_rule.points, cells)))
     return out
 
 
@@ -73,28 +75,49 @@ def spread(cg, shapes):
 
 
 def check_against_per_cell(mesh, degrees, spec):
-    ops, rhs = build_local(mesh, degrees, spec)
-    for op, b, (ref, ref_b) in zip(ops, rhs, per_cell_build(mesh, degrees, spec)):
-        ctx, ref_ctx = op.ctx, ref.ctx
-        np.testing.assert_array_equal(ctx.cells, ref_ctx.cells)
-        # what is tied to position is each cell's own
-        np.testing.assert_array_equal(ctx.faces.index, ref_ctx.faces.index)
-        np.testing.assert_array_equal(ctx.rule.points, ref_ctx.rule.points)
-        np.testing.assert_array_equal(ctx.data_rule.points, ref_ctx.data_rule.points)
-        np.testing.assert_array_equal(ctx.rec_basis.center, ref_ctx.rec_basis.center)
+    groups = build_local(mesh, degrees, spec)
+    for g, (ref, ref_b) in zip(groups, per_cell_build(mesh, degrees, spec)):
+        ref_ctx, each = ref.ctx, np.arange(len(g.cells))
+        reps, shapes = mesh.cell_shapes(g.cells)
+        np.testing.assert_array_equal(g.cells, ref_ctx.cells)
+        np.testing.assert_array_equal(g.shapes, shapes)
+        np.testing.assert_array_equal(g.ops.ctx.cells, reps)
+        # the data points are each cell's own
+        np.testing.assert_array_equal(g.points, ref_ctx.data_rule.points)
         for name in OPERATOR_FIELDS:
-            assert_close(getattr(op, name), getattr(ref, name), name)
-        assert_close(b, ref_b, "rhs")
-        cg = asm.condense(op.L, b, ctx.layout, ctx.cells, ctx.shapes)
+            assert_close(getattr(g.ops, name)[g.shapes], getattr(ref, name), name)
+        assert_close(g.rhs, ref_b, "rhs")
+        cg = g.condense()
         # against a per-cell condensation of the same matrices
-        same = asm.condense(op.L, b, ctx.layout, ctx.cells)
+        same = asm.condense(g.ops.L[g.shapes], g.rhs, ref_ctx.layout, g.cells, each)
         # against the per-cell build: its own spread between the cells of a
         # shape (up to 9e-12 at k=3 on triangles) bounds the difference too
-        ref_cg = asm.condense(ref.L, ref_b, ref_ctx.layout, ref_ctx.cells)
-        tol = 1e-12 + spread(ref_cg, ctx.shapes)
+        ref_cg = asm.condense(ref.L, ref_b, ref_ctx.layout, ref_ctx.cells, each)
+        tol = 1e-12 + spread(ref_cg, g.shapes)
         for name in CONDENSED_FIELDS:
             assert_close(getattr(cg, name), getattr(same, name), name)
             assert_close(getattr(cg, name), getattr(ref_cg, name), name, tol)
+
+
+def solve_condense(L, b, layout):
+    """Condensation through one solve per cell, with ``b`` among the columns."""
+    ct, fc = layout.cell, layout.faces
+    sol = np.linalg.solve(L[:, ct, ct], np.concatenate([L[:, ct, fc], b[:, ct, None]], axis=2))
+    X, y = sol[..., :-1], sol[..., -1]
+    L_c = L[:, fc, fc] - L[:, ct, fc].mT @ X
+    return dict(L_c=0.5 * (L_c + L_c.mT), X=X, y=y,
+                b_c=b[:, fc] - (X.mT @ b[:, ct, None])[..., 0])
+
+
+def arrays(record, path="ops"):
+    """``(path, array)`` of every array reachable through the fields of a record."""
+    if isinstance(record, np.ndarray):
+        yield path, record
+    elif dataclasses.is_dataclass(record):
+        for f in dataclasses.fields(record):
+            # the mesh is not the group's; the exponents are the degree's
+            if f.name not in ("mesh", "exponents"):
+                yield from arrays(getattr(record, f.name), f"{path}.{f.name}")
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -115,14 +138,34 @@ def test_vector_operators_match_per_cell_build(family, k, mixed):
 
 
 def test_all_distinct_shapes_build_as_before():
-    # every jittered triangle is its own shape: nothing is gathered, bit for bit
+    # every jittered triangle is its own shape: the operators are bit for
+    # bit a per-cell build, and the condensation agrees with one solve per cell
     mesh = jittered_tri_mesh()
     spec, degrees = poisson_sin_2d(), HhoDegrees(1, 1)
-    (op, b), = zip(*build_local(mesh, degrees, spec))
+    g, = build_local(mesh, degrees, spec)
     (ref, ref_b), = per_cell_build(mesh, degrees, spec)
+    np.testing.assert_array_equal(g.shapes, np.arange(len(g.cells)))
     for name in OPERATOR_FIELDS:
-        np.testing.assert_array_equal(getattr(op, name), getattr(ref, name))
-    np.testing.assert_array_equal(b, ref_b)
+        np.testing.assert_array_equal(getattr(g.ops, name), getattr(ref, name))
+    np.testing.assert_array_equal(g.rhs, ref_b)
+    cg, want = g.condense(), solve_condense(ref.L, ref_b, ref.ctx.layout)
+    for name in CONDENSED_FIELDS:
+        assert_close(getattr(cg, name), want[name], name)
+
+
+def test_solved_group_keeps_operators_per_shape():
+    mesh = build_structured_mesh("quad", 16, 16)
+    sol = solve_problem(mesh, HhoDegrees(1, 1), poisson_sin_2d())
+    g, = sol.groups
+    assert not g.shapes.any()
+    found = dict(arrays(g.ops))
+    assert "ops.L" in found and "ops.ctx.faces.trace_full" in found
+    assert {path: a.shape[0] for path, a in found.items() if a.shape[0] != 1} == {}
+    # only these are per cell
+    per_cell = {f.name for f in dataclasses.fields(g)
+                if isinstance(getattr(g, f.name), np.ndarray)}
+    assert per_cell == {"cells", "shapes", "points", "rhs"}
+    assert {len(getattr(g, name)) for name in per_cell} == {mesh.n_cells}
 
 
 def test_shape_counts():
