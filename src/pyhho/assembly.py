@@ -176,8 +176,13 @@ def solve_reduced(system: GlobalSystem, method: str = "direct",
     if asym > 1e-12 * max(abs(A).max(), 1.0):
         raise ValueError(f"reduced system is not symmetric (deviation {asym:.2e})")
     if method == "direct":
-        # minimum-degree ordering of the symmetric pattern suits the SPD face system
-        return spla.spsolve(A.tocsc(), b, permc_spec="MMD_AT_PLUS_A")
+        # SPD: diagonal pivots keep the minimum-degree ordering of the pattern
+        try:
+            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as err:
+            raise ValueError(f"reduced system is singular: {err}") from err
+        return lu.solve(b)
     if method == "cg":
         precond = _block_jacobi(A, _vertex_patches(system.dofmap))
         x, info = spla.cg(A, b, rtol=tol, atol=0.0, M=precond, maxiter=CG_MAXITER)

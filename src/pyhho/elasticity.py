@@ -33,21 +33,6 @@ from .projection import checked, mass_cholesky  # noqa: F401
 TENSOR_WEIGHTS = np.array([1.0, 1.0, 2.0])
 
 
-def _strain_columns(dphi: np.ndarray) -> np.ndarray:
-    """Strain components of the vector basis built from scalar gradients.
-
-    ``dphi`` has shape (..., nq, n, 2); the result has shape (..., nq, 2n, 3)
-    holding (eps_xx, eps_yy, eps_xy) of each vector basis function,
-    components interleaved.
-    """
-    eps = np.zeros(dphi.shape[:-2] + (2 * dphi.shape[-2], 3))
-    eps[..., 0::2, 0] = dphi[..., 0]             # e_x phi: eps_xx = dx phi
-    eps[..., 1::2, 1] = dphi[..., 1]             # e_y phi: eps_yy = dy phi
-    eps[..., 0::2, 2] = 0.5 * dphi[..., 1]       # eps_xy of e_x phi
-    eps[..., 1::2, 2] = 0.5 * dphi[..., 0]
-    return eps
-
-
 def strain_reconstruction(ctx: CellContext) -> np.ndarray:
     """Coefficient maps ``Es`` of shape (nb, 3, n_k, size) of the symmetric
     strain reconstruction; component m lives on the m-th unit tensor.
@@ -86,28 +71,31 @@ def divergence_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) ->
     return Es[:, 0] + Es[:, 1]
 
 
+def strain_gram(ctx: CellContext) -> np.ndarray:
+    """``(eps(phi_i e_a), eps(phi_j e_b))`` at ``(2 i + a, 2 j + b)``: with ``D =
+    ctx.grad_gram`` and its trace ``S``, ``(delta_ab S_ij + D[i, b, j, a]) / 2``."""
+    nb, n_rec = ctx.stiff_full.shape[:2]
+    S = ctx.stiff_full[:, :, None, :, None] * np.eye(2)[:, None, :]
+    return (0.5 * (S + ctx.grad_gram.swapaxes(2, 4))).reshape(nb, 2 * n_rec, 2 * n_rec)
+
+
 def displacement_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) -> np.ndarray:
     """Degree-(k+1) displacement reconstruction with rigid-body constraints.
 
     The projection of the strain reconstruction ``Es`` onto symmetric
     gradients of degree k+1: ``(eps(Dep v), eps(w)) = (Es v, eps(w))`` for
     every ``w``, the defining equation because ``eps(w)`` has degree k.
-    The symmetric-gradient stiffness system is augmented by two mean-value
-    rows and one skew-gradient row (Lagrange multipliers), so ``Dep @ v``
-    are the full vector coefficients including the rigid part.  The skew
-    row's data is the cell integral of ``Es[:, 2]``, since
-    ``int_T G_c v = sum_F int_F v_F n_c``.
+    The symmetric-gradient stiffness (:func:`strain_gram`) is augmented by
+    two mean-value rows and one skew-gradient row (Lagrange multipliers), so
+    ``Dep @ v`` are the full vector coefficients including the rigid part.
+    The skew row's data is the cell integral of ``Es[:, 2]``, since ``int_T
+    G_c v = sum_F int_F v_F n_c``.
     """
     if Es is None:
         Es = strain_reconstruction(ctx)
     layout = ctx.layout
     nb, nv = len(ctx.cells), 2 * ctx.n_rec
 
-    # strain components of the vector basis at the (point, component) pairs
-    eps = _strain_columns(ctx.dphi).swapaxes(-1, -2).reshape(nb, -1, nv)
-    weights = (ctx.rule.weights[..., None] * TENSOR_WEIGHTS).reshape(nb, -1, 1)
-    K = eps.mT @ (weights * eps)
-    K = 0.5 * (K + K.mT)
     H = _gradient_moments(ctx, _tensor_columns(Es))       # (eps(w), Es v)
 
     # constraint rows: component means and the mean skew gradient
@@ -126,7 +114,7 @@ def displacement_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) 
     D[:, 2, 1::2] = -int_exy[:, 1::2]
 
     saddle = np.zeros((nb, nv + 3, nv + 3))
-    saddle[:, :nv, :nv] = K
+    saddle[:, :nv, :nv] = strain_gram(ctx)
     saddle[:, :nv, nv:] = C.mT
     saddle[:, nv:, :nv] = C
     sol = checked(np.linalg.solve, saddle, np.concatenate([H, D], axis=1),
@@ -158,8 +146,7 @@ def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalOper
     Es = strain_reconstruction(ctx)
     Dv = divergence_reconstruction(ctx, Es)
     Dep = displacement_reconstruction(ctx, Es)
-    stab_face, penalty = stabilization_elastic(
-        ctx, None if ctx.degrees.mixed else Dep)
+    stab_face, penalty = stabilization_elastic(ctx, Dep)
 
     strain_term = np.einsum("m,bmij->bij", TENSOR_WEIGHTS, Es.mT @ Mk @ Es)
     div_term = Dv.mT @ Mk[:, 0] @ Dv
@@ -171,7 +158,7 @@ def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalOper
                                     lam * Es[:, 0] + (2 * mu + lam) * Es[:, 1],
                                     2 * mu * Es[:, 2]], axis=1))
     return LocalOperators(
-        ctx=ctx, L=L, penalty=penalty, rec=Dep,
+        ctx=ctx, L=L, stab_face=stab_face, rec=Dep,
         flux=_face_flux(ctx, sig, stab_face, 2.0 * mu / ctx.h),
         # (sigma, eps(q)) = (sigma, grad q) for the vector cell basis q of degree k
         balance=_gradient_moments(ctx, sig)[:, : 2 * n_k])

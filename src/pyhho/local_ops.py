@@ -7,7 +7,8 @@ Lehrenfeld-Schoberl stabilizations, the resulting local bilinear-form
 matrix, and the operator recovering equilibrated face fluxes.  The hybrid
 face terms are assembled once, in ``G``: the potential reconstruction is
 its projection onto gradients of degree k+1, and the consistency fluxes
-are read from degree-k coefficients of the flux field.
+are read from degree-k coefficients of the flux field.  The cell Gram
+matrices are face sums, so no operator depends on a cell quadrature rule.
 
 Every operator is built for a group of cells that share one quadrature
 class (see :meth:`pyhho.mesh.Mesh.cell_groups`): arrays carry a leading
@@ -54,7 +55,7 @@ class FaceContext:
 
 @dataclass
 class CellContext:
-    """Quadrature data and Gram matrices of a group, shared by all local
+    """Face data and Gram matrices of a group, shared by all local
     operators, and the rule that samples problem data on its cells."""
 
     mesh: Mesh
@@ -63,13 +64,11 @@ class CellContext:
     degrees: HhoDegrees
     layout: DofLayout
     rec_basis: Basis
-    rule: QuadratureRule
-    phi: np.ndarray          # (nb, nq, n_rec)
-    dphi: np.ndarray         # (nb, nq, n_rec, d)
     mass_full: np.ndarray    # (nb, n_rec, n_rec)
-    stiff_full: np.ndarray   # (nb, n_rec, n_rec)
+    stiff_full: np.ndarray   # (nb, n_rec, n_rec): the trace of grad_gram over (a, b)
     ints_full: np.ndarray    # (nb, n_rec) integrals of the basis functions
     grad_mass: np.ndarray    # (nb, n_rec, d, n_k): (d_c phi_i, phi_j), phi_j of degree <= k
+    grad_gram: np.ndarray    # (nb, n_rec, d, n_rec, d): (d_a phi_i, d_b phi_j)
     mass_k_inv: np.ndarray   # (nb, n_k, n_k) inverse of the degree-k cell mass
     faces: FaceContext
     # the rule of order 2(k+2) that samples problem data (sources, error norms)
@@ -97,21 +96,46 @@ class CellContext:
 
 
 def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
-    """Evaluate bases and Gram matrices at quadrature order ``2(k+1)``, and
-    the reconstruction basis at order ``2(k+2)``, on a group of cells of one
-    quadrature class (one cell index: a group of one)."""
+    """Face data and Gram matrices of a group of cells of one quadrature
+    class (one cell index: a group of one), and the basis on the data rule.
+
+    By Euler's theorem for the scaled monomials, homogeneous about ``x_T``,
+    a Gram entry ``int_T q`` with ``q`` of degree ``p`` is ``sum_F (n_F . (x -
+    x_T)) int_F q / (d + p)``, exact at the order-``2(k+1)`` face points.
+    """
     cells = np.atleast_1d(np.asarray(cells, dtype=int))
     geom = mesh.cell_geometry(cells)
     layout = dof_layout(mesh, degrees, geom.n_faces)
     k = degrees.k_face
-    order = 2 * (k + 1)
     rec_basis = scaled_monomial_basis(geom, k + 1)
-    rule = cell_quadrature(geom, order)
-    phi, dphi = rec_basis.eval(rule.points)
-    w = rule.weights
-    wphi = w[..., None] * phi
-    mass_full = wphi.mT @ phi
-    mass_full = 0.5 * (mass_full + mass_full.mT)
+
+    # each distinct face once, then gathered onto (cell, local face)
+    unique, at = np.unique(geom.face_indices, return_inverse=True)
+    frule = face_quadrature(mesh, unique, 2 * (k + 1))
+    psi, _ = face_basis(mesh, unique, k).eval(frule.points, gradients=False)
+    wpsi = frule.weights[..., None] * psi
+    M = wpsi.mT @ psi
+    M = 0.5 * (M + M.mT)
+    M_inv = mass_cholesky(M, ids=unique, entity="face")
+    nb, nf, d = geom.face_normals.shape
+    points = frule.points[at]                                   # (nb, nf, nq, d)
+    fphi, fdphi = rec_basis.eval(points.reshape(nb, -1, d))
+    n_rec = rec_basis.size
+    phi = fphi.reshape(nb, nf, -1, n_rec)
+    faces = FaceContext(normal=geom.face_normals, weights=frule.weights[at], psi=psi[at],
+                        phi=phi, mass=M[at], mass_inv=M_inv[at], trace_full=wpsi[at].mT @ phi)
+
+    # one Gram of the basis values and gradients at the face points, a gradient
+    # having degree p - 1 (a constant's is 0: any positive divisor does), and
+    # the lever n_F . (x - x_T), constant on a face, averaged over its points
+    lever = ((points - geom.barycenter[:, None, None]) @ geom.face_normals[..., None]).mean(axis=2)
+    w = (faces.weights * lever).reshape(nb, -1, 1)
+    deg = rec_basis.exponents.sum(axis=1)
+    deg = np.concatenate([deg, np.repeat(deg - 1, d)])
+    V = np.concatenate([fphi, fdphi.reshape(nb, -1, n_rec * d)], axis=-1)
+    gram = (V.mT @ (w * V)) / np.maximum(d + deg[:, None] + deg, 1)
+    gram = 0.5 * (gram + gram.mT)
+    mass_full = gram[:, :n_rec, :n_rec]
     lam = np.linalg.eigvalsh(mass_full)
     bad = np.flatnonzero(lam[:, 0] * COND_LIMIT < lam[:, -1])   # also a round-off lam_min <= 0
     if len(bad):
@@ -120,36 +144,19 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
         raise ValueError(
             f"cell {cells[b]}: mass-matrix condition number {cond:.2e} exceeds "
             f"{COND_LIMIT:.0e}; reduce the degree or orthonormalize the basis")
-    nb, nq, n_rec, d = dphi.shape
-    # batched matmuls over (point, direction) pairs run in BLAS, not in einsum's C loops
-    grads = dphi.swapaxes(-1, -2).reshape(nb, nq * d, n_rec)
-    stiff_full = grads.mT @ (np.repeat(w, d, axis=1)[..., None] * grads)
-    stiff_full = 0.5 * (stiff_full + stiff_full.mT)
-    ints_full = wphi.sum(axis=1)
     n_k = basis_size(k, d)
-    grad_mass = (dphi.reshape(nb, nq, -1).mT @ wphi[:, :, :n_k]).reshape(nb, n_rec, d, n_k)
+    grad_mass = gram[:, n_rec:, :n_k].reshape(nb, n_rec, d, n_k)
+    grad_gram = gram[:, n_rec:, n_rec:].reshape(nb, n_rec, d, n_rec, d)
     mass_k_inv = mass_cholesky(mass_full[:, :n_k, :n_k], cells)
 
-    # each distinct face once, then gathered onto (cell, local face)
-    unique, at = np.unique(geom.face_indices, return_inverse=True)
-    frule = face_quadrature(mesh, unique, order)
-    psi, _ = face_basis(mesh, unique, k).eval(frule.points, gradients=False)
-    wpsi = frule.weights[..., None] * psi
-    M = wpsi.mT @ psi
-    M = 0.5 * (M + M.mT)
-    M_inv = mass_cholesky(M, ids=unique, entity="face")
-    fphi, _ = rec_basis.eval(frule.points[at].reshape(nb, -1, d), gradients=False)
-    fphi = fphi.reshape(at.shape + (-1, n_rec))
-    faces = FaceContext(normal=geom.face_normals, weights=frule.weights[at], psi=psi[at],
-                        phi=fphi, mass=M[at], mass_inv=M_inv[at], trace_full=wpsi[at].mT @ fphi)
     data_rule = cell_quadrature(geom, 2 * (k + 2))
     data_phi, data_dphi = rec_basis.eval(data_rule.points)
     return CellContext(mesh=mesh, cells=cells, geom=geom, degrees=degrees,
-                       layout=layout, rec_basis=rec_basis, rule=rule,
-                       phi=phi, dphi=dphi, mass_full=mass_full,
-                       stiff_full=stiff_full, ints_full=ints_full, grad_mass=grad_mass,
-                       mass_k_inv=mass_k_inv, faces=faces, data_rule=data_rule,
-                       data_phi=data_phi, data_dphi=data_dphi)
+                       layout=layout, rec_basis=rec_basis, mass_full=mass_full,
+                       stiff_full=np.trace(grad_gram, axis1=2, axis2=4),
+                       ints_full=mass_full[:, 0], grad_mass=grad_mass,
+                       grad_gram=grad_gram, mass_k_inv=mass_k_inv, faces=faces,
+                       data_rule=data_rule, data_phi=data_phi, data_dphi=data_dphi)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +307,7 @@ class LocalOperators:
 
     ctx: CellContext
     L: np.ndarray             # local bilinear-form matrices
-    penalty: np.ndarray       # stabilization with the plain 1/h weight
+    stab_face: np.ndarray     # (nb, n_faces, face_width, size) face operators S_F
     rec: np.ndarray           # full reconstruction, coefficients in ctx.rec_basis
     flux: np.ndarray          # (nb, n_faces * face_width, size) face-flux coefficients
     balance: np.ndarray       # cell consistency tested with degree-k_face polynomials
@@ -353,6 +360,6 @@ def local_bilinear(ctx: CellContext) -> LocalOperators:
     grad_R = ctx.mass_k_inv[:, None] @ (
         ctx.grad_mass.reshape(nb, n_rec, -1).mT @ R_full).reshape(nb, d, n_k, -1)
     return LocalOperators(
-        ctx=ctx, L=L, penalty=penalty, rec=R_full,
+        ctx=ctx, L=L, stab_face=stab_face, rec=R_full,
         flux=_face_flux(ctx, grad_R, stab_face, 1.0 / ctx.h),
         balance=ctx.stiff_full[:, :n_k] @ R_full)

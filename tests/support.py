@@ -1,0 +1,36 @@
+"""Meshes and quadrature references shared by the test modules."""
+
+import numpy as np
+
+from pyhho.mesh import Mesh, build_structured_mesh
+
+
+def jittered_mesh(kind, n, seed, amplitude=None):
+    """n x n ``kind`` cells ('tri' or 'quad') on the unit square whose
+    interior vertices move by a seeded uniform draw of at most
+    ``amplitude`` per coordinate (default a fifth of the cell width); the
+    boundary stays fixed.  Jittered quads are not parallelograms."""
+    base = build_structured_mesh(kind, n, n)
+    h = 1.0 / n
+    if amplitude is None:
+        amplitude = 0.2 * h
+    verts = base.vertices.copy()
+    interior = np.all((verts > 0.5 * h) & (verts < 1.0 - 0.5 * h), axis=1)
+    verts[interior] += np.random.default_rng(seed).uniform(
+        -amplitude, amplitude, (int(interior.sum()), 2))
+    return Mesh(2, verts, base.cells)
+
+
+def strain_columns(dphi):
+    """Strain components of the vector basis built from scalar gradients.
+
+    ``dphi`` has shape (..., nq, n, 2); the result has shape (..., nq, 2n, 3)
+    holding (eps_xx, eps_yy, eps_xy) of each vector basis function,
+    components interleaved.
+    """
+    eps = np.zeros(dphi.shape[:-2] + (2 * dphi.shape[-2], 3))
+    eps[..., 0::2, 0] = dphi[..., 0]             # e_x phi: eps_xx = dx phi
+    eps[..., 1::2, 1] = dphi[..., 1]             # e_y phi: eps_yy = dy phi
+    eps[..., 0::2, 2] = 0.5 * dphi[..., 1]       # eps_xy of e_x phi
+    eps[..., 1::2, 2] = 0.5 * dphi[..., 0]
+    return eps

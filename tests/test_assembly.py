@@ -9,6 +9,8 @@ from pyhho.problems import (ProblemSpec, elasticity_divfree, poisson_sin_1d,
                             poisson_sin_2d)
 from pyhho.projection import dof_layout, equal_order, mixed_order
 
+from support import jittered_mesh
+
 
 def test_dof_map_counts():
     mesh = build_structured_mesh("quad", 2, 2)
@@ -165,17 +167,6 @@ def test_cg_matches_direct():
     assert dev <= 1e-10 * max(np.abs(s_direct.face_coeffs).max(), 1.0)
 
 
-def _jittered_tris(seed, n=10, jitter=0.2):
-    """n x n triangles, interior vertices moved by up to ``jitter * h``."""
-    base = build_structured_mesh("tri", n, n)
-    h = 1.0 / n
-    verts = base.vertices.copy()
-    interior = np.all((verts > 0.5 * h) & (verts < 1.0 - 0.5 * h), axis=1)
-    verts[interior] += np.random.default_rng(seed).uniform(
-        -jitter * h, jitter * h, (int(interior.sum()), 2))
-    return Mesh(2, verts, base.cells)
-
-
 def _neumann_left_quads():
     spec0 = poisson_sin_2d()
     spec = ProblemSpec(kind="poisson", f=spec0.f, u_dirichlet=spec0.exact,
@@ -193,7 +184,7 @@ def _hanging_mixed():
 
 CG_CASES = {
     "near-incompressible elasticity on jittered triangles":
-        lambda: (_jittered_tris(1), equal_order(1, rank=2),
+        lambda: (jittered_mesh("tri", 10, 1), equal_order(1, rank=2),
                  elasticity_divfree(mu=1.0, lam=1e4)),
     "mixed-order Poisson on a hanging-node mesh": _hanging_mixed,
     "k=2 Poisson on an interval": lambda: (build_interval_mesh(0.0, 1.0, 12),
@@ -252,7 +243,7 @@ def test_cg_iterations_near_incompressible(monkeypatch, seed):
             op.shape, matvec=lambda x: applied.append(1) or op.matvec(x))
 
     monkeypatch.setattr(asm, "_block_jacobi", counted)
-    sol = solve_problem(_jittered_tris(seed), equal_order(1, rank=2),
+    sol = solve_problem(jittered_mesh("tri", 10, seed), equal_order(1, rank=2),
                         elasticity_divfree(mu=1.0, lam=1e4), solver="cg")
     assert sol.residual <= 1e-8
     assert 0 < len(applied) <= 400
@@ -269,9 +260,20 @@ def test_singular_patch_names_its_vertex():
         asm.solve_reduced(broken, method="cg")
 
 
+def test_singular_reduced_system_fails_the_direct_solve():
+    mesh = build_interval_mesh(0.0, 1.0, 4)
+    system = _reduced_system(mesh, equal_order(0), poisson_sin_1d())
+    A = system.matrix.tolil()
+    A[1, :] = 0.0
+    A[:, 1] = 0.0
+    broken = asm.GlobalSystem(A.tocsc(), system.rhs, system.dofmap)
+    with pytest.raises(ValueError, match="^reduced system is singular"):
+        asm.solve_reduced(broken)
+
+
 def test_cg_failure_states_tolerance_and_residual(monkeypatch):
     monkeypatch.setattr(asm, "CG_MAXITER", 10)
-    system = _reduced_system(_jittered_tris(1), equal_order(1, rank=2),
+    system = _reduced_system(jittered_mesh("tri", 10, 1), equal_order(1, rank=2),
                              elasticity_divfree(mu=1.0, lam=1e4))
     with pytest.raises(RuntimeError, match=r"^CG did not reach rtol 1\.0e-12 in 10 "
                                            r"iterations \(relative residual \d"):

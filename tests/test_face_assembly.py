@@ -17,7 +17,7 @@ import pytest
 
 from pyhho import local_ops
 from pyhho.basis import face_basis
-from pyhho.elasticity import (TENSOR_WEIGHTS, _strain_columns, _tensor_columns,
+from pyhho.elasticity import (TENSOR_WEIGHTS, _tensor_columns,
                               displacement_reconstruction, local_bilinear_elastic,
                               stabilization_elastic, strain_reconstruction)
 from pyhho.local_ops import (_gradient_moments, _kron_apply, build_cell_context,
@@ -27,6 +27,8 @@ from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh
 from pyhho.projection import (DofLayout, HhoDegrees, dof_layout, l2_project, mass_cholesky,
                               reduce_local)
 from pyhho.quadrature import face_quadrature
+
+from support import strain_columns
 
 MU, LAM = 1.0, 3.0
 
@@ -183,7 +185,9 @@ def test_face_axis_matches_per_face_build(k, rank, mixed, monkeypatch):
                 assert_close(getattr(f, name)[:, i], getattr(ref, name), 1e-14)
         ops = (local_bilinear(ctx) if rank == 1 else local_bilinear_elastic(ctx, MU, LAM))
         L, penalty, rec, flux, balance = per_face_operators(ctx, faces, monkeypatch)
-        for actual, ref in [(ops.L, L), (ops.penalty, penalty), (ops.rec, rec),
+        _, stab_penalty = (stabilization_ls(ctx) if mixed
+                           else stabilization_equal_order(ctx, ops.rec))
+        for actual, ref in [(ops.L, L), (stab_penalty, penalty), (ops.rec, rec),
                             (ops.flux, flux), (ops.balance, balance)]:
             assert_close(actual, ref, 1e-13)
         if rank == 1:
@@ -260,8 +264,8 @@ def displacement_reference(ctx):
     ``sum_F int_F (v_F,x n_y - v_F,y n_x) / 2``, both assembled face by face."""
     n_cell, layout = ctx.n_cell, ctx.layout
     nb, nv = len(ctx.cells), 2 * ctx.n_rec
-    w = ctx.rule.weights
-    eps = _strain_columns(ctx.dphi)
+    w = ctx.data_rule.weights
+    eps = strain_columns(ctx.data_dphi)
     weighted = eps * (w[..., None, None] * TENSOR_WEIGHTS)
     K = np.einsum("bqim,bqjm->bij", weighted, eps)
     H = np.zeros((nb, nv, layout.size))
@@ -270,7 +274,7 @@ def displacement_reference(ctx):
     D[:, 0, layout.cell][:, 0::2] = ctx.ints_full[:, :n_cell]
     D[:, 1, layout.cell][:, 1::2] = ctx.ints_full[:, :n_cell]
     for i, f in enumerate(per_face_context(ctx)):
-        feps = _strain_columns(face_gradients(ctx, f))
+        feps = strain_columns(face_gradients(ctx, f))
         n = f.normal[:, None, None, :]
         traction = [feps[..., 0] * n[..., 0] + feps[..., 2] * n[..., 1],
                     feps[..., 2] * n[..., 0] + feps[..., 1] * n[..., 1]]
@@ -284,7 +288,7 @@ def displacement_reference(ctx):
     C = np.zeros((nb, 3, nv))
     C[:, 0, 0::2] = ctx.ints_full
     C[:, 1, 1::2] = ctx.ints_full
-    int_grad = np.einsum("bq,bqjc->bjc", w, ctx.dphi)
+    int_grad = np.einsum("bq,bqjc->bjc", w, ctx.data_dphi)
     C[:, 2, 0::2] = 0.5 * int_grad[..., 1]
     C[:, 2, 1::2] = -0.5 * int_grad[..., 0]
     saddle = np.zeros((nb, nv + 3, nv + 3))

@@ -203,6 +203,15 @@ def test_verify_rates_hold_at_k3(family):
     assert [b.name for b in verify_operators(family, 3) if not b.passed] == []
 
 
+@pytest.mark.parametrize("degrees, base", [(equal_order(3), 8), (mixed_order(3), 8),
+                                           (equal_order(4), 4)],
+                         ids=["equal-k3", "mixed-k3", "equal-k4"])
+def test_stab_seminorm_rate_of_the_solution(degrees, base):
+    # error_norms takes the seminorm from the face residuals, as verify does
+    report = convergence_study(poisson_sin_2d(), "quad", degrees, levels=4, base=base)
+    assert abs(report.rate_stab - (degrees.k_face + 1)) <= 0.15
+
+
 def test_oracle_1d_requires_interval():
     with pytest.raises(ValueError):
         oracle_1d(1, build_structured_mesh("quad", 2, 2))
@@ -349,7 +358,7 @@ def test_operators_do_not_depend_on_grouping(degrees):
     for g in build_local(mesh, degrees, spec):
         for b, ci in enumerate(g.cells):
             one, one_rhs = singles[ci]
-            for name in ("L", "penalty", "rec", "flux", "balance"):
+            for name in ("L", "stab_face", "rec", "flux", "balance"):
                 ref = getattr(one, name)[0]
                 got = getattr(g.ops, name)[g.shapes[b]]
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name

@@ -7,11 +7,12 @@ from pyhho import local_ops
 from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
                              local_bilinear, reconstruction, seminorm_gram,
                              stabilization_equal_order, stabilization_ls)
-from pyhho.mesh import (Mesh, build_hanging_node_mesh, build_structured_mesh,
-                        refine_uniform)
+from pyhho.mesh import build_hanging_node_mesh, build_structured_mesh, refine_uniform
 from pyhho.projection import equal_order, l2_project, mixed_order, reduce_local
 from pyhho.quadrature import cell_quadrature, face_quadrature
 from pyhho.basis import face_basis
+
+from support import jittered_mesh
 
 
 def pentagon_mesh():
@@ -62,7 +63,7 @@ def test_elliptic_projection_reproduces_polynomials(mesh_kind, k):
     R_full = full_reconstruction(ctx)
     q = lambda x: (0.4 * x[:, 0] - x[:, 1] + 0.3) ** (k + 1)
     red = reduce_local(mesh, ci, deg, q)
-    pts = ctx.rule.points[0, :5]
+    pts = ctx.data_rule.points[0, :5]
     vals, _ = eval_rec(ctx, R_full @ red, pts)
     np.testing.assert_allclose(vals, q(pts), atol=1e-11)
 
@@ -94,7 +95,7 @@ def test_reconstruction_of_exact_trace_pair():
             rule = face_quadrature(mesh, fi, 2 * k + 2)
             v[ctx.layout.face(i)] = l2_project(fb, rule, vt)
         rec = R_full @ v
-        pts = ctx.rule.points[0, :4]
+        pts = ctx.data_rule.points[0, :4]
         np.testing.assert_allclose(eval_rec(ctx, rec, pts)[0], vt(pts), atol=1e-11)
 
 
@@ -104,7 +105,7 @@ def test_mean_preservation_random_dofs():
     ctx = build_cell_context(mesh, ci, equal_order(2))
     R_full = full_reconstruction(ctx)
     rng = np.random.default_rng(11)
-    weights, vals = ctx.rule.weights[0], ctx.phi[0]
+    weights, vals = ctx.data_rule.weights[0], ctx.data_phi[0]
     for _ in range(5):
         v = rng.standard_normal(ctx.layout.size)
         rec_mean = weights @ (vals @ (R_full @ v))
@@ -141,9 +142,9 @@ def test_gradient_compatibility_with_reconstruction():
         G = gradient_reconstruction(ctx)[0]
         rng = np.random.default_rng(k + 5)
         v = rng.standard_normal(ctx.layout.size)
-        w = ctx.rule.weights[0]
-        gvals = np.stack([ctx.phi[0, :, :ctx.n_k] @ (G[c] @ v) for c in range(2)], axis=1)
-        dphi = ctx.dphi[0, :, 1:, :]
+        w = ctx.data_rule.weights[0]
+        gvals = np.stack([ctx.data_phi[0, :, :ctx.n_k] @ (G[c] @ v) for c in range(2)], axis=1)
+        dphi = ctx.data_dphi[0, :, 1:, :]
         rhs = np.einsum("qjc,q,qc->j", dphi, w, gvals)
         coef = np.linalg.solve(Kstar, rhs)
         np.testing.assert_allclose(coef, R @ v, atol=1e-10)
@@ -220,8 +221,9 @@ def test_local_bilinear_kernel_and_psd():
         ci = next(c for c in range(mesh.n_cells) if len(mesh.cells[c]) == 5)
         ctx = build_cell_context(mesh, ci, equal_order(k))
         ops = local_bilinear(ctx)
-        A = reconstruction(ctx)[4]
-        for M in (A, ops.penalty, ops.L):
+        _, _, _, R_full, A = reconstruction(ctx)
+        penalty = stabilization_equal_order(ctx, R_full)[1]
+        for M in (A, penalty, ops.L):
             w = np.linalg.eigvalsh(M[0])
             assert w.min() >= -1e-10 * abs(w).max()
         w = np.linalg.eigvalsh(ops.L[0])
@@ -304,16 +306,8 @@ def test_equal_order_stabilization_matches_reduced_reconstruction_formula():
                                            atol=1e-12 * np.abs(S).max())
 
 
-def jittered_tri_mesh():
-    mesh = build_structured_mesh("tri", 3, 3)
-    verts = mesh.vertices.copy()
-    inner = np.all((verts > 0.1) & (verts < 0.9), axis=1)
-    verts[inner] += np.random.default_rng(5).uniform(-0.1, 0.1, (int(inner.sum()), 2))
-    return Mesh(2, verts, mesh.cells)
-
-
 def test_condition_guard_names_lowest_offending_cell(monkeypatch):
-    mesh = jittered_tri_mesh()
+    mesh = jittered_mesh("tri", 3, 5, amplitude=0.1)
     cells = mesh.cell_groups()[0]
     cond = np.linalg.cond(build_cell_context(mesh, cells, equal_order(2)).mass_full)
     limit = 1.1 * cond[0]                # the group's first cell stays below it
@@ -334,7 +328,7 @@ def test_condition_guard_rejects_high_aspect_ratio_cells():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_eigenvalue_ratio_is_the_condition_number(k):
-    meshes = [build_structured_mesh("quad", 2, 2), jittered_tri_mesh(),
+    meshes = [build_structured_mesh("quad", 2, 2), jittered_mesh("tri", 3, 5, amplitude=0.1),
               build_hanging_node_mesh(build_structured_mesh("quad", 3, 3), [1, 3, 5, 7])]
     for mesh in meshes:
         for cells in mesh.cell_groups():

@@ -15,17 +15,10 @@ from pyhho.mesh import Mesh, build_interval_mesh, build_structured_mesh
 from pyhho.problems import elasticity_compressible, poisson_sin_1d, poisson_sin_2d
 from pyhho.projection import HhoDegrees
 
-OPERATOR_FIELDS = ("L", "penalty", "rec", "flux", "balance")
+from support import jittered_mesh
+
+OPERATOR_FIELDS = ("L", "stab_face", "rec", "flux", "balance")
 CONDENSED_FIELDS = ("L_c", "X", "y", "b_c")
-
-
-def jittered_tri_mesh(n=4, seed=3):
-    base = build_structured_mesh("tri", n, n)
-    verts = base.vertices.copy()
-    inner = np.all((verts > 0.5 / n) & (verts < 1 - 0.5 / n), axis=1)
-    verts[inner] += np.random.default_rng(seed).uniform(-0.2 / n, 0.2 / n,
-                                                        (int(inner.sum()), 2))
-    return Mesh(2, verts, base.cells)
 
 
 MESHES = {
@@ -33,7 +26,7 @@ MESHES = {
     "quad": lambda: build_structured_mesh("quad", 3, 3),
     "tri": lambda: build_structured_mesh("tri", 3, 3),
     "hanging": lambda: mesh_family("hanging", 0, base=4),
-    "jittered-tri": jittered_tri_mesh,
+    "jittered-tri": lambda: jittered_mesh("tri", 4, 3),
 }
 
 
@@ -140,7 +133,7 @@ def test_vector_operators_match_per_cell_build(family, k, mixed):
 def test_all_distinct_shapes_build_as_before():
     # every jittered triangle is its own shape: the operators are bit for
     # bit a per-cell build, and the condensation agrees with one solve per cell
-    mesh = jittered_tri_mesh()
+    mesh = jittered_mesh("tri", 4, 3)
     spec, degrees = poisson_sin_2d(), HhoDegrees(1, 1)
     g, = build_local(mesh, degrees, spec)
     (ref, ref_b), = per_cell_build(mesh, degrees, spec)
@@ -173,7 +166,7 @@ def test_shape_counts():
         mesh = build_structured_mesh("quad", n, n)
         reps, shapes = mesh.cell_shapes(mesh.cell_groups()[0])
         assert reps.tolist() == [0] and not shapes.any()
-    mesh = jittered_tri_mesh()
+    mesh = jittered_mesh("tri", 4, 3)
     cells = mesh.cell_groups()[0]
     reps, shapes = mesh.cell_shapes(cells)
     np.testing.assert_array_equal(reps, cells)
