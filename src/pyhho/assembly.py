@@ -12,6 +12,8 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,8 @@ from .mesh import Mesh
 from .projection import DofLayout, HhoDegrees, cell_faces, checked, dof_layout
 
 CG_MAXITER = 20000
+
+log = logging.getLogger("pyhho")
 
 
 @dataclass
@@ -166,7 +170,8 @@ def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
 
 def solve_reduced(system: GlobalSystem, method: str = "direct",
                   tol: float = 1e-12) -> np.ndarray:
-    """Solve the reduced face system (sparse direct or preconditioned CG)."""
+    """Solve the reduced face system: sparse direct, or two-level
+    preconditioned CG (:func:`_two_level_cg`)."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"solver tolerance must be positive and finite, got {tol!r}")
     A, b = system.matrix, system.rhs
@@ -175,23 +180,78 @@ def solve_reduced(system: GlobalSystem, method: str = "direct",
     asym = abs(A - A.T).max()
     if asym > 1e-12 * max(abs(A).max(), 1.0):
         raise ValueError(f"reduced system is not symmetric (deviation {asym:.2e})")
+    start = time.perf_counter()
     if method == "direct":
-        # SPD: diagonal pivots keep the minimum-degree ordering of the pattern
-        try:
-            lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError as err:
-            raise ValueError(f"reduced system is singular: {err}") from err
-        return lu.solve(b)
+        lu = _factor(A.tocsc(), "reduced system")
+        x = lu.solve(b)
+        log.debug("face solve: direct, %d reduced DoFs, %d nonzeros, L+U fill %d "
+                  "(%.1fx), %.4f s", A.shape[0], A.nnz, lu.nnz, lu.nnz / A.nnz,
+                  time.perf_counter() - start)
+        return x
     if method == "cg":
-        precond = _block_jacobi(A, _vertex_patches(system.dofmap))
-        x, info = spla.cg(A, b, rtol=tol, atol=0.0, M=precond, maxiter=CG_MAXITER)
-        if info != 0:
-            res = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-            raise RuntimeError(f"CG did not reach rtol {tol:.1e} in {CG_MAXITER} "
-                               f"iterations (relative residual {res:.2e})")
+        A = A.tocsr()
+        M1 = _block_jacobi(A, _vertex_patches(system.dofmap))
+        P = _auxiliary_space(system.dofmap)
+        lu = _factor((P.T @ (A @ P)).tocsc(), "auxiliary coarse system")
+        setup = time.perf_counter()
+        x, iters, res = _two_level_cg(A, b, M1, P, lu, tol)
+        log.debug("face solve: cg, %d reduced DoFs, %d nonzeros, auxiliary space %d, "
+                  "%d iterations, relative residual %.2e, setup %.4f s, loop %.4f s",
+                  A.shape[0], A.nnz, P.shape[1], iters, res, setup - start,
+                  time.perf_counter() - setup)
         return x
     raise ValueError(f"unknown solver {method!r}")
+
+
+def _factor(A: sp.csc_matrix, what: str):
+    """SuperLU factor of an SPD matrix: diagonal pivots keep the
+    minimum-degree ordering of the pattern; a singular factor is a
+    ``ValueError``."""
+    try:
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as err:
+        raise ValueError(f"{what} is singular: {err}") from err
+
+
+def _two_level_cg(A: sp.csr_matrix, b: np.ndarray, M1, P: sp.csc_matrix, lu, tol: float):
+    """Preconditioned CG with the A-DEF2 two-level preconditioner.
+
+    With the coarse correction ``C = P A_0^-1 P^T`` (``lu`` factors
+    ``A_0 = P^T A P``), CG starts from ``x_0 = C b`` and preconditions
+    with ``z = M1 r + C (r - A M1 r)`` (Tang, Nabben, Vuik and Erlangga,
+    J. Sci. Comput. 2009): one application of ``M1``, one coarse solve and
+    one extra product with ``A`` per iteration.  It stops when the
+    recursive residual satisfies ``|r| <= tol |b|`` and returns ``(x,
+    iterations, relative residual)``.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0, 0.0
+    PT = P.T
+
+    def coarse(v):
+        return P @ lu.solve(PT @ v)
+
+    x = coarse(b)
+    r = b - A @ x
+    rnorm, stop = np.linalg.norm(r), tol * bnorm
+    iters, rho_prev, p = 0, 1.0, np.zeros_like(b)
+    while rnorm > stop:
+        if iters == CG_MAXITER:
+            res = np.linalg.norm(b - A @ x) / bnorm
+            raise RuntimeError(f"CG did not reach rtol {tol:.1e} in {CG_MAXITER} "
+                               f"iterations (relative residual {res:.2e})")
+        w = M1.matvec(r)
+        z = w + coarse(r - A @ w)
+        rho = r @ z
+        p = z + (rho / rho_prev) * p
+        q = A @ p
+        alpha = rho / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev, rnorm, iters = rho, np.linalg.norm(r), iters + 1
+    return x, iters, rnorm / bnorm
 
 
 def _vertex_patches(dofmap: DofMap) -> np.ndarray:
@@ -231,6 +291,60 @@ def _block_jacobi(A: sp.spmatrix, patches: np.ndarray) -> spla.LinearOperator:
     keep = ~skip
     P = sp.csr_matrix((inv[keep], (rows[keep], cols[keep])), shape=A.shape)
     return spla.aslinearoperator(P)
+
+
+def _auxiliary_space(dofmap: DofMap) -> sp.csc_matrix:
+    """The two-level CG's auxiliary space ``P`` ``(n_reduced, m)``.
+
+    Its columns are the lowest-order finite-element vertex hats, one per
+    vertex and component, traced on the free faces: in the chart from
+    ``face_nodes[f, 0]`` to ``face_nodes[f, 1]`` the trace of a hat has
+    constant coefficient ``(phi(a) + phi(b)) / 2`` and linear coefficient
+    ``(phi(b) - phi(a)) / 2`` (in 1D a face is a vertex and holds just the
+    value).  For vector fields the curls of the hats of the vertices on no
+    Dirichlet face follow, constant on each face: the cell gradient of a
+    hat comes from Green's formula over the cell's faces, and the face
+    value is the mean over the face's cells.  They span the discretely
+    divergence-free fields that a coarse space robust in lambda needs (Lee,
+    Wu, Xu and Zikatanov, M3AS 2007).  Only columns that touch a free face
+    are kept.
+    """
+    mesh, rank, offsets = dofmap.mesh, dofmap.degrees.rank, dofmap.offsets
+    n_vert, comp = len(mesh.vertices), np.arange(rank)
+    free = np.flatnonzero(offsets >= 0)
+    nodes = mesh.face_nodes[free]
+    n_coef = min(2, dofmap.face_width // rank)
+    # node j of a face: the mean 1/w in coefficient 0, the slope j - 1/2 in coefficient 1
+    w = nodes.shape[1]
+    value = np.where(np.arange(n_coef) == 0, 1.0 / w, np.arange(w)[:, None] - 0.5)
+    shape = (len(free), w, n_coef, rank)
+    rows = [np.broadcast_to(offsets[free, None, None, None] + rank * np.arange(n_coef)[:, None]
+                            + comp, shape)]
+    cols = [np.broadcast_to(rank * nodes[:, :, None, None] + comp, shape)]
+    vals = [np.broadcast_to(value[:, :, None], shape)]
+    if rank == 2:
+        on_dirichlet = np.zeros(n_vert, dtype=bool)
+        on_dirichlet[mesh.face_nodes[dofmap.dirichlet]] = True
+        for cells in mesh.cell_groups():
+            g = mesh.cell_geometry(cells)
+            nb, nf = g.face_indices.shape
+            # Green: grad phi_v = sum over the faces F at v of |F| n_F / (2 |T|)
+            grad = g.face_measures[..., None] * g.face_normals / (2.0 * g.measure[:, None, None])
+            # curl phi = (d_y phi, -d_x phi), one entry per face end (nb, 2 nf, 2)
+            curl = np.repeat(grad[..., ::-1] * [1.0, -1.0], 2, axis=1)
+            vert = mesh.face_nodes[g.face_indices].reshape(nb, 1, 2 * nf, 1)
+            # each of the cell's faces takes its share of the mean over the face's cells
+            off = offsets[g.face_indices][:, :, None, None]
+            mean = 1.0 / (2 - mesh.boundary_faces[g.face_indices])[:, :, None, None]
+            shape = (nb, nf, 2 * nf, 2)
+            keep = np.broadcast_to((off >= 0) & ~on_dirichlet[vert], shape)
+            rows.append(np.broadcast_to(off + comp, shape)[keep])
+            cols.append(np.broadcast_to(2 * n_vert + vert, shape)[keep])
+            vals.append((mean * curl[:, None])[keep])
+    used, cols = np.unique(np.concatenate([c.ravel() for c in cols]), return_inverse=True)
+    return sp.csc_matrix((np.concatenate([v.ravel() for v in vals]),
+                          (np.concatenate([r.ravel() for r in rows]), cols)),
+                         shape=(dofmap.n_reduced, len(used)))
 
 
 def recover_cells(mesh: Mesh, condensed: list, dofmap: DofMap,

@@ -447,54 +447,131 @@ def left_half(mesh: Mesh) -> np.ndarray:
         [g.index[g.barycenter[:, 0] < 0.5 - GEOM_TOL] for g in geoms]))
 
 
+def _new_vertices(vertices: np.ndarray, keys: np.ndarray, points: np.ndarray):
+    """Append one vertex per distinct key, numbered in order of its first
+    request; ``points[i]`` is where request ``i`` puts its vertex.  Returns
+    the extended vertex array and the vertex of every request."""
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(unique), dtype=int)
+    number[order] = np.arange(len(unique))
+    return (np.concatenate([vertices, points[first[order]]]),
+            len(vertices) + number[inverse])
+
+
+def _pair_key(p: np.ndarray, q: np.ndarray, stride: int) -> np.ndarray:
+    """One integer per unordered pair of point indices below ``stride``."""
+    return np.minimum(p, q).astype(np.int64) * stride + np.maximum(p, q)
+
+
+def _loops(rows: np.ndarray):
+    """Cell loops from rows padded with -1: one array when every row keeps
+    as many entries, else one array per row."""
+    keep = rows >= 0
+    counts = keep.sum(axis=1)
+    width = counts.max(initial=0)
+    if np.all(counts == width):
+        return rows[keep].reshape(len(rows), width)
+    return np.split(rows[keep], np.cumsum(counts)[:-1])
+
+
+def _split_template(n: int):
+    """How a cell with ``n`` vertices splits, in local slots: ``0..n-1`` its
+    loop, ``n`` its centre and ``n + 1 + j`` the vertex of its request ``j``.
+
+    A request is the midpoint of two slots (the centre asks for itself).
+    Quads split into four quads about their centre, triangles into four
+    triangles on their edge midpoints, and other polygons fan into
+    triangles from their centre, each split the same way.  Returns the
+    request pairs ``(r, 2)`` and the children ``(4 or 4n, 4)``, whose
+    triangles are padded with -1.
+    """
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    if n == 4:
+        return np.array(ring + [(4, 4)]), np.array(
+            [(i, 5 + i, 9, 5 + (i - 1) % 4) for i in range(4)])
+    if n == 3:
+        pairs, tris = ring, [((0, 1, 2), (4, 5, 6))]
+    else:
+        pairs = [(n, n)] + [p for i, j in ring for p in ((n, i), (i, j), (j, n))]
+        tris = [((n + 1, i, j), (n + 2 + 3 * i, n + 3 + 3 * i, n + 4 + 3 * i))
+                for i, j in ring]
+    return np.array(pairs), np.array(
+        [kid for (a, b, c), (ab, bc, ca) in tris
+         for kid in ((a, ab, ca, -1), (ab, b, bc, -1), (ca, bc, c, -1), (ab, bc, ca, -1))])
+
+
+def _cell_order(cells: list, widths: list) -> np.ndarray:
+    """The order that sorts blocks of ``widths[g]`` items per cell, for the
+    cells of each group ``g`` concatenated group after group, by cell and
+    then by item."""
+    w = max(widths)
+    return np.argsort(np.concatenate([(c[:, None] * w + np.arange(n)).ravel()
+                                      for c, n in zip(cells, widths)]))
+
+
+def _split_cells(mesh: Mesh, groups: list, centers: np.ndarray):
+    """Split the cells of ``groups``, pairs ``(cells, loops)`` of one loop
+    length each, by :func:`_split_template`; ``centers`` holds every cell's
+    centre.
+
+    New vertices are numbered in cell order, and within a cell in request
+    order, when a cell first asks for them: a midpoint is keyed by its two
+    ends (a centre by its cell), so neighbours share their edge midpoints.
+    Returns the vertices, the children (rows padded with -1, in cell
+    order), and the key and the vertex of every request, group by group.
+    """
+    V = mesh.vertices
+    stride = len(V) + mesh.n_cells           # cell c's centre is point nv + c
+    points = np.concatenate([V, centers])
+    plans = []
+    for c, loops in groups:
+        pairs, kids = _split_template(loops.shape[1])
+        ext = np.column_stack([loops, len(V) + c])
+        p, q = ext[:, pairs[:, 0]], ext[:, pairs[:, 1]]
+        plans.append((c, ext, kids, _pair_key(p, q, stride), 0.5 * (points[p] + points[q])))
+    cells, local, templates, keys, at = zip(*plans)
+    order = _cell_order(cells, [k.shape[1] for k in keys])
+    sizes = np.cumsum([k.size for k in keys])[:-1]
+    keys = np.concatenate([k.ravel() for k in keys])
+    at = np.concatenate([a.reshape(-1, V.shape[1]) for a in at])
+    verts, ids = _new_vertices(V, keys[order], at[order])
+    ids = ids[np.argsort(order)]
+    # local slots: the loop, the centre, the requests, then -1 for the padding
+    rows = np.concatenate([np.column_stack([ext, i.reshape(len(ext), -1), np.full(len(ext), -1)])
+                           [:, kids].reshape(-1, 4) for ext, i, kids in
+                           zip(local, np.split(ids, sizes), templates)])
+    return verts, rows[_cell_order(cells, [len(k) for k in templates])], keys, ids
+
+
 def build_hanging_node_mesh(base: Mesh, cells_to_refine) -> Mesh:
     """Split selected quad cells into four; neighbors keep hanging vertices.
 
     Unrefined neighbors gain the edge midpoints as extra loop vertices and
     become pentagons/hexagons, which the rest of the library treats as
-    ordinary polygons.
+    ordinary polygons.  New vertices are numbered as :func:`_split_cells`
+    does; the children of the refined cells come first, then the other
+    cells in their order.
     """
-    refine = sorted(set(int(c) for c in cells_to_refine))
-    if any(c < 0 or c >= base.n_cells for c in refine):
+    refine = np.unique(np.fromiter(cells_to_refine, dtype=int))
+    if len(refine) and (refine[0] < 0 or refine[-1] >= base.n_cells):
         raise MeshError("refinement set contains an invalid cell index")
-    if not refine:
+    if not len(refine):
         return _copy_with_tags(base)
     if base.dim != 2 or any(len(c) != 4 for c in base.cells):
         raise MeshError("hanging-node refinement expects a 2D all-quad mesh")
-
-    verts = list(map(tuple, base.vertices))
-    midpoint = {}
-
-    def mid(a, b):
-        key = tuple(sorted((a, b)))
-        if key not in midpoint:
-            verts.append(tuple(0.5 * (base.vertices[a] + base.vertices[b])))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    refine_set = set(refine)
-    new_cells = []
-    for ci, loop in enumerate(base.cells):
-        if ci not in refine_set:
-            continue
-        m = [mid(int(loop[i]), int(loop[(i + 1) % 4])) for i in range(4)]
-        verts.append(tuple(base.vertices[loop].mean(axis=0)))
-        center = len(verts) - 1
-        for i in range(4):
-            new_cells.append((int(loop[i]), m[i], center, m[i - 1]))
-    for ci, loop in enumerate(base.cells):
-        if ci in refine_set:
-            continue
-        poly = []
-        for i in range(len(loop)):
-            a, b = int(loop[i]), int(loop[(i + 1) % len(loop)])
-            poly.append(a)
-            key = tuple(sorted((a, b)))
-            if key in midpoint:
-                poly.append(midpoint[key])
-        new_cells.append(tuple(poly))
-    mesh = Mesh(2, np.array(verts), new_cells)
-    return _inherit_tags(mesh, base)
+    loops = np.array(base.cells)
+    verts, children, keys, ids = _split_cells(base, [(refine, loops[refine])],
+                                              base.vertices[loops].mean(axis=1))
+    # every other cell takes the midpoint of each split edge after its first vertex
+    loops = loops[np.setdiff1d(np.arange(base.n_cells), refine)]
+    edges = _pair_key(loops, np.roll(loops, -1, axis=1), len(base.vertices) + base.n_cells)
+    sorter = np.argsort(keys)
+    at = sorter[np.minimum(np.searchsorted(keys, edges, sorter=sorter), len(keys) - 1)]
+    hanging = np.where(keys[at] == edges, ids[at], -1)
+    polygons = np.stack([loops, hanging], axis=-1).reshape(len(loops), 8)
+    cells = list(_loops(children)) + list(_loops(polygons))
+    return _inherit_tags(Mesh(2, verts, cells), base)
 
 
 def _copy_with_tags(base: Mesh) -> Mesh:
@@ -509,52 +586,27 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
     General polygons are first fanned into triangles from the barycenter
     and those triangles are then split four-way, so the result stays a
-    valid mesh but is not self-similar.
+    valid mesh but is not self-similar.  A quad's centre is the mean of
+    its vertices.  Vertices are numbered as :func:`_split_cells` does.
     """
+    V = mesh.vertices
     if mesh.dim == 1:
-        xs = []
-        for c in mesh.cells:
-            a, b = mesh.vertices[c[0], 0], mesh.vertices[c[1], 0]
-            xs.extend([a, 0.5 * (a + b)])
-        xs.append(mesh.vertices[mesh.cells[-1][1], 0])
-        new = Mesh(1, np.array(xs)[:, None], [(i, i + 1) for i in range(len(xs) - 1)])
+        ends = np.array(mesh.cells)
+        a, b = V[ends[:, 0], 0], V[ends[:, 1], 0]
+        xs = np.append(np.column_stack([a, 0.5 * (a + b)]), b[-1])
+        new = Mesh(1, xs[:, None], np.column_stack([np.arange(len(xs) - 1),
+                                                    np.arange(1, len(xs))]))
         return _inherit_tags(new, mesh)
-
-    verts = list(map(tuple, mesh.vertices))
-    midpoint = {}
-
-    def mid(a, b):
-        key = tuple(sorted((a, b)))
-        if key not in midpoint:
-            pa, pb = np.asarray(verts[a]), np.asarray(verts[b])
-            verts.append(tuple(0.5 * (pa + pb)))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    def split_triangle(tri, out):
-        a, b, c = tri
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        out.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-
-    new_cells = []
-    for ci, loop in enumerate(mesh.cells):
-        loop = [int(v) for v in loop]
-        if len(loop) == 3:
-            split_triangle(loop, new_cells)
-        elif len(loop) == 4:
-            m = [mid(loop[i], loop[(i + 1) % 4]) for i in range(4)]
-            verts.append(tuple(mesh.vertices[mesh.cells[ci]].mean(axis=0)))
-            center = len(verts) - 1
-            for i in range(4):
-                new_cells.append((loop[i], m[i], center, m[i - 1]))
-        else:
-            bc = mesh.cell_geometry(ci).barycenter
-            verts.append(tuple(bc))
-            center = len(verts) - 1
-            for i in range(len(loop)):
-                split_triangle((center, loop[i], loop[(i + 1) % len(loop)]), new_cells)
-    new = Mesh(2, np.array(verts), new_cells)
-    return _inherit_tags(new, mesh)
+    sizes = np.fromiter(map(len, mesh.cells), dtype=int, count=mesh.n_cells)
+    flat, starts = np.concatenate(mesh.cells), np.cumsum(sizes) - sizes
+    centers = np.empty((mesh.n_cells, 2))
+    for cells in mesh.cell_groups():
+        g = mesh.cell_geometry(cells)
+        centers[cells] = g.vertices.mean(axis=1) if g.n_faces == 4 else g.barycenter
+    groups = [(cells, flat[starts[cells, None] + np.arange(n)])
+              for n in np.unique(sizes) for cells in [np.flatnonzero(sizes == n)]]
+    verts, children, _, _ = _split_cells(mesh, groups, centers)
+    return _inherit_tags(Mesh(2, verts, _loops(children)), mesh)
 
 
 # ---------------------------------------------------------------------------

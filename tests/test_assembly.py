@@ -1,5 +1,9 @@
+import logging
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pyhho import assembly as asm
 from pyhho.harness import build_local, neumann_rhs, solve_problem
@@ -7,7 +11,7 @@ from pyhho.mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                         build_structured_mesh, left_half)
 from pyhho.problems import (ProblemSpec, elasticity_divfree, poisson_sin_1d,
                             poisson_sin_2d)
-from pyhho.projection import dof_layout, equal_order, mixed_order
+from pyhho.projection import dof_layout, equal_order, mixed_order, reduce_global
 
 from support import jittered_mesh
 
@@ -190,6 +194,10 @@ CG_CASES = {
     "k=2 Poisson on an interval": lambda: (build_interval_mesh(0.0, 1.0, 12),
                                            equal_order(2), poisson_sin_1d()),
     "Poisson on quads with Neumann faces": _neumann_left_quads,
+    # the face means of the hats have a checkerboard kernel: A_0 is singular
+    # to round-off, and the coarse solve acts as a pseudo-inverse
+    "k=0 Poisson on quads": lambda: (build_structured_mesh("quad", 8, 8), equal_order(0),
+                                     poisson_sin_2d()),
 }
 
 
@@ -230,10 +238,9 @@ def test_patch_preconditioner_is_block_jacobi_in_1d():
     np.testing.assert_allclose(P @ np.eye(len(A)), expect, rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_cg_iterations_near_incompressible(monkeypatch, seed):
-    # counted as the benchmark tracer does: cg applies the preconditioner
-    # once per iteration
+def _counted_patches(monkeypatch):
+    """Count preconditioner applications as the benchmark tracer does: CG
+    applies the one-level part once per iteration."""
     applied = []
     build = asm._block_jacobi
 
@@ -243,10 +250,156 @@ def test_cg_iterations_near_incompressible(monkeypatch, seed):
             op.shape, matvec=lambda x: applied.append(1) or op.matvec(x))
 
     monkeypatch.setattr(asm, "_block_jacobi", counted)
+    return applied
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cg_iterations_near_incompressible(monkeypatch, seed):
+    applied = _counted_patches(monkeypatch)
     sol = solve_problem(jittered_mesh("tri", 10, seed), equal_order(1, rank=2),
                         elasticity_divfree(mu=1.0, lam=1e4), solver="cg")
     assert sol.residual <= 1e-8
-    assert 0 < len(applied) <= 400
+    assert 0 < len(applied) <= 80
+
+
+def _hanging_32():
+    base = build_structured_mesh("quad", 32, 32)
+    return build_hanging_node_mesh(base, left_half(base))
+
+
+ELASTIC = elasticity_divfree(mu=1.0, lam=1e4)
+TWO_LEVEL_CASES = {
+    # name: (mesh, degrees, spec, largest number of preconditioner applications)
+    "poisson-quad-32": (lambda: build_structured_mesh("quad", 32, 32), equal_order(1),
+                        poisson_sin_2d(), 40),
+    "poisson-tri-32": (lambda: build_structured_mesh("tri", 32, 32), equal_order(1),
+                       poisson_sin_2d(), 40),
+    "poisson-hanging-32": (_hanging_32, equal_order(1), poisson_sin_2d(), 40),
+    "poisson-jittered-quad-32": (lambda: jittered_mesh("quad", 32, 1), equal_order(1),
+                                 poisson_sin_2d(), 40),
+    "elasticity-jittered-tri-16": (lambda: jittered_mesh("tri", 16, 1),
+                                   equal_order(1, rank=2), ELASTIC, 100),
+    "elasticity-jittered-tri-32": (lambda: jittered_mesh("tri", 32, 1),
+                                   equal_order(1, rank=2), ELASTIC, 100),
+    "elasticity-k2-jittered-tri-16": (lambda: jittered_mesh("tri", 16, 1),
+                                      equal_order(2, rank=2), ELASTIC, 100),
+}
+
+
+def _check_coarse_factor(system):
+    """The SuperLU factor of ``A_0 = P^T A P`` solves with ``A_0``."""
+    P = asm._auxiliary_space(system.dofmap)
+    assert P.shape[0] == system.dofmap.n_reduced
+    A0 = (P.T @ (system.matrix @ P)).tocsc()
+    lu = asm._factor(A0, "auxiliary coarse system")
+    x = np.random.default_rng(3).standard_normal(A0.shape[0])
+    assert np.abs(lu.solve(A0 @ x) - x).max() <= 1e-8 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("case", TWO_LEVEL_CASES)
+def test_two_level_cg_on_a_random_load(monkeypatch, case):
+    mesh, degrees, spec, most = TWO_LEVEL_CASES[case]
+    system = _reduced_system(mesh(), degrees, spec)
+    system.rhs = np.random.default_rng(7).standard_normal(len(system.rhs))
+    _check_coarse_factor(system)
+    applied = _counted_patches(monkeypatch)
+    x = asm.solve_reduced(system, method="cg")
+    assert 0 < len(applied) <= most
+    direct = asm.solve_reduced(system)
+    assert np.abs(x - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("case", [
+    _neumann_left_quads,
+    lambda: (build_structured_mesh("tri", 6, 6, neumann=lambda x: x[0] < 1e-12),
+             equal_order(1, rank=2), ELASTIC),
+    lambda: (build_interval_mesh(0.0, 1.0, 12), equal_order(2), poisson_sin_1d()),
+    lambda: (build_interval_mesh(0.0, 1.0, 12, neumann=lambda x: x[0] > 0.5),
+             equal_order(0), poisson_sin_1d()),
+], ids=["poisson-neumann-quad", "elasticity-neumann-tri", "interval-k2",
+        "interval-k0-neumann"])
+def test_auxiliary_coarse_matrix_factors(case):
+    _check_coarse_factor(_reduced_system(*case()))
+
+
+def test_singular_auxiliary_coarse_matrix_is_a_value_error(monkeypatch):
+    # a column that vanishes on every free face makes A_0 exactly singular
+    system = _reduced_system(build_structured_mesh("quad", 3, 3), equal_order(1),
+                             poisson_sin_2d())
+    build = asm._auxiliary_space
+    monkeypatch.setattr(asm, "_auxiliary_space", lambda dofmap: sp.hstack(
+        [build(dofmap), sp.csc_matrix((dofmap.n_reduced, 1))]).tocsc())
+    with pytest.raises(ValueError, match="^auxiliary coarse system is singular"):
+        asm.solve_reduced(system, method="cg")
+
+
+def test_cg_of_a_zero_load_is_zero():
+    system = _reduced_system(build_structured_mesh("quad", 3, 3), equal_order(1),
+                             poisson_sin_2d())
+    system.rhs = np.zeros_like(system.rhs)
+    with np.errstate(all="raise"):
+        x = asm.solve_reduced(system, method="cg")
+    assert np.array_equal(x, np.zeros_like(x))
+
+
+def test_one_debug_line_per_solve(caplog):
+    system = _reduced_system(build_structured_mesh("quad", 4, 4), equal_order(1),
+                             poisson_sin_2d())
+    n, nnz = system.matrix.shape[0], system.matrix.nnz
+    with caplog.at_level(logging.DEBUG, logger="pyhho"):
+        asm.solve_reduced(system, method="cg")
+        asm.solve_reduced(system)
+    lines = [r.getMessage() for r in caplog.records if r.name == "pyhho"]
+    assert len(lines) == 2
+    assert re.fullmatch(rf"face solve: cg, {n} reduced DoFs, {nnz} nonzeros, auxiliary "
+                        r"space \d+, \d+ iterations, relative residual \S+, setup \S+ s, "
+                        r"loop \S+ s", lines[0])
+    assert re.fullmatch(rf"face solve: direct, {n} reduced DoFs, {nnz} nonzeros, L\+U "
+                        r"fill \d+ \(\S+x\), \S+ s", lines[1])
+
+
+def test_auxiliary_hats_reproduce_linear_fields():
+    # the traced hats of a linear field's vertex values are its face
+    # projection: constant (u(a) + u(b)) / 2, linear (u(b) - u(a)) / 2
+    mesh = jittered_mesh("tri", 4, 2)
+    mesh.set_boundary_tags([], np.flatnonzero(mesh.boundary_faces).tolist())
+    degrees = equal_order(2, rank=2)
+    dofmap = asm.build_dof_map(mesh, degrees)
+    P = asm._auxiliary_space(dofmap)
+    n_vert = len(mesh.vertices)
+
+    def field(x):
+        return np.column_stack([1.0 + 2.0 * x[:, 0] - x[:, 1], 3.0 * x[:, 1] - 0.5])
+
+    hats = field(mesh.vertices).ravel()          # column v * rank + c
+    _, want = reduce_global(mesh, degrees, field)
+    got = (P[:, :2 * n_vert] @ hats).reshape(mesh.n_faces, -1)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    # with no Dirichlet face, every vertex also carries a curl column
+    assert P.shape[1] == 3 * n_vert
+
+
+def test_auxiliary_curls_are_divergence_free_on_triangles():
+    # on triangles a hat's Green gradient is its exact gradient, so the face
+    # mean of its curl has the normal component of either cell: no cell
+    # has a net flux of any curl column
+    mesh = jittered_mesh("tri", 5, 4)
+    dofmap = asm.build_dof_map(mesh, equal_order(1, rank=2))
+    P = asm._auxiliary_space(dofmap)
+    inner = np.ones(len(mesh.vertices), dtype=bool)
+    inner[mesh.face_nodes[mesh.dirichlet_faces]] = False
+    curls = P[:, -int(inner.sum()):].toarray()    # curl columns come last
+    flux = np.zeros((mesh.n_cells, dofmap.n_reduced))
+    for cells in mesh.cell_groups():
+        g = mesh.cell_geometry(cells)
+        off = dofmap.offsets[g.face_indices]
+        for c in range(2):
+            keep = off >= 0
+            np.add.at(flux, (np.broadcast_to(cells[:, None], off.shape)[keep], off[keep] + c),
+                      (g.face_measures * g.face_normals[..., c])[keep])
+    assert np.abs(flux @ curls).max() <= 1e-12 * np.abs(curls).max()
+    # the hats are not divergence-free
+    assert np.abs(flux @ P[:, :-int(inner.sum())].toarray()).max() > 0.1
 
 
 def test_singular_patch_names_its_vertex():
@@ -289,7 +442,7 @@ def test_solve_rejects_bad_tolerance(monkeypatch, tol):
         raise AssertionError("the solver ran")
 
     monkeypatch.setattr(asm, "_block_jacobi", no_work)
-    monkeypatch.setattr(asm.spla, "cg", no_work)
+    monkeypatch.setattr(asm, "_two_level_cg", no_work)
     with pytest.raises(ValueError, match=f"positive and finite, got {tol!r}$"):
         asm.solve_reduced(system, method="cg", tol=tol)
 

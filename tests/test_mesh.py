@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pyhho.harness import mesh_family
 from pyhho.mesh import (Mesh, MeshError, _inherit_tags, build_hanging_node_mesh,
                         build_interval_mesh, build_structured_mesh,
                         left_half, load_mesh_json, mesh_from_dict, mesh_to_dict,
@@ -337,6 +338,92 @@ def test_inherited_tags_name_an_orphan_face():
     with pytest.raises(MeshError,
                        match=f"^refined boundary face {orphan} has no parent face$"):
         _inherit_tags(new, old)
+
+
+def _split_by_midpoint_dict(mesh, refine):
+    """Reference: split the ``refine`` cells one at a time, numbering each
+    new vertex the first time a cell asks a dict for it.  Unrefined cells
+    gain the midpoints of their split edges (hanging refinement of quads);
+    with ``refine=None`` every cell splits (uniform refinement)."""
+    verts = [tuple(v) for v in mesh.vertices]
+    midpoint = {}
+
+    def mid(a, b):
+        key = tuple(sorted((a, b)))
+        if key not in midpoint:
+            verts.append(tuple(0.5 * (np.asarray(verts[a]) + np.asarray(verts[b]))))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    def split_triangle(a, b, c, out):
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        out.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+
+    cells = []
+    for ci, loop in enumerate(mesh.cells):
+        loop = [int(v) for v in loop]
+        n = len(loop)
+        if refine is not None and ci not in refine:
+            continue
+        if n == 3:
+            split_triangle(*loop, cells)
+        elif n == 4:
+            m = [mid(loop[i], loop[(i + 1) % 4]) for i in range(4)]
+            verts.append(tuple(mesh.vertices[loop].mean(axis=0)))
+            cells.extend((loop[i], m[i], len(verts) - 1, m[i - 1]) for i in range(4))
+        else:
+            verts.append(tuple(mesh.cell_geometry(ci).barycenter))
+            center = len(verts) - 1
+            for i in range(n):
+                split_triangle(center, loop[i], loop[(i + 1) % n], cells)
+    for ci, loop in enumerate(mesh.cells if refine is not None else []):
+        if ci not in refine:
+            poly = []
+            for a, b in zip(loop, np.roll(loop, -1)):
+                poly.append(int(a))
+                if tuple(sorted((int(a), int(b)))) in midpoint:
+                    poly.append(midpoint[tuple(sorted((int(a), int(b))))])
+            cells.append(poly)
+    return np.array(verts), cells
+
+
+def assert_same_mesh(mesh, verts, cells):
+    np.testing.assert_array_equal(mesh.vertices, verts)
+    assert len(mesh.cells) == len(cells)
+    for got, want in zip(mesh.cells, cells):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hanging_refinement_numbers_like_a_midpoint_dict(seed):
+    rng = np.random.default_rng(seed)
+    base = build_structured_mesh("quad", 3 + seed, 2 + seed % 3)
+    refine = set(rng.choice(base.n_cells, rng.integers(1, base.n_cells + 1),
+                            replace=False).tolist())
+    mesh = build_hanging_node_mesh(base, refine)
+    assert_same_mesh(mesh, *_split_by_midpoint_dict(base, refine))
+    # uniform refinement of the result fans its polygons
+    assert_same_mesh(refine_uniform(mesh), *_split_by_midpoint_dict(mesh, None))
+
+
+@pytest.mark.parametrize("family", ["quad", "tri", "hanging"])
+@pytest.mark.parametrize("level", [0, 1])
+def test_uniform_refinement_numbers_like_a_midpoint_dict(family, level):
+    mesh = mesh_family(family, level, base=3)
+    assert_same_mesh(refine_uniform(mesh), *_split_by_midpoint_dict(mesh, None))
+    if family == "hanging":
+        coarse = build_structured_mesh("quad", 3 * 2 ** level, 3 * 2 ** level)
+        assert_same_mesh(mesh, *_split_by_midpoint_dict(coarse, set(left_half(coarse).tolist())))
+
+
+def test_uniform_refinement_of_an_interval_halves_each_cell_in_order():
+    mesh = build_interval_mesh(0.0, 1.0, 5, grading=1.5)
+    fine = refine_uniform(mesh)
+    x = mesh.vertices[:, 0]
+    np.testing.assert_array_equal(fine.vertices[:, 0], np.append(
+        np.column_stack([x[:-1], 0.5 * (x[:-1] + x[1:])]).ravel(), x[-1]))
+    np.testing.assert_array_equal(np.array(fine.cells), np.column_stack(
+        [np.arange(10), np.arange(1, 11)]))
 
 
 def test_json_roundtrip(tmp_path):

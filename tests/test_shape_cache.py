@@ -59,12 +59,14 @@ def assert_close(got, ref, name, tol=1e-12):
     assert relative(got, ref) <= tol, name
 
 
-def spread(cg, shapes):
-    """How far a per-cell condensation of one shape differs between its
-    cells, relative to the largest entry: the round-off of where a cell sits."""
-    first = np.unique(shapes, return_index=True)[1]
-    return max(relative(getattr(cg, name)[first][shapes], getattr(cg, name))
-               for name in ("L_c", "X"))
+def condensation_tol(L, layout, *diffs):
+    """Bound on the relative difference between condensations of two sets of
+    cell matrices ``L`` (one per cell) that differ by ``diffs`` (relative to
+    the largest entry, as :func:`relative` measures them): the 2-norm
+    condition number of the worst cell block times the difference, plus one
+    rounding unit for the solves themselves."""
+    kappa = np.linalg.cond(L[:, layout.cell, layout.cell]).max()
+    return 1e-12 + kappa * (sum(diffs) + np.finfo(float).eps)
 
 
 def check_against_per_cell(mesh, degrees, spec):
@@ -83,13 +85,15 @@ def check_against_per_cell(mesh, degrees, spec):
         cg = g.condense()
         # against a per-cell condensation of the same matrices
         same = asm.condense(g.ops.L[g.shapes], g.rhs, ref_ctx.layout, g.cells, each)
-        # against the per-cell build: its own spread between the cells of a
-        # shape (up to 9e-12 at k=3 on triangles) bounds the difference too
-        ref_cg = asm.condense(ref.L, ref_b, ref_ctx.layout, ref_ctx.cells, each)
-        tol = 1e-12 + spread(ref_cg, g.shapes)
+        # against one solve per cell of the per-cell build, whose operators
+        # and sources differ from the shape's by round-off; the cell block's
+        # conditioning amplifies that (about 1e7 at k=3 on triangles)
+        want = solve_condense(ref.L, ref_b, ref_ctx.layout)
+        tol = condensation_tol(ref.L, ref_ctx.layout, relative(g.ops.L[g.shapes], ref.L),
+                               relative(g.rhs, ref_b))
         for name in CONDENSED_FIELDS:
             assert_close(getattr(cg, name), getattr(same, name), name)
-            assert_close(getattr(cg, name), getattr(ref_cg, name), name, tol)
+            assert_close(getattr(cg, name), want[name], name, tol)
 
 
 def solve_condense(L, b, layout):
