@@ -5,9 +5,11 @@ block, one group of cells at a time and one factorization per distinct
 cell shape, leaving a symmetric positive-definite system coupling only
 the face unknowns of non-Dirichlet faces.  Dirichlet faces are removed by
 elimination; their projected data enters the right-hand side.  Assembly
-builds the sparse matrix in one call from the per-cell global index
-vectors, walking groups and their cells in a fixed order, so results are
-bit-reproducible.
+scatters the condensed matrices into the values of a sparse pattern built
+once from the pairs of free faces that share a cell; every entry sums the
+terms of at most the two cells of a face, so results are bit-reproducible.
+Assembly, the symmetry check and the patch preconditioner walk cells, rows
+or vertices ``CHUNK`` at a time, which bounds their scratch memory.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .mesh import Mesh
 from .projection import DofLayout, HhoDegrees, cell_faces, checked, dof_layout
 
 CG_MAXITER = 20000
+# cells, matrix rows or vertices per batch of a solve stage (and of the error norms)
+CHUNK = 1024
 
 log = logging.getLogger("pyhho")
 
@@ -111,7 +115,7 @@ def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cells,
 
 @dataclass
 class GlobalSystem:
-    matrix: sp.csc_matrix
+    matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
 
@@ -132,6 +136,29 @@ def _free_face_rows(dofmap: DofMap):
     return free, dofmap.offsets[free, None] + np.arange(dofmap.face_width)
 
 
+def _free_ids(dofmap: DofMap, faces: np.ndarray) -> np.ndarray:
+    """``faces`` numbered among the free faces in DoF order, -1 if Dirichlet."""
+    off = dofmap.offsets[faces]
+    return np.where(off >= 0, off // dofmap.face_width, -1)
+
+
+def _face_pattern(mesh: Mesh, condensed: list, dofmap: DofMap):
+    """The pairs of free faces that share a cell, as sorted keys ``f * m + g``
+    of a row face ``f`` and a column face ``g`` among the ``m`` free faces,
+    and the position of the first key of each row face ``(m + 1,)``."""
+    m = dofmap.n_reduced // dofmap.face_width
+    keys = [np.zeros(0, int)]
+    for cg in condensed:
+        for s in range(0, len(cg.cells), CHUNK):
+            fid = _free_ids(dofmap, cell_faces(mesh, cg.cells[s:s + CHUNK]))
+            pair = (fid[:, :, None] >= 0) & (fid[:, None, :] >= 0)
+            keys.append((fid[:, :, None] * m + fid[:, None, :])[pair])
+    keys = np.sort(np.concatenate(keys))
+    # np.unique of integers takes a hash path, 50x slower than this sort at 128^2
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    return keys, np.searchsorted(keys, np.arange(m + 1) * m)
+
+
 def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
              dirichlet_values: np.ndarray | None = None,
              extra_face_rhs: np.ndarray | None = None) -> GlobalSystem:
@@ -141,30 +168,47 @@ def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
     non-Dirichlet faces are ignored); eliminated columns move to the
     right-hand side.  ``extra_face_rhs`` carries Neumann contributions,
     indexed like ``dirichlet_values``.
+
+    The matrix is compressed by rows on the pattern of :func:`_face_pattern`:
+    row ``(f, i)``, DoF ``i`` of free face ``f``, holds the columns of the
+    neighbour faces of ``f`` in order, ``face_width`` each.  The condensed
+    matrices are scattered into its values ``CHUNK`` cells at a time.
     """
-    n = dofmap.n_reduced
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
+    n, w = dofmap.n_reduced, dofmap.face_width
+    if n == 0:                    # every face is a Dirichlet face
+        return GlobalSystem(matrix=sp.csr_matrix((0, 0)), rhs=np.zeros(0), dofmap=dofmap)
+    keys, start = _face_pattern(mesh, condensed, dofmap)
+    m, deg, nnz = len(start) - 1, np.diff(start), w * w * len(keys)
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    data, indices, rhs = np.zeros(nnz), np.empty(nnz, index), np.zeros(n)
+    j = np.arange(w)
+    indptr = np.append(w * (w * start[:-1, None] + j * deg[:, None]), nnz).astype(index)
     for cg in condensed:
-        faces, dofs = _face_dofs(mesh, cg.cells, dofmap)
-        free = dofs >= 0
-        b = cg.b_c
-        if dirichlet_values is not None:
-            fixed = np.where(free, 0.0, dirichlet_values[faces].reshape(free.shape))
-            b = b - (cg.L_c @ fixed[..., None])[..., 0]
-        rhs += np.bincount(dofs[free], weights=b[free], minlength=n)
-        pairs = free[:, :, None] & free[:, None, :]
-        rows.append(np.broadcast_to(dofs[:, :, None], pairs.shape)[pairs])
-        cols.append(np.broadcast_to(dofs[:, None, :], pairs.shape)[pairs])
-        vals.append(cg.L_c[pairs])
+        for s in range(0, len(cg.cells), CHUNK):
+            cells, L_c, b = cg.cells[s:s + CHUNK], cg.L_c[s:s + CHUNK], cg.b_c[s:s + CHUNK]
+            faces = cell_faces(mesh, cells)
+            fid = _free_ids(dofmap, faces)
+            nb, nf = fid.shape
+            free = np.repeat(fid >= 0, w, axis=1)
+            dofs = (w * fid[..., None] + j).reshape(nb, -1)
+            if dirichlet_values is not None:
+                fixed = dirichlet_values[faces].reshape(free.shape)
+                b = b - (L_c @ np.where(free, 0.0, fixed)[..., None])[..., 0]
+            np.add.at(rhs, dofs[free], b[free])
+            # local entry (row face f, row DoF i, column face g, column DoF j)
+            # -> its value slot w ((w - 1) start[f] + i deg[f] + key(f, g)) + j
+            f = fid[:, :, None, None, None]
+            key = np.searchsorted(keys, fid[:, :, None] * m + fid[:, None, :])
+            slot = (w * ((w - 1) * start[f] + j[:, None, None] * deg[f]
+                         + key[:, :, None, :, None]) + j).reshape(L_c.shape)
+            pairs = free[:, :, None] & free[:, None, :]
+            slot = slot[pairs]
+            # an entry takes the terms of the (at most two) cells of its row face
+            np.add.at(data, slot, L_c[pairs])
+            indices[slot] = np.broadcast_to(dofs[:, None, :], pairs.shape)[pairs]
     if extra_face_rhs is not None:
-        free, face_rows = _free_face_rows(dofmap)
-        rhs[face_rows] += extra_face_rhs[free]
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals or [np.zeros(0)]),
-         (np.concatenate(rows or [np.zeros(0, int)]),
-          np.concatenate(cols or [np.zeros(0, int)]))),
-        shape=(n, n)).tocsc()
+        rhs += extra_face_rhs[dofmap.offsets >= 0].reshape(-1)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     return GlobalSystem(matrix=matrix, rhs=rhs, dofmap=dofmap)
 
 
@@ -174,22 +218,26 @@ def solve_reduced(system: GlobalSystem, method: str = "direct",
     preconditioned CG (:func:`_two_level_cg`)."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"solver tolerance must be positive and finite, got {tol!r}")
-    A, b = system.matrix, system.rhs
+    A, b = system.matrix.tocsr(), system.rhs
     if A.shape[0] == 0:
         return np.zeros(0)
-    asym = abs(A - A.T).max()
-    if asym > 1e-12 * max(abs(A).max(), 1.0):
+    # SuperLU's copy; its arrays read by rows are A^T, so the check compares
+    # A with A^T in blocks of rows and builds no difference matrix
+    cols = A.tocsc()
+    asym = max(np.abs((_rows(A, s, s + CHUNK) - _rows(cols.T, s, s + CHUNK)).data).max(
+        initial=0.0) for s in range(0, A.shape[0], CHUNK))
+    if asym > 1e-12 * max(A.data.max(initial=0.0), -A.data.min(initial=0.0), 1.0):
         raise ValueError(f"reduced system is not symmetric (deviation {asym:.2e})")
     start = time.perf_counter()
     if method == "direct":
-        lu = _factor(A.tocsc(), "reduced system")
+        lu = _factor(cols, "reduced system")
         x = lu.solve(b)
         log.debug("face solve: direct, %d reduced DoFs, %d nonzeros, L+U fill %d "
                   "(%.1fx), %.4f s", A.shape[0], A.nnz, lu.nnz, lu.nnz / A.nnz,
                   time.perf_counter() - start)
         return x
     if method == "cg":
-        A = A.tocsr()
+        del cols
         M1 = _block_jacobi(A, _vertex_patches(system.dofmap))
         P = _auxiliary_space(system.dofmap)
         lu = _factor((P.T @ (A @ P)).tocsc(), "auxiliary coarse system")
@@ -201,6 +249,14 @@ def solve_reduced(system: GlobalSystem, method: str = "direct",
                   time.perf_counter() - setup)
         return x
     raise ValueError(f"unknown solver {method!r}")
+
+
+def _rows(M: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
+    """Rows ``start:stop`` of a CSR matrix, on slices of its arrays."""
+    stop = min(stop, M.shape[0])
+    lo, hi = M.indptr[start], M.indptr[stop]
+    return sp.csr_matrix((M.data[lo:hi], M.indices[lo:hi], M.indptr[start:stop + 1] - lo),
+                         shape=(stop - start, M.shape[1]))
 
 
 def _factor(A: sp.csc_matrix, what: str):
@@ -272,25 +328,37 @@ def _vertex_patches(dofmap: DofMap) -> np.ndarray:
 def _block_jacobi(A: sp.spmatrix, patches: np.ndarray) -> spla.LinearOperator:
     """Vertex-patch additive Schwarz preconditioner ``sum_v R_v^T A_vv^-1 R_v``.
 
-    Row ``v`` of ``patches`` holds the reduced DoFs of patch ``v`` (-1 pads);
-    the blocks are gathered, inverted and scattered into one sparse matrix
-    in single batched calls.  With one face per patch (1D) this is block
-    Jacobi.  ``perfbench/tracing.py`` counts CG iterations by wrapping this
-    function by name.
+    Row ``v`` of ``patches`` holds the reduced DoFs of patch ``v`` (-1 pads).
+    The blocks are gathered and inverted ``CHUNK`` vertices at a time, and
+    the inverses are kept stacked, zero on the padding.  An application
+    gathers the patch values, multiplies by every inverse in one batched
+    product and sums the results back with one ``np.bincount``.  With one
+    face per patch (1D) this is block Jacobi.  ``perfbench/tracing.py``
+    counts CG iterations by wrapping this function by name.
     """
     pad = patches < 0
     idx = np.where(pad, 0, patches)
     n, m = idx.shape
-    rows = np.broadcast_to(idx[:, :, None], (n, m, m))
-    cols = np.broadcast_to(idx[:, None, :], (n, m, m))
-    blocks = np.asarray(A[rows.reshape(-1), cols.reshape(-1)]).reshape(n, m, m)
-    skip = pad[:, :, None] | pad[:, None, :]
-    blocks = np.where(skip, np.eye(m), blocks)          # identity on the padding
-    inv = checked(np.linalg.inv, blocks, ids=np.arange(n), entity="vertex",
-                  what="singular patch block of the reduced system")
-    keep = ~skip
-    P = sp.csr_matrix((inv[keep], (rows[keep], cols[keep])), shape=A.shape)
-    return spla.aslinearoperator(P)
+    inv = np.empty((n, m, m))
+    for s in range(0, n, CHUNK):
+        rows = idx[s:s + CHUNK]
+        shape = (len(rows), m, m)
+        blocks = np.asarray(A[np.broadcast_to(rows[:, :, None], shape).reshape(-1),
+                              np.broadcast_to(rows[:, None, :], shape).reshape(-1)])
+        skip = pad[s:s + CHUNK, :, None] | pad[s:s + CHUNK, None, :]
+        blocks = np.where(skip, np.eye(m), blocks.reshape(shape))   # identity on the padding
+        inv[s:s + CHUNK] = checked(np.linalg.inv, blocks, ids=np.arange(s, s + len(rows)),
+                                   entity="vertex",
+                                   what="singular patch block of the reduced system")
+        inv[s:s + CHUNK][skip] = 0.0
+    flat, size = idx.reshape(-1), A.shape[0]
+
+    def apply(x):
+        # row vector times block: the inverse of a symmetric block is symmetric
+        z = np.ravel(x)[idx][:, None, :] @ inv
+        return np.bincount(flat, weights=z.reshape(-1), minlength=size)
+
+    return spla.LinearOperator(A.shape, matvec=apply, dtype=float)
 
 
 def _auxiliary_space(dofmap: DofMap) -> sp.csc_matrix:

@@ -171,6 +171,8 @@ def solve_problem(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec,
         condensed = [g.condense() for g in groups]
         system = asm.assemble(mesh, condensed, dofmap,
                               dirichlet_values=ud, extra_face_rhs=gn)
+        for cg in condensed:      # recovery reads only X and y: free the rest for the solve
+            cg.L_c = cg.b_c = None
         x = asm.solve_reduced(system, method=solver, tol=tol)
         bnorm = np.linalg.norm(system.rhs)
         residual = float(np.linalg.norm(system.matrix @ x - system.rhs)
@@ -317,7 +319,8 @@ def _stab_seminorm(ctx: CellContext, shapes, face_ops: np.ndarray, v: np.ndarray
 
 def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     """Broken-H1/energy, discrete cell-L2, reconstruction-L2, and
-    stabilization-seminorm errors against the exact solution."""
+    stabilization-seminorm errors against the exact solution, summed over
+    each group ``CHUNK`` cells at a time (:data:`pyhho.assembly.CHUNK`)."""
     spec = sol.spec
     if spec.exact is None:
         raise ValueError("error norms need an exact solution in the spec")
@@ -327,27 +330,30 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     elastic = spec.kind == "elasticity"
     h1_sq = l2c_sq = l2r_sq = stab_sq = 0.0
     for g in sol.groups:
-        ops, shapes, nb = g.ops, g.shapes, len(g.cells)
-        ctx = ops.ctx
-        vals, grads = ctx.data_phi[shapes], ctx.data_dphi[shapes]
-        w = ctx.data_rule.weights[shapes]
-        pts = g.points.reshape(-1, mesh.dim)
-        v = sol.local_dofs(g.cells)
-        stab_sq += _stab_seminorm(ctx, shapes, ops.stab_face, v)
-        coef = _apply(ops.rec, shapes, v).reshape(nb, -1, rank)
-        ex = np.asarray(spec.exact(pts), dtype=float).reshape(w.shape + (rank,))
-        gex = np.asarray(spec.exact_grad(pts), dtype=float).reshape(w.shape + (rank, -1))
-        de = gex - np.einsum("bqjc,bja->bqac", grads, coef)
-        if elastic:
-            de = 0.5 * (de + de.mT)
-        h1_sq += (2 * spec.mu if elastic else 1.0) * float(np.sum(w * (de ** 2).sum(axis=(2, 3))))
-        l2r_sq += float(np.sum(w * ((ex - vals @ coef) ** 2).sum(axis=2)))
-        # discrete cell error against the cell projection of u
-        Vc = vals[..., : ctx.n_cell]
-        WV = w[..., None] * Vc
-        pcoef = np.linalg.solve(WV.mT @ Vc, WV.mT @ ex)
-        diff = Vc @ (pcoef - sol.cell_coeffs[g.cells].reshape(nb, -1, rank))
-        l2c_sq += float(np.sum(w * (diff ** 2).sum(axis=2)))
+        ops, ctx = g.ops, g.ops.ctx
+        for s in range(0, len(g.cells), asm.CHUNK):
+            cells, shapes = g.cells[s:s + asm.CHUNK], g.shapes[s:s + asm.CHUNK]
+            nb = len(cells)
+            vals, grads = ctx.data_phi[shapes], ctx.data_dphi[shapes]
+            w = ctx.data_rule.weights[shapes]
+            pts = g.points[s:s + asm.CHUNK].reshape(-1, mesh.dim)
+            v = sol.local_dofs(cells)
+            stab_sq += _stab_seminorm(ctx, shapes, ops.stab_face, v)
+            coef = _apply(ops.rec, shapes, v).reshape(nb, -1, rank)
+            ex = np.asarray(spec.exact(pts), dtype=float).reshape(w.shape + (rank,))
+            gex = np.asarray(spec.exact_grad(pts), dtype=float).reshape(w.shape + (rank, -1))
+            de = gex - np.einsum("bqjc,bja->bqac", grads, coef)
+            if elastic:
+                de = 0.5 * (de + de.mT)
+            h1_sq += (2 * spec.mu if elastic else 1.0) * float(
+                np.sum(w * (de ** 2).sum(axis=(2, 3))))
+            l2r_sq += float(np.sum(w * ((ex - vals @ coef) ** 2).sum(axis=2)))
+            # discrete cell error against the cell projection of u
+            Vc = vals[..., : ctx.n_cell]
+            WV = w[..., None] * Vc
+            pcoef = np.linalg.solve(WV.mT @ Vc, WV.mT @ ex)
+            diff = Vc @ (pcoef - sol.cell_coeffs[cells].reshape(nb, -1, rank))
+            l2c_sq += float(np.sum(w * (diff ** 2).sum(axis=2)))
     n_dofs = sol.dofmap.n_reduced
     return ErrorRow(level=level, h=mesh.max_diameter(),
                     err_h1=np.sqrt(h1_sq), err_l2_cell=np.sqrt(l2c_sq),

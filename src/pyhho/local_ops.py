@@ -135,7 +135,12 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     V = np.concatenate([fphi, fdphi.reshape(nb, -1, n_rec * d)], axis=-1)
     gram = (V.mT @ (w * V)) / np.maximum(d + deg[:, None] + deg, 1)
     gram = 0.5 * (gram + gram.mT)
-    mass_full = gram[:, :n_rec, :n_rec]
+    # copies: the gram and the face values are freed before the data rule
+    n_k = basis_size(k, d)
+    mass_full = gram[:, :n_rec, :n_rec].copy()
+    grad_mass = gram[:, n_rec:, :n_k].reshape(nb, n_rec, d, n_k).copy()
+    grad_gram = gram[:, n_rec:, n_rec:].reshape(nb, n_rec, d, n_rec, d).copy()
+    del gram, V, fdphi
     lam = np.linalg.eigvalsh(mass_full)
     bad = np.flatnonzero(lam[:, 0] * COND_LIMIT < lam[:, -1])   # also a round-off lam_min <= 0
     if len(bad):
@@ -144,9 +149,6 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
         raise ValueError(
             f"cell {cells[b]}: mass-matrix condition number {cond:.2e} exceeds "
             f"{COND_LIMIT:.0e}; reduce the degree or orthonormalize the basis")
-    n_k = basis_size(k, d)
-    grad_mass = gram[:, n_rec:, :n_k].reshape(nb, n_rec, d, n_k)
-    grad_gram = gram[:, n_rec:, n_rec:].reshape(nb, n_rec, d, n_rec, d)
     mass_k_inv = mass_cholesky(mass_full[:, :n_k, :n_k], cells)
 
     data_rule = cell_quadrature(geom, 2 * (k + 2))

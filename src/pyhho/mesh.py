@@ -293,17 +293,27 @@ class Mesh:
             return 1.0
         return float(np.linalg.norm(pts[1] - pts[0]))
 
-    def cell_geometry(self, cells) -> CellGeometry:
-        """Geometry of one cell, or stacked over an array of cells of one
-        group (see :meth:`cell_groups`), gathered from the group's stack."""
+    def _group_slots(self, cells):
+        """``cells`` as an array, their one group's stack and their slots in it."""
         cells = np.asarray(cells, dtype=int)
         groups = self._group_of[cells].reshape(-1)
         if not len(groups) or np.any(groups != groups[0]):
             raise MeshError("a cell group needs one or more cells of one "
                             "shape and face count")
-        g, slot = self._groups[groups[0]], self._slot[cells]
+        return cells, self._groups[groups[0]], self._slot[cells]
+
+    def cell_geometry(self, cells) -> CellGeometry:
+        """Geometry of one cell, or stacked over an array of cells of one
+        group (see :meth:`cell_groups`), gathered from the group's stack."""
+        cells, g, slot = self._group_slots(cells)
         return CellGeometry(index=cells if cells.ndim else int(cells), dim=self.dim,
                             shape=g.shape, **{k: getattr(g, k)[slot] for k in _FIELDS})
+
+    def cell_face_indices(self, cells) -> np.ndarray:
+        """The ``face_indices`` of :meth:`cell_geometry` alone: global faces
+        of one cell in loop order, or ``(nb, n_faces)`` for cells of one group."""
+        _, g, slot = self._group_slots(cells)
+        return g.face_indices[slot]
 
     def cell_groups(self) -> list:
         """Cell indices grouped by quadrature class and face count, in the

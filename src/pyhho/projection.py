@@ -206,7 +206,7 @@ def reduce_global(mesh: Mesh, degrees: HhoDegrees, v, quad_bump: int = 2):
 
 def cell_faces(mesh: Mesh, cells) -> np.ndarray:
     """Global face indices of a cell, or ``(nb, n_faces)`` for a group."""
-    return mesh.cell_geometry(cells).face_indices
+    return mesh.cell_face_indices(cells)
 
 
 def gather_local(mesh: Mesh, cells, degrees: HhoDegrees,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import CellGeometry, Mesh, MeshError, is_parallelogram
 
@@ -40,18 +39,27 @@ def _check_order(order: int) -> int:
 @lru_cache(maxsize=None)
 def _gauss_01(order: int):
     """Gauss-Legendre nodes/weights on (0, 1)."""
-    n = order // 2 + 1
-    x, w = roots_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(order // 2 + 1)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
 @lru_cache(maxsize=None)
 def _jacobi_01(order: int):
-    """Gauss-Jacobi nodes/weights for the weight (1 - x) on (0, 1)."""
+    """Gauss-Jacobi nodes/weights for the weight (1 - x) on (0, 1).
+
+    Golub and Welsch (Math. Comp. 1969): the nodes on (-1, 1) are the
+    eigenvalues of the Jacobi matrix of the monic Jacobi polynomials with
+    alpha = 1, beta = 0, whose recurrence has diagonal -1 / ((2j+1)(2j+3))
+    and off-diagonal sqrt(j (j+1)) / (2j+1); a weight is the integral of
+    (1 - x), which is 2, times the squared first entry of its eigenvector.
+    """
     n = order // 2 + 1
-    x, w = roots_jacobi(n, 1.0, 0.0)
-    # map from (-1, 1) with weight (1 - x) to (0, 1): extra factor 1/4
-    return 0.5 * (x + 1.0), 0.25 * w
+    j = np.arange(n)
+    off = np.sqrt(j[1:] * (j[1:] + 1.0)) / (2.0 * j[1:] + 1.0)
+    x, vec = np.linalg.eigh(np.diag(-1.0 / ((2.0 * j + 1.0) * (2.0 * j + 3.0)))
+                            + np.diag(off, 1) + np.diag(off, -1))
+    # map from (-1, 1) with weight (1 - x) to (0, 1): the weights 2 vec[0]^2 take a factor 1/4
+    return 0.5 * (x + 1.0), 0.5 * vec[0] ** 2
 
 
 @lru_cache(maxsize=None)

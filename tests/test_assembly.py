@@ -162,6 +162,108 @@ def test_global_symmetry_and_spd():
     assert np.linalg.eigvalsh(A).min() > 0
 
 
+def _assemble_coo(mesh, condensed, dofmap, dirichlet_values, extra_face_rhs):
+    """Reference: one (row, column, value) triplet per cell and pair of free
+    local DoFs, broadcast over each group and summed by scipy's COO
+    conversion.  Returns the CSR matrix and the rhs."""
+    n = dofmap.n_reduced
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n)
+    for cg in condensed:
+        faces, dofs = asm._face_dofs(mesh, cg.cells, dofmap)
+        free = dofs >= 0
+        fixed = np.where(free, 0.0, dirichlet_values[faces].reshape(free.shape))
+        b = cg.b_c - (cg.L_c @ fixed[..., None])[..., 0]
+        rhs += np.bincount(dofs[free], weights=b[free], minlength=n)
+        pairs = free[:, :, None] & free[:, None, :]
+        rows.append(np.broadcast_to(dofs[:, :, None], pairs.shape)[pairs])
+        cols.append(np.broadcast_to(dofs[:, None, :], pairs.shape)[pairs])
+        vals.append(cg.L_c[pairs])
+    free, face_rows = asm._free_face_rows(dofmap)
+    rhs[face_rows] += extra_face_rhs[free]
+    matrix = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(n, n)).tocsr()
+    matrix.sort_indices()
+    return matrix, rhs
+
+
+def _neumann_left(x):
+    return x[0] < 1e-12
+
+
+def _with_neumann_left(mesh):
+    return Mesh(2, mesh.vertices, mesh.cells, neumann=_neumann_left)
+
+
+ASSEMBLY_MESHES = {
+    "quad": lambda: build_structured_mesh("quad", 5, 4, neumann=_neumann_left),
+    "tri": lambda: build_structured_mesh("tri", 4, 4, neumann=_neumann_left),
+    "hanging": lambda: build_hanging_node_mesh(
+        build_structured_mesh("quad", 4, 4, neumann=_neumann_left),
+        left_half(build_structured_mesh("quad", 4, 4))),
+    "jittered-quad": lambda: _with_neumann_left(jittered_mesh("quad", 5, 1)),
+    "interval": lambda: build_interval_mesh(0.0, 1.0, 7, neumann=lambda x: x[0] > 0.5),
+}
+# (mesh family, k, field rank): Poisson k = 0..2 everywhere, elasticity k = 1, 2 in 2D
+ASSEMBLY_CASES = [(family, k, 1) for family in ASSEMBLY_MESHES for k in (0, 1, 2)] + [
+    (family, k, 2) for family in ASSEMBLY_MESHES if family != "interval" for k in (1, 2)]
+
+
+@pytest.mark.parametrize("family, k, rank", ASSEMBLY_CASES, ids=[
+    f"{family}-{'elasticity' if rank == 2 else 'poisson'}-k{k}"
+    for family, k, rank in ASSEMBLY_CASES])
+def test_assemble_matches_broadcast_coo(monkeypatch, family, k, rank):
+    mesh = ASSEMBLY_MESHES[family]()
+    assert mesh.neumann_faces.any()
+    spec = (elasticity_divfree(mu=1.0, lam=10.0) if rank == 2
+            else poisson_sin_1d() if mesh.dim == 1 else poisson_sin_2d())
+    degrees = equal_order(k, rank=rank)
+    condensed = [g.condense() for g in build_local(mesh, degrees, spec)]
+    dm = asm.build_dof_map(mesh, degrees)
+    rng = np.random.default_rng(5)
+    ud, gn = rng.standard_normal((2, mesh.n_faces, dm.face_width))
+    # three cells per chunk: chunks split the groups
+    monkeypatch.setattr(asm, "CHUNK", 3)
+    system = asm.assemble(mesh, condensed, dm, dirichlet_values=ud, extra_face_rhs=gn)
+    A, rhs = _assemble_coo(mesh, condensed, dm, ud, gn)
+    np.testing.assert_array_equal(system.matrix.indptr, A.indptr)
+    np.testing.assert_array_equal(system.matrix.indices, A.indices)
+    assert np.abs(system.matrix.data - A.data).max() <= 1e-15 * np.abs(A.data).max()
+    assert np.abs(system.rhs - rhs).max() <= 1e-15 * np.abs(rhs).max()
+
+
+def test_asymmetry_is_measured_and_named():
+    system = _reduced_system(build_structured_mesh("quad", 3, 3), equal_order(1),
+                             poisson_sin_2d())
+    A = system.matrix.tolil()
+    scale = np.abs(system.matrix).max()
+    A[0, 3] += 1e-13 * scale            # below 1e-12 of the largest entry: accepted
+    asm.solve_reduced(asm.GlobalSystem(A.tocsr(), system.rhs, system.dofmap))
+    n = A.shape[0]
+    assert A[0, n - 1] == A[n - 1, 0] == 0.0
+    A[5, 2] += 0.25
+    A[0, n - 1] = 0.5                   # outside the pattern: its mirror is 0
+    A = A.tocsc()
+    deviation = abs(A - A.T).max()
+    assert deviation == 0.5
+    for method in ("direct", "cg"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"reduced system is not symmetric (deviation {deviation:.2e})")):
+            asm.solve_reduced(asm.GlobalSystem(A, system.rhs, system.dofmap), method=method)
+
+
+@pytest.mark.parametrize("solver", ["direct", "cg"])
+@pytest.mark.parametrize("mesh", [lambda: build_structured_mesh("quad", 1, 1),
+                                  lambda: build_interval_mesh(0.0, 1.0, 1)],
+                         ids=["quad", "interval"])
+def test_mesh_without_free_faces(mesh, solver):
+    mesh = mesh()
+    spec = poisson_sin_1d() if mesh.dim == 1 else poisson_sin_2d()
+    sol = solve_problem(mesh, equal_order(1), spec, solver=solver)
+    assert sol.dofmap.n_reduced == 0 and sol.residual == 0.0
+    assert np.isfinite(sol.cell_coeffs).all()
+
+
 def test_cg_matches_direct():
     mesh = build_structured_mesh("quad", 4, 4)
     spec = poisson_sin_2d()
@@ -238,16 +340,53 @@ def test_patch_preconditioner_is_block_jacobi_in_1d():
     np.testing.assert_allclose(P @ np.eye(len(A)), expect, rtol=1e-12, atol=1e-14)
 
 
+def _hanging_4():
+    base = build_structured_mesh("quad", 4, 4)
+    return build_hanging_node_mesh(base, left_half(base))
+
+
+def _dense_schwarz(A, patches):
+    """``sum_v R_v^T A_vv^-1 R_v`` by one dense inverse per patch."""
+    P = np.zeros_like(A)
+    for patch in patches:
+        dofs = patch[patch >= 0]
+        P[np.ix_(dofs, dofs)] += np.linalg.inv(A[np.ix_(dofs, dofs)])
+    return P
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (build_structured_mesh("quad", 4, 3), equal_order(1), poisson_sin_2d()),
+    lambda: (_hanging_4(), equal_order(2), poisson_sin_2d()),
+    lambda: (build_structured_mesh("tri", 3, 3, neumann=_neumann_left),
+             equal_order(1, rank=2), elasticity_divfree(mu=1.0, lam=1e4)),
+], ids=["quad", "hanging-k2", "elasticity-neumann-tri"])
+def test_patch_preconditioner_matches_dense_inverses(monkeypatch, case):
+    mesh, degrees, spec = case()
+    system = _reduced_system(mesh, degrees, spec)
+    patches = asm._vertex_patches(system.dofmap)
+    monkeypatch.setattr(asm, "CHUNK", 4)     # chunks of four vertices
+    M = asm._block_jacobi(system.matrix, patches)
+    expect = _dense_schwarz(system.matrix.toarray(), patches)
+    n = len(expect)
+    assert M.dtype == float
+    np.testing.assert_allclose(M @ np.eye(n), expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+    x = np.random.default_rng(2).standard_normal(n)
+    tol = 1e-12 * np.abs(expect @ x).max()
+    np.testing.assert_allclose(M.matvec(x), expect @ x, rtol=0, atol=tol)
+    np.testing.assert_allclose(M.matvec(x[:, None]), (expect @ x)[:, None], rtol=0, atol=tol)
+
+
 def _counted_patches(monkeypatch):
-    """Count preconditioner applications as the benchmark tracer does: CG
-    applies the one-level part once per iteration."""
+    """Count preconditioner applications: CG applies the one-level part once
+    per iteration.  With its dtype given, the operator is not probed once
+    at construction, as the benchmark tracer's is."""
     applied = []
     build = asm._block_jacobi
 
     def counted(A, patches):
         op = build(A, patches)
         return asm.spla.LinearOperator(
-            op.shape, matvec=lambda x: applied.append(1) or op.matvec(x))
+            op.shape, matvec=lambda x: applied.append(1) or op.matvec(x), dtype=float)
 
     monkeypatch.setattr(asm, "_block_jacobi", counted)
     return applied

@@ -58,3 +58,10 @@ def test_face_sum_grams_match_cell_quadrature(kind, k):
             eps = strain_columns(dphi)
             K = np.einsum("bqim,bq,m,bqjm->bij", eps, w, TENSOR_WEIGHTS, eps)
             assert_close(strain_gram(ctx), K)
+
+
+def test_context_keeps_no_view_of_the_gram():
+    # the blocks are copies, so the whole gram is freed with the build
+    ctx = build_cell_context(build_structured_mesh("tri", 2, 2), np.arange(8), HhoDegrees(1))
+    for block in (ctx.mass_full, ctx.grad_mass, ctx.grad_gram):
+        assert block.base is None

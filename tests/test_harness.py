@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pyhho import assembly as asm
 from pyhho.elasticity import local_bilinear_elastic
 from pyhho.harness import (build_local, convergence_study, discrete_energy,
                            error_norms, fit_rate, flux_residuals,
@@ -14,6 +15,8 @@ from pyhho.problems import (ProblemSpec, elasticity_compressible,
                             get_problem, poisson_polynomial, poisson_sin_1d,
                             poisson_sin_2d, rigid_body_problem)
 from pyhho.projection import HhoDegrees, equal_order, mixed_order, reduce_global
+
+from support import jittered_mesh
 
 
 def test_manufactured_sources_match_finite_differences():
@@ -155,6 +158,33 @@ def test_error_norms_of_zero_solution_equal_norms_of_u():
     row = error_norms(sol)
     assert row.err_l2_rec == pytest.approx(0.5, rel=1e-6)       # ||u|| = 1/2
     assert row.err_h1 == pytest.approx(np.pi / np.sqrt(2), rel=1e-6)
+
+
+ERROR_FIELDS = ("err_h1", "err_l2_cell", "err_l2_rec", "stab")
+CHUNKED_SOLVES = {
+    # two groups (quads and pentagons), mixed order
+    "hanging-mixed-k1": lambda: solve_problem(
+        build_hanging_node_mesh(build_structured_mesh("quad", 4, 4), [0, 5, 6, 9]),
+        mixed_order(1), poisson_sin_2d()),
+    # every cell its own shape
+    "jittered-tri-elasticity-k2": lambda: solve_problem(
+        jittered_mesh("tri", 4, 2), equal_order(2, rank=2),
+        elasticity_divfree(mu=1.0, lam=10.0)),
+    "interval-k2": lambda: solve_problem(build_interval_mesh(0.0, 1.0, 9), equal_order(2),
+                                         poisson_sin_1d()),
+}
+
+
+@pytest.mark.parametrize("case", CHUNKED_SOLVES)
+def test_error_norms_do_not_depend_on_chunks(monkeypatch, case):
+    sol = CHUNKED_SOLVES[case]()
+    monkeypatch.setattr(asm, "CHUNK", sol.mesh.n_cells)
+    whole = error_norms(sol)
+    for chunk in (1, 7):
+        monkeypatch.setattr(asm, "CHUNK", chunk)
+        row = error_norms(sol)
+        for name in ERROR_FIELDS:
+            assert getattr(row, name) == pytest.approx(getattr(whole, name), rel=1e-13, abs=0)
 
 
 def test_fit_rate_synthetic():

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from math import factorial
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
+import pyhho
 from pyhho.mesh import build_hanging_node_mesh, build_interval_mesh, build_structured_mesh
-from pyhho.quadrature import (MAX_ORDER, cell_quadrature, face_quadrature,
-                              interval_rule, polygon_rule, quad_rule, triangle_rule)
+from pyhho.quadrature import (MAX_ORDER, _gauss_01, _jacobi_01, cell_quadrature,
+                              face_quadrature, interval_rule, polygon_rule, quad_rule,
+                              triangle_rule)
 
 UNIT_TRI = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
@@ -129,3 +135,39 @@ def test_order_cap():
         interval_rule(0.0, 1.0, MAX_ORDER + 1)
     with pytest.raises(ValueError):
         triangle_rule(*UNIT_TRI, -1)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER // 2 + 2))
+def test_gauss_rules_match_scipy(n):
+    # the numpy rules against scipy's, mapped back to (-1, 1); n = 11 is MAX_ORDER's
+    for (x, w), (xr, wr), scale in ((_gauss_01(2 * n - 2), roots_legendre(n), 2.0),
+                                    (_jacobi_01(2 * n - 2), roots_jacobi(n, 1.0, 0.0), 4.0)):
+        assert len(x) == n
+        np.testing.assert_allclose(2.0 * x - 1.0, xr, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(scale * w, wr, rtol=0, atol=1e-14)
+
+
+SOLVE_WITHOUT_SPECIAL = """
+import sys
+import pyhho.cli
+from pyhho.harness import error_norms, solve_problem
+from pyhho.mesh import build_structured_mesh
+from pyhho.problems import poisson_sin_2d
+from pyhho.projection import equal_order
+sol = solve_problem(build_structured_mesh("quad", 4, 4), equal_order(1), poisson_sin_2d(),
+                    solver="cg")
+error_norms(sol)
+assert pyhho.cli.main(["solve", "--gen", "quad:4:4", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy.special")))
+"""
+
+
+def test_a_solve_never_loads_scipy_special(tmp_path):
+    # a fresh interpreter: the test process itself may have imported it
+    src = os.path.dirname(os.path.dirname(pyhho.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", SOLVE_WITHOUT_SPECIAL, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
