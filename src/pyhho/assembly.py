@@ -69,19 +69,20 @@ def build_dof_map(mesh: Mesh, degrees: HhoDegrees) -> DofMap:
 
 @dataclass
 class CondensedGroup:
-    """Schur data of a group of cells: reduced matrices and right-hand
-    sides, plus what recovers the cell unknowns, stacked over the cells."""
+    """Schur data of a group of cells: the reduced matrices and the cell
+    recovery maps by shape, the reduced right-hand sides and offsets by cell."""
 
     cells: np.ndarray          # (nb,)
+    shapes: np.ndarray         # (nb,) each cell's row in L_c and X
     layout: DofLayout
-    L_c: np.ndarray            # (nb, n_face_dofs, n_face_dofs)
+    L_c: np.ndarray            # (n_shapes, n_face_dofs, n_face_dofs)
     b_c: np.ndarray            # (nb, n_face_dofs)
-    X: np.ndarray              # (nb, cell_width, n_face_dofs): L_TT^-1 L_TF
+    X: np.ndarray              # (n_shapes, cell_width, n_face_dofs): L_TT^-1 L_TF
     y: np.ndarray              # (nb, cell_width): L_TT^-1 b_T
 
     def recover(self, face_values: np.ndarray) -> np.ndarray:
         """Cell coefficients from the surrounding face coefficients."""
-        return self.y - (self.X @ face_values[..., None])[..., 0]
+        return self.y - (self.X[self.shapes] @ face_values[..., None])[..., 0]
 
 
 def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cells,
@@ -91,8 +92,8 @@ def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cells,
     ``L`` is stacked over the group's distinct shapes and ``b`` over its
     cells; ``shapes[i]`` is the row of ``L`` that serves ``cells[i]``, with
     shapes numbered in order of first cell (:meth:`pyhho.mesh.Mesh.cell_shapes`).
-    Each shape's cell block is checked and factored once, and only ``y``
-    and ``b_c`` are formed per cell.
+    Each shape's cell block is checked and factored once; ``L_c`` and
+    ``X`` stay stacked by shape, and only ``y`` and ``b_c`` are formed per cell.
     """
     cells, shapes = np.atleast_1d(cells), np.atleast_1d(shapes)
     ct, fc, cw = layout.cell, layout.faces, layout.cell_width
@@ -106,11 +107,10 @@ def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cells,
         [L_TF, np.broadcast_to(np.eye(cw), L_TT.shape)], axis=2))
     X, L_TT_inv = sol[..., :-cw], sol[..., -cw:]
     L_c = L[:, fc, fc] - L_TF.mT @ X
-    X = X[shapes]
     y = (L_TT_inv[shapes] @ b[:, ct, None])[..., 0]
-    b_c = b[:, fc] - (X.mT @ b[:, ct, None])[..., 0]
-    return CondensedGroup(cells=cells, layout=layout, L_c=0.5 * (L_c + L_c.mT)[shapes],
-                          b_c=b_c, X=X, y=y)
+    b_c = b[:, fc] - (X[shapes].mT @ b[:, ct, None])[..., 0]
+    return CondensedGroup(cells=cells, shapes=shapes, layout=layout,
+                          L_c=0.5 * (L_c + L_c.mT), b_c=b_c, X=X, y=y)
 
 
 @dataclass
@@ -185,7 +185,8 @@ def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
     indptr = np.append(w * (w * start[:-1, None] + j * deg[:, None]), nnz).astype(index)
     for cg in condensed:
         for s in range(0, len(cg.cells), CHUNK):
-            cells, L_c, b = cg.cells[s:s + CHUNK], cg.L_c[s:s + CHUNK], cg.b_c[s:s + CHUNK]
+            cells, b = cg.cells[s:s + CHUNK], cg.b_c[s:s + CHUNK]
+            L_c = cg.L_c[cg.shapes[s:s + CHUNK]]
             faces = cell_faces(mesh, cells)
             fid = _free_ids(dofmap, faces)
             nb, nf = fid.shape

@@ -4,11 +4,11 @@ The pipeline per solve is: local operators -> static condensation ->
 assembly with boundary data -> sparse solve -> cell recovery -> flux or
 traction recovery.  Every per-cell stage runs once per group of cells of
 one quadrature class (:meth:`pyhho.mesh.Mesh.cell_groups`) on stacked
-arrays; the local operators and the condensation run once per distinct
-cell shape of a group and are kept that way, indexed by each cell's shape
-where a stage reads them.  Convergence studies, the operator-decay
-verification, the 1D FEM oracle, and the incompressibility sweep all sit
-on top of it.
+arrays.  An array that depends only on a cell's shape (operators, condensed
+matrices, the basis on the rule that samples problem data) is built once
+per distinct shape of a group and gathered by each cell's shape where a
+stage reads it.  Convergence studies, the operator-decay verification, the
+1D FEM oracle, and the incompressibility sweep all sit on top of it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,9 +31,7 @@ from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
 from .problems import ProblemSpec
 from .projection import (HhoDegrees, cell_faces, dof_layout, equal_order, gather_local,
                          l2_project, mixed_order, reduce_local, sample)
-from .quadrature import cell_quadrature, face_quadrature, interval_rule
-
-RHS_QUAD_BUMP = 2
+from .quadrature import QuadratureRule, cell_quadrature, face_quadrature, interval_rule
 
 log = logging.getLogger("pyhho")
 
@@ -42,15 +40,35 @@ log = logging.getLogger("pyhho")
 # local right-hand sides and boundary data
 
 
-def local_rhs(ctx: CellContext, f, shapes, points, cells) -> np.ndarray:
-    """Source vectors of a group's ``cells``: cell block only, on the data rule
-    of ``ctx`` (order 2(k+1)+2), whose row ``shapes[b]`` serves cell ``b``;
-    ``f`` is sampled at each cell's own ``points`` of that rule."""
-    fx = sample(f, points, rank=ctx.degrees.rank, ids=cells)
-    wphi = (ctx.data_rule.weights[..., None] * ctx.data_phi[..., : ctx.n_cell])[shapes]
+def data_order(degrees: HhoDegrees) -> int:
+    """Order of the rules that sample problem data on cells and faces."""
+    return 2 * (degrees.k_face + 2)
+
+
+def data_basis(ctx: CellContext, rule: QuadratureRule, cells, shapes,
+               gradients: bool = False, degree: int | None = None):
+    """``ctx.rec_basis``, cut at ``degree``, on the data ``rule`` of a group's ``cells``
+    (ascending), once per shape in a chunk's ``shapes`` at ``ctx.cells[s]``'s own
+    points: ``(inv, weights, values, gradients or None)``, cell ``b`` at row ``inv[b]``."""
+    u, inv = np.unique(shapes, return_inverse=True)
+    at = np.searchsorted(cells, ctx.cells[u])
+    basis = replace(ctx.rec_basis, center=ctx.rec_basis.center[u], scale=ctx.rec_basis.scale[u],
+                    degree=ctx.rec_basis.degree if degree is None else degree, exponents=None)
+    return (inv, rule.weights[at]) + basis.eval(rule.points[at], gradients)
+
+
+def local_rhs(ctx: CellContext, f, rule: QuadratureRule, cells, shapes) -> np.ndarray:
+    """Source vectors of a group's ``cells``, cell block only: ``f`` sampled
+    at each cell's own points of the data ``rule``, tested with the cell
+    basis of its shape (:func:`data_basis`), ``CHUNK`` cells at a time."""
+    fx = sample(f, rule.points, rank=ctx.degrees.rank, ids=cells)
     b = np.zeros((len(cells), ctx.layout.size))
-    blk = wphi.mT @ fx.reshape(wphi.shape[:2] + (-1,))
-    b[:, ctx.layout.cell] = blk.reshape(len(blk), -1)
+    for s in range(0, len(cells), asm.CHUNK):
+        inv, w, phi, _ = data_basis(ctx, rule, cells, shapes[s:s + asm.CHUNK],
+                                    degree=ctx.degrees.k_cell)
+        wphi = (w[..., None] * phi)[inv]
+        blk = wphi.mT @ fx[s:s + asm.CHUNK].reshape(wphi.shape[:2] + (-1,))
+        b[s:s + asm.CHUNK, ctx.layout.cell] = blk.reshape(len(blk), -1)
     return b
 
 
@@ -60,9 +78,8 @@ def dirichlet_data(mesh: Mesh, degrees: HhoDegrees, u_d) -> np.ndarray:
     data = np.zeros((mesh.n_faces, width))
     faces = np.flatnonzero(mesh.dirichlet_faces)
     if len(faces):
-        order = 2 * (degrees.k_face + 1) + RHS_QUAD_BUMP
         coef = l2_project(face_basis(mesh, faces, degrees.k_face),
-                          face_quadrature(mesh, faces, order), u_d,
+                          face_quadrature(mesh, faces, data_order(degrees)), u_d,
                           rank=degrees.rank, ids=faces, entity="face")
         data[faces] = coef.reshape(len(faces), -1)
     return data
@@ -75,8 +92,7 @@ def neumann_rhs(mesh: Mesh, degrees: HhoDegrees, g_n) -> np.ndarray:
     faces = np.flatnonzero(mesh.neumann_faces)
     if g_n is None or not len(faces):
         return data
-    order = 2 * (degrees.k_face + 1) + RHS_QUAD_BUMP
-    rule = face_quadrature(mesh, faces, order)
+    rule = face_quadrature(mesh, faces, data_order(degrees))
     psi, _ = face_basis(mesh, faces, degrees.k_face).eval(rule.points, gradients=False)
     g = sample(g_n, rule.points, rank=degrees.rank, ids=faces, entity="face")
     blk = (rule.weights[..., None] * psi).mT @ g.reshape(rule.weights.shape + (-1,))
@@ -93,10 +109,10 @@ class CellGroup:
     """A cell group of a solve: its operators, built once per distinct cell
     shape, and the per-cell facts that tie them to its cells."""
 
-    cells: np.ndarray         # (nb,) cell indices
+    cells: np.ndarray         # (nb,) cell indices, ascending
     shapes: np.ndarray        # (nb,) each cell's shape: its row in every array of ops
     ops: LocalOperators       # on the lowest-index cell of each shape
-    points: np.ndarray        # (nb, nq, d) each cell's points of ops.ctx.data_rule
+    rule: QuadratureRule      # each cell's rule of order data_order(degrees)
     rhs: np.ndarray           # (nb, size) source vectors
 
     def condense(self) -> asm.CondensedGroup:
@@ -126,8 +142,7 @@ def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec) -> list:
 
     A group's context and operators are built once per distinct cell shape
     (:meth:`pyhho.mesh.Mesh.cell_shapes`), on the lowest-index cell of each;
-    a stage that reads them takes cell ``b``'s at row ``shapes[b]``.  The
-    sources sample ``f`` at each cell's own points.
+    a stage that reads them takes cell ``b``'s at row ``shapes[b]``.
     """
     elastic = spec.kind == "elasticity"
     if elastic:
@@ -142,9 +157,9 @@ def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec) -> list:
         ctx = build_cell_context(mesh, reps, degrees)
         op = (local_bilinear_elastic(ctx, spec.mu, spec.lam) if elastic
               else local_bilinear(ctx))
-        points = cell_quadrature(mesh.cell_geometry(cells), ctx.data_rule.order).points
-        groups.append(CellGroup(cells=cells, shapes=shapes, ops=op, points=points,
-                                rhs=local_rhs(ctx, spec.f, shapes, points, cells)))
+        rule = cell_quadrature(mesh.cell_geometry(cells), data_order(degrees))
+        groups.append(CellGroup(cells=cells, shapes=shapes, ops=op, rule=rule,
+                                rhs=local_rhs(ctx, spec.f, rule, cells, shapes)))
         log.debug("local operators: %s group, %d cells, %d shapes, %.4f s", ctx.geom.shape,
                   len(cells), len(reps), time.perf_counter() - start)
     return groups
@@ -319,13 +334,15 @@ def _stab_seminorm(ctx: CellContext, shapes, face_ops: np.ndarray, v: np.ndarray
 
 def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     """Broken-H1/energy, discrete cell-L2, reconstruction-L2, and
-    stabilization-seminorm errors against the exact solution, summed over
-    each group ``CHUNK`` cells at a time (:data:`pyhho.assembly.CHUNK`)."""
+    stabilization-seminorm errors against the exact solution, on each group's
+    data rule ``asm.CHUNK`` cells at a time; bad exact data names its cell."""
     spec = sol.spec
-    if spec.exact is None:
-        raise ValueError("error norms need an exact solution in the spec")
+    if spec.exact is None or spec.exact_grad is None:
+        raise ValueError("error norms need an exact solution and its gradient in the spec")
     mesh = sol.mesh
     rank = sol.degrees.rank
+    # sample reads one row per point: the rank * dim entries of the Jacobian
+    jacobian = lambda x: np.reshape(spec.exact_grad(x), (len(x), -1))
     # energy density |grad e|^2, or 2 mu |eps(e)|^2 for elasticity
     elastic = spec.kind == "elasticity"
     h1_sq = l2c_sq = l2r_sq = stab_sq = 0.0
@@ -334,14 +351,14 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
         for s in range(0, len(g.cells), asm.CHUNK):
             cells, shapes = g.cells[s:s + asm.CHUNK], g.shapes[s:s + asm.CHUNK]
             nb = len(cells)
-            vals, grads = ctx.data_phi[shapes], ctx.data_dphi[shapes]
-            w = ctx.data_rule.weights[shapes]
-            pts = g.points[s:s + asm.CHUNK].reshape(-1, mesh.dim)
+            inv, w, vals, grads = data_basis(ctx, g.rule, g.cells, shapes, gradients=True)
+            w, vals, grads = w[inv], vals[inv], grads[inv]
+            pts = g.rule.points[s:s + asm.CHUNK]
             v = sol.local_dofs(cells)
             stab_sq += _stab_seminorm(ctx, shapes, ops.stab_face, v)
             coef = _apply(ops.rec, shapes, v).reshape(nb, -1, rank)
-            ex = np.asarray(spec.exact(pts), dtype=float).reshape(w.shape + (rank,))
-            gex = np.asarray(spec.exact_grad(pts), dtype=float).reshape(w.shape + (rank, -1))
+            ex = sample(spec.exact, pts, rank=rank, ids=cells).reshape(w.shape + (rank,))
+            gex = sample(jacobian, pts, rank=rank * mesh.dim, ids=cells).reshape(ex.shape + (-1,))
             de = gex - np.einsum("bqjc,bja->bqac", grads, coef)
             if elastic:
                 de = 0.5 * (de + de.mT)
@@ -354,11 +371,10 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
             pcoef = np.linalg.solve(WV.mT @ Vc, WV.mT @ ex)
             diff = Vc @ (pcoef - sol.cell_coeffs[cells].reshape(nb, -1, rank))
             l2c_sq += float(np.sum(w * (diff ** 2).sum(axis=2)))
-    n_dofs = sol.dofmap.n_reduced
     return ErrorRow(level=level, h=mesh.max_diameter(),
                     err_h1=np.sqrt(h1_sq), err_l2_cell=np.sqrt(l2c_sq),
                     err_l2_rec=np.sqrt(l2r_sq), stab=np.sqrt(stab_sq),
-                    n_dofs=n_dofs)
+                    n_dofs=sol.dofmap.n_reduced)
 
 
 def fit_rate(hs, errs, points: int = 3) -> float:
@@ -464,10 +480,7 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
     seminorms at k+1.
     """
     dim = 1 if family == "interval" else 2
-    if dim == 1:
-        v = lambda x: np.sin(np.pi * x[:, 0])
-    else:
-        v = lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+    v = lambda x: np.prod(np.sin(np.pi * x), axis=1)
     blocks = [
         VerifyBlock("projection-cell", k + 1.0, 0.15, [], []),
         VerifyBlock("projection-face", k + 0.5, 0.15, [], []),
@@ -476,7 +489,7 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
         VerifyBlock("stabilization-ls", k + 1.0, 0.15, [], []),
     ]
     deg_eq, deg_mx = equal_order(k), mixed_order(k)
-    order = 2 * (k + 2)
+    order = data_order(deg_eq)
     for lvl in range(levels):
         mesh = mesh_family(family, lvl, base=base)
         h = mesh.max_diameter()
@@ -486,9 +499,10 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
             # both contexts on the group's distinct shapes, as in build_local
             reps, shapes = mesh.cell_shapes(cells)
             ctx = build_cell_context(mesh, reps, deg_eq)
-            vals, w = ctx.data_phi[shapes], ctx.data_rule.weights[shapes]
-            points = cell_quadrature(mesh.cell_geometry(cells), order).points
-            vx = np.asarray(v(points.reshape(-1, dim)), dtype=float).reshape(w.shape)
+            rule = cell_quadrature(mesh.cell_geometry(cells), order)
+            inv, w, vals, _ = data_basis(ctx, rule, cells, shapes)
+            w, vals = w[inv], vals[inv]
+            vx = sample(v, rule.points)
 
             red = reduce_local(mesh, cells, deg_eq, v)
             proj = (vals[..., : ctx.n_cell] @ red[:, ctx.layout.cell, None])[..., 0]
@@ -511,8 +525,7 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
                 fb = face_basis(mesh, faces, k)
                 frule = face_quadrature(mesh, faces, order)
                 psi, _ = fb.eval(frule.points, gradients=False)
-                vfx = np.asarray(v(frule.points.reshape(-1, dim)),
-                                 dtype=float).reshape(frule.weights.shape)
+                vfx = sample(v, frule.points, entity="face")
                 coef = l2_project(fb, frule, v)
                 out[1] = np.sum(frule.weights * (vfx - (psi @ coef[..., None])[..., 0]) ** 2)
             acc += out

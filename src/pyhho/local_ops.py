@@ -34,7 +34,8 @@ import numpy as np
 from .basis import Basis, basis_size, face_basis, scaled_monomial_basis
 from .mesh import CellGeometry, Mesh
 from .projection import DofLayout, HhoDegrees, checked, dof_layout, mass_cholesky
-from .quadrature import QuadratureRule, cell_quadrature, face_quadrature
+# unused here; perfbench/tracing.py resolves pyhho.local_ops.cell_quadrature by name
+from .quadrature import cell_quadrature, face_quadrature  # noqa: F401
 
 COND_LIMIT = 1e12
 
@@ -56,7 +57,7 @@ class FaceContext:
 @dataclass
 class CellContext:
     """Face data and Gram matrices of a group, shared by all local
-    operators, and the rule that samples problem data on its cells."""
+    operators; each array depends only on the cells' shapes."""
 
     mesh: Mesh
     cells: np.ndarray        # (nb,) cell indices of the group
@@ -71,10 +72,6 @@ class CellContext:
     grad_gram: np.ndarray    # (nb, n_rec, d, n_rec, d): (d_a phi_i, d_b phi_j)
     mass_k_inv: np.ndarray   # (nb, n_k, n_k) inverse of the degree-k cell mass
     faces: FaceContext
-    # the rule of order 2(k+2) that samples problem data (sources, error norms)
-    data_rule: QuadratureRule
-    data_phi: np.ndarray     # (nb, nq', n_rec)
-    data_dphi: np.ndarray    # (nb, nq', n_rec, d)
 
     @property
     def n_rec(self) -> int:
@@ -97,7 +94,7 @@ class CellContext:
 
 def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     """Face data and Gram matrices of a group of cells of one quadrature
-    class (one cell index: a group of one), and the basis on the data rule.
+    class (one cell index: a group of one), from face quadrature alone.
 
     By Euler's theorem for the scaled monomials, homogeneous about ``x_T``,
     a Gram entry ``int_T q`` with ``q`` of degree ``p`` is ``sum_F (n_F . (x -
@@ -135,12 +132,11 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     V = np.concatenate([fphi, fdphi.reshape(nb, -1, n_rec * d)], axis=-1)
     gram = (V.mT @ (w * V)) / np.maximum(d + deg[:, None] + deg, 1)
     gram = 0.5 * (gram + gram.mT)
-    # copies: the gram and the face values are freed before the data rule
+    # copies, so that the context holds no view of the whole gram
     n_k = basis_size(k, d)
     mass_full = gram[:, :n_rec, :n_rec].copy()
     grad_mass = gram[:, n_rec:, :n_k].reshape(nb, n_rec, d, n_k).copy()
     grad_gram = gram[:, n_rec:, n_rec:].reshape(nb, n_rec, d, n_rec, d).copy()
-    del gram, V, fdphi
     lam = np.linalg.eigvalsh(mass_full)
     bad = np.flatnonzero(lam[:, 0] * COND_LIMIT < lam[:, -1])   # also a round-off lam_min <= 0
     if len(bad):
@@ -150,15 +146,11 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
             f"cell {cells[b]}: mass-matrix condition number {cond:.2e} exceeds "
             f"{COND_LIMIT:.0e}; reduce the degree or orthonormalize the basis")
     mass_k_inv = mass_cholesky(mass_full[:, :n_k, :n_k], cells)
-
-    data_rule = cell_quadrature(geom, 2 * (k + 2))
-    data_phi, data_dphi = rec_basis.eval(data_rule.points)
     return CellContext(mesh=mesh, cells=cells, geom=geom, degrees=degrees,
                        layout=layout, rec_basis=rec_basis, mass_full=mass_full,
                        stiff_full=np.trace(grad_gram, axis1=2, axis2=4),
                        ints_full=mass_full[:, 0], grad_mass=grad_mass,
-                       grad_gram=grad_gram, mass_k_inv=mass_k_inv, faces=faces,
-                       data_rule=data_rule, data_phi=data_phi, data_dphi=data_dphi)
+                       grad_gram=grad_gram, mass_k_inv=mass_k_inv, faces=faces)
 
 
 # ---------------------------------------------------------------------------

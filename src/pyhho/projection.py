@@ -138,11 +138,10 @@ def sample(fn, points: np.ndarray, rank: int | None = None, ids=None,
         want = f"({n},) or ({n}, {rank})" if rank in (None, 1) else f"({n}, {rank})"
         raise ValueError(f"{entity} {ids[0]}: problem data returned shape "
                          f"{vals.shape}, expected {want}")
-    bad = ~np.isfinite(vals.reshape(n, -1)).all(axis=1)
-    if bad.any():
-        first = np.flatnonzero(bad)[0] // lead[-1]
-        raise ValueError(f"{entity} {ids[first]}: problem data is not finite "
-                         f"at {flat[np.flatnonzero(bad)[0]].tolist()}")
+    if not np.isfinite(vals).all():     # one pass; rows only to name the first bad one
+        bad = np.flatnonzero(~np.isfinite(vals.reshape(n, -1)).all(axis=1))[0]
+        raise ValueError(f"{entity} {ids[bad // lead[-1]]}: problem data is not finite "
+                         f"at {flat[bad].tolist()}")
     return vals.reshape(lead + vals.shape[1:])
 
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from pyhho.harness import data_order
 from pyhho.mesh import Mesh, build_structured_mesh
+from pyhho.quadrature import cell_quadrature
 
 
 def jittered_mesh(kind, n, seed, amplitude=None):
@@ -19,6 +21,14 @@ def jittered_mesh(kind, n, seed, amplitude=None):
     verts[interior] += np.random.default_rng(seed).uniform(
         -amplitude, amplitude, (int(interior.sum()), 2))
     return Mesh(2, verts, base.cells)
+
+
+def data_rule_basis(ctx):
+    """The problem-data rule of order ``data_order`` on the cells of
+    ``ctx``, and ``ctx.rec_basis``'s values ``(nb, nq, n_rec)`` and
+    gradients ``(nb, nq, n_rec, d)`` at its points."""
+    rule = cell_quadrature(ctx.geom, data_order(ctx.degrees))
+    return (rule,) + ctx.rec_basis.eval(rule.points)
 
 
 def strain_columns(dphi):

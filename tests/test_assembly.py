@@ -173,12 +173,13 @@ def _assemble_coo(mesh, condensed, dofmap, dirichlet_values, extra_face_rhs):
         faces, dofs = asm._face_dofs(mesh, cg.cells, dofmap)
         free = dofs >= 0
         fixed = np.where(free, 0.0, dirichlet_values[faces].reshape(free.shape))
-        b = cg.b_c - (cg.L_c @ fixed[..., None])[..., 0]
+        L_c = cg.L_c[cg.shapes]
+        b = cg.b_c - (L_c @ fixed[..., None])[..., 0]
         rhs += np.bincount(dofs[free], weights=b[free], minlength=n)
         pairs = free[:, :, None] & free[:, None, :]
         rows.append(np.broadcast_to(dofs[:, :, None], pairs.shape)[pairs])
         cols.append(np.broadcast_to(dofs[:, None, :], pairs.shape)[pairs])
-        vals.append(cg.L_c[pairs])
+        vals.append(L_c[pairs])
     free, face_rows = asm._free_face_rows(dofmap)
     rhs[face_rows] += extra_face_rhs[free]
     matrix = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),

@@ -13,7 +13,7 @@ from pyhho.projection import (HhoDegrees, l2_project, mass_cholesky, mixed_order
                               reduce_local)
 from pyhho.quadrature import cell_quadrature, face_quadrature
 
-from support import strain_columns
+from support import data_rule_basis, strain_columns
 
 VDEG = HhoDegrees(k_face=1, k_cell=1, rank=2)
 VDEG2 = HhoDegrees(k_face=2, k_cell=2, rank=2)
@@ -68,11 +68,12 @@ def strain_by_face_assembly(ctx):
     ``(E v, tau) = (eps(v_T), tau) - sum_F (v_T - v_F, tau n)_F``, face by
     face on the vector layout."""
     n_k, n_cell, layout = ctx.n_k, ctx.n_cell, ctx.layout
-    w = ctx.data_rule.weights
-    eps_cell = strain_columns(ctx.data_dphi[:, :, :n_cell, :])
+    rule, phi, dphi = data_rule_basis(ctx)
+    w = rule.weights
+    eps_cell = strain_columns(dphi[:, :, :n_cell, :])
     rhs = np.zeros((len(ctx.cells), 3, n_k, layout.size))
     rhs[..., layout.cell] = TENSOR_WEIGHTS[:, None, None] * np.einsum(
-        "bqi,bqjm->bmij", w[..., None] * ctx.data_phi[:, :, :n_k], eps_cell)
+        "bqi,bqjm->bmij", w[..., None] * phi[:, :, :n_k], eps_cell)
     f = ctx.faces
     for i in range(layout.n_faces):
         # Cartesian components of E_m n for the unit tensors E_xx, E_yy, E_xy
@@ -113,11 +114,12 @@ def test_strain_is_symmetric_scalar_gradient(k, mixed):
 def divergence_oracle(ctx):
     """Independent build straight from the defining equations."""
     n_k, layout = ctx.n_k, ctx.layout
-    w = ctx.data_rule.weights[0]
+    rule, phi, dphi = data_rule_basis(ctx)
+    w = rule.weights[0]
     rhs = np.zeros((n_k, layout.size))
     for c in range(2):
-        rhs[:, layout.cell][:, c::2] -= ctx.data_dphi[0, :, :n_k, c].T @ (
-            w[:, None] * ctx.data_phi[0, :, :ctx.n_cell])
+        rhs[:, layout.cell][:, c::2] -= dphi[0, :, :n_k, c].T @ (
+            w[:, None] * phi[0, :, :ctx.n_cell])
     f = ctx.faces
     for i in range(layout.n_faces):
         fw = f.weights[0, i]
@@ -179,7 +181,8 @@ def test_displacement_mean_matches_cell_mean():
     ctx = build_cell_context(mesh, 1, VDEG)
     Dep = displacement_reconstruction(ctx)[0]
     rng = np.random.default_rng(2)
-    weights, vals = ctx.data_rule.weights[0], ctx.data_phi[0]
+    rule, phi, _ = data_rule_basis(ctx)
+    weights, vals = rule.weights[0], phi[0]
     for _ in range(5):
         v = rng.standard_normal(ctx.layout.size)
         coef = Dep @ v

@@ -28,7 +28,7 @@ from pyhho.projection import (DofLayout, HhoDegrees, dof_layout, l2_project, mas
                               reduce_local)
 from pyhho.quadrature import face_quadrature
 
-from support import strain_columns
+from support import data_rule_basis, strain_columns
 
 MU, LAM = 1.0, 3.0
 
@@ -264,8 +264,9 @@ def displacement_reference(ctx):
     ``sum_F int_F (v_F,x n_y - v_F,y n_x) / 2``, both assembled face by face."""
     n_cell, layout = ctx.n_cell, ctx.layout
     nb, nv = len(ctx.cells), 2 * ctx.n_rec
-    w = ctx.data_rule.weights
-    eps = strain_columns(ctx.data_dphi)
+    rule, _, dphi = data_rule_basis(ctx)
+    w = rule.weights
+    eps = strain_columns(dphi)
     weighted = eps * (w[..., None, None] * TENSOR_WEIGHTS)
     K = np.einsum("bqim,bqjm->bij", weighted, eps)
     H = np.zeros((nb, nv, layout.size))
@@ -288,7 +289,7 @@ def displacement_reference(ctx):
     C = np.zeros((nb, 3, nv))
     C[:, 0, 0::2] = ctx.ints_full
     C[:, 1, 1::2] = ctx.ints_full
-    int_grad = np.einsum("bq,bqjc->bjc", w, ctx.data_dphi)
+    int_grad = np.einsum("bq,bqjc->bjc", w, dphi)
     C[:, 2, 0::2] = 0.5 * int_grad[..., 1]
     C[:, 2, 1::2] = -0.5 * int_grad[..., 0]
     saddle = np.zeros((nb, nv + 3, nv + 3))

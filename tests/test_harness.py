@@ -16,7 +16,7 @@ from pyhho.problems import (ProblemSpec, elasticity_compressible,
                             poisson_sin_2d, rigid_body_problem)
 from pyhho.projection import HhoDegrees, equal_order, mixed_order, reduce_global
 
-from support import jittered_mesh
+from support import data_rule_basis, jittered_mesh
 
 
 def test_manufactured_sources_match_finite_differences():
@@ -366,6 +366,26 @@ def test_bad_problem_data_rejected(field, data, message):
         assert mesh.dirichlet_faces[face] and mesh.face_center(face).min() >= 0.75
 
 
+def gradient_nan_in_top_right(x):
+    return nan_in_top_right(x)[:, None] * np.ones(2)
+
+
+@pytest.mark.parametrize("field,data,message", [
+    ("exact", nan_in_top_right, r"^cell 15: problem data is not finite"),
+    ("exact", lambda x: np.ones((len(x), 2)), r"^cell 0: problem data returned shape"),
+    ("exact_grad", gradient_nan_in_top_right, r"^cell 15: problem data is not finite"),
+    ("exact_grad", zeros, r"^cell 0: problem data returned shape \(\d+, 1\)"),
+    ("exact_grad", None, "^error norms need an exact solution and its gradient"),
+])
+def test_bad_exact_data_rejected_by_error_norms(field, data, message):
+    mesh = build_structured_mesh("quad", 4, 4)
+    fields = {"exact": zeros, "exact_grad": lambda x: np.zeros((len(x), 2)), field: data}
+    spec = ProblemSpec(kind="poisson", f=zeros, u_dirichlet=zeros, name="bad", **fields)
+    sol = solve_problem(mesh, equal_order(1), spec)
+    with pytest.raises(ValueError, match=message):
+        error_norms(sol)
+
+
 @pytest.mark.parametrize("degrees", [equal_order(1), mixed_order(1),
                                      HhoDegrees(1, 1, rank=2)])
 def test_operators_do_not_depend_on_grouping(degrees):
@@ -382,7 +402,7 @@ def test_operators_do_not_depend_on_grouping(degrees):
         ctx = build_cell_context(mesh, cell, degrees)
         ops = (local_bilinear(ctx) if degrees.rank == 1
                else local_bilinear_elastic(ctx, spec.mu, spec.lam))
-        return ops, local_rhs(ctx, spec.f, [0], ctx.data_rule.points, ctx.cells)
+        return ops, local_rhs(ctx, spec.f, data_rule_basis(ctx)[0], ctx.cells, [0])
 
     singles = [build(ci) for ci in range(mesh.n_cells)]
     for g in build_local(mesh, degrees, spec):

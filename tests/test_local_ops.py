@@ -12,7 +12,7 @@ from pyhho.projection import equal_order, l2_project, mixed_order, reduce_local
 from pyhho.quadrature import cell_quadrature, face_quadrature
 from pyhho.basis import face_basis
 
-from support import jittered_mesh
+from support import data_rule_basis, jittered_mesh
 
 
 def pentagon_mesh():
@@ -63,7 +63,7 @@ def test_elliptic_projection_reproduces_polynomials(mesh_kind, k):
     R_full = full_reconstruction(ctx)
     q = lambda x: (0.4 * x[:, 0] - x[:, 1] + 0.3) ** (k + 1)
     red = reduce_local(mesh, ci, deg, q)
-    pts = ctx.data_rule.points[0, :5]
+    pts = data_rule_basis(ctx)[0].points[0, :5]
     vals, _ = eval_rec(ctx, R_full @ red, pts)
     np.testing.assert_allclose(vals, q(pts), atol=1e-11)
 
@@ -95,7 +95,7 @@ def test_reconstruction_of_exact_trace_pair():
             rule = face_quadrature(mesh, fi, 2 * k + 2)
             v[ctx.layout.face(i)] = l2_project(fb, rule, vt)
         rec = R_full @ v
-        pts = ctx.data_rule.points[0, :4]
+        pts = data_rule_basis(ctx)[0].points[0, :4]
         np.testing.assert_allclose(eval_rec(ctx, rec, pts)[0], vt(pts), atol=1e-11)
 
 
@@ -105,7 +105,8 @@ def test_mean_preservation_random_dofs():
     ctx = build_cell_context(mesh, ci, equal_order(2))
     R_full = full_reconstruction(ctx)
     rng = np.random.default_rng(11)
-    weights, vals = ctx.data_rule.weights[0], ctx.data_phi[0]
+    rule, phi, _ = data_rule_basis(ctx)
+    weights, vals = rule.weights[0], phi[0]
     for _ in range(5):
         v = rng.standard_normal(ctx.layout.size)
         rec_mean = weights @ (vals @ (R_full @ v))
@@ -142,9 +143,10 @@ def test_gradient_compatibility_with_reconstruction():
         G = gradient_reconstruction(ctx)[0]
         rng = np.random.default_rng(k + 5)
         v = rng.standard_normal(ctx.layout.size)
-        w = ctx.data_rule.weights[0]
-        gvals = np.stack([ctx.data_phi[0, :, :ctx.n_k] @ (G[c] @ v) for c in range(2)], axis=1)
-        dphi = ctx.data_dphi[0, :, 1:, :]
+        rule, phi, dphi = data_rule_basis(ctx)
+        w = rule.weights[0]
+        gvals = np.stack([phi[0, :, :ctx.n_k] @ (G[c] @ v) for c in range(2)], axis=1)
+        dphi = dphi[0, :, 1:, :]
         rhs = np.einsum("qjc,q,qc->j", dphi, w, gvals)
         coef = np.linalg.solve(Kstar, rhs)
         np.testing.assert_allclose(coef, R @ v, atol=1e-10)

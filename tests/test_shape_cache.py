@@ -9,13 +9,13 @@ import pytest
 from pyhho import assembly as asm
 from pyhho import harness, local_ops
 from pyhho.elasticity import local_bilinear_elastic
-from pyhho.harness import build_local, local_rhs, mesh_family, solve_problem
+from pyhho.harness import build_local, error_norms, local_rhs, mesh_family, solve_problem
 from pyhho.local_ops import build_cell_context, local_bilinear
 from pyhho.mesh import Mesh, build_interval_mesh, build_structured_mesh
 from pyhho.problems import elasticity_compressible, poisson_sin_1d, poisson_sin_2d
 from pyhho.projection import HhoDegrees
 
-from support import jittered_mesh
+from support import data_rule_basis, jittered_mesh
 
 OPERATOR_FIELDS = ("L", "stab_face", "rec", "flux", "balance")
 CONDENSED_FIELDS = ("L_c", "X", "y", "b_c")
@@ -46,9 +46,15 @@ def per_cell_build(mesh, degrees, spec):
         ctx = build_cell_context(mesh, cells, degrees)
         ops = (local_bilinear(ctx) if degrees.rank == 1
                else local_bilinear_elastic(ctx, spec.mu, spec.lam))
-        out.append((ops, local_rhs(ctx, spec.f, np.arange(len(cells)),
-                                   ctx.data_rule.points, cells)))
+        out.append((ops, local_rhs(ctx, spec.f, data_rule_basis(ctx)[0], cells,
+                                   np.arange(len(cells)))))
     return out
+
+
+def per_cell(cg, name):
+    """A field of a condensation, one row per cell: ``L_c`` and ``X`` are
+    kept by shape."""
+    return getattr(cg, name)[cg.shapes] if name in ("L_c", "X") else getattr(cg, name)
 
 
 def relative(got, ref):
@@ -77,8 +83,10 @@ def check_against_per_cell(mesh, degrees, spec):
         np.testing.assert_array_equal(g.cells, ref_ctx.cells)
         np.testing.assert_array_equal(g.shapes, shapes)
         np.testing.assert_array_equal(g.ops.ctx.cells, reps)
-        # the data points are each cell's own
-        np.testing.assert_array_equal(g.points, ref_ctx.data_rule.points)
+        # the data rule is each cell's own
+        rule = data_rule_basis(ref_ctx)[0]
+        np.testing.assert_array_equal(g.rule.points, rule.points)
+        np.testing.assert_array_equal(g.rule.weights, rule.weights)
         for name in OPERATOR_FIELDS:
             assert_close(getattr(g.ops, name)[g.shapes], getattr(ref, name), name)
         assert_close(g.rhs, ref_b, "rhs")
@@ -92,8 +100,8 @@ def check_against_per_cell(mesh, degrees, spec):
         tol = condensation_tol(ref.L, ref_ctx.layout, relative(g.ops.L[g.shapes], ref.L),
                                relative(g.rhs, ref_b))
         for name in CONDENSED_FIELDS:
-            assert_close(getattr(cg, name), getattr(same, name), name)
-            assert_close(getattr(cg, name), want[name], name, tol)
+            assert_close(per_cell(cg, name), per_cell(same, name), name)
+            assert_close(per_cell(cg, name), want[name], name, tol)
 
 
 def solve_condense(L, b, layout):
@@ -147,7 +155,7 @@ def test_all_distinct_shapes_build_as_before():
     np.testing.assert_array_equal(g.rhs, ref_b)
     cg, want = g.condense(), solve_condense(ref.L, ref_b, ref.ctx.layout)
     for name in CONDENSED_FIELDS:
-        assert_close(getattr(cg, name), want[name], name)
+        assert_close(per_cell(cg, name), want[name], name)
 
 
 def test_solved_group_keeps_operators_per_shape():
@@ -159,10 +167,46 @@ def test_solved_group_keeps_operators_per_shape():
     assert "ops.L" in found and "ops.ctx.faces.trace_full" in found
     assert {path: a.shape[0] for path, a in found.items() if a.shape[0] != 1} == {}
     # only these are per cell
-    per_cell = {f.name for f in dataclasses.fields(g)
-                if isinstance(getattr(g, f.name), np.ndarray)}
-    assert per_cell == {"cells", "shapes", "points", "rhs"}
-    assert {len(getattr(g, name)) for name in per_cell} == {mesh.n_cells}
+    cell_fields = {f.name for f in dataclasses.fields(g)
+                   if isinstance(getattr(g, f.name), np.ndarray)}
+    assert cell_fields == {"cells", "shapes", "rhs"}
+    assert {len(a) for a in [getattr(g, name) for name in cell_fields]
+            + [g.rule.points, g.rule.weights]} == {mesh.n_cells}
+
+
+def one_shape_per_cell(mesh, cells):
+    return np.asarray(cells), np.arange(len(cells))
+
+
+SHARING_SOLVES = {
+    "hanging-mixed-k1": (lambda: mesh_family("hanging", 0, base=4), HhoDegrees(1, 2),
+                         poisson_sin_2d()),
+    "jittered-quad-elasticity-k2": (lambda: jittered_mesh("quad", 4, 5),
+                                    HhoDegrees(2, 2, rank=2),
+                                    elasticity_compressible(mu=1.0, lam=3.0)),
+    "tri-elasticity-k1": (lambda: build_structured_mesh("tri", 4, 4),
+                          HhoDegrees(1, 1, rank=2), elasticity_compressible(mu=1.0, lam=3.0)),
+}
+
+
+@pytest.mark.parametrize("case", SHARING_SOLVES)
+def test_data_rule_reads_do_not_depend_on_shape_sharing(monkeypatch, case):
+    # the sources and the error norms read the basis on the data rule once
+    # per shape of a chunk: with every cell its own shape, and in chunks of
+    # any size, they agree with the shared build
+    make, degrees, spec = SHARING_SOLVES[case]
+    shared = solve_problem(make(), degrees, spec)
+    want = error_norms(shared)
+    monkeypatch.setattr(Mesh, "cell_shapes", one_shape_per_cell)
+    for chunk in (asm.CHUNK, 1, 7):
+        monkeypatch.setattr(asm, "CHUNK", chunk)
+        alone = solve_problem(make(), degrees, spec)
+        for g, h in zip(shared.groups, alone.groups):
+            assert len(h.ops.L) == len(h.cells)
+            assert_close(h.rhs, g.rhs, "rhs")
+        got = error_norms(alone)
+        for name in ("err_h1", "err_l2_cell", "err_l2_rec", "stab"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0)
 
 
 def test_shape_counts():
