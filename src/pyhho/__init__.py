@@ -1,12 +1,12 @@
 """Hybrid high-order discretization of Poisson and linear elasticity
 on 1D interval and 2D polygonal meshes."""
 
-from .basis import Basis, basis_size, face_basis, orthonormalize, scaled_monomial_basis
+from .basis import Basis, basis_size, face_basis, scaled_monomial_basis
 from .mesh import (CellGeometry, Mesh, MeshError, build_hanging_node_mesh,
                    build_interval_mesh, build_structured_mesh, load_mesh_json,
                    mesh_from_dict, mesh_to_dict, refine_uniform, save_mesh_json)
 from .projection import (DofLayout, HhoDegrees, dof_layout, equal_order,
-                         gather_local, l2_project, mass_matrix, mixed_order,
+                         gather_local, l2_project, mixed_order,
                          reduce_global, reduce_local)
 from .quadrature import QuadratureRule, cell_quadrature, face_quadrature
 from .local_ops import (CellContext, LocalOperators, build_cell_context,

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
-from .projection import DofLayout, HhoDegrees, cell_faces, checked, dof_layout
+from .projection import DofLayout, HhoDegrees, checked, dof_layout
 
 CG_MAXITER = 20000
 # cells, matrix rows or vertices per batch of a solve stage (and of the error norms)
@@ -123,7 +123,7 @@ class GlobalSystem:
 def _face_dofs(mesh: Mesh, cells, dofmap: DofMap):
     """Faces ``(nb, n_faces)`` of a group and the reduced index of each of
     its local face DoFs ``(nb, n_faces * face_width)``, -1 if Dirichlet."""
-    faces = cell_faces(mesh, cells)
+    faces = mesh.cell_face_indices(cells)
     off = dofmap.offsets[faces]
     dofs = off[..., None] + np.arange(dofmap.face_width)
     dofs = np.where(off[..., None] >= 0, dofs, -1)
@@ -150,7 +150,7 @@ def _face_pattern(mesh: Mesh, condensed: list, dofmap: DofMap):
     keys = [np.zeros(0, int)]
     for cg in condensed:
         for s in range(0, len(cg.cells), CHUNK):
-            fid = _free_ids(dofmap, cell_faces(mesh, cg.cells[s:s + CHUNK]))
+            fid = _free_ids(dofmap, mesh.cell_face_indices(cg.cells[s:s + CHUNK]))
             pair = (fid[:, :, None] >= 0) & (fid[:, None, :] >= 0)
             keys.append((fid[:, :, None] * m + fid[:, None, :])[pair])
     keys = np.sort(np.concatenate(keys))
@@ -187,7 +187,7 @@ def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
         for s in range(0, len(cg.cells), CHUNK):
             cells, b = cg.cells[s:s + CHUNK], cg.b_c[s:s + CHUNK]
             L_c = cg.L_c[cg.shapes[s:s + CHUNK]]
-            faces = cell_faces(mesh, cells)
+            faces = mesh.cell_face_indices(cells)
             fid = _free_ids(dofmap, faces)
             nb, nf = fid.shape
             free = np.repeat(fid >= 0, w, axis=1)
@@ -432,7 +432,7 @@ def recover_cells(mesh: Mesh, condensed: list, dofmap: DofMap,
     face_coeffs[free] = face_solution[face_rows]
     cell_coeffs = np.zeros((mesh.n_cells, condensed[0].layout.cell_width))
     for cg in condensed:
-        faces = cell_faces(mesh, cg.cells)
+        faces = mesh.cell_face_indices(cg.cells)
         cell_coeffs[cg.cells] = cg.recover(face_coeffs[faces].reshape(len(faces), -1))
     return cell_coeffs, face_coeffs
 

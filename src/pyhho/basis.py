@@ -11,13 +11,13 @@ scales and evaluates the whole group in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
 
 from .mesh import CellGeometry, Mesh
-from .quadrature import QuadratureRule
 
 MAX_DEGREE = 6
 
@@ -27,17 +27,16 @@ def basis_size(degree: int, dim: int) -> int:
     return comb(degree + dim, dim)
 
 
+@cache
 def graded_exponents(degree: int, dim: int) -> np.ndarray:
-    """Multi-indices of length <= degree in graded-lex order, constant first."""
-    if dim == 0:
-        return np.zeros((1, 0), dtype=int)
-    rows = []
-    for total in range(degree + 1):
-        if dim == 1:
-            rows.append((total,))
-        else:
-            rows.extend((total - j, j) for j in range(total + 1))
-    return np.asarray(rows, dtype=int)
+    """Multi-indices of length <= degree in graded-lex order, constant first;
+    one read-only array per ``(degree, dim)``."""
+    if dim < 2:
+        exps = np.arange(degree + 1)[:, None] if dim else np.zeros((1, 0), dtype=int)
+    else:
+        exps = np.array([(t - j, j) for t in range(degree + 1) for j in range(t + 1)])
+    exps.setflags(write=False)
+    return exps
 
 
 @dataclass(frozen=True)
@@ -46,28 +45,22 @@ class Basis:
 
     ``entity_dim`` is the intrinsic dimension (0 for a vertex-face in 1D).
     For 2D faces ``origin``/``tangent`` define the isometric chart; cells
-    use ``center``/``scale`` directly.  ``coeffs`` lets an orthonormalized
-    basis express itself in terms of the raw monomials.
+    use ``center``/``scale`` directly.
     """
 
     entity_dim: int
     degree: int
     center: np.ndarray
     scale: float
-    exponents: np.ndarray = field(default=None)
     origin: np.ndarray | None = None
     tangent: np.ndarray | None = None
-    coeffs: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.exponents is None:
-            object.__setattr__(self, "exponents",
-                               graded_exponents(self.degree, self.entity_dim))
+    @property
+    def exponents(self) -> np.ndarray:
+        return graded_exponents(self.degree, self.entity_dim)
 
     @property
     def size(self) -> int:
-        if self.entity_dim == 0:
-            return 1
         return basis_size(self.degree, self.entity_dim)
 
     def eval(self, points: np.ndarray, gradients: bool = True):
@@ -93,43 +86,41 @@ class Basis:
         for j in range(1, self.degree + 1):
             powers[..., j] = powers[..., j - 1] * xt
         exps = self.exponents
+        # vals[..., q, i] = prod_c powers[..., q, c, exps[i, c]], one power at a time
+        vals = powers[..., 0, exps[:, 0]]
+        for c in range(1, dim):
+            for j in range(1, self.degree + 1):
+                vals[..., exps[:, c] == j] *= powers[..., c, j, None]
+        if not gradients:
+            return vals, None
         comps = np.arange(dim)
         factors = powers[..., comps, exps]                   # (..., q, n, dim)
-        vals = factors.prod(axis=-1)
-        if not gradients:
-            return (vals if self.coeffs is None else vals @ self.coeffs.mT), None
         dfactors = exps * powers[..., comps, np.maximum(exps - 1, 0)]
         grads = np.empty(vals.shape + (dim,))
         for c in range(dim):
             other = factors[..., comps != c].prod(axis=-1)
             grads[..., c] = (2.0 / scale) * dfactors[..., c] * other
-        if self.coeffs is not None:
-            vals = vals @ self.coeffs.mT
-            grads = np.einsum("...ij,...qjc->...qic", self.coeffs, grads)
         return vals, grads
 
 
-def scaled_monomial_basis(geometry: CellGeometry, degree: int,
-                          max_degree: int = MAX_DEGREE) -> Basis:
+def scaled_monomial_basis(geometry: CellGeometry, degree: int) -> Basis:
     """Cell basis centered at the barycenter with the diameter as scale;
     stacked over a group when ``geometry`` is a group's."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if degree > max_degree:
-        raise ValueError(
-            f"degree {degree} above cap {max_degree}; raw monomials are "
-            "ill-conditioned at high order (consider orthonormalization)")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} above cap {MAX_DEGREE}; raw monomials are "
+                         "ill-conditioned at high order")
     return Basis(entity_dim=geometry.dim, degree=degree,
                  center=geometry.barycenter, scale=geometry.diameter)
 
 
-def face_basis(mesh: Mesh, faces, degree: int,
-               max_degree: int = MAX_DEGREE) -> Basis:
+def face_basis(mesh: Mesh, faces, degree: int) -> Basis:
     """Face basis: 1D scaled monomials in the chart coordinate (2D meshes),
     or the single constant on a vertex-face of a 1D mesh.  An array of
     faces gives one basis stacked over them."""
-    if degree > max_degree:
-        raise ValueError(f"degree {degree} above cap {max_degree}")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} above cap {MAX_DEGREE}")
     if mesh.dim == 1:
         return Basis(entity_dim=0, degree=0, center=np.zeros(1), scale=1.0)
     pts = mesh.vertices[mesh.face_nodes[faces]]
@@ -138,22 +129,3 @@ def face_basis(mesh: Mesh, faces, degree: int,
     return Basis(entity_dim=1, degree=degree, center=np.zeros(1), scale=length,
                  origin=0.5 * (pa + pb), tangent=(pb - pa) / length[..., None])
 
-
-def orthonormalize(basis: Basis, rule: QuadratureRule) -> Basis:
-    """Gram-Schmidt the basis against the mass matrix of ``rule``.
-
-    Returns a basis whose mass matrix is the identity; the constant-first
-    and graded-prefix structure is preserved because the transform is
-    triangular.
-    """
-    vals, _ = basis.eval(rule.points, gradients=False)
-    M = vals.mT @ (rule.weights[..., None] * vals)
-    M = 0.5 * (M + M.mT)
-    L = np.linalg.cholesky(M)
-    coeffs = np.linalg.inv(L)  # lower-triangular inverse, constant stays first
-    if basis.coeffs is not None:
-        coeffs = coeffs @ basis.coeffs
-    return Basis(entity_dim=basis.entity_dim, degree=basis.degree,
-                 center=basis.center, scale=basis.scale,
-                 exponents=basis.exponents, origin=basis.origin,
-                 tangent=basis.tangent, coeffs=coeffs)

@@ -21,8 +21,6 @@ from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh, left_half, load_mesh_json)
 from .projection import HhoDegrees
 
-RATE_TOL = 0.15
-
 
 def _degrees(args, rank: int) -> HhoDegrees:
     k = args.k
@@ -42,19 +40,23 @@ def tolerance(text: str) -> float:
 
 
 def parse_gen(spec: str) -> Mesh:
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *fields = spec.split(":")
+    forms = {"interval": "interval:N", "quad": "quad:NX:NY", "tri": "tri:NX:NY",
+             "hanging": "hanging:NX:NY[:left|:CELL,CELL,...]"}
+    if kind not in forms:
+        raise SystemExit(f"error: unknown generator {kind!r}")
+    if len(fields) < (1 if kind == "interval" else 2):
+        raise SystemExit(f"error: too few fields in {spec!r}; expected {forms[kind]}")
     if kind == "interval":
-        return build_interval_mesh(0.0, 1.0, int(parts[1]))
-    if kind in ("quad", "tri"):
-        return build_structured_mesh(kind, int(parts[1]), int(parts[2]))
-    if kind == "hanging":
-        base = build_structured_mesh("quad", int(parts[1]), int(parts[2]))
-        sel = parts[3] if len(parts) > 3 else "left"
-        cells = (left_half(base) if sel == "left" else
-                 [int(c) for c in sel.split(",") if c])
-        return build_hanging_node_mesh(base, cells)
-    raise SystemExit(f"error: unknown generator {kind!r}")
+        return build_interval_mesh(0.0, 1.0, int(fields[0]))
+    base = build_structured_mesh("quad" if kind == "hanging" else kind,
+                                 int(fields[0]), int(fields[1]))
+    if kind != "hanging":
+        return base
+    sel = fields[2] if len(fields) > 2 else "left"
+    cells = (left_half(base) if sel == "left" else
+             [int(c) for c in sel.split(",") if c])
+    return build_hanging_node_mesh(base, cells)
 
 
 def get_mesh(args) -> Mesh:

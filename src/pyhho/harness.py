@@ -29,7 +29,7 @@ from .local_ops import (CellContext, LocalOperators, _kron_apply, build_cell_con
 from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh, left_half)
 from .problems import ProblemSpec
-from .projection import (HhoDegrees, cell_faces, dof_layout, equal_order, gather_local,
+from .projection import (HhoDegrees, dof_layout, equal_order, gather_local,
                          l2_project, mixed_order, reduce_local, sample)
 from .quadrature import QuadratureRule, cell_quadrature, face_quadrature, interval_rule
 
@@ -45,28 +45,26 @@ def data_order(degrees: HhoDegrees) -> int:
     return 2 * (degrees.k_face + 2)
 
 
-def data_basis(ctx: CellContext, rule: QuadratureRule, cells, shapes,
-               gradients: bool = False, degree: int | None = None):
-    """``ctx.rec_basis``, cut at ``degree``, on the data ``rule`` of a group's ``cells``
-    (ascending), once per shape in a chunk's ``shapes`` at ``ctx.cells[s]``'s own
-    points: ``(inv, weights, values, gradients or None)``, cell ``b`` at row ``inv[b]``."""
+def data_basis(ctx: CellContext, rule: QuadratureRule, cells, shapes, gradients: bool = False):
+    """``ctx.rec_basis`` on the data ``rule`` of a group's ``cells`` (ascending),
+    once per shape in a chunk's ``shapes`` at ``ctx.cells[s]``'s own points:
+    ``(inv, weights, values, gradients or None)``, cell ``b`` at row ``inv[b]``."""
     u, inv = np.unique(shapes, return_inverse=True)
     at = np.searchsorted(cells, ctx.cells[u])
-    basis = replace(ctx.rec_basis, center=ctx.rec_basis.center[u], scale=ctx.rec_basis.scale[u],
-                    degree=ctx.rec_basis.degree if degree is None else degree, exponents=None)
+    basis = replace(ctx.rec_basis, center=ctx.rec_basis.center[u], scale=ctx.rec_basis.scale[u])
     return (inv, rule.weights[at]) + basis.eval(rule.points[at], gradients)
 
 
 def local_rhs(ctx: CellContext, f, rule: QuadratureRule, cells, shapes) -> np.ndarray:
     """Source vectors of a group's ``cells``, cell block only: ``f`` sampled
-    at each cell's own points of the data ``rule``, tested with the cell
-    basis of its shape (:func:`data_basis`), ``CHUNK`` cells at a time."""
+    at each cell's own points of the data ``rule``, tested with its shape's
+    cell basis (the first ``n_cell`` columns of :func:`data_basis`'s values),
+    ``CHUNK`` cells at a time."""
     fx = sample(f, rule.points, rank=ctx.degrees.rank, ids=cells)
     b = np.zeros((len(cells), ctx.layout.size))
     for s in range(0, len(cells), asm.CHUNK):
-        inv, w, phi, _ = data_basis(ctx, rule, cells, shapes[s:s + asm.CHUNK],
-                                    degree=ctx.degrees.k_cell)
-        wphi = (w[..., None] * phi)[inv]
+        inv, w, phi, _ = data_basis(ctx, rule, cells, shapes[s:s + asm.CHUNK])
+        wphi = (w[..., None] * phi[..., : ctx.n_cell])[inv]
         blk = wphi.mT @ fx[s:s + asm.CHUNK].reshape(wphi.shape[:2] + (-1,))
         b[s:s + asm.CHUNK, ctx.layout.cell] = blk.reshape(len(blk), -1)
     return b
@@ -263,7 +261,7 @@ def _face_flux_checks(sol: Solution):
     for g in sol.groups:
         ops, shapes, b = g.ops, g.shapes, g.rhs
         ctx, f = ops.ctx, ops.ctx.faces
-        index = cell_faces(mesh, g.cells)
+        index = mesh.cell_face_indices(g.cells)
         v = sol.local_dofs(g.cells)
         t = ops.face_fluxes(v, shapes)
         scale = max(scale, float(np.abs(b).max()),
@@ -388,6 +386,13 @@ def fit_rate(hs, errs, points: int = 3) -> float:
     return float(slope)
 
 
+def check_levels(levels: int) -> None:
+    """Reject a study too short to fit a rate, before any solve."""
+    if levels < 2:
+        raise ValueError("a convergence study needs at least 2 levels "
+                         "(4 or more for trustworthy rates)")
+
+
 # ---------------------------------------------------------------------------
 # mesh families and convergence studies
 
@@ -431,9 +436,7 @@ class ConvergenceReport:
 def convergence_study(spec: ProblemSpec, family: str, degrees: HhoDegrees,
                       levels: int = 4, base: int = 8, solver: str = "direct",
                       tol: float = 1e-12, check_fluxes: bool = False) -> ConvergenceReport:
-    if levels < 2:
-        raise ValueError("a convergence study needs at least 2 levels "
-                         "(4 or more for trustworthy rates)")
+    check_levels(levels)
     report = ConvergenceReport(problem=spec.name, family=family,
                                k=degrees.k_face,
                                mode="plus" if degrees.mixed else "equal")
@@ -479,6 +482,7 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
     reconstruction of the reduced target at k+2; both stabilization
     seminorms at k+1.
     """
+    check_levels(levels)
     dim = 1 if family == "interval" else 2
     v = lambda x: np.prod(np.sin(np.pi * x), axis=1)
     blocks = [
@@ -519,7 +523,7 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
             out[4] = _stab_seminorm(ctx2, shapes, stabilization_ls(ctx2)[0], red2)
 
             # face projection error, each interior face counted once
-            index = cell_faces(mesh, cells)
+            index = mesh.cell_face_indices(cells)
             faces = index[mesh.face_cells[index, 0] == cells[:, None]]
             if mesh.dim == 2 and len(faces):
                 fb = face_basis(mesh, faces, k)
@@ -625,7 +629,7 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
         cells, faces = asm.recover_cells(mesh, condensed, dofmap, x,
                                          dirichlet_values=np.zeros((mesh.n_faces, 1)))
         # an interval mesh is one group: both end faces of every cell at once
-        lam = faces[cell_faces(mesh, np.arange(mesh.n_cells)), 0]
+        lam = faces[mesh.cell_face_indices(np.arange(mesh.n_cells)), 0]
         expect = 0.5 * hcells ** 2 * fbar + 0.5 * (lam[:, 0] + lam[:, 1])
         recovery_dev = float(np.max(np.abs(cells[:, 0] - expect)
                                     / np.maximum(np.abs(expect), 1e-30), initial=0.0))
@@ -654,6 +658,7 @@ def locking_test(spec_builder, degrees: HhoDegrees, family: str = "tri",
                  lam_factors=(1.0, 1e2, 1e4)) -> LockingReport:
     """Energy errors across a lambda sweep; the rates and the max/min error
     ratio on the finest mesh quantify locking robustness."""
+    check_levels(levels)
     all_errors = []
     rates = []
     for factor in lam_factors:

@@ -137,14 +137,16 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     mass_full = gram[:, :n_rec, :n_rec].copy()
     grad_mass = gram[:, n_rec:, :n_k].reshape(nb, n_rec, d, n_k).copy()
     grad_gram = gram[:, n_rec:, n_rec:].reshape(nb, n_rec, d, n_rec, d).copy()
-    lam = np.linalg.eigvalsh(mass_full)
+    # Jacobi scaling removes an axis-aligned stretch exactly (van der Sluis)
+    s = 1.0 / np.sqrt(np.diagonal(mass_full, axis1=1, axis2=2))
+    lam = np.linalg.eigvalsh(s[:, :, None] * mass_full * s[:, None, :])
     bad = np.flatnonzero(lam[:, 0] * COND_LIMIT < lam[:, -1])   # also a round-off lam_min <= 0
     if len(bad):
         b = bad[0]
         cond = lam[b, -1] / lam[b, 0] if lam[b, 0] > 0 else np.inf
         raise ValueError(
-            f"cell {cells[b]}: mass-matrix condition number {cond:.2e} exceeds "
-            f"{COND_LIMIT:.0e}; reduce the degree or orthonormalize the basis")
+            f"cell {cells[b]}: mass-matrix condition number {cond:.2e} (diagonally "
+            f"scaled) exceeds {COND_LIMIT:.0e}; reduce the degree or the aspect ratio")
     mass_k_inv = mass_cholesky(mass_full[:, :n_k, :n_k], cells)
     return CellContext(mesh=mesh, cells=cells, geom=geom, degrees=degrees,
                        layout=layout, rec_basis=rec_basis, mass_full=mass_full,

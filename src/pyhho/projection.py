@@ -1,4 +1,4 @@
-"""L2 projections, mass matrices, and reduction onto the hybrid space.
+"""L2 projections, mass-matrix inverses, and reduction onto the hybrid space.
 
 The reduction of a function collects its cell projection and its face
 projections into one local DoF vector laid out as ``[T | F_1 | ... | F_n]``.
@@ -82,13 +82,6 @@ def dof_layout(mesh: Mesh, degrees: HhoDegrees, n_faces: int) -> DofLayout:
     return DofLayout(cell_width, face_width, n_faces)
 
 
-def mass_matrix(basis: Basis, rule: QuadratureRule) -> np.ndarray:
-    """Symmetric positive-definite Gram matrix of the basis under ``rule``."""
-    vals, _ = basis.eval(rule.points, gradients=False)
-    M = vals.mT @ (rule.weights[..., None] * vals)
-    return 0.5 * (M + M.mT)
-
-
 def checked(fn, *stacks, ids, what: str, entity: str = "cell"):
     """``fn(*stacks)`` for a batched LAPACK routine; when it fails on the
     stack, raise a ``ValueError`` naming the first failing entry by its id."""
@@ -162,8 +155,8 @@ def l2_project(basis: Basis, rule: QuadratureRule, f, rank: int | None = None,
     M_inv = mass_cholesky(M.reshape((-1,) + M.shape[-2:]), ids=ids,
                           entity=entity).reshape(M.shape)
     columns = fx if fx.ndim == vals.ndim else fx[..., None]
-    coeffs = M_inv @ (weighted.mT @ columns)
-    return coeffs if fx.ndim == vals.ndim else coeffs[..., 0]
+    coef = M_inv @ (weighted.mT @ columns)
+    return coef if fx.ndim == vals.ndim else coef[..., 0]
 
 
 def reduce_local(mesh: Mesh, cells, degrees: HhoDegrees, v,
@@ -197,21 +190,16 @@ def reduce_global(mesh: Mesh, degrees: HhoDegrees, v, quad_bump: int = 2):
     face_coeffs = np.zeros((mesh.n_faces, fw))
     for cells in mesh.cell_groups():
         local = reduce_local(mesh, cells, degrees, v, quad_bump)
-        faces = cell_faces(mesh, cells)
+        faces = mesh.cell_face_indices(cells)
         cell_coeffs[cells] = local[:, :cw]
         face_coeffs[faces] = local[:, cw:].reshape(faces.shape + (fw,))
     return cell_coeffs, face_coeffs
 
 
-def cell_faces(mesh: Mesh, cells) -> np.ndarray:
-    """Global face indices of a cell, or ``(nb, n_faces)`` for a group."""
-    return mesh.cell_face_indices(cells)
-
-
 def gather_local(mesh: Mesh, cells, degrees: HhoDegrees,
                  cell_coeffs: np.ndarray, face_coeffs: np.ndarray) -> np.ndarray:
     """Local DoF vectors of a cell or a group of cells from global arrays."""
-    faces = cell_faces(mesh, cells)
+    faces = mesh.cell_face_indices(cells)
     return np.concatenate([np.asarray(cell_coeffs)[cells],
                            face_coeffs[faces].reshape(faces.shape[:-1] + (-1,))],
                           axis=-1)

@@ -23,6 +23,19 @@ def jittered_mesh(kind, n, seed, amplitude=None):
     return Mesh(2, verts, base.cells)
 
 
+def rotated(mesh, degrees):
+    """``mesh`` rotated counterclockwise about the origin."""
+    t = np.radians(degrees)
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return Mesh(2, mesh.vertices @ rot.T, mesh.cells)
+
+
+def scaled_condition(M):
+    """Condition numbers of a stack of Gram matrices after Jacobi scaling."""
+    s = 1.0 / np.sqrt(np.diagonal(M, axis1=-2, axis2=-1))
+    return np.linalg.cond(s[..., :, None] * M * s[..., None, :])
+
+
 def data_rule_basis(ctx):
     """The problem-data rule of order ``data_order`` on the cells of
     ``ctx``, and ``ctx.rec_basis``'s values ``(nb, nq, n_rec)`` and

@@ -3,10 +3,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from pyhho.basis import Basis, face_basis, orthonormalize, scaled_monomial_basis
+from pyhho.basis import Basis, face_basis, scaled_monomial_basis
 from pyhho.mesh import build_interval_mesh, build_structured_mesh
-from pyhho.quadrature import cell_quadrature, face_quadrature
-from pyhho.projection import l2_project, mass_matrix
+from pyhho.quadrature import face_quadrature
+from pyhho.projection import l2_project
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -27,9 +27,30 @@ def test_basis_count_law(dim, k):
 
 def test_degree_cap():
     mesh = build_structured_mesh("quad", 1, 1)
-    with pytest.raises(ValueError):
+    assert scaled_monomial_basis(mesh.cell_geometry(0), 6).size == 28
+    with pytest.raises(ValueError, match="degree 7 above cap 6"):
         scaled_monomial_basis(mesh.cell_geometry(0), 7)
-    scaled_monomial_basis(mesh.cell_geometry(0), 7, max_degree=8)
+    with pytest.raises(ValueError, match="degree 7 above cap 6"):
+        face_basis(mesh, 0, 7)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_values_are_products_of_powers_bit_for_bit(k):
+    # the in-place evaluation equals the product over components of each
+    # coordinate's repeated-multiplication power, exactly
+    rng = np.random.default_rng(k)
+    b = Basis(entity_dim=2, degree=k, center=rng.random((3, 2)), scale=rng.random(3) + 0.5)
+    pts = rng.random((3, 5, 2))
+    vals, _ = b.eval(pts, gradients=False)
+    xt = 2.0 * (pts - b.center[:, None]) / b.scale[:, None, None]
+    for i, (a, c) in enumerate(b.exponents):
+        xa, yc = np.ones(pts.shape[:-1]), np.ones(pts.shape[:-1])
+        for _ in range(a):
+            xa = xa * xt[..., 0]
+        for _ in range(c):
+            yc = yc * xt[..., 1]
+        np.testing.assert_array_equal(vals[..., i], xa * yc)
+    np.testing.assert_array_equal(b.eval(pts)[0], vals)
 
 
 def test_values_at_center():
@@ -98,15 +119,3 @@ def test_face_basis_orientation_invariance():
     pa, _ = fb.eval(rule.points)
     pb, _ = flipped.eval(rule.points)
     np.testing.assert_allclose(pa @ ca, pb @ cb, atol=1e-12)
-
-
-def test_orthonormalize_gives_identity_mass():
-    mesh = build_structured_mesh("tri", 1, 1)
-    g = mesh.cell_geometry(0)
-    rule = cell_quadrature(g, 8)
-    b = orthonormalize(scaled_monomial_basis(g, 3), rule)
-    M = mass_matrix(b, rule)
-    np.testing.assert_allclose(M, np.eye(b.size), atol=1e-12)
-    # constant stays first (scaled)
-    vals, _ = b.eval(g.barycenter[None, :])
-    assert abs(vals[0, 0] - 1.0 / np.sqrt(g.measure)) < 1e-12

@@ -19,6 +19,21 @@ def test_parse_gen_variants():
         parse_gen("hex:2:2")
 
 
+@pytest.mark.parametrize("spec, form", [("interval", "interval:N"), ("quad:8", "quad:NX:NY"),
+                                        ("tri:", "tri:NX:NY"), ("hanging:4", "hanging:NX:NY")])
+def test_parse_gen_rejects_too_few_fields(spec, form, tmp_path):
+    with pytest.raises(SystemExit, match=f"^error: too few fields in '{spec}'; expected {form}"):
+        main(["solve", "--gen", spec, "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("argv", [["verify", "--levels", "1"], ["verify", "--levels", "0"],
+                                  ["locking", "--levels", "1"]])
+def test_studies_with_fewer_than_two_levels_rejected(argv, tmp_path):
+    with pytest.raises(SystemExit, match="^error: a convergence study needs at least 2 levels"):
+        main(argv + ["--out", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
 def test_elasticity_k0_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["locking", "--k", "0", "--out", str(tmp_path)])

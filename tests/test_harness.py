@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from pyhho import assembly as asm
+from pyhho import harness
 from pyhho.elasticity import local_bilinear_elastic
 from pyhho.harness import (build_local, convergence_study, discrete_energy,
                            error_norms, fit_rate, flux_residuals,
-                           galerkin_residual, local_rhs, mesh_family, oracle_1d,
-                           solve_problem, traction_residuals, verify_operators)
+                           galerkin_residual, local_rhs, locking_test, mesh_family,
+                           oracle_1d, solve_problem, traction_residuals,
+                           verify_operators)
 from pyhho.local_ops import build_cell_context, local_bilinear
 from pyhho.mesh import (build_hanging_node_mesh, build_interval_mesh,
                         build_structured_mesh)
@@ -198,6 +200,55 @@ def test_convergence_study_validation():
         convergence_study(poisson_sin_2d(), "quad", equal_order(1), levels=1)
     with pytest.raises(ValueError):
         mesh_family("moebius", 0)
+
+
+@pytest.mark.parametrize("levels", [0, 1])
+@pytest.mark.parametrize("study", ["convergence", "verify", "locking"])
+def test_studies_need_two_levels_before_any_solve(monkeypatch, study, levels):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(harness, "mesh_family", no_mesh)
+    run = {"convergence": lambda: convergence_study(poisson_sin_2d(), "quad", equal_order(1),
+                                                    levels=levels),
+           "verify": lambda: verify_operators("quad", 1, levels=levels),
+           "locking": lambda: locking_test(elasticity_divfree, equal_order(1, rank=2),
+                                           levels=levels)}[study]
+    with pytest.raises(ValueError, match="^a convergence study needs at least 2 levels"):
+        run()
+
+
+def strip_problem(length):
+    """sin(pi x / length) sin(pi y) on [0, length] x [0, 1]."""
+    def u(x):
+        return np.sin(np.pi * x[:, 0] / length) * np.sin(np.pi * x[:, 1])
+
+    def grad(x):
+        a, b = np.pi * x[:, 0] / length, np.pi * x[:, 1]
+        return np.pi * np.column_stack([np.cos(a) * np.sin(b) / length,
+                                        np.sin(a) * np.cos(b)])
+
+    return ProblemSpec(kind="poisson", name="poisson-strip",
+                       f=lambda x: np.pi ** 2 * (1.0 + length ** -2) * u(x),
+                       u_dirichlet=u, exact=u, exact_grad=grad)
+
+
+@pytest.mark.parametrize("solver", ["direct", "cg"])
+def test_axis_aligned_strips_converge_at_acceptance_rates(solver):
+    # n x n quads of aspect ratio 500 on [0, 500] x [0, 1]; the rate bands are
+    # acceptance criterion 1's
+    length = 500.0
+    spec = strip_problem(length)
+    for k in range(4):
+        rows = [error_norms(solve_problem(
+            build_structured_mesh("quad", n, n, bounds=((0.0, length), (0.0, 1.0))),
+            equal_order(k), spec, solver=solver)) for n in (4, 8, 16, 32)]
+        hs = [r.h for r in rows]
+        rate_h1 = fit_rate(hs, [r.err_h1 for r in rows])
+        rate_l2 = fit_rate(hs, [r.err_l2_cell for r in rows])
+        assert k + 0.85 <= rate_h1 <= k + 1.25, (k, rate_h1)
+        l2_band = (1.6, 2.4) if k == 0 else (k + 1.75, k + 2.35)
+        assert l2_band[0] <= rate_l2 <= l2_band[1], (k, rate_l2)
 
 
 def test_study_runs_and_reports():

@@ -12,7 +12,7 @@ from pyhho.projection import equal_order, l2_project, mixed_order, reduce_local
 from pyhho.quadrature import cell_quadrature, face_quadrature
 from pyhho.basis import face_basis
 
-from support import data_rule_basis, jittered_mesh
+from support import data_rule_basis, jittered_mesh, rotated, scaled_condition
 
 
 def pentagon_mesh():
@@ -311,21 +311,32 @@ def test_equal_order_stabilization_matches_reduced_reconstruction_formula():
 def test_condition_guard_names_lowest_offending_cell(monkeypatch):
     mesh = jittered_mesh("tri", 3, 5, amplitude=0.1)
     cells = mesh.cell_groups()[0]
-    cond = np.linalg.cond(build_cell_context(mesh, cells, equal_order(2)).mass_full)
+    cond = scaled_condition(build_cell_context(mesh, cells, equal_order(2)).mass_full)
     limit = 1.1 * cond[0]                # the group's first cell stays below it
     offending = cells[cond > limit]
     assert len(offending) >= 2
     monkeypatch.setattr(local_ops, "COND_LIMIT", limit)
     with pytest.raises(ValueError, match=f"^cell {offending.min()}: mass-matrix condition "
-                                         f"number .* exceeds {re.escape(f'{limit:.0e}')}"):
+                                         r"number .* \(diagonally scaled\) exceeds "
+                                         f"{re.escape(f'{limit:.0e}')}"):
         build_cell_context(mesh, cells, equal_order(2))
 
 
 def test_condition_guard_rejects_high_aspect_ratio_cells():
-    mesh = build_structured_mesh("quad", 512, 1)
+    # Jacobi scaling removes an axis-aligned stretch: a 512:1 strip builds at
+    # every degree, its scaled condition numbers those of the unit square
+    strip, square = build_structured_mesh("quad", 512, 1), build_structured_mesh("quad", 1, 1)
+    for k in range(4):
+        np.testing.assert_allclose(
+            scaled_condition(build_cell_context(strip, [0], equal_order(k)).mass_full),
+            scaled_condition(build_cell_context(square, [0], equal_order(k)).mass_full),
+            rtol=1e-6)
+    # rotated by 30 degrees, a 100:1 strip stays ill-conditioned after scaling
+    mesh = rotated(build_structured_mesh("quad", 100, 1), 30)
     build_cell_context(mesh, mesh.cell_groups()[0], equal_order(1))
-    with pytest.raises(ValueError, match="^cell 0: mass-matrix condition number"):
-        build_cell_context(mesh, mesh.cell_groups()[0], equal_order(2))
+    with pytest.raises(ValueError, match=r"^cell 0: mass-matrix condition number "
+                                         r".* \(diagonally scaled\)"):
+        build_cell_context(mesh, mesh.cell_groups()[0], equal_order(3))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

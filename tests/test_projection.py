@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from pyhho.basis import scaled_monomial_basis
+from pyhho.local_ops import build_cell_context
 from pyhho.mesh import build_interval_mesh, build_structured_mesh
 from pyhho.projection import (HhoDegrees, dof_layout, equal_order, gather_local,
-                              l2_project, mass_matrix, mixed_order,
+                              l2_project, mixed_order,
                               reduce_global, reduce_local)
 from pyhho.quadrature import cell_quadrature
 
@@ -14,20 +15,11 @@ def interval_cell(a=-1.0, b=1.0):
 
 
 def test_mass_matrix_hand_example():
-    # cell (-1, 1): h = 2, x_tilde = x, so M = diag(2, 2/3) for k = 1
-    g = interval_cell()
-    basis = scaled_monomial_basis(g, 1)
-    M = mass_matrix(basis, cell_quadrature(g, 4))
+    # cell (-1, 1): h = 2, x_tilde = x, so the degree-1 basis (the
+    # reconstruction basis at k = 0) has M = diag(2, 2/3)
+    mesh = build_interval_mesh(-1.0, 1.0, 1)
+    M = build_cell_context(mesh, 0, equal_order(0)).mass_full[0]
     np.testing.assert_allclose(M, [[2.0, 0.0], [0.0, 2.0 / 3.0]], atol=1e-14)
-
-
-def test_mass_matrix_symmetric():
-    mesh = build_structured_mesh("tri", 2, 1)
-    for ci in range(mesh.n_cells):
-        g = mesh.cell_geometry(ci)
-        M = mass_matrix(scaled_monomial_basis(g, 3), cell_quadrature(g, 8))
-        np.testing.assert_array_equal(M, M.T)
-        assert np.linalg.eigvalsh(M).min() > 0
 
 
 def test_project_polynomial_reproduction():

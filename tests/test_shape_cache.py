@@ -15,7 +15,7 @@ from pyhho.mesh import Mesh, build_interval_mesh, build_structured_mesh
 from pyhho.problems import elasticity_compressible, poisson_sin_1d, poisson_sin_2d
 from pyhho.projection import HhoDegrees
 
-from support import data_rule_basis, jittered_mesh
+from support import data_rule_basis, jittered_mesh, rotated, scaled_condition
 
 OPERATOR_FIELDS = ("L", "stab_face", "rec", "flux", "balance")
 CONDENSED_FIELDS = ("L_c", "X", "y", "b_c")
@@ -120,8 +120,7 @@ def arrays(record, path="ops"):
         yield path, record
     elif dataclasses.is_dataclass(record):
         for f in dataclasses.fields(record):
-            # the mesh is not the group's; the exponents are the degree's
-            if f.name not in ("mesh", "exponents"):
+            if f.name != "mesh":          # the mesh is not the group's
                 yield from arrays(getattr(record, f.name), f"{path}.{f.name}")
 
 
@@ -253,10 +252,11 @@ def test_near_copies_get_their_own_shape():
 
 
 def test_condition_guard_names_lowest_offending_cell(monkeypatch):
-    # columns of widths 1 and 0.2: the narrow cells 4, 5, 8, 9 share a shape
-    mesh = graded_quad_mesh([1.0, 1.0, 0.2, 1.0, 0.2])
-    cond = np.linalg.cond(build_cell_context(mesh, mesh.cell_groups()[0],
-                                             HhoDegrees(2, 2)).mass_full)
+    # columns of widths 1 and 0.2, rotated so that Jacobi scaling cannot undo
+    # the aspect ratio: the narrow cells 4, 5, 8, 9 share a shape
+    mesh = rotated(graded_quad_mesh([1.0, 1.0, 0.2, 1.0, 0.2]), 30)
+    cond = scaled_condition(build_cell_context(mesh, mesh.cell_groups()[0],
+                                               HhoDegrees(2, 2)).mass_full)
     limit = np.sqrt(cond.min() * cond.max())
     assert np.flatnonzero(cond > limit).tolist() == [4, 5, 8, 9]
     monkeypatch.setattr(local_ops, "COND_LIMIT", limit)
@@ -280,9 +280,14 @@ def test_singular_cell_block_names_lowest_offending_cell(monkeypatch):
 
 
 def test_strip_names_cell_zero():
-    mesh = build_structured_mesh("quad", 512, 1)
+    # an axis-aligned 512:1 strip solves at k=2; rotated by 30 degrees a
+    # 100:1 strip is rejected at k=3, naming its lowest cell
+    sol = solve_problem(build_structured_mesh("quad", 512, 1), HhoDegrees(2, 2),
+                        poisson_sin_2d())
+    assert np.isfinite(sol.face_coeffs).all() and sol.residual <= 1e-10
+    mesh = rotated(build_structured_mesh("quad", 100, 1), 30)
     with pytest.raises(ValueError, match="^cell 0: mass-matrix condition number"):
-        solve_problem(mesh, HhoDegrees(2, 2), poisson_sin_2d())
+        solve_problem(mesh, HhoDegrees(3, 3), poisson_sin_2d())
 
 
 def test_debug_line_per_group(caplog):
