@@ -366,8 +366,8 @@ def _auxiliary_space(dofmap: DofMap) -> sp.csc_matrix:
     """The two-level CG's auxiliary space ``P`` ``(n_reduced, m)``.
 
     Its columns are the lowest-order finite-element vertex hats, one per
-    vertex and component, traced on the free faces: in the chart from
-    ``face_nodes[f, 0]`` to ``face_nodes[f, 1]`` the trace of a hat has
+    vertex and component, traced on the free faces: in the face coordinate,
+    -1 at ``face_nodes[f, 0]`` and 1 at ``face_nodes[f, 1]``, a hat's trace has
     constant coefficient ``(phi(a) + phi(b)) / 2`` and linear coefficient
     ``(phi(b) - phi(a)) / 2`` (in 1D a face is a vertex and holds just the
     value).  For vector fields the curls of the hats of the vertices on no

@@ -51,7 +51,7 @@ def data_basis(ctx: CellContext, rule: QuadratureRule, cells, shapes, gradients:
     ``(inv, weights, values, gradients or None)``, cell ``b`` at row ``inv[b]``."""
     u, inv = np.unique(shapes, return_inverse=True)
     at = np.searchsorted(cells, ctx.cells[u])
-    basis = replace(ctx.rec_basis, center=ctx.rec_basis.center[u], scale=ctx.rec_basis.scale[u])
+    basis = replace(ctx.rec_basis, center=ctx.rec_basis.center[u], map=ctx.rec_basis.map[u])
     return (inv, rule.weights[at]) + basis.eval(rule.points[at], gradients)
 
 

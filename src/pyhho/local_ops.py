@@ -96,7 +96,7 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     """Face data and Gram matrices of a group of cells of one quadrature
     class (one cell index: a group of one), from face quadrature alone.
 
-    By Euler's theorem for the scaled monomials, homogeneous about ``x_T``,
+    By Euler's theorem for the mapped monomials, homogeneous about ``x_T``,
     a Gram entry ``int_T q`` with ``q`` of degree ``p`` is ``sum_F (n_F . (x -
     x_T)) int_F q / (d + p)``, exact at the order-``2(k+1)`` face points.
     """
@@ -137,7 +137,7 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     mass_full = gram[:, :n_rec, :n_rec].copy()
     grad_mass = gram[:, n_rec:, :n_k].reshape(nb, n_rec, d, n_k).copy()
     grad_gram = gram[:, n_rec:, n_rec:].reshape(nb, n_rec, d, n_rec, d).copy()
-    # Jacobi scaling removes an axis-aligned stretch exactly (van der Sluis)
+    # Jacobi scaling: no diagonal rescaling of the basis changes the measure (van der Sluis)
     s = 1.0 / np.sqrt(np.diagonal(mass_full, axis1=1, axis2=2))
     lam = np.linalg.eigvalsh(s[:, :, None] * mass_full * s[:, None, :])
     bad = np.flatnonzero(lam[:, 0] * COND_LIMIT < lam[:, -1])   # also a round-off lam_min <= 0

@@ -41,6 +41,7 @@ class CellGeometry:
     barycenter: np.ndarray        # (dim,)
     diameter: float
     measure: float
+    frame: np.ndarray             # (dim, dim) J^(-1/2) / sqrt(3 dim): see _stack_geometry
     face_indices: np.ndarray      # (nf,) global face index per local face
     face_measures: np.ndarray     # (nf,)
     face_normals: np.ndarray      # (nf, dim), unit outward
@@ -63,7 +64,7 @@ def is_parallelogram(pts: np.ndarray) -> np.ndarray:
     return np.abs(d).max(axis=-1) <= 1e-13 * scale
 
 
-_FIELDS = ("vertices", "barycenter", "diameter", "measure", "face_indices",
+_FIELDS = ("vertices", "barycenter", "diameter", "measure", "frame", "face_indices",
            "face_measures", "face_normals")
 
 # per-cell checks in the order a cell is tested against them
@@ -79,6 +80,7 @@ def _stack_geometry(dim: int, pts: np.ndarray) -> dict:
     if dim == 1:
         a, b = pts[:, 0, 0], pts[:, 1, 0]
         return dict(barycenter=0.5 * (a + b)[:, None], diameter=b - a, measure=b - a,
+                    frame=(2.0 / (b - a))[:, None, None],
                     face_measures=np.ones((len(pts), 2)),
                     face_normals=np.tile([[-1.0], [1.0]], (len(pts), 1, 1)))
     # shoelace sums relative to the first vertex, which keeps them accurate
@@ -90,9 +92,18 @@ def _stack_geometry(dim: int, pts: np.ndarray) -> dict:
     edge = np.roll(pts, -1, axis=1) - pts
     lengths = np.linalg.norm(edge, axis=-1)
     diffs = pts[:, :, None, :] - pts[:, None, :, :]
+    c = ((rel + nxt) * cross[..., None]).sum(axis=1) / (6.0 * area[:, None])
+    # frame: J^(-1/2) / sqrt(3 d) for J = int_T (x - x_T)(x - x_T)^T / |T| over the fan's
+    # triangles (0, a, b), each (a x b)(aa^T + bb^T + (a+b)(a+b)^T) / 24; sqrt(J) = (J + s I)
+    # / sqrt(tr J + 2 s), s^2 = det J floored at its round-off, inverted by Cayley-Hamilton
+    J = sum((v * cross[..., None]).mT @ v for v in (rel, nxt, rel + nxt))
+    J = J / (24.0 * area[:, None, None]) - c[:, :, None] * c[:, None, :]
+    t = J[:, :1, :1] + J[:, 1:, 1:]
+    det = J[:, :1, :1] * J[:, 1:, 1:] - J[:, :1, 1:] * J[:, 1:, :1]
+    s = np.sqrt(np.maximum(det, (1e-16 * t) ** 2))
     return dict(
-        barycenter=pts[:, 0] + ((rel + nxt) * cross[..., None]).sum(axis=1)
-        / (6.0 * area[:, None]),
+        barycenter=pts[:, 0] + c,
+        frame=((t + s) * np.eye(2) - J) / (s * np.sqrt(t + 2.0 * s)) / np.sqrt(6.0),
         diameter=np.sqrt((diffs ** 2).sum(axis=-1).max(axis=(1, 2))), measure=area,
         face_measures=lengths,
         # CCW loop: outward normal is the edge direction rotated by -90 deg

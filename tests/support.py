@@ -4,6 +4,7 @@ import numpy as np
 
 from pyhho.harness import data_order
 from pyhho.mesh import Mesh, build_structured_mesh
+from pyhho.problems import ProblemSpec
 from pyhho.quadrature import cell_quadrature
 
 
@@ -23,11 +24,34 @@ def jittered_mesh(kind, n, seed, amplitude=None):
     return Mesh(2, verts, base.cells)
 
 
+def rotation(degrees):
+    """The counterclockwise rotation by ``degrees`` as a 2 x 2 matrix."""
+    t = np.radians(degrees)
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
 def rotated(mesh, degrees):
     """``mesh`` rotated counterclockwise about the origin."""
-    t = np.radians(degrees)
-    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-    return Mesh(2, mesh.vertices @ rot.T, mesh.cells)
+    return Mesh(2, mesh.vertices @ rotation(degrees).T, mesh.cells)
+
+
+def strip_problem(length, angle=0.0):
+    """sin(pi x / length) sin(pi y) on [0, length] x [0, 1], turned like
+    :func:`rotated` by ``angle`` degrees."""
+    rot = rotation(angle)
+
+    def u(x):
+        x = x @ rot                  # rows of R^T x
+        return np.sin(np.pi * x[:, 0] / length) * np.sin(np.pi * x[:, 1])
+
+    def grad(x):
+        a, b = (np.pi * (x @ rot) / [length, 1.0]).T
+        return np.pi * np.column_stack([np.cos(a) * np.sin(b) / length,
+                                        np.sin(a) * np.cos(b)]) @ rot.T
+
+    return ProblemSpec(kind="poisson", name="poisson-strip",
+                       f=lambda x: np.pi ** 2 * (1.0 + length ** -2) * u(x),
+                       u_dirichlet=u, exact=u, exact_grad=grad)
 
 
 def scaled_condition(M):

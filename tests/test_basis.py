@@ -39,10 +39,10 @@ def test_values_are_products_of_powers_bit_for_bit(k):
     # the in-place evaluation equals the product over components of each
     # coordinate's repeated-multiplication power, exactly
     rng = np.random.default_rng(k)
-    b = Basis(entity_dim=2, degree=k, center=rng.random((3, 2)), scale=rng.random(3) + 0.5)
+    b = Basis(entity_dim=2, degree=k, center=rng.random((3, 2)), map=rng.random((3, 2, 2)) + 0.5)
     pts = rng.random((3, 5, 2))
     vals, _ = b.eval(pts, gradients=False)
-    xt = 2.0 * (pts - b.center[:, None]) / b.scale[:, None, None]
+    xt = (pts - b.center[:, None]) @ b.map.mT
     for i, (a, c) in enumerate(b.exponents):
         xa, yc = np.ones(pts.shape[:-1]), np.ones(pts.shape[:-1])
         for _ in range(a):
@@ -64,16 +64,16 @@ def test_values_at_center():
 
 
 def test_1d_hand_example():
-    # center 0, scale 2, k = 2, evaluated at x = 1: x_tilde = 1
-    b = Basis(entity_dim=1, degree=2, center=np.zeros(1), scale=2.0)
+    # center 0, map [[1]], k = 2, evaluated at x = 1: x_tilde = 1
+    b = Basis(entity_dim=1, degree=2, center=np.zeros(1), map=np.eye(1))
     vals, grads = b.eval(np.array([[1.0]]))
     np.testing.assert_allclose(vals[0], [1.0, 1.0, 1.0])
     np.testing.assert_allclose(grads[0, :, 0], [0.0, 1.0, 2.0])
 
 
 def test_2d_hand_example():
-    # center (0,0), scale 2: x_tilde = x; the function x~ y~ at (1,1)
-    b = Basis(entity_dim=2, degree=2, center=np.zeros(2), scale=2.0)
+    # center (0,0), map I: x_tilde = x; the function x~ y~ at (1,1)
+    b = Basis(entity_dim=2, degree=2, center=np.zeros(2), map=np.eye(2))
     idx = [i for i, e in enumerate(b.exponents) if tuple(e) == (1, 1)][0]
     vals, grads = b.eval(np.array([[1.0, 1.0]]))
     assert vals[0, idx] == pytest.approx(1.0)
@@ -110,8 +110,7 @@ def test_face_basis_orientation_invariance():
     mesh = build_structured_mesh("tri", 1, 1)
     fi = int(np.flatnonzero(~mesh.boundary_faces)[0])
     fb = face_basis(mesh, fi, 2)
-    flipped = Basis(entity_dim=1, degree=2, center=np.zeros(1), scale=fb.scale,
-                    origin=fb.origin, tangent=-fb.tangent)
+    flipped = Basis(entity_dim=1, degree=2, center=fb.center, map=-fb.map)
     rule = face_quadrature(mesh, fi, 8)
     f = lambda x: np.sin(x[:, 0] + 2 * x[:, 1])
     ca = l2_project(fb, rule, f)

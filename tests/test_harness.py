@@ -18,7 +18,7 @@ from pyhho.problems import (ProblemSpec, elasticity_compressible,
                             poisson_sin_2d, rigid_body_problem)
 from pyhho.projection import HhoDegrees, equal_order, mixed_order, reduce_global
 
-from support import data_rule_basis, jittered_mesh
+from support import data_rule_basis, jittered_mesh, rotated, strip_problem
 
 
 def test_manufactured_sources_match_finite_differences():
@@ -218,37 +218,43 @@ def test_studies_need_two_levels_before_any_solve(monkeypatch, study, levels):
         run()
 
 
-def strip_problem(length):
-    """sin(pi x / length) sin(pi y) on [0, length] x [0, 1]."""
-    def u(x):
-        return np.sin(np.pi * x[:, 0] / length) * np.sin(np.pi * x[:, 1])
-
-    def grad(x):
-        a, b = np.pi * x[:, 0] / length, np.pi * x[:, 1]
-        return np.pi * np.column_stack([np.cos(a) * np.sin(b) / length,
-                                        np.sin(a) * np.cos(b)])
-
-    return ProblemSpec(kind="poisson", name="poisson-strip",
-                       f=lambda x: np.pi ** 2 * (1.0 + length ** -2) * u(x),
-                       u_dirichlet=u, exact=u, exact_grad=grad)
+def strip_rows(length, angle, k, solver="direct", ns=(4, 8, 16, 32)):
+    """Error rows of n x n quads on [0, length] x [0, 1] turned by ``angle``
+    degrees."""
+    spec = strip_problem(length, angle)
+    return [error_norms(solve_problem(
+        rotated(build_structured_mesh("quad", n, n, bounds=((0.0, length), (0.0, 1.0))), angle),
+        equal_order(k), spec, solver=solver)) for n in ns]
 
 
+@pytest.mark.parametrize("angle", [0, 30])
 @pytest.mark.parametrize("solver", ["direct", "cg"])
-def test_axis_aligned_strips_converge_at_acceptance_rates(solver):
-    # n x n quads of aspect ratio 500 on [0, 500] x [0, 1]; the rate bands are
-    # acceptance criterion 1's
-    length = 500.0
-    spec = strip_problem(length)
+def test_axis_aligned_strips_converge_at_acceptance_rates(solver, angle):
+    # n x n quads of aspect ratio 500 on [0, 500] x [0, 1], axis-aligned or
+    # turned by 30 degrees; the rate bands are acceptance criterion 1's
     for k in range(4):
-        rows = [error_norms(solve_problem(
-            build_structured_mesh("quad", n, n, bounds=((0.0, length), (0.0, 1.0))),
-            equal_order(k), spec, solver=solver)) for n in (4, 8, 16, 32)]
+        rows = strip_rows(500.0, angle, k, solver)
         hs = [r.h for r in rows]
         rate_h1 = fit_rate(hs, [r.err_h1 for r in rows])
         rate_l2 = fit_rate(hs, [r.err_l2_cell for r in rows])
         assert k + 0.85 <= rate_h1 <= k + 1.25, (k, rate_h1)
         l2_band = (1.6, 2.4) if k == 0 else (k + 1.75, k + 2.35)
         assert l2_band[0] <= rate_l2 <= l2_band[1], (k, rate_l2)
+
+
+@pytest.mark.parametrize("length", [100.0, 500.0])
+def test_turned_strips_match_their_axis_aligned_twins(length):
+    # the cell frames turn with the mesh, so the four error norms do not
+    # depend on the angle beyond round-off; from n = 16 on, the k = 3
+    # reconstruction error nears the floor that rounding the turned vertices
+    # sets (1e-5 relative from vertex noise of one ulp on the axis-aligned mesh)
+    for k in range(4):
+        for turned, aligned in zip(strip_rows(length, 30, k, ns=(4, 8)),
+                                   strip_rows(length, 0, k, ns=(4, 8))):
+            np.testing.assert_allclose(
+                [turned.err_h1, turned.err_l2_cell, turned.err_l2_rec, turned.stab],
+                [aligned.err_h1, aligned.err_l2_cell, aligned.err_l2_rec, aligned.stab],
+                rtol=1e-6)
 
 
 def test_study_runs_and_reports():

@@ -7,7 +7,7 @@ from pyhho import local_ops
 from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
                              local_bilinear, reconstruction, seminorm_gram,
                              stabilization_equal_order, stabilization_ls)
-from pyhho.mesh import build_hanging_node_mesh, build_structured_mesh, refine_uniform
+from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh, refine_uniform
 from pyhho.projection import equal_order, l2_project, mixed_order, reduce_local
 from pyhho.quadrature import cell_quadrature, face_quadrature
 from pyhho.basis import face_basis
@@ -309,7 +309,8 @@ def test_equal_order_stabilization_matches_reduced_reconstruction_formula():
 
 
 def test_condition_guard_names_lowest_offending_cell(monkeypatch):
-    mesh = jittered_mesh("tri", 3, 5, amplitude=0.1)
+    # jittered quads, which no affine frame makes alike
+    mesh = jittered_mesh("quad", 3, 2, amplitude=0.15)
     cells = mesh.cell_groups()[0]
     cond = scaled_condition(build_cell_context(mesh, cells, equal_order(2)).mass_full)
     limit = 1.1 * cond[0]                # the group's first cell stays below it
@@ -323,20 +324,26 @@ def test_condition_guard_names_lowest_offending_cell(monkeypatch):
 
 
 def test_condition_guard_rejects_high_aspect_ratio_cells():
-    # Jacobi scaling removes an axis-aligned stretch: a 512:1 strip builds at
-    # every degree, its scaled condition numbers those of the unit square
-    strip, square = build_structured_mesh("quad", 512, 1), build_structured_mesh("quad", 1, 1)
-    for k in range(4):
-        np.testing.assert_allclose(
-            scaled_condition(build_cell_context(strip, [0], equal_order(k)).mass_full),
-            scaled_condition(build_cell_context(square, [0], equal_order(k)).mass_full),
-            rtol=1e-6)
-    # rotated by 30 degrees, a 100:1 strip stays ill-conditioned after scaling
-    mesh = rotated(build_structured_mesh("quad", 100, 1), 30)
-    build_cell_context(mesh, mesh.cell_groups()[0], equal_order(1))
-    with pytest.raises(ValueError, match=r"^cell 0: mass-matrix condition number "
-                                         r".* \(diagonally scaled\)"):
-        build_cell_context(mesh, mesh.cell_groups()[0], equal_order(3))
+    # the inertia frame removes a stretch in any direction: a 512:1 strip
+    # builds at every degree with the scaled condition numbers of the unit
+    # square, and a 100:1 strip turned by 30 degrees with the turned square's
+    def cond(n, angle, k):
+        mesh = rotated(build_structured_mesh("quad", n, 1), angle)
+        return scaled_condition(build_cell_context(mesh, [0], equal_order(k)).mass_full)
+
+    for n, angle in ((512, 0), (100, 30)):
+        for k in range(4):
+            np.testing.assert_allclose(cond(n, angle, k), cond(1, angle, k), rtol=1e-6)
+
+
+def test_cell_thinner_than_round_off_is_left_to_the_guard():
+    # a 1e10:1 rectangle turned by 30 degrees: det J is below its round-off,
+    # so the frame stays finite and the guard, not a LinAlgError, stops the build
+    mesh = rotated(Mesh(2, [[0, 0], [1, 0], [1, 1e-10], [0, 1e-10]], [(0, 1, 2, 3)]), 30)
+    assert np.isfinite(mesh.cell_geometry(0).frame).all()
+    with pytest.raises(ValueError, match=r"^cell 0: mass-matrix condition number .* "
+                                         r"\(diagonally scaled\)"):
+        build_cell_context(mesh, [0], equal_order(1))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

@@ -252,11 +252,18 @@ def test_near_copies_get_their_own_shape():
 
 
 def test_condition_guard_names_lowest_offending_cell(monkeypatch):
-    # columns of widths 1 and 0.2, rotated so that Jacobi scaling cannot undo
-    # the aspect ratio: the narrow cells 4, 5, 8, 9 share a shape
-    mesh = rotated(graded_quad_mesh([1.0, 1.0, 0.2, 1.0, 0.2]), 30)
-    cond = scaled_condition(build_cell_context(mesh, mesh.cell_groups()[0],
-                                               HhoDegrees(2, 2)).mass_full)
+    # columns of widths 1 and 0.2, the narrow ones pinched at mid-height to
+    # near-triangles that no affine frame makes square: the pinched cells are
+    # 4, 5, 8, 9, and 4 and 8 share a shape, as do 5 and 9
+    mesh = graded_quad_mesh([1.0, 1.0, 0.2, 1.0, 0.2])
+    verts = mesh.vertices.copy()
+    for x, step in ((2.0, 0.08), (2.2, -0.08), (3.2, 0.08), (3.4, -0.08)):
+        verts[np.isclose(verts, [x, 0.5]).all(axis=1), 0] += step
+    mesh = Mesh(2, verts, mesh.cells)
+    cond = np.empty(mesh.n_cells)
+    for cells in mesh.cell_groups():
+        cond[cells] = scaled_condition(build_cell_context(mesh, cells,
+                                                          HhoDegrees(2, 2)).mass_full)
     limit = np.sqrt(cond.min() * cond.max())
     assert np.flatnonzero(cond > limit).tolist() == [4, 5, 8, 9]
     monkeypatch.setattr(local_ops, "COND_LIMIT", limit)
@@ -279,13 +286,16 @@ def test_singular_cell_block_names_lowest_offending_cell(monkeypatch):
         solve_problem(mesh, HhoDegrees(1, 1), poisson_sin_2d())
 
 
-def test_strip_names_cell_zero():
-    # an axis-aligned 512:1 strip solves at k=2; rotated by 30 degrees a
-    # 100:1 strip is rejected at k=3, naming its lowest cell
+def test_strip_names_cell_zero(monkeypatch):
+    # an axis-aligned 512:1 strip solves at k=2, and a 100:1 strip turned by
+    # 30 degrees at k=3; below its condition number the guard names cell 0
     sol = solve_problem(build_structured_mesh("quad", 512, 1), HhoDegrees(2, 2),
                         poisson_sin_2d())
     assert np.isfinite(sol.face_coeffs).all() and sol.residual <= 1e-10
     mesh = rotated(build_structured_mesh("quad", 100, 1), 30)
+    sol = solve_problem(mesh, HhoDegrees(3, 3), poisson_sin_2d())
+    assert np.isfinite(sol.face_coeffs).all() and sol.residual <= 1e-10
+    monkeypatch.setattr(local_ops, "COND_LIMIT", 100.0)
     with pytest.raises(ValueError, match="^cell 0: mass-matrix condition number"):
         solve_problem(mesh, HhoDegrees(3, 3), poisson_sin_2d())
 
