@@ -402,8 +402,8 @@ def _auxiliary_space(dofmap: DofMap) -> sp.csc_matrix:
             # curl phi = (d_y phi, -d_x phi), one entry per face end (nb, 2 nf, 2)
             curl = np.repeat(grad[..., ::-1] * [1.0, -1.0], 2, axis=1)
             vert = mesh.face_nodes[g.face_indices].reshape(nb, 1, 2 * nf, 1)
-            # each of the cell's faces takes its share of the mean over the face's cells
-            off = offsets[g.face_indices][:, :, None, None]
+            # each real face slot takes its share of the mean over the face's cells
+            off = np.where(g.face_measures > 0, offsets[g.face_indices], -1)[:, :, None, None]
             mean = 1.0 / (2 - mesh.boundary_faces[g.face_indices])[:, :, None, None]
             shape = (nb, nf, 2 * nf, 2)
             keep = np.broadcast_to((off >= 0) & ~on_dirichlet[vert], shape)

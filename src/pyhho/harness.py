@@ -2,13 +2,14 @@
 
 The pipeline per solve is: local operators -> static condensation ->
 assembly with boundary data -> sparse solve -> cell recovery -> flux or
-traction recovery.  Every per-cell stage runs once per group of cells of
-one quadrature class (:meth:`pyhho.mesh.Mesh.cell_groups`) on stacked
-arrays.  An array that depends only on a cell's shape (operators, condensed
-matrices, the basis on the rule that samples problem data) is built once
-per distinct shape of a group and gathered by each cell's shape where a
-stage reads it.  Convergence studies, the operator-decay verification, the
-1D FEM oracle, and the incompressibility sweep all sit on top of it.
+traction recovery.  Every per-cell stage runs once per cell group on
+stacked arrays: one quadrature class and loop length, the rare polygon
+lengths padded into one (:meth:`pyhho.mesh.Mesh.cell_groups`).  An array that
+depends only on a cell's shape (operators, condensed matrices, the basis on
+the rule that samples problem data) is built once per distinct shape of a
+group and gathered by each cell's shape where a stage reads it.  Convergence
+studies, the operator-decay verification, the 1D FEM oracle, and the
+incompressibility sweep all sit on top of it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import assembly as asm
-from .basis import face_basis
+from .basis import _lowered, face_basis
 from .elasticity import local_bilinear_elastic
 from .local_ops import (CellContext, LocalOperators, _kron_apply, build_cell_context,
                         local_bilinear, reconstruction, stabilization_equal_order,
@@ -45,14 +46,14 @@ def data_order(degrees: HhoDegrees) -> int:
     return 2 * (degrees.k_face + 2)
 
 
-def data_basis(ctx: CellContext, rule: QuadratureRule, cells, shapes, gradients: bool = False):
+def data_basis(ctx: CellContext, rule: QuadratureRule, cells, shapes):
     """``ctx.rec_basis`` on the data ``rule`` of a group's ``cells`` (ascending),
     once per shape in a chunk's ``shapes`` at ``ctx.cells[s]``'s own points:
-    ``(inv, weights, values, gradients or None)``, cell ``b`` at row ``inv[b]``."""
+    ``(inv, weights, values)``, cell ``b`` at row ``inv[b]``."""
     u, inv = np.unique(shapes, return_inverse=True)
     at = np.searchsorted(cells, ctx.cells[u])
     basis = replace(ctx.rec_basis, center=ctx.rec_basis.center[u], map=ctx.rec_basis.map[u])
-    return (inv, rule.weights[at]) + basis.eval(rule.points[at], gradients)
+    return inv, rule.weights[at], basis.eval(rule.points[at], gradients=False)[0]
 
 
 def local_rhs(ctx: CellContext, f, rule: QuadratureRule, cells, shapes) -> np.ndarray:
@@ -63,7 +64,7 @@ def local_rhs(ctx: CellContext, f, rule: QuadratureRule, cells, shapes) -> np.nd
     fx = sample(f, rule.points, rank=ctx.degrees.rank, ids=cells)
     b = np.zeros((len(cells), ctx.layout.size))
     for s in range(0, len(cells), asm.CHUNK):
-        inv, w, phi, _ = data_basis(ctx, rule, cells, shapes[s:s + asm.CHUNK])
+        inv, w, phi = data_basis(ctx, rule, cells, shapes[s:s + asm.CHUNK])
         wphi = (w[..., None] * phi[..., : ctx.n_cell])[inv]
         blk = wphi.mT @ fx[s:s + asm.CHUNK].reshape(wphi.shape[:2] + (-1,))
         b[s:s + asm.CHUNK, ctx.layout.cell] = blk.reshape(len(blk), -1)
@@ -275,7 +276,8 @@ def _face_flux_checks(sol: Solution):
         f_mass = f.mass[shapes]
         fmag = max(fmag, float(_face_norms(f_mass, t).max()))
         np.add.at(flux_sum, index, t)
-        mass[index], mass_inv[index] = f_mass, f.mass_inv[shapes]
+        real = ctx.geom.face_measures[shapes] > 0     # a padded slot repeats a face
+        mass[index[real]], mass_inv[index[real]] = f_mass[real], f.mass_inv[shapes][real]
 
     interior = np.flatnonzero(~mesh.boundary_faces)
     eq = float(_face_norms(mass[interior], flux_sum[interior]).max(initial=0.0))
@@ -346,18 +348,23 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     h1_sq = l2c_sq = l2r_sq = stab_sq = 0.0
     for g in sol.groups:
         ops, ctx = g.ops, g.ops.ctx
+        # d phi_i / d x^_c = exps[i, c] phi_(i lowered in c): column i of D[c]
+        exps, low = ctx.rec_basis.exponents, _lowered(ctx.rec_basis.degree, mesh.dim)
+        D = exps.T[:, None, :] * (low[:, None, :] == np.arange(ctx.n_rec)[:, None])
         for s in range(0, len(g.cells), asm.CHUNK):
             cells, shapes = g.cells[s:s + asm.CHUNK], g.shapes[s:s + asm.CHUNK]
             nb = len(cells)
-            inv, w, vals, grads = data_basis(ctx, g.rule, g.cells, shapes, gradients=True)
-            w, vals, grads = w[inv], vals[inv], grads[inv]
+            inv, w, vals = data_basis(ctx, g.rule, g.cells, shapes)
+            w, vals = w[inv], vals[inv]
             pts = g.rule.points[s:s + asm.CHUNK]
             v = sol.local_dofs(cells)
             stab_sq += _stab_seminorm(ctx, shapes, ops.stab_face, v)
             coef = _apply(ops.rec, shapes, v).reshape(nb, -1, rank)
             ex = sample(spec.exact, pts, rank=rank, ids=cells).reshape(w.shape + (rank,))
             gex = sample(jacobian, pts, rank=rank * mesh.dim, ids=cells).reshape(ex.shape + (-1,))
-            de = gex - np.einsum("bqjc,bja->bqac", grads, coef)
+            # coefficients (b, j, a, x) of d_x R v_a = sum_c map[c, x] D[c] R v_a
+            dcoef = (D @ coef[:, None]).transpose(0, 2, 3, 1) @ ctx.rec_basis.map[shapes, None]
+            de = gex - (vals @ dcoef.reshape(nb, ctx.n_rec, -1)).reshape(gex.shape)
             if elastic:
                 de = 0.5 * (de + de.mT)
             h1_sq += (2 * spec.mu if elastic else 1.0) * float(
@@ -503,8 +510,9 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
             # both contexts on the group's distinct shapes, as in build_local
             reps, shapes = mesh.cell_shapes(cells)
             ctx = build_cell_context(mesh, reps, deg_eq)
-            rule = cell_quadrature(mesh.cell_geometry(cells), order)
-            inv, w, vals, _ = data_basis(ctx, rule, cells, shapes)
+            geom = mesh.cell_geometry(cells)
+            rule = cell_quadrature(geom, order)
+            inv, w, vals = data_basis(ctx, rule, cells, shapes)
             w, vals = w[inv], vals[inv]
             vx = sample(v, rule.points)
 
@@ -522,9 +530,9 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
             red2 = reduce_local(mesh, cells, deg_mx, v)
             out[4] = _stab_seminorm(ctx2, shapes, stabilization_ls(ctx2)[0], red2)
 
-            # face projection error, each interior face counted once
-            index = mesh.cell_face_indices(cells)
-            faces = index[mesh.face_cells[index, 0] == cells[:, None]]
+            # face projection error, each face counted once, by its first cell's real slot
+            index = geom.face_indices
+            faces = index[(mesh.face_cells[index, 0] == cells[:, None]) & (geom.face_measures > 0)]
             if mesh.dim == 2 and len(faces):
                 fb = face_basis(mesh, faces, k)
                 frule = face_quadrature(mesh, faces, order)

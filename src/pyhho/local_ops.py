@@ -121,6 +121,8 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     phi = fphi.reshape(nb, nf, -1, n_rec)
     faces = FaceContext(normal=geom.face_normals, weights=frule.weights[at], psi=psi[at],
                         phi=phi, mass=M[at], mass_inv=M_inv[at], trace_full=wpsi[at].mT @ phi)
+    pad = geom.face_measures == 0    # a padded slot weighs nothing: its DoFs read exact zeros
+    faces.weights[pad], faces.mass[pad], faces.trace_full[pad] = 0.0, 0.0, 0.0
 
     # one Gram of the basis values and gradients at the face points, a gradient
     # having degree p - 1 (a constant's is 0: any positive divisor does), and
@@ -241,7 +243,8 @@ def _face_ops(ctx: CellContext, proj: np.ndarray):
     their penalty ``sum_F h^-1 (S_F v, S_F v)_F``.  Returns ``(face_ops,
     penalty)``, the operators on the face axis like ``proj``."""
     layout, nb = ctx.layout, len(proj)
-    S = proj - np.eye(layout.size)[layout.faces].reshape(layout.n_faces, layout.face_width, -1)
+    unknown = np.eye(layout.size)[layout.faces].reshape(layout.n_faces, layout.face_width, -1)
+    S = proj - (ctx.geom.face_measures > 0)[..., None, None] * unknown
     MS = _kron_apply(ctx.faces.mass, S)
     penalty = S.reshape(nb, -1, layout.size).mT @ MS.reshape(nb, -1, layout.size)
     penalty = penalty / ctx.h[:, None, None]

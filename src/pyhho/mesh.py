@@ -3,7 +3,8 @@
 Cells are stored as counterclockwise vertex loops (index pairs in 1D).
 Faces carry global indices in a canonical order (sorted by their sorted
 vertex tuple) so that runs are reproducible and face unknowns can be
-shared between the two cells of an interface.
+shared between the two cells of an interface.  Geometry is stacked per
+cell group (:meth:`Mesh.cell_groups`), whose loops may be padded.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import numpy as np
 
 GEOM_TOL = 1e-12
 SHAPE_TOL = 1e-12     # relative to the diameter: cells this close share a shape
+# fan loop lengths with fewer cells share one padded group: a group costs a solve
+# 1.0-2.4 ms whatever its size, a cell of its own shape about 64 us (k = 1, 1 thread)
+PAD_CELLS = 64
 
 
 class MeshError(ValueError):
@@ -30,8 +34,10 @@ class CellGeometry:
     vertex distance.  Per-face arrays follow the cell's boundary loop order
     and the normals point outward.  ``shape`` names the quadrature class:
     ``interval``, ``tri``, ``quad`` (parallelogram, tensor rule) or ``fan``
-    (any other polygon).  The geometry of a group of cells of one class
-    stacks every field along a leading cell axis.
+    (any other polygon).  A group's geometry stacks every field along a
+    leading cell axis; a ``fan`` group pads each loop to its longest by
+    repeating the first vertex: a padded slot is a zero-length face after
+    the closing face, with measure 0, normal 0 and the closing face's index.
     """
 
     index: int | np.ndarray
@@ -66,6 +72,7 @@ def is_parallelogram(pts: np.ndarray) -> np.ndarray:
 
 _FIELDS = ("vertices", "barycenter", "diameter", "measure", "frame", "face_indices",
            "face_measures", "face_normals")
+_LOOP = ("vertices", "face_indices", "face_measures", "face_normals")    # padded fields
 
 # per-cell checks in the order a cell is tested against them
 _CHECKS = ("has non-positive length", "is degenerate or not counterclockwise",
@@ -118,6 +125,22 @@ def _first_seen(label: np.ndarray):
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return first[order], rank[inverse.reshape(-1)]
+
+
+def _padded(groups: list) -> CellGeometry:
+    """One ``fan`` group of the loops of ``groups``, each padded to the
+    longest loop as :class:`CellGeometry` describes, cells in ascending order."""
+    slot = np.arange(max(g.n_faces for g in groups))
+    parts = []
+    for g in groups:
+        real, last = slot < g.n_faces, np.minimum(slot, g.n_faces - 1)
+        parts.append(dict(vars(g), vertices=g.vertices[:, np.where(real, slot, 0)],
+                          face_indices=g.face_indices[:, last],
+                          face_measures=g.face_measures[:, last] * real,
+                          face_normals=g.face_normals[:, last] * real[:, None]))
+    order = np.argsort(np.concatenate([p["index"] for p in parts]))
+    return CellGeometry(dim=2, shape="fan", **{k: np.concatenate([p[k] for p in parts])[order]
+                                               for k in ("index",) + _FIELDS})
 
 
 def _failed_checks(g: CellGeometry) -> np.ndarray:
@@ -179,7 +202,6 @@ class Mesh:
         inverse = self._build_faces(flat, owner, starts, sizes)
         with np.errstate(divide="ignore", invalid="ignore"):
             self._build_geometry(flat, starts, sizes, inverse)
-            self._validate()
         self._tag_boundary(neumann)
 
     # -- construction -------------------------------------------------
@@ -214,9 +236,10 @@ class Mesh:
         return inverse
 
     def _build_geometry(self, flat, starts, sizes, inverse):
-        """One stacked :class:`CellGeometry` per quadrature class and face
-        count, computed per loop length, ordered by each group's first cell."""
-        groups = []
+        """One stacked :class:`CellGeometry` per quadrature class and loop length,
+        validated on the real loops, the ``fan`` lengths of fewer than ``PAD_CELLS``
+        cells padded into one group; groups are ordered by their first cell."""
+        groups, rare = [], []
         for n in np.unique(sizes):
             cells = np.flatnonzero(sizes == n)
             entries = starts[cells, None] + np.arange(n)
@@ -227,25 +250,25 @@ class Mesh:
             shape[is_parallelogram(pts)] = "quad"
             for name in dict.fromkeys(shape):
                 sel = shape == name
-                groups.append(CellGeometry(
-                    index=cells[sel], dim=self.dim, shape=name, vertices=pts[sel],
-                    face_indices=inverse[entries[sel]],
-                    **{k: v[sel] for k, v in fields.items()}))
+                (rare if name == "fan" and sel.sum() < PAD_CELLS else groups).append(
+                    CellGeometry(index=cells[sel], dim=self.dim, shape=name, vertices=pts[sel],
+                                 face_indices=inverse[entries[sel]],
+                                 **{k: v[sel] for k, v in fields.items()}))
+        # name the lowest-index invalid cell and the first check it fails
+        bad = np.zeros((len(_CHECKS), self.n_cells), dtype=bool)
+        for g in groups + rare:
+            bad[:, g.index] = _failed_checks(g)
+        cells = np.flatnonzero(bad.any(axis=0))
+        if len(cells):
+            raise MeshError(f"cell {cells[0]} {_CHECKS[np.argmax(bad[:, cells[0]])]}")
+        if rare:
+            groups.append(_padded(rare))
         self._groups = sorted(groups, key=lambda g: g.index[0])
         self._group_of = np.empty(len(sizes), dtype=int)
         self._slot = np.empty(len(sizes), dtype=int)
         for i, g in enumerate(self._groups):
             self._group_of[g.index] = i
             self._slot[g.index] = np.arange(len(g.index))
-
-    def _validate(self):
-        """Name the lowest-index invalid cell and the first check it fails."""
-        bad = np.zeros((len(_CHECKS), self.n_cells), dtype=bool)
-        for g in self._groups:
-            bad[:, g.index] = _failed_checks(g)
-        cells = np.flatnonzero(bad.any(axis=0))
-        if len(cells):
-            raise MeshError(f"cell {cells[0]} {_CHECKS[np.argmax(bad[:, cells[0]])]}")
 
     def _tag_boundary(self, neumann):
         self.neumann_faces = np.zeros(self.n_faces, dtype=bool)
@@ -309,27 +332,32 @@ class Mesh:
         cells = np.asarray(cells, dtype=int)
         groups = self._group_of[cells].reshape(-1)
         if not len(groups) or np.any(groups != groups[0]):
-            raise MeshError("a cell group needs one or more cells of one "
-                            "shape and face count")
+            raise MeshError("expected one or more cells of one group of cell_groups()")
         return cells, self._groups[groups[0]], self._slot[cells]
 
     def cell_geometry(self, cells) -> CellGeometry:
         """Geometry of one cell, or stacked over an array of cells of one
-        group (see :meth:`cell_groups`), gathered from the group's stack."""
+        group (see :meth:`cell_groups`), gathered from the group's stack;
+        one cell index gives its own loop, an array the group's padded slots."""
         cells, g, slot = self._group_slots(cells)
-        return CellGeometry(index=cells if cells.ndim else int(cells), dim=self.dim,
-                            shape=g.shape, **{k: getattr(g, k)[slot] for k in _FIELDS})
+        n = None if cells.ndim else len(self.cells[cells])
+        return CellGeometry(index=cells if cells.ndim else int(cells), dim=self.dim, shape=g.shape,
+                            **{k: getattr(g, k)[slot][:n] if k in _LOOP else getattr(g, k)[slot]
+                               for k in _FIELDS})
 
     def cell_face_indices(self, cells) -> np.ndarray:
         """The ``face_indices`` of :meth:`cell_geometry` alone: global faces
         of one cell in loop order, or ``(nb, n_faces)`` for cells of one group."""
-        _, g, slot = self._group_slots(cells)
-        return g.face_indices[slot]
+        cells, g, slot = self._group_slots(cells)
+        return g.face_indices[slot][:None if cells.ndim else len(self.cells[cells])]
 
     def cell_groups(self) -> list:
-        """Cell indices grouped by quadrature class and face count, in the
+        """Cell indices grouped by quadrature class and loop length, in the
         order of each group's first cell; every per-cell stage runs once
-        per group on stacked arrays."""
+        per group on stacked arrays.  The ``fan`` loop lengths of fewer than
+        ``PAD_CELLS`` cells share one group padded to its longest loop: a
+        group's fixed cost per solve outweighs that many cells' work, and
+        padding a frequent length would cost more than its own group."""
         return [g.index for g in self._groups]
 
     def cell_shapes(self, cells):
@@ -607,8 +635,8 @@ def refine_uniform(mesh: Mesh) -> Mesh:
 
     General polygons are first fanned into triangles from the barycenter
     and those triangles are then split four-way, so the result stays a
-    valid mesh but is not self-similar.  A quad's centre is the mean of
-    its vertices.  Vertices are numbered as :func:`_split_cells` does.
+    valid mesh but is not self-similar.  A 4-vertex cell's centre is the
+    mean of its vertices.  Vertices are numbered as :func:`_split_cells` does.
     """
     V = mesh.vertices
     if mesh.dim == 1:
@@ -623,7 +651,8 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     centers = np.empty((mesh.n_cells, 2))
     for cells in mesh.cell_groups():
         g = mesh.cell_geometry(cells)
-        centers[cells] = g.vertices.mean(axis=1) if g.n_faces == 4 else g.barycenter
+        centers[cells] = np.where((sizes[cells] == 4)[:, None], g.vertices[:, :4].mean(axis=1),
+                                  g.barycenter)
     groups = [(cells, flat[starts[cells, None] + np.arange(n)])
               for n in np.unique(sizes) for cells in [np.flatnonzero(sizes == n)]]
     verts, children, _, _ = _split_cells(mesh, groups, centers)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from pyhho.harness import data_order
-from pyhho.mesh import Mesh, build_structured_mesh
+from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh
 from pyhho.problems import ProblemSpec
 from pyhho.quadrature import cell_quadrature
 
@@ -22,6 +22,25 @@ def jittered_mesh(kind, n, seed, amplitude=None):
     verts[interior] += np.random.default_rng(seed).uniform(
         -amplitude, amplitude, (int(interior.sum()), 2))
     return Mesh(2, verts, base.cells)
+
+
+def random_half(n, seed, neumann=None):
+    """n x n quads with a seeded random half of the cells split in four, as
+    the benchmark's hanging-node input; polygons of 5 to 8 faces."""
+    base = build_structured_mesh("quad", n, n, neumann=neumann)
+    rng = np.random.default_rng(seed)
+    return build_hanging_node_mesh(base, rng.choice(base.n_cells, base.n_cells // 2,
+                                                    replace=False))
+
+
+def jittered_hanging():
+    """4x4 quads with cells 0, 2 and 9 split and vertex (0.75, 0.75) moved:
+    three 4-vertex cells that are no parallelograms share the padded polygon
+    group with the pentagons and hexagons."""
+    mesh = build_hanging_node_mesh(build_structured_mesh("quad", 4, 4), [0, 2, 9])
+    verts = mesh.vertices.copy()
+    verts[np.all(verts == 0.75, axis=1)] += [0.03, -0.02]
+    return Mesh(2, verts, mesh.cells)
 
 
 def rotation(degrees):

@@ -13,7 +13,7 @@ from pyhho.problems import (ProblemSpec, elasticity_divfree, poisson_sin_1d,
                             poisson_sin_2d)
 from pyhho.projection import dof_layout, equal_order, mixed_order, reduce_global
 
-from support import jittered_mesh
+from support import jittered_mesh, random_half
 
 
 def test_dof_map_counts():
@@ -540,6 +540,46 @@ def test_auxiliary_curls_are_divergence_free_on_triangles():
     assert np.abs(flux @ curls).max() <= 1e-12 * np.abs(curls).max()
     # the hats are not divergence-free
     assert np.abs(flux @ P[:, :-int(inner.sum())].toarray()).max() > 0.1
+
+
+def _auxiliary_reference(dofmap):
+    """``_auxiliary_space`` of 2D vector fields at k >= 1 built cell by cell
+    from ``mesh.cells``, on the columns ``2 v + c`` (hats) and ``2 n_vert + v``
+    (curls) that have an entry."""
+    mesh, off = dofmap.mesh, dofmap.offsets
+    n_vert = len(mesh.vertices)
+    P = np.zeros((dofmap.n_reduced, 3 * n_vert))
+    for f in np.flatnonzero(off >= 0):
+        for j, v in enumerate(mesh.face_nodes[f]):
+            for c in range(2):
+                P[off[f] + c, 2 * v + c] += 0.5
+                P[off[f] + 2 + c, 2 * v + c] += j - 0.5
+    on_dirichlet = np.zeros(n_vert, dtype=bool)
+    on_dirichlet[mesh.face_nodes[dofmap.dirichlet]] = True
+    for loop, faces in zip(mesh.cells, mesh.cell_faces):
+        pts = mesh.vertices[loop]
+        edge = np.roll(pts, -1, axis=0) - pts
+        area = 0.5 * np.sum(pts[:, 0] * edge[:, 1] - pts[:, 1] * edge[:, 0])
+        grad = np.zeros((n_vert, 2))
+        for a, b, e in zip(loop, np.roll(loop, -1), edge):
+            grad[[a, b]] += np.array([e[1], -e[0]]) / (2.0 * area)     # |F| n_F / (2 |T|)
+        for f in faces[off[faces] >= 0]:
+            mean = 1.0 / (2 - mesh.boundary_faces[f])
+            for v in loop[~on_dirichlet[loop]]:
+                P[off[f], 2 * n_vert + v] += mean * grad[v, 1]
+                P[off[f] + 1, 2 * n_vert + v] -= mean * grad[v, 0]
+    return P[:, np.any(P != 0, axis=0)]
+
+
+def test_auxiliary_space_matches_a_cell_by_cell_build():
+    # the polygons share one group padded with repeated closing faces
+    mesh = random_half(8, 2, neumann=lambda x: x[0] > 1.0 - 1e-12)
+    assert any(len({len(mesh.cells[c]) for c in cells}) > 1 for cells in mesh.cell_groups())
+    dofmap = asm.build_dof_map(mesh, equal_order(1, rank=2))
+    want = _auxiliary_reference(dofmap)
+    got = asm._auxiliary_space(dofmap).toarray()
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_singular_patch_names_its_vertex():

@@ -8,6 +8,10 @@ over that list.  Both reconstructions and both consistency fluxes are also
 checked against references that assemble the hybrid face terms face by
 face, straight from their defining equations, instead of projecting the
 gradient reconstruction.
+
+The references take each cell's own loop: a group whose loops fill its face
+slots, and each cell of the padded polygon group alone on a one-cell mesh.
+The padded group is checked against those one-cell meshes instead.
 """
 
 from types import SimpleNamespace
@@ -35,14 +39,63 @@ MU, LAM = 1.0, 3.0
 
 def groups():
     """Cell groups of 3 to 8 faces: triangles, and hanging-node quads
-    whose refined neighbours make pentagons up to octagons."""
+    whose refined neighbours make pentagons up to octagons, which share one
+    group padded to eight face slots."""
     tri = build_structured_mesh("tri", 2, 2)
     hanging = build_hanging_node_mesh(build_structured_mesh("quad", 4, 4),
                                       [3, 6, 8, 9, 11, 12, 14])
     return [(mesh, cells) for mesh in (tri, hanging) for cells in mesh.cell_groups()]
 
 
-ALL_SHAPES = set(range(3, 9))
+def one_cell(mesh, c):
+    """Cell ``c`` of ``mesh`` alone, on its own loop."""
+    return Mesh(2, mesh.vertices, [mesh.cells[c]]), np.array([0])
+
+
+def padded(mesh, cells):
+    return bool(np.any(mesh.cell_geometry(cells).face_measures == 0))
+
+
+def cases():
+    """Every unpadded group, and each cell of a padded group on a one-cell mesh."""
+    for mesh, cells in groups():
+        if padded(mesh, cells):
+            yield from (one_cell(mesh, c) for c in cells)
+        else:
+            yield mesh, cells
+
+
+ALL_SHAPES = set(range(3, 9))       # the real loop lengths
+
+
+def operators(mesh, cells, deg):
+    ctx = build_cell_context(mesh, cells, deg)
+    return local_bilinear(ctx) if deg.rank == 1 else local_bilinear_elastic(ctx, MU, LAM)
+
+
+def assert_padded_group_matches_one_cell(deg):
+    """Each cell of the padded group against its own loop on a one-cell mesh:
+    equal on its real DoFs, exact zeros in the rows and columns of its padded
+    face slots."""
+    (mesh, cells), = [(m, c) for m, c in groups() if padded(m, c)]
+    ops = operators(mesh, cells, deg)
+    cw, fw = ops.ctx.layout.cell_width, ops.ctx.layout.face_width
+    lengths = set()
+    for b, c in enumerate(cells):
+        ref = operators(*one_cell(mesh, c), deg)
+        n = len(mesh.cells[c])
+        lengths.add(n)
+        real, pad, rows = slice(0, cw + n * fw), slice(cw + n * fw, None), slice(0, n * fw)
+        for actual, want in [(ops.L[b][real, real], ref.L[0]), (ops.rec[b][:, real], ref.rec[0]),
+                             (ops.flux[b][rows, real], ref.flux[0]),
+                             (ops.stab_face[b, :n][..., real], ref.stab_face[0]),
+                             (ops.balance[b][:, real], ref.balance[0])]:
+            assert_close(actual, want, 1e-13)
+        for zero in (ops.L[b][pad], ops.L[b][:, pad], ops.flux[b][n * fw:],
+                     ops.flux[b][:, pad], ops.stab_face[b, n:], ops.stab_face[b][..., pad],
+                     ops.rec[b][:, pad]):
+            assert np.all(zero == 0)
+    assert lengths == set(range(5, 9))
 
 
 def per_face_context(ctx):
@@ -172,7 +225,7 @@ def assert_close(actual, ref, rel):
 def test_face_axis_matches_per_face_build(k, rank, mixed, monkeypatch):
     deg = HhoDegrees(k_face=k, k_cell=k + mixed, rank=rank)
     shapes = set()
-    for mesh, cells in groups():
+    for mesh, cells in cases():
         ctx = build_cell_context(mesh, cells, deg)
         faces = per_face_context(ctx)
         shapes.add(len(faces))
@@ -195,6 +248,7 @@ def test_face_axis_matches_per_face_build(k, rank, mixed, monkeypatch):
             assert ops.face_fluxes(np.ones(ctx.layout.size), np.arange(len(cells))).shape == (
                 len(cells), len(faces), ctx.layout.face_width)
     assert shapes == ALL_SHAPES
+    assert_padded_group_matches_one_cell(deg)
 
 
 def test_shared_face_reads_one_mass_inverse():
@@ -349,7 +403,7 @@ def assert_matches(actual, ref):
 def test_scalar_reconstruction_and_flux_match_face_assembly(k, mixed):
     deg = HhoDegrees(k_face=k, k_cell=k + mixed)
     shapes = set()
-    for mesh, cells in groups():
+    for mesh, cells in cases():
         ctx = build_cell_context(mesh, cells, deg)
         shapes.add(ctx.geom.n_faces)
         R_ref = scalar_reconstruction_reference(ctx)
@@ -363,7 +417,7 @@ def test_scalar_reconstruction_and_flux_match_face_assembly(k, mixed):
 def test_displacement_reconstruction_and_traction_match_face_assembly(k, mixed):
     deg = HhoDegrees(k_face=k, k_cell=k + mixed, rank=2)
     shapes = set()
-    for mesh, cells in groups():
+    for mesh, cells in cases():
         ctx = build_cell_context(mesh, cells, deg)
         shapes.add(ctx.geom.n_faces)
         Dep_ref = displacement_reference(ctx)

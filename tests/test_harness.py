@@ -10,15 +10,17 @@ from pyhho.harness import (build_local, convergence_study, discrete_energy,
                            oracle_1d, solve_problem, traction_residuals,
                            verify_operators)
 from pyhho.local_ops import build_cell_context, local_bilinear
-from pyhho.mesh import (build_hanging_node_mesh, build_interval_mesh,
-                        build_structured_mesh)
+from pyhho.basis import face_basis
+from pyhho.mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
+                        build_structured_mesh, refine_uniform)
 from pyhho.problems import (ProblemSpec, elasticity_compressible,
                             elasticity_divfree, elasticity_polynomial,
                             get_problem, poisson_polynomial, poisson_sin_1d,
                             poisson_sin_2d, rigid_body_problem)
-from pyhho.projection import HhoDegrees, equal_order, mixed_order, reduce_global
+from pyhho.projection import HhoDegrees, equal_order, l2_project, mixed_order, reduce_global
+from pyhho.quadrature import face_quadrature
 
-from support import data_rule_basis, jittered_mesh, rotated, strip_problem
+from support import data_rule_basis, jittered_hanging, jittered_mesh, rotated, strip_problem
 
 
 def test_manufactured_sources_match_finite_differences():
@@ -288,6 +290,44 @@ def test_verify_rates_hold_at_k3(family):
     # the stabilization seminorms come from the face residuals: the quadratic
     # form of the penalty loses them to cancellation on the finest level
     assert [b.name for b in verify_operators(family, 3) if not b.passed] == []
+
+
+def test_verify_face_projection_counts_each_face_once(monkeypatch):
+    # a padded polygon slot repeats its cell's closing face, here on the boundary
+    # x = 0.25, where the target does not vanish
+    mesh = jittered_hanging()
+    mesh = Mesh(2, mesh.vertices + [0.25, 0.125], mesh.cells)
+    meshes = [mesh, refine_uniform(mesh)]
+    monkeypatch.setattr(harness, "mesh_family", lambda name, level, base: meshes[level])
+    block, = [b for b in verify_operators("hanging", 1, levels=2) if b.name == "projection-face"]
+    v = lambda x: np.prod(np.sin(np.pi * x), axis=1)
+    for mesh, value in zip(meshes, block.values):
+        faces = np.arange(mesh.n_faces)
+        fb, rule = face_basis(mesh, faces, 1), face_quadrature(mesh, faces, 6)
+        psi, _ = fb.eval(rule.points, gradients=False)
+        gap = v(rule.points.reshape(-1, 2)).reshape(rule.weights.shape) - (
+            psi @ l2_project(fb, rule, v)[..., None])[..., 0]
+        assert value == pytest.approx(np.sqrt(np.sum(rule.weights * gap ** 2)), rel=1e-12)
+
+
+def test_padded_slot_keeps_its_face_in_the_neumann_check():
+    # a padded slot repeats its cell's closing face, here a Neumann face on x = 0
+    mesh = jittered_hanging()
+    neumann = mesh.boundary_faces & (mesh.vertices[mesh.face_nodes, 0].max(axis=1) < 1e-12)
+    mesh.set_boundary_tags(np.flatnonzero(mesh.boundary_faces & ~neumann), np.flatnonzero(neumann))
+    face, = [g.face_indices[b, -1] for g in map(mesh.cell_geometry, mesh.cell_groups())
+             for b in np.flatnonzero(g.face_measures[:, -1] == 0)
+             if neumann[g.face_indices[b, -1]]]
+    sol = solve_problem(mesh, equal_order(1), poisson_sin_2d())
+    assert harness._face_flux_checks(sol)[1] < 1e-12
+    # Neumann data off by delta: the check reads |M^-1 delta|_M on that face
+    delta = np.array([1e-2, 0.0])
+    sol.neumann[face] += delta
+    fb, rule = face_basis(mesh, face, 1), face_quadrature(mesh, face, 4)
+    psi, _ = fb.eval(rule.points, gradients=False)
+    M = psi.T @ (rule.weights[:, None] * psi)
+    assert harness._face_flux_checks(sol)[1] == pytest.approx(
+        np.sqrt(delta @ np.linalg.solve(M, delta)), rel=1e-8)
 
 
 @pytest.mark.parametrize("degrees, base", [(equal_order(3), 8), (mixed_order(3), 8),

@@ -9,6 +9,8 @@ from pyhho.mesh import (Mesh, MeshError, _inherit_tags, build_hanging_node_mesh,
                         left_half, load_mesh_json, mesh_from_dict, mesh_to_dict,
                         refine_uniform, save_mesh_json)
 
+from support import jittered_hanging, random_half
+
 
 def test_interval_uniform():
     m = build_interval_mesh(0.0, 1.0, 4)
@@ -189,15 +191,26 @@ def test_malformed_loops_rejected():
 def test_group_geometry_matches_each_cell():
     m = build_hanging_node_mesh(build_structured_mesh("quad", 4, 4), [0, 2, 9])
     assert {len(c) for c in m.cells} == {4, 5, 6}
+    assert len(m.cell_groups()) == 2          # the pentagons and hexagons share one
     fields = ("vertices", "barycenter", "diameter", "measure", "face_indices",
               "face_measures", "face_normals")
+    loop = ("vertices", "face_indices", "face_measures", "face_normals")
     for cells in m.cell_groups():
         group = m.cell_geometry(cells)
         for slot, c in enumerate(cells):
             g = m.cell_geometry(c)
-            assert (g.index, g.shape) == (c, group.shape)
+            n = len(m.cells[c])
+            assert (g.index, g.shape, g.n_faces) == (c, group.shape, n)
+            # one cell's own loop is the real prefix of its slot
             for name in fields:
-                np.testing.assert_array_equal(getattr(g, name), getattr(group, name)[slot])
+                want = getattr(group, name)[slot]
+                np.testing.assert_array_equal(getattr(g, name),
+                                              want[:n] if name in loop else want)
+            np.testing.assert_array_equal(group.face_measures[slot, n:], 0.0)
+            np.testing.assert_array_equal(group.face_normals[slot, n:], 0.0)
+            np.testing.assert_array_equal(group.face_indices[slot, n:], g.face_indices[-1])
+            np.testing.assert_array_equal(group.vertices[slot, n:], g.vertices[:1].repeat(
+                group.n_faces - n, axis=0))
             # the single-cell shoelace formulas
             pts = m.vertices[m.cells[c]]
             nxt = np.roll(pts, -1, axis=0)
@@ -210,6 +223,26 @@ def test_group_geometry_matches_each_cell():
             np.testing.assert_allclose(g.face_measures, np.linalg.norm(nxt - pts, axis=1),
                                        rtol=1e-15)
             np.testing.assert_array_equal(g.face_indices, m.cell_faces[c])
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_rare_polygon_lengths_share_one_padded_group(seed):
+    # the benchmark's 10x10 input: quads, and one group for its 47 polygons
+    small = random_half(10, seed)
+    lengths = [{len(small.cells[c]) for c in cells} for cells in small.cell_groups()]
+    assert sorted(lengths, key=len) == [{4}, {5, 6, 7, 8}]
+    # at 48x48 every polygon length but at most one has 64 cells or more
+    large = random_half(48, seed)
+    lengths = [{len(large.cells[c]) for c in cells} for cells in large.cell_groups()]
+    assert sorted(lengths, key=min) == [{4}, {5}, {6}, {7}, {8}]
+
+
+def test_refine_uniform_centres_four_vertex_polygons_at_their_vertex_mean():
+    mesh = jittered_hanging()
+    fans = [cells for cells in mesh.cell_groups() if mesh.cell_geometry(cells).shape == "fan"]
+    assert [sorted({len(mesh.cells[c]) for c in cells}) for cells in fans] == [[4, 5, 6]]
+    # the reference centres a 4-vertex cell at its vertex mean, any other at its barycenter
+    assert_same_mesh(refine_uniform(mesh), *_split_by_midpoint_dict(mesh, None))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7])
