@@ -27,7 +27,7 @@ displacement component and takes the symmetric part as the strain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,8 +100,11 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     a Gram entry ``int_T q`` with ``q`` of degree ``p`` is ``sum_F (n_F . (x -
     x_T)) int_F q / (d + p)``, exact at the order-``2(k+1)`` face points.
     """
-    cells = np.atleast_1d(np.asarray(cells, dtype=int))
     geom = mesh.cell_geometry(cells)
+    if np.ndim(cells) == 0:      # the cell's own loop, not its group's padded slots
+        geom = replace(geom, **{f: np.asarray(v)[None] for f, v in vars(geom).items()
+                                if f not in ("dim", "shape")})
+    cells = geom.index
     layout = dof_layout(mesh, degrees, geom.n_faces)
     k = degrees.k_face
     rec_basis = scaled_monomial_basis(geom, k + 1)

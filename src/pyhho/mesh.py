@@ -282,6 +282,10 @@ class Mesh:
         boundary = self.boundary_faces
         dirichlet = np.asarray(sorted(dirichlet), dtype=int)
         neumann = np.asarray(sorted(neumann), dtype=int)
+        both = np.concatenate([dirichlet, neumann])
+        bad = both[(both < 0) | (both >= self.n_faces)]
+        if len(bad):
+            raise MeshError(f"boundary tag names face {bad[0]} outside 0..{self.n_faces - 1}")
         mask_d = np.zeros(self.n_faces, dtype=bool)
         mask_n = np.zeros(self.n_faces, dtype=bool)
         mask_d[dirichlet] = True
@@ -460,31 +464,21 @@ def build_structured_mesh(shape: str, nx: int, ny: int,
     return Mesh(2, verts, cells, neumann=neumann)
 
 
-def _inherit_tags(new: Mesh, old: Mesh) -> Mesh:
-    """Tag boundary faces of ``new`` from the containing face of ``old``:
-    the first old boundary face whose segment (point in 1D) holds the
-    centre of the new face, tested for all pairs at once."""
+def _inherit_tags(new: Mesh, old: Mesh, origin: np.ndarray) -> Mesh:
+    """Tag each boundary face of ``new`` like its parent face of ``old``.
+    ``origin`` names an old vertex pair per new vertex: an old vertex is its
+    own pair, a midpoint the two ends it halves.  The parent of a boundary
+    face is the old face between the lowest and the highest of its ends'
+    origins, looked up exactly in the lexicographic ``old.face_nodes``."""
     if not np.any(old.neumann_faces):
         return new
-    old_faces = np.flatnonzero(old.boundary_faces)
-    new_faces = np.flatnonzero(new.boundary_faces)
-    c = new.vertices[new.face_nodes[new_faces]].mean(axis=1)[:, None, :]
-    pts = old.vertices[old.face_nodes[old_faces]]
-    if old.dim == 1:
-        on = np.abs(c[..., 0] - pts[:, 0, 0]) <= 1e-12
-    else:
-        a, t = pts[:, 0], pts[:, 1] - pts[:, 0]
-        L = np.linalg.norm(t, axis=1)
-        d = c - a
-        s = (d * t).sum(axis=-1) / L
-        off = np.abs(t[:, 0] * d[..., 1] - t[:, 1] * d[..., 0]) / L
-        on = (off <= 1e-10 * np.maximum(L, 1.0)) & (s >= -1e-10) & (s <= L + 1e-10)
-    orphan = ~on.any(axis=1)
-    if np.any(orphan):
-        raise MeshError(f"refined boundary face {new_faces[np.argmax(orphan)]} "
-                        "has no parent face")
-    neumann = old.neumann_faces[old_faces[np.argmax(on, axis=1)]]
-    new.set_boundary_tags(new_faces[~neumann], new_faces[neumann])
+    nv = len(old.vertices)
+    faces = np.flatnonzero(new.boundary_faces)
+    ends = origin[new.face_nodes[faces]].reshape(len(faces), -1)
+    parent = np.searchsorted(_pair_key(old.face_nodes[:, 0], old.face_nodes[:, -1], nv),
+                             _pair_key(ends.min(axis=1), ends.max(axis=1), nv))
+    neumann = old.neumann_faces[parent]
+    new.set_boundary_tags(faces[~neumann], faces[neumann])
     return new
 
 
@@ -529,12 +523,14 @@ def _split_template(n: int):
     loop, ``n`` its centre and ``n + 1 + j`` the vertex of its request ``j``.
 
     A request is the midpoint of two slots (the centre asks for itself).
-    Quads split into four quads about their centre, triangles into four
-    triangles on their edge midpoints, and other polygons fan into
-    triangles from their centre, each split the same way.  Returns the
-    request pairs ``(r, 2)`` and the children ``(4 or 4n, 4)``, whose
-    triangles are padded with -1.
+    Intervals halve, quads split into four quads about their centre,
+    triangles into four triangles on their edge midpoints, and other
+    polygons fan into triangles from their centre, each split the same
+    way.  Returns the request pairs ``(r, 2)`` and the children, 2, 4 or
+    4n rows of 4 slots, whose intervals and triangles are padded with -1.
     """
+    if n == 2:
+        return np.array([(0, 1)]), np.array([(0, 3, -1, -1), (3, 1, -1, -1)])
     ring = [(i, (i + 1) % n) for i in range(n)]
     if n == 4:
         return np.array(ring + [(4, 4)]), np.array(
@@ -594,33 +590,53 @@ def _split_cells(mesh: Mesh, groups: list, centers: np.ndarray):
 
 
 def build_hanging_node_mesh(base: Mesh, cells_to_refine) -> Mesh:
-    """Split selected quad cells into four; neighbors keep hanging vertices.
+    """Split the selected cells of a 1D or 2D mesh; their neighbours keep
+    hanging vertices.
 
-    Unrefined neighbors gain the edge midpoints as extra loop vertices and
-    become pentagons/hexagons, which the rest of the library treats as
-    ordinary polygons.  New vertices are numbered as :func:`_split_cells`
-    does; the children of the refined cells come first, then the other
-    cells in their order.
+    A split cell splits by :func:`_split_template`, a 4-vertex loop about
+    its vertex mean and any other polygon about its barycenter.  Every
+    other cell takes the midpoint of each split edge after the edge's
+    first vertex and becomes a polygon of more vertices, which the rest of
+    the library treats as any other.  New vertices are numbered as
+    :func:`_split_cells` does, in 1D then renumbered by position; the
+    children of the split cells come first, then the other cells in their
+    order.  Boundary tags follow the split (:func:`_inherit_tags`).
     """
     refine = np.unique(np.fromiter(cells_to_refine, dtype=int))
     if len(refine) and (refine[0] < 0 or refine[-1] >= base.n_cells):
         raise MeshError("refinement set contains an invalid cell index")
     if not len(refine):
         return _copy_with_tags(base)
-    if base.dim != 2 or any(len(c) != 4 for c in base.cells):
-        raise MeshError("hanging-node refinement expects a 2D all-quad mesh")
-    loops = np.array(base.cells)
-    verts, children, keys, ids = _split_cells(base, [(refine, loops[refine])],
-                                              base.vertices[loops].mean(axis=1))
-    # every other cell takes the midpoint of each split edge after its first vertex
-    loops = loops[np.setdiff1d(np.arange(base.n_cells), refine)]
-    edges = _pair_key(loops, np.roll(loops, -1, axis=1), len(base.vertices) + base.n_cells)
-    sorter = np.argsort(keys)
-    at = sorter[np.minimum(np.searchsorted(keys, edges, sorter=sorter), len(keys) - 1)]
-    hanging = np.where(keys[at] == edges, ids[at], -1)
-    polygons = np.stack([loops, hanging], axis=-1).reshape(len(loops), 8)
-    cells = list(_loops(children)) + list(_loops(polygons))
-    return _inherit_tags(Mesh(2, verts, cells), base)
+    V, stride = base.vertices, len(base.vertices) + base.n_cells
+    sizes = np.fromiter(map(len, base.cells), dtype=int, count=base.n_cells)
+    flat, starts = np.concatenate(base.cells), np.cumsum(sizes) - sizes
+    centers = np.empty((base.n_cells, base.dim))
+    for g in base._groups:
+        centers[g.index] = g.barycenter
+    quads = np.flatnonzero(sizes == 4)
+    centers[quads] = V[flat[starts[quads, None] + np.arange(4)]].mean(axis=1)
+    groups = [(cells, flat[starts[cells, None] + np.arange(n)])
+              for n in np.unique(sizes[refine]) for cells in [refine[sizes[refine] == n]]]
+    verts, children, keys, ids = _split_cells(base, groups, centers)
+    origin = np.repeat(np.arange(len(verts)), 2).reshape(-1, 2)
+    origin[ids] = np.column_stack(np.divmod(keys, stride))
+    # the midpoint of each split face, then 2n slots per loop: each vertex and
+    # the midpoint of the face after it, or -1
+    face_keys = _pair_key(base.face_nodes[:, 0], base.face_nodes[:, -1], stride)
+    at = np.minimum(np.searchsorted(face_keys, keys), base.n_faces - 1)
+    split = face_keys[at] == keys
+    mid = np.full(base.n_faces, -1)
+    mid[at[split]] = ids[split]
+    owner = np.repeat(np.arange(base.n_cells), sizes)
+    slot = 2 * (np.arange(len(flat)) - starts[owner])
+    rows = np.full((base.n_cells, 2 * sizes.max()), -1)
+    rows[owner, slot], rows[owner, slot + 1] = flat, mid[base._entry_faces]
+    kids, rest = _loops(children), _loops(np.delete(rows, refine, axis=0))
+    if base.dim == 1:
+        order = np.argsort(verts[:, 0])
+        rank = np.argsort(order)
+        verts, origin, kids, rest = verts[order], origin[order], rank[kids], rank[rest]
+    return _inherit_tags(Mesh(base.dim, verts, list(kids) + list(rest)), base, origin)
 
 
 def _copy_with_tags(base: Mesh) -> Mesh:
@@ -631,32 +647,10 @@ def _copy_with_tags(base: Mesh) -> Mesh:
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
-    """Split every cell; quads and triangles self-similarly, h halves.
-
-    General polygons are first fanned into triangles from the barycenter
-    and those triangles are then split four-way, so the result stays a
-    valid mesh but is not self-similar.  A 4-vertex cell's centre is the
-    mean of its vertices.  Vertices are numbered as :func:`_split_cells` does.
-    """
-    V = mesh.vertices
-    if mesh.dim == 1:
-        ends = np.array(mesh.cells)
-        a, b = V[ends[:, 0], 0], V[ends[:, 1], 0]
-        xs = np.append(np.column_stack([a, 0.5 * (a + b)]), b[-1])
-        new = Mesh(1, xs[:, None], np.column_stack([np.arange(len(xs) - 1),
-                                                    np.arange(1, len(xs))]))
-        return _inherit_tags(new, mesh)
-    sizes = np.fromiter(map(len, mesh.cells), dtype=int, count=mesh.n_cells)
-    flat, starts = np.concatenate(mesh.cells), np.cumsum(sizes) - sizes
-    centers = np.empty((mesh.n_cells, 2))
-    for cells in mesh.cell_groups():
-        g = mesh.cell_geometry(cells)
-        centers[cells] = np.where((sizes[cells] == 4)[:, None], g.vertices[:, :4].mean(axis=1),
-                                  g.barycenter)
-    groups = [(cells, flat[starts[cells, None] + np.arange(n)])
-              for n in np.unique(sizes) for cells in [np.flatnonzero(sizes == n)]]
-    verts, children, _, _ = _split_cells(mesh, groups, centers)
-    return _inherit_tags(Mesh(2, verts, _loops(children)), mesh)
+    """Split every cell (:func:`build_hanging_node_mesh` of all cells): quads
+    and triangles self-similarly, so h halves; other polygons fan into
+    triangles from their barycenter, a valid mesh that is not self-similar."""
+    return build_hanging_node_mesh(mesh, range(mesh.n_cells))
 
 
 # ---------------------------------------------------------------------------

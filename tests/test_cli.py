@@ -4,7 +4,7 @@ import pytest
 
 from pyhho import harness
 from pyhho.cli import main, parse_config, parse_gen
-from pyhho.mesh import save_mesh_json, build_structured_mesh
+from pyhho.mesh import build_structured_mesh, mesh_to_dict, save_mesh_json
 
 
 def test_parse_gen_variants():
@@ -84,6 +84,17 @@ def test_solve_from_mesh_file(tmp_path):
     assert info["cells"] == 9
     assert info["flux_equilibrium"] < 1e-10
     assert info["errors"]["h1"] < 1.0
+
+
+@pytest.mark.parametrize("face", [-1, 12])
+def test_mesh_file_tag_outside_the_faces_is_an_error_line(tmp_path, face):
+    data = mesh_to_dict(build_structured_mesh("quad", 2, 2))       # faces 0..11
+    data["boundary"]["dirichlet"].append(face)
+    mesh_path = tmp_path / "m.json"
+    mesh_path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit, match=f"^error: boundary tag names face {face} outside 0..11$"):
+        main(["solve", "--mesh", str(mesh_path), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o" / "solve.json").exists()
 
 
 def test_solve_mixed_mode_runs(tmp_path):

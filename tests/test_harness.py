@@ -84,11 +84,24 @@ def test_zero_data_gives_zero_solution():
     assert discrete_energy(sol) == pytest.approx(0.0, abs=1e-15)
 
 
+def _tri_refined_twice():
+    """Triangles refined locally twice: loops of 3, 4, 5 and 7 vertices,
+    with hanging vertices on up to two levels."""
+    mesh = build_hanging_node_mesh(build_structured_mesh("tri", 3, 3), [0, 4, 9, 13])
+    return build_hanging_node_mesh(mesh, [1, 2, 20])
+
+
+PATCH_MESHES = [(lambda: build_structured_mesh("quad", 2, 2), "direct"),
+                (_tri_refined_twice, "direct"), (_tri_refined_twice, "cg")]
+PATCH_IDS = ["quad", "tri-local-direct", "tri-local-cg"]
+
+
+@pytest.mark.parametrize("mesh, solver", PATCH_MESHES, ids=PATCH_IDS)
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_poisson_patch(k):
+def test_poisson_patch(k, mesh, solver):
     spec = poisson_polynomial(k + 1)
-    mesh = build_structured_mesh("quad", 2, 2)
-    sol = solve_problem(mesh, equal_order(k), spec)
+    mesh = mesh()
+    sol = solve_problem(mesh, equal_order(k), spec, solver=solver)
     cells, faces = reduce_global(mesh, equal_order(k), spec.exact)
     scale = max(np.abs(faces).max(), 1.0)
     assert np.abs(sol.face_coeffs - faces).max() <= 1e-9 * scale
@@ -355,12 +368,14 @@ def test_rigid_body_solution_reproduced():
     assert max(eq, neu, bal) <= 1e-9
 
 
+@pytest.mark.parametrize("mesh, solver", [(lambda: build_structured_mesh("tri", 2, 2), "direct")]
+                         + PATCH_MESHES[1:], ids=["tri"] + PATCH_IDS[1:])
 @pytest.mark.parametrize("k", [1, 2])
-def test_elasticity_patch(k):
+def test_elasticity_patch(k, mesh, solver):
     spec = elasticity_polynomial(k + 1)
-    mesh = build_structured_mesh("tri", 2, 2)
+    mesh = mesh()
     deg = HhoDegrees(k, k, rank=2)
-    sol = solve_problem(mesh, deg, spec)
+    sol = solve_problem(mesh, deg, spec, solver=solver)
     cells, faces = reduce_global(mesh, deg, spec.exact)
     scale = max(np.abs(faces).max(), 1.0)
     assert np.abs(sol.face_coeffs - faces).max() <= 1e-9 * scale
@@ -501,7 +516,7 @@ def test_operators_do_not_depend_on_grouping(degrees):
                else local_bilinear_elastic(ctx, spec.mu, spec.lam))
         return ops, local_rhs(ctx, spec.f, data_rule_basis(ctx)[0], ctx.cells, [0])
 
-    singles = [build(ci) for ci in range(mesh.n_cells)]
+    singles = [build([ci]) for ci in range(mesh.n_cells)]     # in the group's padded layout
     for g in build_local(mesh, degrees, spec):
         for b, ci in enumerate(g.cells):
             one, one_rhs = singles[ci]

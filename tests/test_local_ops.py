@@ -8,11 +8,11 @@ from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
                              local_bilinear, reconstruction, seminorm_gram,
                              stabilization_equal_order, stabilization_ls)
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh, refine_uniform
-from pyhho.projection import equal_order, l2_project, mixed_order, reduce_local
+from pyhho.projection import equal_order, gather_local, l2_project, mixed_order, reduce_local
 from pyhho.quadrature import cell_quadrature, face_quadrature
 from pyhho.basis import face_basis
 
-from support import data_rule_basis, jittered_mesh, rotated, scaled_condition
+from support import data_rule_basis, jittered_mesh, random_half, rotated, scaled_condition
 
 
 def pentagon_mesh():
@@ -247,6 +247,24 @@ def test_energy_of_reduced_polynomial():
         gq = lambda x: d * (x[:, 0] + 2 * x[:, 1]) ** (d - 1)
         exact = np.sum(rule.weights * (gq(rule.points) ** 2 * (1 + 4)))
         assert red @ (ops.L[0] @ red) == pytest.approx(exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("deg", [equal_order(1), mixed_order(1)], ids=["equal", "mixed"])
+def test_one_cell_of_a_padded_group_has_its_own_loop(deg):
+    mesh = random_half(10, 1)           # the pentagons share a group padded to 8 faces
+    c = 201
+    cells = next(g for g in mesh.cell_groups() if c in g)
+    assert len(mesh.cells[c]) == 5 and max(len(mesh.cells[i]) for i in cells) == 8
+    ctx = build_cell_context(mesh, c, deg)
+    red = reduce_local(mesh, c, deg, lambda x: x[:, 0] ** 2 - 3 * x[:, 0] * x[:, 1])
+    assert ctx.layout.size == len(red) == len(gather_local(
+        mesh, c, deg, np.zeros((mesh.n_cells, ctx.layout.cell_width)),
+        np.zeros((mesh.n_faces, ctx.layout.face_width))))
+    L = local_bilinear(ctx).L[0]
+    L_group = local_bilinear(build_cell_context(mesh, cells, deg)).L[np.flatnonzero(cells == c)[0]]
+    n = ctx.layout.size
+    np.testing.assert_allclose(L, L_group[:n, :n], rtol=0, atol=1e-13)
+    assert np.isfinite(red @ L @ red)
 
 
 def test_rayleigh_quotients_stay_banded():

@@ -2,14 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pyhho.harness import mesh_family
-from pyhho.mesh import (Mesh, MeshError, _inherit_tags, build_hanging_node_mesh,
+from pyhho.mesh import (Mesh, MeshError, build_hanging_node_mesh,
                         build_interval_mesh, build_structured_mesh,
                         left_half, load_mesh_json, mesh_from_dict, mesh_to_dict,
                         refine_uniform, save_mesh_json)
 
-from support import jittered_hanging, random_half
+from support import jittered_hanging, jittered_mesh, random_half
 
 
 def test_interval_uniform():
@@ -345,16 +346,25 @@ def _inherit_tags_pairwise(new, old):
     return mask
 
 
-@pytest.mark.parametrize("family", ["interval", "quad", "tri", "hanging"])
-def test_inherited_tags_match_pairwise_search(family):
-    left = lambda x: x[0] < 0.25       # a side and, in 2D, part of two more
-    if family == "interval":
-        old = build_interval_mesh(0.0, 1.0, 4, neumann=left)
-    else:
-        old = build_structured_mesh("tri" if family == "tri" else "quad", 4, 3,
-                                    neumann=left)
-    new = (build_hanging_node_mesh(old, left_half(old)) if family == "hanging"
-           else refine_uniform(old))
+LEFT = lambda x: x[0] < 0.25          # a side and, in 2D, part of two more
+TAGGED = {
+    "interval": lambda: build_interval_mesh(0.0, 1.0, 4, neumann=LEFT),
+    "graded": lambda: build_interval_mesh(0.0, 1.0, 7, grading=1.5, neumann=LEFT),
+    "quad": lambda: build_structured_mesh("quad", 4, 3, neumann=LEFT),
+    "tri": lambda: build_structured_mesh("tri", 4, 3, neumann=LEFT),
+    "hanging": lambda: mesh_family("hanging", 0, base=4, neumann=LEFT),
+}
+
+
+@pytest.mark.parametrize("family, refine", [
+    ("interval", None), ("quad", None), ("tri", None), ("quad", "left"),
+    ("tri", "every third"), ("hanging", "every third"), ("graded", "every third")],
+    ids=["interval", "quad", "tri", "hanging", "tri-local", "hanging-local", "graded-local"])
+def test_inherited_tags_match_pairwise_search(family, refine):
+    old = TAGGED[family]()
+    new = (refine_uniform(old) if refine is None
+           else build_hanging_node_mesh(old, left_half(old) if refine == "left"
+                                        else range(0, old.n_cells, 3)))
     assert new.neumann_faces.any() and new.dirichlet_faces.any()
     untagged = Mesh(new.dim, new.vertices, new.cells)
     np.testing.assert_array_equal(new.neumann_faces,
@@ -363,21 +373,12 @@ def test_inherited_tags_match_pairwise_search(family):
                                   new.boundary_faces & ~new.neumann_faces)
 
 
-def test_inherited_tags_name_an_orphan_face():
-    old = build_structured_mesh("quad", 1, 1, neumann=lambda x: x[0] < 1e-12)
-    new = build_structured_mesh("quad", 2, 1, bounds=((0.0, 2.0), (0.0, 1.0)))
-    orphan = next(fi for fi in np.flatnonzero(new.boundary_faces)
-                  if new.face_center(fi)[0] > 1.0)
-    with pytest.raises(MeshError,
-                       match=f"^refined boundary face {orphan} has no parent face$"):
-        _inherit_tags(new, old)
-
-
 def _split_by_midpoint_dict(mesh, refine):
     """Reference: split the ``refine`` cells one at a time, numbering each
     new vertex the first time a cell asks a dict for it.  Unrefined cells
-    gain the midpoints of their split edges (hanging refinement of quads);
-    with ``refine=None`` every cell splits (uniform refinement)."""
+    gain the midpoints of their split edges (local refinement); with
+    ``refine=None`` every cell splits (uniform refinement).  A 4-vertex cell
+    splits about its vertex mean, any other polygon about its barycenter."""
     verts = [tuple(v) for v in mesh.vertices]
     midpoint = {}
 
@@ -427,16 +428,56 @@ def assert_same_mesh(mesh, verts, cells):
         np.testing.assert_array_equal(got, want)
 
 
+BASES = {
+    "quad": lambda seed: build_structured_mesh("quad", 3 + seed, 2 + seed % 3),
+    "tri": lambda seed: build_structured_mesh("tri", 2 + seed % 3, 2 + seed % 2),
+    "jittered-quad": lambda seed: jittered_mesh("quad", 3 + seed % 2, seed),
+    "random-half": lambda seed: random_half(3, seed),
+}
+
+
+@pytest.mark.parametrize("base", BASES)
 @pytest.mark.parametrize("seed", range(6))
-def test_hanging_refinement_numbers_like_a_midpoint_dict(seed):
+def test_hanging_refinement_numbers_like_a_midpoint_dict(base, seed):
     rng = np.random.default_rng(seed)
-    base = build_structured_mesh("quad", 3 + seed, 2 + seed % 3)
-    refine = set(rng.choice(base.n_cells, rng.integers(1, base.n_cells + 1),
-                            replace=False).tolist())
-    mesh = build_hanging_node_mesh(base, refine)
-    assert_same_mesh(mesh, *_split_by_midpoint_dict(base, refine))
+    mesh = BASES[base](seed)
+    for _ in range(2):        # a second level refines the polygons of the first
+        refine = set(rng.choice(mesh.n_cells, rng.integers(1, mesh.n_cells + 1),
+                                replace=False).tolist())
+        fine = build_hanging_node_mesh(mesh, refine)
+        assert_same_mesh(fine, *_split_by_midpoint_dict(mesh, refine))
+        mesh = fine
     # uniform refinement of the result fans its polygons
     assert_same_mesh(refine_uniform(mesh), *_split_by_midpoint_dict(mesh, None))
+
+
+@st.composite
+def tagged_bases_and_subsets(draw):
+    """A small quad, triangle, jittered-quad or random-half mesh with its
+    left side Neumann, and a subset of its cells: any, or all of them."""
+    kind = draw(st.sampled_from(["quad", "tri", "jittered-quad", "random-half"]))
+    n, seed = draw(st.integers(1, 3)), draw(st.integers(0, 99))
+    mesh = (jittered_mesh("quad", n + 1, seed) if kind == "jittered-quad"
+            else random_half(n + 1, seed) if kind == "random-half"
+            else build_structured_mesh(kind, n, draw(st.integers(1, 3))))
+    base = Mesh(2, mesh.vertices, mesh.cells, neumann=LEFT)
+    every = set(range(base.n_cells))
+    return base, draw(st.one_of(st.just(every), st.sets(st.sampled_from(sorted(every)))))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(tagged_bases_and_subsets())
+def test_local_refinement_properties(case):
+    base, refine = case
+    new = build_hanging_node_mesh(base, refine)      # Mesh() validates every cell
+    assert abs(new.total_measure() - base.total_measure()) <= 1e-12 * base.total_measure()
+    assert_same_mesh(new, *_split_by_midpoint_dict(base, refine))
+    np.testing.assert_array_equal(new.neumann_faces, _inherit_tags_pairwise(new, base))
+    np.testing.assert_array_equal(new.dirichlet_faces, new.boundary_faces & ~new.neumann_faces)
+    if len(refine) == base.n_cells:
+        uniform = refine_uniform(base)
+        assert_same_mesh(new, uniform.vertices, uniform.cells)
+        np.testing.assert_array_equal(new.neumann_faces, uniform.neumann_faces)
 
 
 @pytest.mark.parametrize("family", ["quad", "tri", "hanging"])
@@ -511,3 +552,11 @@ def test_non_finite_vertex_rejected():
         verts[4, 1] = bad
         with pytest.raises(MeshError, match="vertex 4 has non-finite"):
             Mesh(2, verts, m.cells)
+
+
+@pytest.mark.parametrize("side, face", [("dirichlet", -1), ("neumann", 12)])
+def test_boundary_tags_outside_the_faces_rejected(side, face):
+    data = mesh_to_dict(build_structured_mesh("quad", 2, 2))       # faces 0..11
+    data["boundary"][side].append(face)
+    with pytest.raises(MeshError, match=f"^boundary tag names face {face} outside 0..11$"):
+        mesh_from_dict(data)
