@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
-from .projection import DofLayout, HhoDegrees, checked, dof_layout
+from .projection import DofLayout, HhoDegrees, checked, dof_layout, spd_inverse
 
 CG_MAXITER = 20000
 # cells, matrix rows or vertices per batch of a solve stage (and of the error norms)
@@ -222,11 +222,17 @@ def solve_reduced(system: GlobalSystem, method: str = "direct",
     A, b = system.matrix.tocsr(), system.rhs
     if A.shape[0] == 0:
         return np.zeros(0)
-    # SuperLU's copy; its arrays read by rows are A^T, so the check compares
-    # A with A^T in blocks of rows and builds no difference matrix
-    cols = A.tocsc()
-    asym = max(np.abs((_rows(A, s, s + CHUNK) - _rows(cols.T, s, s + CHUNK)).data).max(
-        initial=0.0) for s in range(0, A.shape[0], CHUNK))
+    # SuperLU's copy, read by rows, is A^T: on assemble's symmetric sorted pattern
+    # its values sit in A's slots.  The check goes in blocks of rows
+    cols, n = A.tocsc(), A.shape[0]
+    same = (A.has_canonical_format and np.array_equal(A.indptr, cols.indptr)
+            and np.array_equal(A.indices, cols.indices))
+    asym = 0.0
+    for s in range(0, n, CHUNK):
+        lo, hi = A.indptr[s], A.indptr[min(s + CHUNK, n)]
+        diff = (A.data[lo:hi] - cols.data[lo:hi] if same else
+                (_rows(A, s, s + CHUNK) - _rows(cols.T, s, s + CHUNK)).data)
+        asym = max(asym, np.abs(diff).max(initial=0.0))
     if asym > 1e-12 * max(A.data.max(initial=0.0), -A.data.min(initial=0.0), 1.0):
         raise ValueError(f"reduced system is not symmetric (deviation {asym:.2e})")
     start = time.perf_counter()
@@ -330,8 +336,9 @@ def _block_jacobi(A: sp.spmatrix, patches: np.ndarray) -> spla.LinearOperator:
     """Vertex-patch additive Schwarz preconditioner ``sum_v R_v^T A_vv^-1 R_v``.
 
     Row ``v`` of ``patches`` holds the reduced DoFs of patch ``v`` (-1 pads).
-    The blocks are gathered and inverted ``CHUNK`` vertices at a time, and
-    the inverses are kept stacked, zero on the padding.  An application
+    The blocks are gathered and inverted ``CHUNK`` vertices at a time
+    through their Cholesky factors (:func:`pyhho.projection.spd_inverse`),
+    and the inverses are kept stacked, zero on the padding.  An application
     gathers the patch values, multiplies by every inverse in one batched
     product and sums the results back with one ``np.bincount``.  With one
     face per patch (1D) this is block Jacobi.  ``perfbench/tracing.py``
@@ -348,9 +355,8 @@ def _block_jacobi(A: sp.spmatrix, patches: np.ndarray) -> spla.LinearOperator:
                               np.broadcast_to(rows[:, None, :], shape).reshape(-1)])
         skip = pad[s:s + CHUNK, :, None] | pad[s:s + CHUNK, None, :]
         blocks = np.where(skip, np.eye(m), blocks.reshape(shape))   # identity on the padding
-        inv[s:s + CHUNK] = checked(np.linalg.inv, blocks, ids=np.arange(s, s + len(rows)),
-                                   entity="vertex",
-                                   what="singular patch block of the reduced system")
+        inv[s:s + CHUNK] = spd_inverse(blocks, np.arange(s, s + len(rows)), entity="vertex",
+                                       what="singular patch block of the reduced system")
         inv[s:s + CHUNK][skip] = 0.0
     flat, size = idx.reshape(-1), A.shape[0]
 

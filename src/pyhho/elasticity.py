@@ -25,9 +25,9 @@ import numpy as np
 from . import local_ops
 from .local_ops import (CellContext, LocalOperators, _face_flux, _gradient_moments,
                         stabilization_equal_order, stabilization_ls)
-# unused here; perfbench/tracing.py resolves pyhho.elasticity.mass_cholesky
-# among its SPAN_SITES, so the name stays until those sites change
-from .projection import checked, mass_cholesky  # noqa: F401
+# mass_cholesky is unused here; perfbench/tracing.py resolves it among its
+# SPAN_SITES, so the name stays until those sites change
+from .projection import mass_cholesky, spd_inverse  # noqa: F401
 
 # symmetric unit tensors E_xx, E_yy, E_xy([[0,1],[1,0]]) and their ':' norms
 TENSOR_WEIGHTS = np.array([1.0, 1.0, 2.0])
@@ -83,11 +83,13 @@ def displacement_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) 
     """Degree-(k+1) displacement reconstruction with rigid-body constraints.
 
     The projection of the strain reconstruction ``Es`` onto symmetric
-    gradients of degree k+1: ``(eps(Dep v), eps(w)) = (Es v, eps(w))`` for
-    every ``w``, the defining equation because ``eps(w)`` has degree k.
-    The symmetric-gradient stiffness (:func:`strain_gram`) is augmented by
-    two mean-value rows and one skew-gradient row (Lagrange multipliers), so
-    ``Dep @ v`` are the full vector coefficients including the rigid part.
+    gradients of degree k+1: ``(eps(Dep v), eps(w)) = (Es v, eps(w)) = H v``
+    for every ``w``, the defining equation because ``eps(w)`` has degree k.
+    Two mean-value rows and one skew-gradient row ``C Dep = D`` fix the
+    rigid part, so ``Dep @ v`` are the full vector coefficients.  ``H``
+    vanishes on the rigid kernel of the strain Gram ``S`` (:func:`strain_gram`),
+    where ``C`` is one-to-one, so the constraints need no multipliers: ``(S +
+    C^T C) Dep = H + C^T D``, an SPD system (``C``, ``D`` divided by ``|T|``).
     The skew row's data is the cell integral of ``Es[:, 2]``, since ``int_T
     G_c v = sum_F int_F v_F n_c``.
     """
@@ -113,13 +115,10 @@ def displacement_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) 
     D[:, 2, 0::2] = int_exy[:, 0::2]
     D[:, 2, 1::2] = -int_exy[:, 1::2]
 
-    saddle = np.zeros((nb, nv + 3, nv + 3))
-    saddle[:, :nv, :nv] = strain_gram(ctx)
-    saddle[:, :nv, nv:] = C.mT
-    saddle[:, nv:, :nv] = C
-    sol = checked(np.linalg.solve, saddle, np.concatenate([H, D], axis=1),
-                  ids=ctx.cells, what="singular displacement-reconstruction system")
-    return sol[:, :nv]
+    C, D = (X / ctx.geom.measure[:, None, None] for X in (C, D))
+    inv = spd_inverse(strain_gram(ctx) + C.mT @ C, ctx.cells,
+                      what="singular displacement-reconstruction system")
+    return inv @ (H + C.mT @ D)
 
 
 def stabilization_elastic(ctx: CellContext, Dep: np.ndarray | None):
@@ -148,7 +147,8 @@ def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalOper
     Dep = displacement_reconstruction(ctx, Es)
     stab_face, penalty = stabilization_elastic(ctx, Dep)
 
-    strain_term = np.einsum("m,bmij->bij", TENSOR_WEIGHTS, Es.mT @ Mk @ Es)
+    flat = Es.reshape(len(Es), -1, Es.shape[-1])           # (nb, 3 n_k, size)
+    strain_term = flat.mT @ (TENSOR_WEIGHTS[:, None, None] * (Mk @ Es)).reshape(flat.shape)
     div_term = Dv.mT @ Mk[:, 0] @ Dv
     L = 2 * mu * strain_term + lam * div_term + 2 * mu * penalty
     L = 0.5 * (L + L.mT)

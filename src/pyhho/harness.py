@@ -603,7 +603,9 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
     fbar = np.zeros(mesh.n_cells)
     for g in groups:
         fbar[g.cells] = g.rhs[:, 0]
-    fbar /= hcells
+    # cells from left to right, as hcells: a refined mesh numbers its children first
+    order = np.argsort(mesh.vertices[np.array(mesh.cells), 0].min(axis=1))
+    fbar = fbar[order] / hcells
     for i, h in enumerate(hcells):
         rule = interval_rule(xs[i], xs[i + 1], 20)
         x = rule.points[:, 0]
@@ -637,9 +639,9 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
         cells, faces = asm.recover_cells(mesh, condensed, dofmap, x,
                                          dirichlet_values=np.zeros((mesh.n_faces, 1)))
         # an interval mesh is one group: both end faces of every cell at once
-        lam = faces[mesh.cell_face_indices(np.arange(mesh.n_cells)), 0]
+        lam = faces[mesh.cell_face_indices(order), 0]
         expect = 0.5 * hcells ** 2 * fbar + 0.5 * (lam[:, 0] + lam[:, 1])
-        recovery_dev = float(np.max(np.abs(cells[:, 0] - expect)
+        recovery_dev = float(np.max(np.abs(cells[order, 0] - expect)
                                     / np.maximum(np.abs(expect), 1e-30), initial=0.0))
     return Oracle1dReport(k=k, n_cells=mesh.n_cells, matrix_dev=matrix_dev,
                           rhs_dev=rhs_dev, recovery_dev=recovery_dev)

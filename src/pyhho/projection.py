@@ -96,18 +96,31 @@ def checked(fn, *stacks, ids, what: str, entity: str = "cell"):
         raise
 
 
+def spd_inverse(M: np.ndarray, ids, what: str, entity: str = "cell") -> np.ndarray:
+    """Inverses ``L^-T L^-1`` of a stack of SPD matrices ``M = L L^T``.
+
+    A failed factorization raises a ``ValueError`` naming the entry's id in
+    ``ids`` (a cell, face or vertex, per ``entity``) with ``what``.  ``L^-1``
+    comes by forward substitution, one row of every matrix at a time: at
+    these orders a batched LU costs several times the Cholesky factor.
+    """
+    L = checked(np.linalg.cholesky, M, ids=ids, entity=entity, what=what)
+    d = 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
+    X = d[..., None] * np.eye(M.shape[-1])
+    for i in range(1, M.shape[-1]):    # row i of L X = I, below the diagonal
+        X[..., i, :i] = -(L[..., i, None, :i] @ X[..., :i, :i])[..., 0, :] * d[..., i, None]
+    return X.mT @ X
+
+
 def mass_cholesky(M: np.ndarray, ids=None, entity: str = "cell") -> np.ndarray:
-    """Inverses of a stack of mass matrices through their Cholesky factors.
+    """Inverses of a stack of mass matrices (:func:`spd_inverse`).
 
     ``ids`` name the stacked cells or faces in the error raised for a
     matrix that is not positive definite.
     """
-    ids = np.arange(len(M)) if ids is None else ids
-    L = checked(np.linalg.cholesky, M, ids=ids, entity=entity,
-                what="mass matrix is not positive definite; the geometry is "
-                     "degenerate or the degree too high for raw monomials")
-    L_inv = np.linalg.inv(L)
-    return L_inv.mT @ L_inv
+    return spd_inverse(M, np.arange(len(M)) if ids is None else ids, entity=entity,
+                       what="mass matrix is not positive definite; the geometry is "
+                            "degenerate or the degree too high for raw monomials")
 
 
 def sample(fn, points: np.ndarray, rank: int | None = None, ids=None,

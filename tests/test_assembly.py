@@ -253,6 +253,26 @@ def test_asymmetry_is_measured_and_named():
             asm.solve_reduced(asm.GlobalSystem(A, system.rhs, system.dofmap), method=method)
 
 
+@pytest.mark.parametrize("pattern", [True, False], ids=["symmetric", "unsymmetric"])
+def test_asymmetry_is_named_on_either_pattern(pattern):
+    system = _reduced_system(build_structured_mesh("quad", 3, 3), equal_order(1),
+                             poisson_sin_2d())
+    A = system.matrix.copy()
+    if pattern:                    # one stored value off its mirror
+        A.data[A.indptr[1] - 1] += 0.25
+    else:                          # one stored entry whose mirror is not stored
+        A = A.tolil()
+        A[0, A.shape[0] - 1] = 0.5
+        A = A.tocsr()
+    B = A.tocsc()
+    assert (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)) \
+        == pattern
+    deviation = abs(A - A.T).max()
+    with pytest.raises(ValueError, match=re.escape(
+            f"reduced system is not symmetric (deviation {deviation:.2e})")):
+        asm.solve_reduced(asm.GlobalSystem(A, system.rhs, system.dofmap))
+
+
 @pytest.mark.parametrize("solver", ["direct", "cg"])
 @pytest.mark.parametrize("mesh", [lambda: build_structured_mesh("quad", 1, 1),
                                   lambda: build_interval_mesh(0.0, 1.0, 1)],
@@ -289,6 +309,27 @@ def _hanging_mixed():
             poisson_sin_2d())
 
 
+def _clamped_left():
+    # Dirichlet faces only on x = 0, whose vertices are collinear: the curls
+    # of the auxiliary space are dependent and A_0 is singular to round-off
+    spec0 = elasticity_divfree(mu=1.0, lam=1e4)
+
+    def traction(x):
+        J = spec0.exact_grad(x)
+        eps = 0.5 * (J + np.swapaxes(J, 1, 2))
+        div = np.trace(eps, axis1=1, axis2=2)[:, None, None]
+        sig = 2 * spec0.mu * eps + spec0.lam * div * np.eye(2)
+        normal = np.where(np.isclose(x[:, :1], 1.0), [1.0, 0.0],
+                          np.where(x[:, 1:] < 0.5, [0.0, -1.0], [0.0, 1.0]))
+        return (sig @ normal[:, :, None])[:, :, 0]
+
+    spec = ProblemSpec(kind="elasticity", f=spec0.f, u_dirichlet=spec0.exact,
+                       g_neumann=traction, mu=spec0.mu, lam=spec0.lam, exact=spec0.exact,
+                       exact_grad=spec0.exact_grad, name="elasticity-clamped")
+    return (build_structured_mesh("tri", 6, 6, neumann=lambda x: x[0] > 1e-12),
+            equal_order(1, rank=2), spec)
+
+
 CG_CASES = {
     "near-incompressible elasticity on jittered triangles":
         lambda: (jittered_mesh("tri", 10, 1), equal_order(1, rank=2),
@@ -301,6 +342,7 @@ CG_CASES = {
     # to round-off, and the coarse solve acts as a pseudo-inverse
     "k=0 Poisson on quads": lambda: (build_structured_mesh("quad", 8, 8), equal_order(0),
                                      poisson_sin_2d()),
+    "elasticity clamped on one side": _clamped_left,
 }
 
 

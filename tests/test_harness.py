@@ -357,6 +357,13 @@ def test_oracle_1d_requires_interval():
         oracle_1d(1, build_structured_mesh("quad", 2, 2))
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_oracle_1d_on_a_refined_interval_mesh(k):
+    # the children of the split cells are numbered first, out of position order
+    mesh = build_hanging_node_mesh(build_interval_mesh(0, 1, 16), [2, 9])
+    assert oracle_1d(k, mesh).passed
+
+
 def test_rigid_body_solution_reproduced():
     spec = rigid_body_problem()
     mesh = build_structured_mesh("quad", 3, 3)

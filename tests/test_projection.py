@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from pyhho import elasticity
 from pyhho.basis import scaled_monomial_basis
 from pyhho.local_ops import build_cell_context
 from pyhho.mesh import build_interval_mesh, build_structured_mesh
 from pyhho.projection import (HhoDegrees, dof_layout, equal_order, gather_local,
                               l2_project, mixed_order,
-                              reduce_global, reduce_local)
+                              reduce_global, reduce_local, spd_inverse)
 from pyhho.quadrature import cell_quadrature
+
+from support import jittered_mesh
 
 
 def interval_cell(a=-1.0, b=1.0):
@@ -160,3 +163,38 @@ def test_reduce_vector_componentwise():
     layout = dof_layout(mesh, deg, 4)
     np.testing.assert_allclose(red[layout.cell][0::2], red0[:3], atol=1e-13)
     np.testing.assert_allclose(red[layout.cell][1::2], red1[:3], atol=1e-13)
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["single", "stack", "stack2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 15, 24, 32])
+def test_spd_inverse_matches_inv(n, lead):
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal(lead + (n, n))
+    M = B @ B.mT + 0.1 * np.eye(n)
+    expect = np.linalg.inv(M)
+    got = spd_inverse(M, np.arange(5), what="unused")
+    assert got.shape == M.shape
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_spd_inverse_names_the_indefinite_entry():
+    M = np.broadcast_to(np.eye(4), (5, 4, 4)).copy()
+    M[2, 1, 1] = -1.0
+    with pytest.raises(ValueError, match="^face 12: not positive definite$"):
+        spd_inverse(M, np.arange(10, 15), what="not positive definite", entity="face")
+
+
+def test_singular_displacement_reconstruction_names_its_cell(monkeypatch):
+    mesh = jittered_mesh("tri", 3, 1)
+    ctx = build_cell_context(mesh, np.arange(mesh.n_cells), HhoDegrees(1, 1, rank=2))
+    gram = elasticity.strain_gram
+
+    def corrupted(c):
+        S = gram(c)
+        S[4] *= -10.0
+        return S
+
+    monkeypatch.setattr(elasticity, "strain_gram", corrupted)
+    with pytest.raises(ValueError, match=f"^cell {ctx.cells[4]}: singular "
+                                         "displacement-reconstruction system$"):
+        elasticity.displacement_reconstruction(ctx)
