@@ -1,10 +1,10 @@
 """Global numbering, static condensation, assembly, and the sparse solve.
 
 Cell unknowns are eliminated through the Schur complement of each cell
-block, one group of cells at a time and one factorization per distinct
-cell shape, leaving a symmetric positive-definite system coupling only
-the face unknowns of non-Dirichlet faces.  Dirichlet faces are removed by
-elimination; their projected data enters the right-hand side.  Assembly
+block, one group of cells at a time and one inverse Cholesky factor per
+distinct cell shape, leaving a symmetric positive-definite system coupling
+only the face unknowns of non-Dirichlet faces.  Dirichlet faces are removed
+by elimination; their projected data enters the right-hand side.  Assembly
 scatters the condensed matrices into the values of a sparse pattern built
 once from the pairs of free faces that share a cell; every entry sums the
 terms of at most the two cells of a face, so results are bit-reproducible.
@@ -23,8 +23,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
-from .projection import DofLayout, HhoDegrees, checked, dof_layout, spd_inverse
+from .projection import DofLayout, HhoDegrees, dof_layout, spd_inverse
 
+SOLVERS = ("direct", "cg")
 CG_MAXITER = 20000
 # cells, matrix rows or vertices per batch of a solve stage (and of the error norms)
 CHUNK = 1024
@@ -92,25 +93,22 @@ def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cells,
     ``L`` is stacked over the group's distinct shapes and ``b`` over its
     cells; ``shapes[i]`` is the row of ``L`` that serves ``cells[i]``, with
     shapes numbered in order of first cell (:meth:`pyhho.mesh.Mesh.cell_shapes`).
-    Each shape's cell block is checked and factored once; ``L_c`` and
-    ``X`` stay stacked by shape, and only ``y`` and ``b_c`` are formed per cell.
+    Each shape's cell block is factored once, ``L_TT^-1 = F^T F`` (a failure
+    names the shape's first cell), and eliminated in factor form: with ``W =
+    F L_TF``, ``L_c = L_FF - W^T W`` (symmetric by construction) and ``X = F^T
+    W`` stay stacked by shape; ``y`` and ``b_c`` are formed per cell from ``F b_T``.
     """
     cells, shapes = np.atleast_1d(cells), np.atleast_1d(shapes)
-    ct, fc, cw = layout.cell, layout.faces, layout.cell_width
-    L_TT, L_TF = L[:, ct, ct], L[:, ct, fc]
-    # the factorization only checks that every cell block is positive definite;
-    # an error names the first cell of the offending shape
-    checked(np.linalg.cholesky, L_TT, ids=cells[np.unique(shapes, return_index=True)[1]],
-            what="singular cell block during condensation "
-                 "(broken local operator construction)")
-    sol = np.linalg.solve(L_TT, np.concatenate(
-        [L_TF, np.broadcast_to(np.eye(cw), L_TT.shape)], axis=2))
-    X, L_TT_inv = sol[..., :-cw], sol[..., -cw:]
-    L_c = L[:, fc, fc] - L_TF.mT @ X
-    y = (L_TT_inv[shapes] @ b[:, ct, None])[..., 0]
-    b_c = b[:, fc] - (X[shapes].mT @ b[:, ct, None])[..., 0]
+    ct, fc = layout.cell, layout.faces
+    F = spd_inverse(L[:, ct, ct], cells[np.unique(shapes, return_index=True)[1]],
+                    what="singular cell block during condensation "
+                         "(broken local operator construction)")
+    W, Fs = F @ L[:, ct, fc], F[shapes]
+    Fb = Fs @ b[:, ct, None]
     return CondensedGroup(cells=cells, shapes=shapes, layout=layout,
-                          L_c=0.5 * (L_c + L_c.mT), b_c=b_c, X=X, y=y)
+                          L_c=L[:, fc, fc] - W.mT @ W,
+                          b_c=b[:, fc] - (W[shapes].mT @ Fb)[..., 0],
+                          X=F.mT @ W, y=(Fs.mT @ Fb)[..., 0])
 
 
 @dataclass
@@ -213,12 +211,19 @@ def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
     return GlobalSystem(matrix=matrix, rhs=rhs, dofmap=dofmap)
 
 
+def check_solver(method: str, tol: float) -> None:
+    """Reject a solver not in :data:`SOLVERS` or a tolerance not positive and finite."""
+    if method not in SOLVERS:
+        raise ValueError(f"unknown solver {method!r}; expected one of {', '.join(SOLVERS)}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"solver tolerance must be positive and finite, got {tol!r}")
+
+
 def solve_reduced(system: GlobalSystem, method: str = "direct",
                   tol: float = 1e-12) -> np.ndarray:
     """Solve the reduced face system: sparse direct, or two-level
     preconditioned CG (:func:`_two_level_cg`)."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"solver tolerance must be positive and finite, got {tol!r}")
+    check_solver(method, tol)
     A, b = system.matrix.tocsr(), system.rhs
     if A.shape[0] == 0:
         return np.zeros(0)
@@ -243,19 +248,17 @@ def solve_reduced(system: GlobalSystem, method: str = "direct",
                   "(%.1fx), %.4f s", A.shape[0], A.nnz, lu.nnz, lu.nnz / A.nnz,
                   time.perf_counter() - start)
         return x
-    if method == "cg":
-        del cols
-        M1 = _block_jacobi(A, _vertex_patches(system.dofmap))
-        P = _auxiliary_space(system.dofmap)
-        lu = _factor((P.T @ (A @ P)).tocsc(), "auxiliary coarse system")
-        setup = time.perf_counter()
-        x, iters, res = _two_level_cg(A, b, M1, P, lu, tol)
-        log.debug("face solve: cg, %d reduced DoFs, %d nonzeros, auxiliary space %d, "
-                  "%d iterations, relative residual %.2e, setup %.4f s, loop %.4f s",
-                  A.shape[0], A.nnz, P.shape[1], iters, res, setup - start,
-                  time.perf_counter() - setup)
-        return x
-    raise ValueError(f"unknown solver {method!r}")
+    del cols
+    M1 = _block_jacobi(A, _vertex_patches(system.dofmap))
+    P = _auxiliary_space(system.dofmap)
+    lu = _factor((P.T @ (A @ P)).tocsc(), "auxiliary coarse system")
+    setup = time.perf_counter()
+    x, iters, res = _two_level_cg(A, b, M1, P, lu, tol)
+    log.debug("face solve: cg, %d reduced DoFs, %d nonzeros, auxiliary space %d, "
+              "%d iterations, relative residual %.2e, setup %.4f s, loop %.4f s",
+              A.shape[0], A.nnz, P.shape[1], iters, res, setup - start,
+              time.perf_counter() - setup)
+    return x
 
 
 def _rows(M: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
@@ -336,11 +339,12 @@ def _block_jacobi(A: sp.spmatrix, patches: np.ndarray) -> spla.LinearOperator:
     """Vertex-patch additive Schwarz preconditioner ``sum_v R_v^T A_vv^-1 R_v``.
 
     Row ``v`` of ``patches`` holds the reduced DoFs of patch ``v`` (-1 pads).
-    The blocks are gathered and inverted ``CHUNK`` vertices at a time
-    through their Cholesky factors (:func:`pyhho.projection.spd_inverse`),
-    and the inverses are kept stacked, zero on the padding.  An application
-    gathers the patch values, multiplies by every inverse in one batched
-    product and sums the results back with one ``np.bincount``.  With one
+    The blocks are gathered and inverted ``CHUNK`` vertices at a time, as
+    ``F^T F`` from their inverse Cholesky factors ``F``
+    (:func:`pyhho.projection.spd_inverse`), and kept stacked, zero on the
+    padding.  An application gathers the patch values, multiplies by every
+    inverse in one batched product and sums the results back with one
+    ``np.bincount``.  With one
     face per patch (1D) this is block Jacobi.  ``perfbench/tracing.py``
     counts CG iterations by wrapping this function by name.
     """
@@ -355,8 +359,9 @@ def _block_jacobi(A: sp.spmatrix, patches: np.ndarray) -> spla.LinearOperator:
                               np.broadcast_to(rows[:, None, :], shape).reshape(-1)])
         skip = pad[s:s + CHUNK, :, None] | pad[s:s + CHUNK, None, :]
         blocks = np.where(skip, np.eye(m), blocks.reshape(shape))   # identity on the padding
-        inv[s:s + CHUNK] = spd_inverse(blocks, np.arange(s, s + len(rows)), entity="vertex",
-                                       what="singular patch block of the reduced system")
+        F = spd_inverse(blocks, np.arange(s, s + len(rows)), entity="vertex",
+                        what="singular patch block of the reduced system")
+        inv[s:s + CHUNK] = F.mT @ F
         inv[s:s + CHUNK][skip] = 0.0
     flat, size = idx.reshape(-1), A.shape[0]
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, problems
+from .assembly import SOLVERS
 from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh, left_half, load_mesh_json)
 from .projection import HhoDegrees
@@ -235,7 +236,7 @@ def build_parser():
                             help="cell degree equal to k or k+1")
         sp.add_argument("--out", default=None, help="output directory")
         if solve:
-            sp.add_argument("--solver", choices=["direct", "cg"], default="direct")
+            sp.add_argument("--solver", choices=SOLVERS, default="direct")
             sp.add_argument("--tol", type=tolerance, default=1e-12)
             sp.add_argument("--problem", default="poisson",
                             choices=sorted(problems.PROBLEMS))

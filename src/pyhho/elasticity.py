@@ -23,11 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import local_ops
-from .local_ops import (CellContext, LocalOperators, _face_flux, _gradient_moments,
-                        stabilization_equal_order, stabilization_ls)
-# mass_cholesky is unused here; perfbench/tracing.py resolves it among its
-# SPAN_SITES, so the name stays until those sites change
-from .projection import mass_cholesky, spd_inverse  # noqa: F401
+from .local_ops import (CellContext, LocalOperators, _bundle, _gradient_moments,
+                        constrained_projection, stabilization_equal_order, stabilization_ls)
+# unused here; perfbench/tracing.py resolves it among its SPAN_SITES, so the
+# name stays until those sites change
+from .projection import mass_cholesky  # noqa: F401
 
 # symmetric unit tensors E_xx, E_yy, E_xy([[0,1],[1,0]]) and their ':' norms
 TENSOR_WEIGHTS = np.array([1.0, 1.0, 2.0])
@@ -85,13 +85,12 @@ def displacement_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) 
     The projection of the strain reconstruction ``Es`` onto symmetric
     gradients of degree k+1: ``(eps(Dep v), eps(w)) = (Es v, eps(w)) = H v``
     for every ``w``, the defining equation because ``eps(w)`` has degree k.
-    Two mean-value rows and one skew-gradient row ``C Dep = D`` fix the
-    rigid part, so ``Dep @ v`` are the full vector coefficients.  ``H``
-    vanishes on the rigid kernel of the strain Gram ``S`` (:func:`strain_gram`),
-    where ``C`` is one-to-one, so the constraints need no multipliers: ``(S +
-    C^T C) Dep = H + C^T D``, an SPD system (``C``, ``D`` divided by ``|T|``).
-    The skew row's data is the cell integral of ``Es[:, 2]``, since ``int_T
-    G_c v = sum_F int_F v_F n_c``.
+    Two mean-value rows and one skew-gradient row ``C Dep = D``, one-to-one
+    on the rigid kernel of the strain Gram (:func:`strain_gram`), fix the
+    rigid part as in the Poisson reconstruction
+    (:func:`pyhho.local_ops.constrained_projection`), so ``Dep @ v`` are the
+    full vector coefficients.  The skew row's data is the cell integral of
+    ``Es[:, 2]``, since ``int_T G_c v = sum_F int_F v_F n_c``.
     """
     if Es is None:
         Es = strain_reconstruction(ctx)
@@ -115,23 +114,17 @@ def displacement_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) 
     D[:, 2, 0::2] = int_exy[:, 0::2]
     D[:, 2, 1::2] = -int_exy[:, 1::2]
 
-    C, D = (X / ctx.geom.measure[:, None, None] for X in (C, D))
-    inv = spd_inverse(strain_gram(ctx) + C.mT @ C, ctx.cells,
-                      what="singular displacement-reconstruction system")
-    return inv @ (H + C.mT @ D)
+    return constrained_projection(ctx, strain_gram(ctx), C, D, H,
+                                  what="singular displacement-reconstruction system")[0]
 
 
 def stabilization_elastic(ctx: CellContext, Dep: np.ndarray | None):
-    """Vector stabilization; the equal-order variant needs ``Dep``.
-
-    Returns ``(face_ops, penalty)`` where ``penalty`` carries the plain
-    ``1/h`` weight (the ``2 mu`` factor is applied by the bilinear form).
-    """
+    """Vector stabilization ``(face_ops, penalty)``, ``penalty`` with the plain
+    ``1/h`` weight (the bilinear form applies ``2 mu``); equal order needs ``Dep``."""
     if ctx.degrees.mixed:
         return stabilization_ls(ctx)
     if Dep is None:
-        raise ValueError("equal-order elastic stabilization needs the "
-                         "displacement reconstruction")
+        raise ValueError("equal-order elastic stabilization needs the displacement reconstruction")
     return stabilization_equal_order(ctx, Dep)
 
 
@@ -145,20 +138,14 @@ def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalOper
     Es = strain_reconstruction(ctx)
     Dv = divergence_reconstruction(ctx, Es)
     Dep = displacement_reconstruction(ctx, Es)
-    stab_face, penalty = stabilization_elastic(ctx, Dep)
+    stab = stabilization_elastic(ctx, Dep)
 
     flat = Es.reshape(len(Es), -1, Es.shape[-1])           # (nb, 3 n_k, size)
-    strain_term = flat.mT @ (TENSOR_WEIGHTS[:, None, None] * (Mk @ Es)).reshape(flat.shape)
-    div_term = Dv.mT @ Mk[:, 0] @ Dv
-    L = 2 * mu * strain_term + lam * div_term + 2 * mu * penalty
-    L = 0.5 * (L + L.mT)
-
+    consistency = (2 * mu * (flat.mT @ (TENSOR_WEIGHTS[:, None, None] * (Mk @ Es)).reshape(
+        flat.shape)) + lam * (Dv.mT @ Mk[:, 0] @ Dv))
     # stress coefficient maps, by columns
     sig = _tensor_columns(np.stack([(2 * mu + lam) * Es[:, 0] + lam * Es[:, 1],
                                     lam * Es[:, 0] + (2 * mu + lam) * Es[:, 1],
                                     2 * mu * Es[:, 2]], axis=1))
-    return LocalOperators(
-        ctx=ctx, L=L, stab_face=stab_face, rec=Dep,
-        flux=_face_flux(ctx, sig, stab_face, 2.0 * mu / ctx.h),
-        # (sigma, eps(q)) = (sigma, grad q) for the vector cell basis q of degree k
-        balance=_gradient_moments(ctx, sig)[:, : 2 * n_k])
+    # (sigma, eps(q)) = (sigma, grad q) in the balance, for the vector cell basis q
+    return _bundle(ctx, consistency, stab, 2.0 * mu, Dep, sig)

@@ -31,7 +31,7 @@ from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh, left_half)
 from .problems import ProblemSpec
 from .projection import (HhoDegrees, dof_layout, equal_order, gather_local,
-                         l2_project, mixed_order, reduce_local, sample)
+                         l2_project, mixed_order, reduce_local, sample, spd_inverse)
 from .quadrature import QuadratureRule, cell_quadrature, face_quadrature, interval_rule
 
 log = logging.getLogger("pyhho")
@@ -144,11 +144,11 @@ def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec) -> list:
     a stage that reads them takes cell ``b``'s at row ``shapes[b]``.
     """
     elastic = spec.kind == "elasticity"
-    if elastic:
-        if degrees.rank != 2:
-            raise ValueError("elasticity needs vector degrees (rank 2)")
-        if degrees.k_face < 1:
-            raise ValueError("elasticity requires k >= 1")
+    if degrees.rank != (2 if elastic else 1):
+        raise ValueError("elasticity needs vector degrees (rank 2)" if elastic
+                         else "poisson needs scalar degrees (rank 1)")
+    if elastic and degrees.k_face < 1:
+        raise ValueError("elasticity requires k >= 1")
     groups = []
     for cells in mesh.cell_groups():
         start = time.perf_counter()
@@ -168,6 +168,7 @@ def solve_problem(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec,
                   solver: str = "direct", tol: float = 1e-12,
                   monolithic: bool = False) -> Solution:
     """Solve the discrete problem and recover all unknowns."""
+    asm.check_solver(solver, tol)
     if not mesh.dirichlet_faces.any():
         raise ValueError(
             "no Dirichlet face: the solution is determined only up to a "
@@ -351,6 +352,8 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
         # d phi_i / d x^_c = exps[i, c] phi_(i lowered in c): column i of D[c]
         exps, low = ctx.rec_basis.exponents, _lowered(ctx.rec_basis.degree, mesh.dim)
         D = exps.T[:, None, :] * (low[:, None, :] == np.arange(ctx.n_rec)[:, None])
+        F = spd_inverse(ctx.mass_full[:, : ctx.n_cell, : ctx.n_cell], ctx.cells,
+                        what="cell mass matrix is not positive definite")
         for s in range(0, len(g.cells), asm.CHUNK):
             cells, shapes = g.cells[s:s + asm.CHUNK], g.shapes[s:s + asm.CHUNK]
             nb = len(cells)
@@ -370,10 +373,9 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
             h1_sq += (2 * spec.mu if elastic else 1.0) * float(
                 np.sum(w * (de ** 2).sum(axis=(2, 3))))
             l2r_sq += float(np.sum(w * ((ex - vals @ coef) ** 2).sum(axis=2)))
-            # discrete cell error against the cell projection of u
-            Vc = vals[..., : ctx.n_cell]
-            WV = w[..., None] * Vc
-            pcoef = np.linalg.solve(WV.mT @ Vc, WV.mT @ ex)
+            # discrete cell error against the cell projection of u, M^-1 = F^T F
+            Vc, Fs = vals[..., : ctx.n_cell], F[shapes]
+            pcoef = Fs.mT @ (Fs @ ((w[..., None] * Vc).mT @ ex))
             diff = Vc @ (pcoef - sol.cell_coeffs[cells].reshape(nb, -1, rank))
             l2c_sq += float(np.sum(w * (diff ** 2).sum(axis=2)))
     return ErrorRow(level=level, h=mesh.max_diameter(),
@@ -520,7 +522,7 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
             proj = (vals[..., : ctx.n_cell] @ red[:, ctx.layout.cell, None])[..., 0]
             out[0] = np.sum(w * (vx - proj) ** 2)
 
-            _, _, _, R_full, _ = reconstruction(ctx)
+            R_full, _ = reconstruction(ctx)
             rec = (vals @ (R_full[shapes] @ red[..., None]))[..., 0]
             out[2] = np.sum(w * (vx - rec) ** 2)
 

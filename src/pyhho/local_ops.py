@@ -3,12 +3,13 @@
 For each cell this module builds, in the monomial bases of the hybrid
 unknowns, the full-polynomial gradient reconstruction ``G``, the
 potential reconstruction of one degree higher, the equal-order and
-Lehrenfeld-Schoberl stabilizations, the resulting local bilinear-form
-matrix, and the operator recovering equilibrated face fluxes.  The hybrid
-face terms are assembled once, in ``G``: the potential reconstruction is
-its projection onto gradients of degree k+1, and the consistency fluxes
-are read from degree-k coefficients of the flux field.  The cell Gram
-matrices are face sums, so no operator depends on a cell quadrature rule.
+Lehrenfeld-Schoberl stabilizations, and one bundle of the local matrix and
+the operators recovering equilibrated face fluxes.  The hybrid face terms
+are assembled once, in ``G``: the potential reconstruction is its
+projection onto gradients of degree k+1, one constrained SPD solve in
+inverse-Cholesky-factor form that the elastic displacement reconstruction
+shares, and the fluxes are read from degree-k coefficients of the flux
+field.  Cell Grams are face sums: no operator needs a cell quadrature rule.
 
 Every operator is built for a group of cells that share one quadrature
 class (see :meth:`pyhho.mesh.Mesh.cell_groups`): arrays carry a leading
@@ -33,7 +34,7 @@ import numpy as np
 
 from .basis import Basis, basis_size, face_basis, scaled_monomial_basis
 from .mesh import CellGeometry, Mesh
-from .projection import DofLayout, HhoDegrees, checked, dof_layout, mass_cholesky
+from .projection import DofLayout, HhoDegrees, dof_layout, mass_cholesky, spd_inverse
 # unused here; perfbench/tracing.py resolves pyhho.local_ops.cell_quadrature by name
 from .quadrature import cell_quadrature, face_quadrature  # noqa: F401
 
@@ -164,31 +165,37 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
 # reconstruction
 
 
+def constrained_projection(ctx: CellContext, K: np.ndarray, C: np.ndarray, D: np.ndarray,
+                           H: np.ndarray, what: str):
+    """A reconstruction ``x``, ``K x = H`` pinned by ``C x = D``, and ``F``.
+
+    The constraint rows ``C`` are one-to-one on the kernel of the Gram ``K``,
+    where ``H`` vanishes, so the saddle's multipliers are zero and ``x``
+    solves ``(K + C^T C) x = H + C^T D`` (``C``, ``D`` divided by ``|T|``)
+    with that matrix's inverse Cholesky factor ``F``; a failure names the
+    cell with ``what``.  ``(F H)^T (F H) = x^T K x`` is the consistency matrix.
+    """
+    C, D = (X / ctx.geom.measure[:, None, None] for X in (C, D))
+    F = spd_inverse(K + C.mT @ C, ctx.cells, what=what)
+    return F.mT @ (F @ (H + C.mT @ D)), F
+
+
 def reconstruction(ctx: CellContext):
-    """Potential reconstruction matrices ``(Kstar, H, R, R_full, A)``.
+    """Potential reconstruction ``(R_full, A)``, stacked over the group.
 
     ``R v`` is the projection of ``G v`` onto gradients of degree k+1:
     ``(grad R v, grad w) = (G v, grad w)`` is exact because ``grad w`` has
     degree k, so the right-hand side is ``H = sum_c (d_c w, phi_k) G_c``.
-    ``R`` maps local DoFs to the non-constant coefficients of the
-    reconstructed polynomial; ``R_full`` prepends the row restoring the cell
-    mean, so that ``R_full @ v`` are coefficients in the full degree-(k+1)
-    basis.  ``A = H^T R`` is the consistency stiffness.  Each matrix is
-    stacked over the cells of the group.
+    The mean of ``R v`` is that of ``v_T``, and ``R_full @ v`` are coefficients
+    in the full degree-(k+1) basis; ``A`` is the consistency stiffness.
     """
-    layout = ctx.layout
-    nb = len(ctx.cells)
-    Kstar = ctx.stiff_full[:, 1:, 1:]
-    H = _gradient_moments(ctx, gradient_reconstruction(ctx))[:, 1:]
-    R = checked(np.linalg.solve, Kstar, H, ids=ctx.cells,
-                what="singular reconstruction system")
-    A = H.mT @ R
-    A = 0.5 * (A + A.mT)
-    mean_row = np.zeros((nb, layout.size))
-    mean_row[:, layout.cell] = ctx.ints_full[:, : ctx.n_cell]
-    r0 = (mean_row - (ctx.ints_full[:, None, 1:] @ R)[:, 0]) / ctx.geom.measure[:, None]
-    R_full = np.concatenate([r0[:, None], R], axis=1)
-    return Kstar, H, R, R_full, A
+    H = _gradient_moments(ctx, gradient_reconstruction(ctx))
+    D = np.zeros((len(ctx.cells), 1, ctx.layout.size))
+    D[:, 0, ctx.layout.cell] = ctx.ints_full[:, : ctx.n_cell]
+    R_full, F = constrained_projection(ctx, ctx.stiff_full, ctx.ints_full[:, None], D, H,
+                                       what="singular reconstruction system")
+    FH = F @ H
+    return R_full, FH.mT @ FH
 
 
 def gradient_reconstruction(ctx: CellContext) -> np.ndarray:
@@ -344,24 +351,29 @@ def _face_flux(ctx: CellContext, field: np.ndarray, stab_face: np.ndarray,
         nb, -1, size)
 
 
-def local_bilinear(ctx: CellContext) -> LocalOperators:
-    """Full local matrix ``L = A + penalty`` with its face fluxes.
-
-    Equal-order degrees use the reconstruction-corrected stabilization,
-    mixed-order degrees the Lehrenfeld-Schoberl one.
-    """
-    _, _, _, R_full, A = reconstruction(ctx)
-    if ctx.degrees.mixed:
-        stab_face, penalty = stabilization_ls(ctx)
-    else:
-        stab_face, penalty = stabilization_equal_order(ctx, R_full)
-    L = A + penalty
+def _bundle(ctx: CellContext, consistency: np.ndarray, stab, scale: float,
+            rec: np.ndarray, field: np.ndarray) -> LocalOperators:
+    """:class:`LocalOperators` with ``L = consistency + scale penalty``; the
+    fluxes and balance read the degree-k maps ``field`` of ``grad R`` or
+    ``sigma`` (:func:`_gradient_moments`), the stabilization weighs ``scale / h``."""
+    stab_face, penalty = stab
+    L = consistency + scale * penalty
     L = 0.5 * (L + L.mT)
+    return LocalOperators(
+        ctx=ctx, L=L, stab_face=stab_face, rec=rec,
+        flux=_face_flux(ctx, field, stab_face, scale / ctx.h),
+        balance=_gradient_moments(ctx, field)[:, : ctx.degrees.rank * ctx.n_k])
+
+
+def local_bilinear(ctx: CellContext) -> LocalOperators:
+    """Full local matrix ``L = A + penalty`` with its face fluxes; the
+    stabilization is Lehrenfeld-Schoberl in mixed order, else the
+    reconstruction-corrected one."""
+    R_full, A = reconstruction(ctx)
+    stab = (stabilization_ls(ctx) if ctx.degrees.mixed
+            else stabilization_equal_order(ctx, R_full))
     nb, n_rec, d, n_k = ctx.grad_mass.shape
     # exact degree-k coefficients of grad R, whose degree is k
     grad_R = ctx.mass_k_inv[:, None] @ (
         ctx.grad_mass.reshape(nb, n_rec, -1).mT @ R_full).reshape(nb, d, n_k, -1)
-    return LocalOperators(
-        ctx=ctx, L=L, stab_face=stab_face, rec=R_full,
-        flux=_face_flux(ctx, grad_R, stab_face, 1.0 / ctx.h),
-        balance=ctx.stiff_full[:, :n_k] @ R_full)
+    return _bundle(ctx, A, stab, 1.0, R_full, grad_R)

@@ -82,45 +82,37 @@ def dof_layout(mesh: Mesh, degrees: HhoDegrees, n_faces: int) -> DofLayout:
     return DofLayout(cell_width, face_width, n_faces)
 
 
-def checked(fn, *stacks, ids, what: str, entity: str = "cell"):
-    """``fn(*stacks)`` for a batched LAPACK routine; when it fails on the
-    stack, raise a ``ValueError`` naming the first failing entry by its id."""
+def spd_inverse(M: np.ndarray, ids, what: str, entity: str = "cell") -> np.ndarray:
+    """Inverse Cholesky factors ``F = L^-1`` of a stack of SPD matrices ``M =
+    L L^T``, so that ``M^-1 = F^T F``; a failed factorization raises a
+    ``ValueError`` naming the first failing entry by its id in ``ids`` (a
+    cell, face or vertex, per ``entity``) with ``what``.  ``F`` comes by forward
+    substitution, one row of every matrix at a time: at these orders a
+    batched LU costs several times the Cholesky factor.
+    """
     try:
-        return fn(*stacks)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
-        for b in range(len(stacks[0])):
+        for b in range(len(M)):
             try:
-                fn(*(s[b] for s in stacks))
+                np.linalg.cholesky(M[b])
             except np.linalg.LinAlgError:
                 raise ValueError(f"{entity} {ids[b]}: {what}") from exc
         raise
-
-
-def spd_inverse(M: np.ndarray, ids, what: str, entity: str = "cell") -> np.ndarray:
-    """Inverses ``L^-T L^-1`` of a stack of SPD matrices ``M = L L^T``.
-
-    A failed factorization raises a ``ValueError`` naming the entry's id in
-    ``ids`` (a cell, face or vertex, per ``entity``) with ``what``.  ``L^-1``
-    comes by forward substitution, one row of every matrix at a time: at
-    these orders a batched LU costs several times the Cholesky factor.
-    """
-    L = checked(np.linalg.cholesky, M, ids=ids, entity=entity, what=what)
     d = 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
-    X = d[..., None] * np.eye(M.shape[-1])
-    for i in range(1, M.shape[-1]):    # row i of L X = I, below the diagonal
-        X[..., i, :i] = -(L[..., i, None, :i] @ X[..., :i, :i])[..., 0, :] * d[..., i, None]
-    return X.mT @ X
+    F = d[..., None] * np.eye(M.shape[-1])
+    for i in range(1, M.shape[-1]):    # row i of L F = I, below the diagonal
+        F[..., i, :i] = -(L[..., i, None, :i] @ F[..., :i, :i])[..., 0, :] * d[..., i, None]
+    return F
 
 
 def mass_cholesky(M: np.ndarray, ids=None, entity: str = "cell") -> np.ndarray:
-    """Inverses of a stack of mass matrices (:func:`spd_inverse`).
-
-    ``ids`` name the stacked cells or faces in the error raised for a
-    matrix that is not positive definite.
-    """
-    return spd_inverse(M, np.arange(len(M)) if ids is None else ids, entity=entity,
-                       what="mass matrix is not positive definite; the geometry is "
-                            "degenerate or the degree too high for raw monomials")
+    """Inverses ``F^T F`` of a stack of mass matrices (:func:`spd_inverse`);
+    ``ids`` name the cells or faces in the error for one not positive definite."""
+    F = spd_inverse(M, np.arange(len(M)) if ids is None else ids, entity=entity,
+                    what="mass matrix is not positive definite; the geometry is "
+                         "degenerate or the degree too high for raw monomials")
+    return F.mT @ F
 
 
 def sample(fn, points: np.ndarray, rank: int | None = None, ids=None,

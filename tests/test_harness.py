@@ -462,6 +462,29 @@ def test_pure_neumann_problem_rejected(rank):
         solve_problem(mesh, HhoDegrees(1, 1, rank=rank), spec)
 
 
+@pytest.mark.parametrize("solver, tol, message", [
+    ("lu", 1e-12, r"^unknown solver 'lu'; expected one of direct, cg$"),
+    ("cg", 0.0, "^solver tolerance must be positive and finite"),
+    ("direct", float("nan"), "^solver tolerance must be positive and finite")])
+def test_bad_solve_request_fails_before_the_local_operators(solver, tol, message, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the solve request must be rejected before the local operators")
+
+    monkeypatch.setattr(harness, "build_local", unreachable)
+    with pytest.raises(ValueError, match=message):
+        solve_problem(build_structured_mesh("quad", 2, 2), equal_order(1), poisson_sin_2d(),
+                      solver=solver, tol=tol)
+
+
+@pytest.mark.parametrize("spec, degrees, message", [
+    (poisson_sin_2d, equal_order(1, rank=2), r"^poisson needs scalar degrees \(rank 1\)$"),
+    (elasticity_divfree, equal_order(1), r"^elasticity needs vector degrees \(rank 2\)$")],
+    ids=["poisson-rank-2", "elasticity-rank-1"])
+def test_field_rank_must_match_the_problem(spec, degrees, message):
+    with pytest.raises(ValueError, match=message):
+        build_local(build_structured_mesh("quad", 2, 2), degrees, spec())
+
+
 def nan_in_top_right(x):
     return np.where((x[:, 0] > 0.75) & (x[:, 1] > 0.75), np.nan, 1.0)
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from pyhho import local_ops
+from pyhho.assembly import condense
 from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
                              local_bilinear, reconstruction, seminorm_gram,
                              stabilization_equal_order, stabilization_ls)
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh, refine_uniform
-from pyhho.projection import equal_order, gather_local, l2_project, mixed_order, reduce_local
+from pyhho.projection import (HhoDegrees, equal_order, gather_local, l2_project, mixed_order,
+                              reduce_local)
 from pyhho.quadrature import cell_quadrature, face_quadrature
 from pyhho.basis import face_basis
 
@@ -25,7 +27,7 @@ def eval_rec(ctx, coef, pts):
 
 
 def full_reconstruction(ctx):
-    return reconstruction(ctx)[3][0]
+    return reconstruction(ctx)[0][0]
 
 
 def constant_pair(ctx, value=1.0):
@@ -139,7 +141,7 @@ def test_gradient_compatibility_with_reconstruction():
     mesh = build_structured_mesh("tri", 2, 2)
     for k in (0, 1, 2):
         ctx = build_cell_context(mesh, 3, equal_order(k))
-        Kstar, _, R, _, _ = (M[0] for M in reconstruction(ctx))
+        Kstar, R = ctx.stiff_full[0, 1:, 1:], reconstruction(ctx)[0][0, 1:]
         G = gradient_reconstruction(ctx)[0]
         rng = np.random.default_rng(k + 5)
         v = rng.standard_normal(ctx.layout.size)
@@ -166,7 +168,7 @@ def test_equal_order_stabilization_annihilates_reduction(k):
     deg = equal_order(k)
     for ci in range(3):
         ctx = build_cell_context(mesh, ci, deg)
-        face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx)[3])
+        face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx)[0])
         q = lambda x: (x[:, 0] - 0.3 * x[:, 1] + 0.1) ** (k + 1)
         red = reduce_local(mesh, ci, deg, q)
         assert np.abs(face_ops[0] @ red).max() < 1e-11
@@ -177,7 +179,7 @@ def test_stabilization_depends_only_on_trace_gap():
     k = 2
     deg = equal_order(k)
     ctx = build_cell_context(mesh, 0, deg)
-    face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx)[3])
+    face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx)[0])
     rng = np.random.default_rng(9)
     v = rng.standard_normal(ctx.layout.size)
     # add a pair (q, trace(q)) for polynomial q of degree k
@@ -223,7 +225,7 @@ def test_local_bilinear_kernel_and_psd():
         ci = next(c for c in range(mesh.n_cells) if len(mesh.cells[c]) == 5)
         ctx = build_cell_context(mesh, ci, equal_order(k))
         ops = local_bilinear(ctx)
-        _, _, _, R_full, A = reconstruction(ctx)
+        R_full, A = reconstruction(ctx)
         penalty = stabilization_equal_order(ctx, R_full)[1]
         for M in (A, penalty, ops.L):
             w = np.linalg.eigvalsh(M[0])
@@ -312,7 +314,8 @@ def test_equal_order_stabilization_matches_reduced_reconstruction_formula():
     for k in (0, 1, 2):
         for ci in range(3):
             ctx = build_cell_context(mesh, ci, equal_order(k))
-            _, _, R, R_full, _ = (M[0] for M in reconstruction(ctx))
+            R_full = reconstruction(ctx)[0][0]
+            R = R_full[1:]
             Q = ctx.mass_full[0, :ctx.n_cell, 1:]
             tmp = -np.linalg.solve(ctx.mass_full[0, :ctx.n_cell, :ctx.n_cell], Q @ R)
             tmp[:, ctx.layout.cell] += np.eye(ctx.n_cell)
@@ -352,6 +355,32 @@ def test_condition_guard_rejects_high_aspect_ratio_cells():
     for n, angle in ((512, 0), (100, 30)):
         for k in range(4):
             np.testing.assert_allclose(cond(n, angle, k), cond(1, angle, k), rtol=1e-6)
+
+
+@pytest.mark.parametrize("length", [100.0, 500.0])
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_reconstruction_solves_its_constrained_system_on_turned_strips(k, mixed, length):
+    # 2 x 2 quads on [0, length] x [0, 1] turned by 30 degrees: cells of aspect
+    # ratio length:1.  R_full solves (K + C^T C) R_full = H + C^T D with C, D the
+    # cell-mean rows over |T|, reproduces each cell's mean, and condenses to an
+    # exactly symmetric L_c
+    mesh = rotated(build_structured_mesh("quad", 2, 2, bounds=((0.0, length), (0.0, 1.0))), 30)
+    cells = np.arange(mesh.n_cells)
+    ctx = build_cell_context(mesh, cells, HhoDegrees(k, k + mixed))
+    R_full, _ = reconstruction(ctx)
+    layout, K = ctx.layout, ctx.stiff_full
+    H = local_ops._gradient_moments(ctx, gradient_reconstruction(ctx))
+    C = ctx.ints_full[:, None] / ctx.geom.measure[:, None, None]
+    D = np.zeros((len(cells), 1, layout.size))
+    D[:, 0, layout.cell] = C[:, 0, : ctx.n_cell]
+    res = np.linalg.norm((K + C.mT @ C) @ R_full - (H + C.mT @ D), axis=(1, 2))
+    assert np.all(res <= 1e-14 * np.linalg.norm(K, axis=(1, 2))
+                  * np.linalg.norm(R_full, axis=(1, 2)))
+    np.testing.assert_allclose(C @ R_full, D, rtol=0, atol=1e-13 * np.abs(D).max())
+    L = local_bilinear(ctx).L
+    L_c = condense(L, np.zeros((len(cells), layout.size)), layout, cells, cells).L_c
+    assert np.array_equal(L_c, L_c.mT)
 
 
 def test_cell_thinner_than_round_off_is_left_to_the_guard():

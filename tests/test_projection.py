@@ -172,14 +172,16 @@ def test_spd_inverse_matches_inv(n, lead):
     B = rng.standard_normal(lead + (n, n))
     M = B @ B.mT + 0.1 * np.eye(n)
     expect = np.linalg.inv(M)
-    got = spd_inverse(M, np.arange(5), what="unused")
-    assert got.shape == M.shape
-    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+    F = spd_inverse(M, np.arange(5), what="unused")
+    assert F.shape == M.shape
+    assert not np.triu(F, 1).any()                      # the inverse factor L^-1
+    assert np.abs(F @ M @ F.mT - np.eye(n)).max() <= 1e-12
+    assert np.abs(F.mT @ F - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_spd_inverse_names_the_indefinite_entry():
     M = np.broadcast_to(np.eye(4), (5, 4, 4)).copy()
-    M[2, 1, 1] = -1.0
+    M[2, 1, 1] = M[4, 0, 0] = -1.0           # the first of two is named
     with pytest.raises(ValueError, match="^face 12: not positive definite$"):
         spd_inverse(M, np.arange(10, 15), what="not positive definite", entity="face")
 
