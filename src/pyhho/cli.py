@@ -128,7 +128,7 @@ def cmd_converge(args) -> int:
     degrees = _degrees(args, rank)
     family = args.family
     if family == "auto":
-        family = "interval" if args.dim == 1 else "quad"
+        family = "interval" if spec.dim == 1 else "quad"
     report = harness.convergence_study(
         spec, family, degrees, levels=args.levels, base=args.base,
         solver=args.solver, tol=args.tol)
@@ -259,7 +259,6 @@ def build_parser():
                     choices=["auto", "quad", "tri", "hanging", "interval"])
     sp.add_argument("--levels", type=int, default=4)
     sp.add_argument("--base", type=int, default=8)
-    sp.add_argument("--dim", type=int, default=2)
     sp.set_defaults(func=cmd_converge)
 
     sp = registry["verify"] = sub.add_parser("verify", help="operator decay-rate verification")

@@ -7,11 +7,11 @@ the 2D identity, ``sym(G (x) I)``, so the hybrid face terms are assembled
 once, in ``G``.  The divergence reconstruction is its trace, and the
 displacement reconstruction of degree k+1 is its projection onto
 symmetric gradients, pinned by mean-value and skew-gradient constraints
-that remove the rigid-body ambiguity.  The local bilinear form combines
-the strain and divergence terms with a stabilization weighted by
-``2 mu / h``; the stabilizations and the face-flux (traction) builder are
-the scalar ones of :mod:`pyhho.local_ops`, tensorized with the 2D
-identity.
+that remove the rigid-body ambiguity.  The local bilinear form is the
+shared local form of :mod:`pyhho.local_ops` with the strain as the field
+and the stress ``2 mu E + lam tr(E) I`` as its image, plus a stabilization
+weighted by ``2 mu / h``; the stabilizations and the face-flux (traction)
+builder are the scalar ones, tensorized with the 2D identity.
 
 Vector DoFs interleave components: scalar function ``i``, component ``a``
 sits at ``2 i + a`` inside each block.  Like :mod:`pyhho.local_ops`, every
@@ -28,10 +28,6 @@ from .local_ops import (CellContext, LocalOperators, _bundle, _gradient_moments,
 # unused here; perfbench/tracing.py resolves it among its SPAN_SITES, so the
 # name stays until those sites change
 from .projection import mass_cholesky  # noqa: F401
-
-# symmetric unit tensors E_xx, E_yy, E_xy([[0,1],[1,0]]) and their ':' norms
-TENSOR_WEIGHTS = np.array([1.0, 1.0, 2.0])
-
 
 def strain_reconstruction(ctx: CellContext) -> np.ndarray:
     """Coefficient maps ``Es`` of shape (nb, 3, n_k, size) of the symmetric
@@ -115,7 +111,7 @@ def displacement_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) 
     D[:, 2, 1::2] = -int_exy[:, 1::2]
 
     return constrained_projection(ctx, strain_gram(ctx), C, D, H,
-                                  what="singular displacement-reconstruction system")[0]
+                                  what="singular displacement-reconstruction system")
 
 
 def stabilization_elastic(ctx: CellContext, Dep: np.ndarray | None):
@@ -129,23 +125,13 @@ def stabilization_elastic(ctx: CellContext, Dep: np.ndarray | None):
 
 
 def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalOperators:
-    """Local elastic matrix ``2mu (strain, strain) + lam (div, div) +
-    2mu/h (stab, stab)`` with its face tractions."""
+    """Local elastic matrix ``(sigma(Es v), Es w) + 2mu/h (stab, stab)``, the
+    stress ``sigma(E) = 2mu E + lam tr(E) I``, with its face tractions."""
     if mu <= 0 or lam < 0:
         raise ValueError("need mu > 0 and lambda >= 0")
-    n_k = ctx.n_k
-    Mk = ctx.mass_full[:, None, :n_k, :n_k]
     Es = strain_reconstruction(ctx)
-    Dv = divergence_reconstruction(ctx, Es)
     Dep = displacement_reconstruction(ctx, Es)
     stab = stabilization_elastic(ctx, Dep)
-
-    flat = Es.reshape(len(Es), -1, Es.shape[-1])           # (nb, 3 n_k, size)
-    consistency = (2 * mu * (flat.mT @ (TENSOR_WEIGHTS[:, None, None] * (Mk @ Es)).reshape(
-        flat.shape)) + lam * (Dv.mT @ Mk[:, 0] @ Dv))
-    # stress coefficient maps, by columns
-    sig = _tensor_columns(np.stack([(2 * mu + lam) * Es[:, 0] + lam * Es[:, 1],
-                                    lam * Es[:, 0] + (2 * mu + lam) * Es[:, 1],
-                                    2 * mu * Es[:, 2]], axis=1))
-    # (sigma, eps(q)) = (sigma, grad q) in the balance, for the vector cell basis q
-    return _bundle(ctx, consistency, stab, 2.0 * mu, Dep, sig)
+    sig = 2 * mu * Es
+    sig[:, :2] += lam * divergence_reconstruction(ctx, Es)[:, None]
+    return _bundle(ctx, _tensor_columns(Es), _tensor_columns(sig), stab, 2.0 * mu, Dep)

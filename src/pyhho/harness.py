@@ -144,6 +144,9 @@ def build_local(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec) -> list:
     a stage that reads them takes cell ``b``'s at row ``shapes[b]``.
     """
     elastic = spec.kind == "elasticity"
+    if spec.dim != mesh.dim:
+        raise ValueError(f"problem {spec.name or spec.kind!r} is {spec.dim}D "
+                         f"but the mesh is {mesh.dim}D")
     if degrees.rank != (2 if elastic else 1):
         raise ValueError("elasticity needs vector degrees (rank 2)" if elastic
                          else "poisson needs scalar degrees (rank 1)")
@@ -522,7 +525,7 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
             proj = (vals[..., : ctx.n_cell] @ red[:, ctx.layout.cell, None])[..., 0]
             out[0] = np.sum(w * (vx - proj) ** 2)
 
-            R_full, _ = reconstruction(ctx)
+            R_full = reconstruction(ctx)
             rec = (vals @ (R_full[shapes] @ red[..., None]))[..., 0]
             out[2] = np.sum(w * (vx - rec) ** 2)
 
@@ -585,7 +588,7 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
         f = lambda x: 1.0 + np.sin(3.0 * x[:, 0])
     degrees = HhoDegrees(k_face=k, k_cell=k)
     spec = ProblemSpec(kind="poisson", f=f, u_dirichlet=lambda x: np.zeros(len(x)),
-                       name="oracle1d")
+                       name="oracle1d", dim=1)
 
     groups = build_local(mesh, degrees, spec)
     dofmap = asm.build_dof_map(mesh, degrees)

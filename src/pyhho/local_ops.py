@@ -3,13 +3,14 @@
 For each cell this module builds, in the monomial bases of the hybrid
 unknowns, the full-polynomial gradient reconstruction ``G``, the
 potential reconstruction of one degree higher, the equal-order and
-Lehrenfeld-Schoberl stabilizations, and one bundle of the local matrix and
-the operators recovering equilibrated face fluxes.  The hybrid face terms
-are assembled once, in ``G``: the potential reconstruction is its
-projection onto gradients of degree k+1, one constrained SPD solve in
+Lehrenfeld-Schoberl stabilizations, and the one local form.  The hybrid
+face terms are assembled once, in ``G``: the potential reconstruction is
+its projection onto gradients of degree k+1, one constrained SPD solve in
 inverse-Cholesky-factor form that the elastic displacement reconstruction
-shares, and the fluxes are read from degree-k coefficients of the flux
-field.  Cell Grams are face sums: no operator needs a cell quadrature rule.
+shares.  The local form pairs a degree-k field map ``T`` with its image
+``CT`` under a constant material law, ``(CT v, T w)``, and reads the face
+fluxes and cell balance from ``CT``: Poisson's is ``(G v, G w)``.  Cell
+Grams are face sums: no operator needs a cell quadrature rule.
 
 Every operator is built for a group of cells that share one quadrature
 class (see :meth:`pyhho.mesh.Mesh.cell_groups`): arrays carry a leading
@@ -166,36 +167,36 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
 
 
 def constrained_projection(ctx: CellContext, K: np.ndarray, C: np.ndarray, D: np.ndarray,
-                           H: np.ndarray, what: str):
-    """A reconstruction ``x``, ``K x = H`` pinned by ``C x = D``, and ``F``.
+                           H: np.ndarray, what: str) -> np.ndarray:
+    """A reconstruction ``x``, ``K x = H`` pinned by ``C x = D``.
 
     The constraint rows ``C`` are one-to-one on the kernel of the Gram ``K``,
     where ``H`` vanishes, so the saddle's multipliers are zero and ``x``
     solves ``(K + C^T C) x = H + C^T D`` (``C``, ``D`` divided by ``|T|``)
-    with that matrix's inverse Cholesky factor ``F``; a failure names the
-    cell with ``what``.  ``(F H)^T (F H) = x^T K x`` is the consistency matrix.
+    with that matrix's inverse Cholesky factor; a failure names the cell
+    with ``what``.
     """
     C, D = (X / ctx.geom.measure[:, None, None] for X in (C, D))
     F = spd_inverse(K + C.mT @ C, ctx.cells, what=what)
-    return F.mT @ (F @ (H + C.mT @ D)), F
+    return F.mT @ (F @ (H + C.mT @ D))
 
 
-def reconstruction(ctx: CellContext):
-    """Potential reconstruction ``(R_full, A)``, stacked over the group.
+def reconstruction(ctx: CellContext, G: np.ndarray | None = None) -> np.ndarray:
+    """Potential reconstruction ``R_full``, stacked over the group.
 
     ``R v`` is the projection of ``G v`` onto gradients of degree k+1:
     ``(grad R v, grad w) = (G v, grad w)`` is exact because ``grad w`` has
     degree k, so the right-hand side is ``H = sum_c (d_c w, phi_k) G_c``.
     The mean of ``R v`` is that of ``v_T``, and ``R_full @ v`` are coefficients
-    in the full degree-(k+1) basis; ``A`` is the consistency stiffness.
+    in the full degree-(k+1) basis.  ``G`` is built here unless passed in.
     """
-    H = _gradient_moments(ctx, gradient_reconstruction(ctx))
+    if G is None:
+        G = gradient_reconstruction(ctx)
     D = np.zeros((len(ctx.cells), 1, ctx.layout.size))
     D[:, 0, ctx.layout.cell] = ctx.ints_full[:, : ctx.n_cell]
-    R_full, F = constrained_projection(ctx, ctx.stiff_full, ctx.ints_full[:, None], D, H,
-                                       what="singular reconstruction system")
-    FH = F @ H
-    return R_full, FH.mT @ FH
+    return constrained_projection(ctx, ctx.stiff_full, ctx.ints_full[:, None], D,
+                                  _gradient_moments(ctx, G),
+                                  what="singular reconstruction system")
 
 
 def gradient_reconstruction(ctx: CellContext) -> np.ndarray:
@@ -329,12 +330,12 @@ class LocalOperators:
         return flux.reshape(len(flux), self.ctx.layout.n_faces, -1)
 
 
-def _face_flux(ctx: CellContext, field: np.ndarray, stab_face: np.ndarray,
+def _face_flux(ctx: CellContext, CT: np.ndarray, stab_face: np.ndarray,
                weight: np.ndarray) -> np.ndarray:
     """Equilibrated face fluxes, stacked by face.
 
-    ``field`` holds the degree-k coefficient maps of the columns of the
-    consistency field ``tau`` (``grad R`` or ``sigma(E)``), laid out as in
+    ``CT`` holds the degree-k coefficient maps of the columns of the flux
+    field ``tau`` (``G`` or ``sigma``), laid out as in
     :func:`_gradient_moments`; its face moments give the consistency flux
     ``-(tau n, psi)_F``.  The stabilization, scaled by ``weight`` (``1/h``
     or ``2 mu/h`` per cell), adds its adjoint acting on the face unknowns.
@@ -344,36 +345,36 @@ def _face_flux(ctx: CellContext, field: np.ndarray, stab_face: np.ndarray,
     S = stab_face.reshape(nb, -1, size)
     MS = _kron_apply(f.mass, stab_face).reshape(nb, -1, size)
     stab = weight[:, None, None] * (S[:, :, ctx.layout.faces].mT @ MS)
-    tau_n = (f.normal @ field.reshape(nb, field.shape[1], -1)).reshape(
-        (nb, nf) + field.shape[2:])
+    tau_n = (f.normal @ CT.reshape(nb, CT.shape[1], -1)).reshape((nb, nf) + CT.shape[2:])
     consistency = _kron_apply(f.trace_full[..., : ctx.n_k], tau_n)
     return -_kron_apply(f.mass_inv, consistency + stab.reshape(stab_face.shape)).reshape(
         nb, -1, size)
 
 
-def _bundle(ctx: CellContext, consistency: np.ndarray, stab, scale: float,
-            rec: np.ndarray, field: np.ndarray) -> LocalOperators:
-    """:class:`LocalOperators` with ``L = consistency + scale penalty``; the
-    fluxes and balance read the degree-k maps ``field`` of ``grad R`` or
-    ``sigma`` (:func:`_gradient_moments`), the stabilization weighs ``scale / h``."""
+def _bundle(ctx: CellContext, T: np.ndarray, CT: np.ndarray, stab, scale: float,
+            rec: np.ndarray) -> LocalOperators:
+    """The local form: :class:`LocalOperators` with ``L = sum_c T_c^T
+    kron(M_k, I_rank) (CT)_c + scale penalty``.  ``T`` maps the DoFs to the
+    degree-k columns of the field (``G``; the strain) as in
+    :func:`_gradient_moments`, ``CT`` is its image under the material law
+    (``G``; the stress), read by the fluxes and the balance."""
     stab_face, penalty = stab
-    L = consistency + scale * penalty
+    nb, d, _, size = T.shape
+    MCT = (ctx.mass_full[:, None, : ctx.n_k, : ctx.n_k] @ CT.reshape(nb, d, ctx.n_k, -1))
+    L = T.reshape(nb, -1, size).mT @ MCT.reshape(nb, -1, size) + scale * penalty
     L = 0.5 * (L + L.mT)
     return LocalOperators(
         ctx=ctx, L=L, stab_face=stab_face, rec=rec,
-        flux=_face_flux(ctx, field, stab_face, scale / ctx.h),
-        balance=_gradient_moments(ctx, field)[:, : ctx.degrees.rank * ctx.n_k])
+        flux=_face_flux(ctx, CT, stab_face, scale / ctx.h),
+        balance=_gradient_moments(ctx, CT)[:, : ctx.degrees.rank * ctx.n_k])
 
 
 def local_bilinear(ctx: CellContext) -> LocalOperators:
-    """Full local matrix ``L = A + penalty`` with its face fluxes; the
-    stabilization is Lehrenfeld-Schoberl in mixed order, else the
+    """Full local matrix ``L = (G v, G w) + penalty`` with its face fluxes;
+    the stabilization is Lehrenfeld-Schoberl in mixed order, else the
     reconstruction-corrected one."""
-    R_full, A = reconstruction(ctx)
+    G = gradient_reconstruction(ctx)
+    R_full = reconstruction(ctx, G)
     stab = (stabilization_ls(ctx) if ctx.degrees.mixed
             else stabilization_equal_order(ctx, R_full))
-    nb, n_rec, d, n_k = ctx.grad_mass.shape
-    # exact degree-k coefficients of grad R, whose degree is k
-    grad_R = ctx.mass_k_inv[:, None] @ (
-        ctx.grad_mass.reshape(nb, n_rec, -1).mT @ R_full).reshape(nb, d, n_k, -1)
-    return _bundle(ctx, A, stab, 1.0, R_full, grad_R)
+    return _bundle(ctx, G, G, stab, 1.0, R_full)

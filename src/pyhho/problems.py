@@ -27,6 +27,7 @@ class ProblemSpec:
     exact: object = None
     exact_grad: object = None  # (npts, dim) / (npts, 2, 2) Jacobian
     name: str = ""
+    dim: int = 2               # space dimension of the data's coordinates
 
     def __post_init__(self):
         if self.kind not in ("poisson", "elasticity"):
@@ -36,7 +37,7 @@ class ProblemSpec:
 def poisson_sin_1d() -> ProblemSpec:
     u = lambda x: np.sin(np.pi * x[:, 0])
     return ProblemSpec(
-        kind="poisson", name="poisson-sin-1d",
+        kind="poisson", name="poisson-sin-1d", dim=1,
         f=lambda x: np.pi ** 2 * np.sin(np.pi * x[:, 0]),
         u_dirichlet=u, exact=u,
         exact_grad=lambda x: np.pi * np.cos(np.pi * x[:, 0:1]))
@@ -71,7 +72,7 @@ def poisson_polynomial(degree: int, dim: int = 2) -> ProblemSpec:
         def grad(x):
             return degree * x[:, 0:1] ** max(degree - 1, 0) + 0.5
 
-        return ProblemSpec(kind="poisson", name=f"poisson-p{degree}-1d", f=f,
+        return ProblemSpec(kind="poisson", name=f"poisson-p{degree}-1d", dim=1, f=f,
                            u_dirichlet=u, exact=u, exact_grad=grad)
 
     def u(x):

@@ -7,6 +7,9 @@ from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh
 from pyhho.problems import ProblemSpec
 from pyhho.quadrature import cell_quadrature
 
+# symmetric unit tensors E_xx, E_yy, E_xy ([[0, 1], [1, 0]]) and their ':' norms
+TENSOR_WEIGHTS = np.array([1.0, 1.0, 2.0])
+
 
 def jittered_mesh(kind, n, seed, amplitude=None):
     """n x n ``kind`` cells ('tri' or 'quad') on the unit square whose

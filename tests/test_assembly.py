@@ -62,7 +62,7 @@ def test_1d_k0_tridiagonal_system():
     n, h = 8, 1.0 / 8
     mesh = build_interval_mesh(0.0, 1.0, n)
     spec = ProblemSpec(kind="poisson", f=lambda x: np.ones(len(x)),
-                       u_dirichlet=lambda x: np.zeros(len(x)), name="unit")
+                       u_dirichlet=lambda x: np.zeros(len(x)), name="unit", dim=1)
     groups = build_local(mesh, equal_order(0), spec)
     dm = asm.build_dof_map(mesh, equal_order(0))
     condensed = [g.condense() for g in groups]

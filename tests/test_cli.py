@@ -40,12 +40,28 @@ def test_elasticity_k0_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["verify", "--solver", "cg"], ["oracle1d", "--mode", "plus"],
-                                  ["locking", "--tol", "1e-8"]])
+                                  ["locking", "--tol", "1e-8"], ["converge", "--dim", "1"]])
 def test_options_a_command_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--gen", "interval:8"], "'poisson-sin' is 2D but the mesh is 1D"),
+    (["converge", "--family", "interval", "--levels", "2"],
+     "'poisson-sin' is 2D but the mesh is 1D"),
+    (["converge", "--problem", "poisson1d", "--family", "quad", "--levels", "2"],
+     "'poisson-sin-1d' is 1D but the mesh is 2D")])
+def test_problem_and_mesh_of_different_dimensions_are_an_error_line(argv, message, tmp_path,
+                                                                   monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the dimensions must be compared before any operator is built")
+
+    monkeypatch.setattr(harness, "build_cell_context", unreachable)
+    with pytest.raises(SystemExit, match=f"^error: problem {message}$"):
+        main(argv + ["--out", str(tmp_path)])
 
 
 def test_solve_requires_mesh_source(tmp_path):
@@ -126,7 +142,7 @@ def test_config_file_defaults_and_override(tmp_path):
 
 
 def test_converge_small_run(tmp_path):
-    rc = main(["converge", "--problem", "poisson1d", "--dim", "1", "--k", "1",
+    rc = main(["converge", "--problem", "poisson1d", "--k", "1",
                "--levels", "3", "--base", "4", "--out", str(tmp_path)])
     assert rc == 0
     data = json.loads((tmp_path / "converge.json").read_text())
@@ -151,7 +167,7 @@ def test_verify_small_run(tmp_path):
 def test_reports_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out, threads in ((out1, 1), (out2, 4)):
-        rc = main(["converge", "--problem", "poisson1d", "--dim", "1",
+        rc = main(["converge", "--problem", "poisson1d",
                    "--k", "1", "--levels", "3", "--base", "4",
                    "--threads", str(threads), "--out", str(out)])
         assert rc == 0

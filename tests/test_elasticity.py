@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pyhho.basis import face_basis, scaled_monomial_basis
-from pyhho.elasticity import (TENSOR_WEIGHTS, displacement_reconstruction,
+from pyhho.elasticity import (displacement_reconstruction,
                               divergence_reconstruction,
                               local_bilinear_elastic, stabilization_elastic,
                               strain_reconstruction)
@@ -13,7 +13,7 @@ from pyhho.projection import (HhoDegrees, l2_project, mass_cholesky, mixed_order
                               reduce_local)
 from pyhho.quadrature import cell_quadrature, face_quadrature
 
-from support import data_rule_basis, strain_columns
+from support import TENSOR_WEIGHTS, data_rule_basis, strain_columns
 
 VDEG = HhoDegrees(k_face=1, k_cell=1, rank=2)
 VDEG2 = HhoDegrees(k_face=2, k_cell=2, rank=2)

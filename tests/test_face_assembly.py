@@ -21,7 +21,7 @@ import pytest
 
 from pyhho import local_ops
 from pyhho.basis import face_basis
-from pyhho.elasticity import (TENSOR_WEIGHTS, _tensor_columns,
+from pyhho.elasticity import (_tensor_columns,
                               displacement_reconstruction, local_bilinear_elastic,
                               stabilization_elastic, strain_reconstruction)
 from pyhho.local_ops import (_gradient_moments, _kron_apply, build_cell_context,
@@ -32,7 +32,7 @@ from pyhho.projection import (DofLayout, HhoDegrees, dof_layout, l2_project, mas
                               reduce_local)
 from pyhho.quadrature import face_quadrature
 
-from support import data_rule_basis, strain_columns
+from support import TENSOR_WEIGHTS, data_rule_basis, strain_columns
 
 MU, LAM = 1.0, 3.0
 
@@ -188,23 +188,23 @@ def per_face_operators(ctx, faces, monkeypatch):
     """``(L, penalty, rec, flux, balance)`` with every face term taken from
     the per-face reference; the cell-only steps are the library's, fed
     with the reference ``G`` through the module attribute they read."""
+    G = per_face_gradient_reconstruction(ctx, faces)
     with monkeypatch.context() as m:
-        m.setattr(local_ops, "gradient_reconstruction",
-                  lambda c: per_face_gradient_reconstruction(c, faces))
+        m.setattr(local_ops, "gradient_reconstruction", lambda c: G)
         if ctx.degrees.rank == 1:
-            rec, A = reconstruction(ctx)
+            rec = reconstruction(ctx)
         else:
             Es = strain_reconstruction(ctx)
             rec = displacement_reconstruction(ctx, Es)
     stab_face, penalty = per_face_stabilization(ctx, faces, None if ctx.degrees.mixed else rec)
-    nb, n_rec, d, n_k = ctx.grad_mass.shape
+    n_k = ctx.n_k
+    Mk = ctx.mass_full[:, None, :n_k, :n_k]
     if ctx.degrees.rank == 1:
-        L = A + penalty
-        field = ctx.mass_k_inv[:, None] @ (
-            ctx.grad_mass.reshape(nb, n_rec, -1).mT @ rec).reshape(nb, d, n_k, -1)
-        weight, balance = 1.0 / ctx.h, ctx.stiff_full[:, :n_k] @ rec
+        # (G v, G w) and (G v, grad q) for q of degree k
+        L = np.einsum("bcis,bcij,bcjt->bst", G, Mk, G) + penalty
+        field, weight = G, 1.0 / ctx.h
+        balance = np.einsum("bicj,bcjs->bis", ctx.grad_mass[:, :n_k], G)
     else:
-        Mk = ctx.mass_full[:, None, :n_k, :n_k]
         Dv = Es[:, 0] + Es[:, 1]
         L = (2 * MU * np.einsum("m,bmij->bij", TENSOR_WEIGHTS, Es.mT @ Mk @ Es)
              + LAM * Dv.mT @ Mk[:, 0] @ Dv + 2 * MU * penalty)
@@ -366,11 +366,13 @@ def flux_from_consistency(ctx, consistency, stab_face, weight):
 
 
 def poisson_flux_reference(ctx, R_full):
-    """``-(grad R . n, psi)_F`` from the basis gradients at the face points."""
+    """``-(G v . n, psi)_F`` with ``G`` assembled face by face and evaluated
+    at the face points; ``R_full`` enters the equal-order stabilization."""
+    faces = per_face_context(ctx)
+    G = per_face_gradient_reconstruction(ctx, faces)
     consistency = np.concatenate([
-        -(f.rule.weights[..., None] * f.psi).mT
-        @ np.einsum("bqjd,bd->bqj", face_gradients(ctx, f), f.normal) @ R_full
-        for f in per_face_context(ctx)], axis=1)
+        -(f.rule.weights[..., None] * f.psi).mT @ f.phi[:, :, :ctx.n_k]
+        @ np.einsum("bc,bcjs->bjs", f.normal, G) for f in faces], axis=1)
     stab_face, _ = (stabilization_ls(ctx) if ctx.degrees.mixed
                     else stabilization_equal_order(ctx, R_full))
     return flux_from_consistency(ctx, consistency, stab_face, 1.0 / ctx.h)
@@ -407,7 +409,7 @@ def test_scalar_reconstruction_and_flux_match_face_assembly(k, mixed):
         ctx = build_cell_context(mesh, cells, deg)
         shapes.add(ctx.geom.n_faces)
         R_ref = scalar_reconstruction_reference(ctx)
-        assert_matches(reconstruction(ctx)[0], R_ref)
+        assert_matches(reconstruction(ctx), R_ref)
         assert_matches(local_bilinear(ctx).flux, poisson_flux_reference(ctx, R_ref))
     assert shapes == ALL_SHAPES
 

@@ -4,12 +4,12 @@ quadrature on the cell's data rule, which is exact for their integrands."""
 import numpy as np
 import pytest
 
-from pyhho.elasticity import TENSOR_WEIGHTS, strain_gram
+from pyhho.elasticity import strain_gram
 from pyhho.local_ops import build_cell_context
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_interval_mesh, build_structured_mesh
 from pyhho.projection import HhoDegrees
 
-from support import data_rule_basis, jittered_mesh, strain_columns
+from support import TENSOR_WEIGHTS, data_rule_basis, jittered_mesh, strain_columns
 
 
 def all_cells(mesh):

@@ -286,7 +286,7 @@ def test_oracle_transmission_independent_of_k():
 
     def condensed_matrix(k):
         spec = ProblemSpec(kind="poisson", f=lambda x: np.ones(len(x)),
-                           u_dirichlet=lambda x: np.zeros(len(x)), name="o")
+                           u_dirichlet=lambda x: np.zeros(len(x)), name="o", dim=1)
         groups = build_local(mesh, equal_order(k), spec)
         dm = asm.build_dof_map(mesh, equal_order(k))
         condensed = [g.condense() for g in groups]

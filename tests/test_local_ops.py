@@ -8,7 +8,8 @@ from pyhho.assembly import condense
 from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
                              local_bilinear, reconstruction, seminorm_gram,
                              stabilization_equal_order, stabilization_ls)
-from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh, refine_uniform
+from pyhho.mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh, build_structured_mesh,
+                        refine_uniform)
 from pyhho.projection import (HhoDegrees, equal_order, gather_local, l2_project, mixed_order,
                               reduce_local)
 from pyhho.quadrature import cell_quadrature, face_quadrature
@@ -27,7 +28,14 @@ def eval_rec(ctx, coef, pts):
 
 
 def full_reconstruction(ctx):
-    return reconstruction(ctx)[0][0]
+    return reconstruction(ctx)[0]
+
+
+def g_consistency(ctx):
+    """``(G v, G w)``, stacked over the cells of ``ctx``."""
+    G = gradient_reconstruction(ctx)
+    Mk = ctx.mass_full[:, None, :ctx.n_k, :ctx.n_k]
+    return np.einsum("bcis,bcij,bcjt->bst", G, Mk, G)
 
 
 def constant_pair(ctx, value=1.0):
@@ -141,7 +149,7 @@ def test_gradient_compatibility_with_reconstruction():
     mesh = build_structured_mesh("tri", 2, 2)
     for k in (0, 1, 2):
         ctx = build_cell_context(mesh, 3, equal_order(k))
-        Kstar, R = ctx.stiff_full[0, 1:, 1:], reconstruction(ctx)[0][0, 1:]
+        Kstar, R = ctx.stiff_full[0, 1:, 1:], reconstruction(ctx)[0, 1:]
         G = gradient_reconstruction(ctx)[0]
         rng = np.random.default_rng(k + 5)
         v = rng.standard_normal(ctx.layout.size)
@@ -168,7 +176,7 @@ def test_equal_order_stabilization_annihilates_reduction(k):
     deg = equal_order(k)
     for ci in range(3):
         ctx = build_cell_context(mesh, ci, deg)
-        face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx)[0])
+        face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx))
         q = lambda x: (x[:, 0] - 0.3 * x[:, 1] + 0.1) ** (k + 1)
         red = reduce_local(mesh, ci, deg, q)
         assert np.abs(face_ops[0] @ red).max() < 1e-11
@@ -179,7 +187,7 @@ def test_stabilization_depends_only_on_trace_gap():
     k = 2
     deg = equal_order(k)
     ctx = build_cell_context(mesh, 0, deg)
-    face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx)[0])
+    face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx))
     rng = np.random.default_rng(9)
     v = rng.standard_normal(ctx.layout.size)
     # add a pair (q, trace(q)) for polynomial q of degree k
@@ -225,9 +233,8 @@ def test_local_bilinear_kernel_and_psd():
         ci = next(c for c in range(mesh.n_cells) if len(mesh.cells[c]) == 5)
         ctx = build_cell_context(mesh, ci, equal_order(k))
         ops = local_bilinear(ctx)
-        R_full, A = reconstruction(ctx)
-        penalty = stabilization_equal_order(ctx, R_full)[1]
-        for M in (A, penalty, ops.L):
+        penalty = stabilization_equal_order(ctx, reconstruction(ctx))[1]
+        for M in (g_consistency(ctx), penalty, ops.L):
             w = np.linalg.eigvalsh(M[0])
             assert w.min() >= -1e-10 * abs(w).max()
         w = np.linalg.eigvalsh(ops.L[0])
@@ -235,20 +242,54 @@ def test_local_bilinear_kernel_and_psd():
         assert np.abs(ops.L @ constant_pair(ctx)).max() < 1e-12
 
 
-def test_energy_of_reduced_polynomial():
+def forms_cell(name):
+    """A mesh and one of its cells: a hanging-node pentagon, a jittered
+    triangle, a hanging-node octagon or a graded interval."""
+    if name == "interval":
+        return build_interval_mesh(0.0, 1.0, 5, grading=1.3), 2
+    if name == "jittered-tri":
+        return jittered_mesh("tri", 3, 5, amplitude=0.1), 8
+    mesh = (pentagon_mesh() if name == "pentagon" else
+            build_hanging_node_mesh(build_structured_mesh("quad", 3, 3), [1, 3, 5, 7]))
+    n = 5 if name == "pentagon" else 8
+    return mesh, next(c for c in range(mesh.n_cells) if len(mesh.cells[c]) == n)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("cell", ["pentagon", "jittered-tri", "octagon", "interval"])
+def test_gradient_form_bounds_the_reconstruction_form(cell, k, mixed):
+    # grad R v is the L2 projection of G v onto gradients, so (G v, G v) >=
+    # (grad R v, grad R v), with equality where G v is a gradient: k = 0, and 1D
+    mesh, ci = forms_cell(cell)
+    ctx = build_cell_context(mesh, ci, HhoDegrees(k, k + mixed))
+    A = g_consistency(ctx)[0]
+    R_full = reconstruction(ctx)[0]
+    gap = np.linalg.eigvalsh(A - R_full.T @ ctx.stiff_full[0] @ R_full)
+    scale = np.linalg.eigvalsh(A)[-1]
+    assert gap[0] >= -1e-13 * scale
+    if k == 0 or mesh.dim == 1:
+        assert np.abs(gap).max() <= 1e-13 * scale
+    else:
+        assert gap[-1] > 1e-3 * scale        # the two forms differ
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("cell", ["unit-quad", "pentagon", "jittered-tri"])
+def test_energy_of_reduced_polynomial(cell, k, mixed):
     # a_T(I q, I q) = |grad q|^2 for q of degree k+1 (stabilization vanishes)
-    mesh = build_structured_mesh("quad", 1, 1)
-    for k in (0, 1):
-        deg = equal_order(k)
-        ctx = build_cell_context(mesh, 0, deg)
-        ops = local_bilinear(ctx)
-        q = lambda x: (x[:, 0] + 2 * x[:, 1]) ** (k + 1)
-        red = reduce_local(mesh, 0, deg, q)
-        rule = cell_quadrature(mesh.cell_geometry(0), 2 * (k + 2))
-        d = k + 1
-        gq = lambda x: d * (x[:, 0] + 2 * x[:, 1]) ** (d - 1)
-        exact = np.sum(rule.weights * (gq(rule.points) ** 2 * (1 + 4)))
-        assert red @ (ops.L[0] @ red) == pytest.approx(exact, rel=1e-11)
+    mesh, ci = (build_structured_mesh("quad", 1, 1), 0) if cell == "unit-quad" else forms_cell(cell)
+    deg = HhoDegrees(k, k + mixed)
+    ctx = build_cell_context(mesh, ci, deg)
+    ops = local_bilinear(ctx)
+    q = lambda x: (x[:, 0] + 2 * x[:, 1]) ** (k + 1)
+    red = reduce_local(mesh, ci, deg, q)
+    rule = cell_quadrature(mesh.cell_geometry(ci), 2 * (k + 2))
+    d = k + 1
+    gq = lambda x: d * (x[:, 0] + 2 * x[:, 1]) ** (d - 1)
+    exact = np.sum(rule.weights * (gq(rule.points) ** 2 * (1 + 4)))
+    assert red @ (ops.L[0] @ red) == pytest.approx(exact, rel=1e-11)
 
 
 @pytest.mark.parametrize("deg", [equal_order(1), mixed_order(1)], ids=["equal", "mixed"])
@@ -314,7 +355,7 @@ def test_equal_order_stabilization_matches_reduced_reconstruction_formula():
     for k in (0, 1, 2):
         for ci in range(3):
             ctx = build_cell_context(mesh, ci, equal_order(k))
-            R_full = reconstruction(ctx)[0][0]
+            R_full = reconstruction(ctx)[0]
             R = R_full[1:]
             Q = ctx.mass_full[0, :ctx.n_cell, 1:]
             tmp = -np.linalg.solve(ctx.mass_full[0, :ctx.n_cell, :ctx.n_cell], Q @ R)
@@ -368,7 +409,7 @@ def test_reconstruction_solves_its_constrained_system_on_turned_strips(k, mixed,
     mesh = rotated(build_structured_mesh("quad", 2, 2, bounds=((0.0, length), (0.0, 1.0))), 30)
     cells = np.arange(mesh.n_cells)
     ctx = build_cell_context(mesh, cells, HhoDegrees(k, k + mixed))
-    R_full, _ = reconstruction(ctx)
+    R_full = reconstruction(ctx)
     layout, K = ctx.layout, ctx.stiff_full
     H = local_ops._gradient_moments(ctx, gradient_reconstruction(ctx))
     C = ctx.ints_full[:, None] / ctx.geom.measure[:, None, None]
