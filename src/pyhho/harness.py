@@ -609,7 +609,7 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
     for g in groups:
         fbar[g.cells] = g.rhs[:, 0]
     # cells from left to right, as hcells: a refined mesh numbers its children first
-    order = np.argsort(mesh.vertices[np.array(mesh.cells), 0].min(axis=1))
+    order = np.argsort(mesh.vertices[mesh.loops, 0].min(axis=1))
     fbar = fbar[order] / hcells
     for i, h in enumerate(hcells):
         rule = interval_rule(xs[i], xs[i + 1], 20)

@@ -1,6 +1,7 @@
 """Interval and polygonal meshes with first-class faces.
 
-Cells are stored as counterclockwise vertex loops (index pairs in 1D).
+Cells are counterclockwise vertex loops (index pairs in 1D), the rows of one
+index array padded with -1.
 Faces carry global indices in a canonical order (sorted by their sorted
 vertex tuple) so that runs are reproducible and face unknowns can be
 shared between the two cells of an interface.  Geometry is stacked per
@@ -127,6 +128,21 @@ def _first_seen(label: np.ndarray):
     return first[order], rank[inverse.reshape(-1)]
 
 
+def _loop_rows(cells):
+    """Loops as rows padded with -1 and their lengths, from an int array in that
+    layout or from one index sequence per cell, which must hold integers alone."""
+    if isinstance(cells, np.ndarray) and cells.ndim == 2 and cells.dtype.kind == "i":
+        return cells.astype(int, copy=False), (cells != -1).sum(axis=1)
+    loops = [np.asarray(c) for c in cells]
+    for i, loop in enumerate(loops):
+        if loop.ndim != 1 or loop.size and loop.dtype.kind not in "iu":
+            raise MeshError(f"cell {i} is not a list of vertex indices: {cells[i]!r}")
+    sizes = np.array([len(loop) for loop in loops])
+    rows = np.full((len(loops), sizes.max()), -1)
+    rows[np.arange(rows.shape[1]) < sizes[:, None]] = np.concatenate(loops)
+    return rows, sizes
+
+
 def _padded(groups: list) -> CellGeometry:
     """One ``fan`` group of the loops of ``groups``, each padded to the
     longest loop as :class:`CellGeometry` describes, cells in ascending order."""
@@ -164,14 +180,19 @@ def _failed_checks(g: CellGeometry) -> np.ndarray:
 class Mesh:
     """Immutable mesh with explicit face connectivity.
 
-    Geometry is computed once per cell group (see :meth:`cell_groups`) on
-    stacked arrays; :meth:`cell_geometry` gathers from those stacks.
+    ``cells`` is an int array laid out like :attr:`loops` or one index
+    sequence per cell.  Geometry is computed once per cell group (see
+    :meth:`cell_groups`) on stacked arrays; :meth:`cell_geometry` gathers
+    from those stacks.
 
     Attributes
     ----------
     dim : 1 or 2
     vertices : (nv, dim) float array
-    cells : list of int arrays, CCW vertex loops (pairs in 1D)
+    loops : (n_cells, width) int array, each row a CCW vertex loop (a pair
+        in 1D) followed by -1 up to the longest loop's length
+    sizes : (n_cells,) int array, the loop lengths
+    cells : per-cell loop arrays, a list view of ``loops`` built when read
     face_nodes : (nf, dim) int array, sorted vertex indices of each face
         (one vertex in 1D), rows in lexicographic order
     cell_faces : per-cell array of global face indices, loop order, built when read
@@ -182,39 +203,52 @@ class Mesh:
     """
 
     def __init__(self, dim, vertices, cells, neumann=None):
+        self.vertices = np.asarray(vertices, dtype=float)
+        if dim not in (1, 2) or self.vertices.ndim != 2 or self.vertices.shape[1] != dim:
+            raise MeshError(f"a mesh of dim 1 or 2 takes (n, dim) vertices, not dim {dim!r} "
+                            f"and shape {self.vertices.shape}")
         self.dim = int(dim)
-        self.vertices = np.asarray(vertices, dtype=float).reshape(-1, self.dim)
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if len(bad):
             raise MeshError(f"vertex {bad[0]} has non-finite coordinates "
                             f"{self.vertices[bad[0]].tolist()}")
-        self.cells = [np.asarray(c, dtype=int) for c in cells]
-        sizes = np.fromiter(map(len, self.cells), dtype=int, count=len(self.cells))
+        if not len(cells):
+            raise MeshError("mesh has no cells")
+        loops, sizes = _loop_rows(cells)
         bad = np.flatnonzero(sizes != 2 if self.dim == 1 else sizes < 3)
         if len(bad):
             raise MeshError(f"cell {bad[0]} has {sizes[bad[0]]} vertices")
-        flat, owner = np.concatenate(self.cells), np.repeat(np.arange(len(sizes)), sizes)
-        bad = owner[(flat < 0) | (flat >= len(self.vertices))]
+        self.loops, self.sizes = loops[:, :sizes.max()], sizes
+        inside = np.arange(self.loops.shape[1]) < sizes[:, None]
+        stray = inside & ((self.loops < 0) | (self.loops >= len(self.vertices)))
+        bad = np.flatnonzero(stray.any(axis=1))
         if len(bad):
             raise MeshError(f"cell {bad[0]} references a vertex outside "
                             f"0..{len(self.vertices) - 1}")
-        starts = np.cumsum(sizes) - sizes
-        inverse = self._build_faces(flat, owner, starts, sizes)
+        twisted = self._build_faces(inside)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._build_geometry(flat, starts, sizes, inverse)
+            self._build_geometry()
+        if len(twisted):     # after the cell checks, which name a clockwise cell itself
+            raise MeshError("face {} runs the same way in cells {} and {}".format(
+                twisted[0], *self.face_cells[twisted[0]]))
         self._tag_boundary(neumann)
 
     # -- construction -------------------------------------------------
 
-    def _build_faces(self, flat, owner, starts, sizes) -> np.ndarray:
-        """Number the faces canonically and return each loop entry's face."""
-        nv = len(self.vertices)
+    def _build_faces(self, inside) -> np.ndarray:
+        """Number the faces canonically and record each loop entry's face.  Returns
+        the faces that both their cells run the same way, as overlapping cells do."""
+        loops, nv = self.loops, len(self.vertices)
+        flat, owner = loops[inside], np.nonzero(inside)[0]
         if self.dim == 1:
-            key = flat
+            # in 1D a face runs forward as the left end of its cell
+            key, forward = flat, np.tile([True, False], len(loops))
         else:
-            nxt = np.arange(1, len(flat) + 1)
-            nxt[starts + sizes - 1] = starts     # the last entry closes the loop
-            ends = np.sort(np.column_stack([flat, flat[nxt]]), axis=1)
+            nxt = np.roll(loops, -1, axis=1)
+            nxt[np.arange(len(loops)), self.sizes - 1] = loops[:, 0]   # the last entry closes
+            ends = np.column_stack([flat, nxt[inside]])
+            forward = ends[:, 0] < ends[:, 1]
+            ends.sort(axis=1)
             # a * nv + b sorts like the pair (a, b), so faces keep their lexicographic order
             key = ends[:, 0].astype(np.int64) * nv + ends[:, 1]
         unique, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
@@ -228,22 +262,22 @@ class Mesh:
         first = np.cumsum(counts) - counts
         self.face_cells = np.full((len(counts), 2), -1, dtype=int)
         self.face_cells[:, 0] = owner[order[first]]
-        shared = counts == 2
-        self.face_cells[shared, 1] = owner[order[first[shared] + 1]]
-        if self.dim == 2 and np.any(counts != 2 - self.boundary_faces):
-            raise MeshError("face/cell incidence counts are inconsistent")
-        self._entry_faces = inverse
-        return inverse
+        shared = np.flatnonzero(counts == 2)
+        a, b = order[first[shared]], order[first[shared] + 1]
+        self.face_cells[shared, 1] = owner[b]
+        self._entry_faces = np.full(loops.shape, -1)
+        self._entry_faces[inside] = inverse
+        return shared[forward[a] == forward[b]]
 
-    def _build_geometry(self, flat, starts, sizes, inverse):
+    def _build_geometry(self):
         """One stacked :class:`CellGeometry` per quadrature class and loop length,
         validated on the real loops, the ``fan`` lengths of fewer than ``PAD_CELLS``
         cells padded into one group; groups are ordered by their first cell."""
         groups, rare = [], []
-        for n in np.unique(sizes):
-            cells = np.flatnonzero(sizes == n)
-            entries = starts[cells, None] + np.arange(n)
-            pts = self.vertices[flat[entries]]
+        for n in np.unique(self.sizes):
+            cells = np.flatnonzero(self.sizes == n)
+            pts = self.vertices[self.loops[cells, :n]]
+            faces = self._entry_faces[cells, :n]
             fields = _stack_geometry(self.dim, pts)
             shape = np.full(len(cells), "interval" if self.dim == 1 else
                             "tri" if n == 3 else "fan", dtype=object)
@@ -252,7 +286,7 @@ class Mesh:
                 sel = shape == name
                 (rare if name == "fan" and sel.sum() < PAD_CELLS else groups).append(
                     CellGeometry(index=cells[sel], dim=self.dim, shape=name, vertices=pts[sel],
-                                 face_indices=inverse[entries[sel]],
+                                 face_indices=faces[sel],
                                  **{k: v[sel] for k, v in fields.items()}))
         # name the lowest-index invalid cell and the first check it fails
         bad = np.zeros((len(_CHECKS), self.n_cells), dtype=bool)
@@ -264,8 +298,8 @@ class Mesh:
         if rare:
             groups.append(_padded(rare))
         self._groups = sorted(groups, key=lambda g: g.index[0])
-        self._group_of = np.empty(len(sizes), dtype=int)
-        self._slot = np.empty(len(sizes), dtype=int)
+        self._group_of = np.empty(self.n_cells, dtype=int)
+        self._slot = np.empty(self.n_cells, dtype=int)
         for i, g in enumerate(self._groups):
             self._group_of[g.index] = i
             self._slot[g.index] = np.arange(len(g.index))
@@ -280,8 +314,11 @@ class Mesh:
     def set_boundary_tags(self, dirichlet, neumann):
         """Install explicit boundary tags (face index lists)."""
         boundary = self.boundary_faces
-        dirichlet = np.asarray(sorted(dirichlet), dtype=int)
-        neumann = np.asarray(sorted(neumann), dtype=int)
+        tags = [list(dirichlet), list(neumann)]
+        for f in tags[0] + tags[1]:
+            if isinstance(f, bool) or not isinstance(f, (int, np.integer)):
+                raise MeshError(f"boundary tag names face {f!r}, which is not an integer")
+        dirichlet, neumann = (np.sort(np.array(f, dtype=int)) for f in tags)
         both = np.concatenate([dirichlet, neumann])
         bad = both[(both < 0) | (both >= self.n_faces)]
         if len(bad):
@@ -304,16 +341,19 @@ class Mesh:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.loops)
 
     @property
     def n_faces(self) -> int:
         return len(self.face_nodes)
 
     @cached_property
+    def cells(self) -> list:
+        return np.split(self.loops[self.loops >= 0], np.cumsum(self.sizes)[:-1])
+
+    @cached_property
     def cell_faces(self) -> list:
-        sizes = np.fromiter(map(len, self.cells), dtype=int, count=self.n_cells)
-        return np.split(self._entry_faces, np.cumsum(sizes)[:-1])
+        return np.split(self._entry_faces[self.loops >= 0], np.cumsum(self.sizes)[:-1])
 
     @property
     def boundary_faces(self) -> np.ndarray:
@@ -344,7 +384,7 @@ class Mesh:
         group (see :meth:`cell_groups`), gathered from the group's stack;
         one cell index gives its own loop, an array the group's padded slots."""
         cells, g, slot = self._group_slots(cells)
-        n = None if cells.ndim else len(self.cells[cells])
+        n = None if cells.ndim else self.sizes[cells]
         return CellGeometry(index=cells if cells.ndim else int(cells), dim=self.dim, shape=g.shape,
                             **{k: getattr(g, k)[slot][:n] if k in _LOOP else getattr(g, k)[slot]
                                for k in _FIELDS})
@@ -353,7 +393,7 @@ class Mesh:
         """The ``face_indices`` of :meth:`cell_geometry` alone: global faces
         of one cell in loop order, or ``(nb, n_faces)`` for cells of one group."""
         cells, g, slot = self._group_slots(cells)
-        return g.face_indices[slot][:None if cells.ndim else len(self.cells[cells])]
+        return g.face_indices[slot][:None if cells.ndim else self.sizes[cells]]
 
     def cell_groups(self) -> list:
         """Cell indices grouped by quadrature class and loop length, in the
@@ -435,8 +475,7 @@ def build_interval_mesh(a: float, b: float, n_cells: int,
         steps = grading ** np.arange(n_cells)
         xs = a + (b - a) * np.concatenate([[0.0], np.cumsum(steps)]) / steps.sum()
         xs[-1] = b
-    cells = [(i, i + 1) for i in range(n_cells)]
-    return Mesh(1, xs[:, None], cells, neumann=neumann)
+    return Mesh(1, xs[:, None], np.arange(n_cells)[:, None] + np.arange(2), neumann=neumann)
 
 
 def build_structured_mesh(shape: str, nx: int, ny: int,
@@ -490,32 +529,9 @@ def left_half(mesh: Mesh) -> np.ndarray:
         [g.index[g.barycenter[:, 0] < 0.5 - GEOM_TOL] for g in geoms]))
 
 
-def _new_vertices(vertices: np.ndarray, keys: np.ndarray, points: np.ndarray):
-    """Append one vertex per distinct key, numbered in order of its first
-    request; ``points[i]`` is where request ``i`` puts its vertex.  Returns
-    the extended vertex array and the vertex of every request."""
-    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty(len(unique), dtype=int)
-    number[order] = np.arange(len(unique))
-    return (np.concatenate([vertices, points[first[order]]]),
-            len(vertices) + number[inverse])
-
-
 def _pair_key(p: np.ndarray, q: np.ndarray, stride: int) -> np.ndarray:
     """One integer per unordered pair of point indices below ``stride``."""
     return np.minimum(p, q).astype(np.int64) * stride + np.maximum(p, q)
-
-
-def _loops(rows: np.ndarray):
-    """Cell loops from rows padded with -1: one array when every row keeps
-    as many entries, else one array per row."""
-    keep = rows >= 0
-    counts = keep.sum(axis=1)
-    width = counts.max(initial=0)
-    if np.all(counts == width):
-        return rows[keep].reshape(len(rows), width)
-    return np.split(rows[keep], np.cumsum(counts)[:-1])
 
 
 def _split_template(n: int):
@@ -580,8 +596,9 @@ def _split_cells(mesh: Mesh, groups: list, centers: np.ndarray):
     sizes = np.cumsum([k.size for k in keys])[:-1]
     keys = np.concatenate([k.ravel() for k in keys])
     at = np.concatenate([a.reshape(-1, V.shape[1]) for a in at])
-    verts, ids = _new_vertices(V, keys[order], at[order])
-    ids = ids[np.argsort(order)]
+    # one new vertex per distinct key, numbered by its first request
+    first, ids = _first_seen(keys[order])
+    verts, ids = np.concatenate([V, at[order][first]]), len(V) + ids[np.argsort(order)]
     # local slots: the loop, the centre, the requests, then -1 for the padding
     rows = np.concatenate([np.column_stack([ext, i.reshape(len(ext), -1), np.full(len(ext), -1)])
                            [:, kids].reshape(-1, 4) for ext, i, kids in
@@ -605,45 +622,38 @@ def build_hanging_node_mesh(base: Mesh, cells_to_refine) -> Mesh:
     refine = np.unique(np.fromiter(cells_to_refine, dtype=int))
     if len(refine) and (refine[0] < 0 or refine[-1] >= base.n_cells):
         raise MeshError("refinement set contains an invalid cell index")
-    if not len(refine):
-        return _copy_with_tags(base)
     V, stride = base.vertices, len(base.vertices) + base.n_cells
-    sizes = np.fromiter(map(len, base.cells), dtype=int, count=base.n_cells)
-    flat, starts = np.concatenate(base.cells), np.cumsum(sizes) - sizes
+    if not len(refine):
+        return _inherit_tags(Mesh(base.dim, V.copy(), base.loops.copy()), base,
+                             np.repeat(np.arange(len(V)), 2).reshape(-1, 2))
+    loops, sizes = base.loops, base.sizes
     centers = np.empty((base.n_cells, base.dim))
     for g in base._groups:
         centers[g.index] = g.barycenter
     quads = np.flatnonzero(sizes == 4)
-    centers[quads] = V[flat[starts[quads, None] + np.arange(4)]].mean(axis=1)
-    groups = [(cells, flat[starts[cells, None] + np.arange(n)])
+    centers[quads] = V[loops[quads, :4]].mean(axis=1)
+    groups = [(cells, loops[cells, :n])
               for n in np.unique(sizes[refine]) for cells in [refine[sizes[refine] == n]]]
     verts, children, keys, ids = _split_cells(base, groups, centers)
     origin = np.repeat(np.arange(len(verts)), 2).reshape(-1, 2)
     origin[ids] = np.column_stack(np.divmod(keys, stride))
     # the midpoint of each split face, then 2n slots per loop: each vertex and
-    # the midpoint of the face after it, or -1
+    # the midpoint of the face after it, or -1, which a stable sort moves to the end
     face_keys = _pair_key(base.face_nodes[:, 0], base.face_nodes[:, -1], stride)
     at = np.minimum(np.searchsorted(face_keys, keys), base.n_faces - 1)
     split = face_keys[at] == keys
     mid = np.full(base.n_faces, -1)
     mid[at[split]] = ids[split]
-    owner = np.repeat(np.arange(base.n_cells), sizes)
-    slot = 2 * (np.arange(len(flat)) - starts[owner])
-    rows = np.full((base.n_cells, 2 * sizes.max()), -1)
-    rows[owner, slot], rows[owner, slot + 1] = flat, mid[base._entry_faces]
-    kids, rest = _loops(children), _loops(np.delete(rows, refine, axis=0))
+    rows = np.stack([loops, np.where(loops < 0, -1, mid[base._entry_faces])], axis=2)
+    rest = np.delete(rows.reshape(base.n_cells, -1), refine, axis=0)
+    rest = np.take_along_axis(rest, np.argsort(rest < 0, axis=1, kind="stable"), axis=1)
+    loops = np.concatenate([np.pad(children, ((0, 0), (0, rest.shape[1] - 4)), constant_values=-1),
+                            rest])
     if base.dim == 1:
         order = np.argsort(verts[:, 0])
         rank = np.argsort(order)
-        verts, origin, kids, rest = verts[order], origin[order], rank[kids], rank[rest]
-    return _inherit_tags(Mesh(base.dim, verts, list(kids) + list(rest)), base, origin)
-
-
-def _copy_with_tags(base: Mesh) -> Mesh:
-    mesh = Mesh(base.dim, base.vertices.copy(), [c.copy() for c in base.cells])
-    mesh.set_boundary_tags(np.flatnonzero(base.dirichlet_faces).tolist(),
-                           np.flatnonzero(base.neumann_faces).tolist())
-    return mesh
+        verts, origin, loops = verts[order], origin[order], np.where(loops < 0, -1, rank[loops])
+    return _inherit_tags(Mesh(base.dim, verts, loops), base, origin)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -670,7 +680,7 @@ def mesh_to_dict(mesh: Mesh) -> dict:
 
 
 def mesh_from_dict(data: dict) -> Mesh:
-    mesh = Mesh(data["dim"], np.asarray(data["vertices"], dtype=float), data["cells"])
+    mesh = Mesh(data["dim"], data["vertices"], data["cells"])
     boundary = data.get("boundary")
     if boundary is not None:
         mesh.set_boundary_tags(boundary.get("dirichlet", []), boundary.get("neumann", []))

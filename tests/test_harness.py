@@ -137,6 +137,15 @@ def test_galerkin_orthogonality():
     assert galerkin_residual(sol) <= 1e-10
 
 
+def test_solve_reads_the_loop_array_alone():
+    # the per-cell list view of the loops serves JSON and tests, not the pipeline
+    mesh = _tri_refined_twice()
+    sol = solve_problem(mesh, equal_order(1), poisson_sin_2d())
+    error_norms(sol)
+    flux_residuals(sol)
+    assert "cells" not in mesh.__dict__
+
+
 @pytest.mark.parametrize("family", ["quad", "tri", "hanging"])
 def test_flux_identities_after_solve(family):
     mesh = mesh_family(family, 0, base=4)

@@ -478,6 +478,16 @@ def test_local_refinement_properties(case):
         uniform = refine_uniform(base)
         assert_same_mesh(new, uniform.vertices, uniform.cells)
         np.testing.assert_array_equal(new.neumann_faces, uniform.neumann_faces)
+    # one mesh whatever form its loops come in; JSON carries the tags as well
+    forms = [Mesh(new.dim, new.vertices, new.loops), Mesh(new.dim, new.vertices, new.cells),
+             mesh_from_dict(mesh_to_dict(new))]
+    for other in forms:
+        for name in ("loops", "sizes", "face_nodes", "face_cells"):
+            np.testing.assert_array_equal(getattr(other, name), getattr(new, name))
+        assert ([cells.tolist() for cells in other.cell_groups()]
+                == [cells.tolist() for cells in new.cell_groups()])
+    np.testing.assert_array_equal(forms[2].dirichlet_faces, new.dirichlet_faces)
+    np.testing.assert_array_equal(forms[2].neumann_faces, new.neumann_faces)
 
 
 @pytest.mark.parametrize("family", ["quad", "tri", "hanging"])
@@ -560,3 +570,37 @@ def test_boundary_tags_outside_the_faces_rejected(side, face):
     data["boundary"][side].append(face)
     with pytest.raises(MeshError, match=f"^boundary tag names face {face} outside 0..11$"):
         mesh_from_dict(data)
+
+
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+def _tagged_quads(dirichlet):
+    data = mesh_to_dict(build_structured_mesh("quad", 2, 2))
+    data["boundary"] = {"dirichlet": dirichlet, "neumann": []}
+    return mesh_from_dict(data)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Mesh(2, SQUARE, [[0, 1.7, 2, 3]]),
+     r"^cell 0 is not a list of vertex indices: \[0, 1.7, 2, 3\]$"),
+    (lambda: mesh_from_dict({"dim": 2, "vertices": SQUARE, "cells": [[0, 1, 2], ["0", "2", "3"]]}),
+     "^cell 1 is not a list of vertex indices"),
+    (lambda: Mesh(2, SQUARE, np.array([[0, -1, 1, 2]])), r"^cell 0 references a vertex outside 0..3$"),
+    (lambda: _tagged_quads([0, 1, 2, 3, 5, 6, 9, 10.5]),
+     "^boundary tag names face 10.5, which is not an integer$"),
+    (lambda: Mesh(2, np.zeros((4, 3)), [[0, 1, 2, 3]]),
+     r"^a mesh of dim 1 or 2 takes \(n, dim\) vertices, not dim 2 and shape \(4, 3\)$"),
+    (lambda: Mesh(2, SQUARE, []), "^mesh has no cells$"),
+    (lambda: Mesh(3, np.eye(3), [[0, 1, 2]]),
+     r"^a mesh of dim 1 or 2 takes \(n, dim\) vertices, not dim 3 and shape \(3, 3\)$"),
+    (lambda: Mesh(2, SQUARE, [[0, 1, 2], [0, 1, 2]]), "^face 0 runs the same way in cells 0 and 1$"),
+    (lambda: Mesh(2, SQUARE + [[0.5, 0.5]], [[0, 2, 3], [0, 1, 2], [0, 4, 3]]),
+     "^face 2 runs the same way in cells 0 and 2$"),
+    (lambda: Mesh(1, [[0], [1], [2]], [(0, 1), (1, 2), (0, 2)]),
+     "^face 0 runs the same way in cells 0 and 2$"),
+], ids=["float-index", "string-index-json", "padding-inside-a-loop", "float-tag",
+        "three-coordinates", "no-cells", "3d", "coincident", "folded", "overlapping-intervals"])
+def test_malformed_mesh_input_rejected(make, message):
+    with pytest.raises(MeshError, match=message):
+        make()
