@@ -240,18 +240,22 @@ def solve_reduced(system: GlobalSystem, method: str = "direct",
         asym = max(asym, np.abs(diff).max(initial=0.0))
     if asym > 1e-12 * max(A.data.max(initial=0.0), -A.data.min(initial=0.0), 1.0):
         raise ValueError(f"reduced system is not symmetric (deviation {asym:.2e})")
+    del cols
     start = time.perf_counter()
     if method == "direct":
-        lu = _factor(cols, "reduced system")
+        lu = _factor(A.T, "reduced system")     # A's own arrays, read as CSC
         x = lu.solve(b)
         log.debug("face solve: direct, %d reduced DoFs, %d nonzeros, L+U fill %d "
                   "(%.1fx), %.4f s", A.shape[0], A.nnz, lu.nnz, lu.nnz / A.nnz,
                   time.perf_counter() - start)
         return x
-    del cols
     M1 = _block_jacobi(A, _vertex_patches(system.dofmap))
     P = _auxiliary_space(system.dofmap)
-    lu = _factor((P.T @ (A @ P)).tocsc(), "auxiliary coarse system")
+    # A_0 may be singular to round-off (at k = 0 on quads the hats' face means have
+    # a checkerboard kernel, which P never reads back): a diagonal shift by 1e-13
+    # of itself makes the factor deterministic; a zero column stays singular
+    A0 = (P.T @ (A @ P)).tocsc()
+    lu = _factor((A0 + 1e-13 * sp.diags(A0.diagonal())).tocsc(), "auxiliary coarse system")
     setup = time.perf_counter()
     x, iters, res = _two_level_cg(A, b, M1, P, lu, tol)
     log.debug("face solve: cg, %d reduced DoFs, %d nonzeros, auxiliary space %d, "
@@ -284,7 +288,8 @@ def _two_level_cg(A: sp.csr_matrix, b: np.ndarray, M1, P: sp.csc_matrix, lu, tol
     """Preconditioned CG with the A-DEF2 two-level preconditioner.
 
     With the coarse correction ``C = P A_0^-1 P^T`` (``lu`` factors
-    ``A_0 = P^T A P``), CG starts from ``x_0 = C b`` and preconditions
+    ``A_0 = P^T A P``, its diagonal shifted by 1e-13 of itself), CG starts
+    from ``x_0 = C b`` and preconditions
     with ``z = M1 r + C (r - A M1 r)`` (Tang, Nabben, Vuik and Erlangga,
     J. Sci. Comput. 2009): one application of ``M1``, one coarse solve and
     one extra product with ``A`` per iteration.  It stops when the

@@ -82,9 +82,8 @@ def _dump_json(path: Path, data: dict) -> None:
 
 def cmd_solve(args) -> int:
     mesh = get_mesh(args)
-    rank = 2 if args.problem.startswith("elasticity") else 1
     spec = problems.get_problem(args.problem)
-    degrees = _degrees(args, rank)
+    degrees = _degrees(args, 2 if spec.kind == "elasticity" else 1)
     sol = harness.solve_problem(mesh, degrees, spec, solver=args.solver, tol=args.tol)
     info = {
         "problem": spec.name,
@@ -123,9 +122,8 @@ def _rate_bands(k: int, kind: str):
 
 
 def cmd_converge(args) -> int:
-    rank = 2 if args.problem.startswith("elasticity") else 1
     spec = problems.get_problem(args.problem)
-    degrees = _degrees(args, rank)
+    degrees = _degrees(args, 2 if spec.kind == "elasticity" else 1)
     family = args.family
     if family == "auto":
         family = "interval" if spec.dim == 1 else "quad"
@@ -199,8 +197,7 @@ def cmd_locking(args) -> int:
     report = harness.locking_test(problems.elasticity_divfree, degrees,
                                   family=args.family, levels=args.levels,
                                   base=args.base)
-    k = degrees.k_face
-    band = (k + 0.8, k + 1.3)
+    (_, band), = _rate_bands(degrees.k_face, "elasticity")
     out = _outdir(args)
     data = {"lam_over_mu": report.lam_over_mu,
             "energy_errors": report.energy_errors,

@@ -9,7 +9,9 @@ depends only on a cell's shape (operators, condensed matrices, the basis on
 the rule that samples problem data) is built once per distinct shape of a
 group and gathered by each cell's shape where a stage reads it.  Convergence
 studies, the operator-decay verification, the 1D FEM oracle, and the
-incompressibility sweep all sit on top of it.
+incompressibility sweep all sit on top of it: the verification measures the
+reduction of its target with :func:`error_norms` on the operators of
+:func:`build_local`, and the sweep is one convergence study per lambda.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from . import assembly as asm
 from .basis import _lowered, face_basis
 from .elasticity import local_bilinear_elastic
 from .local_ops import (CellContext, LocalOperators, _kron_apply, build_cell_context,
-                        local_bilinear, reconstruction, stabilization_equal_order,
-                        stabilization_ls)
+                        local_bilinear)
 from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh, left_half)
-from .problems import ProblemSpec
+from .problems import ProblemSpec, poisson_sin_1d, poisson_sin_2d
 from .projection import (HhoDegrees, dof_layout, equal_order, gather_local,
-                         l2_project, mixed_order, reduce_local, sample, spd_inverse)
+                         l2_project, mixed_order, reduce_global, sample, spd_inverse)
 from .quadrature import QuadratureRule, cell_quadrature, face_quadrature, interval_rule
 
 log = logging.getLogger("pyhho")
@@ -486,17 +487,27 @@ class VerifyBlock:
         return abs(self.rate - self.target_rate) <= self.tolerance
 
 
+def _reduction(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec) -> Solution:
+    """The reduction of ``spec.exact`` as a :class:`Solution` on the operators
+    a solve builds, for :func:`error_norms` to measure."""
+    cell_coeffs, face_coeffs = reduce_global(mesh, degrees, spec.exact)
+    return Solution(mesh=mesh, degrees=degrees, spec=spec, cell_coeffs=cell_coeffs,
+                    face_coeffs=face_coeffs, groups=build_local(mesh, degrees, spec),
+                    dofmap=asm.build_dof_map(mesh, degrees), neumann=None)
+
+
 def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> list:
     """Decay rates of projection, reconstruction, and stabilization errors
     of the target ``sin(pi x)`` (times ``sin(pi y)`` in 2D).
 
     Projections onto cells must decay at k+1 and onto faces at k+1/2; the
     reconstruction of the reduced target at k+2; both stabilization
-    seminorms at k+1.
+    seminorms at k+1.  The last three are :func:`error_norms` of the
+    reduction wrapped as a :class:`Solution`, in equal and in mixed order,
+    so they read the operators that :func:`build_local` composes.
     """
     check_levels(levels)
-    dim = 1 if family == "interval" else 2
-    v = lambda x: np.prod(np.sin(np.pi * x), axis=1)
+    spec = poisson_sin_1d() if family == "interval" else poisson_sin_2d()
     blocks = [
         VerifyBlock("projection-cell", k + 1.0, 0.15, [], []),
         VerifyBlock("projection-face", k + 0.5, 0.15, [], []),
@@ -504,55 +515,30 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
         VerifyBlock("stabilization-equal", k + 1.0, 0.15, [], []),
         VerifyBlock("stabilization-ls", k + 1.0, 0.15, [], []),
     ]
-    deg_eq, deg_mx = equal_order(k), mixed_order(k)
-    order = data_order(deg_eq)
     for lvl in range(levels):
         mesh = mesh_family(family, lvl, base=base)
-        h = mesh.max_diameter()
-        acc = np.zeros(5)
-        for cells in mesh.cell_groups():
-            out = np.zeros(5)
-            # both contexts on the group's distinct shapes, as in build_local
-            reps, shapes = mesh.cell_shapes(cells)
-            ctx = build_cell_context(mesh, reps, deg_eq)
-            geom = mesh.cell_geometry(cells)
-            rule = cell_quadrature(geom, order)
-            inv, w, vals = data_basis(ctx, rule, cells, shapes)
-            w, vals = w[inv], vals[inv]
-            vx = sample(v, rule.points)
-
-            red = reduce_local(mesh, cells, deg_eq, v)
-            proj = (vals[..., : ctx.n_cell] @ red[:, ctx.layout.cell, None])[..., 0]
-            out[0] = np.sum(w * (vx - proj) ** 2)
-
-            R_full = reconstruction(ctx)
-            rec = (vals @ (R_full[shapes] @ red[..., None]))[..., 0]
-            out[2] = np.sum(w * (vx - rec) ** 2)
-
-            out[3] = _stab_seminorm(ctx, shapes, stabilization_equal_order(ctx, R_full)[0], red)
-
-            ctx2 = build_cell_context(mesh, reps, deg_mx)
-            red2 = reduce_local(mesh, cells, deg_mx, v)
-            out[4] = _stab_seminorm(ctx2, shapes, stabilization_ls(ctx2)[0], red2)
-
-            # face projection error, each face counted once, by its first cell's real slot
-            index = geom.face_indices
-            faces = index[(mesh.face_cells[index, 0] == cells[:, None]) & (geom.face_measures > 0)]
-            if mesh.dim == 2 and len(faces):
-                fb = face_basis(mesh, faces, k)
-                frule = face_quadrature(mesh, faces, order)
-                psi, _ = fb.eval(frule.points, gradients=False)
-                vfx = sample(v, frule.points, entity="face")
-                coef = l2_project(fb, frule, v)
-                out[1] = np.sum(frule.weights * (vfx - (psi @ coef[..., None])[..., 0]) ** 2)
-            acc += out
-        if dim == 1:
-            acc[1] = float("nan")
-        for b, val in zip(blocks, np.sqrt(np.maximum(acc, 0.0))):
-            b.hs.append(h)
+        eq, mx = (_reduction(mesh, d, spec) for d in (equal_order(k), mixed_order(k)))
+        cell_sq = 0.0
+        for g in eq.groups:
+            inv, w, vals = data_basis(g.ops.ctx, g.rule, g.cells, g.shapes)
+            proj = vals[inv][..., : g.ops.ctx.n_cell] @ eq.cell_coeffs[g.cells, :, None]
+            cell_sq += np.sum(w[inv] * (sample(spec.exact, g.rule.points) - proj[..., 0]) ** 2)
+        face_sq = float("nan")
+        if mesh.dim == 2:     # every face once, against the reduction's face block
+            faces = np.arange(mesh.n_faces)
+            rule = face_quadrature(mesh, faces, data_order(eq.degrees))
+            psi, _ = face_basis(mesh, faces, k).eval(rule.points, gradients=False)
+            gap = sample(spec.exact, rule.points, entity="face") - (
+                psi @ eq.face_coeffs[..., None])[..., 0]
+            face_sq = np.sum(rule.weights * gap ** 2)
+        row = error_norms(eq)
+        values = [np.sqrt(cell_sq), np.sqrt(face_sq), row.err_l2_rec, row.stab,
+                  error_norms(mx).stab]
+        for b, val in zip(blocks, values):
+            b.hs.append(row.h)
             b.values.append(float(val))
     blocks = [b.finalize() for b in blocks]
-    if dim == 1:
+    if mesh.dim == 1:
         blocks = [b for b in blocks if b.name != "projection-face"]
     return blocks
 
@@ -584,6 +570,9 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
     """
     if mesh.dim != 1:
         raise ValueError("the FEM oracle runs on interval meshes")
+    if mesh.n_cells < 2:
+        raise ValueError("the FEM oracle compares the interior vertices: "
+                         "it needs a mesh of at least 2 cells")
     if f is None:
         f = lambda x: 1.0 + np.sin(3.0 * x[:, 0])
     degrees = HhoDegrees(k_face=k, k_cell=k)
@@ -597,41 +586,30 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
                           dirichlet_values=np.zeros((mesh.n_faces, 1)))
     A = system.matrix.toarray()
 
-    # independent P1 construction on the interior vertices; for k = 0 the
-    # loads use the scheme's own projected means, for which the identities
-    # are exact, while k >= 1 uses fully independent high-order quadrature
+    # independent P1 construction on the interior vertices: the tridiagonal of
+    # 1/h, and loads from each cell's two end hats.  For k = 0 the loads use the
+    # scheme's own projected means, for which the identities are exact, while
+    # k >= 1 uses fully independent high-order quadrature
     xs = np.sort(mesh.vertices[:, 0])
     hcells = np.diff(xs)
-    n_int = len(xs) - 2
-    Afem = np.zeros((n_int, n_int))
-    bfem = np.zeros(n_int)
+    inv_h = 1.0 / hcells
+    Afem = np.diag(inv_h[:-1] + inv_h[1:]) - np.diag(inv_h[1:-1], 1) - np.diag(inv_h[1:-1], -1)
     fbar = np.zeros(mesh.n_cells)
     for g in groups:
         fbar[g.cells] = g.rhs[:, 0]
     # cells from left to right, as hcells: a refined mesh numbers its children first
     order = np.argsort(mesh.vertices[mesh.loops, 0].min(axis=1))
     fbar = fbar[order] / hcells
-    for i, h in enumerate(hcells):
-        rule = interval_rule(xs[i], xs[i + 1], 20)
-        x = rule.points[:, 0]
-        fx = np.asarray(f(rule.points), dtype=float)
-        for which, vtx in ((0, i), (1, i + 1)):
-            gi = vtx - 1
-            if not 0 <= gi < n_int:
-                continue
-            hat = (x - xs[i]) / h if which == 1 else (xs[i + 1] - x) / h
-            if k >= 1:
-                bfem[gi] += rule.weights @ (fx * hat)
-            else:
-                bfem[gi] += 0.5 * h * fbar[i]
-        a, b_ = 1.0 / h, -1.0 / h
-        if 0 <= i - 1 < n_int:
-            Afem[i - 1, i - 1] += a
-        if 0 <= i < n_int:
-            Afem[i, i] += a
-        if 0 <= i - 1 < n_int and 0 <= i < n_int:
-            Afem[i - 1, i] += b_
-            Afem[i, i - 1] += b_
+    if k >= 1:
+        rule = interval_rule(xs[:-1], xs[1:], 20)
+        x = rule.points[..., 0]
+        wf = rule.weights * np.asarray(f(rule.points.reshape(-1, 1)), dtype=float).reshape(x.shape)
+        # the hat of a cell's left vertex falls across it, its right vertex's rises
+        left = np.sum(wf * (xs[1:, None] - x), axis=1) / hcells
+        right = np.sum(wf * (x - xs[:-1, None]), axis=1) / hcells
+    else:
+        left = right = 0.5 * hcells * fbar
+    bfem = right[:-1] + left[1:]
     # map face ordering (canonical == vertex order) onto interior vertices
     scaleA = max(np.abs(Afem).max(), 1e-30)
     scaleb = max(np.abs(bfem).max(), 1e-30)
@@ -673,25 +651,13 @@ def locking_test(spec_builder, degrees: HhoDegrees, family: str = "tri",
                  lam_factors=(1.0, 1e2, 1e4)) -> LockingReport:
     """Energy errors across a lambda sweep; the rates and the max/min error
     ratio on the finest mesh quantify locking robustness."""
-    check_levels(levels)
-    all_errors = []
-    rates = []
-    for factor in lam_factors:
-        spec = spec_builder(mu=mu, lam=mu * factor)
-        errs, hs = [], []
-        for lvl in range(levels):
-            mesh = mesh_family(family, lvl, base=base)
-            sol = solve_problem(mesh, degrees, spec)
-            row = error_norms(sol, level=lvl)
-            errs.append(row.err_h1)
-            hs.append(row.h)
-        all_errors.append(errs)
-        rates.append(fit_rate(hs, errs))
-    finest = [errs[-1] for errs in all_errors]
-    ratio = max(finest) / min(finest)
-    return LockingReport(lam_over_mu=list(lam_factors),
-                         energy_errors=all_errors, rates=rates,
-                         ratio_finest=float(ratio))
+    reports = [convergence_study(spec_builder(mu=mu, lam=mu * factor), family, degrees,
+                                 levels=levels, base=base) for factor in lam_factors]
+    errors = [[row.err_h1 for row in rep.rows] for rep in reports]
+    finest = [errs[-1] for errs in errors]
+    return LockingReport(lam_over_mu=list(lam_factors), energy_errors=errors,
+                         rates=[rep.rate_h1 for rep in reports],
+                         ratio_finest=float(max(finest) / min(finest)))
 
 
 # ---------------------------------------------------------------------------

@@ -133,10 +133,15 @@ def _loop_rows(cells):
     layout or from one index sequence per cell, which must hold integers alone."""
     if isinstance(cells, np.ndarray) and cells.ndim == 2 and cells.dtype.kind == "i":
         return cells.astype(int, copy=False), (cells != -1).sum(axis=1)
-    loops = [np.asarray(c) for c in cells]
-    for i, loop in enumerate(loops):
-        if loop.ndim != 1 or loop.size and loop.dtype.kind not in "iu":
-            raise MeshError(f"cell {i} is not a list of vertex indices: {cells[i]!r}")
+    loops = []
+    for i, cell in enumerate(cells):
+        try:
+            loop = np.asarray(cell)
+        except ValueError:      # ragged, as a cell that nests a list
+            loop = None
+        if loop is None or loop.ndim != 1 or loop.size and loop.dtype.kind not in "iu":
+            raise MeshError(f"cell {i} is not a list of vertex indices: {cell!r}")
+        loops.append(loop)
     sizes = np.array([len(loop) for loop in loops])
     rows = np.full((len(loops), sizes.max()), -1)
     rows[np.arange(rows.shape[1]) < sizes[:, None]] = np.concatenate(loops)

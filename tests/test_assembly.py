@@ -339,9 +339,15 @@ CG_CASES = {
                                            equal_order(2), poisson_sin_1d()),
     "Poisson on quads with Neumann faces": _neumann_left_quads,
     # the face means of the hats have a checkerboard kernel: A_0 is singular
-    # to round-off, and the coarse solve acts as a pseudo-inverse
+    # to round-off, and the coarse factor takes a relative diagonal shift
     "k=0 Poisson on quads": lambda: (build_structured_mesh("quad", 8, 8), equal_order(0),
                                      poisson_sin_2d()),
+    "k=0 Poisson on 4x4 quads": lambda: (build_structured_mesh("quad", 4, 4), equal_order(0),
+                                         poisson_sin_2d()),
+    "k=0 Poisson on jittered quads, seed 1": lambda: (jittered_mesh("quad", 4, 1),
+                                                      equal_order(0), poisson_sin_2d()),
+    "k=0 Poisson on jittered quads, seed 6": lambda: (jittered_mesh("quad", 4, 6),
+                                                      equal_order(0), poisson_sin_2d()),
     "elasticity clamped on one side": _clamped_left,
 }
 

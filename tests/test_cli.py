@@ -64,6 +64,11 @@ def test_problem_and_mesh_of_different_dimensions_are_an_error_line(argv, messag
         main(argv + ["--out", str(tmp_path)])
 
 
+def test_oracle1d_without_an_interior_vertex_is_an_error_line(tmp_path):
+    with pytest.raises(SystemExit, match="^error: the FEM oracle compares the interior vertices"):
+        main(["oracle1d", "--n", "1", "--out", str(tmp_path)])
+
+
 def test_solve_requires_mesh_source(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "--k", "1", "--out", str(tmp_path)])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,24 @@ def test_verify_face_projection_counts_each_face_once(monkeypatch):
         gap = v(rule.points.reshape(-1, 2)).reshape(rule.weights.shape) - (
             psi @ l2_project(fb, rule, v)[..., None])[..., 0]
         assert value == pytest.approx(np.sqrt(np.sum(rule.weights * gap ** 2)), rel=1e-12)
+
+
+def test_verify_reads_the_operators_of_the_solve(monkeypatch):
+    # doubling the face operators that local_bilinear hands the solve doubles
+    # both stabilization seminorms and leaves the reconstruction alone
+    before = {b.name: b.values for b in verify_operators("quad", 1, levels=2)}
+    build = harness.local_bilinear
+
+    def doubled(ctx):
+        ops = build(ctx)
+        return replace(ops, stab_face=2 * ops.stab_face)
+
+    monkeypatch.setattr(harness, "local_bilinear", doubled)
+    after = {b.name: b.values for b in verify_operators("quad", 1, levels=2)}
+    for name in ("stabilization-equal", "stabilization-ls"):
+        assert after[name] == pytest.approx(2 * np.array(before[name]), rel=1e-12)
+    for name in ("projection-cell", "projection-face", "reconstruction"):
+        assert after[name] == before[name]
 
 
 def test_padded_slot_keeps_its_face_in_the_neumann_check():

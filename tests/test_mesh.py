@@ -586,6 +586,8 @@ def _tagged_quads(dirichlet):
      r"^cell 0 is not a list of vertex indices: \[0, 1.7, 2, 3\]$"),
     (lambda: mesh_from_dict({"dim": 2, "vertices": SQUARE, "cells": [[0, 1, 2], ["0", "2", "3"]]}),
      "^cell 1 is not a list of vertex indices"),
+    (lambda: Mesh(2, SQUARE, [[0, 1, [2, 3]]]),
+     r"^cell 0 is not a list of vertex indices: \[0, 1, \[2, 3\]\]$"),
     (lambda: Mesh(2, SQUARE, np.array([[0, -1, 1, 2]])), r"^cell 0 references a vertex outside 0..3$"),
     (lambda: _tagged_quads([0, 1, 2, 3, 5, 6, 9, 10.5]),
      "^boundary tag names face 10.5, which is not an integer$"),
@@ -599,7 +601,7 @@ def _tagged_quads(dirichlet):
      "^face 2 runs the same way in cells 0 and 2$"),
     (lambda: Mesh(1, [[0], [1], [2]], [(0, 1), (1, 2), (0, 2)]),
      "^face 0 runs the same way in cells 0 and 2$"),
-], ids=["float-index", "string-index-json", "padding-inside-a-loop", "float-tag",
+], ids=["float-index", "string-index-json", "nested-list", "padding-inside-a-loop", "float-tag",
         "three-coordinates", "no-cells", "3d", "coincident", "folded", "overlapping-intervals"])
 def test_malformed_mesh_input_rejected(make, message):
     with pytest.raises(MeshError, match=message):
