@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain
 
 import numpy as np
 
@@ -36,9 +37,10 @@ class CellGeometry:
     and the normals point outward.  ``shape`` names the quadrature class:
     ``interval``, ``tri``, ``quad`` (parallelogram, tensor rule) or ``fan``
     (any other polygon).  A group's geometry stacks every field along a
-    leading cell axis; a ``fan`` group pads each loop to its longest by
-    repeating the first vertex: a padded slot is a zero-length face after
-    the closing face, with measure 0, normal 0 and the closing face's index.
+    leading cell axis.  A ``fan`` group's loops are padded to its longest by
+    repeating the first vertex before its geometry is computed: a padded slot
+    is a zero-length face after the closing face, with measure 0, normal 0
+    and the closing face's index.
     """
 
     index: int | np.ndarray
@@ -66,9 +68,9 @@ def is_parallelogram(pts: np.ndarray) -> np.ndarray:
     """Whether a vertex loop, or each loop of a stack, is a parallelogram."""
     if pts.shape[-2] != 4:
         return np.zeros(pts.shape[:-2], dtype=bool)
-    d = (pts[..., 0, :] + pts[..., 2, :]) - (pts[..., 1, :] + pts[..., 3, :])
-    scale = np.abs(pts).max(axis=(-2, -1)) + 1.0
-    return np.abs(d).max(axis=-1) <= 1e-13 * scale
+    d = np.abs((pts[..., 0, :] + pts[..., 2, :]) - (pts[..., 1, :] + pts[..., 3, :]))
+    scale = reduce(np.maximum, np.moveaxis(np.abs(pts).reshape(pts.shape[:-2] + (8,)), -1, 0))
+    return np.maximum(d[..., 0], d[..., 1]) <= 1e-13 * (scale + 1.0)
 
 
 _FIELDS = ("vertices", "barycenter", "diameter", "measure", "frame", "face_indices",
@@ -82,40 +84,51 @@ _CHECKS = ("has non-positive length", "is degenerate or not counterclockwise",
            "is not star-shaped with respect to its barycenter")
 
 
-def _stack_geometry(dim: int, pts: np.ndarray) -> dict:
-    """Geometry fields of a stack of vertex loops ``(nb, nv, dim)`` of one
-    length.  Degenerate loops give non-finite values that the checks catch."""
+def _stack_geometry(dim: int, pts: np.ndarray, real=None) -> dict:
+    """Geometry fields of a stack of vertex loops ``(nb, w, dim)``, whose own
+    slots ``real`` masks if they are padded: a padded slot repeats the first
+    vertex, so it adds 0 to every sum, and its normal is set to 0.
+    Degenerate loops give non-finite values that the checks catch."""
     if dim == 1:
         a, b = pts[:, 0, 0], pts[:, 1, 0]
         return dict(barycenter=0.5 * (a + b)[:, None], diameter=b - a, measure=b - a,
                     frame=(2.0 / (b - a))[:, None, None],
                     face_measures=np.ones((len(pts), 2)),
                     face_normals=np.tile([[-1.0], [1.0]], (len(pts), 1, 1)))
+    slot = np.arange(pts.shape[1])
+    nxt = pts[:, slot - len(slot) + 1]        # each vertex's successor
     # shoelace sums relative to the first vertex, which keeps them accurate
     # for small cells far from the origin
-    rel = pts - pts[:, :1]
-    nxt = np.roll(rel, -1, axis=1)
-    cross = rel[..., 0] * nxt[..., 1] - nxt[..., 0] * rel[..., 1]
-    area = 0.5 * cross.sum(axis=1)
-    edge = np.roll(pts, -1, axis=1) - pts
-    lengths = np.linalg.norm(edge, axis=-1)
-    diffs = pts[:, :, None, :] - pts[:, None, :, :]
-    c = ((rel + nxt) * cross[..., None]).sum(axis=1) / (6.0 * area[:, None])
+    rel, rnxt = pts - pts[:, :1], nxt - pts[:, :1]
+    mid = rel + rnxt
+    cross = rel[..., 0] * rnxt[..., 1] - rnxt[..., 0] * rel[..., 1]
+    # slot sums add slot by slot, so zero slots change nothing; an unpadded area keeps row .sum
+    area = 0.5 * (cross.sum(axis=1) if real is None else reduce(np.add, cross.T))
+    c = reduce(np.add, (mid * cross[..., None]).swapaxes(0, 1)) / (6.0 * area[:, None])
     # frame: J^(-1/2) / sqrt(3 d) for J = int_T (x - x_T)(x - x_T)^T / |T| over the fan's
     # triangles (0, a, b), each (a x b)(aa^T + bb^T + (a+b)(a+b)^T) / 24; sqrt(J) = (J + s I)
     # / sqrt(tr J + 2 s), s^2 = det J floored at its round-off, inverted by Cayley-Hamilton
-    J = sum((v * cross[..., None]).mT @ v for v in (rel, nxt, rel + nxt))
+    J = sum((v * cross[..., None]).mT @ v for v in (rel, rnxt, mid))
     J = J / (24.0 * area[:, None, None]) - c[:, :, None] * c[:, None, :]
     t = J[:, :1, :1] + J[:, 1:, 1:]
     det = J[:, :1, :1] * J[:, 1:, 1:] - J[:, :1, 1:] * J[:, 1:, :1]
     s = np.sqrt(np.maximum(det, (1e-16 * t) ** 2))
+    x, y = pts[..., 0], pts[..., 1]
+    ex, ey = nxt[..., 0] - x, nxt[..., 1] - y
+    far = ex * ex + ey * ey
+    lengths = np.sqrt(far)
+    # CCW loop: outward normal is the edge direction rotated by -90 deg
+    normals = np.stack([ey, -ex], axis=-1) / lengths[..., None]
+    if real is not None:
+        normals[~real] = 0.0
+    # the diameter: the vertex pairs (i, i + k) for k <= w / 2 are all pairs, k = 1 the edges
+    for step in ((slot + k) % len(slot) for k in range(2, len(slot) // 2 + 1)):
+        far = np.maximum(far, (x - x[:, step]) ** 2 + (y - y[:, step]) ** 2)
     return dict(
         barycenter=pts[:, 0] + c,
         frame=((t + s) * np.eye(2) - J) / (s * np.sqrt(t + 2.0 * s)) / np.sqrt(6.0),
-        diameter=np.sqrt((diffs ** 2).sum(axis=-1).max(axis=(1, 2))), measure=area,
-        face_measures=lengths,
-        # CCW loop: outward normal is the edge direction rotated by -90 deg
-        face_normals=np.stack([edge[..., 1], -edge[..., 0]], axis=-1) / lengths[..., None])
+        diameter=np.sqrt(reduce(np.maximum, far.T)), measure=area,
+        face_measures=lengths, face_normals=normals)
 
 
 def _first_seen(label: np.ndarray):
@@ -133,53 +146,44 @@ def _loop_rows(cells):
     layout or from one index sequence per cell, which must hold integers alone."""
     if isinstance(cells, np.ndarray) and cells.ndim == 2 and cells.dtype.kind == "i":
         return cells.astype(int, copy=False), (cells != -1).sum(axis=1)
-    loops = []
-    for i, cell in enumerate(cells):
-        try:
-            loop = np.asarray(cell)
-        except ValueError:      # ragged, as a cell that nests a list
-            loop = None
-        if loop is None or loop.ndim != 1 or loop.size and loop.dtype.kind not in "iu":
-            raise MeshError(f"cell {i} is not a list of vertex indices: {cell!r}")
-        loops.append(loop)
-    sizes = np.array([len(loop) for loop in loops])
-    rows = np.full((len(loops), sizes.max()), -1)
-    rows[np.arange(rows.shape[1]) < sizes[:, None]] = np.concatenate(loops)
+    try:
+        sizes = np.fromiter(map(len, cells), dtype=int, count=len(cells))
+        flat = np.asarray(list(chain.from_iterable(cells)))
+        valid = flat.ndim == 1 and (flat.dtype.kind in "iu" or not flat.size)
+    except (TypeError, ValueError):     # a cell without a length, or one that nests a list
+        valid = False
+    if not valid:       # name the first malformed cell
+        for i, cell in enumerate(cells):
+            try:
+                loop = np.asarray(cell)
+            except ValueError:
+                loop = None
+            if loop is None or loop.ndim != 1 or loop.size and loop.dtype.kind not in "iu":
+                raise MeshError(f"cell {i} is not a list of vertex indices: {cell!r}")
+    rows = np.full((len(sizes), sizes.max()), -1)
+    rows[np.arange(rows.shape[1]) < sizes[:, None]] = flat
     return rows, sizes
 
 
-def _padded(groups: list) -> CellGeometry:
-    """One ``fan`` group of the loops of ``groups``, each padded to the
-    longest loop as :class:`CellGeometry` describes, cells in ascending order."""
-    slot = np.arange(max(g.n_faces for g in groups))
-    parts = []
-    for g in groups:
-        real, last = slot < g.n_faces, np.minimum(slot, g.n_faces - 1)
-        parts.append(dict(vars(g), vertices=g.vertices[:, np.where(real, slot, 0)],
-                          face_indices=g.face_indices[:, last],
-                          face_measures=g.face_measures[:, last] * real,
-                          face_normals=g.face_normals[:, last] * real[:, None]))
-    order = np.argsort(np.concatenate([p["index"] for p in parts]))
-    return CellGeometry(dim=2, shape="fan", **{k: np.concatenate([p[k] for p in parts])[order]
-                                               for k in ("index",) + _FIELDS})
-
-
-def _failed_checks(g: CellGeometry) -> np.ndarray:
-    """``(len(_CHECKS), n_cells)`` failure masks of a stacked group."""
+def _failed_checks(g: CellGeometry, real=None) -> np.ndarray:
+    """``(len(_CHECKS), n_cells)`` failure masks of a stacked group, whose padded slots
+    ``real`` masks, if any.  Short rows are reduced column by column, which is faster."""
     pts, measure = g.vertices, g.measure
     never = np.zeros(len(measure), dtype=bool)
     # closed-boundary identity sum |F| n_F = 0
-    resid = (g.face_measures[..., None] * g.face_normals).sum(axis=1)
-    not_closed = np.abs(resid).max(axis=1) > 1e-12 * np.maximum(g.perimeter, 1.0)
+    resid = reduce(np.add, (g.face_measures[..., None] * g.face_normals).swapaxes(0, 1))
+    not_closed = reduce(np.maximum, np.abs(resid).T) > 1e-12 * np.maximum(g.perimeter, 1.0)
     if g.dim == 1:
         return np.stack([measure <= 0, never, never, measure <= 0, not_closed, never])
-    scale = (np.abs(pts).max(axis=(1, 2)) + 1.0) ** 2
-    d1 = pts - g.barycenter[:, None, :]
-    d2 = np.roll(d1, -1, axis=1)
-    tri_area = 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
-    return np.stack([never, measure <= GEOM_TOL * scale,
-                     np.any(g.face_measures <= 0, axis=1), measure <= 0, not_closed,
-                     np.any(tri_area <= 1e-13 * measure[:, None], axis=1)])
+    scale = (reduce(np.maximum, np.abs(pts).reshape(len(pts), -1).T) + 1.0) ** 2
+    d = pts - g.barycenter[:, None]
+    dn = d[:, np.arange(pts.shape[1]) - pts.shape[1] + 1]       # each vertex's successor
+    tri_area = 0.5 * (d[..., 0] * dn[..., 1] - d[..., 1] * dn[..., 0])
+    short, bent = g.face_measures <= 0, tri_area <= 1e-13 * measure[:, None]
+    if real is not None:
+        short, bent = short & real, bent & real
+    return np.stack([never, measure <= GEOM_TOL * scale, reduce(np.logical_or, short.T),
+                     measure <= 0, not_closed, reduce(np.logical_or, bent.T)])
 
 
 class Mesh:
@@ -224,7 +228,8 @@ class Mesh:
         if len(bad):
             raise MeshError(f"cell {bad[0]} has {sizes[bad[0]]} vertices")
         self.loops, self.sizes = loops[:, :sizes.max()], sizes
-        inside = np.arange(self.loops.shape[1]) < sizes[:, None]
+        # the loop slots, all of them (True) when every loop fills its row
+        inside = True if sizes.min() == sizes.max() else np.arange(sizes.max()) < sizes[:, None]
         stray = inside & ((self.loops < 0) | (self.loops >= len(self.vertices)))
         bad = np.flatnonzero(stray.any(axis=1))
         if len(bad):
@@ -243,19 +248,17 @@ class Mesh:
     def _build_faces(self, inside) -> np.ndarray:
         """Number the faces canonically and record each loop entry's face.  Returns
         the faces that both their cells run the same way, as overlapping cells do."""
-        loops, nv = self.loops, len(self.vertices)
-        flat, owner = loops[inside], np.nonzero(inside)[0]
+        loops, sizes, nv = self.loops, self.sizes, len(self.vertices)
+        at = slice(None) if inside is True else inside.reshape(-1)
+        flat, owner = loops.reshape(-1)[at], np.repeat(np.arange(len(loops)), sizes)
         if self.dim == 1:
             # in 1D a face runs forward as the left end of its cell
             key, forward = flat, np.tile([True, False], len(loops))
         else:
-            nxt = np.roll(loops, -1, axis=1)
-            nxt[np.arange(len(loops)), self.sizes - 1] = loops[:, 0]   # the last entry closes
-            ends = np.column_stack([flat, nxt[inside]])
-            forward = ends[:, 0] < ends[:, 1]
-            ends.sort(axis=1)
-            # a * nv + b sorts like the pair (a, b), so faces keep their lexicographic order
-            key = ends[:, 0].astype(np.int64) * nv + ends[:, 1]
+            nxt, last = np.concatenate([flat[1:], flat[:1]]), np.cumsum(sizes) - 1
+            nxt[last] = flat[last - sizes + 1]     # each loop's last entry closes it
+            # a key sorts like the sorted pair, so faces keep their lexicographic order
+            key, forward = _pair_key(flat, nxt, nv), flat < nxt
         unique, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
         self.face_nodes = (unique[:, None] if self.dim == 1
                            else np.column_stack([unique // nv, unique % nv]))
@@ -271,43 +274,40 @@ class Mesh:
         a, b = order[first[shared]], order[first[shared] + 1]
         self.face_cells[shared, 1] = owner[b]
         self._entry_faces = np.full(loops.shape, -1)
-        self._entry_faces[inside] = inverse
+        self._entry_faces.reshape(-1)[at] = inverse        # a view of the rows
         return shared[forward[a] == forward[b]]
 
     def _build_geometry(self):
-        """One stacked :class:`CellGeometry` per quadrature class and loop length,
-        validated on the real loops, the ``fan`` lengths of fewer than ``PAD_CELLS``
-        cells padded into one group; groups are ordered by their first cell."""
-        groups, rare = [], []
-        for n in np.unique(self.sizes):
-            cells = np.flatnonzero(self.sizes == n)
-            pts = self.vertices[self.loops[cells, :n]]
-            faces = self._entry_faces[cells, :n]
-            fields = _stack_geometry(self.dim, pts)
-            shape = np.full(len(cells), "interval" if self.dim == 1 else
-                            "tri" if n == 3 else "fan", dtype=object)
-            shape[is_parallelogram(pts)] = "quad"
-            for name in dict.fromkeys(shape):
-                sel = shape == name
-                (rare if name == "fan" and sel.sum() < PAD_CELLS else groups).append(
-                    CellGeometry(index=cells[sel], dim=self.dim, shape=name, vertices=pts[sel],
-                                 face_indices=faces[sel],
-                                 **{k: v[sel] for k, v in fields.items()}))
+        """One validated :class:`CellGeometry` per group of :meth:`cell_groups`, formed
+        from the loops alone; the shared ``fan`` group is padded before its geometry."""
+        # bucket keys: tensor quads 0, the shared fan bucket 1, else the loop length
+        sizes, key = self.sizes, self.sizes.copy()
+        if self.dim == 2:
+            four = np.flatnonzero(sizes == 4)
+            key[four[is_parallelogram(self.vertices[self.loops[four, :4]])]] = 0
+            key[(key >= 4) & (np.bincount(key)[key] < PAD_CELLS)] = 1
+        buckets = [np.flatnonzero(key == k) for k in np.flatnonzero(np.bincount(key))]
+        self._groups, (self._group_of, self._slot) = [], np.empty((2, self.n_cells), dtype=int)
         # name the lowest-index invalid cell and the first check it fails
         bad = np.zeros((len(_CHECKS), self.n_cells), dtype=bool)
-        for g in groups + rare:
-            bad[:, g.index] = _failed_checks(g)
+        for i, cells in enumerate(sorted(buckets, key=lambda c: c[0])):
+            n, w = sizes[cells], sizes[cells].max()
+            loops, faces, real = self.loops[cells, :w], self._entry_faces[cells, :w], None
+            if n.min() < w:
+                # a slot past a loop's end takes its first vertex and its closing face
+                real = np.arange(w) < n[:, None]
+                loops = np.where(real, loops, loops[:, :1])
+                faces = np.where(real, faces, faces[np.arange(len(cells)), n - 1][:, None])
+            pts = self.vertices[loops]
+            shape = {0: "quad", 2: "interval", 3: "tri"}.get(key[cells[0]], "fan")
+            g = CellGeometry(index=cells, dim=self.dim, shape=shape, vertices=pts,
+                             face_indices=faces, **_stack_geometry(self.dim, pts, real))
+            bad[:, cells] = _failed_checks(g, real)
+            self._groups.append(g)
+            self._group_of[cells], self._slot[cells] = i, np.arange(len(cells))
         cells = np.flatnonzero(bad.any(axis=0))
         if len(cells):
             raise MeshError(f"cell {cells[0]} {_CHECKS[np.argmax(bad[:, cells[0]])]}")
-        if rare:
-            groups.append(_padded(rare))
-        self._groups = sorted(groups, key=lambda g: g.index[0])
-        self._group_of = np.empty(self.n_cells, dtype=int)
-        self._slot = np.empty(self.n_cells, dtype=int)
-        for i, g in enumerate(self._groups):
-            self._group_of[g.index] = i
-            self._slot[g.index] = np.arange(len(g.index))
 
     def _tag_boundary(self, neumann):
         self.neumann_faces = np.zeros(self.n_faces, dtype=bool)
@@ -427,15 +427,15 @@ class Mesh:
         # does each face start at the loop vertex it leaves from?
         forward = np.all(self.vertices[self.face_nodes[g.face_indices, 0]] == g.vertices,
                          axis=-1)
-        ids = np.empty((rel.shape[1], nb), dtype=int)
-        for col, out in zip(rel.T, ids):
-            # clusters of one coordinate: sorted values split where neighbours
-            # differ by more than the tolerance of either
-            order = np.argsort(col, kind="stable")
-            split = np.diff(col[order]) > np.minimum(tol[order][1:], tol[order][:-1])
-            out[order] = np.concatenate([[0], np.cumsum(split)])
+        # clusters of each coordinate: its sorted values split where neighbours
+        # differ by more than the tolerance of either
+        order = np.argsort(rel, axis=0, kind="stable")
+        near = np.minimum(tol[order][1:], tol[order][:-1])
+        split = np.diff(np.take_along_axis(rel, order, axis=0), axis=0) > near
+        ids = np.zeros_like(order)
+        np.put_along_axis(ids, order[1:], np.cumsum(split, axis=0), axis=0)
         # one label per distinct row of cluster ids and face directions
-        keys = np.concatenate([ids, forward.T])
+        keys = np.concatenate([ids, forward], axis=1).T
         order = np.lexsort(keys)
         step = np.any(np.diff(keys[:, order], axis=1) != 0, axis=0)
         label = np.empty(nb, dtype=int)
@@ -676,7 +676,7 @@ def mesh_to_dict(mesh: Mesh) -> dict:
     return {
         "dim": mesh.dim,
         "vertices": mesh.vertices.tolist(),
-        "cells": [list(map(int, c)) for c in mesh.cells],
+        "cells": [row[:n] for row, n in zip(mesh.loops.tolist(), mesh.sizes.tolist())],
         "boundary": {
             "dirichlet": np.flatnonzero(mesh.dirichlet_faces).tolist(),
             "neumann": np.flatnonzero(mesh.neumann_faces).tolist(),
@@ -694,7 +694,7 @@ def mesh_from_dict(data: dict) -> Mesh:
 
 def save_mesh_json(mesh: Mesh, path) -> None:
     with open(path, "w") as fh:
-        json.dump(mesh_to_dict(mesh), fh)
+        fh.write(json.dumps(mesh_to_dict(mesh)))      # one write, not json.dump's many
 
 
 def load_mesh_json(path) -> Mesh:

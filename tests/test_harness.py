@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pyhho import assembly as asm
-from pyhho import harness
+from pyhho import cli, harness
 from pyhho.elasticity import local_bilinear_elastic
 from pyhho.harness import (build_local, convergence_study, discrete_energy,
                            error_norms, fit_rate, flux_residuals,
@@ -14,7 +14,7 @@ from pyhho.harness import (build_local, convergence_study, discrete_energy,
 from pyhho.local_ops import build_cell_context, local_bilinear
 from pyhho.basis import face_basis
 from pyhho.mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
-                        build_structured_mesh, refine_uniform)
+                        build_structured_mesh, load_mesh_json, refine_uniform, save_mesh_json)
 from pyhho.problems import (ProblemSpec, elasticity_compressible,
                             elasticity_divfree, elasticity_polynomial,
                             get_problem, poisson_polynomial, poisson_sin_1d,
@@ -139,13 +139,19 @@ def test_galerkin_orthogonality():
     assert galerkin_residual(sol) <= 1e-10
 
 
-def test_solve_reads_the_loop_array_alone():
-    # the per-cell list view of the loops serves JSON and tests, not the pipeline
+def test_solve_reads_the_loop_array_alone(monkeypatch, tmp_path):
+    # the per-cell list view of the loops serves the tests, not the pipeline or JSON
     mesh = _tri_refined_twice()
     sol = solve_problem(mesh, equal_order(1), poisson_sin_2d())
     error_norms(sol)
     flux_residuals(sol)
     assert "cells" not in mesh.__dict__
+    monkeypatch.setattr(Mesh, "cells", property(lambda self: pytest.fail("built Mesh.cells")))
+    path = tmp_path / "mesh.json"
+    save_mesh_json(mesh, path)
+    np.testing.assert_array_equal(load_mesh_json(path).loops, mesh.loops)
+    assert cli.main(["solve", "--mesh", str(path), "--k", "1", "--problem", "poisson",
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("family", ["quad", "tri", "hanging"])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pyhho.harness import mesh_family
-from pyhho.mesh import (Mesh, MeshError, build_hanging_node_mesh,
-                        build_interval_mesh, build_structured_mesh,
+from pyhho.mesh import (SHAPE_TOL, Mesh, MeshError, _first_seen, _stack_geometry,
+                        build_hanging_node_mesh, build_interval_mesh, build_structured_mesh,
                         left_half, load_mesh_json, mesh_from_dict, mesh_to_dict,
                         refine_uniform, save_mesh_json)
 
@@ -224,6 +224,80 @@ def test_group_geometry_matches_each_cell():
             np.testing.assert_allclose(g.face_measures, np.linalg.norm(nxt - pts, axis=1),
                                        rtol=1e-15)
             np.testing.assert_array_equal(g.face_indices, m.cell_faces[c])
+
+
+def _mixed_lengths(seed, jitter):
+    """12x12 quads split three times at random, every vertex off the boundary
+    then moved by at most ``jitter`` times the finest width (1/48): loops of
+    3 to 9 vertices, the 6- to 9-vertex ones in one padded group."""
+    mesh = random_half(12, seed)
+    rng = np.random.default_rng(seed)
+    fans = np.flatnonzero(mesh.sizes > 4)
+    mesh = build_hanging_node_mesh(mesh, rng.choice(fans, len(fans) // 3, replace=False))
+    tris = np.flatnonzero(mesh.sizes == 3)
+    mesh = build_hanging_node_mesh(mesh, rng.choice(tris, len(tris) // 10, replace=False))
+    verts = mesh.vertices.copy()
+    inner = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    verts[inner] += rng.uniform(-jitter, jitter, (int(inner.sum()), 2)) / 48
+    return Mesh(2, verts, mesh.loops)
+
+
+def _reference_shapes(mesh, cells):
+    """:meth:`Mesh.cell_shapes` with one sort per coordinate column."""
+    g = mesh.cell_geometry(cells)
+    nb = len(cells)
+    rel = (g.vertices[:, 1:] - g.vertices[:, :1]).reshape(nb, -1)
+    tol = SHAPE_TOL * g.diameter
+    forward = np.all(mesh.vertices[mesh.face_nodes[g.face_indices, 0]] == g.vertices, axis=-1)
+    ids = np.empty((rel.shape[1], nb), dtype=int)
+    for col, out in zip(rel.T, ids):
+        order = np.argsort(col, kind="stable")
+        split = np.diff(col[order]) > np.minimum(tol[order][1:], tol[order][:-1])
+        out[order] = np.concatenate([[0], np.cumsum(split)])
+    _, label = np.unique(np.concatenate([ids, forward.T]).T, axis=0, return_inverse=True)
+    first, shape = _first_seen(label)
+    far = np.abs(rel - rel[first][shape]).max(axis=1) > np.minimum(tol, tol[first][shape])
+    first, shape = _first_seen(np.where(far, nb + np.arange(nb), shape))
+    return g.index[first], shape
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-14, 0.02])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_padded_group_matches_each_loop_alone(seed, jitter):
+    mesh = _mixed_lengths(seed, jitter)
+    lengths = [set(mesh.sizes[cells].tolist()) for cells in mesh.cell_groups()]
+    assert set().union(*lengths) == set(range(3, 10))
+    assert {5} in lengths and {6, 7, 8, 9} in lengths          # frequent and rare fans
+    for cells in mesh.cell_groups():
+        group = mesh.cell_geometry(cells)
+        sizes = mesh.sizes[cells]
+        for n in np.unique(sizes):
+            # the geometry of a stack of one loop length is that of each loop alone
+            slots, mine = np.flatnonzero(sizes == n), cells[sizes == n]
+            want = _stack_geometry(2, mesh.vertices[mesh.loops[mine, :n]])
+            # numpy sums a row of 8 or more entries pairwise, a padded group slot by slot
+            exact = n < 8 or sizes.min() == sizes.max()
+            for name, value in want.items():
+                got = getattr(group, name)[slots]
+                got = got[:, :n] if name in ("face_measures", "face_normals") else got
+                if exact:
+                    np.testing.assert_array_equal(got, value, err_msg=name)
+                else:
+                    np.testing.assert_allclose(got, value, rtol=0, err_msg=name,
+                                               atol=1e-12 * np.abs(value).max())
+            np.testing.assert_array_equal(group.vertices[slots, :n],
+                                          mesh.vertices[mesh.loops[mine, :n]])
+            np.testing.assert_array_equal(group.face_indices[slots, :n],
+                                          mesh._entry_faces[mine, :n])
+            # padded slots: the first vertex, the closing face, measure 0 and normal 0
+            assert np.all(group.vertices[slots, n:] == group.vertices[slots, :1])
+            assert np.all(group.face_indices[slots, n:] == group.face_indices[slots, n - 1:n])
+            np.testing.assert_array_equal(group.face_measures[slots, n:], 0.0)
+            np.testing.assert_array_equal(group.face_normals[slots, n:], 0.0)
+        reps, shapes = mesh.cell_shapes(cells)
+        want_reps, want_shapes = _reference_shapes(mesh, cells)
+        np.testing.assert_array_equal(reps, want_reps)
+        np.testing.assert_array_equal(shapes, want_shapes)
 
 
 @pytest.mark.parametrize("seed", [1, 4])
