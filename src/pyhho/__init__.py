@@ -11,7 +11,7 @@ from .projection import (DofLayout, HhoDegrees, dof_layout, equal_order,
 from .quadrature import QuadratureRule, cell_quadrature, face_quadrature
 from .local_ops import (CellContext, LocalOperators, build_cell_context,
                         gradient_reconstruction, local_bilinear, reconstruction,
-                        seminorm_gram, stabilization_equal_order, stabilization_ls)
+                        stabilization_equal_order, stabilization_ls)
 from .elasticity import (displacement_reconstruction, divergence_reconstruction,
                          local_bilinear_elastic, stabilization_elastic,
                          strain_reconstruction)
@@ -20,8 +20,7 @@ from .assembly import (CondensedGroup, DofMap, GlobalSystem, assemble, build_dof
 from .problems import ProblemSpec, get_problem
 from .harness import (ConvergenceReport, ErrorRow, Solution, convergence_study,
                       dirichlet_data, discrete_energy, error_norms, fit_rate,
-                      flux_residuals, galerkin_residual, locking_test,
-                      mesh_family, neumann_rhs, oracle_1d, solve_problem,
-                      traction_residuals, verify_operators)
+                      flux_residuals, locking_test, mesh_family, neumann_rhs,
+                      oracle_1d, solve_problem, traction_residuals, verify_operators)
 
 __version__ = "0.1.0"

@@ -44,12 +44,6 @@ class DofMap:
     dirichlet: np.ndarray      # boolean mask
     n_reduced: int
 
-    def face_slice(self, face: int) -> slice:
-        off = self.offsets[face]
-        if off < 0:
-            raise KeyError(f"face {face} is a Dirichlet face")
-        return slice(off, off + self.face_width)
-
 
 def build_dof_map(mesh: Mesh, degrees: HhoDegrees) -> DofMap:
     """Number the face unknowns of the non-Dirichlet faces."""

@@ -47,13 +47,14 @@ def data_order(degrees: HhoDegrees) -> int:
     return 2 * (degrees.k_face + 2)
 
 
-def data_basis(ctx: CellContext, rule: QuadratureRule, cells, shapes):
-    """``ctx.rec_basis`` on the data ``rule`` of a group's ``cells`` (ascending),
-    once per shape in a chunk's ``shapes`` at ``ctx.cells[s]``'s own points:
-    ``(inv, weights, values)``, cell ``b`` at row ``inv[b]``."""
+def data_basis(ops: LocalOperators | CellContext, rule: QuadratureRule, cells, shapes):
+    """``ops.rec_basis`` on the data ``rule`` of a group's ``cells`` (ascending),
+    once per shape in a chunk's ``shapes`` at ``ops.cells[s]``'s own points:
+    ``(inv, weights, values)``, cell ``b`` at row ``inv[b]``.  The build
+    passes its context, which carries the same two fields."""
     u, inv = np.unique(shapes, return_inverse=True)
-    at = np.searchsorted(cells, ctx.cells[u])
-    basis = replace(ctx.rec_basis, center=ctx.rec_basis.center[u], map=ctx.rec_basis.map[u])
+    at = np.searchsorted(cells, ops.cells[u])
+    basis = replace(ops.rec_basis, center=ops.rec_basis.center[u], map=ops.rec_basis.map[u])
     return inv, rule.weights[at], basis.eval(rule.points[at], gradients=False)[0]
 
 
@@ -116,8 +117,7 @@ class CellGroup:
     rhs: np.ndarray           # (nb, size) source vectors
 
     def condense(self) -> asm.CondensedGroup:
-        return asm.condense(self.ops.L, self.rhs, self.ops.ctx.layout, self.cells,
-                            self.shapes)
+        return asm.condense(self.ops.L, self.rhs, self.ops.layout, self.cells, self.shapes)
 
 
 @dataclass
@@ -258,7 +258,7 @@ def _face_flux_checks(sol: Solution):
     terms all vanish.
     """
     mesh = sol.mesh
-    n_face = sol.groups[0].ops.ctx.faces.mass.shape[-1]
+    n_face = sol.groups[0].ops.face_mass.shape[-1]
     # the two fluxes of an interface face cancel: accumulate them per face
     flux_sum = np.zeros((mesh.n_faces, sol.dofmap.face_width))
     mass = np.zeros((mesh.n_faces, n_face, n_face))
@@ -266,7 +266,6 @@ def _face_flux_checks(sol: Solution):
     scale, res, fmag = 1e-30, 0.0, 0.0
     for g in sol.groups:
         ops, shapes, b = g.ops, g.shapes, g.rhs
-        ctx, f = ops.ctx, ops.ctx.faces
         index = mesh.cell_face_indices(g.cells)
         v = sol.local_dofs(g.cells)
         t = ops.face_fluxes(v, shapes)
@@ -274,15 +273,15 @@ def _face_flux_checks(sol: Solution):
                     float(np.max(np.abs(ops.L).max(axis=(1, 2))[shapes]
                                  * np.maximum(np.abs(v).max(axis=1), 1e-30))))
         # balance: the cell consistency plus sum_F (t_F, q)_F for degree-k q
-        trace = f.trace_full[..., : ctx.n_k].reshape(len(f.normal), -1, ctx.n_k)
+        trace = ops.trace.reshape(len(ops.trace), -1, ops.trace.shape[-1])
         r = (_apply(ops.balance, shapes, v) - b[:, : ops.balance.shape[1]]
              + _kron_apply(trace.mT[shapes], t.reshape(len(t), -1)))
         res = max(res, float(np.abs(r).max()))
-        f_mass = f.mass[shapes]
+        f_mass = ops.face_mass[shapes]
         fmag = max(fmag, float(_face_norms(f_mass, t).max()))
         np.add.at(flux_sum, index, t)
-        real = ctx.geom.face_measures[shapes] > 0     # a padded slot repeats a face
-        mass[index[real]], mass_inv[index[real]] = f_mass[real], f.mass_inv[shapes][real]
+        real = ops.real_faces[shapes]     # a padded slot repeats a face
+        mass[index[real]], mass_inv[index[real]] = f_mass[real], ops.face_mass_inv[shapes][real]
 
     interior = np.flatnonzero(~mesh.boundary_faces)
     eq = float(_face_norms(mass[interior], flux_sum[interior]).max(initial=0.0))
@@ -290,29 +289,6 @@ def _face_flux_checks(sol: Solution):
     gap = flux_sum[neumann] + _kron_apply(mass_inv[neumann], sol.neumann[neumann])
     neu = float(_face_norms(mass[neumann], gap).max(initial=0.0))
     return eq, neu, res / scale, max(fmag, scale)
-
-
-def galerkin_residual(sol: Solution, n_tests: int = 10, seed: int = 7) -> float:
-    """max |a_h(u, w) - l(w)| / scale over random admissible test states."""
-    rng = np.random.default_rng(seed)
-    mesh = sol.mesh
-    width = sol.dofmap.face_width
-    Lu = [_apply(g.ops.L, g.shapes, sol.local_dofs(g.cells)) for g in sol.groups]
-    worst = 0.0
-    for _ in range(n_tests):
-        wc = rng.standard_normal(sol.cell_coeffs.shape)
-        wf = rng.standard_normal((mesh.n_faces, width))
-        wf[mesh.dirichlet_faces] = 0.0
-        a_val = l_val = scale = 0.0
-        for g, lu in zip(sol.groups, Lu):
-            w = gather_local(mesh, g.cells, sol.degrees, wc, wf)
-            a_cells = np.sum(w * lu, axis=1)
-            a_val += a_cells.sum()
-            l_val += np.sum(g.rhs * w)
-            scale += np.abs(a_cells).sum()
-        l_val += np.sum(sol.neumann * wf)
-        worst = max(worst, abs(a_val - l_val) / max(scale, 1e-30))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +306,11 @@ class ErrorRow:
     n_dofs: int = 0
 
 
-def _stab_seminorm(ctx: CellContext, shapes, face_ops: np.ndarray, v: np.ndarray) -> float:
+def _stab_seminorm(ops: LocalOperators, shapes, v: np.ndarray) -> float:
     """``sum_F h^-1 |S_F v|_F^2`` over a group's cells from the residuals ``S_F
     v``; the stabilization matrix's quadratic form loses it to cancellation."""
-    r = (face_ops[shapes] @ v[:, None, :, None])[..., 0]
-    return float(np.sum(_face_norms(ctx.faces.mass[shapes], r) ** 2 / ctx.h[shapes, None]))
+    r = (ops.stab_face[shapes] @ v[:, None, :, None])[..., 0]
+    return float(np.sum(_face_norms(ops.face_mass[shapes], r) ** 2 / ops.h[shapes, None]))
 
 
 def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
@@ -352,33 +328,33 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     elastic = spec.kind == "elasticity"
     h1_sq = l2c_sq = l2r_sq = stab_sq = 0.0
     for g in sol.groups:
-        ops, ctx = g.ops, g.ops.ctx
+        ops, basis = g.ops, g.ops.rec_basis
+        n_cell = ops.cell_mass.shape[-1]
         # d phi_i / d x^_c = exps[i, c] phi_(i lowered in c): column i of D[c]
-        exps, low = ctx.rec_basis.exponents, _lowered(ctx.rec_basis.degree, mesh.dim)
-        D = exps.T[:, None, :] * (low[:, None, :] == np.arange(ctx.n_rec)[:, None])
-        F = spd_inverse(ctx.mass_full[:, : ctx.n_cell, : ctx.n_cell], ctx.cells,
-                        what="cell mass matrix is not positive definite")
+        exps, low = basis.exponents, _lowered(basis.degree, mesh.dim)
+        D = exps.T[:, None, :] * (low[:, None, :] == np.arange(basis.size)[:, None])
+        F = spd_inverse(ops.cell_mass, ops.cells, what="cell mass matrix is not positive definite")
         for s in range(0, len(g.cells), asm.CHUNK):
             cells, shapes = g.cells[s:s + asm.CHUNK], g.shapes[s:s + asm.CHUNK]
             nb = len(cells)
-            inv, w, vals = data_basis(ctx, g.rule, g.cells, shapes)
+            inv, w, vals = data_basis(ops, g.rule, g.cells, shapes)
             w, vals = w[inv], vals[inv]
             pts = g.rule.points[s:s + asm.CHUNK]
             v = sol.local_dofs(cells)
-            stab_sq += _stab_seminorm(ctx, shapes, ops.stab_face, v)
+            stab_sq += _stab_seminorm(ops, shapes, v)
             coef = _apply(ops.rec, shapes, v).reshape(nb, -1, rank)
             ex = sample(spec.exact, pts, rank=rank, ids=cells).reshape(w.shape + (rank,))
             gex = sample(jacobian, pts, rank=rank * mesh.dim, ids=cells).reshape(ex.shape + (-1,))
             # coefficients (b, j, a, x) of d_x R v_a = sum_c map[c, x] D[c] R v_a
-            dcoef = (D @ coef[:, None]).transpose(0, 2, 3, 1) @ ctx.rec_basis.map[shapes, None]
-            de = gex - (vals @ dcoef.reshape(nb, ctx.n_rec, -1)).reshape(gex.shape)
+            dcoef = (D @ coef[:, None]).transpose(0, 2, 3, 1) @ basis.map[shapes, None]
+            de = gex - (vals @ dcoef.reshape(nb, basis.size, -1)).reshape(gex.shape)
             if elastic:
                 de = 0.5 * (de + de.mT)
             h1_sq += (2 * spec.mu if elastic else 1.0) * float(
                 np.sum(w * (de ** 2).sum(axis=(2, 3))))
             l2r_sq += float(np.sum(w * ((ex - vals @ coef) ** 2).sum(axis=2)))
             # discrete cell error against the cell projection of u, M^-1 = F^T F
-            Vc, Fs = vals[..., : ctx.n_cell], F[shapes]
+            Vc, Fs = vals[..., :n_cell], F[shapes]
             pcoef = Fs.mT @ (Fs @ ((w[..., None] * Vc).mT @ ex))
             diff = Vc @ (pcoef - sol.cell_coeffs[cells].reshape(nb, -1, rank))
             l2c_sq += float(np.sum(w * (diff ** 2).sum(axis=2)))
@@ -520,8 +496,8 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
         eq, mx = (_reduction(mesh, d, spec) for d in (equal_order(k), mixed_order(k)))
         cell_sq = 0.0
         for g in eq.groups:
-            inv, w, vals = data_basis(g.ops.ctx, g.rule, g.cells, g.shapes)
-            proj = vals[inv][..., : g.ops.ctx.n_cell] @ eq.cell_coeffs[g.cells, :, None]
+            inv, w, vals = data_basis(g.ops, g.rule, g.cells, g.shapes)
+            proj = vals[inv][..., : g.ops.cell_mass.shape[-1]] @ eq.cell_coeffs[g.cells, :, None]
             cell_sq += np.sum(w[inv] * (sample(spec.exact, g.rule.points) - proj[..., 0]) ** 2)
         face_sq = float("nan")
         if mesh.dim == 2:     # every face once, against the reduction's face block

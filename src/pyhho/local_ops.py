@@ -16,7 +16,10 @@ Every operator is built for a group of cells that share one quadrature
 class (see :meth:`pyhho.mesh.Mesh.cell_groups`): arrays carry a leading
 cell axis, and face data a face axis after it, built once per distinct
 face of the group.  Sums over the faces are contractions over that axis,
-not loops.  A single cell is a group of one.
+not loops.  A single cell is a group of one.  The group's
+:class:`CellContext` is build-only: :class:`LocalOperators` keeps copies
+of the few arrays that the solve, the checks and the error norms read,
+and the context dies with the build.
 
 All matrices act on local DoF vectors laid out as ``[T | F_1 | ... | F_n]``.
 The stabilizations and the face-flux builder serve scalar (rank 1) and 2D
@@ -45,7 +48,8 @@ COND_LIMIT = 1e12
 @dataclass
 class FaceContext:
     """A group's face data on a face axis after the cell axis, built once per
-    distinct face and gathered; only ``phi`` and ``trace_full`` depend on the cell."""
+    distinct face and gathered; only ``phi`` and ``trace_full`` depend on the
+    cell.  Build-only, like its :class:`CellContext`."""
 
     normal: np.ndarray       # (nb, nf, d) unit outward normals
     weights: np.ndarray      # (nb, nf, nq) face quadrature weights
@@ -59,7 +63,8 @@ class FaceContext:
 @dataclass
 class CellContext:
     """Face data and Gram matrices of a group, shared by all local
-    operators; each array depends only on the cells' shapes."""
+    operators while they are built; each array depends only on the cells'
+    shapes.  Build-only: :class:`LocalOperators` keeps what later stages read."""
 
     mesh: Mesh
     cells: np.ndarray        # (nb,) cell indices of the group
@@ -291,34 +296,28 @@ def stabilization_equal_order(ctx: CellContext, rec: np.ndarray):
     return _face_ops(ctx, _kron_apply(P, w).reshape(f.normal.shape[:2] + (layout.face_width, -1)))
 
 
-def seminorm_gram(ctx: CellContext) -> np.ndarray:
-    """Gram matrix of the H1-like seminorm |grad v_T|^2 + h^-1 |v_T - v_F|^2."""
-    layout, f, n_cell = ctx.layout, ctx.faces, ctx.n_cell
-    nb, nf, nq, _ = f.psi.shape
-    # the trace gaps v_T - v_F at every face point of the cell
-    D = np.zeros((nb, nf, nq, layout.size))
-    D[..., layout.cell] = f.phi[..., :n_cell]
-    D[..., layout.faces] = -(f.psi[:, :, :, None] * np.eye(nf)[:, None, :, None]).reshape(
-        nb, nf, nq, -1)
-    D = D.reshape(nb, nf * nq, -1)
-    N = D.mT @ (f.weights.reshape(nb, -1, 1) * D) / ctx.h[:, None, None]
-    N[:, layout.cell, layout.cell] += ctx.stiff_full[:, :n_cell, :n_cell]
-    return 0.5 * (N + N.mT)
-
-
 # ---------------------------------------------------------------------------
 # bundled operators
 
 
 @dataclass
 class LocalOperators:
-    """What solve and post-processing read of a group's operators, each
-    stacked over the cells of ``ctx``."""
+    """What solve and post-processing read of a group's operators and data,
+    each stacked over the representative ``cells``; no field is a view of
+    the build's :class:`CellContext`, which dies with the build."""
 
-    ctx: CellContext
+    layout: DofLayout
+    cells: np.ndarray         # (nb,) cell indices
+    rec_basis: Basis          # the cell basis of degree k+1 of rec
+    h: np.ndarray             # (nb,) cell diameters
+    real_faces: np.ndarray    # (nb, n_faces) False at a padded slot
+    face_mass: np.ndarray     # (nb, n_faces, n_face, n_face)
+    face_mass_inv: np.ndarray  # (nb, n_faces, n_face, n_face)
+    trace: np.ndarray         # (nb, n_faces, n_face, n_k): sum_q w psi phi^T, phi of degree <= k
+    cell_mass: np.ndarray     # (nb, n_cell, n_cell)
     L: np.ndarray             # local bilinear-form matrices
     stab_face: np.ndarray     # (nb, n_faces, face_width, size) face operators S_F
-    rec: np.ndarray           # full reconstruction, coefficients in ctx.rec_basis
+    rec: np.ndarray           # full reconstruction, coefficients in rec_basis
     flux: np.ndarray          # (nb, n_faces * face_width, size) face-flux coefficients
     balance: np.ndarray       # cell consistency tested with degree-k_face polynomials
 
@@ -327,7 +326,7 @@ class LocalOperators:
         of ``dofs`` (one local vector, or one per cell) on each local face;
         cell ``b`` takes the operators at row ``shapes[b]``."""
         flux = (self.flux[shapes] @ dofs[..., None])[..., 0]
-        return flux.reshape(len(flux), self.ctx.layout.n_faces, -1)
+        return flux.reshape(len(flux), self.layout.n_faces, -1)
 
 
 def _face_flux(ctx: CellContext, CT: np.ndarray, stab_face: np.ndarray,
@@ -363,10 +362,16 @@ def _bundle(ctx: CellContext, T: np.ndarray, CT: np.ndarray, stab, scale: float,
     MCT = (ctx.mass_full[:, None, : ctx.n_k, : ctx.n_k] @ CT.reshape(nb, d, ctx.n_k, -1))
     L = T.reshape(nb, -1, size).mT @ MCT.reshape(nb, -1, size) + scale * penalty
     L = 0.5 * (L + L.mT)
+    f, basis = ctx.faces, ctx.rec_basis
+    # the flux's scratch is freed before the copies of the context's arrays
     return LocalOperators(
-        ctx=ctx, L=L, stab_face=stab_face, rec=rec,
-        flux=_face_flux(ctx, CT, stab_face, scale / ctx.h),
-        balance=_gradient_moments(ctx, CT)[:, : ctx.degrees.rank * ctx.n_k])
+        L=L, stab_face=stab_face, rec=rec, flux=_face_flux(ctx, CT, stab_face, scale / ctx.h),
+        balance=_gradient_moments(ctx, CT)[:, : ctx.degrees.rank * ctx.n_k].copy(),
+        layout=ctx.layout, cells=ctx.cells.copy(), h=ctx.h.copy(),
+        rec_basis=replace(basis, center=basis.center.copy(), map=basis.map.copy()),
+        real_faces=ctx.geom.face_measures > 0, face_mass=f.mass, face_mass_inv=f.mass_inv,
+        trace=f.trace_full[..., : ctx.n_k].copy(),
+        cell_mass=ctx.mass_full[:, : ctx.n_cell, : ctx.n_cell].copy())
 
 
 def local_bilinear(ctx: CellContext) -> LocalOperators:

@@ -370,12 +370,6 @@ class Mesh:
     def face_center(self, face: int) -> np.ndarray:
         return self.face_vertices(face).mean(axis=0)
 
-    def face_measure(self, face: int) -> float:
-        pts = self.face_vertices(face)
-        if self.dim == 1:
-            return 1.0
-        return float(np.linalg.norm(pts[1] - pts[0]))
-
     def _group_slots(self, cells):
         """``cells`` as an array, their one group's stack and their slots in it."""
         cells = np.asarray(cells, dtype=int)

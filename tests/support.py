@@ -1,10 +1,13 @@
-"""Meshes and quadrature references shared by the test modules."""
+"""Meshes, quadrature references and checks shared by the test modules."""
+
+import dataclasses
 
 import numpy as np
 
-from pyhho.harness import data_order
+from pyhho.harness import _apply, data_order
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh
 from pyhho.problems import ProblemSpec
+from pyhho.projection import gather_local
 from pyhho.quadrature import cell_quadrature
 
 # symmetric unit tensors E_xx, E_yy, E_xy ([[0, 1], [1, 0]]) and their ':' norms
@@ -103,3 +106,90 @@ def strain_columns(dphi):
     eps[..., 0::2, 2] = 0.5 * dphi[..., 1]       # eps_xy of e_x phi
     eps[..., 1::2, 2] = 0.5 * dphi[..., 0]
     return eps
+
+
+def face_measure(mesh, face):
+    """Length of a face of a 2D mesh; 1 for the vertex-face of a 1D mesh."""
+    if mesh.dim == 1:
+        return 1.0
+    pa, pb = mesh.vertices[mesh.face_nodes[face]]
+    return float(np.linalg.norm(pb - pa))
+
+
+def face_slice(dofmap, face):
+    """The rows of ``face``'s unknowns in the reduced system of ``dofmap``."""
+    off = dofmap.offsets[face]
+    if off < 0:
+        raise KeyError(f"face {face} is a Dirichlet face")
+    return slice(off, off + dofmap.face_width)
+
+
+def seminorm_gram(ctx):
+    """Gram matrix of the H1-like seminorm |grad v_T|^2 + h^-1 |v_T - v_F|^2
+    on the scalar layout of the cells of ``ctx``."""
+    layout, f, n_cell = ctx.layout, ctx.faces, ctx.n_cell
+    nb, nf, nq, _ = f.psi.shape
+    # the trace gaps v_T - v_F at every face point of the cell
+    D = np.zeros((nb, nf, nq, layout.size))
+    D[..., layout.cell] = f.phi[..., :n_cell]
+    D[..., layout.faces] = -(f.psi[:, :, :, None] * np.eye(nf)[:, None, :, None]).reshape(
+        nb, nf, nq, -1)
+    D = D.reshape(nb, nf * nq, -1)
+    N = D.mT @ (f.weights.reshape(nb, -1, 1) * D) / ctx.h[:, None, None]
+    N[:, layout.cell, layout.cell] += ctx.stiff_full[:, :n_cell, :n_cell]
+    return 0.5 * (N + N.mT)
+
+
+def galerkin_residual(sol, n_tests=10, seed=7):
+    """max |a_h(u, w) - l(w)| / scale over random admissible test states."""
+    rng = np.random.default_rng(seed)
+    mesh = sol.mesh
+    Lu = [_apply(g.ops.L, g.shapes, sol.local_dofs(g.cells)) for g in sol.groups]
+    worst = 0.0
+    for _ in range(n_tests):
+        wc = rng.standard_normal(sol.cell_coeffs.shape)
+        wf = rng.standard_normal((mesh.n_faces, sol.dofmap.face_width))
+        wf[mesh.dirichlet_faces] = 0.0
+        a_val = l_val = scale = 0.0
+        for g, lu in zip(sol.groups, Lu):
+            w = gather_local(mesh, g.cells, sol.degrees, wc, wf)
+            a_cells = np.sum(w * lu, axis=1)
+            a_val += a_cells.sum()
+            l_val += np.sum(g.rhs * w)
+            scale += np.abs(a_cells).sum()
+        l_val += np.sum(sol.neumann * wf)
+        worst = max(worst, abs(a_val - l_val) / max(scale, 1e-30))
+    return worst
+
+
+def reachable(record, path):
+    """``(path, value)`` of every dataclass and array reachable from ``record``
+    through dataclass fields and list items; a mesh field is not followed, as
+    the mesh is no record's own."""
+    if isinstance(record, np.ndarray):
+        yield path, record
+    elif isinstance(record, list):
+        for i, item in enumerate(record):
+            yield from reachable(item, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(record):
+        yield path, record
+        for f in dataclasses.fields(record):
+            if f.name != "mesh":
+                yield from reachable(getattr(record, f.name), f"{path}.{f.name}")
+
+
+def kept_arrays(groups):
+    """What a solve's or ``build_local``'s cell groups keep alive: the set of
+    the dataclass types :func:`reachable` from ``groups``, and its arrays by
+    the buffer that owns them (following ``.base``), ``{id: (owner,
+    [arrays])}``.  The kept bytes are the owners' ``nbytes`` summed."""
+    types, owners = set(), {}
+    for _, obj in reachable(groups, "groups"):
+        if isinstance(obj, np.ndarray):
+            owner = obj
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            owners.setdefault(id(owner), (owner, []))[1].append(obj)
+        else:
+            types.add(type(obj))
+    return types, owners

@@ -26,13 +26,13 @@ from pyhho.elasticity import (_tensor_columns,
                               stabilization_elastic, strain_reconstruction)
 from pyhho.local_ops import (_gradient_moments, _kron_apply, build_cell_context,
                              gradient_reconstruction, local_bilinear, reconstruction,
-                             seminorm_gram, stabilization_equal_order, stabilization_ls)
+                             stabilization_equal_order, stabilization_ls)
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh
 from pyhho.projection import (DofLayout, HhoDegrees, dof_layout, l2_project, mass_cholesky,
                               reduce_local)
 from pyhho.quadrature import face_quadrature
 
-from support import TENSOR_WEIGHTS, data_rule_basis, strain_columns
+from support import TENSOR_WEIGHTS, data_rule_basis, seminorm_gram, strain_columns
 
 MU, LAM = 1.0, 3.0
 
@@ -79,7 +79,7 @@ def assert_padded_group_matches_one_cell(deg):
     face slots."""
     (mesh, cells), = [(m, c) for m, c in groups() if padded(m, c)]
     ops = operators(mesh, cells, deg)
-    cw, fw = ops.ctx.layout.cell_width, ops.ctx.layout.face_width
+    cw, fw = ops.layout.cell_width, ops.layout.face_width
     lengths = set()
     for b, c in enumerate(cells):
         ref = operators(*one_cell(mesh, c), deg)

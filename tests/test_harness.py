@@ -8,7 +8,7 @@ from pyhho import cli, harness
 from pyhho.elasticity import local_bilinear_elastic
 from pyhho.harness import (build_local, convergence_study, discrete_energy,
                            error_norms, fit_rate, flux_residuals,
-                           galerkin_residual, local_rhs, locking_test, mesh_family,
+                           local_rhs, locking_test, mesh_family,
                            oracle_1d, solve_problem, traction_residuals,
                            verify_operators)
 from pyhho.local_ops import build_cell_context, local_bilinear
@@ -22,7 +22,8 @@ from pyhho.problems import (ProblemSpec, elasticity_compressible,
 from pyhho.projection import HhoDegrees, equal_order, l2_project, mixed_order, reduce_global
 from pyhho.quadrature import face_quadrature
 
-from support import data_rule_basis, jittered_hanging, jittered_mesh, rotated, strip_problem
+from support import (data_rule_basis, galerkin_residual, jittered_hanging, jittered_mesh, rotated,
+                     strip_problem)
 
 
 def test_manufactured_sources_match_finite_differences():

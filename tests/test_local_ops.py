@@ -6,7 +6,7 @@ import pytest
 from pyhho import local_ops
 from pyhho.assembly import condense
 from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
-                             local_bilinear, reconstruction, seminorm_gram,
+                             local_bilinear, reconstruction,
                              stabilization_equal_order, stabilization_ls)
 from pyhho.mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh, build_structured_mesh,
                         refine_uniform)
@@ -15,7 +15,8 @@ from pyhho.projection import (HhoDegrees, equal_order, gather_local, l2_project,
 from pyhho.quadrature import cell_quadrature, face_quadrature
 from pyhho.basis import face_basis
 
-from support import data_rule_basis, jittered_mesh, random_half, rotated, scaled_condition
+from support import (data_rule_basis, jittered_mesh, random_half, rotated, scaled_condition,
+                     seminorm_gram)
 
 
 def pentagon_mesh():

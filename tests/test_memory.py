@@ -8,10 +8,14 @@ There the measured scratch above the output was 0.31 MB (assembly), 0.25 MB
 (preconditioner) and 0.38 MB (error norms); the bounds add about a third.
 Without chunks the three stages peaked at 2.2-3.9 MB on this input.
 
-``build_local`` keeps only what depends on a cell's shape once per shape:
-on 32x32 jittered quads (k=1, every cell its own shape) its groups hold
-8.4 MB and its traced peak is 18.0 MB.  With the basis values and gradients
-on the data rule kept in the operator context they were 18.4 and 39.9 MB.
+``build_local`` keeps only what depends on a cell's shape once per shape,
+and of that only what later stages read: each group's build context dies
+with its build.  On 32x32 jittered quads (Poisson, k=1, every cell its own
+shape) the groups hold 5.3 MB and the traced peak is 18.9 MB; on 32x32
+jittered triangles (elasticity, k=1) they hold 18.9 MB.  With the build
+context kept through the operators they held 8.7 and 26.3 MB, and with the
+basis values and gradients on the data rule kept in that context as well,
+18.4 MB on the quads (peak 39.9 MB).
 """
 
 import tracemalloc
@@ -20,11 +24,12 @@ import pytest
 
 from pyhho import assembly as asm
 from pyhho.harness import build_local, dirichlet_data, error_norms, neumann_rhs, solve_problem
-from pyhho.mesh import build_structured_mesh
-from pyhho.problems import poisson_sin_2d
-from pyhho.projection import equal_order
+from pyhho.local_ops import CellContext, FaceContext
+from pyhho.mesh import CellGeometry, build_structured_mesh
+from pyhho.problems import elasticity_compressible, poisson_sin_2d
+from pyhho.projection import HhoDegrees, equal_order
 
-from support import jittered_mesh
+from support import jittered_hanging, jittered_mesh, kept_arrays
 
 MB = 2 ** 20
 
@@ -82,16 +87,26 @@ def test_solve_frees_the_condensed_matrices(monkeypatch, solver):
     assert seen == [(None, None)]
 
 
-def test_local_build_keeps_shape_arrays_once_per_shape():
-    mesh, degrees, spec = jittered_mesh("quad", 32, 1), equal_order(1), poisson_sin_2d()
-    mesh.cell_groups()            # the mesh's own geometry cache is not the build's
+def traced_build(mesh, degrees, spec):
+    """``build_local``'s groups, with the memory they keep and the build's
+    peak, both traced; the mesh's own geometry cache is not the build's."""
+    mesh.cell_groups()
     tracemalloc.start()
     try:
         groups = build_local(mesh, degrees, spec)
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert live <= 10 * MB and peak <= 20 * MB
+    return groups, live, peak
+
+
+def test_local_build_keeps_shape_arrays_once_per_shape():
+    degrees, spec = equal_order(1), poisson_sin_2d()
+    groups, live, peak = traced_build(jittered_mesh("quad", 32, 1), degrees, spec)
+    assert live <= 6 * MB and peak <= 20 * MB
+    _, live, _ = traced_build(jittered_mesh("tri", 32, 1), HhoDegrees(1, 1, rank=2),
+                              elasticity_compressible(mu=1.0, lam=3.0))
+    assert live <= 21 * MB
     # the condensation keeps its matrices once per shape as well: one row
     # per cell on the jittered mesh, one row in all on uniform quads
     uniform = build_local(build_structured_mesh("quad", 8, 8), degrees, spec)
@@ -100,3 +115,18 @@ def test_local_build_keeps_shape_arrays_once_per_shape():
         cg = g.condense()
         assert len(cg.L_c) == len(cg.X) == len(g.ops.L) == g.shapes.max() + 1
         assert len(cg.b_c) == len(cg.y) == len(g.cells)
+
+
+@pytest.mark.parametrize("case", ["poisson", "elasticity", "hanging"])
+def test_solved_groups_keep_no_build_context(case):
+    mesh = jittered_hanging() if case == "hanging" else jittered_mesh("tri", 4, 2)
+    degrees, spec = ((HhoDegrees(1, 1, rank=2), elasticity_compressible(mu=1.0, lam=3.0))
+                     if case == "elasticity" else (equal_order(1), poisson_sin_2d()))
+    sol = solve_problem(mesh, degrees, spec)
+    if case == "hanging":     # a group of polygons padded to its longest loop
+        assert any((mesh.cell_geometry(g.cells).face_measures == 0).any() for g in sol.groups)
+    types, owners = kept_arrays(sol.groups)
+    assert not types & {CellContext, FaceContext, CellGeometry}
+    # each buffer is kept whole by one of its arrays: no kept view pins a larger array
+    for owner, views in owners.values():
+        assert max(a.nbytes for a in views) == owner.nbytes

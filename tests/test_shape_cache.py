@@ -15,7 +15,7 @@ from pyhho.mesh import Mesh, build_interval_mesh, build_structured_mesh
 from pyhho.problems import elasticity_compressible, poisson_sin_1d, poisson_sin_2d
 from pyhho.projection import HhoDegrees
 
-from support import data_rule_basis, jittered_mesh, rotated, scaled_condition
+from support import data_rule_basis, jittered_mesh, reachable, rotated, scaled_condition
 
 OPERATOR_FIELDS = ("L", "stab_face", "rec", "flux", "balance")
 CONDENSED_FIELDS = ("L_c", "X", "y", "b_c")
@@ -40,14 +40,14 @@ def graded_quad_mesh(widths, ny=2):
 
 
 def per_cell_build(mesh, degrees, spec):
-    """Operators and sources of every group with each cell its own shape."""
+    """Operators, sources and data rule of every group with each cell its own shape."""
     out = []
     for cells in mesh.cell_groups():
         ctx = build_cell_context(mesh, cells, degrees)
         ops = (local_bilinear(ctx) if degrees.rank == 1
                else local_bilinear_elastic(ctx, spec.mu, spec.lam))
-        out.append((ops, local_rhs(ctx, spec.f, data_rule_basis(ctx)[0], cells,
-                                   np.arange(len(cells)))))
+        rule = data_rule_basis(ctx)[0]
+        out.append((ops, local_rhs(ctx, spec.f, rule, cells, np.arange(len(cells))), rule))
     return out
 
 
@@ -77,14 +77,13 @@ def condensation_tol(L, layout, *diffs):
 
 def check_against_per_cell(mesh, degrees, spec):
     groups = build_local(mesh, degrees, spec)
-    for g, (ref, ref_b) in zip(groups, per_cell_build(mesh, degrees, spec)):
-        ref_ctx, each = ref.ctx, np.arange(len(g.cells))
+    for g, (ref, ref_b, rule) in zip(groups, per_cell_build(mesh, degrees, spec)):
+        each = np.arange(len(g.cells))
         reps, shapes = mesh.cell_shapes(g.cells)
-        np.testing.assert_array_equal(g.cells, ref_ctx.cells)
+        np.testing.assert_array_equal(g.cells, ref.cells)
         np.testing.assert_array_equal(g.shapes, shapes)
-        np.testing.assert_array_equal(g.ops.ctx.cells, reps)
+        np.testing.assert_array_equal(g.ops.cells, reps)
         # the data rule is each cell's own
-        rule = data_rule_basis(ref_ctx)[0]
         np.testing.assert_array_equal(g.rule.points, rule.points)
         np.testing.assert_array_equal(g.rule.weights, rule.weights)
         for name in OPERATOR_FIELDS:
@@ -92,12 +91,12 @@ def check_against_per_cell(mesh, degrees, spec):
         assert_close(g.rhs, ref_b, "rhs")
         cg = g.condense()
         # against a per-cell condensation of the same matrices
-        same = asm.condense(g.ops.L[g.shapes], g.rhs, ref_ctx.layout, g.cells, each)
+        same = asm.condense(g.ops.L[g.shapes], g.rhs, ref.layout, g.cells, each)
         # against one solve per cell of the per-cell build, whose operators
         # and sources differ from the shape's by round-off; the cell block's
         # conditioning amplifies that (about 1e7 at k=3 on triangles)
-        want = solve_condense(ref.L, ref_b, ref_ctx.layout)
-        tol = condensation_tol(ref.L, ref_ctx.layout, relative(g.ops.L[g.shapes], ref.L),
+        want = solve_condense(ref.L, ref_b, ref.layout)
+        tol = condensation_tol(ref.L, ref.layout, relative(g.ops.L[g.shapes], ref.L),
                                relative(g.rhs, ref_b))
         for name in CONDENSED_FIELDS:
             assert_close(per_cell(cg, name), per_cell(same, name), name)
@@ -112,16 +111,6 @@ def solve_condense(L, b, layout):
     L_c = L[:, fc, fc] - L[:, ct, fc].mT @ X
     return dict(L_c=0.5 * (L_c + L_c.mT), X=X, y=y,
                 b_c=b[:, fc] - (X.mT @ b[:, ct, None])[..., 0])
-
-
-def arrays(record, path="ops"):
-    """``(path, array)`` of every array reachable through the fields of a record."""
-    if isinstance(record, np.ndarray):
-        yield path, record
-    elif dataclasses.is_dataclass(record):
-        for f in dataclasses.fields(record):
-            if f.name != "mesh":          # the mesh is not the group's
-                yield from arrays(getattr(record, f.name), f"{path}.{f.name}")
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -147,12 +136,12 @@ def test_all_distinct_shapes_build_as_before():
     mesh = jittered_mesh("tri", 4, 3)
     spec, degrees = poisson_sin_2d(), HhoDegrees(1, 1)
     g, = build_local(mesh, degrees, spec)
-    (ref, ref_b), = per_cell_build(mesh, degrees, spec)
+    (ref, ref_b, _), = per_cell_build(mesh, degrees, spec)
     np.testing.assert_array_equal(g.shapes, np.arange(len(g.cells)))
     for name in OPERATOR_FIELDS:
         np.testing.assert_array_equal(getattr(g.ops, name), getattr(ref, name))
     np.testing.assert_array_equal(g.rhs, ref_b)
-    cg, want = g.condense(), solve_condense(ref.L, ref_b, ref.ctx.layout)
+    cg, want = g.condense(), solve_condense(ref.L, ref_b, ref.layout)
     for name in CONDENSED_FIELDS:
         assert_close(per_cell(cg, name), want[name], name)
 
@@ -162,8 +151,8 @@ def test_solved_group_keeps_operators_per_shape():
     sol = solve_problem(mesh, HhoDegrees(1, 1), poisson_sin_2d())
     g, = sol.groups
     assert not g.shapes.any()
-    found = dict(arrays(g.ops))
-    assert "ops.L" in found and "ops.ctx.faces.trace_full" in found
+    found = {path: a for path, a in reachable(g.ops, "ops") if isinstance(a, np.ndarray)}
+    assert "ops.L" in found and "ops.trace" in found
     assert {path: a.shape[0] for path, a in found.items() if a.shape[0] != 1} == {}
     # only these are per cell
     cell_fields = {f.name for f in dataclasses.fields(g)
