@@ -10,8 +10,8 @@ symmetric gradients, pinned by mean-value and skew-gradient constraints
 that remove the rigid-body ambiguity.  The local bilinear form is the
 shared local form of :mod:`pyhho.local_ops` with the strain as the field
 and the stress ``2 mu E + lam tr(E) I`` as its image, plus a stabilization
-weighted by ``2 mu / h``; the stabilizations and the face-flux (traction)
-builder are the scalar ones, tensorized with the 2D identity.
+weighted by ``2 mu / h``; the stabilizations are the scalar ones, tensorized
+with the 2D identity, and the face tractions are the face rows of the form.
 
 Vector DoFs interleave components: scalar function ``i``, component ``a``
 sits at ``2 i + a`` inside each block.  Like :mod:`pyhho.local_ops`, every
@@ -93,7 +93,7 @@ def displacement_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) 
     layout = ctx.layout
     nb, nv = len(ctx.cells), 2 * ctx.n_rec
 
-    H = _gradient_moments(ctx, _tensor_columns(Es))       # (eps(w), Es v)
+    H = _gradient_moments(ctx.grad_mass, _tensor_columns(Es))     # (eps(w), Es v)
 
     # constraint rows: component means and the mean skew gradient
     C = np.zeros((nb, 3, nv))
@@ -126,7 +126,7 @@ def stabilization_elastic(ctx: CellContext, Dep: np.ndarray | None):
 
 def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalOperators:
     """Local elastic matrix ``(sigma(Es v), Es w) + 2mu/h (stab, stab)``, the
-    stress ``sigma(E) = 2mu E + lam tr(E) I``, with its face tractions."""
+    stress ``sigma(E) = 2mu E + lam tr(E) I``."""
     if mu <= 0 or lam < 0:
         raise ValueError("need mu > 0 and lambda >= 0")
     Es = strain_reconstruction(ctx)

@@ -8,9 +8,10 @@ face terms are assembled once, in ``G``: the potential reconstruction is
 its projection onto gradients of degree k+1, one constrained SPD solve in
 inverse-Cholesky-factor form that the elastic displacement reconstruction
 shares.  The local form pairs a degree-k field map ``T`` with its image
-``CT`` under a constant material law, ``(CT v, T w)``, and reads the face
-fluxes and cell balance from ``CT``: Poisson's is ``(G v, G w)``.  Cell
-Grams are face sums: no operator needs a cell quadrature rule.
+``CT`` under a constant material law, ``(CT v, T w)``, and reads the cell
+balance from ``CT``: Poisson's is ``(G v, G w)``.  The face fluxes are its
+face rows: tested with ``psi`` on a face ``F`` it is ``-(flux_F(v), psi)_F``.
+Cell Grams are face sums: no operator needs a cell quadrature rule.
 
 Every operator is built for a group of cells that share one quadrature
 class (see :meth:`pyhho.mesh.Mesh.cell_groups`): arrays carry a leading
@@ -22,12 +23,12 @@ of the few arrays that the solve, the checks and the error norms read,
 and the context dies with the build.
 
 All matrices act on local DoF vectors laid out as ``[T | F_1 | ... | F_n]``.
-The stabilizations and the face-flux builder serve scalar (rank 1) and 2D
-vector (rank 2) unknowns alike: a vector block is the scalar block
-tensorized with the identity, ``kron(M, I_rank)``, and components
-interleave inside each block.  The gradient reconstruction is always
-built on the scalar layout; :mod:`pyhho.elasticity` applies it to each
-displacement component and takes the symmetric part as the strain.
+The stabilizations serve scalar (rank 1) and 2D vector (rank 2) unknowns
+alike: a vector block is the scalar block tensorized with the identity,
+``kron(M, I_rank)``, and components interleave inside each block.  The
+gradient reconstruction is always built on the scalar layout;
+:mod:`pyhho.elasticity` applies it to each displacement component and
+takes the symmetric part as the strain.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def reconstruction(ctx: CellContext, G: np.ndarray | None = None) -> np.ndarray:
     D = np.zeros((len(ctx.cells), 1, ctx.layout.size))
     D[:, 0, ctx.layout.cell] = ctx.ints_full[:, : ctx.n_cell]
     return constrained_projection(ctx, ctx.stiff_full, ctx.ints_full[:, None], D,
-                                  _gradient_moments(ctx, G),
+                                  _gradient_moments(ctx.grad_mass, G),
                                   what="singular reconstruction system")
 
 
@@ -225,14 +226,15 @@ def gradient_reconstruction(ctx: CellContext) -> np.ndarray:
     return ctx.mass_k_inv[:, None] @ rhs
 
 
-def _gradient_moments(ctx: CellContext, T: np.ndarray) -> np.ndarray:
-    """``(grad w, T)`` for each basis function ``w = phi_i e_a`` of degree
-    k+1, at row ``rank * i + a``.  ``T[:, c]`` maps DoFs to the degree-k
-    coefficients of column ``c`` of a field, ``T_ac`` at row ``rank * j + a``.
+def _gradient_moments(grad_mass: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``(grad w, T)`` for each basis function ``w = phi_i e_a`` of the rows
+    ``i`` of ``grad_mass`` (a context's, or its first ``n_k``), at row
+    ``rank * i + a``.  ``T[:, c]`` maps DoFs to the degree-k coefficients of
+    column ``c`` of a field, ``T_ac`` at row ``rank * j + a``.
     """
-    nb, d, _, size = T.shape
-    B = ctx.grad_mass.reshape(nb, ctx.n_rec, d * ctx.n_k)
-    return (B @ T.reshape(nb, d * ctx.n_k, -1)).reshape(nb, -1, size)
+    nb, n, d, n_k = grad_mass.shape
+    B = grad_mass.reshape(nb, n, d * n_k)
+    return (B @ T.reshape(nb, d * n_k, -1)).reshape(nb, -1, T.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -318,36 +320,17 @@ class LocalOperators:
     L: np.ndarray             # local bilinear-form matrices
     stab_face: np.ndarray     # (nb, n_faces, face_width, size) face operators S_F
     rec: np.ndarray           # full reconstruction, coefficients in rec_basis
-    flux: np.ndarray          # (nb, n_faces * face_width, size) face-flux coefficients
     balance: np.ndarray       # cell consistency tested with degree-k_face polynomials
 
     def face_fluxes(self, dofs: np.ndarray, shapes) -> np.ndarray:
         """Coefficients ``(nb, n_faces, face_width)`` of the numerical flux
         of ``dofs`` (one local vector, or one per cell) on each local face;
-        cell ``b`` takes the operators at row ``shapes[b]``."""
-        flux = (self.flux[shapes] @ dofs[..., None])[..., 0]
-        return flux.reshape(len(flux), self.layout.n_faces, -1)
-
-
-def _face_flux(ctx: CellContext, CT: np.ndarray, stab_face: np.ndarray,
-               weight: np.ndarray) -> np.ndarray:
-    """Equilibrated face fluxes, stacked by face.
-
-    ``CT`` holds the degree-k coefficient maps of the columns of the flux
-    field ``tau`` (``G`` or ``sigma``), laid out as in
-    :func:`_gradient_moments`; its face moments give the consistency flux
-    ``-(tau n, psi)_F``.  The stabilization, scaled by ``weight`` (``1/h``
-    or ``2 mu/h`` per cell), adds its adjoint acting on the face unknowns.
-    Each face block is then solved with its face mass.
-    """
-    f, (nb, nf, _, size) = ctx.faces, stab_face.shape
-    S = stab_face.reshape(nb, -1, size)
-    MS = _kron_apply(f.mass, stab_face).reshape(nb, -1, size)
-    stab = weight[:, None, None] * (S[:, :, ctx.layout.faces].mT @ MS)
-    tau_n = (f.normal @ CT.reshape(nb, CT.shape[1], -1)).reshape((nb, nf) + CT.shape[2:])
-    consistency = _kron_apply(f.trace_full[..., : ctx.n_k], tau_n)
-    return -_kron_apply(f.mass_inv, consistency + stab.reshape(stab_face.shape)).reshape(
-        nb, -1, size)
+        cell ``b`` takes the operators at row ``shapes[b]``.  The local form
+        tested with ``psi`` on face ``F`` is ``-(flux_F(v), psi)_F``, so the
+        flux is ``-kron(M_F^-1, I_rank) (L v)_F`` (zero at a padded slot)."""
+        Lv = (self.L[:, self.layout.faces][shapes] @ dofs[..., None])[..., 0]
+        Lv = Lv.reshape(len(Lv), self.layout.n_faces, -1)
+        return -_kron_apply(self.face_mass_inv[shapes], Lv)
 
 
 def _bundle(ctx: CellContext, T: np.ndarray, CT: np.ndarray, stab, scale: float,
@@ -356,28 +339,26 @@ def _bundle(ctx: CellContext, T: np.ndarray, CT: np.ndarray, stab, scale: float,
     kron(M_k, I_rank) (CT)_c + scale penalty``.  ``T`` maps the DoFs to the
     degree-k columns of the field (``G``; the strain) as in
     :func:`_gradient_moments`, ``CT`` is its image under the material law
-    (``G``; the stress), read by the fluxes and the balance."""
+    (``G``; the stress), read by the balance."""
     stab_face, penalty = stab
     nb, d, _, size = T.shape
-    MCT = (ctx.mass_full[:, None, : ctx.n_k, : ctx.n_k] @ CT.reshape(nb, d, ctx.n_k, -1))
+    n_k = ctx.n_k
+    MCT = (ctx.mass_full[:, None, :n_k, :n_k] @ CT.reshape(nb, d, n_k, -1))
     L = T.reshape(nb, -1, size).mT @ MCT.reshape(nb, -1, size) + scale * penalty
     L = 0.5 * (L + L.mT)
     f, basis = ctx.faces, ctx.rec_basis
-    # the flux's scratch is freed before the copies of the context's arrays
     return LocalOperators(
-        L=L, stab_face=stab_face, rec=rec, flux=_face_flux(ctx, CT, stab_face, scale / ctx.h),
-        balance=_gradient_moments(ctx, CT)[:, : ctx.degrees.rank * ctx.n_k].copy(),
+        L=L, stab_face=stab_face, rec=rec, balance=_gradient_moments(ctx.grad_mass[:, :n_k], CT),
         layout=ctx.layout, cells=ctx.cells.copy(), h=ctx.h.copy(),
         rec_basis=replace(basis, center=basis.center.copy(), map=basis.map.copy()),
         real_faces=ctx.geom.face_measures > 0, face_mass=f.mass, face_mass_inv=f.mass_inv,
-        trace=f.trace_full[..., : ctx.n_k].copy(),
+        trace=f.trace_full[..., :n_k].copy(),
         cell_mass=ctx.mass_full[:, : ctx.n_cell, : ctx.n_cell].copy())
 
 
 def local_bilinear(ctx: CellContext) -> LocalOperators:
-    """Full local matrix ``L = (G v, G w) + penalty`` with its face fluxes;
-    the stabilization is Lehrenfeld-Schoberl in mixed order, else the
-    reconstruction-corrected one."""
+    """Full local matrix ``L = (G v, G w) + penalty``; the stabilization is
+    Lehrenfeld-Schoberl in mixed order, else the reconstruction-corrected one."""
     G = gradient_reconstruction(ctx)
     R_full = reconstruction(ctx, G)
     stab = (stabilization_ls(ctx) if ctx.degrees.mixed

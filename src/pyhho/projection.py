@@ -164,8 +164,7 @@ def l2_project(basis: Basis, rule: QuadratureRule, f, rank: int | None = None,
     return coef if fx.ndim == vals.ndim else coef[..., 0]
 
 
-def reduce_local(mesh: Mesh, cells, degrees: HhoDegrees, v,
-                 quad_bump: int = 2) -> np.ndarray:
+def reduce_local(mesh: Mesh, cells, degrees: HhoDegrees, v) -> np.ndarray:
     """Local reduction: cell projection plus per-face projections, laid out
     as ``[T | F_1 | ... | F_n]``; stacked over a group of cells.  Each
     distinct face of the group is projected once.
@@ -174,7 +173,7 @@ def reduce_local(mesh: Mesh, cells, degrees: HhoDegrees, v,
     cell endpoints.
     """
     geom = mesh.cell_geometry(cells)
-    order = 2 * (degrees.k_face + 1) + quad_bump
+    order = 2 * (degrees.k_face + 2)
     lead = np.shape(cells)
     ccoef = l2_project(scaled_monomial_basis(geom, degrees.k_cell), cell_quadrature(geom, order), v)
     faces, at = np.unique(geom.face_indices, return_inverse=True)
@@ -183,7 +182,7 @@ def reduce_local(mesh: Mesh, cells, degrees: HhoDegrees, v,
     return np.concatenate([ccoef.reshape(lead + (-1,)), fcoef[at].reshape(lead + (-1,))], axis=-1)
 
 
-def reduce_global(mesh: Mesh, degrees: HhoDegrees, v, quad_bump: int = 2):
+def reduce_global(mesh: Mesh, degrees: HhoDegrees, v):
     """Cellwise reduction with single-valued face blocks.
 
     Returns ``(cell_coeffs, face_coeffs)`` arrays of shapes
@@ -194,7 +193,7 @@ def reduce_global(mesh: Mesh, degrees: HhoDegrees, v, quad_bump: int = 2):
     cell_coeffs = np.zeros((mesh.n_cells, cw))
     face_coeffs = np.zeros((mesh.n_faces, fw))
     for cells in mesh.cell_groups():
-        local = reduce_local(mesh, cells, degrees, v, quad_bump)
+        local = reduce_local(mesh, cells, degrees, v)
         faces = mesh.cell_face_indices(cells)
         cell_coeffs[cells] = local[:, :cw]
         face_coeffs[faces] = local[:, cw:].reshape(faces.shape + (fw,))

@@ -4,11 +4,12 @@ import dataclasses
 
 import numpy as np
 
+from pyhho.basis import face_basis, scaled_monomial_basis
 from pyhho.harness import _apply, data_order
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh
 from pyhho.problems import ProblemSpec
-from pyhho.projection import gather_local
-from pyhho.quadrature import cell_quadrature
+from pyhho.projection import gather_local, l2_project
+from pyhho.quadrature import cell_quadrature, face_quadrature
 
 # symmetric unit tensors E_xx, E_yy, E_xy ([[0, 1], [1, 0]]) and their ':' norms
 TENSOR_WEIGHTS = np.array([1.0, 1.0, 2.0])
@@ -122,6 +123,31 @@ def face_slice(dofmap, face):
     if off < 0:
         raise KeyError(f"face {face} is a Dirichlet face")
     return slice(off, off + dofmap.face_width)
+
+
+def reduce_at_order(mesh, cells, degrees, v, order):
+    """:func:`pyhho.projection.reduce_local` of ``v`` on a group of ``cells``
+    with projections at quadrature ``order`` instead of ``2(k+2)``."""
+    geom = mesh.cell_geometry(cells)
+    faces = geom.face_indices.ravel()
+    cell = l2_project(scaled_monomial_basis(geom, degrees.k_cell), cell_quadrature(geom, order), v)
+    face = l2_project(face_basis(mesh, faces, degrees.k_face),
+                      face_quadrature(mesh, faces, order), v)
+    return np.concatenate([cell.reshape(len(cells), -1), face.reshape(len(cells), -1)], axis=1)
+
+
+def flux_matrix(ops):
+    """The face fluxes of a group's :class:`~pyhho.local_ops.LocalOperators`
+    as matrices ``(nb, n_faces * face_width, size)``: column ``j`` is
+    ``ops.face_fluxes`` of the ``j``-th unit vector."""
+    each = np.arange(len(ops.L))
+    columns = [ops.face_fluxes(e, each) for e in np.eye(ops.layout.size)]
+    return np.stack(columns, axis=-1).reshape(len(each), -1, ops.layout.size)
+
+
+def operator(ops, name):
+    """The kept operator ``name`` of ``ops``; ``"flux"`` is :func:`flux_matrix`."""
+    return flux_matrix(ops) if name == "flux" else getattr(ops, name)
 
 
 def seminorm_gram(ctx):

@@ -7,7 +7,10 @@ mass built for every cell that reads it.  The operator references loop
 over that list.  Both reconstructions and both consistency fluxes are also
 checked against references that assemble the hybrid face terms face by
 face, straight from their defining equations, instead of projecting the
-gradient reconstruction.
+gradient reconstruction.  ``LocalOperators.face_fluxes`` reads the fluxes
+from the face rows of the local form; the explicit per-face fluxes (the
+consistency flux plus the stabilization's adjoint, solved with the face
+mass) check that identity.
 
 The references take each cell's own loop: a group whose loops fill its face
 slots, and each cell of the padded polygon group alone on a one-cell mesh.
@@ -32,7 +35,7 @@ from pyhho.projection import (DofLayout, HhoDegrees, dof_layout, l2_project, mas
                               reduce_local)
 from pyhho.quadrature import face_quadrature
 
-from support import TENSOR_WEIGHTS, data_rule_basis, seminorm_gram, strain_columns
+from support import TENSOR_WEIGHTS, data_rule_basis, flux_matrix, seminorm_gram, strain_columns
 
 MU, LAM = 1.0, 3.0
 
@@ -79,6 +82,7 @@ def assert_padded_group_matches_one_cell(deg):
     face slots."""
     (mesh, cells), = [(m, c) for m, c in groups() if padded(m, c)]
     ops = operators(mesh, cells, deg)
+    flux = flux_matrix(ops)
     cw, fw = ops.layout.cell_width, ops.layout.face_width
     lengths = set()
     for b, c in enumerate(cells):
@@ -87,12 +91,12 @@ def assert_padded_group_matches_one_cell(deg):
         lengths.add(n)
         real, pad, rows = slice(0, cw + n * fw), slice(cw + n * fw, None), slice(0, n * fw)
         for actual, want in [(ops.L[b][real, real], ref.L[0]), (ops.rec[b][:, real], ref.rec[0]),
-                             (ops.flux[b][rows, real], ref.flux[0]),
+                             (flux[b][rows, real], flux_matrix(ref)[0]),
                              (ops.stab_face[b, :n][..., real], ref.stab_face[0]),
                              (ops.balance[b][:, real], ref.balance[0])]:
             assert_close(actual, want, 1e-13)
-        for zero in (ops.L[b][pad], ops.L[b][:, pad], ops.flux[b][n * fw:],
-                     ops.flux[b][:, pad], ops.stab_face[b, n:], ops.stab_face[b][..., pad],
+        for zero in (ops.L[b][pad], ops.L[b][:, pad], flux[b][n * fw:],
+                     flux[b][:, pad], ops.stab_face[b, n:], ops.stab_face[b][..., pad],
                      ops.rec[b][:, pad]):
             assert np.all(zero == 0)
     assert lengths == set(range(5, 9))
@@ -211,7 +215,7 @@ def per_face_operators(ctx, faces, monkeypatch):
         field = _tensor_columns(np.stack([(2 * MU + LAM) * Es[:, 0] + LAM * Es[:, 1],
                                           LAM * Es[:, 0] + (2 * MU + LAM) * Es[:, 1],
                                           2 * MU * Es[:, 2]], axis=1))
-        weight, balance = 2.0 * MU / ctx.h, _gradient_moments(ctx, field)[:, :2 * n_k]
+        weight, balance = 2.0 * MU / ctx.h, _gradient_moments(ctx.grad_mass, field)[:, :2 * n_k]
     flux = per_face_flux(ctx, faces, field, stab_face, weight)
     return 0.5 * (L + L.mT), penalty, rec, flux, balance
 
@@ -241,7 +245,7 @@ def test_face_axis_matches_per_face_build(k, rank, mixed, monkeypatch):
         _, stab_penalty = (stabilization_ls(ctx) if mixed
                            else stabilization_equal_order(ctx, ops.rec))
         for actual, ref in [(ops.L, L), (stab_penalty, penalty), (ops.rec, rec),
-                            (ops.flux, flux), (ops.balance, balance)]:
+                            (flux_matrix(ops), flux), (ops.balance, balance)]:
             assert_close(actual, ref, 1e-13)
         if rank == 1:
             assert_close(seminorm_gram(ctx), per_face_seminorm_gram(ctx, faces), 1e-13)
@@ -410,7 +414,7 @@ def test_scalar_reconstruction_and_flux_match_face_assembly(k, mixed):
         shapes.add(ctx.geom.n_faces)
         R_ref = scalar_reconstruction_reference(ctx)
         assert_matches(reconstruction(ctx), R_ref)
-        assert_matches(local_bilinear(ctx).flux, poisson_flux_reference(ctx, R_ref))
+        assert_matches(flux_matrix(local_bilinear(ctx)), poisson_flux_reference(ctx, R_ref))
     assert shapes == ALL_SHAPES
 
 
@@ -424,7 +428,7 @@ def test_displacement_reconstruction_and_traction_match_face_assembly(k, mixed):
         shapes.add(ctx.geom.n_faces)
         Dep_ref = displacement_reference(ctx)
         assert_matches(displacement_reconstruction(ctx), Dep_ref)
-        assert_matches(local_bilinear_elastic(ctx, MU, LAM).flux,
+        assert_matches(flux_matrix(local_bilinear_elastic(ctx, MU, LAM)),
                        elastic_flux_reference(ctx, Dep_ref))
     assert shapes == ALL_SHAPES
 

@@ -412,7 +412,7 @@ def test_reconstruction_solves_its_constrained_system_on_turned_strips(k, mixed,
     ctx = build_cell_context(mesh, cells, HhoDegrees(k, k + mixed))
     R_full = reconstruction(ctx)
     layout, K = ctx.layout, ctx.stiff_full
-    H = local_ops._gradient_moments(ctx, gradient_reconstruction(ctx))
+    H = local_ops._gradient_moments(ctx.grad_mass, gradient_reconstruction(ctx))
     C = ctx.ints_full[:, None] / ctx.geom.measure[:, None, None]
     D = np.zeros((len(cells), 1, layout.size))
     D[:, 0, layout.cell] = C[:, 0, : ctx.n_cell]

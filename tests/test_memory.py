@@ -10,12 +10,13 @@ Without chunks the three stages peaked at 2.2-3.9 MB on this input.
 
 ``build_local`` keeps only what depends on a cell's shape once per shape,
 and of that only what later stages read: each group's build context dies
-with its build.  On 32x32 jittered quads (Poisson, k=1, every cell its own
-shape) the groups hold 5.3 MB and the traced peak is 18.9 MB; on 32x32
-jittered triangles (elasticity, k=1) they hold 18.9 MB.  With the build
-context kept through the operators they held 8.7 and 26.3 MB, and with the
-basis values and gradients on the data rule kept in that context as well,
-18.4 MB on the quads (peak 39.9 MB).
+with its build, and the face fluxes are read from the face rows of ``L``.
+On 32x32 jittered quads (Poisson, k=1, every cell its own shape) the groups
+hold 4.6 MB and the traced peak is 18.2 MB; on 32x32 jittered triangles
+(elasticity, k=1) they hold 15.5 MB.  With a stored flux operator they held
+5.3 and 18.9 MB, with the build context kept through the operators as well
+8.7 and 26.3 MB, and with the basis values and gradients on the data rule
+kept in that context too, 18.4 MB on the quads (peak 39.9 MB).
 """
 
 import tracemalloc
@@ -103,10 +104,10 @@ def traced_build(mesh, degrees, spec):
 def test_local_build_keeps_shape_arrays_once_per_shape():
     degrees, spec = equal_order(1), poisson_sin_2d()
     groups, live, peak = traced_build(jittered_mesh("quad", 32, 1), degrees, spec)
-    assert live <= 6 * MB and peak <= 20 * MB
+    assert live <= 5 * MB and peak <= 20 * MB
     _, live, _ = traced_build(jittered_mesh("tri", 32, 1), HhoDegrees(1, 1, rank=2),
                               elasticity_compressible(mu=1.0, lam=3.0))
-    assert live <= 21 * MB
+    assert live <= 17 * MB
     # the condensation keeps its matrices once per shape as well: one row
     # per cell on the jittered mesh, one row in all on uniform quads
     uniform = build_local(build_structured_mesh("quad", 8, 8), degrees, spec)
