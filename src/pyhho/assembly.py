@@ -35,14 +35,19 @@ log = logging.getLogger("pyhho")
 
 @dataclass
 class DofMap:
-    """Face-based numbering with Dirichlet faces split off into a data block."""
+    """Face-based numbering: the non-Dirichlet faces in face order, each
+    with ``face_width`` consecutive rows of the reduced system."""
 
     mesh: Mesh
     degrees: HhoDegrees
     face_width: int
-    offsets: np.ndarray        # per face: offset into the reduced system, -1 if Dirichlet
-    dirichlet: np.ndarray      # boolean mask
+    free: np.ndarray           # per face: rank among the non-Dirichlet faces, -1 if Dirichlet
     n_reduced: int
+
+    def rows(self, faces) -> np.ndarray:
+        """Reduced rows ``faces.shape + (face_width,)`` of ``faces``, -1 on a Dirichlet face."""
+        rank = self.free[faces][..., None]
+        return np.where(rank >= 0, self.face_width * rank + np.arange(self.face_width), -1)
 
 
 def build_dof_map(mesh: Mesh, degrees: HhoDegrees) -> DofMap:
@@ -53,19 +58,18 @@ def build_dof_map(mesh: Mesh, degrees: HhoDegrees) -> DofMap:
         raise ValueError(
             f"untagged boundary faces: {np.flatnonzero(untagged).tolist()}")
     width = dof_layout(mesh, degrees, 1).face_width
-    offsets = np.full(mesh.n_faces, -1, dtype=int)
-    dirichlet = mesh.dirichlet_faces.copy()
-    free = ~dirichlet
-    offsets[free] = np.arange(int(free.sum())) * width
-    return DofMap(mesh=mesh, degrees=degrees, face_width=width,
-                  offsets=offsets, dirichlet=dirichlet,
-                  n_reduced=int(free.sum()) * width)
+    free = np.full(mesh.n_faces, -1, dtype=int)
+    n_free = mesh.n_faces - int(mesh.dirichlet_faces.sum())
+    free[~mesh.dirichlet_faces] = np.arange(n_free)
+    return DofMap(mesh=mesh, degrees=degrees, face_width=width, free=free,
+                  n_reduced=n_free * width)
 
 
 @dataclass
 class CondensedGroup:
     """Schur data of a group of cells: the reduced matrices and the cell
-    recovery maps by shape, the reduced right-hand sides and offsets by cell."""
+    recovery maps by shape, the reduced right-hand sides and the cell
+    solves ``y`` of the sources by cell."""
 
     cells: np.ndarray          # (nb,)
     shapes: np.ndarray         # (nb,) each cell's row in L_c and X
@@ -80,17 +84,19 @@ class CondensedGroup:
         return self.y - (self.X[self.shapes] @ face_values[..., None])[..., 0]
 
 
-def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cells,
+def condense(L: np.ndarray, b_T: np.ndarray, layout: DofLayout, cells,
              shapes) -> CondensedGroup:
     """Eliminate the cell unknowns of a group of cells.
 
-    ``L`` is stacked over the group's distinct shapes and ``b`` over its
-    cells; ``shapes[i]`` is the row of ``L`` that serves ``cells[i]``, with
+    ``L`` is stacked over the group's distinct shapes and the cell sources
+    ``b_T`` ``(nb, cell_width)`` over its cells (a source tests the cell
+    unknowns alone); ``shapes[i]`` is the row of ``L`` that serves ``cells[i]``, with
     shapes numbered in order of first cell (:meth:`pyhho.mesh.Mesh.cell_shapes`).
     Each shape's cell block is factored once, ``L_TT^-1 = F^T F`` (a failure
     names the shape's first cell), and eliminated in factor form: with ``W =
     F L_TF``, ``L_c = L_FF - W^T W`` (symmetric by construction) and ``X = F^T
-    W`` stay stacked by shape; ``y`` and ``b_c`` are formed per cell from ``F b_T``.
+    W`` stay stacked by shape; ``y = F^T F b_T`` and ``b_c = -W^T F b_T`` are
+    formed per cell.
     """
     cells, shapes = np.atleast_1d(cells), np.atleast_1d(shapes)
     ct, fc = layout.cell, layout.faces
@@ -98,10 +104,10 @@ def condense(L: np.ndarray, b: np.ndarray, layout: DofLayout, cells,
                     what="singular cell block during condensation "
                          "(broken local operator construction)")
     W, Fs = F @ L[:, ct, fc], F[shapes]
-    Fb = Fs @ b[:, ct, None]
+    Fb = Fs @ b_T[..., None]
     return CondensedGroup(cells=cells, shapes=shapes, layout=layout,
                           L_c=L[:, fc, fc] - W.mT @ W,
-                          b_c=b[:, fc] - (W[shapes].mT @ Fb)[..., 0],
+                          b_c=-(W[shapes].mT @ Fb)[..., 0],
                           X=F.mT @ W, y=(Fs.mT @ Fb)[..., 0])
 
 
@@ -112,28 +118,6 @@ class GlobalSystem:
     dofmap: DofMap
 
 
-def _face_dofs(mesh: Mesh, cells, dofmap: DofMap):
-    """Faces ``(nb, n_faces)`` of a group and the reduced index of each of
-    its local face DoFs ``(nb, n_faces * face_width)``, -1 if Dirichlet."""
-    faces = mesh.cell_face_indices(cells)
-    off = dofmap.offsets[faces]
-    dofs = off[..., None] + np.arange(dofmap.face_width)
-    dofs = np.where(off[..., None] >= 0, dofs, -1)
-    return faces, dofs.reshape(len(faces), -1)
-
-
-def _free_face_rows(dofmap: DofMap):
-    """Non-Dirichlet faces and the reduced rows ``(n_free, face_width)``."""
-    free = np.flatnonzero(dofmap.offsets >= 0)
-    return free, dofmap.offsets[free, None] + np.arange(dofmap.face_width)
-
-
-def _free_ids(dofmap: DofMap, faces: np.ndarray) -> np.ndarray:
-    """``faces`` numbered among the free faces in DoF order, -1 if Dirichlet."""
-    off = dofmap.offsets[faces]
-    return np.where(off >= 0, off // dofmap.face_width, -1)
-
-
 def _face_pattern(mesh: Mesh, condensed: list, dofmap: DofMap):
     """The pairs of free faces that share a cell, as sorted keys ``f * m + g``
     of a row face ``f`` and a column face ``g`` among the ``m`` free faces,
@@ -142,7 +126,7 @@ def _face_pattern(mesh: Mesh, condensed: list, dofmap: DofMap):
     keys = [np.zeros(0, int)]
     for cg in condensed:
         for s in range(0, len(cg.cells), CHUNK):
-            fid = _free_ids(dofmap, mesh.cell_face_indices(cg.cells[s:s + CHUNK]))
+            fid = dofmap.free[mesh.cell_face_indices(cg.cells[s:s + CHUNK])]
             pair = (fid[:, :, None] >= 0) & (fid[:, None, :] >= 0)
             keys.append((fid[:, :, None] * m + fid[:, None, :])[pair])
     keys = np.sort(np.concatenate(keys))
@@ -151,15 +135,14 @@ def _face_pattern(mesh: Mesh, condensed: list, dofmap: DofMap):
     return keys, np.searchsorted(keys, np.arange(m + 1) * m)
 
 
-def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
-             dirichlet_values: np.ndarray | None = None,
-             extra_face_rhs: np.ndarray | None = None) -> GlobalSystem:
+def assemble(mesh: Mesh, condensed: list, dofmap: DofMap, dirichlet_values: np.ndarray,
+             extra_face_rhs: np.ndarray) -> GlobalSystem:
     """Accumulate condensed group contributions into the reduced system.
 
-    ``dirichlet_values`` holds projected boundary data per face (rows for
-    non-Dirichlet faces are ignored); eliminated columns move to the
-    right-hand side.  ``extra_face_rhs`` carries Neumann contributions,
-    indexed like ``dirichlet_values``.
+    ``dirichlet_values`` ``(n_faces, face_width)`` holds projected boundary
+    data per face (rows for non-Dirichlet faces are ignored); eliminated
+    columns move to the right-hand side.  ``extra_face_rhs`` carries the
+    Neumann contributions, indexed like ``dirichlet_values``.
 
     The matrix is compressed by rows on the pattern of :func:`_face_pattern`:
     row ``(f, i)``, DoF ``i`` of free face ``f``, holds the columns of the
@@ -180,13 +163,10 @@ def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
             cells, b = cg.cells[s:s + CHUNK], cg.b_c[s:s + CHUNK]
             L_c = cg.L_c[cg.shapes[s:s + CHUNK]]
             faces = mesh.cell_face_indices(cells)
-            fid = _free_ids(dofmap, faces)
-            nb, nf = fid.shape
-            free = np.repeat(fid >= 0, w, axis=1)
-            dofs = (w * fid[..., None] + j).reshape(nb, -1)
-            if dirichlet_values is not None:
-                fixed = dirichlet_values[faces].reshape(free.shape)
-                b = b - (L_c @ np.where(free, 0.0, fixed)[..., None])[..., 0]
+            fid, dofs = dofmap.free[faces], dofmap.rows(faces).reshape(len(cells), -1)
+            free = dofs >= 0
+            fixed = dirichlet_values[faces].reshape(free.shape)
+            b = b - (L_c @ np.where(free, 0.0, fixed)[..., None])[..., 0]
             np.add.at(rhs, dofs[free], b[free])
             # local entry (row face f, row DoF i, column face g, column DoF j)
             # -> its value slot w ((w - 1) start[f] + i deg[f] + key(f, g)) + j
@@ -199,8 +179,7 @@ def assemble(mesh: Mesh, condensed: list, dofmap: DofMap,
             # an entry takes the terms of the (at most two) cells of its row face
             np.add.at(data, slot, L_c[pairs])
             indices[slot] = np.broadcast_to(dofs[:, None, :], pairs.shape)[pairs]
-    if extra_face_rhs is not None:
-        rhs += extra_face_rhs[dofmap.offsets >= 0].reshape(-1)
+    rhs += extra_face_rhs[dofmap.free >= 0].reshape(-1)
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     return GlobalSystem(matrix=matrix, rhs=rhs, dofmap=dofmap)
 
@@ -323,7 +302,7 @@ def _vertex_patches(dofmap: DofMap) -> np.ndarray:
     """Reduced DoFs of the free faces around each mesh vertex, one row per
     vertex ``(n_vertices, max_valence * face_width)``, padded with -1."""
     mesh = dofmap.mesh
-    free, face_rows = _free_face_rows(dofmap)
+    free = np.flatnonzero(dofmap.free >= 0)
     vert = mesh.face_nodes[free].reshape(-1)
     order = np.argsort(vert, kind="stable")
     vert, face = vert[order], np.repeat(np.arange(len(free)), mesh.dim)[order]
@@ -331,7 +310,7 @@ def _vertex_patches(dofmap: DofMap) -> np.ndarray:
     slot = np.arange(len(vert)) - (np.cumsum(counts) - counts)[vert]
     table = np.full((len(counts), counts.max(initial=1)), -1)
     table[vert, slot] = face
-    return np.where(table[..., None] >= 0, face_rows[table], -1).reshape(len(counts), -1)
+    return np.where(table[..., None] >= 0, dofmap.rows(free[table]), -1).reshape(len(counts), -1)
 
 
 def _block_jacobi(A: sp.spmatrix, patches: np.ndarray) -> spla.LinearOperator:
@@ -388,22 +367,22 @@ def _auxiliary_space(dofmap: DofMap) -> sp.csc_matrix:
     Wu, Xu and Zikatanov, M3AS 2007).  Only columns that touch a free face
     are kept.
     """
-    mesh, rank, offsets = dofmap.mesh, dofmap.degrees.rank, dofmap.offsets
+    mesh, rank = dofmap.mesh, dofmap.degrees.rank
     n_vert, comp = len(mesh.vertices), np.arange(rank)
-    free = np.flatnonzero(offsets >= 0)
+    free = np.flatnonzero(dofmap.free >= 0)
     nodes = mesh.face_nodes[free]
     n_coef = min(2, dofmap.face_width // rank)
     # node j of a face: the mean 1/w in coefficient 0, the slope j - 1/2 in coefficient 1
     w = nodes.shape[1]
     value = np.where(np.arange(n_coef) == 0, 1.0 / w, np.arange(w)[:, None] - 0.5)
     shape = (len(free), w, n_coef, rank)
-    rows = [np.broadcast_to(offsets[free, None, None, None] + rank * np.arange(n_coef)[:, None]
-                            + comp, shape)]
+    first = dofmap.rows(free)[:, 0, None, None, None]
+    rows = [np.broadcast_to(first + rank * np.arange(n_coef)[:, None] + comp, shape)]
     cols = [np.broadcast_to(rank * nodes[:, :, None, None] + comp, shape)]
     vals = [np.broadcast_to(value[:, :, None], shape)]
     if rank == 2:
         on_dirichlet = np.zeros(n_vert, dtype=bool)
-        on_dirichlet[mesh.face_nodes[dofmap.dirichlet]] = True
+        on_dirichlet[mesh.face_nodes[dofmap.free < 0]] = True
         for cells in mesh.cell_groups():
             g = mesh.cell_geometry(cells)
             nb, nf = g.face_indices.shape
@@ -413,7 +392,8 @@ def _auxiliary_space(dofmap: DofMap) -> sp.csc_matrix:
             curl = np.repeat(grad[..., ::-1] * [1.0, -1.0], 2, axis=1)
             vert = mesh.face_nodes[g.face_indices].reshape(nb, 1, 2 * nf, 1)
             # each real face slot takes its share of the mean over the face's cells
-            off = np.where(g.face_measures > 0, offsets[g.face_indices], -1)[:, :, None, None]
+            off = np.where(g.face_measures > 0, dofmap.rows(g.face_indices)[..., 0], -1)
+            off = off[:, :, None, None]
             mean = 1.0 / (2 - mesh.boundary_faces[g.face_indices])[:, :, None, None]
             shape = (nb, nf, 2 * nf, 2)
             keep = np.broadcast_to((off >= 0) & ~on_dirichlet[vert], shape)
@@ -427,19 +407,15 @@ def _auxiliary_space(dofmap: DofMap) -> sp.csc_matrix:
 
 
 def recover_cells(mesh: Mesh, condensed: list, dofmap: DofMap,
-                  face_solution: np.ndarray,
-                  dirichlet_values: np.ndarray | None = None):
+                  face_solution: np.ndarray, dirichlet_values: np.ndarray):
     """Post-process cell unknowns and scatter face values per global face.
 
     Returns ``(cell_coeffs, face_coeffs)`` arrays of shapes
     ``(n_cells, cell_width)`` and ``(n_faces, face_width)``; the face array
-    includes the Dirichlet data.
+    is ``dirichlet_values`` with the rows of the free faces solved.
     """
-    face_coeffs = np.zeros((mesh.n_faces, dofmap.face_width))
-    if dirichlet_values is not None:
-        face_coeffs[dofmap.dirichlet] = dirichlet_values[dofmap.dirichlet]
-    free, face_rows = _free_face_rows(dofmap)
-    face_coeffs[free] = face_solution[face_rows]
+    face_coeffs = dirichlet_values.copy()
+    face_coeffs[dofmap.free >= 0] = face_solution.reshape(-1, dofmap.face_width)
     cell_coeffs = np.zeros((mesh.n_cells, condensed[0].layout.cell_width))
     for cg in condensed:
         faces = mesh.cell_face_indices(cg.cells)
@@ -447,15 +423,15 @@ def recover_cells(mesh: Mesh, condensed: list, dofmap: DofMap,
     return cell_coeffs, face_coeffs
 
 
-def solve_monolithic(mesh: Mesh, groups: list, dofmap: DofMap,
-                     dirichlet_values: np.ndarray | None = None,
-                     extra_face_rhs: np.ndarray | None = None):
+def solve_monolithic(mesh: Mesh, groups: list, dofmap: DofMap, dirichlet_values: np.ndarray,
+                     extra_face_rhs: np.ndarray):
     """Reference solve of the uncondensed cell+face system (dense).
 
     Used as an oracle for the static-condensation path; takes the cell
     groups of a solve (``cells``, ``shapes``, operators ``ops`` stacked by
-    shape and sources ``rhs`` stacked by cell) and returns the same
-    ``(cell_coeffs, face_coeffs)`` arrays as the condensed pipeline.
+    shape and cell sources ``rhs`` stacked by cell) and the boundary data of
+    :func:`assemble`, and returns the same ``(cell_coeffs, face_coeffs)``
+    arrays as the condensed pipeline.
     """
     cw = dof_layout(mesh, dofmap.degrees, 1).cell_width
     n_cell_dofs = mesh.n_cells * cw
@@ -463,26 +439,24 @@ def solve_monolithic(mesh: Mesh, groups: list, dofmap: DofMap,
     A = np.zeros((total, total))
     b = np.zeros(total)
     for g in groups:
-        cells, L, bl = g.cells, g.ops.L[g.shapes], g.rhs
-        faces, dofs = _face_dofs(mesh, cells, dofmap)
+        cells, L = g.cells, g.ops.L[g.shapes]
+        faces = mesh.cell_face_indices(cells)
+        dofs = dofmap.rows(faces).reshape(len(cells), -1)
         idx = np.concatenate([cells[:, None] * cw + np.arange(cw),
                               np.where(dofs >= 0, n_cell_dofs + dofs, -1)], axis=1)
         keep = idx >= 0
-        if dirichlet_values is not None:
-            fixed = np.zeros(idx.shape)
-            fixed[:, cw:] = dirichlet_values[faces].reshape(len(cells), -1)
-            bl = bl - (L @ np.where(keep, 0.0, fixed)[..., None])[..., 0]
+        fixed = np.zeros(idx.shape)
+        fixed[:, cw:] = dirichlet_values[faces].reshape(len(cells), -1)
+        bl = -(L @ np.where(keep, 0.0, fixed)[..., None])[..., 0]
+        bl[:, :cw] += g.rhs
         pairs = keep[:, :, None] & keep[:, None, :]
         np.add.at(A, (np.broadcast_to(idx[:, :, None], pairs.shape)[pairs],
                       np.broadcast_to(idx[:, None, :], pairs.shape)[pairs]),
                   L[pairs])
         np.add.at(b, idx[keep], bl[keep])
-    free, face_rows = _free_face_rows(dofmap)
-    if extra_face_rhs is not None:
-        b[n_cell_dofs + face_rows] += extra_face_rhs[free]
+    free = dofmap.free >= 0
+    b[n_cell_dofs:] += extra_face_rhs[free].reshape(-1)
     x = np.linalg.solve(A, b)
-    face_coeffs = np.zeros((mesh.n_faces, dofmap.face_width))
-    if dirichlet_values is not None:
-        face_coeffs[dofmap.dirichlet] = dirichlet_values[dofmap.dirichlet]
-    face_coeffs[free] = x[n_cell_dofs + face_rows]
+    face_coeffs = dirichlet_values.copy()
+    face_coeffs[free] = x[n_cell_dofs:].reshape(-1, dofmap.face_width)
     return x[:n_cell_dofs].reshape(mesh.n_cells, cw), face_coeffs

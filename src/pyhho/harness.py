@@ -31,7 +31,7 @@ from .local_ops import (CellContext, LocalOperators, _kron_apply, build_cell_con
 from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh, left_half)
 from .problems import ProblemSpec, poisson_sin_1d, poisson_sin_2d
-from .projection import (HhoDegrees, dof_layout, equal_order, gather_local,
+from .projection import (HhoDegrees, data_order, dof_layout, equal_order, gather_local,
                          l2_project, mixed_order, reduce_global, sample, spd_inverse)
 from .quadrature import QuadratureRule, cell_quadrature, face_quadrature, interval_rule
 
@@ -40,11 +40,6 @@ log = logging.getLogger("pyhho")
 
 # ---------------------------------------------------------------------------
 # local right-hand sides and boundary data
-
-
-def data_order(degrees: HhoDegrees) -> int:
-    """Order of the rules that sample problem data on cells and faces."""
-    return 2 * (degrees.k_face + 2)
 
 
 def data_basis(ops: LocalOperators | CellContext, rule: QuadratureRule, cells, shapes):
@@ -59,17 +54,17 @@ def data_basis(ops: LocalOperators | CellContext, rule: QuadratureRule, cells, s
 
 
 def local_rhs(ctx: CellContext, f, rule: QuadratureRule, cells, shapes) -> np.ndarray:
-    """Source vectors of a group's ``cells``, cell block only: ``f`` sampled
-    at each cell's own points of the data ``rule``, tested with its shape's
-    cell basis (the first ``n_cell`` columns of :func:`data_basis`'s values),
-    ``CHUNK`` cells at a time."""
+    """Cell sources ``(nb, cell_width)`` of a group's ``cells``, ``(f, v_T)_T``:
+    ``f`` sampled at each cell's own points of the data ``rule``, tested with
+    its shape's cell basis (the first ``n_cell`` columns of
+    :func:`data_basis`'s values), ``CHUNK`` cells at a time."""
     fx = sample(f, rule.points, rank=ctx.degrees.rank, ids=cells)
-    b = np.zeros((len(cells), ctx.layout.size))
+    b = np.empty((len(cells), ctx.layout.cell_width))
     for s in range(0, len(cells), asm.CHUNK):
         inv, w, phi = data_basis(ctx, rule, cells, shapes[s:s + asm.CHUNK])
         wphi = (w[..., None] * phi[..., : ctx.n_cell])[inv]
         blk = wphi.mT @ fx[s:s + asm.CHUNK].reshape(wphi.shape[:2] + (-1,))
-        b[s:s + asm.CHUNK, ctx.layout.cell] = blk.reshape(len(blk), -1)
+        b[s:s + asm.CHUNK] = blk.reshape(len(blk), -1)
     return b
 
 
@@ -114,7 +109,7 @@ class CellGroup:
     shapes: np.ndarray        # (nb,) each cell's shape: its row in every array of ops
     ops: LocalOperators       # on the lowest-index cell of each shape
     rule: QuadratureRule      # each cell's rule of order data_order(degrees)
-    rhs: np.ndarray           # (nb, size) source vectors
+    rhs: np.ndarray           # (nb, cell_width) cell sources; a source tests no face unknown
 
     def condense(self) -> asm.CondensedGroup:
         return asm.condense(self.ops.L, self.rhs, self.ops.layout, self.cells, self.shapes)
@@ -219,7 +214,9 @@ def discrete_energy(sol: Solution, cell_coeffs=None, face_coeffs=None) -> float:
     total = 0.0
     for g in sol.groups:
         v = gather_local(sol.mesh, g.cells, sol.degrees, cc, fc)
-        total += float(np.sum(v * (0.5 * _apply(g.ops.L, g.shapes, v) - g.rhs)))
+        half = 0.5 * _apply(g.ops.L, g.shapes, v)
+        half[:, g.ops.layout.cell] -= g.rhs
+        total += float(np.sum(v * half))
     # the Neumann rows are zero off the Neumann faces
     return float(total - np.sum(sol.neumann * fc))
 
@@ -558,8 +555,8 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
     groups = build_local(mesh, degrees, spec)
     dofmap = asm.build_dof_map(mesh, degrees)
     condensed = [g.condense() for g in groups]
-    system = asm.assemble(mesh, condensed, dofmap,
-                          dirichlet_values=np.zeros((mesh.n_faces, 1)))
+    zeros = np.zeros((mesh.n_faces, 1))
+    system = asm.assemble(mesh, condensed, dofmap, zeros, zeros)
     A = system.matrix.toarray()
 
     # independent P1 construction on the interior vertices: the tridiagonal of
@@ -595,8 +592,7 @@ def oracle_1d(k: int, mesh: Mesh, f=None) -> Oracle1dReport:
     recovery_dev = 0.0
     if k == 0:
         x = asm.solve_reduced(system)
-        cells, faces = asm.recover_cells(mesh, condensed, dofmap, x,
-                                         dirichlet_values=np.zeros((mesh.n_faces, 1)))
+        cells, faces = asm.recover_cells(mesh, condensed, dofmap, x, zeros)
         # an interval mesh is one group: both end faces of every cell at once
         lam = faces[mesh.cell_face_indices(order), 0]
         expect = 0.5 * hcells ** 2 * fbar + 0.5 * (lam[:, 0] + lam[:, 1])

@@ -164,6 +164,11 @@ def l2_project(basis: Basis, rule: QuadratureRule, f, rank: int | None = None,
     return coef if fx.ndim == vals.ndim else coef[..., 0]
 
 
+def data_order(degrees: HhoDegrees) -> int:
+    """Order of the rules that sample problem data on cells and faces."""
+    return 2 * (degrees.k_face + 2)
+
+
 def reduce_local(mesh: Mesh, cells, degrees: HhoDegrees, v) -> np.ndarray:
     """Local reduction: cell projection plus per-face projections, laid out
     as ``[T | F_1 | ... | F_n]``; stacked over a group of cells.  Each
@@ -173,7 +178,7 @@ def reduce_local(mesh: Mesh, cells, degrees: HhoDegrees, v) -> np.ndarray:
     cell endpoints.
     """
     geom = mesh.cell_geometry(cells)
-    order = 2 * (degrees.k_face + 2)
+    order = data_order(degrees)
     lead = np.shape(cells)
     ccoef = l2_project(scaled_monomial_basis(geom, degrees.k_cell), cell_quadrature(geom, order), v)
     faces, at = np.unique(geom.face_indices, return_inverse=True)

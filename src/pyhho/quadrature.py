@@ -25,7 +25,6 @@ class QuadratureRule:
 
     points: np.ndarray   # (nq, dim) physical coordinates
     weights: np.ndarray  # (nq,)
-    order: int           # highest total degree integrated exactly
 
 
 def _check_order(order: int) -> int:
@@ -78,7 +77,7 @@ def interval_rule(a, b, order: int) -> QuadratureRule:
     x, w = _gauss_01(order)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     length = (b - a)[..., None]
-    return QuadratureRule((a[..., None] + length * x)[..., None], length * w, order)
+    return QuadratureRule((a[..., None] + length * x)[..., None], length * w)
 
 
 def triangle_rule(v0, v1, v2, order: int) -> QuadratureRule:
@@ -89,7 +88,7 @@ def triangle_rule(v0, v1, v2, order: int) -> QuadratureRule:
     jac = e1[..., 0] * e2[..., 1] - e2[..., 0] * e1[..., 1]
     pts = (v0[..., None, :] + ref[:, 0, None] * e1[..., None, :]
            + ref[:, 1, None] * e2[..., None, :])
-    return QuadratureRule(pts, np.abs(jac)[..., None] * w, order)
+    return QuadratureRule(pts, np.abs(jac)[..., None] * w)
 
 
 def quad_rule(pts: np.ndarray, order: int) -> QuadratureRule:
@@ -104,16 +103,15 @@ def quad_rule(pts: np.ndarray, order: int) -> QuadratureRule:
     jac = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
     phys = (pts[..., 0, None, :] + X.ravel()[:, None] * e1[..., None, :]
             + Y.ravel()[:, None] * e2[..., None, :])
-    return QuadratureRule(phys, jac[..., None] * W, order)
+    return QuadratureRule(phys, jac[..., None] * W)
 
 
 def polygon_rule(pts: np.ndarray, center: np.ndarray, order: int) -> QuadratureRule:
     """Fan the polygon into triangles from ``center`` (star point)."""
-    order = _check_order(order)
     fan = triangle_rule(center[..., None, :], pts, np.roll(pts, -1, axis=-2), order)
     lead = pts.shape[:-2]
     return QuadratureRule(fan.points.reshape(lead + (-1, pts.shape[-1])),
-                          fan.weights.reshape(lead + (-1,)), order)
+                          fan.weights.reshape(lead + (-1,)))
 
 
 def cell_quadrature(geom: CellGeometry, order: int) -> QuadratureRule:
@@ -136,7 +134,7 @@ def face_quadrature(mesh: Mesh, faces, order: int) -> QuadratureRule:
     1D, Gauss-Legendre on a segment in 2D."""
     pts = mesh.vertices[mesh.face_nodes[faces]]
     if mesh.dim == 1:
-        return QuadratureRule(pts, np.ones(pts.shape[:-1]), MAX_ORDER)
+        return QuadratureRule(pts, np.ones(pts.shape[:-1]))
     edge = pts[..., 1, :] - pts[..., 0, :]
     length = np.linalg.norm(edge, axis=-1)
     if np.any(length <= 0):
@@ -145,4 +143,4 @@ def face_quadrature(mesh: Mesh, faces, order: int) -> QuadratureRule:
     order = _check_order(order)
     x, w = _gauss_01(order)
     phys = pts[..., 0, None, :] + x[:, None] * edge[..., None, :]
-    return QuadratureRule(phys, length[..., None] * w, order)
+    return QuadratureRule(phys, length[..., None] * w)

@@ -25,6 +25,16 @@ def test_dof_map_counts():
     assert dm0.n_reduced == 4
     with pytest.raises(KeyError):
         face_slice(dm, int(np.flatnonzero(mesh.dirichlet_faces)[0]))
+    # the free faces in face order take the reduced rows in turn; a Dirichlet
+    # face has none, also where Neumann faces join the free ones
+    neumann = build_structured_mesh("quad", 3, 2, neumann=lambda x: x[0] < 1e-12)
+    for m, degrees in [(mesh, equal_order(1)), (mesh, equal_order(0)),
+                       (neumann, mixed_order(1)), (neumann, equal_order(2, rank=2))]:
+        dofmap = asm.build_dof_map(m, degrees)
+        rows = dofmap.rows(np.arange(m.n_faces))
+        assert np.all(rows[m.dirichlet_faces] == -1)
+        np.testing.assert_array_equal(rows[~m.dirichlet_faces].ravel(),
+                                      np.arange(dofmap.n_reduced))
 
 
 def test_dof_map_untagged_face_rejected():
@@ -40,7 +50,7 @@ def test_condense_block_diagonal_case():
     L = np.zeros((n, n))
     L[0, 0] = 2.0
     L[1:, 1:] = np.diag(np.arange(1.0, n))
-    b = np.zeros(n)
+    b = np.zeros(layout.cell_width)
     cc = asm.condense(L[None], b[None], layout, [0], [0])
     np.testing.assert_allclose(cc.L_c[0], L[1:, 1:])
     np.testing.assert_allclose(cc.b_c, 0.0)
@@ -50,12 +60,12 @@ def test_condense_singular_cell_block():
     layout = dof_layout(build_structured_mesh("quad", 1, 1), equal_order(0), 4)
     L = np.zeros((1, layout.size, layout.size))
     with pytest.raises(ValueError):
-        asm.condense(L, np.zeros((1, layout.size)), layout, [0], [0])
+        asm.condense(L, np.zeros((1, layout.cell_width)), layout, [0], [0])
     # in a group, the error names the one singular cell block
     L = np.stack([np.eye(layout.size)] * 3)
     L[1, layout.cell, layout.cell] = 0.0
     with pytest.raises(ValueError, match="^cell 11: singular cell block"):
-        asm.condense(L, np.zeros((3, layout.size)), layout, [10, 11, 12], [0, 1, 2])
+        asm.condense(L, np.zeros((3, layout.cell_width)), layout, [10, 11, 12], [0, 1, 2])
 
 
 def test_1d_k0_tridiagonal_system():
@@ -66,8 +76,8 @@ def test_1d_k0_tridiagonal_system():
     groups = build_local(mesh, equal_order(0), spec)
     dm = asm.build_dof_map(mesh, equal_order(0))
     condensed = [g.condense() for g in groups]
-    system = asm.assemble(mesh, condensed, dm,
-                          dirichlet_values=np.zeros((mesh.n_faces, 1)))
+    zeros = np.zeros((mesh.n_faces, 1))
+    system = asm.assemble(mesh, condensed, dm, dirichlet_values=zeros, extra_face_rhs=zeros)
     A = system.matrix.toarray()
     expect = np.zeros((n - 1, n - 1))
     for i in range(n - 1):
@@ -88,7 +98,8 @@ def test_disconnected_cells_give_block_diagonal():
     groups = build_local(mesh, equal_order(1), spec)
     dm = asm.build_dof_map(mesh, equal_order(1))
     condensed = [g.condense() for g in groups]
-    system = asm.assemble(mesh, condensed, dm)
+    zeros = np.zeros((mesh.n_faces, dm.face_width))
+    system = asm.assemble(mesh, condensed, dm, zeros, zeros)
     A = system.matrix.toarray()
     faces0 = set(mesh.cell_faces[0].tolist())
     for fi in faces0:
@@ -103,10 +114,14 @@ def test_homogeneous_dirichlet_leaves_rhs():
     groups = build_local(mesh, equal_order(1), spec)
     dm = asm.build_dof_map(mesh, equal_order(1))
     condensed = [g.condense() for g in groups]
-    sys0 = asm.assemble(mesh, condensed, dm)
-    sys1 = asm.assemble(mesh, condensed, dm,
-                        dirichlet_values=np.zeros((mesh.n_faces, 2)))
-    np.testing.assert_array_equal(sys0.rhs, sys1.rhs)
+    zeros = np.zeros((mesh.n_faces, 2))
+    sys1 = asm.assemble(mesh, condensed, dm, dirichlet_values=zeros, extra_face_rhs=zeros)
+    # the condensed right-hand sides scattered alone
+    rhs = np.zeros(dm.n_reduced)
+    for cg in condensed:
+        rows = dm.rows(mesh.cell_face_indices(cg.cells)).reshape(len(cg.cells), -1)
+        np.add.at(rhs, rows[rows >= 0], cg.b_c[rows >= 0])
+    np.testing.assert_array_equal(sys1.rhs, rhs)
 
 
 def test_dirichlet_elimination_moves_columns():
@@ -120,15 +135,16 @@ def test_dirichlet_elimination_moves_columns():
     free = Mesh(2, mesh.vertices.copy(), [c.copy() for c in mesh.cells])
     free.set_boundary_tags([], np.flatnonzero(free.boundary_faces).tolist())
     dm_free = asm.build_dof_map(free, equal_order(k))
-    full = asm.assemble(free, condensed, dm_free).matrix.toarray()
+    zeros = np.zeros((mesh.n_faces, 2))
+    full = asm.assemble(free, condensed, dm_free, zeros, zeros).matrix.toarray()
 
     dm = asm.build_dof_map(mesh, equal_order(k))
     rng = np.random.default_rng(0)
     ud = np.zeros((mesh.n_faces, 2))
     ud[mesh.dirichlet_faces] = rng.standard_normal(
         (int(mesh.dirichlet_faces.sum()), 2))
-    sys0 = asm.assemble(mesh, condensed, dm)
-    sys1 = asm.assemble(mesh, condensed, dm, dirichlet_values=ud)
+    sys0 = asm.assemble(mesh, condensed, dm, zeros, zeros)
+    sys1 = asm.assemble(mesh, condensed, dm, ud, zeros)
     diff = sys1.rhs - sys0.rhs
     expect = np.zeros_like(diff)
     for fi in np.flatnonzero(~mesh.dirichlet_faces):
@@ -155,8 +171,8 @@ def test_global_symmetry_and_spd():
     groups = build_local(mesh, equal_order(1), spec)
     dm = asm.build_dof_map(mesh, equal_order(1))
     condensed = [g.condense() for g in groups]
-    system = asm.assemble(mesh, condensed, dm,
-                          dirichlet_values=np.zeros((mesh.n_faces, 2)))
+    zeros = np.zeros((mesh.n_faces, 2))
+    system = asm.assemble(mesh, condensed, dm, dirichlet_values=zeros, extra_face_rhs=zeros)
     A = system.matrix.toarray()
     assert np.abs(A - A.T).max() <= 1e-13 * np.abs(A).max()
     assert np.linalg.eigvalsh(A).min() > 0
@@ -170,7 +186,8 @@ def _assemble_coo(mesh, condensed, dofmap, dirichlet_values, extra_face_rhs):
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
     for cg in condensed:
-        faces, dofs = asm._face_dofs(mesh, cg.cells, dofmap)
+        faces = mesh.cell_face_indices(cg.cells)
+        dofs = dofmap.rows(faces).reshape(len(faces), -1)
         free = dofs >= 0
         fixed = np.where(free, 0.0, dirichlet_values[faces].reshape(free.shape))
         L_c = cg.L_c[cg.shapes]
@@ -180,8 +197,8 @@ def _assemble_coo(mesh, condensed, dofmap, dirichlet_values, extra_face_rhs):
         rows.append(np.broadcast_to(dofs[:, :, None], pairs.shape)[pairs])
         cols.append(np.broadcast_to(dofs[:, None, :], pairs.shape)[pairs])
         vals.append(L_c[pairs])
-    free, face_rows = asm._free_face_rows(dofmap)
-    rhs[face_rows] += extra_face_rhs[free]
+    free = np.flatnonzero(~mesh.dirichlet_faces)
+    rhs[dofmap.rows(free)] += extra_face_rhs[free]
     matrix = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                            shape=(n, n)).tocsr()
     matrix.sort_indices()
@@ -364,7 +381,9 @@ def test_cg_matches_direct_on(case):
 def _reduced_system(mesh, degrees, spec):
     groups = build_local(mesh, degrees, spec)
     condensed = [g.condense() for g in groups]
-    return asm.assemble(mesh, condensed, asm.build_dof_map(mesh, degrees))
+    dofmap = asm.build_dof_map(mesh, degrees)
+    zeros = np.zeros((mesh.n_faces, dofmap.face_width))
+    return asm.assemble(mesh, condensed, dofmap, zeros, zeros)
 
 
 @pytest.mark.parametrize("shape", ["quad", "tri"])
@@ -580,7 +599,7 @@ def test_auxiliary_curls_are_divergence_free_on_triangles():
     flux = np.zeros((mesh.n_cells, dofmap.n_reduced))
     for cells in mesh.cell_groups():
         g = mesh.cell_geometry(cells)
-        off = dofmap.offsets[g.face_indices]
+        off = dofmap.rows(g.face_indices)[..., 0]
         for c in range(2):
             keep = off >= 0
             np.add.at(flux, (np.broadcast_to(cells[:, None], off.shape)[keep], off[keep] + c),
@@ -594,7 +613,8 @@ def _auxiliary_reference(dofmap):
     """``_auxiliary_space`` of 2D vector fields at k >= 1 built cell by cell
     from ``mesh.cells``, on the columns ``2 v + c`` (hats) and ``2 n_vert + v``
     (curls) that have an entry."""
-    mesh, off = dofmap.mesh, dofmap.offsets
+    mesh = dofmap.mesh
+    off = dofmap.rows(np.arange(mesh.n_faces))[:, 0]
     n_vert = len(mesh.vertices)
     P = np.zeros((dofmap.n_reduced, 3 * n_vert))
     for f in np.flatnonzero(off >= 0):
@@ -603,7 +623,7 @@ def _auxiliary_reference(dofmap):
                 P[off[f] + c, 2 * v + c] += 0.5
                 P[off[f] + 2 + c, 2 * v + c] += j - 0.5
     on_dirichlet = np.zeros(n_vert, dtype=bool)
-    on_dirichlet[mesh.face_nodes[dofmap.dirichlet]] = True
+    on_dirichlet[mesh.face_nodes[mesh.dirichlet_faces]] = True
     for loop, faces in zip(mesh.cells, mesh.cell_faces):
         pts = mesh.vertices[loop]
         edge = np.roll(pts, -1, axis=0) - pts

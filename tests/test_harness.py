@@ -118,7 +118,7 @@ def test_energy_identity_at_solution():
     # a_h(u, u) = l(u) at the solution, so E_h(u) = -l(u)/2
     mesh = build_structured_mesh("tri", 3, 3)
     sol = solve_problem(mesh, equal_order(1), poisson_sin_2d())
-    lval = sum(np.sum(g.rhs * sol.local_dofs(g.cells)) for g in sol.groups)
+    lval = sum(np.sum(g.rhs * sol.cell_coeffs[g.cells]) for g in sol.groups)
     assert discrete_energy(sol) == pytest.approx(-0.5 * lval, rel=1e-11)
 
 
@@ -308,9 +308,9 @@ def test_oracle_transmission_independent_of_k():
         groups = build_local(mesh, equal_order(k), spec)
         dm = asm.build_dof_map(mesh, equal_order(k))
         condensed = [g.condense() for g in groups]
-        return asm.assemble(mesh, condensed, dm,
-                            dirichlet_values=np.zeros((mesh.n_faces, 1))
-                            ).matrix.toarray()
+        zeros = np.zeros((mesh.n_faces, 1))
+        return asm.assemble(mesh, condensed, dm, dirichlet_values=zeros,
+                            extra_face_rhs=zeros).matrix.toarray()
 
     A1, A2 = condensed_matrix(1), condensed_matrix(2)
     assert np.abs(A1 - A2).max() <= 1e-11 * np.abs(A1).max()

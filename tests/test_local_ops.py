@@ -421,7 +421,7 @@ def test_reconstruction_solves_its_constrained_system_on_turned_strips(k, mixed,
                   * np.linalg.norm(R_full, axis=(1, 2)))
     np.testing.assert_allclose(C @ R_full, D, rtol=0, atol=1e-13 * np.abs(D).max())
     L = local_bilinear(ctx).L
-    L_c = condense(L, np.zeros((len(cells), layout.size)), layout, cells, cells).L_c
+    L_c = condense(L, np.zeros((len(cells), layout.cell_width)), layout, cells, cells).L_c
     assert np.array_equal(L_c, L_c.mT)
 
 

@@ -12,9 +12,10 @@ Without chunks the three stages peaked at 2.2-3.9 MB on this input.
 and of that only what later stages read: each group's build context dies
 with its build, and the face fluxes are read from the face rows of ``L``.
 On 32x32 jittered quads (Poisson, k=1, every cell its own shape) the groups
-hold 4.6 MB and the traced peak is 18.2 MB; on 32x32 jittered triangles
-(elasticity, k=1) they hold 15.5 MB.  With a stored flux operator they held
-5.3 and 18.9 MB, with the build context kept through the operators as well
+hold 4.5 MB and the traced peak is 18.1 MB; on 32x32 jittered triangles
+(elasticity, k=1) they hold 15.3 MB.  With sources as long as a local DoF
+vector they held 4.6 and 15.5 MB, with a stored flux operator as well 5.3
+and 18.9 MB, with the build context kept through the operators as well
 8.7 and 26.3 MB, and with the basis values and gradients on the data rule
 kept in that context too, 18.4 MB on the quads (peak 39.9 MB).
 """

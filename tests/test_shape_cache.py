@@ -105,13 +105,13 @@ def check_against_per_cell(mesh, degrees, spec):
 
 
 def solve_condense(L, b, layout):
-    """Condensation through one solve per cell, with ``b`` among the columns."""
+    """Condensation through one solve per cell, with the cell sources ``b``
+    among the columns."""
     ct, fc = layout.cell, layout.faces
-    sol = np.linalg.solve(L[:, ct, ct], np.concatenate([L[:, ct, fc], b[:, ct, None]], axis=2))
+    sol = np.linalg.solve(L[:, ct, ct], np.concatenate([L[:, ct, fc], b[..., None]], axis=2))
     X, y = sol[..., :-1], sol[..., -1]
     L_c = L[:, fc, fc] - L[:, ct, fc].mT @ X
-    return dict(L_c=0.5 * (L_c + L_c.mT), X=X, y=y,
-                b_c=b[:, fc] - (X.mT @ b[:, ct, None])[..., 0])
+    return dict(L_c=0.5 * (L_c + L_c.mT), X=X, y=y, b_c=-(X.mT @ b[..., None])[..., 0])
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -159,6 +159,7 @@ def test_solved_group_keeps_operators_per_shape():
     cell_fields = {f.name for f in dataclasses.fields(g)
                    if isinstance(getattr(g, f.name), np.ndarray)}
     assert cell_fields == {"cells", "shapes", "rhs"}
+    assert g.rhs.shape == (mesh.n_cells, g.ops.layout.cell_width)
     assert {len(a) for a in [getattr(g, name) for name in cell_fields]
             + [g.rule.points, g.rule.weights]} == {mesh.n_cells}
 
