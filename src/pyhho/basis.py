@@ -4,7 +4,8 @@ A basis is the monomials of ``map (x - center)`` up to a total degree,
 graded lexicographically with the constant first.  A cell's map is its
 inertia frame, which gives thin or turned cells the conditioning of round
 ones; a face's is the row ``2 t^T / |F|`` about its midpoint.  A basis
-built for a group of cells or faces stacks centers and maps.
+built for a group of cells or faces stacks centers and maps.  Derivatives
+are exact combinations of the basis, by the maps of :meth:`Basis.derivatives`.
 """
 
 from __future__ import annotations
@@ -64,15 +65,10 @@ class Basis:
     def size(self) -> int:
         return basis_size(self.degree, self.entity_dim)
 
-    def eval(self, points: np.ndarray, gradients: bool = True):
-        """Values and gradients at physical points.
-
-        Returns ``(values, gradients)`` with shapes ``(npts, n)`` and
-        ``(npts, n, dim)``; gradients are taken with respect to ``x``
-        (tangential on a 2D face), and are ``None`` when not asked for.  A
-        basis stacked over a group takes points with the group's leading
-        axis and returns it too.
-        """
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        """Values ``(npts, n)`` at physical points.  A basis stacked over a
+        group takes points with the group's leading axis and returns it too;
+        derivatives are exact combinations of the basis (:meth:`derivatives`)."""
         pts = np.asarray(points, dtype=float)
         xt = (pts - self.center[..., None, :]) @ self.map.mT
         # powers[..., q, c, j] = xt[..., q, c] ** j
@@ -85,11 +81,16 @@ class Basis:
         for c in range(1, self.entity_dim):
             for j in range(1, self.degree + 1):
                 vals[..., exps[:, c] == j] *= powers[..., c, j, None]
-        if not gradients:
-            return vals, None
+        return vals
+
+    def derivatives(self) -> np.ndarray:
+        """Exact derivative maps ``D`` ``(..., dim, n, n)``: ``d_c phi_i = sum_l
+        D[c, l, i] phi_l``, taken with respect to ``x`` (tangential on a 2D
+        face) and stacked over a group like ``map``."""
         # d phi_i / d x^_c = exps[i, c] phi_(i lowered in c), and grad phi = grad^ phi . map
-        low = vals[..., _lowered(self.degree, self.entity_dim)]
-        return vals, (exps.T * low).mT @ self.map[..., None, :, :]
+        ref = self.exponents.T[:, None, :] * (
+            _lowered(self.degree, self.entity_dim)[:, None, :] == np.arange(self.size)[:, None])
+        return np.einsum("...cx,cli->...xli", self.map, ref)
 
 
 def scaled_monomial_basis(geometry: CellGeometry, degree: int) -> Basis:

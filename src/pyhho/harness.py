@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import assembly as asm
-from .basis import _lowered, face_basis
+from .basis import face_basis
 from .elasticity import local_bilinear_elastic
 from .local_ops import (CellContext, LocalOperators, _kron_apply, build_cell_context,
                         local_bilinear)
@@ -50,7 +50,7 @@ def data_basis(ops: LocalOperators | CellContext, rule: QuadratureRule, cells, s
     u, inv = np.unique(shapes, return_inverse=True)
     at = np.searchsorted(cells, ops.cells[u])
     basis = replace(ops.rec_basis, center=ops.rec_basis.center[u], map=ops.rec_basis.map[u])
-    return inv, rule.weights[at], basis.eval(rule.points[at], gradients=False)[0]
+    return inv, rule.weights[at], basis.eval(rule.points[at])
 
 
 def local_rhs(ctx: CellContext, f, rule: QuadratureRule, cells, shapes) -> np.ndarray:
@@ -89,7 +89,7 @@ def neumann_rhs(mesh: Mesh, degrees: HhoDegrees, g_n) -> np.ndarray:
     if g_n is None or not len(faces):
         return data
     rule = face_quadrature(mesh, faces, data_order(degrees))
-    psi, _ = face_basis(mesh, faces, degrees.k_face).eval(rule.points, gradients=False)
+    psi = face_basis(mesh, faces, degrees.k_face).eval(rule.points)
     g = sample(g_n, rule.points, rank=degrees.rank, ids=faces, entity="face")
     blk = (rule.weights[..., None] * psi).mT @ g.reshape(rule.weights.shape + (-1,))
     data[faces] = blk.reshape(len(faces), -1)
@@ -325,11 +325,8 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     elastic = spec.kind == "elasticity"
     h1_sq = l2c_sq = l2r_sq = stab_sq = 0.0
     for g in sol.groups:
-        ops, basis = g.ops, g.ops.rec_basis
+        ops, D = g.ops, g.ops.rec_basis.derivatives()
         n_cell = ops.cell_mass.shape[-1]
-        # d phi_i / d x^_c = exps[i, c] phi_(i lowered in c): column i of D[c]
-        exps, low = basis.exponents, _lowered(basis.degree, mesh.dim)
-        D = exps.T[:, None, :] * (low[:, None, :] == np.arange(basis.size)[:, None])
         F = spd_inverse(ops.cell_mass, ops.cells, what="cell mass matrix is not positive definite")
         for s in range(0, len(g.cells), asm.CHUNK):
             cells, shapes = g.cells[s:s + asm.CHUNK], g.shapes[s:s + asm.CHUNK]
@@ -342,9 +339,8 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
             coef = _apply(ops.rec, shapes, v).reshape(nb, -1, rank)
             ex = sample(spec.exact, pts, rank=rank, ids=cells).reshape(w.shape + (rank,))
             gex = sample(jacobian, pts, rank=rank * mesh.dim, ids=cells).reshape(ex.shape + (-1,))
-            # coefficients (b, j, a, x) of d_x R v_a = sum_c map[c, x] D[c] R v_a
-            dcoef = (D @ coef[:, None]).transpose(0, 2, 3, 1) @ basis.map[shapes, None]
-            de = gex - (vals @ dcoef.reshape(nb, basis.size, -1)).reshape(gex.shape)
+            dcoef = (D[shapes] @ coef[:, None]).transpose(0, 2, 3, 1)  # (b, j, a, x) of d_x R v_a
+            de = gex - (vals @ dcoef.reshape(nb, vals.shape[-1], -1)).reshape(gex.shape)
             if elastic:
                 de = 0.5 * (de + de.mT)
             h1_sq += (2 * spec.mu if elastic else 1.0) * float(
@@ -466,7 +462,8 @@ def _reduction(mesh: Mesh, degrees: HhoDegrees, spec: ProblemSpec) -> Solution:
     cell_coeffs, face_coeffs = reduce_global(mesh, degrees, spec.exact)
     return Solution(mesh=mesh, degrees=degrees, spec=spec, cell_coeffs=cell_coeffs,
                     face_coeffs=face_coeffs, groups=build_local(mesh, degrees, spec),
-                    dofmap=asm.build_dof_map(mesh, degrees), neumann=None)
+                    dofmap=asm.build_dof_map(mesh, degrees),
+                    neumann=neumann_rhs(mesh, degrees, None))
 
 
 def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> list:
@@ -500,7 +497,7 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
         if mesh.dim == 2:     # every face once, against the reduction's face block
             faces = np.arange(mesh.n_faces)
             rule = face_quadrature(mesh, faces, data_order(eq.degrees))
-            psi, _ = face_basis(mesh, faces, k).eval(rule.points, gradients=False)
+            psi = face_basis(mesh, faces, k).eval(rule.points)
             gap = sample(spec.exact, rule.points, entity="face") - (
                 psi @ eq.face_coeffs[..., None])[..., 0]
             face_sq = np.sum(rule.weights * gap ** 2)

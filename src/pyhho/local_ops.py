@@ -11,7 +11,7 @@ shares.  The local form pairs a degree-k field map ``T`` with its image
 ``CT`` under a constant material law, ``(CT v, T w)``, and reads the cell
 balance from ``CT``: Poisson's is ``(G v, G w)``.  The face fluxes are its
 face rows: tested with ``psi`` on a face ``F`` it is ``-(flux_F(v), psi)_F``.
-Cell Grams are face sums: no operator needs a cell quadrature rule.
+Cell Grams derive from the mass Gram, a face sum: no cell quadrature rule.
 
 Every operator is built for a group of cells that share one quadrature
 class (see :meth:`pyhho.mesh.Mesh.cell_groups`): arrays carry a leading
@@ -76,8 +76,8 @@ class CellContext:
     mass_full: np.ndarray    # (nb, n_rec, n_rec)
     stiff_full: np.ndarray   # (nb, n_rec, n_rec): the trace of grad_gram over (a, b)
     ints_full: np.ndarray    # (nb, n_rec) integrals of the basis functions
-    grad_mass: np.ndarray    # (nb, n_rec, d, n_k): (d_c phi_i, phi_j), phi_j of degree <= k
-    grad_gram: np.ndarray    # (nb, n_rec, d, n_rec, d): (d_a phi_i, d_b phi_j)
+    grad_mass: np.ndarray    # (nb, n_rec, d, n_k): (d_c phi_i, phi_j) = D M, phi_j of degree <= k
+    grad_gram: np.ndarray    # (nb, n_rec, d, n_rec, d): (d_a phi_i, d_b phi_j) = D M D^T
     mass_k_inv: np.ndarray   # (nb, n_k, n_k) inverse of the degree-k cell mass
     faces: FaceContext
 
@@ -105,8 +105,9 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     class (one cell index: a group of one), from face quadrature alone.
 
     By Euler's theorem for the mapped monomials, homogeneous about ``x_T``,
-    a Gram entry ``int_T q`` with ``q`` of degree ``p`` is ``sum_F (n_F . (x -
-    x_T)) int_F q / (d + p)``, exact at the order-``2(k+1)`` face points.
+    a mass Gram entry ``int_T q`` with ``q`` of degree ``p`` is ``sum_F (n_F .
+    (x - x_T)) int_F q / (d + p)``, exact at the order-``2(k+1)`` face points;
+    the gradient Grams are its images under the basis' derivative maps.
     """
     geom = mesh.cell_geometry(cells)
     if np.ndim(cells) == 0:      # the cell's own loop, not its group's padded slots
@@ -120,14 +121,14 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     # each distinct face once, then gathered onto (cell, local face)
     unique, at = np.unique(geom.face_indices, return_inverse=True)
     frule = face_quadrature(mesh, unique, 2 * (k + 1))
-    psi, _ = face_basis(mesh, unique, k).eval(frule.points, gradients=False)
+    psi = face_basis(mesh, unique, k).eval(frule.points)
     wpsi = frule.weights[..., None] * psi
     M = wpsi.mT @ psi
     M = 0.5 * (M + M.mT)
     M_inv = mass_cholesky(M, ids=unique, entity="face")
     nb, nf, d = geom.face_normals.shape
     points = frule.points[at]                                   # (nb, nf, nq, d)
-    fphi, fdphi = rec_basis.eval(points.reshape(nb, -1, d))
+    fphi = rec_basis.eval(points.reshape(nb, -1, d))
     n_rec = rec_basis.size
     phi = fphi.reshape(nb, nf, -1, n_rec)
     faces = FaceContext(normal=geom.face_normals, weights=frule.weights[at], psi=psi[at],
@@ -135,21 +136,19 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     pad = geom.face_measures == 0    # a padded slot weighs nothing: its DoFs read exact zeros
     faces.weights[pad], faces.mass[pad], faces.trace_full[pad] = 0.0, 0.0, 0.0
 
-    # one Gram of the basis values and gradients at the face points, a gradient
-    # having degree p - 1 (a constant's is 0: any positive divisor does), and
-    # the lever n_F . (x - x_T), constant on a face, averaged over its points
+    # the mass Gram of the values at the face points, with the lever n_F . (x -
+    # x_T), constant on a face, averaged over its points
     lever = ((points - geom.barycenter[:, None, None]) @ geom.face_normals[..., None]).mean(axis=2)
     w = (faces.weights * lever).reshape(nb, -1, 1)
     deg = rec_basis.exponents.sum(axis=1)
-    deg = np.concatenate([deg, np.repeat(deg - 1, d)])
-    V = np.concatenate([fphi, fdphi.reshape(nb, -1, n_rec * d)], axis=-1)
-    gram = (V.mT @ (w * V)) / np.maximum(d + deg[:, None] + deg, 1)
-    gram = 0.5 * (gram + gram.mT)
-    # copies, so that the context holds no view of the whole gram
+    mass_full = (fphi.mT @ (w * fphi)) / (d + deg[:, None] + deg)
+    mass_full = 0.5 * (mass_full + mass_full.mT)
+    # the gradient Grams follow exactly: d_c phi_i = sum_l D[b, i, c, l] phi_l, of degree <= k
     n_k = basis_size(k, d)
-    mass_full = gram[:, :n_rec, :n_rec].copy()
-    grad_mass = gram[:, n_rec:, :n_k].reshape(nb, n_rec, d, n_k).copy()
-    grad_gram = gram[:, n_rec:, n_rec:].reshape(nb, n_rec, d, n_rec, d).copy()
+    D = rec_basis.derivatives()[..., :n_k, :].transpose(0, 3, 1, 2)
+    grad_mass = D @ mass_full[:, None, :n_k, :n_k]
+    gram = (grad_mass.reshape(nb, -1, n_k) @ D.reshape(nb, -1, n_k).mT).reshape(nb, n_rec, d, -1, d)
+    grad_gram = 0.5 * (gram + gram.transpose(0, 3, 4, 1, 2))
     # Jacobi scaling: no diagonal rescaling of the basis changes the measure (van der Sluis)
     s = 1.0 / np.sqrt(np.diagonal(mass_full, axis1=1, axis2=2))
     lam = np.linalg.eigvalsh(s[:, :, None] * mass_full * s[:, None, :])

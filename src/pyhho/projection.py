@@ -152,7 +152,7 @@ def l2_project(basis: Basis, rule: QuadratureRule, f, rank: int | None = None,
     A stacked basis and rule project onto every entry of the group at once;
     ``rank``, ``ids`` and ``entity`` go to :func:`sample`.
     """
-    vals, _ = basis.eval(rule.points, gradients=False)
+    vals = basis.eval(rule.points)
     fx = sample(f, rule.points, rank=rank, ids=ids, entity=entity)
     weighted = rule.weights[..., None] * vals
     M = weighted.mT @ vals

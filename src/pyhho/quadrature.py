@@ -132,6 +132,7 @@ def cell_quadrature(geom: CellGeometry, order: int) -> QuadratureRule:
 def face_quadrature(mesh: Mesh, faces, order: int) -> QuadratureRule:
     """Rule on a face, or stacked over an array of faces: a single point in
     1D, Gauss-Legendre on a segment in 2D."""
+    order = _check_order(order)
     pts = mesh.vertices[mesh.face_nodes[faces]]
     if mesh.dim == 1:
         return QuadratureRule(pts, np.ones(pts.shape[:-1]))
@@ -140,7 +141,6 @@ def face_quadrature(mesh: Mesh, faces, order: int) -> QuadratureRule:
     if np.any(length <= 0):
         bad = np.ravel(faces)[np.flatnonzero(np.ravel(length <= 0))[0]]
         raise MeshError(f"face {bad} has zero length")
-    order = _check_order(order)
     x, w = _gauss_01(order)
     phys = pts[..., 0, None, :] + x[:, None] * edge[..., None, :]
     return QuadratureRule(phys, length[..., None] * w)

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from pyhho.basis import face_basis, scaled_monomial_basis
+from pyhho.basis import _lowered, face_basis, scaled_monomial_basis
 from pyhho.harness import _apply, data_order
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh
 from pyhho.problems import ProblemSpec
@@ -86,12 +86,49 @@ def scaled_condition(M):
     return np.linalg.cond(s[..., :, None] * M * s[..., None, :])
 
 
+def basis_gradients(basis, points):
+    """Gradients ``(..., nq, n, dim)`` of ``basis`` at ``points`` from its
+    values and its derivative maps."""
+    return np.einsum("...ql,...cli->...qic", basis.eval(points), basis.derivatives())
+
+
+def pointwise_gradients(basis, points):
+    """Gradients ``(..., nq, n, dim)`` of ``basis`` at ``points``, point by
+    point: ``d phi_i / d x^_c = exps[i, c] phi_(i lowered in c)``, turned by
+    the map; the reference for :meth:`pyhho.basis.Basis.derivatives`."""
+    low = basis.eval(points)[..., _lowered(basis.degree, basis.entity_dim)]
+    return (basis.exponents.T * low).mT @ basis.map[..., None, :, :]
+
+
+def face_point_grams(ctx):
+    """``(mass_full, grad_mass, grad_gram)`` of the cells of ``ctx`` as one
+    Gram of the basis values and pointwise gradients at the order-2(k+1)
+    face points, each entry of degree ``p`` a face sum ``sum_F (n_F . (x -
+    x_T)) int_F q / (d + p)``, a gradient having degree ``p - 1`` (a
+    constant's is 0: any positive divisor does): the reference for the
+    gradient Grams that the build derives from the mass Gram."""
+    geom, basis, n, n_k = ctx.geom, ctx.rec_basis, ctx.n_rec, ctx.n_k
+    nb, nf, d = geom.face_normals.shape
+    points = face_quadrature(ctx.mesh, geom.face_indices, 2 * (ctx.degrees.k_face + 1)).points
+    lever = ((points - geom.barycenter[:, None, None]) @ geom.face_normals[..., None]).mean(axis=2)
+    w = (ctx.faces.weights * lever).reshape(nb, -1, 1)
+    points = points.reshape(nb, -1, d)
+    V = np.concatenate([basis.eval(points),
+                        pointwise_gradients(basis, points).reshape(nb, -1, n * d)], axis=-1)
+    deg = basis.exponents.sum(axis=1)
+    deg = np.concatenate([deg, np.repeat(deg - 1, d)])
+    gram = (V.mT @ (w * V)) / np.maximum(d + deg[:, None] + deg, 1)
+    gram = 0.5 * (gram + gram.mT)
+    return (gram[:, :n, :n], gram[:, n:, :n_k].reshape(nb, n, d, n_k),
+            gram[:, n:, n:].reshape(nb, n, d, n, d))
+
+
 def data_rule_basis(ctx):
     """The problem-data rule of order ``data_order`` on the cells of
     ``ctx``, and ``ctx.rec_basis``'s values ``(nb, nq, n_rec)`` and
     gradients ``(nb, nq, n_rec, d)`` at its points."""
     rule = cell_quadrature(ctx.geom, data_order(ctx.degrees))
-    return (rule,) + ctx.rec_basis.eval(rule.points)
+    return rule, ctx.rec_basis.eval(rule.points), basis_gradients(ctx.rec_basis, rule.points)
 
 
 def strain_columns(dphi):

@@ -8,6 +8,8 @@ from pyhho.mesh import build_interval_mesh, build_structured_mesh
 from pyhho.quadrature import face_quadrature
 from pyhho.projection import l2_project
 
+from support import basis_gradients, pointwise_gradients
+
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("k", range(7))
@@ -41,7 +43,7 @@ def test_values_are_products_of_powers_bit_for_bit(k):
     rng = np.random.default_rng(k)
     b = Basis(entity_dim=2, degree=k, center=rng.random((3, 2)), map=rng.random((3, 2, 2)) + 0.5)
     pts = rng.random((3, 5, 2))
-    vals, _ = b.eval(pts, gradients=False)
+    vals = b.eval(pts)
     xt = (pts - b.center[:, None]) @ b.map.mT
     for i, (a, c) in enumerate(b.exponents):
         xa, yc = np.ones(pts.shape[:-1]), np.ones(pts.shape[:-1])
@@ -50,14 +52,14 @@ def test_values_are_products_of_powers_bit_for_bit(k):
         for _ in range(c):
             yc = yc * xt[..., 1]
         np.testing.assert_array_equal(vals[..., i], xa * yc)
-    np.testing.assert_array_equal(b.eval(pts)[0], vals)
+    np.testing.assert_array_equal(b.eval(pts), vals)
 
 
 def test_values_at_center():
     mesh = build_structured_mesh("tri", 1, 1)
     g = mesh.cell_geometry(0)
     b = scaled_monomial_basis(g, 3)
-    vals, _ = b.eval(g.barycenter[None, :])
+    vals = b.eval(g.barycenter[None, :])
     expect = np.zeros(b.size)
     expect[0] = 1.0
     np.testing.assert_allclose(vals[0], expect, atol=1e-15)
@@ -66,7 +68,8 @@ def test_values_at_center():
 def test_1d_hand_example():
     # center 0, map [[1]], k = 2, evaluated at x = 1: x_tilde = 1
     b = Basis(entity_dim=1, degree=2, center=np.zeros(1), map=np.eye(1))
-    vals, grads = b.eval(np.array([[1.0]]))
+    x = np.array([[1.0]])
+    vals, grads = b.eval(x), basis_gradients(b, x)
     np.testing.assert_allclose(vals[0], [1.0, 1.0, 1.0])
     np.testing.assert_allclose(grads[0, :, 0], [0.0, 1.0, 2.0])
 
@@ -75,7 +78,8 @@ def test_2d_hand_example():
     # center (0,0), map I: x_tilde = x; the function x~ y~ at (1,1)
     b = Basis(entity_dim=2, degree=2, center=np.zeros(2), map=np.eye(2))
     idx = [i for i, e in enumerate(b.exponents) if tuple(e) == (1, 1)][0]
-    vals, grads = b.eval(np.array([[1.0, 1.0]]))
+    x = np.array([[1.0, 1.0]])
+    vals, grads = b.eval(x), basis_gradients(b, x)
     assert vals[0, idx] == pytest.approx(1.0)
     np.testing.assert_allclose(grads[0, idx], [1.0, 1.0])
 
@@ -86,21 +90,36 @@ def test_gradients_match_finite_differences(k):
     b = scaled_monomial_basis(mesh.cell_geometry(0), k)
     rng = np.random.default_rng(0)
     pts = rng.uniform(0.1, 0.9, size=(5, 2))
-    _, grads = b.eval(pts)
+    grads = basis_gradients(b, pts)
     eps = 1e-6
     for c in range(2):
         d = np.zeros(2)
         d[c] = eps
-        vp, _ = b.eval(pts + d)
-        vm, _ = b.eval(pts - d)
+        vp = b.eval(pts + d)
+        vm = b.eval(pts - d)
         fd = (vp - vm) / (2 * eps)
         np.testing.assert_allclose(grads[:, :, c], fd, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("entity_dim, dim", [(1, 1), (1, 2), (2, 2)],
+                         ids=["interval", "face", "cell"])
+@pytest.mark.parametrize("k", range(7))
+def test_derivatives_match_pointwise_gradients(entity_dim, dim, k):
+    # stacked bases with random turned maps; a face basis differentiates tangentially
+    rng = np.random.default_rng(k)
+    b = Basis(entity_dim=entity_dim, degree=k, center=rng.random((3, dim)),
+              map=rng.random((3, entity_dim, dim)) + 0.5)
+    pts = rng.random((3, 5, dim))
+    assert b.derivatives().shape == (3, dim, b.size, b.size)
+    ref = pointwise_gradients(b, pts)
+    np.testing.assert_allclose(basis_gradients(b, pts), ref, rtol=0, atol=1e-14 * abs(ref).max())
 
 
 def test_constant_gradient_zero():
     mesh = build_structured_mesh("quad", 1, 1)
     b = scaled_monomial_basis(mesh.cell_geometry(0), 4)
-    vals, grads = b.eval(np.array([[5.0, -3.0]]))  # extrapolation allowed
+    x = np.array([[5.0, -3.0]])  # extrapolation allowed
+    vals, grads = b.eval(x), basis_gradients(b, x)
     assert vals[0, 0] == pytest.approx(1.0)
     np.testing.assert_allclose(grads[0, 0], 0.0)
     assert np.isfinite(vals).all()
@@ -115,6 +134,6 @@ def test_face_basis_orientation_invariance():
     f = lambda x: np.sin(x[:, 0] + 2 * x[:, 1])
     ca = l2_project(fb, rule, f)
     cb = l2_project(flipped, rule, f)
-    pa, _ = fb.eval(rule.points)
-    pb, _ = flipped.eval(rule.points)
+    pa = fb.eval(rule.points)
+    pb = flipped.eval(rule.points)
     np.testing.assert_allclose(pa @ ca, pb @ cb, atol=1e-12)

@@ -30,7 +30,7 @@ RIGID = [lambda x: np.column_stack([np.ones(len(x)), np.zeros(len(x))]),
 
 
 def eval_strain(ctx, Es, dofs, pts):
-    vals = ctx.rec_basis.eval(pts[None])[0][0]
+    vals = ctx.rec_basis.eval(pts[None])[0]
     c = [Es[0, m] @ dofs for m in range(3)]
     out = np.empty((len(pts), 2, 2))
     out[:, 0, 0] = vals[:, :ctx.n_k] @ c[0]
@@ -166,7 +166,7 @@ def test_displacement_reconstruction_reproduces():
     ctx = build_cell_context(mesh, 0, VDEG)
     Dep = displacement_reconstruction(ctx)[0]
     pts = np.array([[0.3, 0.4], [0.9, 0.2], [0.5, 0.8]])
-    vals = ctx.rec_basis.eval(pts[None])[0][0]
+    vals = ctx.rec_basis.eval(pts[None])[0]
     targets = [lambda x: np.column_stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]]),
                lambda x: np.column_stack([1.0 - x[:, 1], x[:, 0]])]
     for v in targets:
@@ -233,8 +233,8 @@ def test_elastic_stabilization_depends_on_gap_only():
     v = rng.standard_normal(ctx.layout.size)
     qc = rng.standard_normal(2 * ctx.n_cell)
     qfun = lambda x: np.column_stack(
-        [ctx.rec_basis.eval(x[None])[0][0, :, :ctx.n_cell] @ qc[0::2],
-         ctx.rec_basis.eval(x[None])[0][0, :, :ctx.n_cell] @ qc[1::2]])
+        [ctx.rec_basis.eval(x[None])[0, :, :ctx.n_cell] @ qc[0::2],
+         ctx.rec_basis.eval(x[None])[0, :, :ctx.n_cell] @ qc[1::2]])
     w = v.copy()
     w[ctx.layout.cell] += qc
     for i, fi in enumerate(ctx.geom.face_indices[0]):

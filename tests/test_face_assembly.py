@@ -35,7 +35,8 @@ from pyhho.projection import (DofLayout, HhoDegrees, dof_layout, l2_project, mas
                               reduce_local)
 from pyhho.quadrature import face_quadrature
 
-from support import TENSOR_WEIGHTS, data_rule_basis, flux_matrix, seminorm_gram, strain_columns
+from support import (TENSOR_WEIGHTS, basis_gradients, data_rule_basis, flux_matrix, seminorm_gram,
+                     strain_columns)
 
 MU, LAM = 1.0, 3.0
 
@@ -111,8 +112,8 @@ def per_face_context(ctx):
         fi = geom.face_indices[:, i]
         fb = face_basis(mesh, fi, k)
         fr = face_quadrature(mesh, fi, order)
-        psi, _ = fb.eval(fr.points)
-        fphi, _ = ctx.rec_basis.eval(fr.points)
+        psi = fb.eval(fr.points)
+        fphi = ctx.rec_basis.eval(fr.points)
         wpsi = fr.weights[..., None] * psi
         M_i = wpsi.mT @ psi
         M_i = 0.5 * (M_i + M_i.mT)
@@ -291,7 +292,7 @@ def test_reduction_matches_per_face_projection(rank):
 
 def face_gradients(ctx, f):
     """Gradients of the reconstruction basis at the face points."""
-    return ctx.rec_basis.eval(f.rule.points)[1]
+    return basis_gradients(ctx.rec_basis, f.rule.points)
 
 
 def scalar_rhs_by_face_assembly(ctx):

@@ -1,5 +1,7 @@
 """The cell Gram matrices of the context, built as face sums, against
-quadrature on the cell's data rule, which is exact for their integrands."""
+quadrature on the cell's data rule, which is exact for their integrands, and
+the gradient Grams, derived from the mass Gram, against one face-point Gram
+of the values and pointwise gradients."""
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ import pytest
 from pyhho.elasticity import strain_gram
 from pyhho.local_ops import build_cell_context
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_interval_mesh, build_structured_mesh
-from pyhho.projection import HhoDegrees
+from pyhho.projection import HhoDegrees, equal_order, mixed_order
 
-from support import TENSOR_WEIGHTS, data_rule_basis, jittered_mesh, strain_columns
+from support import (TENSOR_WEIGHTS, data_rule_basis, face_point_grams, jittered_hanging,
+                     jittered_mesh, rotated, strain_columns)
 
 
 def all_cells(mesh):
@@ -66,3 +69,29 @@ def test_context_keeps_no_view_of_the_gram():
     ctx = build_cell_context(build_structured_mesh("tri", 2, 2), np.arange(8), HhoDegrees(1))
     for block in (ctx.mass_full, ctx.grad_mass, ctx.grad_gram):
         assert block.base is None
+
+
+MESHES = {
+    "tri": lambda: build_structured_mesh("tri", 3, 3),
+    "quad": lambda: build_structured_mesh("quad", 3, 3),
+    "padded-hanging": jittered_hanging,
+    "jittered-tri": lambda: jittered_mesh("tri", 4, 2),
+    "jittered-quad": lambda: jittered_mesh("quad", 4, 2),
+    "turned-strip": lambda: rotated(
+        build_structured_mesh("quad", 8, 8, bounds=((0.0, 500.0), (0.0, 1.0))), 30),
+    "graded-interval": lambda: build_interval_mesh(0.0, 1.0, 7, grading=1.5),
+}
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", list(MESHES))
+def test_gradient_grams_match_the_face_point_gram(kind, k, mixed):
+    mesh = MESHES[kind]()
+    for cells in mesh.cell_groups():
+        ctx = build_cell_context(mesh, cells, (mixed_order if mixed else equal_order)(k))
+        mass, grad_mass, grad_gram = face_point_grams(ctx)
+        assert_close(ctx.mass_full, mass)
+        assert_close(ctx.grad_mass, grad_mass)
+        assert_close(ctx.grad_gram, grad_gram)
+        assert_close(ctx.stiff_full, np.trace(grad_gram, axis1=2, axis2=4))

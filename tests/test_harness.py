@@ -335,7 +335,7 @@ def test_verify_face_projection_counts_each_face_once(monkeypatch):
     for mesh, value in zip(meshes, block.values):
         faces = np.arange(mesh.n_faces)
         fb, rule = face_basis(mesh, faces, 1), face_quadrature(mesh, faces, 6)
-        psi, _ = fb.eval(rule.points, gradients=False)
+        psi = fb.eval(rule.points)
         gap = v(rule.points.reshape(-1, 2)).reshape(rule.weights.shape) - (
             psi @ l2_project(fb, rule, v)[..., None])[..., 0]
         assert value == pytest.approx(np.sqrt(np.sum(rule.weights * gap ** 2)), rel=1e-12)
@@ -373,7 +373,7 @@ def test_padded_slot_keeps_its_face_in_the_neumann_check():
     delta = np.array([1e-2, 0.0])
     sol.neumann[face] += delta
     fb, rule = face_basis(mesh, face, 1), face_quadrature(mesh, face, 4)
-    psi, _ = fb.eval(rule.points, gradients=False)
+    psi = fb.eval(rule.points)
     M = psi.T @ (rule.weights[:, None] * psi)
     assert harness._face_flux_checks(sol)[1] == pytest.approx(
         np.sqrt(delta @ np.linalg.solve(M, delta)), rel=1e-8)
@@ -471,6 +471,16 @@ def test_divfree_reduction_has_zero_divergence():
         Dv = divergence_reconstruction(build_cell_context(mesh, ci, deg))
         red = reduce_at_order(mesh, [ci], deg, spec.exact, 16)
         assert np.abs(Dv @ red[0]).max() < 1e-10
+
+
+def test_reduction_checks_read_zero_neumann_data():
+    # the verification's wrapped reduction carries the zero Neumann array of
+    # a solve without Neumann data, so the energy and flux checks run on it
+    mesh = build_structured_mesh("quad", 4, 4)
+    sol = harness._reduction(mesh, equal_order(1), poisson_sin_2d())
+    assert sol.neumann.shape == (mesh.n_faces, 2) and not sol.neumann.any()
+    assert np.isfinite(discrete_energy(sol))
+    assert np.isfinite(flux_residuals(sol)).all()
 
 
 def test_get_problem_registry():

@@ -15,7 +15,7 @@ from pyhho.projection import (HhoDegrees, equal_order, gather_local, l2_project,
 from pyhho.quadrature import cell_quadrature, face_quadrature
 from pyhho.basis import face_basis
 
-from support import (data_rule_basis, jittered_mesh, random_half, rotated, scaled_condition,
+from support import (basis_gradients, data_rule_basis, jittered_mesh, random_half, rotated, scaled_condition,
                      seminorm_gram)
 
 
@@ -24,7 +24,7 @@ def pentagon_mesh():
 
 
 def eval_rec(ctx, coef, pts):
-    vals, grads = ctx.rec_basis.eval(pts[None])
+    vals, grads = ctx.rec_basis.eval(pts[None]), basis_gradients(ctx.rec_basis, pts[None])
     return vals[0] @ coef, np.einsum("qjc,j->qc", grads[0], coef)
 
 
@@ -100,7 +100,7 @@ def test_reconstruction_of_exact_trace_pair():
         coefs = rng.standard_normal(ctx.n_cell)
         v = np.zeros(ctx.layout.size)
         v[ctx.layout.cell] = coefs
-        vt = lambda x: ctx.rec_basis.eval(x[None])[0][0, :, :ctx.n_cell] @ coefs
+        vt = lambda x: ctx.rec_basis.eval(x[None])[0, :, :ctx.n_cell] @ coefs
         for i, fi in enumerate(ctx.geom.face_indices[0]):
             fb = face_basis(mesh, fi, k)
             rule = face_quadrature(mesh, fi, 2 * k + 2)
@@ -193,7 +193,7 @@ def test_stabilization_depends_only_on_trace_gap():
     v = rng.standard_normal(ctx.layout.size)
     # add a pair (q, trace(q)) for polynomial q of degree k
     qc = rng.standard_normal(ctx.n_cell)
-    qfun = lambda x: ctx.rec_basis.eval(x[None])[0][0, :, :ctx.n_cell] @ qc
+    qfun = lambda x: ctx.rec_basis.eval(x[None])[0, :, :ctx.n_cell] @ qc
     w = v.copy()
     w[ctx.layout.cell] += qc
     for i, fi in enumerate(ctx.geom.face_indices[0]):

@@ -137,6 +137,10 @@ def test_order_cap():
         interval_rule(0.0, 1.0, MAX_ORDER + 1)
     with pytest.raises(ValueError):
         triangle_rule(*UNIT_TRI, -1)
+    # a 1D mesh's one-point face rule checks its order as a segment's does
+    for mesh in (build_structured_mesh("tri", 1, 1), build_interval_mesh(0.0, 1.0, 2)):
+        with pytest.raises(ValueError, match="quadrature order must be nonnegative"):
+            face_quadrature(mesh, 1, -1)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_ORDER // 2 + 2))
