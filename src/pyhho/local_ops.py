@@ -5,13 +5,13 @@ unknowns, the full-polynomial gradient reconstruction ``G``, the
 potential reconstruction of one degree higher, the equal-order and
 Lehrenfeld-Schoberl stabilizations, and the one local form.  The hybrid
 face terms are assembled once, in ``G``: the potential reconstruction is
-its projection onto gradients of degree k+1, one constrained SPD solve in
-inverse-Cholesky-factor form that the elastic displacement reconstruction
-shares.  The local form pairs a degree-k field map ``T`` with its image
-``CT`` under a constant material law, ``(CT v, T w)``, and reads the cell
-balance from ``CT``: Poisson's is ``(G v, G w)``.  The face fluxes are its
-face rows: tested with ``psi`` on a face ``F`` it is ``-(flux_F(v), psi)_F``.
-Cell Grams derive from the mass Gram, a face sum: no cell quadrature rule.
+the gradient of degree k+1 nearest to ``G`` in the degree-k mass norm, a
+least-squares fit through that mass' Cholesky factor, shared with the
+displacement reconstruction.  The local form pairs a degree-k field map
+``T`` with its image ``CT`` under a constant material law, ``(CT v, T w)``,
+and reads the cell balance from ``CT``: Poisson's is ``(G v, G w)``.  The
+face fluxes are its face rows: tested with ``psi`` on a face ``F`` it is
+``-(flux_F(v), psi)_F``.  The cell mass Gram is a face sum: no cell rule.
 
 Every operator is built for a group of cells that share one quadrature
 class (see :meth:`pyhho.mesh.Mesh.cell_groups`): arrays carry a leading
@@ -33,17 +33,19 @@ takes the symmetric part as the strain.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import Basis, basis_size, face_basis, scaled_monomial_basis
 from .mesh import CellGeometry, Mesh
-from .projection import DofLayout, HhoDegrees, dof_layout, mass_cholesky, spd_inverse
+from .projection import DofLayout, HhoDegrees, dof_layout, lower_inverse, mass_cholesky
 # unused here; perfbench/tracing.py resolves pyhho.local_ops.cell_quadrature by name
 from .quadrature import cell_quadrature, face_quadrature  # noqa: F401
 
 COND_LIMIT = 1e12
+log = logging.getLogger("pyhho")
 
 
 @dataclass
@@ -74,10 +76,8 @@ class CellContext:
     layout: DofLayout
     rec_basis: Basis
     mass_full: np.ndarray    # (nb, n_rec, n_rec)
-    stiff_full: np.ndarray   # (nb, n_rec, n_rec): the trace of grad_gram over (a, b)
-    ints_full: np.ndarray    # (nb, n_rec) integrals of the basis functions
-    grad_mass: np.ndarray    # (nb, n_rec, d, n_k): (d_c phi_i, phi_j) = D M, phi_j of degree <= k
-    grad_gram: np.ndarray    # (nb, n_rec, d, n_rec, d): (d_a phi_i, d_b phi_j) = D M D^T
+    grad_maps: np.ndarray    # (nb, d, n_k, n_rec) D: d_c phi_i = sum_l D[c, l, i] phi_l, l < n_k
+    mass_k_factor: np.ndarray  # (nb, n_k, n_k) Cholesky factor Lam of the degree-k cell mass
     mass_k_inv: np.ndarray   # (nb, n_k, n_k) inverse of the degree-k cell mass
     faces: FaceContext
 
@@ -99,6 +99,11 @@ class CellContext:
     def h(self) -> np.ndarray:
         return self.geom.diameter
 
+    @property
+    def ints_full(self) -> np.ndarray:
+        """(nb, n_rec) integrals of the basis functions, ``(phi_i, phi_0)`` as ``phi_0 = 1``."""
+        return self.mass_full[:, 0]
+
 
 def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     """Face data and Gram matrices of a group of cells of one quadrature
@@ -106,8 +111,7 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
 
     By Euler's theorem for the mapped monomials, homogeneous about ``x_T``,
     a mass Gram entry ``int_T q`` with ``q`` of degree ``p`` is ``sum_F (n_F .
-    (x - x_T)) int_F q / (d + p)``, exact at the order-``2(k+1)`` face points;
-    the gradient Grams are its images under the basis' derivative maps.
+    (x - x_T)) int_F q / (d + p)``, exact at the order-``2(k+1)`` face points.
     """
     geom = mesh.cell_geometry(cells)
     if np.ndim(cells) == 0:      # the cell's own loop, not its group's padded slots
@@ -143,12 +147,6 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
     deg = rec_basis.exponents.sum(axis=1)
     mass_full = (fphi.mT @ (w * fphi)) / (d + deg[:, None] + deg)
     mass_full = 0.5 * (mass_full + mass_full.mT)
-    # the gradient Grams follow exactly: d_c phi_i = sum_l D[b, i, c, l] phi_l, of degree <= k
-    n_k = basis_size(k, d)
-    D = rec_basis.derivatives()[..., :n_k, :].transpose(0, 3, 1, 2)
-    grad_mass = D @ mass_full[:, None, :n_k, :n_k]
-    gram = (grad_mass.reshape(nb, -1, n_k) @ D.reshape(nb, -1, n_k).mT).reshape(nb, n_rec, d, -1, d)
-    grad_gram = 0.5 * (gram + gram.transpose(0, 3, 4, 1, 2))
     # Jacobi scaling: no diagonal rescaling of the basis changes the measure (van der Sluis)
     s = 1.0 / np.sqrt(np.diagonal(mass_full, axis1=1, axis2=2))
     lam = np.linalg.eigvalsh(s[:, :, None] * mass_full * s[:, None, :])
@@ -159,49 +157,67 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
         raise ValueError(
             f"cell {cells[b]}: mass-matrix condition number {cond:.2e} (diagonally "
             f"scaled) exceeds {COND_LIMIT:.0e}; reduce the degree or the aspect ratio")
-    mass_k_inv = mass_cholesky(mass_full[:, :n_k, :n_k], cells)
+    n_k = basis_size(k, d)
+    mass_k_factor, mass_k_inv = mass_cholesky(mass_full[:, :n_k, :n_k], cells, factor=True)
     return CellContext(mesh=mesh, cells=cells, geom=geom, degrees=degrees,
                        layout=layout, rec_basis=rec_basis, mass_full=mass_full,
-                       stiff_full=np.trace(grad_gram, axis1=2, axis2=4),
-                       ints_full=mass_full[:, 0], grad_mass=grad_mass,
-                       grad_gram=grad_gram, mass_k_inv=mass_k_inv, faces=faces)
+                       grad_maps=rec_basis.derivatives()[..., :n_k, :].copy(),
+                       mass_k_factor=mass_k_factor, mass_k_inv=mass_k_inv, faces=faces)
 
 
 # ---------------------------------------------------------------------------
 # reconstruction
 
 
-def constrained_projection(ctx: CellContext, K: np.ndarray, C: np.ndarray, D: np.ndarray,
-                           H: np.ndarray, what: str) -> np.ndarray:
-    """A reconstruction ``x``, ``K x = H`` pinned by ``C x = D``.
+def constrained_projection(ctx: CellContext, B: np.ndarray, h: np.ndarray, C: np.ndarray,
+                           D: np.ndarray, what: str) -> np.ndarray:
+    """A reconstruction ``x``, the least-squares solution of ``B x = h`` pinned
+    by ``C x = D`` (both divided by ``|T|``), one-to-one on the kernel of ``B``.
 
-    The constraint rows ``C`` are one-to-one on the kernel of the Gram ``K``,
-    where ``H`` vanishes, so the saddle's multipliers are zero and ``x``
-    solves ``(K + C^T C) x = H + C^T D`` (``C``, ``D`` divided by ``|T|``)
-    with that matrix's inverse Cholesky factor; a failure names the cell
-    with ``what``.
+    One batched QR of ``[B h; C D]`` gives the triangle ``R`` of ``[B; C]`` and
+    ``Q^T [h; D]`` side by side, so ``x = R^-1 Q^T [h; D]``: no normal matrix,
+    no squared condition number.  An ``r_ii`` not finite or at most ``n eps``
+    times the norm of column ``i``, a pivot below a Cholesky factor's
+    round-off, raises a ``ValueError`` naming the cell.
     """
-    C, D = (X / ctx.geom.measure[:, None, None] for X in (C, D))
-    F = spd_inverse(K + C.mT @ C, ctx.cells, what=what)
-    return F.mT @ (F @ (H + C.mT @ D))
+    nb, m, n = B.shape
+    A = np.empty((nb, m + C.shape[1], n + h.shape[-1]))
+    A[:, :m, :n], A[:, :m, n:] = B, h
+    A[:, m:] = np.concatenate([C, D], axis=-1) / ctx.geom.measure[:, None, None]
+    tiny = n * np.finfo(float).eps * np.sqrt(np.einsum("bij,bij->bj", A[..., :n], A[..., :n]))
+    R = np.linalg.qr(A, mode="raw")[0].mT[:, :n]    # [R | Q^T rhs] in the upper triangle
+    r = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    bad = np.flatnonzero(~(r > tiny).all(axis=1))      # a NaN fails the comparison too
+    if len(bad):
+        raise ValueError(f"cell {ctx.cells[bad[0]]}: singular {what} system")
+    if log.isEnabledFor(logging.DEBUG):
+        ratio = r.max(axis=1) / r.min(axis=1)
+        log.debug("%s: largest max|r_ii| / min|r_ii| %.3e (a lower bound on the condition "
+                  "number) at cell %d", what, ratio.max(), ctx.cells[np.argmax(ratio)])
+    return lower_inverse(R[..., :n].mT).mT @ R[..., n:]
+
+
+def _mass_rows(ctx: CellContext, X: np.ndarray, weights=1.0) -> np.ndarray:
+    """Rows ``Lam^T X_c`` (nb, c n_k, m), ``M_k = Lam Lam^T``, of degree-k maps ``X`` (nb, c,
+    n_k, m) times ``weights``: their dot products are the sums of ``(X_c v, X_c w)``."""
+    return (weights * (ctx.mass_k_factor.mT[:, None] @ X)).reshape(len(X), -1, X.shape[-1])
 
 
 def reconstruction(ctx: CellContext, G: np.ndarray | None = None) -> np.ndarray:
     """Potential reconstruction ``R_full``, stacked over the group.
 
-    ``R v`` is the projection of ``G v`` onto gradients of degree k+1:
-    ``(grad R v, grad w) = (G v, grad w)`` is exact because ``grad w`` has
-    degree k, so the right-hand side is ``H = sum_c (d_c w, phi_k) G_c``.
-    The mean of ``R v`` is that of ``v_T``, and ``R_full @ v`` are coefficients
-    in the full degree-(k+1) basis.  ``G`` is built here unless passed in.
+    ``grad R v`` is the gradient of degree k+1 nearest to ``G v``: the rows
+    (:func:`_mass_rows`) of ``grad_maps x`` fit those of ``G v``, so ``(grad R
+    v, grad w) = (G v, grad w)``, exact as ``grad w`` has degree k.  The mean
+    of ``R v`` is that of ``v_T``, and ``R_full @ v`` are coefficients in the
+    full degree-(k+1) basis.  ``G`` is built here unless passed in.
     """
     if G is None:
         G = gradient_reconstruction(ctx)
     D = np.zeros((len(ctx.cells), 1, ctx.layout.size))
     D[:, 0, ctx.layout.cell] = ctx.ints_full[:, : ctx.n_cell]
-    return constrained_projection(ctx, ctx.stiff_full, ctx.ints_full[:, None], D,
-                                  _gradient_moments(ctx.grad_mass, G),
-                                  what="singular reconstruction system")
+    return constrained_projection(ctx, _mass_rows(ctx, ctx.grad_maps), _mass_rows(ctx, G),
+                                  ctx.ints_full[:, None], D, what="reconstruction")
 
 
 def gradient_reconstruction(ctx: CellContext) -> np.ndarray:
@@ -217,23 +233,12 @@ def gradient_reconstruction(ctx: CellContext) -> np.ndarray:
     nb, nf, d = f.normal.shape
     n = f.normal.mT                                           # (nb, d, nf)
     wq = (f.weights[..., None] * f.phi[..., :n_k]).mT         # (nb, nf, n_k, nq)
-    # (grad v_T, q) - sum_F (v_T - v_F, q n)_F: the only assembly of the face terms
-    cell = ctx.grad_mass[:, :n_cell].transpose(0, 2, 3, 1) - (
-        n @ (wq @ f.phi[..., :n_cell]).reshape(nb, nf, -1)).reshape(nb, d, n_k, n_cell)
+    # -sum_F (v_T - v_F, q n)_F: the only assembly of the face terms
+    cell = -(n @ (wq @ f.phi[..., :n_cell]).reshape(nb, nf, -1)).reshape(nb, d, n_k, n_cell)
     face = n[:, :, None, :, None] * (wq @ f.psi).transpose(0, 2, 1, 3)[:, None]
-    rhs = np.concatenate([cell, face.reshape(nb, d, n_k, -1)], axis=-1)
-    return ctx.mass_k_inv[:, None] @ rhs
-
-
-def _gradient_moments(grad_mass: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """``(grad w, T)`` for each basis function ``w = phi_i e_a`` of the rows
-    ``i`` of ``grad_mass`` (a context's, or its first ``n_k``), at row
-    ``rank * i + a``.  ``T[:, c]`` maps DoFs to the degree-k coefficients of
-    column ``c`` of a field, ``T_ac`` at row ``rank * j + a``.
-    """
-    nb, n, d, n_k = grad_mass.shape
-    B = grad_mass.reshape(nb, n, d * n_k)
-    return (B @ T.reshape(nb, d * n_k, -1)).reshape(nb, -1, T.shape[-1])
+    G = ctx.mass_k_inv[:, None] @ np.concatenate([cell, face.reshape(nb, d, n_k, -1)], axis=-1)
+    G[..., :n_cell] += ctx.grad_maps[..., :n_cell]    # (grad v_T, q): grad v_T has degree <= k
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -332,26 +337,23 @@ class LocalOperators:
         return -_kron_apply(self.face_mass_inv[shapes], Lv)
 
 
-def _bundle(ctx: CellContext, T: np.ndarray, CT: np.ndarray, stab, scale: float,
-            rec: np.ndarray) -> LocalOperators:
-    """The local form: :class:`LocalOperators` with ``L = sum_c T_c^T
-    kron(M_k, I_rank) (CT)_c + scale penalty``.  ``T`` maps the DoFs to the
-    degree-k columns of the field (``G``; the strain) as in
-    :func:`_gradient_moments`, ``CT`` is its image under the material law
-    (``G``; the stress), read by the balance."""
+def _bundle(ctx: CellContext, tests: np.ndarray, T: np.ndarray, CT: np.ndarray, stab,
+            scale: float, rec: np.ndarray) -> LocalOperators:
+    """The local form: :class:`LocalOperators` with ``L = T^T CT + scale
+    penalty``.  ``T`` maps the DoFs to the :func:`_mass_rows` of the field
+    (``G``; the strain), ``CT`` to those of its image under the material
+    law (``G``; the stress), and ``tests`` are the field's rows of the
+    degree-k test functions, which read the balance from ``CT``."""
     stab_face, penalty = stab
-    nb, d, _, size = T.shape
-    n_k = ctx.n_k
-    MCT = (ctx.mass_full[:, None, :n_k, :n_k] @ CT.reshape(nb, d, n_k, -1))
-    L = T.reshape(nb, -1, size).mT @ MCT.reshape(nb, -1, size) + scale * penalty
+    L = T.mT @ CT + scale * penalty
     L = 0.5 * (L + L.mT)
     f, basis = ctx.faces, ctx.rec_basis
     return LocalOperators(
-        L=L, stab_face=stab_face, rec=rec, balance=_gradient_moments(ctx.grad_mass[:, :n_k], CT),
+        L=L, stab_face=stab_face, rec=rec, balance=tests.mT @ CT,
         layout=ctx.layout, cells=ctx.cells.copy(), h=ctx.h.copy(),
         rec_basis=replace(basis, center=basis.center.copy(), map=basis.map.copy()),
         real_faces=ctx.geom.face_measures > 0, face_mass=f.mass, face_mass_inv=f.mass_inv,
-        trace=f.trace_full[..., :n_k].copy(),
+        trace=f.trace_full[..., : ctx.n_k].copy(),
         cell_mass=ctx.mass_full[:, : ctx.n_cell, : ctx.n_cell].copy())
 
 
@@ -362,4 +364,5 @@ def local_bilinear(ctx: CellContext) -> LocalOperators:
     R_full = reconstruction(ctx, G)
     stab = (stabilization_ls(ctx) if ctx.degrees.mixed
             else stabilization_equal_order(ctx, R_full))
-    return _bundle(ctx, G, G, stab, 1.0, R_full)
+    X = _mass_rows(ctx, G)
+    return _bundle(ctx, _mass_rows(ctx, ctx.grad_maps[..., : ctx.n_k]), X, X, stab, 1.0, R_full)

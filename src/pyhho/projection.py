@@ -82,14 +82,21 @@ def dof_layout(mesh: Mesh, degrees: HhoDegrees, n_faces: int) -> DofLayout:
     return DofLayout(cell_width, face_width, n_faces)
 
 
-def spd_inverse(M: np.ndarray, ids, what: str, entity: str = "cell") -> np.ndarray:
-    """Inverse Cholesky factors ``F = L^-1`` of a stack of SPD matrices ``M =
-    L L^T``, so that ``M^-1 = F^T F``; a failed factorization raises a
-    ``ValueError`` naming the first failing entry by its id in ``ids`` (a
-    cell, face or vertex, per ``entity``) with ``what``.  ``F`` comes by forward
-    substitution, one row of every matrix at a time: at these orders a
-    batched LU costs several times the Cholesky factor.
-    """
+def lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverses of stacked lower triangles ``L``, by forward substitution one
+    row of every matrix at a time: a batched LU costs several times as much."""
+    d = 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
+    F = d[..., None] * np.eye(L.shape[-1])
+    for i in range(1, L.shape[-1]):    # row i of L F = I, below the diagonal
+        F[..., i, :i] = -(L[..., i, None, :i] @ F[..., :i, :i])[..., 0, :] * d[..., i, None]
+    return F
+
+
+def spd_inverse(M: np.ndarray, ids, what: str, entity: str = "cell", factor: bool = False):
+    """Inverse Cholesky factors ``F = L^-1`` (:func:`lower_inverse`) of stacked
+    SPD ``M = L L^T``, so ``M^-1 = F^T F`` (with ``factor``, ``(L, F)``); a failed
+    factorization raises a ``ValueError`` naming the first failing entry by
+    its id in ``ids`` (a cell, face or vertex, per ``entity``) with ``what``."""
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -99,20 +106,18 @@ def spd_inverse(M: np.ndarray, ids, what: str, entity: str = "cell") -> np.ndarr
             except np.linalg.LinAlgError:
                 raise ValueError(f"{entity} {ids[b]}: {what}") from exc
         raise
-    d = 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
-    F = d[..., None] * np.eye(M.shape[-1])
-    for i in range(1, M.shape[-1]):    # row i of L F = I, below the diagonal
-        F[..., i, :i] = -(L[..., i, None, :i] @ F[..., :i, :i])[..., 0, :] * d[..., i, None]
-    return F
+    F = lower_inverse(L)
+    return (L, F) if factor else F
 
 
-def mass_cholesky(M: np.ndarray, ids=None, entity: str = "cell") -> np.ndarray:
-    """Inverses ``F^T F`` of a stack of mass matrices (:func:`spd_inverse`);
-    ``ids`` name the cells or faces in the error for one not positive definite."""
-    F = spd_inverse(M, np.arange(len(M)) if ids is None else ids, entity=entity,
-                    what="mass matrix is not positive definite; the geometry is "
-                         "degenerate or the degree too high for raw monomials")
-    return F.mT @ F
+def mass_cholesky(M: np.ndarray, ids=None, entity: str = "cell", factor: bool = False):
+    """Inverses ``F^T F`` of a stack of mass matrices (:func:`spd_inverse`; with
+    ``factor``, ``(L, F^T F)``); ``ids`` name the cells or faces in the error
+    for one not positive definite."""
+    L, F = spd_inverse(M, np.arange(len(M)) if ids is None else ids, entity=entity,
+                       what="mass matrix is not positive definite; the geometry is "
+                            "degenerate or the degree too high for raw monomials", factor=True)
+    return (L, F.mT @ F) if factor else F.mT @ F
 
 
 def sample(fn, points: np.ndarray, rank: int | None = None, ids=None,

@@ -123,6 +123,58 @@ def face_point_grams(ctx):
             gram[:, n:, n:].reshape(nb, n, d, n, d))
 
 
+def grad_mass(ctx):
+    """``(d_c phi_i, phi_j)`` (nb, n_rec, d, n_k), ``phi_j`` of degree <= k, of
+    the cells of ``ctx``: ``D M`` from the degree-k block of ``ctx.mass_full``
+    and the derivative maps ``D = ctx.grad_maps``.  This and the Grams below
+    are references that the build no longer forms."""
+    n_k = ctx.n_k
+    return ctx.grad_maps.transpose(0, 3, 1, 2) @ ctx.mass_full[:, None, :n_k, :n_k]
+
+
+def gradient_gram(ctx):
+    """``(d_a phi_i, d_b phi_j)`` (nb, n_rec, d, n_rec, d) of the cells of
+    ``ctx``, ``D M D^T`` like :func:`grad_mass`."""
+    D, n_k = ctx.grad_maps, ctx.n_k
+    gram = np.einsum("zali,zlm,zcmj->ziajc", D, ctx.mass_full[:, :n_k, :n_k], D)
+    return 0.5 * (gram + gram.transpose(0, 3, 4, 1, 2))
+
+
+def stiffness_gram(ctx):
+    """``(grad phi_i, grad phi_j)`` (nb, n_rec, n_rec): the trace of
+    :func:`gradient_gram` over its two component axes."""
+    return np.trace(gradient_gram(ctx), axis1=2, axis2=4)
+
+
+def strain_gram(ctx):
+    """``(eps(phi_i e_a), eps(phi_j e_b))`` at ``(2 i + a, 2 j + b)``: with ``D``
+    the :func:`gradient_gram` and ``S`` its trace, ``(delta_ab S_ij + D[i, b,
+    j, a]) / 2``."""
+    D = gradient_gram(ctx)
+    nb, n = D.shape[:2]
+    S = np.trace(D, axis1=2, axis2=4)[:, :, None, :, None] * np.eye(2)[:, None, :]
+    return (0.5 * (S + D.swapaxes(2, 4))).reshape(nb, 2 * n, 2 * n)
+
+
+def gradient_moments(grad_mass, T):
+    """``(grad w, T)`` for each basis function ``w = phi_i e_a`` of the rows
+    ``i`` of ``grad_mass`` (:func:`grad_mass`, or its first ``n_k``), at row
+    ``rank * i + a``.  ``T[:, c]`` maps DoFs to the degree-k coefficients of
+    column ``c`` of a field, ``T_ac`` at row ``rank * j + a``: the right-hand
+    side of the normal equations the reconstructions no longer form."""
+    nb, n, d, n_k = grad_mass.shape
+    B = grad_mass.reshape(nb, n, d * n_k)
+    return (B @ T.reshape(nb, d * n_k, -1)).reshape(nb, -1, T.shape[-1])
+
+
+def tensor_columns(S):
+    """Columns (nb, 2, 2 n_k, size) of symmetric-tensor maps ``S`` (nb, 3,
+    n_k, size), as :func:`gradient_moments` reads them."""
+    xx, yy, xy = S[:, 0], S[:, 1], S[:, 2]
+    cols = np.stack([np.stack([xx, xy], axis=2), np.stack([xy, yy], axis=2)], axis=1)
+    return cols.reshape(len(S), 2, -1, S.shape[-1])
+
+
 def data_rule_basis(ctx):
     """The problem-data rule of order ``data_order`` on the cells of
     ``ctx``, and ``ctx.rec_basis``'s values ``(nb, nq, n_rec)`` and
@@ -199,7 +251,7 @@ def seminorm_gram(ctx):
         nb, nf, nq, -1)
     D = D.reshape(nb, nf * nq, -1)
     N = D.mT @ (f.weights.reshape(nb, -1, 1) * D) / ctx.h[:, None, None]
-    N[:, layout.cell, layout.cell] += ctx.stiff_full[:, :n_cell, :n_cell]
+    N[:, layout.cell, layout.cell] += stiffness_gram(ctx)[:, :n_cell, :n_cell]
     return 0.5 * (N + N.mT)
 
 

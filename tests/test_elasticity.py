@@ -13,7 +13,8 @@ from pyhho.projection import (HhoDegrees, l2_project, mass_cholesky, mixed_order
                               reduce_local)
 from pyhho.quadrature import cell_quadrature, face_quadrature
 
-from support import TENSOR_WEIGHTS, data_rule_basis, strain_columns
+from support import (TENSOR_WEIGHTS, data_rule_basis, grad_mass, gradient_moments, rotated,
+                     strain_columns, strain_gram, tensor_columns)
 
 VDEG = HhoDegrees(k_face=1, k_cell=1, rank=2)
 VDEG2 = HhoDegrees(k_face=2, k_cell=2, rank=2)
@@ -191,6 +192,22 @@ def test_displacement_mean_matches_cell_mean():
             cell_mean = weights @ (vals[:, :ctx.n_cell]
                                         @ v[ctx.layout.cell][a::2])
             assert dep_mean == pytest.approx(cell_mean, rel=1e-11, abs=1e-12)
+
+
+@pytest.mark.parametrize("length", [1.0, 500.0])
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_displacement_reconstruction_solves_its_normal_equations(k, mixed, length):
+    # 2 x 2 quads on [0, length] x [0, 1] turned by 30 degrees.  The
+    # least-squares fit solves (eps(Dep v), eps(w)) = (Es v, eps(w)) for every
+    # w, K Dep = H with K the strain Gram, which the build never forms
+    mesh = rotated(build_structured_mesh("quad", 2, 2, bounds=((0.0, length), (0.0, 1.0))), 30)
+    ctx = build_cell_context(mesh, np.arange(mesh.n_cells), HhoDegrees(k, k + mixed, rank=2))
+    Es = strain_reconstruction(ctx)
+    Dep, K = displacement_reconstruction(ctx, Es), strain_gram(ctx)
+    H = gradient_moments(grad_mass(ctx), tensor_columns(Es))
+    res = np.linalg.norm(K @ Dep - H, axis=(1, 2))
+    assert np.all(res <= 1e-14 * np.linalg.norm(K, axis=(1, 2)) * np.linalg.norm(Dep, axis=(1, 2)))
 
 
 @pytest.mark.parametrize("deg", [VDEG, VMIX])

@@ -24,10 +24,9 @@ import pytest
 
 from pyhho import local_ops
 from pyhho.basis import face_basis
-from pyhho.elasticity import (_tensor_columns,
-                              displacement_reconstruction, local_bilinear_elastic,
+from pyhho.elasticity import (displacement_reconstruction, local_bilinear_elastic,
                               stabilization_elastic, strain_reconstruction)
-from pyhho.local_ops import (_gradient_moments, _kron_apply, build_cell_context,
+from pyhho.local_ops import (_kron_apply, build_cell_context,
                              gradient_reconstruction, local_bilinear, reconstruction,
                              stabilization_equal_order, stabilization_ls)
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh
@@ -35,8 +34,9 @@ from pyhho.projection import (DofLayout, HhoDegrees, dof_layout, l2_project, mas
                               reduce_local)
 from pyhho.quadrature import face_quadrature
 
-from support import (TENSOR_WEIGHTS, basis_gradients, data_rule_basis, flux_matrix, seminorm_gram,
-                     strain_columns)
+from support import (TENSOR_WEIGHTS, basis_gradients, data_rule_basis, flux_matrix,
+                     grad_mass, gradient_moments, seminorm_gram, stiffness_gram, strain_columns,
+                     tensor_columns)
 
 MU, LAM = 1.0, 3.0
 
@@ -133,7 +133,7 @@ def per_face_gradient_reconstruction(ctx, faces):
     n_k, n_cell = ctx.n_k, ctx.n_cell
     layout = DofLayout(n_cell, ctx.layout.face_width // ctx.degrees.rank, len(faces))
     rhs = np.zeros((len(ctx.cells), ctx.mesh.dim, n_k, layout.size))
-    rhs[..., layout.cell] = ctx.grad_mass[:, :n_cell].transpose(0, 2, 3, 1)
+    rhs[..., layout.cell] = grad_mass(ctx)[:, :n_cell].transpose(0, 2, 3, 1)
     for i, f in enumerate(faces):
         wq = (f.rule.weights[..., None] * f.phi[:, :, :n_k]).mT
         n = f.normal[:, :, None, None]
@@ -180,7 +180,7 @@ def per_face_flux(ctx, faces, field, stab_face, weight):
 def per_face_seminorm_gram(ctx, faces):
     layout, n_cell = ctx.layout, ctx.n_cell
     N = np.zeros((len(ctx.cells), layout.size, layout.size))
-    N[:, layout.cell, layout.cell] = ctx.stiff_full[:, :n_cell, :n_cell]
+    N[:, layout.cell, layout.cell] = stiffness_gram(ctx)[:, :n_cell, :n_cell]
     for i, f in enumerate(faces):
         D = np.zeros(f.rule.weights.shape + (layout.size,))
         D[..., layout.cell] = f.phi[:, :, :n_cell]
@@ -208,15 +208,15 @@ def per_face_operators(ctx, faces, monkeypatch):
         # (G v, G w) and (G v, grad q) for q of degree k
         L = np.einsum("bcis,bcij,bcjt->bst", G, Mk, G) + penalty
         field, weight = G, 1.0 / ctx.h
-        balance = np.einsum("bicj,bcjs->bis", ctx.grad_mass[:, :n_k], G)
+        balance = np.einsum("bicj,bcjs->bis", grad_mass(ctx)[:, :n_k], G)
     else:
         Dv = Es[:, 0] + Es[:, 1]
         L = (2 * MU * np.einsum("m,bmij->bij", TENSOR_WEIGHTS, Es.mT @ Mk @ Es)
              + LAM * Dv.mT @ Mk[:, 0] @ Dv + 2 * MU * penalty)
-        field = _tensor_columns(np.stack([(2 * MU + LAM) * Es[:, 0] + LAM * Es[:, 1],
-                                          LAM * Es[:, 0] + (2 * MU + LAM) * Es[:, 1],
-                                          2 * MU * Es[:, 2]], axis=1))
-        weight, balance = 2.0 * MU / ctx.h, _gradient_moments(ctx.grad_mass, field)[:, :2 * n_k]
+        field = tensor_columns(np.stack([(2 * MU + LAM) * Es[:, 0] + LAM * Es[:, 1],
+                                         LAM * Es[:, 0] + (2 * MU + LAM) * Es[:, 1],
+                                         2 * MU * Es[:, 2]], axis=1))
+        weight, balance = 2.0 * MU / ctx.h, gradient_moments(grad_mass(ctx), field)[:, :2 * n_k]
     flux = per_face_flux(ctx, faces, field, stab_face, weight)
     return 0.5 * (L + L.mT), penalty, rec, flux, balance
 
@@ -299,7 +299,7 @@ def scalar_rhs_by_face_assembly(ctx):
     """``(grad w, grad v_T) + sum_F (v_F - v_T, grad w . n)_F``."""
     n_cell, layout = ctx.n_cell, ctx.layout
     H = np.zeros((len(ctx.cells), ctx.n_rec - 1, layout.size))
-    H[:, :, layout.cell] = ctx.stiff_full[:, 1:, :n_cell]
+    H[:, :, layout.cell] = stiffness_gram(ctx)[:, 1:, :n_cell]
     for i, f in enumerate(per_face_context(ctx)):
         dn = np.einsum("bqjd,bd->bqj", face_gradients(ctx, f)[:, :, 1:], f.normal)
         wn = f.rule.weights[..., None] * dn
@@ -310,7 +310,7 @@ def scalar_rhs_by_face_assembly(ctx):
 
 def scalar_reconstruction_reference(ctx):
     H = scalar_rhs_by_face_assembly(ctx)
-    R = np.linalg.solve(ctx.stiff_full[:, 1:, 1:], H)
+    R = np.linalg.solve(stiffness_gram(ctx)[:, 1:, 1:], H)
     mean_row = np.zeros((len(ctx.cells), ctx.layout.size))
     mean_row[:, ctx.layout.cell] = ctx.ints_full[:, :ctx.n_cell]
     r0 = (mean_row - (ctx.ints_full[:, None, 1:] @ R)[:, 0]) / ctx.geom.measure[:, None]

@@ -1,18 +1,20 @@
 """The cell Gram matrices of the context, built as face sums, against
 quadrature on the cell's data rule, which is exact for their integrands, and
 the gradient Grams, derived from the mass Gram, against one face-point Gram
-of the values and pointwise gradients."""
+of the values and pointwise gradients.  The stiffness and strain Grams,
+which the build no longer forms, are checked as the references
+:mod:`support` derives from the mass Gram and the derivative maps."""
 
 import numpy as np
 import pytest
 
-from pyhho.elasticity import strain_gram
 from pyhho.local_ops import build_cell_context
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_interval_mesh, build_structured_mesh
 from pyhho.projection import HhoDegrees, equal_order, mixed_order
 
-from support import (TENSOR_WEIGHTS, data_rule_basis, face_point_grams, jittered_hanging,
-                     jittered_mesh, rotated, strain_columns)
+from support import (TENSOR_WEIGHTS, data_rule_basis, face_point_grams, grad_mass,
+                     gradient_gram, jittered_hanging, jittered_mesh, rotated, stiffness_gram,
+                     strain_columns, strain_gram)
 
 
 def all_cells(mesh):
@@ -56,8 +58,8 @@ def test_face_sum_grams_match_cell_quadrature(kind, k):
         wphi = w[..., None] * phi
         assert_close(ctx.mass_full, wphi.mT @ phi)
         assert_close(ctx.ints_full, wphi.sum(axis=1))
-        assert_close(ctx.grad_mass, np.einsum("bqic,bqj->bicj", dphi, wphi[..., :ctx.n_k]))
-        assert_close(ctx.stiff_full, np.einsum("bqic,bq,bqjc->bij", dphi, w, dphi))
+        assert_close(grad_mass(ctx), np.einsum("bqic,bqj->bicj", dphi, wphi[..., :ctx.n_k]))
+        assert_close(stiffness_gram(ctx), np.einsum("bqic,bq,bqjc->bij", dphi, w, dphi))
         if mesh.dim == 2:
             eps = strain_columns(dphi)
             K = np.einsum("bqim,bq,m,bqjm->bij", eps, w, TENSOR_WEIGHTS, eps)
@@ -65,9 +67,9 @@ def test_face_sum_grams_match_cell_quadrature(kind, k):
 
 
 def test_context_keeps_no_view_of_the_gram():
-    # the blocks are copies, so the whole gram is freed with the build
+    # the blocks are their own buffers, freed with the build
     ctx = build_cell_context(build_structured_mesh("tri", 2, 2), np.arange(8), HhoDegrees(1))
-    for block in (ctx.mass_full, ctx.grad_mass, ctx.grad_gram):
+    for block in (ctx.mass_full, ctx.grad_maps, ctx.mass_k_factor, ctx.mass_k_inv):
         assert block.base is None
 
 
@@ -90,8 +92,8 @@ def test_gradient_grams_match_the_face_point_gram(kind, k, mixed):
     mesh = MESHES[kind]()
     for cells in mesh.cell_groups():
         ctx = build_cell_context(mesh, cells, (mixed_order if mixed else equal_order)(k))
-        mass, grad_mass, grad_gram = face_point_grams(ctx)
+        mass, mass_grad, grad_gram = face_point_grams(ctx)
         assert_close(ctx.mass_full, mass)
-        assert_close(ctx.grad_mass, grad_mass)
-        assert_close(ctx.grad_gram, grad_gram)
-        assert_close(ctx.stiff_full, np.trace(grad_gram, axis1=2, axis2=4))
+        assert_close(grad_mass(ctx), mass_grad)
+        assert_close(gradient_gram(ctx), grad_gram)
+        assert_close(stiffness_gram(ctx), np.trace(grad_gram, axis1=2, axis2=4))

@@ -5,6 +5,7 @@ import pytest
 
 from pyhho import local_ops
 from pyhho.assembly import condense
+from pyhho.elasticity import displacement_reconstruction
 from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
                              local_bilinear, reconstruction,
                              stabilization_equal_order, stabilization_ls)
@@ -16,7 +17,7 @@ from pyhho.quadrature import cell_quadrature, face_quadrature
 from pyhho.basis import face_basis
 
 from support import (basis_gradients, data_rule_basis, jittered_mesh, random_half, rotated, scaled_condition,
-                     seminorm_gram)
+                     grad_mass, gradient_moments, seminorm_gram, stiffness_gram)
 
 
 def pentagon_mesh():
@@ -150,7 +151,7 @@ def test_gradient_compatibility_with_reconstruction():
     mesh = build_structured_mesh("tri", 2, 2)
     for k in (0, 1, 2):
         ctx = build_cell_context(mesh, 3, equal_order(k))
-        Kstar, R = ctx.stiff_full[0, 1:, 1:], reconstruction(ctx)[0, 1:]
+        Kstar, R = stiffness_gram(ctx)[0, 1:, 1:], reconstruction(ctx)[0, 1:]
         G = gradient_reconstruction(ctx)[0]
         rng = np.random.default_rng(k + 5)
         v = rng.standard_normal(ctx.layout.size)
@@ -266,7 +267,7 @@ def test_gradient_form_bounds_the_reconstruction_form(cell, k, mixed):
     ctx = build_cell_context(mesh, ci, HhoDegrees(k, k + mixed))
     A = g_consistency(ctx)[0]
     R_full = reconstruction(ctx)[0]
-    gap = np.linalg.eigvalsh(A - R_full.T @ ctx.stiff_full[0] @ R_full)
+    gap = np.linalg.eigvalsh(A - R_full.T @ stiffness_gram(ctx)[0] @ R_full)
     scale = np.linalg.eigvalsh(A)[-1]
     assert gap[0] >= -1e-13 * scale
     if k == 0 or mesh.dim == 1:
@@ -404,15 +405,16 @@ def test_condition_guard_rejects_high_aspect_ratio_cells():
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_reconstruction_solves_its_constrained_system_on_turned_strips(k, mixed, length):
     # 2 x 2 quads on [0, length] x [0, 1] turned by 30 degrees: cells of aspect
-    # ratio length:1.  R_full solves (K + C^T C) R_full = H + C^T D with C, D the
+    # ratio length:1.  R_full, a least-squares fit, solves its normal equations
+    # (K + C^T C) R_full = H + C^T D with K the stiffness Gram and C, D the
     # cell-mean rows over |T|, reproduces each cell's mean, and condenses to an
     # exactly symmetric L_c
     mesh = rotated(build_structured_mesh("quad", 2, 2, bounds=((0.0, length), (0.0, 1.0))), 30)
     cells = np.arange(mesh.n_cells)
     ctx = build_cell_context(mesh, cells, HhoDegrees(k, k + mixed))
     R_full = reconstruction(ctx)
-    layout, K = ctx.layout, ctx.stiff_full
-    H = local_ops._gradient_moments(ctx.grad_mass, gradient_reconstruction(ctx))
+    layout, K = ctx.layout, stiffness_gram(ctx)
+    H = gradient_moments(grad_mass(ctx), gradient_reconstruction(ctx))
     C = ctx.ints_full[:, None] / ctx.geom.measure[:, None, None]
     D = np.zeros((len(cells), 1, layout.size))
     D[:, 0, layout.cell] = C[:, 0, : ctx.n_cell]
@@ -423,6 +425,24 @@ def test_reconstruction_solves_its_constrained_system_on_turned_strips(k, mixed,
     L = local_bilinear(ctx).L
     L_c = condense(L, np.zeros((len(cells), layout.cell_width)), layout, cells, cells).L_c
     assert np.array_equal(L_c, L_c.mT)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reconstructions_reproduce_polynomials_on_thin_turned_strips(k, mixed):
+    # 2 x 2 quads on [0, 500] x [0, 1] turned by 30 degrees.  A random
+    # polynomial of degree k+1 in the basis of cell 0, scalar and vector, is
+    # reduced and reconstructed: both reconstructions give its coefficients
+    # back.  Through the normal equations the displacement reconstruction was
+    # good to only 2e-6 (k = 1) to 6e-5 (k = 3)
+    mesh = rotated(build_structured_mesh("quad", 2, 2, bounds=((0.0, 500.0), (0.0, 1.0))), 30)
+    rng = np.random.default_rng(k)
+    for rank, rebuild in ((1, reconstruction), (2, displacement_reconstruction)):
+        ctx = build_cell_context(mesh, 0, HhoDegrees(k, k + mixed, rank=rank))
+        coef = rng.standard_normal(rank * ctx.n_rec)
+        p = lambda x: (ctx.rec_basis.eval(x[None])[0] @ coef.reshape(-1, rank)).squeeze()
+        rec = rebuild(ctx)[0] @ reduce_local(mesh, 0, ctx.degrees, p)
+        assert np.abs(rec - coef).max() <= 1e-9 * np.abs(coef).max()
 
 
 def test_cell_thinner_than_round_off_is_left_to_the_guard():

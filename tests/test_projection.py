@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pyhho import elasticity
+from pyhho import elasticity, local_ops
 from pyhho.basis import scaled_monomial_basis
 from pyhho.local_ops import build_cell_context
 from pyhho.mesh import build_interval_mesh, build_structured_mesh
@@ -186,17 +186,33 @@ def test_spd_inverse_names_the_indefinite_entry():
         spd_inverse(M, np.arange(10, 15), what="not positive definite", entity="face")
 
 
+def zeroed_constraints(monkeypatch, module, b):
+    """Patch ``module``'s reconstruction kernel to zero the constraint rows of
+    group row ``b``: the constants then span a null column of its augmented
+    matrix, and its triangle has a zero diagonal."""
+    kernel = module.constrained_projection
+
+    def corrupted(ctx, B, h, C, D, what):
+        C = C.copy()
+        C[b] = 0.0
+        return kernel(ctx, B, h, C, D, what)
+
+    monkeypatch.setattr(module, "constrained_projection", corrupted)
+
+
 def test_singular_displacement_reconstruction_names_its_cell(monkeypatch):
     mesh = jittered_mesh("tri", 3, 1)
     ctx = build_cell_context(mesh, np.arange(mesh.n_cells), HhoDegrees(1, 1, rank=2))
-    gram = elasticity.strain_gram
-
-    def corrupted(c):
-        S = gram(c)
-        S[4] *= -10.0
-        return S
-
-    monkeypatch.setattr(elasticity, "strain_gram", corrupted)
+    zeroed_constraints(monkeypatch, elasticity, 4)
     with pytest.raises(ValueError, match=f"^cell {ctx.cells[4]}: singular "
                                          "displacement-reconstruction system$"):
         elasticity.displacement_reconstruction(ctx)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_singular_reconstruction_names_its_cell(monkeypatch, k):
+    mesh = jittered_mesh("quad", 3, 1)
+    ctx = build_cell_context(mesh, np.arange(mesh.n_cells), equal_order(k))
+    zeroed_constraints(monkeypatch, local_ops, 4)
+    with pytest.raises(ValueError, match=f"^cell {ctx.cells[4]}: singular reconstruction system$"):
+        local_ops.reconstruction(ctx)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -292,13 +293,23 @@ def test_strip_names_cell_zero(monkeypatch):
 
 
 def test_debug_line_per_group(caplog):
+    # each group logs its reconstruction's worst diagonal ratio, naming one of
+    # its cells, then its build
     mesh = mesh_family("hanging", 0, base=4)
-    with caplog.at_level(logging.DEBUG, logger="pyhho"):
-        build_local(mesh, HhoDegrees(1, 1), poisson_sin_2d())
-    lines = [r.getMessage() for r in caplog.records if r.name == "pyhho"]
-    assert len(lines) == len(mesh.cell_groups())
-    for line, cells in zip(lines, mesh.cell_groups()):
-        reps, _ = mesh.cell_shapes(cells)
-        shape = mesh.cell_geometry(cells).shape
-        assert line.startswith(f"local operators: {shape} group, {len(cells)} cells, "
-                               f"{len(reps)} shapes, ")
+    for degrees, spec, what in [
+            (HhoDegrees(1, 1), poisson_sin_2d(), "reconstruction"),
+            (HhoDegrees(1, 1, rank=2), elasticity_compressible(mu=1.0, lam=3.0),
+             "displacement-reconstruction")]:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="pyhho"):
+            build_local(mesh, degrees, spec)
+        lines = [r.getMessage() for r in caplog.records if r.name == "pyhho"]
+        assert len(lines) == 2 * len(mesh.cell_groups())
+        for rec, line, cells in zip(lines[0::2], lines[1::2], mesh.cell_groups()):
+            reps, _ = mesh.cell_shapes(cells)
+            shape = mesh.cell_geometry(cells).shape
+            match = re.fullmatch(rf"{what}: largest max\|r_ii\| / min\|r_ii\| (\S+) \(a "
+                                 r"lower bound on the condition number\) at cell (\d+)", rec)
+            assert match and 1.0 <= float(match[1]) < 1e3 and int(match[2]) in reps
+            assert line.startswith(f"local operators: {shape} group, {len(cells)} cells, "
+                                   f"{len(reps)} shapes, ")
