@@ -11,10 +11,9 @@ from .projection import (DofLayout, HhoDegrees, dof_layout, equal_order,
 from .quadrature import QuadratureRule, cell_quadrature, face_quadrature
 from .local_ops import (CellContext, LocalOperators, build_cell_context,
                         gradient_reconstruction, local_bilinear, reconstruction,
-                        stabilization_equal_order, stabilization_ls)
+                        stabilization_equal_order)
 from .elasticity import (displacement_reconstruction, divergence_reconstruction,
-                         local_bilinear_elastic, stabilization_elastic,
-                         strain_reconstruction)
+                         local_bilinear_elastic, strain_reconstruction)
 from .assembly import (CondensedGroup, DofMap, GlobalSystem, assemble, build_dof_map,
                        condense, recover_cells, solve_monolithic, solve_reduced)
 from .problems import ProblemSpec, get_problem

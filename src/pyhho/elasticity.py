@@ -10,9 +10,10 @@ nearest to it, by the Poisson reconstruction's least squares, pinned by
 mean-value and skew-gradient constraints that remove the rigid-body
 ambiguity.  The local bilinear form is the shared local form of
 :mod:`pyhho.local_ops` with the strain as the field and the stress ``2 mu E
-+ lam tr(E) I`` as its image, plus a stabilization weighted by ``2 mu / h``;
-the stabilizations are the scalar ones, tensorized with the 2D identity, and
-the face tractions are the face rows of the form.
++ lam tr(E) I`` as its image, plus a stabilization weighted by ``2 mu / h``:
+the one stabilization of :mod:`pyhho.local_ops`, tensorized with the 2D
+identity and fed the displacement reconstruction in either order.  The face
+tractions are the face rows of the form.
 
 Vector DoFs interleave components: scalar function ``i``, component ``a``
 sits at ``2 i + a`` inside each block.  Like :mod:`pyhho.local_ops`, every
@@ -24,8 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import local_ops
-from .local_ops import (CellContext, LocalOperators, _bundle, _mass_rows,
-                        constrained_projection, stabilization_equal_order, stabilization_ls)
+from .local_ops import CellContext, LocalOperators, _bundle, _mass_rows, constrained_projection
+# the one stabilization, under the name perfbench/tracing.py wraps as
+# elasticity.stabilization; ROADMAP item 1b deletes the alias
+from .local_ops import stabilization_equal_order as stabilization_elastic
 # unused here; perfbench/tracing.py resolves it among its SPAN_SITES, so the
 # name stays until those sites change
 from .projection import mass_cholesky  # noqa: F401
@@ -69,19 +72,21 @@ def divergence_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) ->
     return Es[:, 0] + Es[:, 1]
 
 
-def displacement_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) -> np.ndarray:
+def displacement_reconstruction(ctx: CellContext, rows: np.ndarray | None = None) -> np.ndarray:
     """Degree-(k+1) displacement reconstruction with rigid-body constraints.
 
     ``eps(Dep v)`` is the strain nearest to ``Es v`` in the ``:`` product:
     the rows (:func:`pyhho.local_ops._mass_rows`, xy weighted by sqrt(2)) of
-    ``sym(grad_maps (x) I) Dep v`` fit those of ``Es v``, so ``(eps(Dep v),
-    eps(w)) = (Es v, eps(w))``, exact as ``eps(w)`` has degree k.  Two mean
-    rows and one skew-gradient row ``C Dep = D`` fix the rigid part, so ``Dep
-    @ v`` are the full vector coefficients.  The skew row's data is the cell
-    integral of ``Es[:, 2]``, since ``int_T G_c v = sum_F int_F v_F n_c``.
+    ``sym(grad_maps (x) I) Dep v`` fit ``rows``, those of ``Es v``, so
+    ``(eps(Dep v), eps(w)) = (Es v, eps(w))``, exact as ``eps(w)`` has degree
+    k.  Two mean rows and one skew-gradient row ``C Dep = D`` fix the rigid
+    part, so ``Dep @ v`` are the full vector coefficients.  The skew row's
+    data is the cell integral of ``Es[:, 2]``, since ``int_T G_c v = sum_F
+    int_F v_F n_c``: as ``phi_0 = 1`` and ``Lam`` is lower triangular, ``int_T
+    q = Lam_00 (Lam^T q)_0``.  ``rows`` are built here unless passed in.
     """
-    if Es is None:
-        Es = strain_reconstruction(ctx)
+    if rows is None:
+        rows = _mass_rows(ctx, strain_reconstruction(ctx), ROOT_WEIGHTS)
     layout, nb, nv = ctx.layout, len(ctx.cells), 2 * ctx.n_rec
     # constraint rows: component means and the mean skew gradient
     C = np.zeros((nb, 3, nv))
@@ -94,23 +99,13 @@ def displacement_reconstruction(ctx: CellContext, Es: np.ndarray | None = None) 
     D = np.zeros((nb, 3, layout.size))
     D[:, :2, layout.cell] = C[:, :2, : layout.cell_width]
     # int eps_xy(v) = (int G_y v_x + int G_x v_y) / 2; the skew part flips the sign of v_y
-    int_exy = (ctx.ints_full[:, None, : ctx.n_k] @ Es[:, 2])[:, 0]
+    int_exy = ctx.mass_factor[:, 0, :1] * rows[:, 2 * ctx.n_k] / ROOT_WEIGHTS[2, 0]
     D[:, 2, 0::2] = int_exy[:, 0::2]
     D[:, 2, 1::2] = -int_exy[:, 1::2]
 
     return constrained_projection(
-        ctx, _mass_rows(ctx, _symmetric_part(ctx.grad_maps), ROOT_WEIGHTS),
-        _mass_rows(ctx, Es, ROOT_WEIGHTS), C, D, what="displacement-reconstruction")
-
-
-def stabilization_elastic(ctx: CellContext, Dep: np.ndarray | None):
-    """Vector stabilization ``(face_ops, penalty)``, ``penalty`` with the plain
-    ``1/h`` weight (the bilinear form applies ``2 mu``); equal order needs ``Dep``."""
-    if ctx.degrees.mixed:
-        return stabilization_ls(ctx)
-    if Dep is None:
-        raise ValueError("equal-order elastic stabilization needs the displacement reconstruction")
-    return stabilization_equal_order(ctx, Dep)
+        ctx, _mass_rows(ctx, _symmetric_part(ctx.grad_maps), ROOT_WEIGHTS), rows, C, D,
+        what="displacement-reconstruction")
 
 
 def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalOperators:
@@ -118,10 +113,9 @@ def local_bilinear_elastic(ctx: CellContext, mu: float, lam: float) -> LocalOper
     stress ``sigma(E) = 2mu E + lam tr(E) I``."""
     if mu <= 0 or lam < 0:
         raise ValueError("need mu > 0 and lambda >= 0")
-    Es = strain_reconstruction(ctx)
-    Dep = displacement_reconstruction(ctx, Es)
+    T = _mass_rows(ctx, strain_reconstruction(ctx), ROOT_WEIGHTS)
+    Dep = displacement_reconstruction(ctx, T)
     stab = stabilization_elastic(ctx, Dep)
-    T = _mass_rows(ctx, Es, ROOT_WEIGHTS)
     E = T.reshape(len(T), 3, ctx.n_k, -1)    # the law is linear, and xx and yy weigh 1
     sig = 2 * mu * E
     sig[:, :2] += lam * divergence_reconstruction(ctx, E)[:, None]

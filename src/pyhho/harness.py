@@ -32,7 +32,7 @@ from .mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh,
                    build_structured_mesh, left_half)
 from .problems import ProblemSpec, poisson_sin_1d, poisson_sin_2d
 from .projection import (HhoDegrees, data_order, dof_layout, equal_order, gather_local,
-                         l2_project, mixed_order, reduce_global, sample, spd_inverse)
+                         l2_project, mixed_order, reduce_global, sample)
 from .quadrature import QuadratureRule, cell_quadrature, face_quadrature, interval_rule
 
 log = logging.getLogger("pyhho")
@@ -326,8 +326,8 @@ def error_norms(sol: Solution, level: int = 0) -> ErrorRow:
     h1_sq = l2c_sq = l2r_sq = stab_sq = 0.0
     for g in sol.groups:
         ops, D = g.ops, g.ops.rec_basis.derivatives()
-        n_cell = ops.cell_mass.shape[-1]
-        F = spd_inverse(ops.cell_mass, ops.cells, what="cell mass matrix is not positive definite")
+        F = ops.cell_inv_factor
+        n_cell = F.shape[-1]
         for s in range(0, len(g.cells), asm.CHUNK):
             cells, shapes = g.cells[s:s + asm.CHUNK], g.shapes[s:s + asm.CHUNK]
             nb = len(cells)
@@ -491,7 +491,7 @@ def verify_operators(family: str, k: int, levels: int = 4, base: int = 4) -> lis
         cell_sq = 0.0
         for g in eq.groups:
             inv, w, vals = data_basis(g.ops, g.rule, g.cells, g.shapes)
-            proj = vals[inv][..., : g.ops.cell_mass.shape[-1]] @ eq.cell_coeffs[g.cells, :, None]
+            proj = vals[inv][..., : g.ops.layout.cell_width] @ eq.cell_coeffs[g.cells, :, None]
             cell_sq += np.sum(w[inv] * (sample(spec.exact, g.rule.points) - proj[..., 0]) ** 2)
         face_sq = float("nan")
         if mesh.dim == 2:     # every face once, against the reduction's face block

@@ -2,8 +2,8 @@
 
 For each cell this module builds, in the monomial bases of the hybrid
 unknowns, the full-polynomial gradient reconstruction ``G``, the
-potential reconstruction of one degree higher, the equal-order and
-Lehrenfeld-Schoberl stabilizations, and the one local form.  The hybrid
+potential reconstruction of one degree higher, one stabilization for
+every cell degree, and the one local form.  The hybrid
 face terms are assembled once, in ``G``: the potential reconstruction is
 the gradient of degree k+1 nearest to ``G`` in the degree-k mass norm, a
 least-squares fit through that mass' Cholesky factor, shared with the
@@ -12,6 +12,8 @@ displacement reconstruction.  The local form pairs a degree-k field map
 and reads the cell balance from ``CT``: Poisson's is ``(G v, G w)``.  The
 face fluxes are its face rows: tested with ``psi`` on a face ``F`` it is
 ``-(flux_F(v), psi)_F``.  The cell mass Gram is a face sum: no cell rule.
+Its one Cholesky factor, of degree k+1, gives every mass inverse and
+projection of a lower degree through its leading blocks.
 
 Every operator is built for a group of cells that share one quadrature
 class (see :meth:`pyhho.mesh.Mesh.cell_groups`): arrays carry a leading
@@ -23,7 +25,7 @@ of the few arrays that the solve, the checks and the error norms read,
 and the context dies with the build.
 
 All matrices act on local DoF vectors laid out as ``[T | F_1 | ... | F_n]``.
-The stabilizations serve scalar (rank 1) and 2D vector (rank 2) unknowns
+The stabilization serves scalar (rank 1) and 2D vector (rank 2) unknowns
 alike: a vector block is the scalar block tensorized with the identity,
 ``kron(M, I_rank)``, and components interleave inside each block.  The
 gradient reconstruction is always built on the scalar layout;
@@ -77,8 +79,8 @@ class CellContext:
     rec_basis: Basis
     mass_full: np.ndarray    # (nb, n_rec, n_rec)
     grad_maps: np.ndarray    # (nb, d, n_k, n_rec) D: d_c phi_i = sum_l D[c, l, i] phi_l, l < n_k
-    mass_k_factor: np.ndarray  # (nb, n_k, n_k) Cholesky factor Lam of the degree-k cell mass
-    mass_k_inv: np.ndarray   # (nb, n_k, n_k) inverse of the degree-k cell mass
+    mass_factor: np.ndarray  # (nb, n_rec, n_rec) Cholesky factor L of mass_full = L L^T
+    cell_inv_factor: np.ndarray  # (nb, n_cell, n_cell) F_c: the cell-degree block of L^-1
     faces: FaceContext
 
     @property
@@ -157,12 +159,12 @@ def build_cell_context(mesh: Mesh, cells, degrees: HhoDegrees) -> CellContext:
         raise ValueError(
             f"cell {cells[b]}: mass-matrix condition number {cond:.2e} (diagonally "
             f"scaled) exceeds {COND_LIMIT:.0e}; reduce the degree or the aspect ratio")
-    n_k = basis_size(k, d)
-    mass_k_factor, mass_k_inv = mass_cholesky(mass_full[:, :n_k, :n_k], cells, factor=True)
+    L, F = mass_cholesky(mass_full, cells, factor=True)
+    n_c = basis_size(degrees.k_cell, d)
     return CellContext(mesh=mesh, cells=cells, geom=geom, degrees=degrees,
                        layout=layout, rec_basis=rec_basis, mass_full=mass_full,
-                       grad_maps=rec_basis.derivatives()[..., :n_k, :].copy(),
-                       mass_k_factor=mass_k_factor, mass_k_inv=mass_k_inv, faces=faces)
+                       grad_maps=rec_basis.derivatives()[..., :basis_size(k, d), :].copy(),
+                       mass_factor=L, cell_inv_factor=F[:, :n_c, :n_c].copy(), faces=faces)
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +200,27 @@ def constrained_projection(ctx: CellContext, B: np.ndarray, h: np.ndarray, C: np
 
 
 def _mass_rows(ctx: CellContext, X: np.ndarray, weights=1.0) -> np.ndarray:
-    """Rows ``Lam^T X_c`` (nb, c n_k, m), ``M_k = Lam Lam^T``, of degree-k maps ``X`` (nb, c,
-    n_k, m) times ``weights``: their dot products are the sums of ``(X_c v, X_c w)``."""
-    return (weights * (ctx.mass_k_factor.mT[:, None] @ X)).reshape(len(X), -1, X.shape[-1])
+    """Rows ``Lam^T X_c`` (nb, c n_k, m), ``M_k = Lam Lam^T`` (the leading block of
+    ``mass_factor``), of degree-k maps ``X`` (nb, c, n_k, m) times ``weights``:
+    their dot products are the sums of ``(X_c v, X_c w)``."""
+    lam = ctx.mass_factor[:, None, : ctx.n_k, : ctx.n_k]
+    return (weights * (lam.mT @ X)).reshape(len(X), -1, X.shape[-1])
 
 
-def reconstruction(ctx: CellContext, G: np.ndarray | None = None) -> np.ndarray:
+def reconstruction(ctx: CellContext, rows: np.ndarray | None = None) -> np.ndarray:
     """Potential reconstruction ``R_full``, stacked over the group.
 
     ``grad R v`` is the gradient of degree k+1 nearest to ``G v``: the rows
-    (:func:`_mass_rows`) of ``grad_maps x`` fit those of ``G v``, so ``(grad R
-    v, grad w) = (G v, grad w)``, exact as ``grad w`` has degree k.  The mean
-    of ``R v`` is that of ``v_T``, and ``R_full @ v`` are coefficients in the
-    full degree-(k+1) basis.  ``G`` is built here unless passed in.
+    (:func:`_mass_rows`) of ``grad_maps x`` fit ``rows``, those of ``G v``, so
+    ``(grad R v, grad w) = (G v, grad w)``, exact as ``grad w`` has degree k.
+    The mean of ``R v`` is that of ``v_T``, and ``R_full @ v`` are coefficients
+    in the full degree-(k+1) basis.  ``rows`` are built here unless passed in.
     """
-    if G is None:
-        G = gradient_reconstruction(ctx)
+    if rows is None:
+        rows = _mass_rows(ctx, gradient_reconstruction(ctx))
     D = np.zeros((len(ctx.cells), 1, ctx.layout.size))
     D[:, 0, ctx.layout.cell] = ctx.ints_full[:, : ctx.n_cell]
-    return constrained_projection(ctx, _mass_rows(ctx, ctx.grad_maps), _mass_rows(ctx, G),
+    return constrained_projection(ctx, _mass_rows(ctx, ctx.grad_maps), rows,
                                   ctx.ints_full[:, None], D, what="reconstruction")
 
 
@@ -236,7 +240,8 @@ def gradient_reconstruction(ctx: CellContext) -> np.ndarray:
     # -sum_F (v_T - v_F, q n)_F: the only assembly of the face terms
     cell = -(n @ (wq @ f.phi[..., :n_cell]).reshape(nb, nf, -1)).reshape(nb, d, n_k, n_cell)
     face = n[:, :, None, :, None] * (wq @ f.psi).transpose(0, 2, 1, 3)[:, None]
-    G = ctx.mass_k_inv[:, None] @ np.concatenate([cell, face.reshape(nb, d, n_k, -1)], axis=-1)
+    F = ctx.cell_inv_factor[:, None, :n_k, :n_k]          # M_k^-1 = F_k^T F_k
+    G = (F.mT @ F) @ np.concatenate([cell, face.reshape(nb, d, n_k, -1)], axis=-1)
     G[..., :n_cell] += ctx.grad_maps[..., :n_cell]    # (grad v_T, q): grad v_T has degree <= k
     return G
 
@@ -273,33 +278,32 @@ def _face_ops(ctx: CellContext, proj: np.ndarray):
     return S, 0.5 * (penalty + penalty.mT)
 
 
-def stabilization_ls(ctx: CellContext):
-    """Lehrenfeld-Schoberl stabilization: project the cell trace, subtract
-    the face unknown.  Returns ``(face_ops, penalty)``."""
-    layout, rank, f = ctx.layout, ctx.degrees.rank, ctx.faces
-    P = f.mass_inv @ f.trace_full[..., : ctx.n_cell]
-    proj = np.zeros(P.shape[:2] + (layout.face_width, layout.size))
-    for a in range(rank):       # kron(P, I_rank) in the cell columns
-        proj[:, :, a::rank, a:layout.cell_width:rank] = P
-    return _face_ops(ctx, proj)
-
-
 def stabilization_equal_order(ctx: CellContext, rec: np.ndarray):
-    """Equal-order stabilization including the reconstruction correction.
+    """The stabilization of every cell degree, ``S_F v = Pi_F(rec v + v_T -
+    Pi_T rec v) - v_F``.  Returns ``(face_ops, penalty)``.
 
     ``rec`` is the full reconstruction (``R_full`` for the scalar problem,
-    the displacement reconstruction for elasticity).
+    the displacement reconstruction for elasticity), and ``Pi_T`` the L2
+    projection onto the cell degree.  With ``mass_full = L L^T`` split at the
+    cell degree, ``Pi_T = [I | F_c^T L21^T]``, ``F_c`` the leading block of
+    ``L^-1``.  In mixed order ``L21`` has no rows, so the cell polynomial is
+    ``v_T`` and ``S_F`` is Lehrenfeld-Schoberl's.
     """
-    if ctx.degrees.mixed:
-        raise ValueError("equal-order stabilization requires k_cell == k_face")
-    layout, f = ctx.layout, ctx.faces
-    # w = rec v + v_T - Pi_T(rec v); in equal order the cell mass is the degree-k one
+    layout, f, n_c, rank = ctx.layout, ctx.faces, ctx.n_cell, ctx.degrees.rank
+    nb, size = len(rec), layout.size
+    L21, F_c = ctx.mass_factor[:, n_c:, :n_c], ctx.cell_inv_factor
+    rec_hi = rec[:, layout.cell_width:].reshape(nb, ctx.n_rec - n_c, rank * size)
+    # the cell rows of w = rec v + v_T - Pi_T(rec v); its others are rec's
     w = rec.copy()
-    w[:, layout.cell] -= _kron_apply(ctx.mass_k_inv,
-                                     _kron_apply(ctx.mass_full[:, : ctx.n_cell], rec))
+    w[:, layout.cell] = -(F_c.mT @ (L21.mT @ rec_hi)).reshape(nb, layout.cell_width, size)
     w[:, layout.cell, layout.cell] += np.eye(layout.cell_width)
-    P = (f.mass_inv @ f.trace_full).reshape(len(w), -1, ctx.n_rec)
+    P = (f.mass_inv @ f.trace_full).reshape(nb, -1, ctx.n_rec)
     return _face_ops(ctx, _kron_apply(P, w).reshape(f.normal.shape[:2] + (layout.face_width, -1)))
+
+
+# unused here; perfbench/tracing.py wraps this name as local_ops.stabilization,
+# so it stays until those sites change (ROADMAP item 1b deletes it)
+stabilization_ls = stabilization_equal_order
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +324,7 @@ class LocalOperators:
     face_mass: np.ndarray     # (nb, n_faces, n_face, n_face)
     face_mass_inv: np.ndarray  # (nb, n_faces, n_face, n_face)
     trace: np.ndarray         # (nb, n_faces, n_face, n_k): sum_q w psi phi^T, phi of degree <= k
-    cell_mass: np.ndarray     # (nb, n_cell, n_cell)
+    cell_inv_factor: np.ndarray  # (nb, n_cell, n_cell) F_c: the cell mass' inverse is F_c^T F_c
     L: np.ndarray             # local bilinear-form matrices
     stab_face: np.ndarray     # (nb, n_faces, face_width, size) face operators S_F
     rec: np.ndarray           # full reconstruction, coefficients in rec_basis
@@ -354,15 +358,13 @@ def _bundle(ctx: CellContext, tests: np.ndarray, T: np.ndarray, CT: np.ndarray, 
         rec_basis=replace(basis, center=basis.center.copy(), map=basis.map.copy()),
         real_faces=ctx.geom.face_measures > 0, face_mass=f.mass, face_mass_inv=f.mass_inv,
         trace=f.trace_full[..., : ctx.n_k].copy(),
-        cell_mass=ctx.mass_full[:, : ctx.n_cell, : ctx.n_cell].copy())
+        cell_inv_factor=ctx.cell_inv_factor)
 
 
 def local_bilinear(ctx: CellContext) -> LocalOperators:
-    """Full local matrix ``L = (G v, G w) + penalty``; the stabilization is
-    Lehrenfeld-Schoberl in mixed order, else the reconstruction-corrected one."""
-    G = gradient_reconstruction(ctx)
-    R_full = reconstruction(ctx, G)
-    stab = (stabilization_ls(ctx) if ctx.degrees.mixed
-            else stabilization_equal_order(ctx, R_full))
-    X = _mass_rows(ctx, G)
+    """Full local matrix ``L = (G v, G w) + penalty``, the penalty of the one
+    reconstruction-corrected stabilization."""
+    X = _mass_rows(ctx, gradient_reconstruction(ctx))
+    R_full = reconstruction(ctx, X)
+    stab = stabilization_equal_order(ctx, R_full)
     return _bundle(ctx, _mass_rows(ctx, ctx.grad_maps[..., : ctx.n_k]), X, X, stab, 1.0, R_full)

@@ -112,12 +112,12 @@ def spd_inverse(M: np.ndarray, ids, what: str, entity: str = "cell", factor: boo
 
 def mass_cholesky(M: np.ndarray, ids=None, entity: str = "cell", factor: bool = False):
     """Inverses ``F^T F`` of a stack of mass matrices (:func:`spd_inverse`; with
-    ``factor``, ``(L, F^T F)``); ``ids`` name the cells or faces in the error
+    ``factor``, its ``(L, F)``); ``ids`` name the cells or faces in the error
     for one not positive definite."""
     L, F = spd_inverse(M, np.arange(len(M)) if ids is None else ids, entity=entity,
                        what="mass matrix is not positive definite; the geometry is "
                             "degenerate or the degree too high for raw monomials", factor=True)
-    return (L, F.mT @ F) if factor else F.mT @ F
+    return (L, F) if factor else F.mT @ F
 
 
 def sample(fn, points: np.ndarray, rank: int | None = None, ids=None,

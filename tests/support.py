@@ -6,6 +6,7 @@ import numpy as np
 
 from pyhho.basis import _lowered, face_basis, scaled_monomial_basis
 from pyhho.harness import _apply, data_order
+from pyhho.local_ops import _face_ops
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh
 from pyhho.problems import ProblemSpec
 from pyhho.projection import gather_local, l2_project
@@ -237,6 +238,19 @@ def flux_matrix(ops):
 def operator(ops, name):
     """The kept operator ``name`` of ``ops``; ``"flux"`` is :func:`flux_matrix`."""
     return flux_matrix(ops) if name == "flux" else getattr(ops, name)
+
+
+def ls_stabilization(ctx):
+    """Lehrenfeld-Schoberl's ``(face_ops, penalty)`` on the cells of a
+    mixed-order ``ctx``: project the cell trace, subtract the face unknown.
+    The reference for the one stabilization in mixed order, whose cell
+    polynomial is ``v_T``."""
+    layout, rank, f = ctx.layout, ctx.degrees.rank, ctx.faces
+    P = f.mass_inv @ f.trace_full[..., : ctx.n_cell]
+    proj = np.zeros(P.shape[:2] + (layout.face_width, layout.size))
+    for a in range(rank):       # kron(P, I_rank) in the cell columns
+        proj[:, :, a::rank, a:layout.cell_width:rank] = P
+    return _face_ops(ctx, proj)
 
 
 def seminorm_gram(ctx):

@@ -4,10 +4,9 @@ import pytest
 from pyhho.basis import face_basis, scaled_monomial_basis
 from pyhho.elasticity import (displacement_reconstruction,
                               divergence_reconstruction,
-                              local_bilinear_elastic, stabilization_elastic,
-                              strain_reconstruction)
-from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
-                             stabilization_ls)
+                              local_bilinear_elastic, strain_reconstruction)
+from pyhho.local_ops import (build_cell_context, gradient_reconstruction, reconstruction,
+                             stabilization_equal_order)
 from pyhho.mesh import build_hanging_node_mesh, build_structured_mesh
 from pyhho.projection import (HhoDegrees, l2_project, mass_cholesky, mixed_order,
                               reduce_local)
@@ -204,7 +203,7 @@ def test_displacement_reconstruction_solves_its_normal_equations(k, mixed, lengt
     mesh = rotated(build_structured_mesh("quad", 2, 2, bounds=((0.0, length), (0.0, 1.0))), 30)
     ctx = build_cell_context(mesh, np.arange(mesh.n_cells), HhoDegrees(k, k + mixed, rank=2))
     Es = strain_reconstruction(ctx)
-    Dep, K = displacement_reconstruction(ctx, Es), strain_gram(ctx)
+    Dep, K = displacement_reconstruction(ctx), strain_gram(ctx)
     H = gradient_moments(grad_mass(ctx), tensor_columns(Es))
     res = np.linalg.norm(K @ Dep - H, axis=(1, 2))
     assert np.all(res <= 1e-14 * np.linalg.norm(K, axis=(1, 2)) * np.linalg.norm(Dep, axis=(1, 2)))
@@ -215,8 +214,7 @@ def test_elastic_stabilization_annihilates_reduction(deg):
     # a unit quad and a hanging-node pentagon
     for mesh, ci in [(build_structured_mesh("quad", 1, 1), 0), pentagon_cell()]:
         ctx = build_cell_context(mesh, ci, deg)
-        Dep = None if deg.mixed else displacement_reconstruction(ctx)
-        face_ops, _ = stabilization_elastic(ctx, Dep)
+        face_ops, _ = stabilization_equal_order(ctx, displacement_reconstruction(ctx))
         q = lambda x: np.column_stack([(x[:, 0] + x[:, 1]) ** 2, x[:, 0] ** 2])
         red = reduce_local(mesh, ci, deg, q)
         assert np.abs(face_ops[0] @ red).max() < 1e-11
@@ -230,8 +228,8 @@ def test_vector_ls_stabilization_acts_per_component():
     mesh, ci = pentagon_cell()
     ctx_s = build_cell_context(mesh, ci, mixed_order(1))
     ctx_v = build_cell_context(mesh, ci, VMIX)
-    ops_s, pen_s = stabilization_ls(ctx_s)
-    ops_v, pen_v = stabilization_ls(ctx_v)
+    ops_s, pen_s = stabilization_equal_order(ctx_s, reconstruction(ctx_s))
+    ops_v, pen_v = stabilization_equal_order(ctx_v, displacement_reconstruction(ctx_v))
     pen_s, pen_v = pen_s[0], pen_v[0]
     v = np.random.default_rng(4).standard_normal(ctx_v.layout.size)
     for Zs, Zv in zip(ops_s[0], ops_v[0]):
@@ -245,7 +243,7 @@ def test_elastic_stabilization_depends_on_gap_only():
     mesh = build_structured_mesh("quad", 1, 1)
     ctx = build_cell_context(mesh, 0, VDEG)
     Dep = displacement_reconstruction(ctx)
-    face_ops, _ = stabilization_elastic(ctx, Dep)
+    face_ops, _ = stabilization_equal_order(ctx, Dep)
     rng = np.random.default_rng(12)
     v = rng.standard_normal(ctx.layout.size)
     qc = rng.standard_normal(2 * ctx.n_cell)

@@ -25,10 +25,10 @@ import pytest
 from pyhho import local_ops
 from pyhho.basis import face_basis
 from pyhho.elasticity import (displacement_reconstruction, local_bilinear_elastic,
-                              stabilization_elastic, strain_reconstruction)
+                              strain_reconstruction)
 from pyhho.local_ops import (_kron_apply, build_cell_context,
                              gradient_reconstruction, local_bilinear, reconstruction,
-                             stabilization_equal_order, stabilization_ls)
+                             stabilization_equal_order)
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_structured_mesh
 from pyhho.projection import (DofLayout, HhoDegrees, dof_layout, l2_project, mass_cholesky,
                               reduce_local)
@@ -139,23 +139,19 @@ def per_face_gradient_reconstruction(ctx, faces):
         n = f.normal[:, :, None, None]
         rhs[..., layout.cell] -= n * (wq @ f.phi[:, :, :n_cell])[:, None]
         rhs[..., layout.face(i)] += n * (wq @ f.psi)[:, None]
-    return ctx.mass_k_inv[:, None] @ rhs
+    return mass_cholesky(ctx.mass_full[:, :n_k, :n_k])[:, None] @ rhs
 
 
 def per_face_stabilization(ctx, faces, rec):
-    """Lehrenfeld-Schoberl (``rec`` None) or equal-order face operators."""
-    layout = ctx.layout
-    if rec is None:
-        cell = np.zeros((len(ctx.cells), layout.cell_width, layout.size))
-        cell[:, :, layout.cell] = np.eye(layout.cell_width)
-    else:
-        cell = -_kron_apply(ctx.mass_k_inv, _kron_apply(ctx.mass_full[:, :ctx.n_cell], rec))
-        cell[:, :, layout.cell] += np.eye(layout.cell_width)
+    """Face operators ``Pi_F(rec v + v_T - Pi_T rec v) - v_F``, ``Pi_T``
+    through the inverse of the cell-degree mass."""
+    layout, n_cell = ctx.layout, ctx.n_cell
+    Pi_T = mass_cholesky(ctx.mass_full[:, :n_cell, :n_cell]) @ ctx.mass_full[:, :n_cell]
+    cell = -_kron_apply(Pi_T, rec)
+    cell[:, :, layout.cell] += np.eye(layout.cell_width)
     face_ops = []
     for i, f in enumerate(faces):
-        trace = _kron_apply(f.trace_full[:, :, :ctx.n_cell], cell)
-        if rec is not None:
-            trace += _kron_apply(f.trace_full, rec)
+        trace = _kron_apply(f.trace_full[:, :, :n_cell], cell) + _kron_apply(f.trace_full, rec)
         S = _kron_apply(f.mass_inv, trace)
         S[:, :, layout.face(i)] -= np.eye(layout.face_width)
         face_ops.append(S)
@@ -200,8 +196,8 @@ def per_face_operators(ctx, faces, monkeypatch):
             rec = reconstruction(ctx)
         else:
             Es = strain_reconstruction(ctx)
-            rec = displacement_reconstruction(ctx, Es)
-    stab_face, penalty = per_face_stabilization(ctx, faces, None if ctx.degrees.mixed else rec)
+            rec = displacement_reconstruction(ctx)
+    stab_face, penalty = per_face_stabilization(ctx, faces, rec)
     n_k = ctx.n_k
     Mk = ctx.mass_full[:, None, :n_k, :n_k]
     if ctx.degrees.rank == 1:
@@ -243,8 +239,7 @@ def test_face_axis_matches_per_face_build(k, rank, mixed, monkeypatch):
                 assert_close(getattr(f, name)[:, i], getattr(ref, name), 1e-14)
         ops = (local_bilinear(ctx) if rank == 1 else local_bilinear_elastic(ctx, MU, LAM))
         L, penalty, rec, flux, balance = per_face_operators(ctx, faces, monkeypatch)
-        _, stab_penalty = (stabilization_ls(ctx) if mixed
-                           else stabilization_equal_order(ctx, ops.rec))
+        _, stab_penalty = stabilization_equal_order(ctx, ops.rec)
         for actual, ref in [(ops.L, L), (stab_penalty, penalty), (ops.rec, rec),
                             (flux_matrix(ops), flux), (ops.balance, balance)]:
             assert_close(actual, ref, 1e-13)
@@ -378,8 +373,7 @@ def poisson_flux_reference(ctx, R_full):
     consistency = np.concatenate([
         -(f.rule.weights[..., None] * f.psi).mT @ f.phi[:, :, :ctx.n_k]
         @ np.einsum("bc,bcjs->bjs", f.normal, G) for f in faces], axis=1)
-    stab_face, _ = (stabilization_ls(ctx) if ctx.degrees.mixed
-                    else stabilization_equal_order(ctx, R_full))
+    stab_face, _ = stabilization_equal_order(ctx, R_full)
     return flux_from_consistency(ctx, consistency, stab_face, 1.0 / ctx.h)
 
 
@@ -396,7 +390,7 @@ def elastic_flux_reference(ctx, Dep):
                        sig[:, 2] * n[:, 0] + sig[:, 1] * n[:, 1]], axis=2)
         pairing = (f.rule.weights[..., None] * f.psi).mT @ f.phi[:, :, :n_k]
         consistency.append(-_kron_apply(pairing, sn.reshape(len(sn), 2 * n_k, -1)))
-    stab_face, _ = stabilization_elastic(ctx, None if ctx.degrees.mixed else Dep)
+    stab_face, _ = stabilization_equal_order(ctx, Dep)
     return flux_from_consistency(ctx, np.concatenate(consistency, axis=1), stab_face,
                                  2.0 * MU / ctx.h)
 

@@ -3,18 +3,20 @@ quadrature on the cell's data rule, which is exact for their integrands, and
 the gradient Grams, derived from the mass Gram, against one face-point Gram
 of the values and pointwise gradients.  The stiffness and strain Grams,
 which the build no longer forms, are checked as the references
-:mod:`support` derives from the mass Gram and the derivative maps."""
+:mod:`support` derives from the mass Gram and the derivative maps.  The
+mass' one Cholesky factor gives the stabilization its projection onto the
+cell degree, which mixed order checks against Lehrenfeld-Schoberl's."""
 
 import numpy as np
 import pytest
 
-from pyhho.local_ops import build_cell_context
+from pyhho.local_ops import build_cell_context, reconstruction, stabilization_equal_order
 from pyhho.mesh import Mesh, build_hanging_node_mesh, build_interval_mesh, build_structured_mesh
 from pyhho.projection import HhoDegrees, equal_order, mixed_order
 
 from support import (TENSOR_WEIGHTS, data_rule_basis, face_point_grams, grad_mass,
-                     gradient_gram, jittered_hanging, jittered_mesh, rotated, stiffness_gram,
-                     strain_columns, strain_gram)
+                     gradient_gram, jittered_hanging, jittered_mesh, ls_stabilization, rotated,
+                     stiffness_gram, strain_columns, strain_gram)
 
 
 def all_cells(mesh):
@@ -69,7 +71,7 @@ def test_face_sum_grams_match_cell_quadrature(kind, k):
 def test_context_keeps_no_view_of_the_gram():
     # the blocks are their own buffers, freed with the build
     ctx = build_cell_context(build_structured_mesh("tri", 2, 2), np.arange(8), HhoDegrees(1))
-    for block in (ctx.mass_full, ctx.grad_maps, ctx.mass_k_factor, ctx.mass_k_inv):
+    for block in (ctx.mass_full, ctx.grad_maps, ctx.mass_factor, ctx.cell_inv_factor):
         assert block.base is None
 
 
@@ -97,3 +99,18 @@ def test_gradient_grams_match_the_face_point_gram(kind, k, mixed):
         assert_close(grad_mass(ctx), mass_grad)
         assert_close(gradient_gram(ctx), grad_gram)
         assert_close(stiffness_gram(ctx), np.trace(grad_gram, axis1=2, axis2=4))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", list(MESHES))
+def test_mixed_order_stabilization_is_lehrenfeld_schoberl(kind, k, rank):
+    # with cell degree k+1 the reconstruction lies in the cell space, so Pi_T
+    # returns it and the one stabilization projects v_T; the vector
+    # reconstruction is the scalar one on each interleaved component
+    mesh = MESHES[kind]()
+    for cells in mesh.cell_groups():
+        ctx = build_cell_context(mesh, cells, mixed_order(k, rank))
+        rec = np.kron(reconstruction(build_cell_context(mesh, cells, mixed_order(k))), np.eye(rank))
+        for actual, ref in zip(stabilization_equal_order(ctx, rec), ls_stabilization(ctx)):
+            assert np.abs(actual - ref).max() <= 1e-15 * np.abs(ref).max()

@@ -7,8 +7,7 @@ from pyhho import local_ops
 from pyhho.assembly import condense
 from pyhho.elasticity import displacement_reconstruction
 from pyhho.local_ops import (build_cell_context, gradient_reconstruction,
-                             local_bilinear, reconstruction,
-                             stabilization_equal_order, stabilization_ls)
+                             local_bilinear, reconstruction, stabilization_equal_order)
 from pyhho.mesh import (Mesh, build_hanging_node_mesh, build_interval_mesh, build_structured_mesh,
                         refine_uniform)
 from pyhho.projection import (HhoDegrees, equal_order, gather_local, l2_project, mixed_order,
@@ -210,7 +209,7 @@ def test_ls_stabilization_annihilates_mixed_reduction(k):
     mesh = build_structured_mesh("tri", 1, 1)
     deg = mixed_order(k)
     ctx = build_cell_context(mesh, 0, deg)
-    face_ops, _ = stabilization_ls(ctx)
+    face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx))
     q = lambda x: (x[:, 0] + x[:, 1]) ** (k + 1)
     red = reduce_local(mesh, 0, deg, q)
     assert np.abs(face_ops[0] @ red).max() < 1e-11
@@ -219,7 +218,7 @@ def test_ls_stabilization_annihilates_mixed_reduction(k):
 def test_ls_face_only_dof():
     mesh = build_structured_mesh("quad", 1, 1)
     ctx = build_cell_context(mesh, 0, mixed_order(1))
-    face_ops, _ = stabilization_ls(ctx)
+    face_ops, _ = stabilization_equal_order(ctx, reconstruction(ctx))
     v = np.zeros(ctx.layout.size)
     v[ctx.layout.face(0)][0] = 1.0
     out0 = face_ops[0, 0] @ v
@@ -433,16 +432,19 @@ def test_reconstructions_reproduce_polynomials_on_thin_turned_strips(k, mixed):
     # 2 x 2 quads on [0, 500] x [0, 1] turned by 30 degrees.  A random
     # polynomial of degree k+1 in the basis of cell 0, scalar and vector, is
     # reduced and reconstructed: both reconstructions give its coefficients
-    # back.  Through the normal equations the displacement reconstruction was
-    # good to only 2e-6 (k = 1) to 6e-5 (k = 3)
+    # back, and the stabilization, whose Pi_T reads the leading blocks of the
+    # mass factor, annihilates it.  Through the normal equations the
+    # displacement reconstruction was good to only 2e-6 (k = 1) to 6e-5 (k = 3)
     mesh = rotated(build_structured_mesh("quad", 2, 2, bounds=((0.0, 500.0), (0.0, 1.0))), 30)
     rng = np.random.default_rng(k)
     for rank, rebuild in ((1, reconstruction), (2, displacement_reconstruction)):
         ctx = build_cell_context(mesh, 0, HhoDegrees(k, k + mixed, rank=rank))
         coef = rng.standard_normal(rank * ctx.n_rec)
         p = lambda x: (ctx.rec_basis.eval(x[None])[0] @ coef.reshape(-1, rank)).squeeze()
-        rec = rebuild(ctx)[0] @ reduce_local(mesh, 0, ctx.degrees, p)
-        assert np.abs(rec - coef).max() <= 1e-9 * np.abs(coef).max()
+        red, R = reduce_local(mesh, 0, ctx.degrees, p), rebuild(ctx)
+        assert np.abs(R[0] @ red - coef).max() <= 1e-9 * np.abs(coef).max()
+        face_ops, _ = stabilization_equal_order(ctx, R)
+        assert np.abs(face_ops[0] @ red).max() <= 1e-10 * np.abs(red).max()
 
 
 def test_cell_thinner_than_round_off_is_left_to_the_guard():
